@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 namespace gum {
@@ -114,6 +115,25 @@ Result<std::vector<int64_t>> FlagParser::GetIntList(
     start = comma + 1;
   }
   return values;
+}
+
+Result<int64_t> FlagParser::GetIntInRange(const std::string& name,
+                                          int64_t default_value,
+                                          int64_t min_value,
+                                          int64_t max_value) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return default_value;
+  const std::string& raw = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(raw.c_str(), &end, 10);
+  if (raw.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
+      value < min_value || value > max_value) {
+    return Status::InvalidArgument(
+        "bad value '" + raw + "' for --" + name + " (expected an integer in [" +
+        std::to_string(min_value) + ", " + std::to_string(max_value) + "])");
+  }
+  return value;
 }
 
 Status FlagParser::KnownFlagsOnly(

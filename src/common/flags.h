@@ -41,6 +41,13 @@ class FlagParser {
   // convention as GetEnum, so "--sources=3,x,7" fails loudly.
   Result<std::vector<int64_t>> GetIntList(
       const std::string& name, std::vector<int64_t> default_value) const;
+  // Ranged integer flag: the default when absent; InvalidArgument naming
+  // the flag, the offending value, and the range when present with a value
+  // that is not a whole integer in [min_value, max_value] (so
+  // "--devices=abc" and "--scale=-3" fail loudly instead of running).
+  Result<int64_t> GetIntInRange(const std::string& name,
+                                int64_t default_value, int64_t min_value,
+                                int64_t max_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

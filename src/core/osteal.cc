@@ -26,6 +26,11 @@ OStealDecision DecideOSteal(const std::vector<std::vector<double>>& cost,
 
   Stopwatch timer;
   for (int m = 1; m <= limit; ++m) {
+    // Exact early exit: z(m') >= 0 and p*m' >= p*m for every m' >= m (costs,
+    // loads and p are non-negative; IEEE rounding is monotone), so once the
+    // sync term alone reaches the incumbent no larger group can beat it
+    // under the strict `<` below.
+    if (sync_per_peer_ns * m >= best.predicted_cost_ns) break;
     const std::vector<int> active = schedule.ActiveFor(m);
 
     double z;

@@ -35,10 +35,13 @@ struct OStealDecision {
   int64_t milp_nodes_total = 0;
 };
 
-// Enumerates m = 1..n over the reduction schedule. `cost` is the full
+// Enumerates m = 1..n over the reduction schedule, stopping at the first m
+// whose sync term p*m alone reaches the best total so far (no larger group
+// can win, so the decision equals the full enumeration's). `cost` is the full
 // (un-restricted) coefficient matrix from BuildCostMatrix with all devices
-// allowed; columns are forbidden per-candidate internally. `sync_per_peer_ns`
-// is the estimated p of Eq. (4) in ns. `max_group_size` caps the
+// allowed; columns are forbidden per-candidate internally. Costs, loads and
+// `sync_per_peer_ns` (the estimated p of Eq. (4) in ns) must be
+// non-negative. `max_group_size` caps the
 // enumeration (0 means every device): after a fail-stop the recovery path
 // passes the survivor count so the dead devices' group sizes are never
 // candidates.

@@ -16,8 +16,10 @@ FrontierFeatures ExtractFrontierFeatures(
   double in_sum = 0, out_sum = 0;
   uint32_t in_min = std::numeric_limits<uint32_t>::max(), in_max = 0;
   uint32_t out_min = std::numeric_limits<uint32_t>::max(), out_max = 0;
-  std::vector<double> out_degrees;
-  out_degrees.reserve(frontier.size());
+  // One buffer per thread, so concurrent callers never share it, reused so a
+  // census allocates nothing once it has grown to the largest frontier.
+  thread_local std::vector<uint32_t> out_degrees;
+  out_degrees.clear();
   const bool has_in = g.has_in_csr();
   for (const VertexId v : frontier) {
     const uint32_t od = g.OutDegree(v);
@@ -35,8 +37,8 @@ FrontierFeatures ExtractFrontierFeatures(
   f.avg_out_degree = out_sum / n;
   f.in_degree_range = static_cast<double>(in_max - in_min);
   f.out_degree_range = static_cast<double>(out_max - out_min);
+  f.entropy = DegreeEntropy(out_degrees);  // frontier order, before the sort
   f.gini = GiniCoefficient(out_degrees);
-  f.entropy = DegreeEntropy(out_degrees);
   return f;
 }
 

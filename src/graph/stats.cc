@@ -1,6 +1,7 @@
 #include "graph/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -10,29 +11,44 @@
 
 namespace gum::graph {
 
-double GiniCoefficient(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double n = static_cast<double>(values.size());
+double GiniCoefficient(std::span<uint32_t> degrees) {
+  if (degrees.empty()) return 0.0;
+  std::sort(degrees.begin(), degrees.end());
+  const double n = static_cast<double>(degrees.size());
   double weighted_sum = 0.0, total = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    weighted_sum += (static_cast<double>(i) + 1.0) * values[i];
-    total += values[i];
+  for (size_t i = 0; i < degrees.size(); ++i) {
+    const double d = degrees[i];
+    weighted_sum += (static_cast<double>(i) + 1.0) * d;
+    total += d;
   }
   if (total <= 0.0) return 0.0;
   return (2.0 * weighted_sum) / (n * total) - (n + 1.0) / n;
 }
 
-double DegreeEntropy(const std::vector<double>& degrees) {
+double DegreeEntropy(std::span<const uint32_t> degrees) {
   if (degrees.size() <= 1) return 0.0;
   double total = 0.0;
-  for (double d : degrees) total += d;
+  for (const uint32_t d : degrees) total += d;
   if (total <= 0.0) return 0.0;
-  double h = 0.0;
-  for (double d : degrees) {
-    if (d <= 0.0) continue;
+  // p*log(p) depends only on the degree, so each distinct small degree pays
+  // for one log. The terms are still subtracted in sequence order, which
+  // keeps h bit-identical to taking one log per element.
+  constexpr uint32_t kMemoDegrees = 64;
+  std::array<double, kMemoDegrees> memo;
+  memo.fill(1.0);  // every term is <= 0, so 1.0 marks "not computed yet"
+  const auto term = [total](uint32_t d) {
     const double p = d / total;
-    h -= p * std::log(p);
+    return p * std::log(p);
+  };
+  double h = 0.0;
+  for (const uint32_t d : degrees) {
+    if (d == 0) continue;
+    if (d >= kMemoDegrees) {
+      h -= term(d);
+      continue;
+    }
+    if (memo[d] > 0.0) memo[d] = term(d);
+    h -= memo[d];
   }
   return h / std::log(static_cast<double>(degrees.size()));
 }
@@ -43,7 +59,7 @@ DegreeStats ComputeDegreeStats(const CsrGraph& g) {
   if (n == 0) return s;
   s.min_out_degree = std::numeric_limits<uint32_t>::max();
   s.min_in_degree = std::numeric_limits<uint32_t>::max();
-  std::vector<double> totals(n);
+  std::vector<uint32_t> totals(n);
   double out_sum = 0, in_sum = 0;
   for (VertexId v = 0; v < n; ++v) {
     const uint32_t od = g.OutDegree(v);
@@ -54,12 +70,12 @@ DegreeStats ComputeDegreeStats(const CsrGraph& g) {
     s.min_out_degree = std::min(s.min_out_degree, od);
     s.max_in_degree = std::max(s.max_in_degree, id);
     s.min_in_degree = std::min(s.min_in_degree, id);
-    totals[v] = static_cast<double>(od) + id;
+    totals[v] = od + id;
   }
   s.avg_out_degree = out_sum / n;
   s.avg_in_degree = in_sum / n;
+  s.entropy = DegreeEntropy(totals);  // before Gini sorts `totals`
   s.gini = GiniCoefficient(totals);
-  s.entropy = DegreeEntropy(totals);
   return s;
 }
 

@@ -9,6 +9,7 @@
 #define GUM_GRAPH_STATS_H_
 
 #include <cstdint>
+#include <span>
 
 #include "graph/csr.h"
 
@@ -27,11 +28,12 @@ struct DegreeStats {
 
 DegreeStats ComputeDegreeStats(const CsrGraph& g);
 
-// Gini coefficient of a non-negative value sequence (0 = equal, ->1 skewed).
-double GiniCoefficient(std::vector<double> values);
+// Gini coefficient of a degree sequence (0 = equal, ->1 skewed). Sorts
+// `degrees` in place.
+double GiniCoefficient(std::span<uint32_t> degrees);
 
 // Normalized entropy of the distribution d(u)/sum(d): H / ln(n).
-double DegreeEntropy(const std::vector<double>& degrees);
+double DegreeEntropy(std::span<const uint32_t> degrees);
 
 // Double-sweep BFS lower bound on the diameter, treating edges as
 // undirected. Good enough to label graphs "long diameter" vs "short".

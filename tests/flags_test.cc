@@ -163,6 +163,42 @@ TEST(FlagsTest, GetIntListRejectsBareFlag) {
   EXPECT_FALSE(Parse({"--sources"}).GetIntList("sources", {}).ok());
 }
 
+TEST(FlagsTest, GetIntInRangeAcceptsBoundsAndDefaultsWhenAbsent) {
+  const auto flags = Parse({"--devices=1", "--scale=30", "--pr-rounds=0"});
+  EXPECT_EQ(*flags.GetIntInRange("devices", 8, 1, 8), 1);
+  EXPECT_EQ(*flags.GetIntInRange("scale", 14, 1, 30), 30);
+  EXPECT_EQ(*flags.GetIntInRange("pr-rounds", 20, 0, 1000), 0);
+  EXPECT_EQ(*flags.GetIntInRange("missing", 8, 1, 8), 8);
+}
+
+TEST(FlagsTest, GetIntInRangeRejectsGarbageLoudly) {
+  // The CLI's silent-default bug: "--devices=abc" used to run with 8.
+  const auto v = Parse({"--devices=abc"}).GetIntInRange("devices", 8, 1, 8);
+  ASSERT_FALSE(v.ok());
+  const std::string msg = v.status().ToString();
+  EXPECT_NE(msg.find("'abc'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("--devices"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("[1, 8]"), std::string::npos) << msg;
+  EXPECT_FALSE(Parse({"--devices=4x"}).GetIntInRange("devices", 8, 1, 8).ok());
+  EXPECT_FALSE(Parse({"--devices=2.5"}).GetIntInRange("devices", 8, 1, 8).ok());
+}
+
+TEST(FlagsTest, GetIntInRangeRejectsOutOfRangeValues) {
+  // "--scale=-3" used to abort on a generator CHECK and "--pr-rounds=-1"
+  // turned fixed-round PageRank data-driven and spun.
+  EXPECT_FALSE(Parse({"--scale=-3"}).GetIntInRange("scale", 14, 1, 30).ok());
+  EXPECT_FALSE(Parse({"--scale=31"}).GetIntInRange("scale", 14, 1, 30).ok());
+  EXPECT_FALSE(
+      Parse({"--pr-rounds=-1"}).GetIntInRange("pr-rounds", 20, 0, 1000).ok());
+  EXPECT_FALSE(Parse({"--devices=99999999999999999999"})
+                   .GetIntInRange("devices", 8, 1, 8)
+                   .ok());
+}
+
+TEST(FlagsTest, GetIntInRangeRejectsBareFlag) {
+  EXPECT_FALSE(Parse({"--devices"}).GetIntInRange("devices", 8, 1, 8).ok());
+}
+
 // --mutations values flow verbatim into MutationPlan::Parse; like the
 // fault-plan grammar, unknown tokens must be loud InvalidArguments the
 // CLIs turn into non-zero exits — never a silently empty plan.

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -15,16 +18,27 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
-  std::string TempPath(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() / "gum_io_test";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
+  // One directory per test and process: ctest runs every case as its own
+  // process, in parallel, so a shared directory would be removed by one
+  // case's TearDown while another still writes to it.
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("gum_io_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
   }
 
-  void TearDown() override {
-    std::filesystem::remove_all(std::filesystem::temp_directory_path() /
-                                "gum_io_test");
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string TempPath(const std::string& name) const {
+    return (dir_ / name).string();
   }
+
+ private:
+  std::filesystem::path dir_;
 };
 
 TEST_F(IoTest, TextRoundTrip) {

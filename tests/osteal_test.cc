@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
+#include "common/random.h"
 #include "core/fsteal.h"
 #include "core/osteal.h"
 #include "sim/reduction_schedule.h"
+#include "solver/steal_problem.h"
 
 namespace gum::core {
 namespace {
@@ -26,6 +32,9 @@ TEST(OStealTest, TinyWorkloadShrinksToOne) {
       DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/100000.0, {});
   EXPECT_EQ(dec.group_size, 1);
   EXPECT_EQ(dec.active.size(), 1u);
+  // Long tail: p*2 already exceeds z(1) + p, so the enumeration stops after
+  // the trivial m = 1 plan and builds no LP.
+  EXPECT_EQ(dec.lp_iterations_total, 0);
 }
 
 TEST(OStealTest, HeavyWorkloadKeepsAllDevices) {
@@ -120,6 +129,98 @@ TEST(OStealTest, MaxGroupSizeCapsEnumeration) {
                                  /*max_group_size=*/0);
   EXPECT_EQ(zero.group_size, uncapped.group_size);
   EXPECT_EQ(zero.owner, uncapped.owner);
+}
+
+// --- Early exit: the enumeration stops once p*m alone reaches the best
+// total, and must pick exactly what solving every m would. ---
+
+// Reference: solve every candidate m and keep the strict-`<` winner.
+OStealDecision ExhaustiveOSteal(const std::vector<std::vector<double>>& cost,
+                                const std::vector<double>& loads,
+                                const sim::ReductionSchedule& schedule,
+                                double p, const OStealConfig& config,
+                                int max_group_size) {
+  const int n = schedule.num_devices();
+  const int limit = max_group_size > 0 ? std::min(max_group_size, n) : n;
+  OStealDecision best;
+  best.predicted_cost_ns = std::numeric_limits<double>::infinity();
+  for (int m = 1; m <= limit; ++m) {
+    const std::vector<int> active = schedule.ActiveFor(m);
+    double z;
+    if (config.use_greedy) {
+      z = solver::GreedyStealPlan(cost, loads, active).makespan;
+    } else {
+      auto plan = solver::SolveStealProblem(cost, loads, active);
+      if (!plan.ok()) continue;
+      z = plan->makespan;
+    }
+    const double total = z + p * m;
+    if (total < best.predicted_cost_ns) {
+      best.predicted_cost_ns = total;
+      best.group_size = m;
+    }
+  }
+  best.owner = schedule.OwnerVectorFor(best.group_size);
+  best.active = schedule.ActiveFor(best.group_size);
+  return best;
+}
+
+TEST(OStealEarlyExitTest, MatchesExhaustiveEnumerationBitForBit) {
+  const auto topo = sim::Topology::HybridCubeMesh8();
+  const std::vector<std::vector<int>> forbidden_sets = {{}, {3}, {2, 5},
+                                                        {0, 3, 7}};
+  Rng rng(20231);
+  int shrunk = 0, full = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<std::vector<double>> cost(8, std::vector<double>(8));
+    for (int i = 0; i < 8; ++i) {
+      for (int j = 0; j < 8; ++j) {
+        cost[i][j] = i == j ? 0.5 + rng.NextDouble()
+                            : 1.0 + 4.0 * rng.NextDouble();
+      }
+    }
+    // Load magnitudes from a few edges to tens of millions, with empty
+    // fragments, so every regime of Eq. (4) gets a winner.
+    const double scale = std::pow(10.0, static_cast<double>(1 + trial % 7));
+    std::vector<double> loads(8);
+    for (double& load : loads) {
+      load = rng.NextBounded(3) == 0
+                 ? 0.0
+                 : std::floor(scale * (1.0 + 9.0 * rng.NextDouble()));
+    }
+    for (const auto& forbidden : forbidden_sets) {
+      const auto schedule =
+          sim::ReductionSchedule::BuildWithForbidden(topo, forbidden);
+      const int survivors = 8 - static_cast<int>(forbidden.size());
+      std::vector<int> caps = {survivors, 2};
+      if (forbidden.empty()) caps.push_back(0);
+      for (const double p : {0.0, 1e3, 1e5, 1e7}) {
+        for (const int cap : caps) {
+          for (const bool greedy : {false, true}) {
+            OStealConfig config;
+            config.use_greedy = greedy;
+            const auto ref =
+                ExhaustiveOSteal(cost, loads, schedule, p, config, cap);
+            const auto dec =
+                DecideOSteal(cost, loads, schedule, p, config, cap);
+            SCOPED_TRACE(::testing::Message()
+                         << "trial=" << trial << " p=" << p << " cap=" << cap
+                         << " greedy=" << greedy << " forbidden="
+                         << forbidden.size());
+            ASSERT_EQ(dec.group_size, ref.group_size);
+            EXPECT_EQ(dec.owner, ref.owner);
+            EXPECT_EQ(dec.active, ref.active);
+            EXPECT_EQ(std::bit_cast<uint64_t>(dec.predicted_cost_ns),
+                      std::bit_cast<uint64_t>(ref.predicted_cost_ns));
+            (dec.group_size < survivors ? shrunk : full) += 1;
+          }
+        }
+      }
+    }
+  }
+  // The sweep must exercise both outcomes, or it proves little.
+  EXPECT_GT(shrunk, 0);
+  EXPECT_GT(full, 0);
 }
 
 // --- BuildWithForbidden: ownership inheritance over arbitrary survivor

@@ -87,6 +87,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <utility>
 
 #include "algos/apps.h"
@@ -160,9 +161,12 @@ Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
   }
   const std::string gen = flags.GetString("gen", "");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  // RMAT, web and ER sizes are 2^scale vertices; the generators CHECK the
+  // same range.
+  const auto scale = [&] { return flags.GetIntInRange("scale", 14, 1, 30); };
   if (gen == "rmat") {
     graph::RmatOptions opt;
-    opt.scale = static_cast<int>(flags.GetInt("scale", 14));
+    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
     opt.edge_factor = flags.GetDouble("edge-factor", 16);
     opt.weighted = flags.GetBool("weighted", false);
     opt.seed = seed;
@@ -170,7 +174,7 @@ Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
   }
   if (gen == "web") {
     graph::WebCrawlOptions opt;
-    opt.scale = static_cast<int>(flags.GetInt("scale", 14));
+    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
     opt.edge_factor = flags.GetDouble("edge-factor", 12);
     opt.weighted = flags.GetBool("weighted", false);
     opt.seed = seed;
@@ -184,8 +188,8 @@ Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
     return graph::RoadGrid(opt);
   }
   if (gen == "er") {
-    const graph::VertexId n = graph::VertexId{1}
-                              << flags.GetInt("scale", 14);
+    GUM_ASSIGN_OR_RETURN(const int64_t er_scale, scale());
+    const graph::VertexId n = graph::VertexId{1} << er_scale;
     const graph::EdgeId m = static_cast<graph::EdgeId>(
         flags.GetDouble("edge-factor", 16) * n);
     return graph::ErdosRenyi(n, m, flags.GetBool("weighted", false), seed);
@@ -783,6 +787,15 @@ int main(int argc, char** argv) {
     std::cerr << "--target requires --algo=astar\n";
     return 1;
   }
+  // A negative round count would make PageRank data-driven with every
+  // vertex active, which never converges.
+  const auto pr_rounds_or = flags.GetIntInRange(
+      "pr-rounds", 20, 0, std::numeric_limits<int>::max());
+  if (!pr_rounds_or.ok()) {
+    std::cerr << pr_rounds_or.status().ToString() << "\n";
+    return 1;
+  }
+  const int pr_rounds = static_cast<int>(*pr_rounds_or);
   graph::CsrBuildOptions build;
   build.symmetrize = algo == "wcc";
   auto g = graph::CsrGraph::FromEdgeList(*edges, build);
@@ -793,7 +806,13 @@ int main(int argc, char** argv) {
   std::cout << "graph:           " << g->num_vertices() << " vertices, "
             << g->num_edges() << " edges\n";
 
-  const int devices = static_cast<int>(flags.GetInt("devices", 8));
+  // The hybrid cube-mesh topology has at most 8 devices.
+  const auto devices_or = flags.GetIntInRange("devices", 8, 1, 8);
+  if (!devices_or.ok()) {
+    std::cerr << devices_or.status().ToString() << "\n";
+    return 1;
+  }
+  const int devices = static_cast<int>(*devices_or);
   graph::PartitionOptions popt;
   const auto pname_or =
       flags.GetEnum("partitioner", "random", {"random", "seg", "metis"});
@@ -879,7 +898,7 @@ int main(int argc, char** argv) {
     if (algo == "pr") {
       algos::PageRankApp app;
       app.num_vertices = g->num_vertices();
-      app.rounds = static_cast<int>(flags.GetInt("pr-rounds", 20));
+      app.rounds = pr_rounds;
       return RunMutationStream(flags, *g, *partition, *topology, app, mstream,
                                /*symmetric=*/false);
     }
@@ -945,7 +964,7 @@ int main(int argc, char** argv) {
   if (algo == "pr") {
     algos::PageRankApp app;
     app.num_vertices = g->num_vertices();
-    app.rounds = static_cast<int>(flags.GetInt("pr-rounds", 20));
+    app.rounds = pr_rounds;
     return RunAndReport(flags, *g, *partition, *topology, app);
   }
   if (algo == "dpr") {

@@ -134,9 +134,12 @@ Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
   }
   const std::string gen = flags.GetString("gen", "");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  // RMAT, web and ER sizes are 2^scale vertices; the generators CHECK the
+  // same range.
+  const auto scale = [&] { return flags.GetIntInRange("scale", 14, 1, 30); };
   if (gen == "rmat") {
     graph::RmatOptions opt;
-    opt.scale = static_cast<int>(flags.GetInt("scale", 14));
+    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
     opt.edge_factor = flags.GetDouble("edge-factor", 16);
     opt.weighted = flags.GetBool("weighted", false);
     opt.seed = seed;
@@ -144,7 +147,7 @@ Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
   }
   if (gen == "web") {
     graph::WebCrawlOptions opt;
-    opt.scale = static_cast<int>(flags.GetInt("scale", 14));
+    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
     opt.edge_factor = flags.GetDouble("edge-factor", 12);
     opt.weighted = flags.GetBool("weighted", false);
     opt.seed = seed;
@@ -158,8 +161,8 @@ Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
     return graph::RoadGrid(opt);
   }
   if (gen == "er") {
-    const graph::VertexId n = graph::VertexId{1}
-                              << flags.GetInt("scale", 14);
+    GUM_ASSIGN_OR_RETURN(const int64_t er_scale, scale());
+    const graph::VertexId n = graph::VertexId{1} << er_scale;
     const graph::EdgeId m = static_cast<graph::EdgeId>(
         flags.GetDouble("edge-factor", 16) * n);
     return graph::ErdosRenyi(n, m, flags.GetBool("weighted", false), seed);
@@ -505,7 +508,13 @@ int main(int argc, char** argv) {
   std::cout << "graph:           " << g->num_vertices() << " vertices, "
             << g->num_edges() << " edges\n";
 
-  const int devices = static_cast<int>(flags.GetInt("devices", 8));
+  // The hybrid cube-mesh topology has at most 8 devices.
+  const auto devices_or = flags.GetIntInRange("devices", 8, 1, 8);
+  if (!devices_or.ok()) {
+    std::cerr << devices_or.status().ToString() << "\n";
+    return 1;
+  }
+  const int devices = static_cast<int>(*devices_or);
   graph::PartitionOptions popt;
   const auto pname_or =
       flags.GetEnum("partitioner", "random", {"random", "seg", "metis"});
