@@ -4,30 +4,14 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "core/fast_wcc.h"
 #include "graph/frontier_features.h"
 #include "sim/kernel_cost.h"
 #include "sim/timeline.h"
 
 namespace gum::baselines {
 
-namespace {
-
 using graph::VertexId;
-
-VertexId Find(std::vector<VertexId>& parent, VertexId v) {
-  while (parent[v] != v) {
-    parent[v] = parent[parent[v]];  // path halving
-    v = parent[v];
-  }
-  return v;
-}
-
-void Union(std::vector<VertexId>& parent, VertexId a, VertexId b) {
-  const VertexId ra = Find(parent, a), rb = Find(parent, b);
-  if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
-}
-
-}  // namespace
 
 GrouteCcEngine::GrouteCcEngine(const graph::CsrGraph* g,
                                graph::Partition partition,
@@ -76,30 +60,13 @@ core::RunResult GrouteCcEngine::Run(std::vector<VertexId>* labels_out) {
     std::vector<double> boundary_updates(n, 0.0);
 
     for (int d = 0; d < n; ++d) {
-      // Local hooking: union every owned edge plus the (vertex, label)
-      // pairs carried over from the previous exchange.
-      std::iota(parent.begin(), parent.end(), VertexId{0});
-      for (const VertexId u : partition_.part_vertices[d]) {
-        Union(parent, u, label[u]);
-        for (const VertexId v : g_->OutNeighbors(u)) {
-          Union(parent, u, v);
-          Union(parent, v, label[v]);
-        }
-      }
-      // Propose the component minimum for every vertex this device touched.
+      // Local hooking over every owned edge plus the (vertex, label) pairs
+      // carried over from the previous exchange; every label bound for
+      // another owner ships over the ring.
       double updates = 0.0;
-      for (const VertexId u : partition_.part_vertices[d]) {
-        const VertexId root = Find(parent, u);
-        if (root < proposed[u]) proposed[u] = root;
-        for (const VertexId v : g_->OutNeighbors(u)) {
-          const VertexId vroot = Find(parent, v);
-          if (vroot < proposed[v]) {
-            proposed[v] = vroot;
-            if (partition_.owner[v] != static_cast<uint32_t>(d)) {
-              updates += 1.0;  // label shipped to the owner over the ring
-            }
-          }
-        }
+      for (const double to_owner : core::HookAndPropose(
+               *g_, partition_, d, label, &parent, &proposed)) {
+        updates += to_owner;
       }
       boundary_updates[d] = updates;
       result.edges_processed += partition_.part_out_edges[d];

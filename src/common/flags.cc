@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 namespace gum {
 
@@ -132,6 +134,27 @@ Result<int64_t> FlagParser::GetIntInRange(const std::string& name,
     return Status::InvalidArgument(
         "bad value '" + raw + "' for --" + name + " (expected an integer in [" +
         std::to_string(min_value) + ", " + std::to_string(max_value) + "])");
+  }
+  return value;
+}
+
+Result<double> FlagParser::GetDoubleInRange(const std::string& name,
+                                            double default_value,
+                                            double min_value,
+                                            double max_value) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return default_value;
+  const std::string& raw = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value) || value < min_value || value > max_value) {
+    std::ostringstream msg;
+    msg << "bad value '" << raw << "' for --" << name
+        << " (expected a number in [" << min_value << ", " << max_value
+        << "])";
+    return Status::InvalidArgument(msg.str());
   }
   return value;
 }

@@ -48,6 +48,12 @@ class FlagParser {
   Result<int64_t> GetIntInRange(const std::string& name,
                                 int64_t default_value, int64_t min_value,
                                 int64_t max_value) const;
+  // Ranged floating-point flag, same contract as GetIntInRange: the whole
+  // value must parse as a finite number in [min_value, max_value] (so
+  // "--steal-prob=abc", "--epsilon=nan" and "--edge-factor=-2" fail loudly).
+  Result<double> GetDoubleInRange(const std::string& name,
+                                  double default_value, double min_value,
+                                  double max_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -95,7 +95,6 @@
 #include "fault/fault_plane.h"
 #include "fault/recovery.h"
 #include "graph/csr.h"
-#include "graph/fragment.h"
 #include "graph/frontier_features.h"
 #include "graph/partition.h"
 #include "ml/model.h"

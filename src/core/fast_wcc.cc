@@ -29,6 +29,37 @@ void Union(std::vector<VertexId>& parent, VertexId a, VertexId b) {
 
 }  // namespace
 
+std::vector<double> HookAndPropose(const graph::CsrGraph& g,
+                                   const graph::Partition& partition, int d,
+                                   const std::vector<VertexId>& label,
+                                   std::vector<VertexId>* parent_scratch,
+                                   std::vector<VertexId>* proposed_out) {
+  std::vector<VertexId>& parent = *parent_scratch;
+  std::vector<VertexId>& proposed = *proposed_out;
+  std::iota(parent.begin(), parent.end(), VertexId{0});
+  for (const VertexId u : partition.part_vertices[d]) {
+    Union(parent, u, label[u]);
+    for (const VertexId v : g.OutNeighbors(u)) {
+      Union(parent, u, v);
+      Union(parent, v, label[v]);
+    }
+  }
+  std::vector<double> remote_updates(partition.num_parts, 0.0);
+  for (const VertexId u : partition.part_vertices[d]) {
+    const VertexId root = Find(parent, u);
+    if (root < proposed[u]) proposed[u] = root;
+    for (const VertexId v : g.OutNeighbors(u)) {
+      const VertexId vroot = Find(parent, v);
+      if (vroot < proposed[v]) {
+        proposed[v] = vroot;
+        const int owner = static_cast<int>(partition.owner[v]);
+        if (owner != d) remote_updates[owner] += 1.0;
+      }
+    }
+  }
+  return remote_updates;
+}
+
 RunResult FastWcc(const graph::CsrGraph& g, const graph::Partition& partition,
                   const sim::Topology& topology, const FastWccOptions& options,
                   std::vector<VertexId>* labels_out) {
@@ -68,29 +99,10 @@ RunResult FastWcc(const graph::CsrGraph& g, const graph::Partition& partition,
     // proposals genuinely compete for lanes.
     sim::TransferBatch batch;
     for (int d = 0; d < n; ++d) {
-      std::iota(parent.begin(), parent.end(), VertexId{0});
-      for (const VertexId u : partition.part_vertices[d]) {
-        Union(parent, u, label[u]);
-        for (const VertexId v : g.OutNeighbors(u)) {
-          Union(parent, u, v);
-          Union(parent, v, label[v]);
-        }
-      }
-      // Propose minima; remote proposals go to the owner, aggregated per
-      // (device, owner) pair and routed over the best NVLink path.
-      std::vector<double> remote_updates(n, 0.0);
-      for (const VertexId u : partition.part_vertices[d]) {
-        const VertexId root = Find(parent, u);
-        if (root < proposed[u]) proposed[u] = root;
-        for (const VertexId v : g.OutNeighbors(u)) {
-          const VertexId vroot = Find(parent, v);
-          if (vroot < proposed[v]) {
-            proposed[v] = vroot;
-            const int owner = static_cast<int>(partition.owner[v]);
-            if (owner != d) remote_updates[owner] += 1.0;
-          }
-        }
-      }
+      // Remote proposals go to the owner, aggregated per (device, owner)
+      // pair and routed over the best NVLink path.
+      const std::vector<double> remote_updates =
+          HookAndPropose(g, partition, d, label, &parent, &proposed);
 
       const double edges =
           static_cast<double>(partition.part_out_edges[d]);

@@ -38,6 +38,18 @@ struct FastWccOptions {
   sim::ContentionModel contention = sim::ContentionModel::kOff;
 };
 
+// One device's round step of the union-find scheme FastWcc and Groute's CC
+// (baselines/groute_cc.h) share: hook a forest over the out-edges of part
+// `d` plus the previous round's `label`s, then lower `proposed` to each
+// touched vertex's component minimum. Returns, per owner device, how many
+// of the lowered proposals belong to another device's vertex (integer
+// counts, so sums stay exact). `parent` is |V|-sized scratch.
+std::vector<double> HookAndPropose(const graph::CsrGraph& g,
+                                   const graph::Partition& partition, int d,
+                                   const std::vector<graph::VertexId>& label,
+                                   std::vector<graph::VertexId>* parent,
+                                   std::vector<graph::VertexId>* proposed);
+
 // Runs on a symmetrized graph; labels_out[v] = min vertex id of v's
 // component.
 RunResult FastWcc(const graph::CsrGraph& g, const graph::Partition& partition,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/flags.h"
@@ -199,6 +200,55 @@ TEST(FlagsTest, GetIntInRangeRejectsBareFlag) {
   EXPECT_FALSE(Parse({"--devices"}).GetIntInRange("devices", 8, 1, 8).ok());
 }
 
+TEST(FlagsTest, GetDoubleInRangeDefaultsWhenAbsent) {
+  EXPECT_EQ(*Parse({}).GetDoubleInRange("steal-prob", 0.25, 0.0, 1.0), 0.25);
+}
+
+TEST(FlagsTest, GetDoubleInRangeAcceptsBoundsAndInteriorValues) {
+  const auto flags =
+      Parse({"--lo=0", "--hi=1", "--mid=2.5e-1", "--exp=1e-9"});
+  EXPECT_EQ(*flags.GetDoubleInRange("lo", 0.5, 0.0, 1.0), 0.0);
+  EXPECT_EQ(*flags.GetDoubleInRange("hi", 0.5, 0.0, 1.0), 1.0);
+  EXPECT_EQ(*flags.GetDoubleInRange("mid", 0.5, 0.0, 1.0), 0.25);
+  EXPECT_EQ(*flags.GetDoubleInRange("exp", 0.5, 1e-9, 1.0), 1e-9);
+}
+
+TEST(FlagsTest, GetDoubleInRangeRejectsJustOutsideEachBound) {
+  EXPECT_FALSE(
+      Parse({"--p=-0.001"}).GetDoubleInRange("p", 0.5, 0.0, 1.0).ok());
+  EXPECT_FALSE(
+      Parse({"--p=1.001"}).GetDoubleInRange("p", 0.5, 0.0, 1.0).ok());
+  EXPECT_FALSE(
+      Parse({"--edge-factor=-2"}).GetDoubleInRange("edge-factor", 16, 0, 1024)
+          .ok());
+}
+
+TEST(FlagsTest, GetDoubleInRangeRejectsGarbageLoudly) {
+  // The CLI's silent-default bug: "--steal-prob=abc" used to run with the
+  // default probability.
+  const auto v =
+      Parse({"--steal-prob=abc"}).GetDoubleInRange("steal-prob", 0.5, 0, 1);
+  ASSERT_FALSE(v.ok());
+  const std::string msg = v.status().ToString();
+  EXPECT_NE(msg.find("'abc'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("--steal-prob"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("[0, 1]"), std::string::npos) << msg;
+  for (const char* bad : {"--x=1e", "--x=0.5x", "--x=0.5 ", "--x=.", "--x="}) {
+    EXPECT_FALSE(Parse({bad}).GetDoubleInRange("x", 0.5, 0, 1).ok()) << bad;
+  }
+  EXPECT_FALSE(Parse({"--x"}).GetDoubleInRange("x", 0.5, 0, 1).ok());
+}
+
+TEST(FlagsTest, GetDoubleInRangeRejectsNonFiniteValues) {
+  // nan compares false against both bounds, so it needs its own check.
+  const double lo = -std::numeric_limits<double>::max();
+  const double hi = std::numeric_limits<double>::max();
+  for (const char* bad : {"--x=nan", "--x=NaN", "--x=inf", "--x=-inf",
+                          "--x=infinity", "--x=1e999"}) {
+    EXPECT_FALSE(Parse({bad}).GetDoubleInRange("x", 0, lo, hi).ok()) << bad;
+  }
+}
+
 // --mutations values flow verbatim into MutationPlan::Parse; like the
 // fault-plan grammar, unknown tokens must be loud InvalidArguments the
 // CLIs turn into non-zero exits — never a silently empty plan.
@@ -301,14 +351,16 @@ TEST(FlagsTest, AsyncFlagsBindToConfig) {
   const auto flags = Parse({"--mode=async", "--delta=2.5",
                             "--worklist=smq", "--steal-prob=0.25",
                             "--steal-batch=16", "--async-seed=99"});
+  using dbl = std::numeric_limits<double>;
   core::AsyncConfig cfg;
-  cfg.delta = flags.GetDouble("delta", 0.0);
+  cfg.delta = *flags.GetDoubleInRange("delta", 0.0, dbl::min(), dbl::max());
   cfg.worklist =
       *core::ParseAsyncWorklistKind(flags.GetString("worklist", "buckets"));
-  cfg.steal_prob = flags.GetDouble("steal-prob", cfg.steal_prob);
-  cfg.steal_batch_size =
-      static_cast<int>(flags.GetInt("steal-batch", cfg.steal_batch_size));
-  cfg.seed = static_cast<uint64_t>(flags.GetInt("async-seed", 1));
+  cfg.steal_prob = *flags.GetDoubleInRange("steal-prob", cfg.steal_prob, 0, 1);
+  cfg.steal_batch_size = static_cast<int>(*flags.GetIntInRange(
+      "steal-batch", cfg.steal_batch_size, 1, std::numeric_limits<int>::max()));
+  cfg.seed = static_cast<uint64_t>(*flags.GetIntInRange(
+      "async-seed", 1, 0, std::numeric_limits<int64_t>::max()));
   EXPECT_TRUE(core::ValidateAsyncConfig(cfg).ok());
   EXPECT_EQ(cfg.delta, 2.5);
   EXPECT_EQ(cfg.worklist, core::AsyncWorklistKind::kSmq);

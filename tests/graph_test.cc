@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 #include "graph/csr.h"
-#include "graph/fragment.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "graph/types.h"
@@ -230,52 +228,6 @@ TEST(GeneratorTest, SmallWorldDegreeStructure) {
   for (VertexId v = 0; v < g->num_vertices(); ++v) {
     EXPECT_EQ(g->OutDegree(v), 6u);
   }
-}
-
-// ---------- fragments ----------
-
-TEST(FragmentTest, CoversAllVerticesOnce) {
-  auto g = CsrGraph::FromEdgeList(Rmat({.scale = 9, .seed = 2}));
-  ASSERT_TRUE(g.ok());
-  PartitionOptions popt;
-  popt.kind = PartitionerKind::kRandom;
-  auto p = PartitionGraph(*g, 4, popt);
-  ASSERT_TRUE(p.ok());
-  const auto fragments = BuildFragments(*g, *p);
-  ASSERT_EQ(fragments.size(), 4u);
-  size_t total_inner = 0;
-  EdgeId total_edges = 0;
-  for (const Fragment& f : fragments) {
-    total_inner += f.inner_vertices.size();
-    total_edges += f.num_inner_out_edges;
-    // Outer vertices are disjoint from inner.
-    std::set<VertexId> inner(f.inner_vertices.begin(),
-                             f.inner_vertices.end());
-    for (VertexId v : f.outer_vertices) EXPECT_FALSE(inner.count(v));
-  }
-  EXPECT_EQ(total_inner, g->num_vertices());
-  EXPECT_EQ(total_edges, g->num_edges());
-}
-
-TEST(FragmentTest, CrossEdgesMatchPartitionCut) {
-  auto g = CsrGraph::FromEdgeList(Rmat({.scale = 8, .seed = 4}));
-  ASSERT_TRUE(g.ok());
-  auto p = PartitionGraph(*g, 3, {.kind = PartitionerKind::kRandom});
-  ASSERT_TRUE(p.ok());
-  const auto fragments = BuildFragments(*g, *p);
-  EdgeId cross = 0;
-  for (const Fragment& f : fragments) cross += f.num_cross_edges;
-  EXPECT_EQ(cross, p->edge_cut);
-}
-
-TEST(FragmentTest, SinglePartHasNoOuterVertices) {
-  auto g = CsrGraph::FromEdgeList(Triangle());
-  ASSERT_TRUE(g.ok());
-  auto p = PartitionGraph(*g, 1);
-  ASSERT_TRUE(p.ok());
-  const auto fragments = BuildFragments(*g, *p);
-  EXPECT_TRUE(fragments[0].outer_vertices.empty());
-  EXPECT_EQ(fragments[0].num_cross_edges, 0u);
 }
 
 }  // namespace

@@ -31,6 +31,25 @@ TEST(PartitionTest, SinglePartTrivial) {
   EXPECT_DOUBLE_EQ(p->EdgeImbalance(), 1.0);
 }
 
+// A fragment is the vertex set one part owns. The out-edges leaving each
+// fragment, summed over fragments, are exactly the partition's edge cut.
+TEST(FragmentTest, CrossEdgesMatchPartitionCut) {
+  auto g = CsrGraph::FromEdgeList(Rmat({.scale = 8, .seed = 4}));
+  ASSERT_TRUE(g.ok());
+  auto p = PartitionGraph(*g, 3, {.kind = PartitionerKind::kRandom});
+  ASSERT_TRUE(p.ok());
+  EdgeId cross = 0;
+  for (uint32_t part = 0; part < p->part_vertices.size(); ++part) {
+    for (const VertexId u : p->part_vertices[part]) {
+      for (const VertexId v : g->OutNeighbors(u)) {
+        if (p->owner[v] != part) ++cross;
+      }
+    }
+  }
+  EXPECT_GT(cross, 0u);
+  EXPECT_EQ(cross, p->edge_cut);
+}
+
 TEST(PartitionTest, PartitionerNames) {
   EXPECT_STREQ(PartitionerName(PartitionerKind::kSegment), "seg");
   EXPECT_STREQ(PartitionerName(PartitionerKind::kRandom), "random");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/topology.h"
 
 namespace gum::sim {
@@ -105,6 +107,34 @@ TEST(TopologyTest, FromMatrixValidation) {
   auto t = Topology::FromMatrix({{0.0, 20.0}, {20.0, 0.0}});
   ASSERT_TRUE(t.ok());
   EXPECT_DOUBLE_EQ(t->DirectBandwidth(0, 1), 20.0);
+}
+
+// A topology rebuilt from its own direct-link matrix is the same fabric:
+// every link, effective bandwidth and transit choice round-trips, for the
+// asymmetric cube mesh and a directed ring alike.
+TEST(TopologyTest, FromMatrixRoundTrips) {
+  for (const Topology& original :
+       {Topology::HybridCubeMesh8(), Topology::Ring(5, 25.0)}) {
+    const int n = original.num_devices();
+    std::vector<std::vector<double>> gbps(n, std::vector<double>(n, 0.0));
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        if (i != j) gbps[i][j] = original.DirectBandwidth(i, j);
+      }
+    }
+    auto rebuilt = Topology::FromMatrix(gbps);
+    ASSERT_TRUE(rebuilt.ok());
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(rebuilt->DirectBandwidth(i, j),
+                  original.DirectBandwidth(i, j)) << i << "->" << j;
+        EXPECT_EQ(rebuilt->EffectiveBandwidth(i, j),
+                  original.EffectiveBandwidth(i, j)) << i << "->" << j;
+        EXPECT_EQ(rebuilt->BestTransit(i, j), original.BestTransit(i, j))
+            << i << "->" << j;
+      }
+    }
+  }
 }
 
 TEST(TopologyTest, EffectiveBandwidthNeverBelowPcie) {

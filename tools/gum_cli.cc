@@ -88,30 +88,23 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "algos/apps.h"
 #include "algos/astar.h"
 #include "algos/incremental.h"
 #include "algos/multi_source.h"
-#include "core/epoch_context.h"
-#include "graph/mutation.h"
-#include "obs/metrics.h"
-#include "obs/run_report.h"
-#include "obs/trace.h"
-#include "baselines/groute_cc.h"
 #include "baselines/groute_like.h"
 #include "baselines/gunrock_like.h"
+#include "cli_setup.h"
 #include "common/flags.h"
 #include "core/engine.h"
-#include "core/fast_wcc.h"
-#include "fault/fault_plane.h"
-#include "graph/generators.h"
-#include "graph/io.h"
-#include "graph/partition.h"
-#include "graph/stats.h"
+#include "core/epoch_context.h"
 #include "sim/comm_plane.h"
-#include "sim/topology.h"
+#include "sim/transfer_plan.h"
 
 using namespace gum;  // NOLINT(build/namespaces)
 
@@ -155,363 +148,361 @@ void PrintUsage() {
       "               [--incremental=on|off]\n";
 }
 
-Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
-  if (flags.Has("graph")) {
-    return graph::LoadEdgeListText(flags.GetString("graph", ""));
-  }
-  const std::string gen = flags.GetString("gen", "");
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  // RMAT, web and ER sizes are 2^scale vertices; the generators CHECK the
-  // same range.
-  const auto scale = [&] { return flags.GetIntInRange("scale", 14, 1, 30); };
-  if (gen == "rmat") {
-    graph::RmatOptions opt;
-    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
-    opt.edge_factor = flags.GetDouble("edge-factor", 16);
-    opt.weighted = flags.GetBool("weighted", false);
-    opt.seed = seed;
-    return graph::Rmat(opt);
-  }
-  if (gen == "web") {
-    graph::WebCrawlOptions opt;
-    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
-    opt.edge_factor = flags.GetDouble("edge-factor", 12);
-    opt.weighted = flags.GetBool("weighted", false);
-    opt.seed = seed;
-    return graph::WebCrawl(opt);
-  }
-  if (gen == "road") {
-    graph::RoadGridOptions opt;
-    opt.rows = static_cast<uint32_t>(flags.GetInt("rows", 128));
-    opt.cols = static_cast<uint32_t>(flags.GetInt("cols", 128));
-    opt.seed = seed;
-    return graph::RoadGrid(opt);
-  }
-  if (gen == "er") {
-    GUM_ASSIGN_OR_RETURN(const int64_t er_scale, scale());
-    const graph::VertexId n = graph::VertexId{1} << er_scale;
-    const graph::EdgeId m = static_cast<graph::EdgeId>(
-        flags.GetDouble("edge-factor", 16) * n);
-    return graph::ErdosRenyi(n, m, flags.GetBool("weighted", false), seed);
-  }
-  return Status::InvalidArgument(
-      "need --graph=PATH or --gen=rmat|web|road|er");
-}
+// Positive and finite: the admissible --delta and --epsilon values.
+constexpr double kMinPositive = std::numeric_limits<double>::min();
+constexpr double kMaxFinite = std::numeric_limits<double>::max();
 
-template <typename App, typename Value = typename App::Value>
-int RunAndReport(const FlagParser& flags, const graph::CsrGraph& g,
-                 const graph::Partition& partition,
-                 const sim::Topology& topology, App app) {
-  const auto engine_or =
-      flags.GetEnum("engine", "gum", {"gum", "gunrock", "groute"});
-  if (!engine_or.ok()) {
-    std::cerr << engine_or.status().ToString() << "\n";
-    return 1;
-  }
-  const std::string engine_name = *engine_or;
-  core::RunResult result;
-  std::vector<Value> values;
+// Every gum_cli flag, parsed and cross-checked once in main: the App
+// templates below only run what this describes.
+struct CliFlags {
+  cli::SetupFlags shared;  // shared.options also carries --mode and async
+  std::string engine;
+  std::string algo;
+  int pr_rounds = 20;
+  double epsilon = 1e-9;
+  bool incremental = true;
+  // Bound to the built graph by BindVertexFlags.
+  graph::VertexId source = 0;
+  graph::VertexId target = 0;
+  std::vector<graph::VertexId> batch_sources;  // --sources
+};
 
-  const bool want_trace = flags.Has("trace");
-  const bool want_metrics = flags.Has("metrics");
-  const bool want_report = flags.Has("report");
-  obs::TraceSession trace;
-  if (want_trace) trace.Start();
-  // The report embeds a metrics snapshot, so recording is on for both.
-  if (want_metrics || want_report) obs::SetMetricsEnabled(true);
+Result<CliFlags> ParseCliFlags(const FlagParser& flags) {
+  CliFlags c;
+  GUM_RETURN_IF_ERROR(flags.KnownFlagsOnly(
+      {std::begin(kKnownFlags), std::end(kKnownFlags)}));
+  GUM_ASSIGN_OR_RETURN(c.shared, cli::ParseSetupFlags(flags));
+  GUM_ASSIGN_OR_RETURN(
+      c.engine, flags.GetEnum("engine", "gum", {"gum", "gunrock", "groute"}));
+  GUM_ASSIGN_OR_RETURN(
+      c.algo, flags.GetEnum("algo", "bfs",
+                            {"bfs", "sssp", "wcc", "pr", "dpr", "astar"}));
+  // A negative round count would make PageRank data-driven with every
+  // vertex active, which never converges.
+  GUM_ASSIGN_OR_RETURN(c.pr_rounds, cli::GetIntFlag(flags, "pr-rounds", 20, 0));
+  GUM_ASSIGN_OR_RETURN(c.epsilon, flags.GetDoubleInRange(
+                                      "epsilon", 1e-9, kMinPositive, 1.0));
+  GUM_ASSIGN_OR_RETURN(const std::string incremental,
+                       flags.GetEnum("incremental", "on", {"on", "off"}));
+  c.incremental = incremental == "on";
 
-  const int host_threads = static_cast<int>(flags.GetInt("host-threads", 0));
-  const int msg_shards = static_cast<int>(flags.GetInt("msg-shards", 0));
-  auto contention =
-      sim::ParseContentionModel(flags.GetString("contention", "off"));
-  if (!contention.ok()) {
-    std::cerr << contention.status().ToString() << "\n";
-    return 1;
+  core::EngineOptions& o = c.shared.options;
+  const bool gum = c.engine == "gum";
+  const bool faulted = c.shared.fault_plane.active() || o.checkpoint.every > 0;
+  const bool mutating = !c.shared.mutation_plan.empty();
+  const bool batched = flags.Has("sources");
+  const auto fail = [](const std::string& msg) {
+    return Status::InvalidArgument(msg);
+  };
+  if (flags.Has("target") && c.algo != "astar") {
+    return fail("--target requires --algo=astar");
   }
-  auto multipath =
-      sim::ParseMultipathMode(flags.GetString("multipath", "off"));
-  if (!multipath.ok()) {
-    std::cerr << multipath.status().ToString() << "\n";
-    return 1;
+  // Fixed-round PageRank keeps every vertex active, so the event-driven
+  // engine never quiesces.
+  if (c.engine == "groute" && c.algo == "pr") {
+    return fail("--engine=groute does not support --algo=pr (for PageRank "
+                "use --algo=dpr)");
   }
-  if (*multipath == sim::MultipathMode::kOn && engine_name != "gum") {
-    std::cerr << "--multipath=on requires --engine=gum\n";
-    return 1;
+  GUM_ASSIGN_OR_RETURN(o.mode,
+                       core::ParseEngineMode(flags.GetString("mode", "bsp")));
+  // Features only the gum engine implements.
+  const std::pair<bool, const char*> gum_only[] = {
+      {o.multipath == sim::MultipathMode::kOn, "--multipath=on"},
+      {faulted, "--fault-plan/--ckpt-every"},
+      {o.expand_backend != core::ExpandBackendKind::kScatter,
+       "--expand=spmv|auto"},
+      {o.mode == core::EngineMode::kAsync, "--mode=async"},
+      {mutating, "--mutations"},
+      {batched, "--sources"},
+  };
+  for (const auto& [used, what] : gum_only) {
+    if (used && !gum) return fail(std::string(what) + " requires --engine=gum");
   }
-
-  // Parse + bind the fault plan before engine dispatch so an invalid spec
-  // fails loudly without running anything.
-  const std::string fault_spec = flags.GetString("fault-plan", "none");
-  const int ckpt_every = static_cast<int>(flags.GetInt("ckpt-every", 0));
-  fault::FaultPlane fault_plane;
-  {
-    auto plan = fault::FaultPlan::Parse(fault_spec);
-    if (!plan.ok()) {
-      std::cerr << plan.status().ToString() << "\n";
-      return 1;
-    }
-    auto plane = fault::FaultPlane::Create(
-        *plan, partition.num_parts,
-        static_cast<uint64_t>(flags.GetInt("fault-seed", 1)));
-    if (!plane.ok()) {
-      std::cerr << plane.status().ToString() << "\n";
-      return 1;
-    }
-    fault_plane = std::move(*plane);
-  }
-  if ((fault_plane.active() || ckpt_every > 0) && engine_name != "gum") {
-    std::cerr << "--fault-plan/--ckpt-every require --engine=gum\n";
-    return 1;
-  }
-
-  const auto expand_or =
-      flags.GetEnum("expand", "scatter", {"scatter", "spmv", "auto"});
-  if (!expand_or.ok()) {
-    std::cerr << expand_or.status().ToString() << "\n";
-    return 1;
-  }
-  core::ExpandBackendKind expand_backend = core::ExpandBackendKind::kScatter;
-  core::ParseExpandBackendKind(*expand_or, &expand_backend);
-  if (expand_backend != core::ExpandBackendKind::kScatter &&
-      engine_name != "gum") {
-    std::cerr << "--expand=spmv|auto requires --engine=gum\n";
-    return 1;
-  }
-
   // Execution mode (DESIGN.md §15). Every async knob is rejected loudly
   // under --mode=bsp so a forgotten mode switch can't silently no-op, and
   // the whole config is range-checked before anything runs.
-  const auto mode_or = core::ParseEngineMode(flags.GetString("mode", "bsp"));
-  if (!mode_or.ok()) {
-    std::cerr << mode_or.status().ToString() << "\n";
-    return 1;
-  }
-  const core::EngineMode mode = *mode_or;
-  core::AsyncConfig async_cfg;
-  if (mode == core::EngineMode::kBsp) {
+  if (o.mode == core::EngineMode::kBsp) {
     for (const char* f :
          {"delta", "worklist", "steal-prob", "steal-batch", "async-seed"}) {
-      if (flags.Has(f)) {
-        std::cerr << "--" << f << " requires --mode=async\n";
-        return 1;
-      }
+      if (flags.Has(f)) return fail(std::string("--") + f +
+                                    " requires --mode=async");
     }
   } else {
-    if (engine_name != "gum") {
-      std::cerr << "--mode=async requires --engine=gum\n";
-      return 1;
+    if (faulted) {
+      return fail("--mode=async does not compose with --fault-plan/"
+                  "--ckpt-every yet");
     }
-    if (fault_plane.active() || ckpt_every > 0) {
-      std::cerr << "--mode=async does not compose with --fault-plan/"
-                   "--ckpt-every yet\n";
-      return 1;
+    if (mutating) return fail("--mutations requires --mode=bsp");
+    if (batched) {
+      return fail("--mode=async does not compose with --sources (the "
+                  "bit-parallel batch has no per-vertex priority)");
     }
-    if constexpr (!core::AsyncCapable<App>) {
-      std::cerr << "--mode=async does not support --algo="
-                << flags.GetString("algo", "bfs")
-                << " (priority-driven apps: bfs, sssp, wcc, dpr, astar; "
-                   "for PageRank use --algo=dpr)\n";
-      return 1;
-    } else {
-      if (flags.Has("delta")) {
-        async_cfg.delta = flags.GetDouble("delta", 0.0);
-        if (async_cfg.delta <= 0.0) {
-          std::cerr << "--delta must be > 0\n";
-          return 1;
-        }
-      }
-      const auto wl_or = core::ParseAsyncWorklistKind(
-          flags.GetString("worklist", "buckets"));
-      if (!wl_or.ok()) {
-        std::cerr << wl_or.status().ToString() << "\n";
-        return 1;
-      }
-      async_cfg.worklist = *wl_or;
-      async_cfg.steal_prob =
-          flags.GetDouble("steal-prob", async_cfg.steal_prob);
-      async_cfg.steal_batch_size = static_cast<int>(
-          flags.GetInt("steal-batch", async_cfg.steal_batch_size));
-      async_cfg.seed = static_cast<uint64_t>(flags.GetInt("async-seed", 1));
-      if (Status s = core::ValidateAsyncConfig(async_cfg); !s.ok()) {
-        std::cerr << s.ToString() << "\n";
-        return 1;
-      }
+    if (c.algo == "pr") {
+      return fail("--mode=async does not support --algo=pr (priority-driven "
+                  "apps: bfs, sssp, wcc, dpr, astar; for PageRank use "
+                  "--algo=dpr)");
     }
+    core::AsyncConfig& a = o.async;
+    // Absent --delta keeps 0: the app-aware default.
+    GUM_ASSIGN_OR_RETURN(a.delta, flags.GetDoubleInRange(
+                                      "delta", 0.0, kMinPositive, kMaxFinite));
+    GUM_ASSIGN_OR_RETURN(
+        a.worklist,
+        core::ParseAsyncWorklistKind(flags.GetString("worklist", "buckets")));
+    GUM_ASSIGN_OR_RETURN(
+        a.steal_prob, flags.GetDoubleInRange("steal-prob", a.steal_prob, 0, 1));
+    GUM_ASSIGN_OR_RETURN(a.steal_batch_size, cli::GetIntFlag(
+                                                 flags, "steal-batch",
+                                                 a.steal_batch_size, 1));
+    GUM_ASSIGN_OR_RETURN(a.seed, cli::GetSeedFlag(flags, "async-seed"));
+    GUM_RETURN_IF_ERROR(core::ValidateAsyncConfig(a));
   }
 
-  if (engine_name == "gum") {
-    core::EngineOptions options;
-    options.enable_fsteal = !flags.GetBool("no-fsteal", false);
-    options.enable_osteal = !flags.GetBool("no-osteal", false);
-    options.num_host_threads = host_threads;
-    options.num_msg_shards = msg_shards;
-    options.contention = *contention;
-    options.multipath = *multipath;
-    options.expand_backend = expand_backend;
-    options.fault_plane = &fault_plane;
-    options.checkpoint.every = ckpt_every;
-    options.mode = mode;
-    options.async = async_cfg;
-    core::GumEngine<App> engine(&g, partition, topology, options);
-    result = engine.Run(app, &values);
-  } else if (engine_name == "gunrock") {
-    baselines::GunrockOptions options;
-    options.num_host_threads = host_threads;
-    options.num_msg_shards = msg_shards;
-    options.contention = *contention;
-    baselines::GunrockLikeEngine<App> engine(&g, partition, topology,
-                                             options);
-    result = engine.Run(app, &values);
-  } else if (engine_name == "groute") {
-    baselines::GrouteOptions options;
-    options.contention = *contention;
-    baselines::GrouteLikeEngine<App> engine(&g, partition, options);
-    result = engine.Run(app, &values);
+  if (mutating) {
+    if (batched) return fail("--mutations does not compose with --sources");
+    if (c.algo == "dpr" || c.algo == "astar") {
+      return fail("--mutations requires --algo=bfs|sssp|wcc|pr");
+    }
+  }
+  if (batched && c.algo != "bfs" && c.algo != "sssp") {
+    return fail("--sources requires --algo=bfs or --algo=sssp");
+  }
+  return c;
+}
+
+// --source (default: the max out-degree vertex), --target (default: the
+// last vertex) and --sources, range-checked against the built graph.
+Status BindVertexFlags(const FlagParser& flags, const graph::CsrGraph& g,
+                       CliFlags* c) {
+  const int64_t last = static_cast<int64_t>(g.num_vertices()) - 1;
+  if (flags.Has("source")) {
+    GUM_ASSIGN_OR_RETURN(const int64_t s,
+                         flags.GetIntInRange("source", 0, 0, last));
+    c->source = static_cast<graph::VertexId>(s);
   } else {
-    std::cerr << "unknown --engine=" << engine_name << "\n";
-    return 1;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (g.OutDegree(v) > g.OutDegree(c->source)) c->source = v;
+    }
   }
+  GUM_ASSIGN_OR_RETURN(const int64_t t,
+                       flags.GetIntInRange("target", last, 0, last));
+  c->target = static_cast<graph::VertexId>(t);
+  if (!flags.Has("sources")) return Status::OK();
+  GUM_ASSIGN_OR_RETURN(c->batch_sources,
+                       cli::GetVertexList(flags, "sources", g));
+  if (c->batch_sources.size() > static_cast<size_t>(algos::kMaxBatchLanes)) {
+    return Status::InvalidArgument("--sources takes 1.." +
+                                   std::to_string(algos::kMaxBatchLanes) +
+                                   " vertices");
+  }
+  return Status::OK();
+}
 
-  if (want_metrics || want_report) obs::SetMetricsEnabled(false);
-  if (want_trace) {
-    // The engine (and its thread pool) is already destroyed, so every
-    // worker buffer has drained to the retired list; Stop collects them
-    // plus the main thread's spans.
-    trace.Stop();
-    trace.AddSimulatedTimeline(result.timeline);
-    std::ofstream out(flags.GetString("trace", ""));
-    trace.WriteChromeTrace(out);
-  }
-  if (want_metrics) {
-    std::ofstream out(flags.GetString("metrics", ""));
-    obs::MetricsRegistry::Global().WriteJson(out);
-  }
-  if (want_report) {
-    obs::RunReportMeta meta;
-    meta.system = engine_name;
-    meta.algorithm = flags.GetString("algo", "bfs");
-    meta.dataset = flags.Has("graph")
-                       ? flags.GetString("graph", "")
-                       : flags.GetString("gen", "");
-    meta.num_devices = partition.num_parts;
-    meta.config = {
-        {"contention", flags.GetString("contention", "off")},
-        {"partitioner", flags.GetString("partitioner", "random")},
-        {"host_threads", std::to_string(host_threads)},
-        {"msg_shards", std::to_string(msg_shards)},
-        {"fsteal", flags.GetBool("no-fsteal", false) ? "off" : "on"},
-        {"osteal", flags.GetBool("no-osteal", false) ? "off" : "on"},
-        {"expand", core::ExpandBackendKindName(expand_backend)},
-    };
-    // Only a multipath run records the key, so multipath-off reports stay
-    // byte-identical to the pre-multipath schema.
-    if (*multipath == sim::MultipathMode::kOn) {
-      meta.config.emplace_back("multipath", sim::MultipathModeName(*multipath));
-    }
-    // Only an async run records async keys, so mode-off reports stay
-    // byte-identical to the pre-async schema (modulo schema_version).
-    if (mode == core::EngineMode::kAsync) {
-      meta.config.emplace_back("mode", core::EngineModeName(mode));
-      meta.config.emplace_back("worklist",
-                               core::AsyncWorklistKindName(async_cfg.worklist));
-      meta.config.emplace_back(
-          "delta", flags.Has("delta") ? std::to_string(async_cfg.delta)
-                                      : "auto");
-      meta.config.emplace_back("steal_prob",
-                               std::to_string(async_cfg.steal_prob));
-      meta.config.emplace_back("steal_batch",
-                               std::to_string(async_cfg.steal_batch_size));
-      meta.config.emplace_back("async_seed", std::to_string(async_cfg.seed));
-    }
-    // Only a fault-plane run records fault keys; faults-off reports stay
-    // byte-identical to the pre-fault-plane schema (modulo schema_version).
-    if (fault_plane.active() || ckpt_every > 0) {
-      meta.config.emplace_back("fault_plan", fault_plane.active()
-                                                 ? fault_plane.Describe()
-                                                 : "none");
-      meta.config.emplace_back("fault_seed",
-                               std::to_string(flags.GetInt("fault-seed", 1)));
-      meta.config.emplace_back("ckpt_every", std::to_string(ckpt_every));
-    }
-    std::ofstream out(flags.GetString("report", ""));
-    obs::WriteRunReport(out, meta, result,
-                        &obs::MetricsRegistry::Global());
-  }
+// The parsed flags plus the built setup: everything a run reads.
+struct RunEnv {
+  const FlagParser& flags;
+  const CliFlags& cli;
+  const cli::Setup& setup;
+};
 
-  std::cout << "engine:          " << engine_name << "\n"
-            << "iterations:      " << result.iterations << "\n"
-            << "simulated time:  " << result.total_ms << " ms\n"
-            << "edges processed: " << result.edges_processed << "\n"
-            << "messages sent:   " << result.messages_sent << "\n";
-  if (engine_name == "gum") {
-    std::cout << "edges stolen:    " << result.stolen_edges_total << "\n"
-              << "group shrinks:   " << result.osteal_shrink_events << "\n";
+// Stops the obs recording and writes --trace, --metrics and --report for
+// either run path.
+void FinishObs(const RunEnv& env, cli::ObsArtifacts& artifacts,
+               const core::RunResult& result) {
+  artifacts.Finish(&result.timeline);
+  if (!artifacts.want_report()) return;
+  const cli::SetupFlags& s = env.cli.shared;
+  const core::EngineOptions& o = s.options;
+  obs::RunReportMeta meta =
+      artifacts.ReportMeta(env.cli.engine, env.setup.partition.num_parts);
+  meta.config = {
+      {"contention", env.flags.GetString("contention", "off")},
+      {"partitioner", env.flags.GetString("partitioner", "random")},
+      {"host_threads", std::to_string(o.num_host_threads)},
+      {"msg_shards", std::to_string(o.num_msg_shards)},
+      {"fsteal", o.enable_fsteal ? "on" : "off"},
+      {"osteal", o.enable_osteal ? "on" : "off"},
+      {"expand", core::ExpandBackendKindName(o.expand_backend)},
+  };
+  // A streaming report records the mutation knobs and none of the
+  // multipath, async or fault keys below.
+  if (env.setup.mutations.active()) {
+    meta.config.insert(
+        meta.config.end(),
+        {{"mutations", env.flags.GetString("mutations", "none")},
+         {"mutation_seed", std::to_string(s.mutation_seed)},
+         {"compact_every", std::to_string(s.compact_every)},
+         {"incremental", env.cli.incremental ? "on" : "off"}});
+    artifacts.WriteReport(meta, result);
+    return;
   }
-  // Async-only lines: a --mode=bsp run prints byte-identically to the
-  // pre-async build.
-  if (result.async_active) {
-    std::cout << "async:           " << result.async_batches << " batches, "
-              << result.async_stale_skips << " stale skips, delta "
-              << result.async_delta << "\n"
-              << "range steals:    " << result.async_range_steals << " ("
-              << result.async_range_steal_entries << " entries, "
-              << result.async_range_steal_bytes << " bytes)\n"
-              << "quiescence:      " << result.quiescence_rounds
-              << " census rounds\n";
+  // Only a multipath run records the key, so multipath-off reports stay
+  // byte-identical to the pre-multipath schema.
+  if (o.multipath == sim::MultipathMode::kOn) {
+    meta.config.emplace_back("multipath", sim::MultipathModeName(o.multipath));
   }
-  if (result.fault_plan_active) {
-    std::cout << "faults:          devices failed " << result.devices_failed
-              << ", recoveries " << result.recovery_events
-              << ", fragments migrated " << result.fragments_migrated
-              << ", recovery charged " << result.RecoveryChargedMs()
-              << " ms\n";
+  // Only an async run records async keys, so mode-off reports stay
+  // byte-identical to the pre-async schema (modulo schema_version).
+  if (o.mode == core::EngineMode::kAsync) {
+    meta.config.emplace_back("mode", core::EngineModeName(o.mode));
+    meta.config.emplace_back("worklist",
+                             core::AsyncWorklistKindName(o.async.worklist));
+    meta.config.emplace_back(
+        "delta",
+        env.flags.Has("delta") ? std::to_string(o.async.delta) : "auto");
+    meta.config.emplace_back("steal_prob", std::to_string(o.async.steal_prob));
+    meta.config.emplace_back("steal_batch",
+                             std::to_string(o.async.steal_batch_size));
+    meta.config.emplace_back("async_seed", std::to_string(o.async.seed));
   }
-  if (result.checkpoints_taken > 0) {
-    std::cout << "checkpoints:     " << result.checkpoints_taken << " ("
-              << result.checkpoint_ms_total << " ms charged)\n";
+  // Only a fault-plane run records fault keys; faults-off reports stay
+  // byte-identical to the pre-fault-plane schema (modulo schema_version).
+  if (s.fault_plane.active() || o.checkpoint.every > 0) {
+    meta.config.emplace_back(
+        "fault_plan",
+        s.fault_plane.active() ? s.fault_plane.Describe() : "none");
+    meta.config.emplace_back("fault_seed", std::to_string(s.fault_seed));
+    meta.config.emplace_back("ckpt_every",
+                             std::to_string(o.checkpoint.every));
   }
-  std::cout << "breakdown (ms):  compute " << result.ComputeMs()
-            << ", comm " << result.CommunicationMs() << ", serialization "
-            << result.SerializationMs() << ", overhead "
-            << result.OverheadMs() << "\n";
+  artifacts.WriteReport(meta, result);
+}
+
+// The stdout summary plus --timeline, --show-links and --timeline-csv, for
+// either run path.
+void PrintSummary(const RunEnv& env, const core::RunResult& r) {
+  const FlagParser& flags = env.flags;
+  const bool mutating = env.setup.mutations.active();
+  std::cout << "engine:          " << env.cli.engine << "\n"
+            << "iterations:      " << r.iterations << "\n"
+            << "simulated time:  " << r.total_ms << " ms\n"
+            << "edges processed: " << r.edges_processed << "\n"
+            << "messages sent:   " << r.messages_sent << "\n";
+  if (mutating) {
+    std::cout << "mutations:       " << r.mutation_epochs << " epochs, "
+              << r.mutation_events_applied << " applied ("
+              << r.mutation_noops << " noop), " << r.mutation_delta_bytes
+              << " delta bytes, " << r.mutation_compactions
+              << " compactions\n"
+              << "recompute:       "
+              << (env.cli.incremental ? "incremental" : "full") << " ("
+              << r.mutation_incremental_epochs << " incremental, "
+              << r.mutation_skipped_epochs << " skipped, "
+              << r.mutation_fallbacks << " fallbacks), apply "
+              << r.mutation_apply_ms << " ms, compact "
+              << r.mutation_compact_ms << " ms, restore "
+              << r.mutation_restore_ms << " ms\n";
+  } else {
+    if (env.cli.engine == "gum") {
+      std::cout << "edges stolen:    " << r.stolen_edges_total << "\n"
+                << "group shrinks:   " << r.osteal_shrink_events << "\n";
+    }
+    // Async-only lines: a --mode=bsp run prints byte-identically to the
+    // pre-async build.
+    if (r.async_active) {
+      std::cout << "async:           " << r.async_batches << " batches, "
+                << r.async_stale_skips << " stale skips, delta "
+                << r.async_delta << "\n"
+                << "range steals:    " << r.async_range_steals << " ("
+                << r.async_range_steal_entries << " entries, "
+                << r.async_range_steal_bytes << " bytes)\n"
+                << "quiescence:      " << r.quiescence_rounds
+                << " census rounds\n";
+    }
+    if (r.fault_plan_active) {
+      std::cout << "faults:          devices failed " << r.devices_failed
+                << ", recoveries " << r.recovery_events
+                << ", fragments migrated " << r.fragments_migrated
+                << ", recovery charged " << r.RecoveryChargedMs() << " ms\n";
+    }
+    if (r.checkpoints_taken > 0) {
+      std::cout << "checkpoints:     " << r.checkpoints_taken << " ("
+                << r.checkpoint_ms_total << " ms charged)\n";
+    }
+    std::cout << "breakdown (ms):  compute " << r.ComputeMs() << ", comm "
+              << r.CommunicationMs() << ", serialization "
+              << r.SerializationMs() << ", overhead " << r.OverheadMs()
+              << "\n";
+  }
   if (flags.GetBool("timeline", false)) {
-    std::cout << result.timeline.RenderAscii(96);
+    std::cout << r.timeline.RenderAscii(96);
   }
   if (flags.GetBool("show-links", false)) {
-    std::cout << "link utilization (" << sim::ContentionModelName(*contention)
+    std::cout << "link utilization ("
+              << sim::ContentionModelName(env.cli.shared.options.contention)
               << " contention):\n"
-              << sim::CommPlane::RenderAsciiTable(
-                     result.link_bytes, result.link_busy_ms, result.total_ms);
-    if (result.multipath_active) {
-      std::cout << sim::RenderMultipathAscii(result.multipath);
+              << sim::CommPlane::RenderAsciiTable(r.link_bytes,
+                                                  r.link_busy_ms, r.total_ms);
+    // Streaming stdout carries no multipath table.
+    if (r.multipath_active && !mutating) {
+      std::cout << sim::RenderMultipathAscii(r.multipath);
     }
   }
   if (flags.Has("timeline-csv")) {
     std::ofstream out(flags.GetString("timeline-csv", ""));
-    result.timeline.WriteCsv(out);
+    r.timeline.WriteCsv(out);
   }
-  if (flags.Has("save-values")) {
-    std::ofstream out(flags.GetString("save-values", ""));
-    for (size_t v = 0; v < values.size(); ++v) {
-      if constexpr (std::is_same_v<Value,
-                                   algos::DeltaPageRankApp::State>) {
-        out << v << " " << values[v].rank << "\n";
-      } else if constexpr (std::is_same_v<
-                               Value, algos::MultiSourceBfsApp::Value>) {
-        out << v;
-        for (int l = 0; l < app.num_lanes; ++l) out << " " << values[v].depth[l];
-        out << "\n";
-      } else if constexpr (std::is_same_v<
-                               Value, algos::MultiSourceSsspApp::Value>) {
-        out << v;
-        for (int l = 0; l < app.num_lanes; ++l) out << " " << values[v].dist[l];
-        out << "\n";
-      } else {
-        out << v << " " << values[v] << "\n";
-      }
+}
+
+// Everything after either run path's run: obs artifacts, the stdout
+// summary, and --save-values.
+template <typename App, typename Value>
+int FinishRun(const RunEnv& env, cli::ObsArtifacts& artifacts, const App& app,
+              const core::RunResult& r, const std::vector<Value>& values) {
+  FinishObs(env, artifacts, r);
+  PrintSummary(env, r);
+  if (!env.flags.Has("save-values")) return 0;
+  std::ofstream out(env.flags.GetString("save-values", ""));
+  for (size_t v = 0; v < values.size(); ++v) {
+    if constexpr (std::is_same_v<Value, algos::DeltaPageRankApp::State>) {
+      out << v << " " << values[v].rank << "\n";
+    } else if constexpr (std::is_same_v<Value,
+                                        algos::MultiSourceBfsApp::Value>) {
+      out << v;
+      for (int l = 0; l < app.num_lanes; ++l) out << " " << values[v].depth[l];
+      out << "\n";
+    } else if constexpr (std::is_same_v<Value,
+                                        algos::MultiSourceSsspApp::Value>) {
+      out << v;
+      for (int l = 0; l < app.num_lanes; ++l) out << " " << values[v].dist[l];
+      out << "\n";
+    } else {
+      out << v << " " << values[v] << "\n";
     }
   }
   return 0;
+}
+
+template <typename App>
+int RunStatic(const RunEnv& env, App app) {
+  const CliFlags& c = env.cli;
+  const core::EngineOptions& o = c.shared.options;
+  const cli::Setup& s = env.setup;
+  core::RunResult result;
+  std::vector<typename App::Value> values;
+  cli::ObsArtifacts artifacts(env.flags);
+  if (c.engine == "gum") {
+    core::EngineOptions options = o;
+    options.fault_plane = &c.shared.fault_plane;
+    core::GumEngine<App> engine(&s.graph, s.partition, s.topology, options);
+    result = engine.Run(app, &values);
+  } else if (c.engine == "gunrock") {
+    baselines::GunrockOptions options;
+    options.num_host_threads = o.num_host_threads;
+    options.num_msg_shards = o.num_msg_shards;
+    options.contention = o.contention;
+    baselines::GunrockLikeEngine<App> engine(&s.graph, s.partition,
+                                             s.topology, options);
+    result = engine.Run(app, &values);
+  } else {
+    baselines::GrouteOptions options;
+    options.contention = o.contention;
+    baselines::GrouteLikeEngine<App> engine(&s.graph, s.partition, options);
+    result = engine.Run(app, &values);
+  }
+  // The engine (and its thread pool) is already destroyed, so every worker
+  // span has drained.
+  return FinishRun(env, artifacts, app, result, values);
 }
 
 // Streaming mode (--mutations): the graph advances in epochs and the query
@@ -519,109 +510,33 @@ int RunAndReport(const FlagParser& flags, const graph::CsrGraph& g,
 // recompute otherwise, with values byte-identical either way. Gum engine
 // only; the per-epoch GraphContext rebuild keeps every derived structure
 // honest.
-template <typename App, typename Value = typename App::Value>
-int RunMutationStream(const FlagParser& flags, const graph::CsrGraph& g,
-                      const graph::Partition& partition,
-                      const sim::Topology& topology, App app,
-                      const graph::MutationStream& stream, bool symmetric) {
-  {
-    const auto mode_or =
-        core::ParseEngineMode(flags.GetString("mode", "bsp"));
-    if (!mode_or.ok()) {
-      std::cerr << mode_or.status().ToString() << "\n";
-      return 1;
-    }
-    if (*mode_or == core::EngineMode::kAsync) {
-      std::cerr << "--mutations requires --mode=bsp\n";
-      return 1;
-    }
-  }
-  const int host_threads = static_cast<int>(flags.GetInt("host-threads", 0));
-  const int msg_shards = static_cast<int>(flags.GetInt("msg-shards", 0));
-  auto contention =
-      sim::ParseContentionModel(flags.GetString("contention", "off"));
-  if (!contention.ok()) {
-    std::cerr << contention.status().ToString() << "\n";
-    return 1;
-  }
-  auto multipath =
-      sim::ParseMultipathMode(flags.GetString("multipath", "off"));
-  if (!multipath.ok()) {
-    std::cerr << multipath.status().ToString() << "\n";
-    return 1;
-  }
-  const auto expand_or =
-      flags.GetEnum("expand", "scatter", {"scatter", "spmv", "auto"});
-  if (!expand_or.ok()) {
-    std::cerr << expand_or.status().ToString() << "\n";
-    return 1;
-  }
-  core::ExpandBackendKind expand_backend = core::ExpandBackendKind::kScatter;
-  core::ParseExpandBackendKind(*expand_or, &expand_backend);
-  const auto inc_or = flags.GetEnum("incremental", "on", {"on", "off"});
-  if (!inc_or.ok()) {
-    std::cerr << inc_or.status().ToString() << "\n";
-    return 1;
-  }
-  const bool incremental = *inc_or == "on";
-  const int compact_every = static_cast<int>(flags.GetInt("compact-every", 0));
-  if (compact_every < 0) {
-    std::cerr << "--compact-every must be >= 0\n";
-    return 1;
-  }
-
+template <typename App>
+int RunMutating(const RunEnv& env, App app) {
+  const CliFlags& c = env.cli;
+  const graph::MutationStream& stream = env.setup.mutations;
+  cli::ObsArtifacts artifacts(env.flags);
   // The fault plan (if any) replays inside every epoch's run; recovery is
   // byte-exact, so it composes with the incremental/full equivalence.
-  fault::FaultPlane fault_plane;
-  {
-    auto plan = fault::FaultPlan::Parse(flags.GetString("fault-plan", "none"));
-    if (!plan.ok()) {
-      std::cerr << plan.status().ToString() << "\n";
-      return 1;
-    }
-    auto plane = fault::FaultPlane::Create(
-        *plan, partition.num_parts,
-        static_cast<uint64_t>(flags.GetInt("fault-seed", 1)));
-    if (!plane.ok()) {
-      std::cerr << plane.status().ToString() << "\n";
-      return 1;
-    }
-    fault_plane = std::move(*plane);
-  }
+  core::EngineOptions options = c.shared.options;
+  options.fault_plane = &c.shared.fault_plane;
 
-  const bool want_trace = flags.Has("trace");
-  const bool want_metrics = flags.Has("metrics");
-  const bool want_report = flags.Has("report");
-  obs::TraceSession trace;
-  if (want_trace) trace.Start();
-  if (want_metrics || want_report) obs::SetMetricsEnabled(true);
-
-  core::EngineOptions options;
-  options.enable_fsteal = !flags.GetBool("no-fsteal", false);
-  options.enable_osteal = !flags.GetBool("no-osteal", false);
-  options.num_host_threads = host_threads;
-  options.num_msg_shards = msg_shards;
-  options.contention = *contention;
-  options.multipath = *multipath;
-  options.expand_backend = expand_backend;
-  options.fault_plane = &fault_plane;
-  options.checkpoint.every = static_cast<int>(flags.GetInt("ckpt-every", 0));
-
-  core::EpochedGraphContext ectx(g, partition, topology, options, symmetric);
+  core::EpochedGraphContext ectx(env.setup.graph, env.setup.partition,
+                                 env.setup.topology, options,
+                                 /*symmetric=*/c.algo == "wcc");
   algos::IncrementalSession<App> session;
   core::RunResult aggregate = session.RunInitial(ectx.ctx(), app);
   aggregate.mutation_plane_active = true;
 
   // Full-recompute state for --incremental=off (the equality baseline).
   core::RunContext<App> rc_full;
-  std::vector<Value> values = session.values();
+  std::vector<typename App::Value> values = session.values();
 
   std::cout << "epoch 0: initial run, " << aggregate.iterations
             << " iterations, " << aggregate.total_ms << " ms\n";
 
   for (int e = 1; e <= stream.num_epochs(); ++e) {
     const core::EpochAdvanceStats adv =
-        ectx.AdvanceEpoch(stream.BatchAt(e), compact_every);
+        ectx.AdvanceEpoch(stream.BatchAt(e), c.shared.compact_every);
     ++aggregate.mutation_epochs;
     aggregate.mutation_events_applied += adv.inserted + adv.deleted;
     aggregate.mutation_noops += adv.noops;
@@ -633,7 +548,7 @@ int RunMutationStream(const FlagParser& flags, const graph::CsrGraph& g,
     const char* plan_name = "full";
     double restore_ms = 0.0;
     core::RunResult r;
-    if (incremental) {
+    if (c.incremental) {
       auto er = session.RunEpoch(ectx.ctx(), adv.effective);
       plan_name = algos::EpochPlanKindName(er.kind);
       switch (er.kind) {
@@ -677,79 +592,56 @@ int RunMutationStream(const FlagParser& flags, const graph::CsrGraph& g,
               << " ms\n";
   }
 
-  if (want_metrics || want_report) obs::SetMetricsEnabled(false);
-  if (want_trace) {
-    trace.Stop();
-    trace.AddSimulatedTimeline(aggregate.timeline);
-    std::ofstream out(flags.GetString("trace", ""));
-    trace.WriteChromeTrace(out);
-  }
-  if (want_metrics) {
-    std::ofstream out(flags.GetString("metrics", ""));
-    obs::MetricsRegistry::Global().WriteJson(out);
-  }
-  if (want_report) {
-    obs::RunReportMeta meta;
-    meta.system = "gum";
-    meta.algorithm = flags.GetString("algo", "bfs");
-    meta.dataset = flags.Has("graph") ? flags.GetString("graph", "")
-                                      : flags.GetString("gen", "");
-    meta.num_devices = partition.num_parts;
-    meta.config = {
-        {"contention", flags.GetString("contention", "off")},
-        {"partitioner", flags.GetString("partitioner", "random")},
-        {"host_threads", std::to_string(host_threads)},
-        {"msg_shards", std::to_string(msg_shards)},
-        {"fsteal", flags.GetBool("no-fsteal", false) ? "off" : "on"},
-        {"osteal", flags.GetBool("no-osteal", false) ? "off" : "on"},
-        {"expand", core::ExpandBackendKindName(expand_backend)},
-        {"mutations", flags.GetString("mutations", "none")},
-        {"mutation_seed", std::to_string(flags.GetInt("mutation-seed", 1))},
-        {"compact_every", std::to_string(compact_every)},
-        {"incremental", incremental ? "on" : "off"},
-    };
-    std::ofstream out(flags.GetString("report", ""));
-    obs::WriteRunReport(out, meta, aggregate, &obs::MetricsRegistry::Global());
-  }
+  return FinishRun(env, artifacts, app, aggregate, values);
+}
 
-  std::cout << "engine:          gum\n"
-            << "iterations:      " << aggregate.iterations << "\n"
-            << "simulated time:  " << aggregate.total_ms << " ms\n"
-            << "edges processed: " << aggregate.edges_processed << "\n"
-            << "messages sent:   " << aggregate.messages_sent << "\n"
-            << "mutations:       " << aggregate.mutation_epochs << " epochs, "
-            << aggregate.mutation_events_applied << " applied ("
-            << aggregate.mutation_noops << " noop), "
-            << aggregate.mutation_delta_bytes << " delta bytes, "
-            << aggregate.mutation_compactions << " compactions\n"
-            << "recompute:       " << (incremental ? "incremental" : "full")
-            << " (" << aggregate.mutation_incremental_epochs
-            << " incremental, " << aggregate.mutation_skipped_epochs
-            << " skipped, " << aggregate.mutation_fallbacks
-            << " fallbacks), apply " << aggregate.mutation_apply_ms
-            << " ms, compact " << aggregate.mutation_compact_ms
-            << " ms, restore " << aggregate.mutation_restore_ms << " ms\n";
-  if (flags.GetBool("timeline", false)) {
-    std::cout << aggregate.timeline.RenderAscii(96);
+// IncrementalSession's apps; ParseCliFlags admits no other with
+// --mutations.
+template <typename App>
+constexpr bool kStreamable =
+    std::is_same_v<App, algos::BfsApp> || std::is_same_v<App, algos::SsspApp> ||
+    std::is_same_v<App, algos::WccApp> ||
+    std::is_same_v<App, algos::PageRankApp>;
+
+template <typename App>
+int Run(const RunEnv& env, App app) {
+  if constexpr (kStreamable<App>) {
+    if (env.setup.mutations.active()) return RunMutating(env, std::move(app));
   }
-  if (flags.GetBool("show-links", false)) {
-    std::cout << "link utilization (" << sim::ContentionModelName(*contention)
-              << " contention):\n"
-              << sim::CommPlane::RenderAsciiTable(aggregate.link_bytes,
-                                                  aggregate.link_busy_ms,
-                                                  aggregate.total_ms);
+  return RunStatic(env, std::move(app));
+}
+
+// The one --algo (and --sources) to App mapping.
+int RunAlgo(const RunEnv& env) {
+  const CliFlags& c = env.cli;
+  const graph::VertexId n = env.setup.graph.num_vertices();
+  if (!c.batch_sources.empty()) {
+    return c.algo == "bfs"
+               ? Run(env, algos::MultiSourceBfsApp(c.batch_sources))
+               : Run(env, algos::MultiSourceSsspApp(c.batch_sources));
   }
-  if (flags.Has("timeline-csv")) {
-    std::ofstream out(flags.GetString("timeline-csv", ""));
-    aggregate.timeline.WriteCsv(out);
+  if (c.algo == "bfs") return Run(env, algos::BfsApp{.source = c.source});
+  if (c.algo == "sssp") return Run(env, algos::SsspApp{.source = c.source});
+  if (c.algo == "wcc") return Run(env, algos::WccApp{});
+  if (c.algo == "pr") {
+    return Run(env, algos::PageRankApp{.num_vertices = n,
+                                       .rounds = c.pr_rounds});
   }
-  if (flags.Has("save-values")) {
-    std::ofstream out(flags.GetString("save-values", ""));
-    for (size_t v = 0; v < values.size(); ++v) {
-      out << v << " " << values[v] << "\n";
-    }
+  if (c.algo == "dpr") {
+    return Run(env, algos::DeltaPageRankApp{.num_vertices = n,
+                                            .epsilon = c.epsilon});
   }
-  return 0;
+  algos::AStarApp app;  // --algo=astar
+  app.source = c.source;
+  app.target = c.target;
+  // The grid layout is only known for the road generator; elsewhere the
+  // heuristic stays empty and A* degenerates to SSSP visit order (the
+  // converged distances are identical either way).
+  if (c.shared.gen == "road") {
+    app.heuristic = algos::GridManhattanHeuristic(
+        env.setup.graph, c.shared.rows, c.shared.cols, app.target);
+  }
+  return Run(env, std::move(app));
 }
 
 }  // namespace
@@ -760,242 +652,14 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  if (Status s = flags.KnownFlagsOnly(
-          {std::begin(kKnownFlags), std::end(kKnownFlags)});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    PrintUsage();
-    return 1;
-  }
+  auto cli_or = ParseCliFlags(flags);
+  if (!cli_or.ok()) return cli::Fail(cli_or.status(), PrintUsage);
+  CliFlags& c = *cli_or;
 
-  auto edges = LoadOrGenerate(flags);
-  if (!edges.ok()) {
-    std::cerr << edges.status().ToString() << "\n";
-    PrintUsage();
-    return 1;
+  auto setup = cli::BuildSetup(c.shared, /*symmetrize=*/c.algo == "wcc");
+  if (!setup.ok()) return cli::Fail(setup.status());
+  if (Status s = BindVertexFlags(flags, setup->graph, &c); !s.ok()) {
+    return cli::Fail(s);
   }
-
-  const auto algo_or = flags.GetEnum(
-      "algo", "bfs", {"bfs", "sssp", "wcc", "pr", "dpr", "astar"});
-  if (!algo_or.ok()) {
-    std::cerr << algo_or.status().ToString() << "\n";
-    PrintUsage();
-    return 1;
-  }
-  const std::string algo = *algo_or;
-  if (flags.Has("target") && algo != "astar") {
-    std::cerr << "--target requires --algo=astar\n";
-    return 1;
-  }
-  // A negative round count would make PageRank data-driven with every
-  // vertex active, which never converges.
-  const auto pr_rounds_or = flags.GetIntInRange(
-      "pr-rounds", 20, 0, std::numeric_limits<int>::max());
-  if (!pr_rounds_or.ok()) {
-    std::cerr << pr_rounds_or.status().ToString() << "\n";
-    return 1;
-  }
-  const int pr_rounds = static_cast<int>(*pr_rounds_or);
-  graph::CsrBuildOptions build;
-  build.symmetrize = algo == "wcc";
-  auto g = graph::CsrGraph::FromEdgeList(*edges, build);
-  if (!g.ok()) {
-    std::cerr << g.status().ToString() << "\n";
-    return 1;
-  }
-  std::cout << "graph:           " << g->num_vertices() << " vertices, "
-            << g->num_edges() << " edges\n";
-
-  // The hybrid cube-mesh topology has at most 8 devices.
-  const auto devices_or = flags.GetIntInRange("devices", 8, 1, 8);
-  if (!devices_or.ok()) {
-    std::cerr << devices_or.status().ToString() << "\n";
-    return 1;
-  }
-  const int devices = static_cast<int>(*devices_or);
-  graph::PartitionOptions popt;
-  const auto pname_or =
-      flags.GetEnum("partitioner", "random", {"random", "seg", "metis"});
-  if (!pname_or.ok()) {
-    std::cerr << pname_or.status().ToString() << "\n";
-    return 1;
-  }
-  const std::string pname = *pname_or;
-  popt.kind = pname == "seg"     ? graph::PartitionerKind::kSegment
-              : pname == "metis" ? graph::PartitionerKind::kMetisLike
-                                 : graph::PartitionerKind::kRandom;
-  auto partition = graph::PartitionGraph(*g, devices, popt);
-  if (!partition.ok()) {
-    std::cerr << partition.status().ToString() << "\n";
-    return 1;
-  }
-  auto topology = sim::Topology::HybridCubeMeshSubset(devices);
-  if (!topology.ok()) {
-    std::cerr << topology.status().ToString() << "\n";
-    return 1;
-  }
-
-  graph::VertexId source = 0;
-  if (flags.Has("source")) {
-    source = static_cast<graph::VertexId>(flags.GetInt("source", 0));
-    if (source >= g->num_vertices()) {
-      std::cerr << "--source out of range\n";
-      return 1;
-    }
-  } else {
-    for (graph::VertexId v = 0; v < g->num_vertices(); ++v) {
-      if (g->OutDegree(v) > g->OutDegree(source)) source = v;
-    }
-  }
-
-  // Parse + bind the mutation plan before any dispatch so an invalid spec
-  // fails loudly without running anything. "none" stays on the static path
-  // (byte-identical to a run without the flag).
-  graph::MutationStream mstream;
-  if (flags.Has("mutations")) {
-    auto mplan = graph::MutationPlan::Parse(flags.GetString("mutations", ""));
-    if (!mplan.ok()) {
-      std::cerr << mplan.status().ToString() << "\n";
-      return 1;
-    }
-    if (!mplan->empty()) {
-      auto ms = graph::MutationStream::Create(
-          *mplan, *g,
-          static_cast<uint64_t>(flags.GetInt("mutation-seed", 1)));
-      if (!ms.ok()) {
-        std::cerr << ms.status().ToString() << "\n";
-        return 1;
-      }
-      mstream = std::move(*ms);
-    }
-  }
-  if (mstream.active()) {
-    if (flags.GetString("engine", "gum") != "gum") {
-      std::cerr << "--mutations requires --engine=gum\n";
-      return 1;
-    }
-    if (flags.Has("sources")) {
-      std::cerr << "--mutations does not compose with --sources\n";
-      return 1;
-    }
-    if (algo == "bfs") {
-      algos::BfsApp app;
-      app.source = source;
-      return RunMutationStream(flags, *g, *partition, *topology, app, mstream,
-                               /*symmetric=*/false);
-    }
-    if (algo == "sssp") {
-      algos::SsspApp app;
-      app.source = source;
-      return RunMutationStream(flags, *g, *partition, *topology, app, mstream,
-                               /*symmetric=*/false);
-    }
-    if (algo == "wcc") {
-      algos::WccApp app;
-      return RunMutationStream(flags, *g, *partition, *topology, app, mstream,
-                               /*symmetric=*/true);
-    }
-    if (algo == "pr") {
-      algos::PageRankApp app;
-      app.num_vertices = g->num_vertices();
-      app.rounds = pr_rounds;
-      return RunMutationStream(flags, *g, *partition, *topology, app, mstream,
-                               /*symmetric=*/false);
-    }
-    std::cerr << "--mutations requires --algo=bfs|sssp|wcc|pr\n";
-    return 1;
-  }
-
-  if (flags.Has("sources")) {
-    const auto sources_or = flags.GetIntList("sources", {});
-    if (!sources_or.ok()) {
-      std::cerr << sources_or.status().ToString() << "\n";
-      return 1;
-    }
-    if (sources_or->empty() ||
-        sources_or->size() > static_cast<size_t>(algos::kMaxBatchLanes)) {
-      std::cerr << "--sources takes 1.." << algos::kMaxBatchLanes
-                << " vertices\n";
-      return 1;
-    }
-    std::vector<graph::VertexId> batch_sources;
-    for (const int64_t s : *sources_or) {
-      if (s < 0 || s >= static_cast<int64_t>(g->num_vertices())) {
-        std::cerr << "--sources vertex " << s << " out of range\n";
-        return 1;
-      }
-      batch_sources.push_back(static_cast<graph::VertexId>(s));
-    }
-    if (flags.GetString("engine", "gum") != "gum") {
-      std::cerr << "--sources requires --engine=gum\n";
-      return 1;
-    }
-    if (flags.GetString("mode", "bsp") == "async") {
-      std::cerr << "--mode=async does not compose with --sources (the "
-                   "bit-parallel batch has no per-vertex priority)\n";
-      return 1;
-    }
-    if (algo == "bfs") {
-      algos::MultiSourceBfsApp app(std::move(batch_sources));
-      return RunAndReport(flags, *g, *partition, *topology, std::move(app));
-    }
-    if (algo == "sssp") {
-      algos::MultiSourceSsspApp app(std::move(batch_sources));
-      return RunAndReport(flags, *g, *partition, *topology, std::move(app));
-    }
-    std::cerr << "--sources requires --algo=bfs or --algo=sssp\n";
-    return 1;
-  }
-
-  if (algo == "bfs") {
-    algos::BfsApp app;
-    app.source = source;
-    return RunAndReport(flags, *g, *partition, *topology, app);
-  }
-  if (algo == "sssp") {
-    algos::SsspApp app;
-    app.source = source;
-    return RunAndReport(flags, *g, *partition, *topology, app);
-  }
-  if (algo == "wcc") {
-    algos::WccApp app;
-    return RunAndReport(flags, *g, *partition, *topology, app);
-  }
-  if (algo == "pr") {
-    algos::PageRankApp app;
-    app.num_vertices = g->num_vertices();
-    app.rounds = pr_rounds;
-    return RunAndReport(flags, *g, *partition, *topology, app);
-  }
-  if (algo == "dpr") {
-    algos::DeltaPageRankApp app;
-    app.num_vertices = g->num_vertices();
-    app.epsilon = flags.GetDouble("epsilon", 1e-9);
-    return RunAndReport(flags, *g, *partition, *topology, app);
-  }
-  if (algo == "astar") {
-    algos::AStarApp app;
-    app.source = source;
-    app.target = g->num_vertices() - 1;
-    if (flags.Has("target")) {
-      const int64_t t = flags.GetInt("target", 0);
-      if (t < 0 || t >= static_cast<int64_t>(g->num_vertices())) {
-        std::cerr << "--target out of range\n";
-        return 1;
-      }
-      app.target = static_cast<graph::VertexId>(t);
-    }
-    // The grid layout is only known for the road generator; elsewhere the
-    // heuristic stays empty and A* degenerates to SSSP visit order (the
-    // converged distances are identical either way).
-    if (flags.GetString("gen", "") == "road") {
-      app.heuristic = algos::GridManhattanHeuristic(
-          *g, static_cast<uint32_t>(flags.GetInt("rows", 128)),
-          static_cast<uint32_t>(flags.GetInt("cols", 128)), app.target);
-    }
-    return RunAndReport(flags, *g, *partition, *topology, std::move(app));
-  }
-  std::cerr << "unknown --algo=" << algo << "\n";
-  PrintUsage();
-  return 1;
+  return RunAlgo(RunEnv{flags, c, *setup});
 }

@@ -7,11 +7,8 @@
 // wave, one bit lane each (algos/multi_source.h). Per-query latency is
 // simulated time from stream admission to the query's batch completion.
 //
-// Graph sources (pick one):
-//   --graph=PATH                 text edge list ("src dst [weight]")
-//   --gen=rmat|web|road|er       synthetic generator, with
-//       --scale=N --edge-factor=F [--weighted] [--seed=S]      (rmat, web, er)
-//       --rows=R --cols=C [--seed=S]                           (road)
+// Graph sources: --graph=PATH or --gen=rmat|web|road|er with its generator
+// flags, exactly as gum_cli documents them (both parse in cli_setup.h).
 //
 // Query stream (pick one):
 //   --sources=a,b,c              explicit source list (<= 64 per batch;
@@ -74,24 +71,15 @@
 #include <vector>
 
 #include "algos/multi_source.h"
+#include "cli_setup.h"
 #include "common/flags.h"
 #include "common/json.h"
 #include "common/random.h"
 #include "core/epoch_context.h"
 #include "core/graph_context.h"
-#include "fault/fault_plane.h"
-#include "graph/mutation.h"
-#include "graph/generators.h"
-#include "graph/io.h"
-#include "graph/partition.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "obs/trace.h"
 #include "serve/query_queue.h"
 #include "serve/serving.h"
-#include "sim/comm_plane.h"
-#include "sim/topology.h"
-#include "sim/transfer_plan.h"
 
 using namespace gum;  // NOLINT(build/namespaces)
 
@@ -128,56 +116,10 @@ void PrintUsage() {
       "[--bench-threads=LIST]\n";
 }
 
-Result<graph::EdgeList> LoadOrGenerate(const FlagParser& flags) {
-  if (flags.Has("graph")) {
-    return graph::LoadEdgeListText(flags.GetString("graph", ""));
-  }
-  const std::string gen = flags.GetString("gen", "");
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  // RMAT, web and ER sizes are 2^scale vertices; the generators CHECK the
-  // same range.
-  const auto scale = [&] { return flags.GetIntInRange("scale", 14, 1, 30); };
-  if (gen == "rmat") {
-    graph::RmatOptions opt;
-    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
-    opt.edge_factor = flags.GetDouble("edge-factor", 16);
-    opt.weighted = flags.GetBool("weighted", false);
-    opt.seed = seed;
-    return graph::Rmat(opt);
-  }
-  if (gen == "web") {
-    graph::WebCrawlOptions opt;
-    GUM_ASSIGN_OR_RETURN(opt.scale, scale());
-    opt.edge_factor = flags.GetDouble("edge-factor", 12);
-    opt.weighted = flags.GetBool("weighted", false);
-    opt.seed = seed;
-    return graph::WebCrawl(opt);
-  }
-  if (gen == "road") {
-    graph::RoadGridOptions opt;
-    opt.rows = static_cast<uint32_t>(flags.GetInt("rows", 128));
-    opt.cols = static_cast<uint32_t>(flags.GetInt("cols", 128));
-    opt.seed = seed;
-    return graph::RoadGrid(opt);
-  }
-  if (gen == "er") {
-    GUM_ASSIGN_OR_RETURN(const int64_t er_scale, scale());
-    const graph::VertexId n = graph::VertexId{1} << er_scale;
-    const graph::EdgeId m = static_cast<graph::EdgeId>(
-        flags.GetDouble("edge-factor", 16) * n);
-    return graph::ErdosRenyi(n, m, flags.GetBool("weighted", false), seed);
-  }
-  return Status::InvalidArgument(
-      "need --graph=PATH or --gen=rmat|web|road|er");
-}
-
 struct ServeConfig {
   std::vector<graph::VertexId> sources;
-  int batch_width = 64;
-  int fault_batch = -1;
-  int ckpt_every = 0;
   core::EngineOptions options;  // geometry the GraphContext is built from
-  const fault::FaultPlane* fault_plane = nullptr;
+  serve::ServeOptions serve;    // batch width and the fault compose
 };
 
 serve::QueryQueue BuildQueue(const std::vector<graph::VertexId>& sources,
@@ -195,27 +137,19 @@ serve::ServeOutcome<typename Traits::ValueType> ServeStream(
     bool keep_values) {
   serve::ServeSession<Traits> session(&ctx);
   serve::QueryQueue queue = BuildQueue(cfg.sources, Traits::kKind);
-  serve::ServeOptions opts;
+  serve::ServeOptions opts = cfg.serve;
   opts.batch_width = batch_width;
-  opts.fault_batch = cfg.fault_batch;
-  opts.fault_plane = cfg.fault_plane;
-  opts.ckpt_every = cfg.ckpt_every;
   opts.keep_values = keep_values;
   return session.ServeAll(queue, opts);
 }
 
 template <typename Traits>
-int RunBench(const FlagParser& flags, const graph::CsrGraph& g,
-             const graph::Partition& partition, const sim::Topology& topology,
+int RunBench(const FlagParser& flags, const cli::Setup& setup,
              const ServeConfig& cfg) {
   const auto widths_or = flags.GetIntList("bench-widths", {1, 8, 64});
   const auto threads_or = flags.GetIntList("bench-threads", {1, 4});
-  if (!widths_or.ok() || !threads_or.ok()) {
-    std::cerr << (!widths_or.ok() ? widths_or.status() : threads_or.status())
-                     .ToString()
-              << "\n";
-    return 1;
-  }
+  if (!widths_or.ok()) return cli::Fail(widths_or.status());
+  if (!threads_or.ok()) return cli::Fail(threads_or.status());
 
   std::ofstream out(flags.GetString("bench-json", ""));
   JsonWriter w(out, 1);
@@ -237,7 +171,8 @@ int RunBench(const FlagParser& flags, const graph::CsrGraph& g,
   for (const int64_t t : *threads_or) {
     core::EngineOptions options = cfg.options;
     options.num_host_threads = static_cast<int>(t);
-    const core::GraphContext ctx(&g, partition, topology, options);
+    const core::GraphContext ctx(&setup.graph, setup.partition,
+                                 setup.topology, options);
     // One sequential (width-1) reference per thread count, re-emitted
     // under every width suffix so --expect-faster pairs line up.
     const auto seq = ServeStream<Traits>(ctx, cfg, 1, /*keep_values=*/false);
@@ -268,51 +203,30 @@ int RunBench(const FlagParser& flags, const graph::CsrGraph& g,
 // mutations-off reports byte-identical).
 template <typename ValueT>
 int FinishServe(
-    const FlagParser& flags, const ServeConfig& cfg,
-    const graph::Partition& partition,
-    const serve::ServeOutcome<ValueT>& outcome, obs::TraceSession& trace,
+    const FlagParser& flags, const ServeConfig& cfg, int num_devices,
+    const serve::ServeOutcome<ValueT>& outcome, cli::ObsArtifacts& artifacts,
     const std::vector<std::pair<std::string, std::string>>& extra_config) {
-  const bool want_trace = flags.Has("trace");
-  const bool want_metrics = flags.Has("metrics");
-  const bool want_report = flags.Has("report");
-  const bool keep_values = flags.Has("save-values");
   const serve::ServeStats& stats = outcome.stats;
-
-  if (want_metrics || want_report) obs::SetMetricsEnabled(false);
-  if (want_trace) {
-    trace.Stop();
-    std::ofstream out(flags.GetString("trace", ""));
-    trace.WriteChromeTrace(out);
-  }
-  if (want_metrics) {
-    std::ofstream out(flags.GetString("metrics", ""));
-    obs::MetricsRegistry::Global().WriteJson(out);
-  }
-  if (want_report) {
-    obs::RunReportMeta meta;
-    meta.system = "gum-serve";
-    meta.algorithm = flags.GetString("algo", "bfs");
-    meta.dataset = flags.Has("graph") ? flags.GetString("graph", "")
-                                      : flags.GetString("gen", "");
-    meta.num_devices = partition.num_parts;
+  artifacts.Finish(/*timeline=*/nullptr);
+  if (artifacts.want_report()) {
+    obs::RunReportMeta meta = artifacts.ReportMeta("gum-serve", num_devices);
     meta.config = {
-        {"batch_width", std::to_string(cfg.batch_width)},
+        {"batch_width", std::to_string(cfg.serve.batch_width)},
         {"host_threads", std::to_string(cfg.options.num_host_threads)},
         {"msg_shards", std::to_string(cfg.options.num_msg_shards)},
         {"expand",
          core::ExpandBackendKindName(cfg.options.expand_backend)},
         {"queries", std::to_string(cfg.sources.size())},
     };
-    if (cfg.fault_plane != nullptr && cfg.fault_batch >= 0) {
-      meta.config.emplace_back("fault_plan", cfg.fault_plane->Describe());
-      meta.config.emplace_back("fault_batch",
-                               std::to_string(cfg.fault_batch));
-      meta.config.emplace_back("ckpt_every",
-                               std::to_string(cfg.ckpt_every));
+    const serve::ServeOptions& so = cfg.serve;
+    if (so.fault_plane != nullptr && so.fault_batch >= 0) {
+      meta.config.emplace_back("fault_plan", so.fault_plane->Describe());
+      meta.config.emplace_back("fault_batch", std::to_string(so.fault_batch));
+      meta.config.emplace_back("ckpt_every", std::to_string(so.ckpt_every));
     }
     for (const auto& kv : extra_config) meta.config.push_back(kv);
     obs::ServeReportStats report;
-    report.batch_width = cfg.batch_width;
+    report.batch_width = so.batch_width;
     report.queries = stats.queries;
     report.batches = stats.batches;
     report.makespan_ms = stats.makespan_ms;
@@ -325,10 +239,9 @@ int FinishServe(
       report.queries_detail.push_back(
           obs::ServeQueryReport{q.id, q.batch, q.lane, q.latency_ms});
     }
-    std::ofstream out(flags.GetString("report", ""));
-    obs::WriteServeReport(out, meta, report, &obs::MetricsRegistry::Global());
+    artifacts.WriteServeReport(meta, report);
   }
-  if (keep_values) {
+  if (flags.Has("save-values")) {
     const std::string prefix = flags.GetString("save-values", "");
     for (size_t i = 0; i < stats.query_results.size(); ++i) {
       const serve::QueryResult& q = stats.query_results[i];
@@ -342,7 +255,7 @@ int FinishServe(
 
   std::cout << "queries:         " << stats.queries << "\n"
             << "batches:         " << stats.batches << "\n"
-            << "batch width:     " << cfg.batch_width << "\n"
+            << "batch width:     " << cfg.serve.batch_width << "\n"
             << "makespan:        " << stats.makespan_ms << " ms\n"
             << "throughput:      " << stats.QueriesPerSecond()
             << " queries/s\n"
@@ -359,23 +272,18 @@ int FinishServe(
 }
 
 template <typename Traits>
-int RunServe(const FlagParser& flags, const graph::CsrGraph& g,
-             const graph::Partition& partition, const sim::Topology& topology,
+int RunServe(const FlagParser& flags, const cli::Setup& setup,
              const ServeConfig& cfg) {
-  const bool want_trace = flags.Has("trace");
-  const bool want_metrics = flags.Has("metrics");
-  const bool want_report = flags.Has("report");
-  obs::TraceSession trace;
-  if (want_trace) trace.Start();
-  if (want_metrics || want_report) obs::SetMetricsEnabled(true);
-
-  const bool keep_values = flags.Has("save-values");
+  cli::ObsArtifacts artifacts(flags);
   serve::ServeOutcome<typename Traits::ValueType> outcome;
   {
-    const core::GraphContext ctx(&g, partition, topology, cfg.options);
-    outcome = ServeStream<Traits>(ctx, cfg, cfg.batch_width, keep_values);
+    const core::GraphContext ctx(&setup.graph, setup.partition,
+                                 setup.topology, cfg.options);
+    outcome = ServeStream<Traits>(ctx, cfg, cfg.serve.batch_width,
+                                  flags.Has("save-values"));
   }
-  return FinishServe(flags, cfg, partition, outcome, trace, {});
+  return FinishServe(flags, cfg, setup.partition.num_parts, outcome,
+                     artifacts, {});
 }
 
 // Streaming serve: interleave mutation epochs with query batches. Every
@@ -386,20 +294,11 @@ int RunServe(const FlagParser& flags, const graph::CsrGraph& g,
 // in their latency. Batch numbering and the clock are continuous across
 // segments, so --fault-batch keeps addressing absolute batch indices.
 template <typename Traits>
-int RunServeMutating(const FlagParser& flags, const graph::CsrGraph& g,
-                     const graph::Partition& partition,
-                     const sim::Topology& topology, const ServeConfig& cfg,
-                     const graph::MutationStream& stream,
-                     const std::string& mutation_spec, uint64_t mutation_seed,
-                     int update_rate, int compact_every) {
-  const bool want_trace = flags.Has("trace");
-  const bool want_metrics = flags.Has("metrics");
-  const bool want_report = flags.Has("report");
-  obs::TraceSession trace;
-  if (want_trace) trace.Start();
-  if (want_metrics || want_report) obs::SetMetricsEnabled(true);
-
-  const bool keep_values = flags.Has("save-values");
+int RunServeMutating(const FlagParser& flags, const cli::Setup& setup,
+                     const ServeConfig& cfg, const cli::SetupFlags& shared,
+                     int update_rate) {
+  const graph::MutationStream& stream = setup.mutations;
+  cli::ObsArtifacts artifacts(flags);
   serve::ServeOutcome<typename Traits::ValueType> outcome;
   int epochs_applied = 0;
   int events_applied = 0;
@@ -407,16 +306,13 @@ int RunServeMutating(const FlagParser& flags, const graph::CsrGraph& g,
   int compactions = 0;
   double update_ms = 0.0;
   {
-    core::EpochedGraphContext ectx(g, partition, topology, cfg.options,
+    core::EpochedGraphContext ectx(setup.graph, setup.partition,
+                                   setup.topology, cfg.options,
                                    /*symmetric=*/false);
     serve::ServeSession<Traits> session(&ectx.ctx());
     serve::QueryQueue queue = BuildQueue(cfg.sources, Traits::kKind);
-    serve::ServeOptions opts;
-    opts.batch_width = cfg.batch_width;
-    opts.fault_batch = cfg.fault_batch;
-    opts.fault_plane = cfg.fault_plane;
-    opts.ckpt_every = cfg.ckpt_every;
-    opts.keep_values = keep_values;
+    serve::ServeOptions opts = cfg.serve;
+    opts.keep_values = flags.Has("save-values");
     opts.max_batches = update_rate;
 
     double clock_ms = 0.0;
@@ -442,7 +338,7 @@ int RunServeMutating(const FlagParser& flags, const graph::CsrGraph& g,
       if (!queue.empty() && epoch < stream.num_epochs()) {
         ++epoch;
         const core::EpochAdvanceStats adv =
-            ectx.AdvanceEpoch(stream.BatchAt(epoch), compact_every);
+            ectx.AdvanceEpoch(stream.BatchAt(epoch), shared.compact_every);
         session.Rebind(&ectx.ctx());
         const double epoch_ms = adv.apply_ms + adv.compact_ms;
         clock_ms += epoch_ms;
@@ -464,12 +360,79 @@ int RunServeMutating(const FlagParser& flags, const graph::CsrGraph& g,
             << events_applied << " applied, " << noops << " noop, "
             << compactions << " compactions, " << update_ms << " ms\n";
   const std::vector<std::pair<std::string, std::string>> extra_config = {
-      {"mutations", mutation_spec},
-      {"mutation_seed", std::to_string(mutation_seed)},
+      {"mutations", flags.GetString("mutations", "none")},
+      {"mutation_seed", std::to_string(shared.mutation_seed)},
       {"update_rate", std::to_string(update_rate)},
-      {"compact_every", std::to_string(compact_every)},
+      {"compact_every", std::to_string(shared.compact_every)},
   };
-  return FinishServe(flags, cfg, partition, outcome, trace, extra_config);
+  return FinishServe(flags, cfg, setup.partition.num_parts, outcome,
+                     artifacts, extra_config);
+}
+
+// Everything gum_serve reads, parsed and cross-checked before the graph is
+// built. `sources` is filled once the graph exists.
+struct ServeFlags {
+  cli::SetupFlags shared;
+  std::string algo;
+  ServeConfig cfg;
+  int num_queries = 64;
+  uint64_t query_seed = 1;
+  int update_rate = 1;
+};
+
+Result<ServeFlags> ParseServeFlags(const FlagParser& flags) {
+  ServeFlags f;
+  GUM_RETURN_IF_ERROR(flags.KnownFlagsOnly(
+      {std::begin(kKnownFlags), std::end(kKnownFlags)}));
+  GUM_ASSIGN_OR_RETURN(f.shared, cli::ParseSetupFlags(flags));
+  GUM_ASSIGN_OR_RETURN(f.algo, flags.GetEnum("algo", "bfs", {"bfs", "sssp"}));
+  GUM_ASSIGN_OR_RETURN(f.num_queries, cli::GetIntFlag(flags, "queries", 64, 1));
+  GUM_ASSIGN_OR_RETURN(f.query_seed, cli::GetSeedFlag(flags, "query-seed"));
+  GUM_ASSIGN_OR_RETURN(f.update_rate,
+                       cli::GetIntFlag(flags, "update-rate", 1, 1));
+
+  ServeConfig& cfg = f.cfg;
+  GUM_ASSIGN_OR_RETURN(cfg.serve.batch_width,
+                       cli::GetIntFlag(flags, "batch-width", 64, 1,
+                                       algos::kMaxBatchLanes));
+  // -1 (the default) serves every batch fault-free.
+  GUM_ASSIGN_OR_RETURN(cfg.serve.fault_batch,
+                       cli::GetIntFlag(flags, "fault-batch", -1, -1));
+  // The context stays checkpoint-free: --ckpt-every applies to the faulted
+  // batch only.
+  cfg.options = f.shared.options;
+  cfg.serve.ckpt_every = std::exchange(cfg.options.checkpoint.every, 0);
+  if (f.shared.fault_plane.active()) {
+    if (cfg.serve.fault_batch < 0) {
+      return Status::InvalidArgument(
+          "--fault-plan needs --fault-batch=K (the batch to run under the "
+          "plane)");
+    }
+    if (cfg.serve.ckpt_every <= 0) cfg.serve.ckpt_every = 2;
+  }
+
+  if (!f.shared.mutation_plan.empty()) {
+    if (flags.Has("bench-json")) {
+      return Status::InvalidArgument(
+          "--mutations does not compose with --bench-json (use "
+          "bench/mutation_throughput)");
+    }
+  } else if (flags.Has("update-rate") || flags.Has("compact-every")) {
+    return Status::InvalidArgument(
+        "--update-rate/--compact-every need an active --mutations stream");
+  }
+  return f;
+}
+
+template <typename Traits>
+int Serve(const FlagParser& flags, const ServeFlags& f,
+          const cli::Setup& setup) {
+  if (setup.mutations.active()) {
+    return RunServeMutating<Traits>(flags, setup, f.cfg, f.shared,
+                                    f.update_rate);
+  }
+  if (flags.Has("bench-json")) return RunBench<Traits>(flags, setup, f.cfg);
+  return RunServe<Traits>(flags, setup, f.cfg);
 }
 
 }  // namespace
@@ -480,215 +443,29 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  if (Status s = flags.KnownFlagsOnly(
-          {std::begin(kKnownFlags), std::end(kKnownFlags)});
-      !s.ok()) {
-    std::cerr << s.ToString() << "\n";
-    PrintUsage();
-    return 1;
+  auto flags_or = ParseServeFlags(flags);
+  if (!flags_or.ok()) return cli::Fail(flags_or.status(), PrintUsage);
+  ServeFlags& f = *flags_or;
+  ServeConfig& cfg = f.cfg;
+  if (f.shared.fault_plane.active()) {
+    cfg.serve.fault_plane = &f.shared.fault_plane;
   }
 
-  auto edges = LoadOrGenerate(flags);
-  if (!edges.ok()) {
-    std::cerr << edges.status().ToString() << "\n";
-    PrintUsage();
-    return 1;
-  }
-  const auto algo_or = flags.GetEnum("algo", "bfs", {"bfs", "sssp"});
-  if (!algo_or.ok()) {
-    std::cerr << algo_or.status().ToString() << "\n";
-    return 1;
-  }
-  const std::string algo = *algo_or;
-  auto g = graph::CsrGraph::FromEdgeList(*edges, {});
-  if (!g.ok()) {
-    std::cerr << g.status().ToString() << "\n";
-    return 1;
-  }
-  std::cout << "graph:           " << g->num_vertices() << " vertices, "
-            << g->num_edges() << " edges\n";
-
-  // The hybrid cube-mesh topology has at most 8 devices.
-  const auto devices_or = flags.GetIntInRange("devices", 8, 1, 8);
-  if (!devices_or.ok()) {
-    std::cerr << devices_or.status().ToString() << "\n";
-    return 1;
-  }
-  const int devices = static_cast<int>(*devices_or);
-  graph::PartitionOptions popt;
-  const auto pname_or =
-      flags.GetEnum("partitioner", "random", {"random", "seg", "metis"});
-  if (!pname_or.ok()) {
-    std::cerr << pname_or.status().ToString() << "\n";
-    return 1;
-  }
-  const std::string pname = *pname_or;
-  popt.kind = pname == "seg"     ? graph::PartitionerKind::kSegment
-              : pname == "metis" ? graph::PartitionerKind::kMetisLike
-                                 : graph::PartitionerKind::kRandom;
-  auto partition = graph::PartitionGraph(*g, devices, popt);
-  if (!partition.ok()) {
-    std::cerr << partition.status().ToString() << "\n";
-    return 1;
-  }
-  auto topology = sim::Topology::HybridCubeMeshSubset(devices);
-  if (!topology.ok()) {
-    std::cerr << topology.status().ToString() << "\n";
-    return 1;
-  }
-
+  auto setup = cli::BuildSetup(f.shared, /*symmetrize=*/false);
+  if (!setup.ok()) return cli::Fail(setup.status());
   // --- query stream ---
-  ServeConfig cfg;
   if (flags.Has("sources")) {
-    const auto sources_or = flags.GetIntList("sources", {});
-    if (!sources_or.ok()) {
-      std::cerr << sources_or.status().ToString() << "\n";
-      return 1;
-    }
-    for (const int64_t s : *sources_or) {
-      if (s < 0 || s >= static_cast<int64_t>(g->num_vertices())) {
-        std::cerr << "--sources vertex " << s << " out of range\n";
-        return 1;
-      }
-      cfg.sources.push_back(static_cast<graph::VertexId>(s));
-    }
-    if (cfg.sources.empty()) {
-      std::cerr << "--sources needs at least one vertex\n";
-      return 1;
-    }
+    auto sources = cli::GetVertexList(flags, "sources", setup->graph);
+    if (!sources.ok()) return cli::Fail(sources.status());
+    cfg.sources = std::move(*sources);
   } else {
-    const int num_queries = static_cast<int>(flags.GetInt("queries", 64));
-    if (num_queries <= 0) {
-      std::cerr << "--queries must be positive\n";
-      return 1;
-    }
-    Rng rng(static_cast<uint64_t>(flags.GetInt("query-seed", 1)));
-    for (int i = 0; i < num_queries; ++i) {
+    Rng rng(f.query_seed);
+    for (int i = 0; i < f.num_queries; ++i) {
       cfg.sources.push_back(static_cast<graph::VertexId>(
-          rng.NextBounded(g->num_vertices())));
+          rng.NextBounded(setup->graph.num_vertices())));
     }
   }
 
-  cfg.batch_width = static_cast<int>(flags.GetInt("batch-width", 64));
-  if (cfg.batch_width < 1 || cfg.batch_width > algos::kMaxBatchLanes) {
-    std::cerr << "--batch-width must be 1.." << algos::kMaxBatchLanes << "\n";
-    return 1;
-  }
-
-  const auto expand_or =
-      flags.GetEnum("expand", "scatter", {"scatter", "spmv", "auto"});
-  if (!expand_or.ok()) {
-    std::cerr << expand_or.status().ToString() << "\n";
-    return 1;
-  }
-  core::ParseExpandBackendKind(*expand_or, &cfg.options.expand_backend);
-  cfg.options.num_host_threads =
-      static_cast<int>(flags.GetInt("host-threads", 0));
-  cfg.options.num_msg_shards =
-      static_cast<int>(flags.GetInt("msg-shards", 0));
-  const auto contention =
-      sim::ParseContentionModel(flags.GetString("contention", "off"));
-  if (!contention.ok()) {
-    std::cerr << contention.status().ToString() << "\n";
-    return 1;
-  }
-  cfg.options.contention = *contention;
-  const auto multipath =
-      sim::ParseMultipathMode(flags.GetString("multipath", "off"));
-  if (!multipath.ok()) {
-    std::cerr << multipath.status().ToString() << "\n";
-    return 1;
-  }
-  cfg.options.multipath = *multipath;
-
-  // --- fault compose ---
-  cfg.fault_batch = static_cast<int>(flags.GetInt("fault-batch", -1));
-  cfg.ckpt_every = static_cast<int>(flags.GetInt("ckpt-every", 0));
-  fault::FaultPlane fault_plane;
-  {
-    auto plan = fault::FaultPlan::Parse(flags.GetString("fault-plan", "none"));
-    if (!plan.ok()) {
-      std::cerr << plan.status().ToString() << "\n";
-      return 1;
-    }
-    auto plane = fault::FaultPlane::Create(
-        *plan, partition->num_parts,
-        static_cast<uint64_t>(flags.GetInt("fault-seed", 1)));
-    if (!plane.ok()) {
-      std::cerr << plane.status().ToString() << "\n";
-      return 1;
-    }
-    fault_plane = std::move(*plane);
-  }
-  if (fault_plane.active()) {
-    if (cfg.fault_batch < 0) {
-      std::cerr << "--fault-plan needs --fault-batch=K (the batch to run "
-                   "under the plane)\n";
-      return 1;
-    }
-    if (cfg.ckpt_every <= 0) cfg.ckpt_every = 2;
-    cfg.fault_plane = &fault_plane;
-  }
-
-  // --- mutation compose ---
-  const std::string mutation_spec = flags.GetString("mutations", "none");
-  const uint64_t mutation_seed =
-      static_cast<uint64_t>(flags.GetInt("mutation-seed", 1));
-  graph::MutationStream mutation_stream;
-  {
-    auto plan = graph::MutationPlan::Parse(mutation_spec);
-    if (!plan.ok()) {
-      std::cerr << plan.status().ToString() << "\n";
-      return 1;
-    }
-    if (!plan->empty()) {
-      auto stream = graph::MutationStream::Create(*plan, *g, mutation_seed);
-      if (!stream.ok()) {
-        std::cerr << stream.status().ToString() << "\n";
-        return 1;
-      }
-      mutation_stream = std::move(*stream);
-    }
-  }
-  const int update_rate = static_cast<int>(flags.GetInt("update-rate", 1));
-  const int compact_every = static_cast<int>(flags.GetInt("compact-every", 0));
-  if (mutation_stream.active()) {
-    if (update_rate < 1) {
-      std::cerr << "--update-rate must be >= 1\n";
-      return 1;
-    }
-    if (compact_every < 0) {
-      std::cerr << "--compact-every must be >= 0\n";
-      return 1;
-    }
-    if (flags.Has("bench-json")) {
-      std::cerr << "--mutations does not compose with --bench-json (use "
-                   "bench/mutation_throughput)\n";
-      return 1;
-    }
-  } else if (flags.Has("update-rate") || flags.Has("compact-every")) {
-    std::cerr << "--update-rate/--compact-every need an active "
-                 "--mutations stream\n";
-    return 1;
-  }
-
-  if (mutation_stream.active()) {
-    return algo == "bfs"
-               ? RunServeMutating<serve::BfsServeTraits>(
-                     flags, *g, *partition, *topology, cfg, mutation_stream,
-                     mutation_spec, mutation_seed, update_rate, compact_every)
-               : RunServeMutating<serve::SsspServeTraits>(
-                     flags, *g, *partition, *topology, cfg, mutation_stream,
-                     mutation_spec, mutation_seed, update_rate, compact_every);
-  }
-  if (flags.Has("bench-json")) {
-    return algo == "bfs" ? RunBench<serve::BfsServeTraits>(
-                               flags, *g, *partition, *topology, cfg)
-                         : RunBench<serve::SsspServeTraits>(
-                               flags, *g, *partition, *topology, cfg);
-  }
-  return algo == "bfs" ? RunServe<serve::BfsServeTraits>(flags, *g, *partition,
-                                                         *topology, cfg)
-                       : RunServe<serve::SsspServeTraits>(
-                             flags, *g, *partition, *topology, cfg);
+  return f.algo == "bfs" ? Serve<serve::BfsServeTraits>(flags, f, *setup)
+                         : Serve<serve::SsspServeTraits>(flags, f, *setup);
 }
