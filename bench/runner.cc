@@ -9,7 +9,7 @@
 #include "algos/dobfs.h"
 #include "algos/near_far_sssp.h"
 #include "baselines/groute_cc.h"
-#include "baselines/groute_like.h"
+#include "baselines/groute.h"
 #include "baselines/gunrock_like.h"
 #include "common/logging.h"
 #include "core/engine.h"
@@ -226,41 +226,29 @@ core::RunResult RunBenchmarkImpl(const DatasetGraphs& data,
       break;
     }
     case System::kGroute: {
-      baselines::GrouteOptions opt;
-      opt.device = BenchDeviceParams();
-      opt.contention = config.contention;
+      const core::EngineOptions opt = baselines::GrouteEngineOptions(
+          BenchDeviceParams(), config.contention);
       switch (config.algo) {
-        case Algo::kBfs: {
-          algos::BfsApp app;
-          app.source = source;
-          return baselines::GrouteLikeEngine<algos::BfsApp>(&g, *partition,
-                                                            opt)
-              .Run(app);
-        }
-        case Algo::kSssp: {
-          algos::SsspApp app;
-          app.source = source;
-          return baselines::GrouteLikeEngine<algos::SsspApp>(&g, *partition,
-                                                             opt)
-              .Run(app);
-        }
+        case Algo::kBfs:
+          return baselines::RunGroute(g, *partition, opt,
+                                      algos::BfsApp{.source = source});
+        case Algo::kSssp:
+          return baselines::RunGroute(g, *partition, opt,
+                                      algos::SsspApp{.source = source});
         case Algo::kWcc: {
           // Groute's connected components is its dedicated diameter-
           // independent local-UF + label-exchange algorithm, not label
           // propagation (see baselines/groute_cc.h).
           baselines::GrouteCcOptions cc_opt;
-          cc_opt.device = opt.device;
+          cc_opt.device = BenchDeviceParams();
           cc_opt.contention = config.contention;
           return baselines::GrouteCcEngine(&g, *partition, cc_opt).Run();
         }
-        case Algo::kPr: {
-          algos::DeltaPageRankApp app;
-          app.num_vertices = g.num_vertices();
-          app.epsilon = 1e-13;
-          return baselines::GrouteLikeEngine<algos::DeltaPageRankApp>(
-                     &g, *partition, opt)
-              .Run(app);
-        }
+        case Algo::kPr:
+          return baselines::RunGroute(
+              g, *partition, opt,
+              algos::DeltaPageRankApp{.num_vertices = g.num_vertices(),
+                                      .epsilon = 1e-13});
       }
       break;
     }

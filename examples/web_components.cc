@@ -9,7 +9,7 @@
 #include <map>
 
 #include "algos/apps.h"
-#include "baselines/groute_like.h"
+#include "baselines/groute.h"
 #include "baselines/gunrock_like.h"
 #include "core/engine.h"
 #include "graph/generators.h"
@@ -50,9 +50,8 @@ int main() {
       baselines::GunrockLikeEngine<algos::WccApp>(&*g, *partition, *topology,
                                                   {})
           .Run(wcc, &gunrock_labels);
-  const core::RunResult groute_run =
-      baselines::GrouteLikeEngine<algos::WccApp>(&*g, *partition, {})
-          .Run(wcc, &groute_labels);
+  const core::RunResult groute_run = baselines::RunGroute(
+      *g, *partition, baselines::GrouteEngineOptions(), wcc, &groute_labels);
 
   std::cout << "engines agree: "
             << ((gum_labels == gunrock_labels &&

@@ -3,7 +3,6 @@
 // build rather than first in tests.
 
 #include "algos/apps.h"
-#include "baselines/groute_like.h"
 #include "baselines/gunrock_like.h"
 #include "core/engine.h"
 
@@ -13,10 +12,6 @@ template class GunrockLikeEngine<algos::BfsApp>;
 template class GunrockLikeEngine<algos::SsspApp>;
 template class GunrockLikeEngine<algos::WccApp>;
 template class GunrockLikeEngine<algos::PageRankApp>;
-template class GrouteLikeEngine<algos::BfsApp>;
-template class GrouteLikeEngine<algos::SsspApp>;
-template class GrouteLikeEngine<algos::WccApp>;
-template class GrouteLikeEngine<algos::DeltaPageRankApp>;
 
 }  // namespace gum::baselines
 

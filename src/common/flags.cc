@@ -94,14 +94,21 @@ Result<std::string> FlagParser::GetEnum(
 }
 
 Result<std::vector<int64_t>> FlagParser::GetIntList(
-    const std::string& name, std::vector<int64_t> default_value) const {
+    const std::string& name, std::vector<int64_t> default_value,
+    int64_t min_value, int64_t max_value) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return default_value;
   const std::string& raw = it->second;
+  const bool ranged = min_value > std::numeric_limits<int64_t>::min() ||
+                      max_value < std::numeric_limits<int64_t>::max();
   const auto bad = [&](const std::string& token) {
-    return Status::InvalidArgument("bad integer '" + token + "' in --" +
-                                   name + "=" + raw +
-                                   " (expected comma-separated integers)");
+    return Status::InvalidArgument(
+        "bad integer '" + token + "' in --" + name + "=" + raw +
+        " (expected comma-separated integers" +
+        (ranged ? " in [" + std::to_string(min_value) + ", " +
+                      std::to_string(max_value) + "]"
+                : "") +
+        ")");
   };
   std::vector<int64_t> values;
   size_t start = 0;
@@ -112,7 +119,10 @@ Result<std::vector<int64_t>> FlagParser::GetIntList(
     const std::string token = raw.substr(start, comma - start);
     char* end = nullptr;
     const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0') return bad(token);
+    if (token.empty() || end == nullptr || *end != '\0' ||
+        value < min_value || value > max_value) {
+      return bad(token);
+    }
     values.push_back(value);
     start = comma + 1;
   }

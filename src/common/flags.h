@@ -7,6 +7,8 @@
 #ifndef GUM_COMMON_FLAGS_H_
 #define GUM_COMMON_FLAGS_H_
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,10 +39,13 @@ class FlagParser {
                               const std::vector<std::string>& allowed) const;
   // Comma-separated integer list: the default when absent; InvalidArgument
   // naming the flag and the offending token on any malformed element
-  // (empty token, trailing comma, non-integer) — same strictness
-  // convention as GetEnum, so "--sources=3,x,7" fails loudly.
+  // (empty token, trailing comma, non-integer) or any element outside
+  // [min_value, max_value] — same strictness convention as GetEnum, so
+  // "--sources=3,x,7" and "--bench-widths=0" (range [1, 64]) fail loudly.
   Result<std::vector<int64_t>> GetIntList(
-      const std::string& name, std::vector<int64_t> default_value) const;
+      const std::string& name, std::vector<int64_t> default_value,
+      int64_t min_value = std::numeric_limits<int64_t>::min(),
+      int64_t max_value = std::numeric_limits<int64_t>::max()) const;
   // Ranged integer flag: the default when absent; InvalidArgument naming
   // the flag, the offending value, and the range when present with a value
   // that is not a whole integer in [min_value, max_value] (so

@@ -1,19 +1,21 @@
 // Asynchronous priority-driven execution (EngineMode::kAsync, DESIGN.md §15).
 //
-// A discrete-event simulation over per-device clocks, the same substrate
-// idiom as the Groute-like baseline but driven by priority worklists
-// instead of FIFO batches and integrated with the engine's GraphContext /
-// RunContext / CommPlane planes:
+// A discrete-event simulation over per-device clocks, driven by priority
+// worklists and integrated with the engine's GraphContext / RunContext /
+// CommPlane planes. It is the only per-device event loop in the tree: the
+// Groute comparator is a preset of it (baselines/groute.h — sorted-set
+// worklist, ring route, segment flush timer, no census, no range steal).
 //
-//   * each device owns a PriorityWorklist (delta-stepping buckets or the
-//     stealing multi-queue, core/async/worklist.h) plus a pending queue of
-//     in-flight message bundles ordered by (arrival, send seq);
+//   * each device owns a PriorityWorklist (delta-stepping buckets, the
+//     stealing multi-queue or the sorted set, core/async/worklist.h) plus
+//     a binary heap of in-flight message bundles ordered by arrival;
 //   * the driver repeatedly serves the earliest-ready device: ingest
 //     arrived bundles (Apply + push), pop the hottest bucket as one
 //     micro-batch, relax it on the host ThreadPool (fixed-size chunks
 //     merged in chunk order, so the result is independent of the thread
-//     count), and send per-destination bundles through the CommPlane with
-//     charged serialization, lane reservation and hop latency — no global
+//     count), and send per-destination bundles hop by hop along the
+//     CommPlane's route (AsyncConfig::route) with charged serialization,
+//     lane reservation, hop latency and segment flush wait — no global
 //     barrier anywhere;
 //   * an idle device first tries a *priority-range steal* — the async
 //     generalization of FSteal: it extracts a contiguous span of its
@@ -113,9 +115,8 @@ class AsyncDriver {
     GUM_CHECK(cfg.max_batch >= 1) << "async.max_batch must be >= 1";
 
     RunResult result;
-    result.async_active = true;
     result.timeline = sim::Timeline(n);
-    sim::CommPlane plane(ctx_->topology(), options.contention);
+    sim::CommPlane plane(ctx_->topology(), options.contention, cfg.route);
 
     auto& values = rc.state.values;
     values.resize(num_v);
@@ -155,6 +156,9 @@ class AsyncDriver {
     }
 
     Bitmap dirty(num_v);
+    // A priority worklist re-queues a dirty vertex whose priority improved;
+    // the sorted set already holds every dirty vertex.
+    const bool repush_dirty = cfg.worklist != AsyncWorklistKind::kSortedSet;
     for (VertexId v = 0; v < num_v; ++v) {
       if (app.IsInitiallyActive(v)) {
         dirty.Set(v);
@@ -162,27 +166,25 @@ class AsyncDriver {
       }
     }
 
+    // Keyed by arrival alone: simultaneous arrivals are applied in the
+    // heap's sift order, fixed by the event sequence (DESIGN.md §7).
     struct Bundle {
       double arrival_ms = 0.0;
-      uint64_t seq = 0;
       std::vector<std::pair<VertexId, Message>> messages;
       bool operator>(const Bundle& other) const {
-        if (arrival_ms != other.arrival_ms) {
-          return arrival_ms > other.arrival_ms;
-        }
-        return seq > other.seq;
+        return arrival_ms > other.arrival_ms;
       }
     };
     std::vector<std::priority_queue<Bundle, std::vector<Bundle>,
                                     std::greater<Bundle>>>
         pending(n);
-    uint64_t bundle_seq = 0;
 
     std::vector<double> clock_ms(n, 0.0);
     std::vector<char> parked(n, 0);
     const double census_ms = p_ns * n / 1e6;
     const double overhead_ms = cfg.batch_overhead_us / 1000.0;
     constexpr double kHopLatencyMs = 0.002;  // 2us per interconnect hop
+    constexpr double kSegmentBytes = 16.0 * 1024;  // one router segment
 
     std::vector<WorklistEntry> steal_buf;
     // The async FSteal: an idle thief takes a span of the largest
@@ -246,14 +248,15 @@ class AsyncDriver {
     // the chunk decomposition (and the serial merge order) never depends
     // on the thread count.
     constexpr size_t kChunk = 256;
+    using Outboxes = std::vector<std::vector<std::pair<VertexId, Message>>>;
     struct ChunkOut {
-      std::vector<std::vector<std::pair<VertexId, Message>>> by_dev;
+      Outboxes by_dev;
       double edges = 0.0;
     };
     std::vector<ChunkOut> chunks;
     std::vector<WorklistEntry> batch;
     std::vector<VertexId> live;
-    std::vector<std::vector<std::pair<VertexId, Message>>> outgoing(n);
+    Outboxes outgoing(n);
     std::vector<double> remote_edges(n, 0.0);
 
     long long batches = 0;
@@ -285,10 +288,11 @@ class AsyncDriver {
       while (!pending[d].empty() && pending[d].top().arrival_ms <= t_start) {
         const Bundle& bundle = pending[d].top();
         for (const auto& [v, msg] : bundle.messages) {
-          if (app.Apply(v, values[v], msg)) {
-            dirty.Set(v);
+          if (!app.Apply(v, values[v], msg)) continue;
+          if (repush_dirty || !dirty.Test(v)) {
             wl[d].Push(v, app.AsyncPriority(v, values[v]));
           }
+          dirty.Set(v);
         }
         pending[d].pop();
       }
@@ -317,16 +321,13 @@ class AsyncDriver {
         continue;
       }
 
-      // Relax the batch: OnFrontier + Scatter into per-chunk staging on
-      // the pool, merged in chunk order (thread-count independent).
-      const size_t num_chunks = (live.size() + kChunk - 1) / kChunk;
-      chunks.resize(num_chunks);
-      auto relax_chunk = [&](size_t c) {
-        ChunkOut& out = chunks[c];
-        out.by_dev.assign(n, {});
-        out.edges = 0.0;
-        const size_t begin = c * kChunk;
-        const size_t end = std::min(live.size(), begin + kChunk);
+      // Relax the batch: OnFrontier + Scatter into per-destination
+      // outboxes. A batch of several chunks stages them in parallel on the
+      // pool and merges in chunk order; otherwise it relaxes straight into
+      // the outboxes. Either way the messages land in batch order, so the
+      // result is independent of the thread count.
+      auto relax = [&](size_t begin, size_t end, Outboxes& by_dev) {
+        double relaxed_edges = 0.0;
         for (size_t i = begin; i < end; ++i) {
           const VertexId u = live[i];
           const uint32_t deg = g.OutDegree(u);
@@ -338,24 +339,34 @@ class AsyncDriver {
             const float w_e = weights.empty() ? 1.0f : weights[e];
             std::optional<Message> msg = app.Scatter(payload, v, w_e);
             if (!msg.has_value()) continue;
-            out.by_dev[partition.owner[v]].emplace_back(v, *msg);
+            by_dev[partition.owner[v]].emplace_back(v, *msg);
           }
-          out.edges += deg;
+          relaxed_edges += deg;
         }
+        return relaxed_edges;
       };
-      if (pool != nullptr && num_chunks > 1) {
-        pool->ParallelFor(num_chunks, relax_chunk);
-      } else {
-        for (size_t c = 0; c < num_chunks; ++c) relax_chunk(c);
-      }
       for (auto& out : outgoing) out.clear();
       double edges = 0.0;
-      for (size_t c = 0; c < num_chunks; ++c) {
-        edges += chunks[c].edges;
-        for (int f = 0; f < n; ++f) {
-          auto& src = chunks[c].by_dev[f];
-          outgoing[f].insert(outgoing[f].end(), src.begin(), src.end());
+      const size_t num_chunks = (live.size() + kChunk - 1) / kChunk;
+      if (pool != nullptr && num_chunks > 1) {
+        chunks.resize(num_chunks);
+        pool->ParallelFor(num_chunks, [&](size_t c) {
+          ChunkOut& out = chunks[c];
+          out.by_dev.resize(n);
+          for (auto& box : out.by_dev) box.clear();
+          const size_t begin = c * kChunk;
+          out.edges = relax(begin, std::min(live.size(), begin + kChunk),
+                            out.by_dev);
+        });
+        for (size_t c = 0; c < num_chunks; ++c) {
+          edges += chunks[c].edges;
+          for (int f = 0; f < n; ++f) {
+            auto& src = chunks[c].by_dev[f];
+            outgoing[f].insert(outgoing[f].end(), src.begin(), src.end());
+          }
         }
+      } else {
+        edges = relax(0, live.size(), outgoing);
       }
       result.edges_processed += static_cast<uint64_t>(edges);
 
@@ -390,16 +401,19 @@ class AsyncDriver {
           t_start + overhead_ms + compute_ms + local_fetch_ms +
           remote_fetch_ms;
 
-      // Local updates land at batch end; remote bundles ride the plane's
-      // route (ReserveLane on the injection hop — FIFO per sender under
-      // fair — pipelined traffic accounting on the forwarding hop).
+      // Local updates land at batch end; remote bundles walk the plane's
+      // route: ReserveLane on the injection hop (FIFO per sender under
+      // fair), pipelined traffic accounting on every forwarding hop.
+      // Reserving a forwarding hop in send order would let a far-future
+      // multi-hop arrival ratchet the lane horizon ahead of earlier
+      // bundles. An under-filled router segment waits its pro-rata share
+      // of the flush timer at every hop.
       double serial_ms = 0.0;
       double send_ms = 0.0;
       if (!outgoing[d].empty()) {
         result.messages_sent += outgoing[d].size();
         Bundle bundle;
         bundle.arrival_ms = t_end;
-        bundle.seq = bundle_seq++;
         bundle.messages = std::move(outgoing[d]);
         pending[d].push(std::move(bundle));
       }
@@ -409,20 +423,24 @@ class AsyncDriver {
         const double bytes =
             static_cast<double>(outgoing[f].size()) * dev.bytes_per_message;
         serial_ms += bytes / dev.serialization_gbps / 1e6;
-        const sim::CommRoute route = plane.Route(d, f);
-        const int first_hop = route.transit >= 0 ? route.transit : f;
-        double arrival = plane.ReserveLane(d, first_hop, t_end + serial_ms,
-                                           bytes);
-        arrival += plane.LaneMs(d, first_hop, bytes) + kHopLatencyMs;
-        if (route.transit >= 0) {
-          plane.RecordLinkTraffic(route.transit, f, bytes);
-          arrival += plane.LaneMs(route.transit, f, bytes) + kHopLatencyMs;
+        const double flush_ms =
+            cfg.flush_timeout_us *
+            (1.0 - std::min(1.0, bytes / kSegmentBytes)) / 1000.0;
+        double arrival = t_end + serial_ms;
+        for (int at = d; at != f;) {
+          const int next = plane.NextHop(d, at, f);
+          if (at == d) {
+            arrival = plane.ReserveLane(d, next, arrival, bytes);
+            send_ms += plane.LaneMs(d, next, bytes);
+          } else {
+            plane.RecordLinkTraffic(at, next, bytes);
+          }
+          arrival += kHopLatencyMs + flush_ms + plane.LaneMs(at, next, bytes);
+          at = next;
         }
-        send_ms += plane.LaneMs(d, first_hop, bytes);
         plane.RecordPayload(d, f, bytes);
         Bundle bundle;
         bundle.arrival_ms = arrival;
-        bundle.seq = bundle_seq++;
         bundle.messages = std::move(outgoing[f]);
         pending[f].push(std::move(bundle));
       }

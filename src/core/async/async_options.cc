@@ -25,6 +25,8 @@ const char* AsyncWorklistKindName(AsyncWorklistKind kind) {
       return "buckets";
     case AsyncWorklistKind::kSmq:
       return "smq";
+    case AsyncWorklistKind::kSortedSet:
+      return "sorted-set";
   }
   return "unknown";
 }

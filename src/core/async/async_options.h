@@ -4,8 +4,9 @@
 // paper's engine) and the async worklist driver under src/core/async/
 // (kAsync). AsyncConfig carries every async-only knob: the delta-stepping
 // bucket width, the worklist flavor (plain buckets vs the stealing
-// multi-queue "SMQ" family), the SMQ steal_prob / steal_batch_size pair,
-// the priority-range steal thresholds, and the seed that makes an async
+// multi-queue "SMQ" family, or the Groute preset's sorted set), the SMQ
+// steal_prob / steal_batch_size pair, the priority-range steal thresholds,
+// the send route and segment flush timer, and the seed that makes an async
 // run byte-reproducible (DESIGN.md §7: async relaxes bit-identity across
 // thread counts to seed-determinism).
 
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "sim/comm_plane.h"
 
 namespace gum::core {
 
@@ -28,8 +30,9 @@ const char* EngineModeName(EngineMode mode);
 Result<EngineMode> ParseEngineMode(const std::string& name);
 
 enum class AsyncWorklistKind {
-  kBuckets,  // delta-stepping buckets, strictly lowest-bucket-first
-  kSmq,      // stealing multi-queue: sampled min-heaps with batch stealing
+  kBuckets,    // delta-stepping buckets, strictly lowest-bucket-first
+  kSmq,        // stealing multi-queue: sampled min-heaps with batch stealing
+  kSortedSet,  // every pending vertex at once, ascending id, no priorities
 };
 
 const char* AsyncWorklistKindName(AsyncWorklistKind kind);
@@ -70,6 +73,13 @@ struct AsyncConfig {
   double batch_overhead_us = 12.0;
   // Max worklist entries popped per batch.
   int max_batch = 4096;
+
+  // --- sends: a bundle walks the plane's route hop by hop (the BSP loop
+  // never reads these). A bundle under one 16 KiB router segment waits
+  // flush_timeout_us * (1 - bytes / 16 KiB) at every hop; the default
+  // timer of 0 never waits.
+  sim::RoutePolicy route = sim::RoutePolicy::kBestPath;
+  double flush_timeout_us = 0.0;
 
   // --- safety rails ---
   long long max_batches = 20'000'000;

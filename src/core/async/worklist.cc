@@ -37,10 +37,14 @@ void PriorityWorklist::RecordHistogram(int64_t bucket) {
 }
 
 void PriorityWorklist::Push(graph::VertexId v, double priority) {
-  const int64_t bucket = BucketOf(priority);
-  RecordHistogram(bucket);
   ++stats_.pushes;
   ++live_;
+  if (kind_ == AsyncWorklistKind::kSortedSet) {
+    pending_.push_back(v);
+    return;
+  }
+  const int64_t bucket = BucketOf(priority);
+  RecordHistogram(bucket);
   if (kind_ == AsyncWorklistKind::kBuckets) {
     buckets_[bucket].entries.push_back(WorklistEntry{v, priority});
   } else {
@@ -52,6 +56,7 @@ void PriorityWorklist::Push(graph::VertexId v, double priority) {
 
 int64_t PriorityWorklist::MinBucket() const {
   if (live_ == 0) return kNoBucket;
+  if (kind_ == AsyncWorklistKind::kSortedSet) return 0;  // one bucket
   if (kind_ == AsyncWorklistKind::kBuckets) {
     return buckets_.begin()->first;
   }
@@ -72,7 +77,22 @@ int PriorityWorklist::Pop(int64_t max_bucket, int max_entries,
   if (kind_ == AsyncWorklistKind::kBuckets) {
     return PopBuckets(max_bucket, max_entries, out);
   }
+  if (kind_ == AsyncWorklistKind::kSortedSet) {
+    return PopSorted(out);
+  }
   return PopSmq(max_entries, out);
+}
+
+int PriorityWorklist::PopSorted(std::vector<WorklistEntry>* out) {
+  std::sort(pending_.begin(), pending_.end());
+  for (const graph::VertexId v : pending_) {
+    out->push_back(WorklistEntry{v, 0.0});
+  }
+  const int popped = static_cast<int>(pending_.size());
+  stats_.pops += pending_.size();
+  pending_.clear();
+  live_ = 0;
+  return popped;
 }
 
 int PriorityWorklist::PopBuckets(int64_t max_bucket, int max_entries,
@@ -159,7 +179,7 @@ int PriorityWorklist::PopSmq(int max_entries,
 
 int PriorityWorklist::ExtractTail(double fraction,
                                   std::vector<WorklistEntry>* out) {
-  if (live_ == 0) return 0;
+  if (live_ == 0 || kind_ == AsyncWorklistKind::kSortedSet) return 0;
   const size_t target =
       static_cast<size_t>(fraction * static_cast<double>(live_));
   if (target == 0) return 0;

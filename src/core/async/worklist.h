@@ -1,6 +1,6 @@
 // Per-device priority worklists for the async engine mode (DESIGN.md §15).
 //
-// One abstraction, two flavors:
+// One abstraction, three flavors:
 //   kBuckets — classic delta-stepping: entries live in buckets of width
 //       `delta` keyed by floor(priority / delta); Pop drains the lowest
 //       buckets first, FIFO within a bucket. Near-far SSSP is the
@@ -12,6 +12,11 @@
 //       `steal_batch_size` entries from the fuller sampled queue to the
 //       emptier one. All sampling is driven by a seeded Rng, so a fixed
 //       seed reproduces the exact pop order (seed-determinism, §7).
+//   kSortedSet — no priorities: Pop drains every pending vertex as one
+//       batch, whatever the cap, in ascending vertex order (Groute's sorted
+//       active set). The driver pushes a vertex only while it is not
+//       already pending, so the batch holds each vertex once. It has no
+//       priority tail, so ExtractTail never takes anything.
 //
 // Entries are hints, not truth: the driver keeps a dirty bitmap and skips
 // popped entries whose vertex is no longer dirty (lazy deletion), so a
@@ -68,7 +73,8 @@ class PriorityWorklist {
   // buckets with index <= max_bucket, lowest first, FIFO within. SMQ:
   // samples two queues per call, optionally rebalances, then serves from
   // the better queue — max_bucket is ignored (the SMQ family is only
-  // approximately priority-ordered by construction). Returns the count.
+  // approximately priority-ordered by construction). Sorted set: every
+  // pending vertex, both bounds ignored. Returns the count.
   int Pop(int64_t max_bucket, int max_entries,
           std::vector<WorklistEntry>* out);
 
@@ -107,6 +113,7 @@ class PriorityWorklist {
   int PopBuckets(int64_t max_bucket, int max_entries,
                  std::vector<WorklistEntry>* out);
   int PopSmq(int max_entries, std::vector<WorklistEntry>* out);
+  int PopSorted(std::vector<WorklistEntry>* out);
 
   AsyncWorklistKind kind_;
   double delta_ = 1.0;
@@ -116,6 +123,7 @@ class PriorityWorklist {
 
   std::map<int64_t, Bucket> buckets_;           // kBuckets
   std::vector<std::vector<HeapEntry>> queues_;  // kSmq (std::*_heap order)
+  std::vector<graph::VertexId> pending_;        // kSortedSet (push order)
   uint64_t next_seq_ = 0;
 
   size_t live_ = 0;

@@ -170,8 +170,10 @@ class GumEngine {
     // loop, untouched when mode == kBsp.
     if (options.mode == EngineMode::kAsync) {
       if constexpr (AsyncCapable<App>) {
-        AsyncDriver<App> driver(ctx_);
-        return driver.Run(app, rc, values_out, options);
+        RunResult result =
+            AsyncDriver<App>(ctx_).Run(app, rc, values_out, options);
+        result.async_active = true;
+        return result;
       } else {
         GUM_CHECK(false) << "async mode requires an app with AsyncPriority ("
                          << app.name() << " is BSP-only)";

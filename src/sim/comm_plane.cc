@@ -54,6 +54,8 @@ CommPlane::CommPlane(Topology topology, ContentionModel model,
 }
 
 CommRoute CommPlane::Route(int src, int dst) const {
+  GUM_CHECK(policy_ != RoutePolicy::kRing)
+      << "ring paths are walked hop by hop (NextHop)";
   CommRoute route;
   route.src = src;
   route.dst = dst;
@@ -75,6 +77,13 @@ CommRoute CommPlane::Route(int src, int dst) const {
     route.via_pcie = direct < Topology::kPcieGBps;
   }
   return route;
+}
+
+int CommPlane::NextHop(int src, int at, int dst) const {
+  if (policy_ == RoutePolicy::kRing) return (at + 1) % topo_.num_devices();
+  if (policy_ == RoutePolicy::kDirectOnly || at != src) return dst;
+  const int transit = Route(src, dst).transit;
+  return transit >= 0 ? transit : dst;
 }
 
 double CommPlane::ScaledDirect(int src, int dst) const {

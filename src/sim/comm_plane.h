@@ -49,10 +49,12 @@ Result<ContentionModel> ParseContentionModel(const std::string& name);
 
 // How the plane picks paths. GUM routes over the best path the topology
 // offers; the Gunrock-like baseline is deliberately topology-oblivious
-// (direct link or PCIe, never a transit GPU — paper §VI).
+// (direct link or PCIe, never a transit GPU — paper §VI); Groute's router
+// stores and forwards along a one-way ring, hop by hop.
 enum class RoutePolicy {
   kBestPath,
   kDirectOnly,
+  kRing,  // next hop (at + 1) mod n; walked only through NextHop()
 };
 
 // The explicit path chosen for a (src, dst) pair.
@@ -121,8 +123,14 @@ class CommPlane {
   ContentionModel model() const { return model_; }
   RoutePolicy policy() const { return policy_; }
 
-  // The explicit path this plane uses for (src, dst).
+  // The explicit path this plane uses for (src, dst). A ring path may be
+  // longer than two hops, so kRing planes walk NextHop() instead.
   CommRoute Route(int src, int dst) const;
+  // The device after `at` on the path from src to dst (at != dst), for
+  // every policy: kBestPath walks Route() (its transit, if any, then dst),
+  // kDirectOnly goes straight to dst, kRing forwards to (at + 1) mod n.
+  // Allocation-free; a path is walked from at = src until at == dst.
+  int NextHop(int src, int at, int dst) const;
 
   // --- multi-path transfer plans (sim/transfer_plan.h) ---
   // Enables striping of bulk-hinted transfers across link-disjoint paths
@@ -175,7 +183,7 @@ class CommPlane {
   // completion times plus the per-tag charge.
   SettleResult Settle(const TransferBatch& batch);
 
-  // --- single-lane API (the event-driven Groute ring) ---
+  // --- single-lane API (the async driver's per-hop sends) ---
   // Duration of `bytes` over the single directed lane src -> dst (its
   // direct link, or PCIe if none; the local HBM lane when src == dst).
   // Pure conversion; no reservation, no telemetry.

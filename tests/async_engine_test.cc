@@ -1,11 +1,14 @@
 // Async engine mode (src/core/async/, DESIGN.md §15): worklist unit tests,
-// convergence-to-reference for every async-capable app, and the relaxed
+// convergence-to-reference for every async-capable app, the relaxed
 // determinism contract — byte-reproducible for a fixed seed across the
-// full {1,2,4,8} threads x {1,4} shards matrix (DESIGN.md §7).
+// full {1,2,4,8} threads x {1,4} shards matrix (DESIGN.md §7) — and golden
+// pins for the driver and its Groute preset.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -14,8 +17,10 @@
 #include "algos/apps.h"
 #include "algos/astar.h"
 #include "algos/reference.h"
+#include "baselines/groute.h"
 #include "core/async/worklist.h"
 #include "core/engine.h"
+#include "sim/comm_plane.h"
 #include "tests/test_util.h"
 
 namespace gum {
@@ -150,6 +155,23 @@ TEST(PriorityWorklistTest, SmqRebalancesAreCountedAndLossless) {
   EXPECT_GT(wl.stats().smq_rebalanced_entries, 0u);
 }
 
+TEST(PriorityWorklistTest, SortedSetPopsEverythingAscending) {
+  PriorityWorklist wl(AsyncWorklistKind::kSortedSet, 1.0, /*smq_queues=*/0,
+                      /*steal_prob=*/0.0, /*steal_batch_size=*/0, /*seed=*/1);
+  for (const VertexId v : {9u, 3u, 7u, 1u}) wl.Push(v, -1.0 * v);
+  EXPECT_FALSE(wl.empty());
+  std::vector<WorklistEntry> stolen;
+  EXPECT_EQ(wl.ExtractTail(1.0, &stolen), 0) << "no priority tail";
+  std::vector<WorklistEntry> out;
+  EXPECT_EQ(wl.Pop(wl.MinBucket(), /*max_entries=*/2, &out), 4)
+      << "one batch, whatever the cap";
+  std::vector<VertexId> order;
+  for (const auto& e : out) order.push_back(e.vertex);
+  EXPECT_EQ(order, (std::vector<VertexId>{1, 3, 7, 9}));
+  EXPECT_TRUE(wl.empty());
+  EXPECT_EQ(wl.MinBucket(), PriorityWorklist::kNoBucket);
+}
+
 EngineOptions AsyncOptions() {
   EngineOptions opt = TestEngineOptions();
   opt.mode = EngineMode::kAsync;
@@ -250,9 +272,9 @@ TEST(AsyncEngineTest, SmqWorklistStillExact) {
 // steal counts — is byte-reproducible across every host-thread and
 // message-shard count, for both worklist flavors and all three
 // acceptance apps.
-template <typename App, typename Value>
-void ExpectSeedDeterminism(const graph::CsrGraph& g, App app,
-                           EngineOptions base) {
+// `run(options, &values)` runs one cell of the matrix.
+template <typename Value, typename RunFn>
+void ExpectThreadDeterminism(const EngineOptions& base, RunFn run) {
   std::vector<Value> ref_values;
   RunResult ref;
   bool have_ref = false;
@@ -261,10 +283,8 @@ void ExpectSeedDeterminism(const graph::CsrGraph& g, App app,
       EngineOptions opt = base;
       opt.num_host_threads = threads;
       opt.num_msg_shards = shards;
-      GumEngine<App> engine(&g, MakePartition(g, 4), Topo(4), opt);
-      App run_app = app;
       std::vector<Value> values;
-      const RunResult result = engine.Run(run_app, &values);
+      const RunResult result = run(opt, &values);
       if (!have_ref) {
         ref_values = values;
         ref = result;
@@ -285,6 +305,45 @@ void ExpectSeedDeterminism(const graph::CsrGraph& g, App app,
       EXPECT_EQ(result.quiescence_rounds, ref.quiescence_rounds);
     }
   }
+}
+
+template <typename App, typename Value>
+void ExpectSeedDeterminism(const graph::CsrGraph& g, App app,
+                           const EngineOptions& base) {
+  ExpectThreadDeterminism<Value>(
+      base, [&](const EngineOptions& opt, std::vector<Value>* values) {
+        App run_app = app;
+        return GumEngine<App>(&g, MakePartition(g, 4), Topo(4), opt)
+            .Run(run_app, values);
+      });
+}
+
+// The Groute preset over the same matrix. Every vertex starts active in
+// delta-PageRank, so each device's first batch on RMAT 12 (~1,024 vertices)
+// spans four 256-vertex relax chunks and relaxes on the pool.
+template <typename App, typename Value>
+void ExpectGrouteDeterminism(const graph::CsrGraph& g, App app) {
+  const graph::Partition part = MakePartition(g, 4);
+  ExpectThreadDeterminism<Value>(
+      baselines::GrouteEngineOptions(),
+      [&](const EngineOptions& opt, std::vector<Value>* values) {
+        return baselines::RunGroute(g, part, opt, app, values);
+      });
+}
+
+TEST(AsyncEngineTest, GrouteDeltaPrSeedDeterministicAcrossThreadsAndShards) {
+  const auto g = SocialGraph(12, 5);
+  DeltaPageRankApp app;
+  app.num_vertices = g.num_vertices();
+  app.epsilon = 1e-6;
+  ExpectGrouteDeterminism<DeltaPageRankApp, DeltaPageRankApp::State>(g, app);
+}
+
+TEST(AsyncEngineTest, GrouteSsspSeedDeterministicAcrossThreadsAndShards) {
+  const auto g = SocialGraph(12, 7, /*weighted=*/true);
+  SsspApp app;
+  app.source = MaxDegreeSource(g);
+  ExpectGrouteDeterminism<SsspApp, float>(g, app);
 }
 
 TEST(AsyncEngineTest, SsspSeedDeterministicAcrossThreadsAndShards) {
@@ -394,6 +453,224 @@ TEST(AsyncEngineTest, SingleDeviceWorks) {
   const RunResult result = engine.Run(app, &dist);
   EXPECT_EQ(result.async_range_steals, 0) << "nothing to steal on 1 GPU";
   EXPECT_EQ(dist, algos::ref::Sssp(g, app.source));
+}
+
+// Golden pins for the one discrete-event loop behind GUM's async mode and
+// the Groute preset: the simulated clock, the counters, every link's
+// traffic and every value stay bit-identical to the separate Groute loop
+// they replaced. Doubles compare as bit patterns; link_bytes and the value
+// array fold into FNV-1a digests.
+struct GoldenRow {
+  uint64_t total_ms_bits = 0;
+  int iterations = 0;
+  uint64_t messages = 0;
+  uint64_t edges = 0;
+  uint64_t link_bytes_digest = 0;
+  uint64_t values_digest = 0;
+};
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ull;
+
+uint64_t Fnv1a(uint64_t digest, uint64_t word) {
+  return (digest ^ word) * 1099511628211ull;
+}
+
+template <typename Value>
+GoldenRow Pin(const RunResult& r, const std::vector<Value>& values) {
+  GoldenRow row;
+  row.total_ms_bits = std::bit_cast<uint64_t>(r.total_ms);
+  row.iterations = r.iterations;
+  row.messages = r.messages_sent;
+  row.edges = r.edges_processed;
+  row.link_bytes_digest = kFnvBasis;
+  for (const auto& lane_row : r.link_bytes) {
+    for (const double b : lane_row) {
+      row.link_bytes_digest =
+          Fnv1a(row.link_bytes_digest, std::bit_cast<uint64_t>(b));
+    }
+  }
+  row.values_digest = kFnvBasis;
+  for (const Value& v : values) {
+    unsigned char bytes[sizeof(Value)];
+    std::memcpy(bytes, &v, sizeof(Value));
+    for (const unsigned char b : bytes) {
+      row.values_digest = Fnv1a(row.values_digest, b);
+    }
+  }
+  return row;
+}
+
+template <typename App>
+GoldenRow GrouteRow(const graph::CsrGraph& g, int devices,
+                    sim::ContentionModel contention, App app) {
+  std::vector<typename App::Value> values;
+  const RunResult r = baselines::RunGroute(
+      g, MakePartition(g, devices),
+      baselines::GrouteEngineOptions({}, contention), app, &values);
+  return Pin(r, values);
+}
+
+template <typename App>
+GoldenRow AsyncRow(const graph::CsrGraph& g, int devices,
+                   AsyncWorklistKind worklist, sim::ContentionModel contention,
+                   App app) {
+  EngineOptions opt = AsyncOptions();
+  opt.async.worklist = worklist;
+  opt.contention = contention;
+  std::vector<typename App::Value> values;
+  const RunResult r =
+      GumEngine<App>(&g, MakePartition(g, devices), Topo(devices), opt)
+          .Run(app, &values);
+  return Pin(r, values);
+}
+
+BfsApp BfsFrom(const graph::CsrGraph& g) {
+  BfsApp app;
+  app.source = MaxDegreeSource(g);
+  return app;
+}
+
+SsspApp SsspFrom(const graph::CsrGraph& g) {
+  SsspApp app;
+  app.source = MaxDegreeSource(g);
+  return app;
+}
+
+DeltaPageRankApp DeltaPr(const graph::CsrGraph& g) {
+  DeltaPageRankApp app;
+  app.num_vertices = g.num_vertices();
+  app.epsilon = 1e-6;
+  return app;
+}
+
+TEST(AsyncGoldenTest, GrouteAndAsyncBitIdentical) {
+  constexpr GoldenRow kGolden[] = {
+      {4638399238281109556ull, 2550, 5262, 5262,
+       197642962949965861ull, 10885558025992347513ull},
+      {4627055100425285090ull, 690, 14181, 14181,
+       2940726562158086181ull, 6958107229267241064ull},
+      {4642054137386468529ull, 6031, 62469, 62469,
+       11629924239279982629ull, 15719651170260642214ull},
+      {4630660375775528561ull, 1319, 34018, 34018,
+       14911639343482079269ull, 11940344131088449570ull},
+      {4638558227060447081ull, 25839, 150179, 150179,
+       7824483434343761957ull, 13346994205906133797ull},
+      {4627632715162681541ull, 1891, 54445, 54445,
+       2696476651117414437ull, 13398839423619047053ull},
+      {4641113493005615592ull, 77843, 1541118, 1541118,
+       11869322022687148069ull, 4654313269454054245ull},
+      {4641417013330801688ull, 102224, 7341945, 7341945,
+       12553776177858021413ull, 14223350306429537894ull},
+      {4638399238322392553ull, 2548, 5262, 5262,
+       197642962949965861ull, 10885558025992347513ull},
+      {4627055105551882666ull, 690, 14181, 14181,
+       2940726562158086181ull, 6958107229267241064ull},
+      {4642054137467627146ull, 6030, 62466, 62466,
+       15343173743006255141ull, 15719651170260642214ull},
+      {4630660376680001486ull, 1319, 34018, 34018,
+       14911639343482079269ull, 11940344131088449570ull},
+      {4638558227540831042ull, 25750, 150164, 150164,
+       14477560261734369317ull, 13346994205906133797ull},
+      {4627632719294734199ull, 1891, 54445, 54445,
+       2696476651117414437ull, 13398839423619047053ull},
+      {4641216182967519892ull, 78273, 1540841, 1540841,
+       2668008327979272229ull, 9559873311899018020ull},
+      {4641878184870972436ull, 102916, 7336921, 7336921,
+       13873125577830762533ull, 6271303920714794985ull},
+      {4635014757187507025ull, 1654, 5082, 5082,
+       7597906090183852415ull, 10885558025992347513ull},
+      {4637500945150699086ull, 35672, 1469061, 1469061,
+       10293819334890324351ull, 7654735805015062310ull},
+      {4635014757493376500ull, 1655, 5082, 5082,
+       7597906090183852415ull, 10885558025992347513ull},
+      {4638918561216162073ull, 35261, 1470688, 1470688,
+       14107927280750657919ull, 6492745481163620228ull},
+      {4621250647181688278ull, 1203, 8322, 8322,
+       2477801380538812453ull, 15719651170260642214ull},
+      {4617607524240184766ull, 2374, 129621, 129621,
+       12303325358391625765ull, 4899226418933590038ull},
+      {4621250647181688278ull, 1203, 8322, 8322,
+       2477801380538812453ull, 15719651170260642214ull},
+      {4617607524240184766ull, 2374, 129621, 129621,
+       12303325358391625765ull, 4899226418933590038ull},
+      {4622705741848454343ull, 1561, 21278, 21278,
+       11301487746557478949ull, 15719651170260642214ull},
+      {4616156387601550870ull, 906, 174421, 174421,
+       1243888475040450597ull, 17875250694898860692ull},
+      {4622705741848454343ull, 1561, 21278, 21278,
+       11301487746557478949ull, 15719651170260642214ull},
+      {4616156387601550870ull, 906, 174421, 174421,
+       1243888475040450597ull, 17875250694898860692ull},
+      {4617851013676968593ull, 1848, 122936, 122936,
+       5801802169165250943ull, 7184972312581187116ull},
+      {4617851013676968593ull, 1848, 122936, 122936,
+       5801802169165250943ull, 7184972312581187116ull},
+      {4612645526058041578ull, 547, 167022, 167022,
+       3395515061902475647ull, 9205508152979130194ull},
+      {4612645526058041578ull, 547, 167022, 167022,
+       3395515061902475647ull, 9205508152979130194ull},
+      {4615567112319249245ull, 1008, 55364, 55364,
+       7267177274107824165ull, 13346994205906133797ull},
+      {4615567112319249245ull, 1008, 55364, 55364,
+       7267177274107824165ull, 13346994205906133797ull},
+  };
+  const auto kOff = sim::ContentionModel::kOff;
+  const auto kFair = sim::ContentionModel::kFair;
+  const graph::CsrGraph road = RoadGraph(32, 3);
+  const graph::CsrGraph rmat = SocialGraph(10, 2, /*weighted=*/true);
+  const graph::CsrGraph rmat_sym = SocialGraphSym(10, 2);
+  std::vector<GoldenRow> got;
+  // Groute: {bfs, sssp, wcc, dpr} x {road 32x32, RMAT 10} x {off, fair}
+  // at 8 devices (an even ring, all NVLink).
+  for (const auto c : {kOff, kFair}) {
+    got.push_back(GrouteRow(road, 8, c, BfsFrom(road)));
+    got.push_back(GrouteRow(rmat, 8, c, BfsFrom(rmat)));
+    got.push_back(GrouteRow(road, 8, c, SsspFrom(road)));
+    got.push_back(GrouteRow(rmat, 8, c, SsspFrom(rmat)));
+    got.push_back(GrouteRow(road, 8, c, WccApp{}));
+    got.push_back(GrouteRow(rmat_sym, 8, c, WccApp{}));
+    got.push_back(GrouteRow(road, 8, c, DeltaPr(road)));
+    got.push_back(GrouteRow(rmat, 8, c, DeltaPr(rmat)));
+  }
+  // Groute at 5 devices: the odd ring closes over PCIe (4 -> 0).
+  for (const auto c : {kOff, kFair}) {
+    got.push_back(GrouteRow(road, 5, c, BfsFrom(road)));
+    got.push_back(GrouteRow(road, 5, c, DeltaPr(road)));
+  }
+  // GUM async: {buckets, smq} x {sssp, dpr} x {off, fair} on road 32x32
+  // at 8 devices, and dpr at 5.
+  for (const auto wl : {AsyncWorklistKind::kBuckets, AsyncWorklistKind::kSmq}) {
+    for (const auto c : {kOff, kFair}) {
+      got.push_back(AsyncRow(road, 8, wl, c, SsspFrom(road)));
+      got.push_back(AsyncRow(road, 8, wl, c, DeltaPr(road)));
+    }
+  }
+  for (const auto wl : {AsyncWorklistKind::kBuckets, AsyncWorklistKind::kSmq}) {
+    for (const auto c : {kOff, kFair}) {
+      got.push_back(AsyncRow(road, 5, wl, c, DeltaPr(road)));
+    }
+  }
+  // GUM async buckets WCC at 8 devices: twice a device holds two bundles
+  // that arrive at the same time, applied in the heap's order.
+  for (const auto c : {kOff, kFair}) {
+    got.push_back(
+        AsyncRow(road, 8, AsyncWorklistKind::kBuckets, c, WccApp{}));
+  }
+  ASSERT_EQ(got.size(), std::size(kGolden));
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message()
+                 << "row " << i << ": {" << got[i].total_ms_bits << "ull, "
+                 << got[i].iterations << ", " << got[i].messages << ", "
+                 << got[i].edges << ", " << got[i].link_bytes_digest
+                 << "ull, " << got[i].values_digest << "ull},");
+    const GoldenRow& want = kGolden[i];
+    EXPECT_EQ(got[i].total_ms_bits, want.total_ms_bits);
+    EXPECT_EQ(got[i].iterations, want.iterations);
+    EXPECT_EQ(got[i].messages, want.messages);
+    EXPECT_EQ(got[i].edges, want.edges);
+    EXPECT_EQ(got[i].link_bytes_digest, want.link_bytes_digest);
+    EXPECT_EQ(got[i].values_digest, want.values_digest);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include "algos/apps.h"
 #include "algos/reference.h"
 #include "baselines/groute_cc.h"
-#include "baselines/groute_like.h"
+#include "baselines/groute.h"
 #include "baselines/gunrock_like.h"
 #include "core/engine.h"
 #include "tests/test_util.h"
@@ -117,42 +117,38 @@ TEST(GunrockLikeTest, DeltaPageRankConverges) {
 
 TEST(GrouteLikeTest, BfsConvergesToReference) {
   const auto g = SocialGraph();
-  GrouteLikeEngine<BfsApp> engine(&g, MakePartition(g, 4), {});
   BfsApp app;
   app.source = 1;
   std::vector<uint32_t> depths;
-  engine.Run(app, &depths);
+  RunGroute(g, MakePartition(g, 4), GrouteEngineOptions(), app, &depths);
   EXPECT_EQ(depths, algos::ref::Bfs(g, 1));
 }
 
 TEST(GrouteLikeTest, SsspConvergesToReference) {
   const auto g = SocialGraph(10, 4, /*weighted=*/true);
-  GrouteLikeEngine<SsspApp> engine(&g, MakePartition(g, 3), {});
   SsspApp app;
   app.source = 3;
   std::vector<float> dist;
-  engine.Run(app, &dist);
+  RunGroute(g, MakePartition(g, 3), GrouteEngineOptions(), app, &dist);
   const auto expected = algos::ref::Sssp(g, 3);
   for (size_t v = 0; v < dist.size(); ++v) EXPECT_EQ(dist[v], expected[v]);
 }
 
 TEST(GrouteLikeTest, WccConvergesToReference) {
   const auto g = SocialGraphSym(9, 4);
-  GrouteLikeEngine<WccApp> engine(&g, MakePartition(g, 4), {});
   WccApp app;
   std::vector<VertexId> labels;
-  engine.Run(app, &labels);
+  RunGroute(g, MakePartition(g, 4), GrouteEngineOptions(), app, &labels);
   EXPECT_EQ(labels, algos::ref::Wcc(g));
 }
 
 TEST(GrouteLikeTest, DeltaPageRankConverges) {
   const auto g = SocialGraph(9, 5);
-  GrouteLikeEngine<DeltaPageRankApp> engine(&g, MakePartition(g, 2), {});
   DeltaPageRankApp app;
   app.num_vertices = g.num_vertices();
   app.epsilon = 1e-12;
   std::vector<DeltaPageRankApp::State> state;
-  engine.Run(app, &state);
+  RunGroute(g, MakePartition(g, 2), GrouteEngineOptions(), app, &state);
   const auto expected = algos::ref::PageRank(g, 0.85, 100);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_NEAR(state[v].rank, expected[v], 1e-6);
@@ -161,12 +157,12 @@ TEST(GrouteLikeTest, DeltaPageRankConverges) {
 
 TEST(GrouteLikeTest, ReportsPositiveTime) {
   const auto g = SocialGraph(9, 5);
-  GrouteLikeEngine<BfsApp> engine(&g, MakePartition(g, 4), {});
   BfsApp app;
   // RMAT leaves some vertices isolated; pick a source with out-edges.
   app.source = 0;
   while (g.OutDegree(app.source) == 0) ++app.source;
-  const auto result = engine.Run(app);
+  const auto result =
+      RunGroute(g, MakePartition(g, 4), GrouteEngineOptions(), app);
   EXPECT_GT(result.total_ms, 0.0);
   EXPECT_GT(result.iterations, 0);  // batch count
   EXPECT_GT(result.edges_processed, 0u);
@@ -180,10 +176,10 @@ TEST(GrouteLikeTest, OddDeviceCountSlowerPerMessage) {
   BfsApp app;
   app.source = 0;
   const auto r4 =
-      GrouteLikeEngine<BfsApp>(&g, MakePartition(g, 4), {}).Run(app);
+      RunGroute(g, MakePartition(g, 4), GrouteEngineOptions(), app);
   app.source = 0;
   const auto r5 =
-      GrouteLikeEngine<BfsApp>(&g, MakePartition(g, 5), {}).Run(app);
+      RunGroute(g, MakePartition(g, 5), GrouteEngineOptions(), app);
   EXPECT_GT(r5.total_ms, 0.6 * r4.total_ms)
       << "odd ring should not scale cleanly";
 }
@@ -217,8 +213,7 @@ TEST(GrouteCcTest, FasterThanLabelPropagationOnRoadNetworks) {
   std::vector<VertexId> cc_labels, lp_labels;
   const auto cc = GrouteCcEngine(&g, part, {}).Run(&cc_labels);
   WccApp app;
-  const auto lp =
-      GrouteLikeEngine<WccApp>(&g, part, {}).Run(app, &lp_labels);
+  const auto lp = RunGroute(g, part, GrouteEngineOptions(), app, &lp_labels);
   EXPECT_EQ(cc_labels, lp_labels);
   EXPECT_LT(cc.total_ms, lp.total_ms);
 }
@@ -260,7 +255,7 @@ TEST(CrossEngineTest, AllThreeEnginesAgreeOnBfs) {
   app.source = 5;
   GunrockLikeEngine<BfsApp>(&g, part, Topo(4), {}).Run(app, &gun_d);
   app.source = 5;
-  GrouteLikeEngine<BfsApp>(&g, part, {}).Run(app, &gro_d);
+  RunGroute(g, part, GrouteEngineOptions(), app, &gro_d);
   EXPECT_EQ(gum_d, gun_d);
   EXPECT_EQ(gum_d, gro_d);
 }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "algos/apps.h"
-#include "baselines/groute_like.h"
+#include "baselines/groute.h"
 #include "baselines/gunrock_like.h"
 #include "core/engine.h"
 #include "sim/comm_plane.h"
@@ -84,6 +84,63 @@ TEST(CommPlaneTest, DirectOnlyPolicyNeverRoutes) {
   EXPECT_DOUBLE_EQ(r.point_to_point_gbps, Topology::kPcieGBps);
   EXPECT_DOUBLE_EQ(plane.PointToPointNs(0, 2, 100.0),
                    100.0 / Topology::kPcieGBps);
+}
+
+// The path src -> dst as the plane walks it, endpoints included.
+std::vector<int> Walk(const CommPlane& plane, int src, int dst) {
+  std::vector<int> path = {src};
+  for (int at = src; at != dst;) {
+    at = plane.NextHop(src, at, dst);
+    path.push_back(at);
+  }
+  return path;
+}
+
+TEST(CommPlaneTest, RingWalkForwardsOneWayAndWrapsOverPcie) {
+  const CommPlane odd(
+      Topology::Ring(5, Topology::kNvlinkLaneGBps, /*pcie_odd_wrap=*/true),
+      ContentionModel::kOff, RoutePolicy::kRing);
+  EXPECT_EQ(Walk(odd, 3, 1), (std::vector<int>{3, 4, 0, 1}));
+  // The odd ring closes over PCIe: 4 -> 0 is the PCIe lane.
+  EXPECT_DOUBLE_EQ(odd.LaneMs(4, 0, 1e6), 1e6 / Topology::kPcieGBps / 1e6);
+  EXPECT_DOUBLE_EQ(odd.LaneMs(3, 4, 1e6),
+                   1e6 / Topology::kNvlinkLaneGBps / 1e6);
+
+  const CommPlane even(Topology::Ring(4), ContentionModel::kOff,
+                       RoutePolicy::kRing);
+  EXPECT_EQ(Walk(even, 0, 3), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(CommPlaneTest, BestPathWalkFollowsRoute) {
+  const CommPlane plane(Topology::HybridCubeMesh8());
+  int pairs = 0;
+  int routed = 0;
+  for (int src = 0; src < 8; ++src) {
+    for (int dst = 0; dst < 8; ++dst) {
+      if (src == dst) continue;
+      ++pairs;
+      const int transit = plane.Route(src, dst).transit;
+      std::vector<int> want = {src, dst};
+      if (transit >= 0) {
+        want.insert(want.begin() + 1, transit);
+        ++routed;
+      }
+      EXPECT_EQ(Walk(plane, src, dst), want) << src << " -> " << dst;
+    }
+  }
+  EXPECT_EQ(pairs, 56);
+  EXPECT_GT(routed, 0) << "the cube mesh has pairs without a direct link";
+}
+
+TEST(CommPlaneTest, DirectOnlyWalkIsOneHop) {
+  const CommPlane plane(Topology::HybridCubeMesh8(), ContentionModel::kOff,
+                        RoutePolicy::kDirectOnly);
+  for (int src = 0; src < 8; ++src) {
+    for (int dst = 0; dst < 8; ++dst) {
+      if (src == dst) continue;
+      EXPECT_EQ(Walk(plane, src, dst), (std::vector<int>{src, dst}));
+    }
+  }
 }
 
 TEST(CommPlaneTest, OffModeMatchesEffectiveBandwidth) {
@@ -644,17 +701,16 @@ TEST(CommPlaneEngineTest, GrouteContentionPreservesValuesAndSlowsRing) {
   const auto g = SocialGraph(10, 26);
   BfsApp app;
   app.source = MaxDegreeSource(g);
-  baselines::GrouteOptions off_opt;
-  baselines::GrouteOptions fair_opt;
-  fair_opt.contention = ContentionModel::kFair;
+  const auto off_opt = baselines::GrouteEngineOptions();
+  const auto fair_opt =
+      baselines::GrouteEngineOptions({}, ContentionModel::kFair);
   std::vector<uint32_t> depths_off;
   std::vector<uint32_t> depths_fair;
   const auto part = MakePartition(g, 4);
-  const auto off = baselines::GrouteLikeEngine<BfsApp>(&g, part, off_opt)
-                       .Run(app, &depths_off);
+  const auto off = baselines::RunGroute(g, part, off_opt, app, &depths_off);
   app.source = MaxDegreeSource(g);
-  const auto fair = baselines::GrouteLikeEngine<BfsApp>(&g, part, fair_opt)
-                        .Run(app, &depths_fair);
+  const auto fair =
+      baselines::RunGroute(g, part, fair_opt, app, &depths_fair);
   EXPECT_EQ(depths_off, depths_fair);
   // Store-and-forward hops now queue on busy lanes: the simulated clock
   // can only move later.

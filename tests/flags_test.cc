@@ -164,6 +164,41 @@ TEST(FlagsTest, GetIntListRejectsBareFlag) {
   EXPECT_FALSE(Parse({"--sources"}).GetIntList("sources", {}).ok());
 }
 
+TEST(FlagsTest, GetIntListRangeAcceptsBoundsAndDefaultsWhenAbsent) {
+  const auto flags = Parse({"--bench-widths=1,64", "--bench-threads=0,1024"});
+  EXPECT_EQ(*flags.GetIntList("bench-widths", {8}, 1, 64),
+            (std::vector<int64_t>{1, 64}));
+  EXPECT_EQ(*flags.GetIntList("bench-threads", {1}, 0, 1024),
+            (std::vector<int64_t>{0, 1024}));
+  EXPECT_EQ(*flags.GetIntList("missing", {1, 4}, 0, 1024),
+            (std::vector<int64_t>{1, 4}));
+}
+
+TEST(FlagsTest, GetIntListRejectsOutOfRangeElementsLoudly) {
+  // gum_serve used to run a bench sweep at width 0, -3 or 65 and with
+  // -2 or 5000 host threads.
+  const auto v = Parse({"--bench-widths=1,65"}).GetIntList("bench-widths", {},
+                                                           1, 64);
+  ASSERT_FALSE(v.ok());
+  const std::string msg = v.status().ToString();
+  EXPECT_NE(msg.find("--bench-widths"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'65'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("[1, 64]"), std::string::npos) << msg;
+  for (const char* bad : {"--bench-widths=0", "--bench-widths=-3"}) {
+    EXPECT_FALSE(Parse({bad}).GetIntList("bench-widths", {}, 1, 64).ok())
+        << bad;
+  }
+  for (const char* bad : {"--bench-threads=-2", "--bench-threads=5000",
+                          "--bench-threads=1,99999999999999999999"}) {
+    EXPECT_FALSE(Parse({bad}).GetIntList("bench-threads", {}, 0, 1024).ok())
+        << bad;
+  }
+  // An unranged list keeps its old message: no range to name.
+  const auto plain = Parse({"--sources=3,x"}).GetIntList("sources", {});
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().ToString().find("["), std::string::npos);
+}
+
 TEST(FlagsTest, GetIntInRangeAcceptsBoundsAndDefaultsWhenAbsent) {
   const auto flags = Parse({"--devices=1", "--scale=30", "--pr-rounds=0"});
   EXPECT_EQ(*flags.GetIntInRange("devices", 8, 1, 8), 1);

@@ -15,12 +15,9 @@ namespace gum::cli {
 
 namespace {
 
-// Upper bounds far past any real use, so a typo cannot ask for millions of
-// threads or edges per vertex. --host-threads and --msg-shards take 0 for
-// the hardware concurrency and the thread count respectively; a negative
-// --edge-factor would size the generators' edge arrays from a wrapped
-// count.
-constexpr int kMaxThreads = 1024;
+// An upper bound far past any real use, so a typo cannot ask for millions
+// of edges per vertex; a negative --edge-factor would size the generators'
+// edge arrays from a wrapped count.
 constexpr double kMaxEdgeFactor = 1024;
 
 Result<graph::EdgeList> LoadOrGenerate(const SetupFlags& s) {

@@ -31,6 +31,11 @@
 
 namespace gum::cli {
 
+// Upper bound of every thread-count flag, far past any real use, so a typo
+// cannot ask for millions of threads. --host-threads and --msg-shards take
+// 0 for the hardware concurrency and the thread count respectively.
+inline constexpr int kMaxThreads = 1024;
+
 // Ranged integer flag narrowed to int (FlagParser::GetIntInRange).
 Result<int> GetIntFlag(const FlagParser& flags, const std::string& name,
                        int default_value, int min_value,

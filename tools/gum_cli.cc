@@ -97,7 +97,7 @@
 #include "algos/astar.h"
 #include "algos/incremental.h"
 #include "algos/multi_source.h"
-#include "baselines/groute_like.h"
+#include "baselines/groute.h"
 #include "baselines/gunrock_like.h"
 #include "cli_setup.h"
 #include "common/flags.h"
@@ -494,11 +494,15 @@ int RunStatic(const RunEnv& env, App app) {
     baselines::GunrockLikeEngine<App> engine(&s.graph, s.partition,
                                              s.topology, options);
     result = engine.Run(app, &values);
+  } else if constexpr (core::AsyncCapable<App>) {
+    core::EngineOptions options =
+        baselines::GrouteEngineOptions(o.device, o.contention);
+    options.num_host_threads = o.num_host_threads;
+    options.num_msg_shards = o.num_msg_shards;
+    result = baselines::RunGroute(s.graph, s.partition, options, app, &values);
   } else {
-    baselines::GrouteOptions options;
-    options.contention = o.contention;
-    baselines::GrouteLikeEngine<App> engine(&s.graph, s.partition, options);
-    result = engine.Run(app, &values);
+    GUM_CHECK(false) << "ParseCliFlags admits --engine=groute only for "
+                        "async-capable apps";
   }
   // The engine (and its thread pool) is already destroyed, so every worker
   // span has drained.

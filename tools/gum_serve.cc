@@ -120,6 +120,7 @@ struct ServeConfig {
   std::vector<graph::VertexId> sources;
   core::EngineOptions options;  // geometry the GraphContext is built from
   serve::ServeOptions serve;    // batch width and the fault compose
+  std::vector<int64_t> bench_widths, bench_threads;  // --bench-json sweep
 };
 
 serve::QueryQueue BuildQueue(const std::vector<graph::VertexId>& sources,
@@ -146,11 +147,6 @@ serve::ServeOutcome<typename Traits::ValueType> ServeStream(
 template <typename Traits>
 int RunBench(const FlagParser& flags, const cli::Setup& setup,
              const ServeConfig& cfg) {
-  const auto widths_or = flags.GetIntList("bench-widths", {1, 8, 64});
-  const auto threads_or = flags.GetIntList("bench-threads", {1, 4});
-  if (!widths_or.ok()) return cli::Fail(widths_or.status());
-  if (!threads_or.ok()) return cli::Fail(threads_or.status());
-
   std::ofstream out(flags.GetString("bench-json", ""));
   JsonWriter w(out, 1);
   w.BeginObject();
@@ -168,7 +164,7 @@ int RunBench(const FlagParser& flags, const cli::Setup& setup,
     w.EndObject();
   };
 
-  for (const int64_t t : *threads_or) {
+  for (const int64_t t : cfg.bench_threads) {
     core::EngineOptions options = cfg.options;
     options.num_host_threads = static_cast<int>(t);
     const core::GraphContext ctx(&setup.graph, setup.partition,
@@ -176,7 +172,7 @@ int RunBench(const FlagParser& flags, const cli::Setup& setup,
     // One sequential (width-1) reference per thread count, re-emitted
     // under every width suffix so --expect-faster pairs line up.
     const auto seq = ServeStream<Traits>(ctx, cfg, 1, /*keep_values=*/false);
-    for (const int64_t width : *widths_or) {
+    for (const int64_t width : cfg.bench_widths) {
       const auto batched = ServeStream<Traits>(ctx, cfg,
                                                static_cast<int>(width),
                                                /*keep_values=*/false);
@@ -395,6 +391,12 @@ Result<ServeFlags> ParseServeFlags(const FlagParser& flags) {
   GUM_ASSIGN_OR_RETURN(cfg.serve.batch_width,
                        cli::GetIntFlag(flags, "batch-width", 64, 1,
                                        algos::kMaxBatchLanes));
+  GUM_ASSIGN_OR_RETURN(cfg.bench_widths,
+                       flags.GetIntList("bench-widths", {1, 8, 64}, 1,
+                                        algos::kMaxBatchLanes));
+  GUM_ASSIGN_OR_RETURN(cfg.bench_threads,
+                       flags.GetIntList("bench-threads", {1, 4}, 0,
+                                        cli::kMaxThreads));
   // -1 (the default) serves every batch fault-free.
   GUM_ASSIGN_OR_RETURN(cfg.serve.fault_batch,
                        cli::GetIntFlag(flags, "fault-batch", -1, -1));
