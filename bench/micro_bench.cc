@@ -434,6 +434,38 @@ BENCHMARK(BM_ExpandScatterPr8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
+// The stationary path on the same all-active PageRank superstep: a
+// payload pass over the units, then a destination-sharded gather over
+// the context-shared PullEdges (built once, outside the timed loop) —
+// the same store and counters as BM_ExpandScatterPr8Dev, no staging.
+void BM_ExpandStationaryPr8Dev(benchmark::State& state) {
+  PrPhaseFixture& pf = GetPrPhaseFixture();
+  const SuperstepFixture& fx = pf.fx;
+  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(threads);
+  const core::ShardMap shards(fx.g.num_vertices(), threads);
+  std::vector<double> values = pf.values;
+  core::FrontierScatterBackend<algos::PageRankApp> backend;
+  core::ExpandCounters counters;
+  core::MessageStore<double> store(fx.g.num_vertices());
+  const core::FStealDecision no_steal;
+  const std::vector<double> no_loads(8, 0.0);
+  core::PullEdges pull;
+  pull.Build(fx.g, fx.partition);
+  for (auto _ : state) {
+    backend.ExpandStationary(&pool, fx.g, fx.partition, nullptr, fx.owner,
+                             /*active=*/{}, no_steal, no_loads, pull, pf.app,
+                             values, fx.frontier, shards, store, &counters);
+    benchmark::DoNotOptimize(store.PendingCount());
+    store.EndSuperstep();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx.g.num_edges()));
+}
+BENCHMARK(BM_ExpandStationaryPr8Dev)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
+
 void BM_ExpandSpmvPushPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;

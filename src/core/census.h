@@ -1,0 +1,42 @@
+// Step 1 of a superstep (paper §V, Example 4): the workload census.
+//
+// Per fragment, the census measures the frontier's out-edge load, the
+// share of that load a thief must fetch over NVLink (hub-cached vertices
+// expand locally, Example 6), and the Table-I features the cost model
+// prices. OSteal, FSteal, the expand-mode decision and the time
+// accounting all read it.
+//
+// A data-driven superstep takes a fresh census of its frontier. A
+// stationary superstep (a fixed-round app, whose frontier is every
+// fragment's part_vertices) reads the GraphContext's cached one, taken
+// once with this same function (DESIGN.md §13).
+
+#ifndef GUM_CORE_CENSUS_H_
+#define GUM_CORE_CENSUS_H_
+
+#include <cstddef>
+#include <vector>
+
+#include "core/hub_cache.h"
+#include "core/vertex_state.h"
+#include "graph/csr.h"
+#include "graph/frontier_features.h"
+
+namespace gum::core {
+
+struct FrontierCensus {
+  std::vector<double> loads;             // [fragment] frontier out-edges
+  std::vector<double> remote_discount;   // [fragment] 1 - hub load / load
+  std::vector<graph::FrontierFeatures> features;  // [fragment] Table I
+  double total_load = 0.0;
+  size_t total_frontier = 0;
+
+  // Recomputes every field for `frontier`, reusing the vectors' storage.
+  // Loads are sums of integer degrees, so they are exact.
+  void Take(const graph::CsrGraph& g, const HubCache& hub_cache,
+            const FrontierSoA& frontier);
+};
+
+}  // namespace gum::core
+
+#endif  // GUM_CORE_CENSUS_H_

@@ -17,9 +17,11 @@
 // docs/architecture.md):
 //   core/graph_context.h   — the immutable per-graph substrate (partition,
 //                            topology geometry, cost model, hub cache,
-//                            shard map, thread pool, shared PullEdges)
+//                            shard map, thread pool, shared PullEdges,
+//                            the stationary census)
 //   core/run_context.h     — the per-query mutable state (values, frontier,
 //                            message store, backend staging arenas)
+//   core/census.h          — the Step-1 workload census
 //   core/superstep.h       — Step-4 decomposition into per-executor work
 //                            units, expanded on a host ThreadPool
 //   core/message_store.h   — deterministic inbox + per-worker staging,
@@ -78,6 +80,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/async/async_engine.h"
+#include "core/census.h"
 #include "core/edge_cost_model.h"
 #include "core/engine_options.h"
 #include "core/expand/expand_backend.h"
@@ -221,6 +224,7 @@ class GumEngine {
     int group_size = n;
 
     const int fixed_rounds = app.fixed_rounds();
+    FrontierCensus dynamic_census;
     double prev_wall_ms = 1e18;  // first iteration never triggers OSteal
     // Eq. (4)'s p, estimated online from observed iterations (paper §IV-A:
     // "a parameter that can be estimated during previous iterations").
@@ -377,26 +381,19 @@ class GumEngine {
       }
 
       // --- Step 1: workload census ---
-      std::vector<double> loads(n, 0.0);
-      std::vector<graph::FrontierFeatures> features(n);
-      std::vector<double> remote_discount(n, 1.0);
-      double total_load = 0.0;
-      size_t total_frontier = 0;
-      {
-      GUM_TRACE_SCOPE("gum.census");
-      const HubCache& hub_cache = ctx_->hub_cache();
-      for (int i = 0; i < n; ++i) {
-        double hub_load = 0.0;
-        for (VertexId v : frontier.Fragment(i)) {
-          loads[i] += g.OutDegree(v);
-          if (hub_cache.IsHub(v)) hub_load += g.OutDegree(v);
-        }
-        total_load += loads[i];
-        total_frontier += frontier.FragmentSize(i);
-        features[i] = graph::ExtractFrontierFeatures(g, frontier.Fragment(i));
-        if (loads[i] > 0) remote_discount[i] = 1.0 - hub_load / loads[i];
-      }
-      }
+      // A stationary superstep's census depends only on the context, which
+      // takes it once; a data-driven one re-takes it for this frontier.
+      const FrontierCensus& census = [&]() -> const FrontierCensus& {
+        GUM_TRACE_SCOPE("gum.census");
+        if (fixed_rounds >= 0) return ctx_->stationary_census();
+        dynamic_census.Take(g, ctx_->hub_cache(), frontier);
+        return dynamic_census;
+      }();
+      const std::vector<double>& loads = census.loads;
+      const std::vector<graph::FrontierFeatures>& features = census.features;
+      const std::vector<double>& remote_discount = census.remote_discount;
+      const double total_load = census.total_load;
+      const size_t total_frontier = census.total_frontier;
       if (fixed_rounds < 0 && total_frontier == 0) break;
 
       IterationStats stats;
@@ -574,10 +571,20 @@ class GumEngine {
         GUM_TRACE_SCOPE("gum.expand");
         switch (expand_mode) {
           case ExpandMode::kScatter:
-            scatter_backend.Expand(pool, g, partition, &ctx_->hub_cache(),
-                                   owner_of_fragment, active, fs, loads, app,
-                                   values, frontier, shard_map, store,
-                                   &expand_counters);
+            // Stationary supersteps gather instead of staging messages;
+            // both paths yield the same values and counters (DESIGN.md
+            // §12).
+            if (fixed_rounds >= 0) {
+              scatter_backend.ExpandStationary(
+                  pool, g, partition, &ctx_->hub_cache(), owner_of_fragment,
+                  active, fs, loads, ctx_->pull_edges(), app, values,
+                  frontier, shard_map, store, &expand_counters);
+            } else {
+              scatter_backend.Expand(pool, g, partition, &ctx_->hub_cache(),
+                                     owner_of_fragment, active, fs, loads,
+                                     app, values, frontier, shard_map, store,
+                                     &expand_counters);
+            }
             break;
           case ExpandMode::kSpmvPush:
             spmv_backend.ExpandPush(pool, g, partition,

@@ -31,9 +31,11 @@
 #include <span>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "core/expand/expand_backend.h"
+#include "core/expand/pull_edges.h"
 #include "core/fsteal.h"
 #include "core/hub_cache.h"
 #include "core/message_store.h"
@@ -81,13 +83,41 @@ std::vector<WorkUnit> BuildWorkUnits(const graph::CsrGraph& g,
                                      const std::vector<int>& owner_of_fragment,
                                      const std::vector<int>& active);
 
+// Walks one unit's vertex range, calling visit(u, out_degree) once per
+// vertex in frontier order, and adds the unit's edge counters: `edges`
+// and `edges_processed` count every out-edge; `hub_edges` those of hub
+// vertices when the executor is not the *fragment* (Example 6: a cached
+// hub expands locally, so only a remote executor saves NVLink traffic);
+// `stolen_edges` every out-edge when the executor is not the fragment's
+// owner. Integer sums, hoisted into locals and written back once.
+template <typename VisitFn>
+void WalkUnit(const graph::CsrGraph& g, const HubCache* hub_cache,
+              int fragment_owner, std::span<const graph::VertexId> frontier,
+              const WorkUnit& unit, UnitCounters* counters, VisitFn&& visit) {
+  const bool count_hub =
+      unit.executor != unit.fragment && hub_cache != nullptr;
+  const bool stolen = unit.executor != fragment_owner;
+  uint64_t edges_sum = 0;
+  uint64_t hub_sum = 0;
+  for (size_t k = unit.begin; k < unit.end; ++k) {
+    const graph::VertexId u = frontier[k];
+    const uint32_t deg = g.OutDegree(u);
+    visit(u, deg);
+    edges_sum += deg;
+    if (count_hub && hub_cache->IsHub(u)) hub_sum += deg;
+  }
+  // Integer-valued sums: identical to per-vertex accumulation.
+  counters->edges += static_cast<double>(edges_sum);
+  counters->hub_edges += static_cast<double>(hub_sum);
+  if (stolen) counters->stolen_edges += static_cast<double>(edges_sum);
+  counters->edges_processed += edges_sum;
+}
+
 // Expands one unit: OnFrontier/Scatter over the unit's vertex range,
 // staging every emitted message and recording the unit's counters.
 // hub_cache may be null (baselines without the Example-6 optimization).
 // The weighted/unweighted branch is selected once per unit, not re-tested
-// on every edge, by instantiating the scatter loop per weight accessor;
-// the unit-invariant executor/owner flags and the integer counter sums are
-// likewise hoisted out of the scatter loop into locals, written back once.
+// on every edge, by instantiating the scatter loop per weight accessor.
 template <typename App>
 void ExpandUnit(const graph::CsrGraph& g, const graph::Partition& partition,
                 const HubCache* hub_cache, int fragment_owner, App& app,
@@ -97,40 +127,27 @@ void ExpandUnit(const graph::CsrGraph& g, const graph::Partition& partition,
                 MessageStaging<typename App::Message>* staged,
                 UnitCounters* counters) {
   using Message = typename App::Message;
-  const bool count_hub =
-      unit.executor != unit.fragment && hub_cache != nullptr;
-  const bool stolen = unit.executor != fragment_owner;
-  uint64_t edges_sum = 0;
-  uint64_t hub_sum = 0;
   const auto expand = [&](auto&& weight_of) {
-    for (size_t k = unit.begin; k < unit.end; ++k) {
-      const graph::VertexId u = frontier[k];
-      const uint32_t deg = g.OutDegree(u);
-      const Message payload = app.OnFrontier(u, values[u], deg);
-      const auto neighbors = g.OutNeighbors(u);
-      const auto weights = g.OutWeights(u);
-      for (size_t e = 0; e < neighbors.size(); ++e) {
-        const graph::VertexId v = neighbors[e];
-        std::optional<Message> msg =
-            app.Scatter(payload, v, weight_of(weights, e));
-        if (!msg.has_value()) continue;
-        counters->raw_msgs[partition.owner[v]] += 1.0;
-        staged->Emit(v, *msg);
-      }
-      edges_sum += deg;
-      if (count_hub && hub_cache->IsHub(u)) hub_sum += deg;
-    }
+    WalkUnit(g, hub_cache, fragment_owner, frontier, unit, counters,
+             [&](graph::VertexId u, uint32_t deg) {
+               const Message payload = app.OnFrontier(u, values[u], deg);
+               const auto neighbors = g.OutNeighbors(u);
+               const auto weights = g.OutWeights(u);
+               for (size_t e = 0; e < neighbors.size(); ++e) {
+                 const graph::VertexId v = neighbors[e];
+                 std::optional<Message> msg =
+                     app.Scatter(payload, v, weight_of(weights, e));
+                 if (!msg.has_value()) continue;
+                 counters->raw_msgs[partition.owner[v]] += 1.0;
+                 staged->Emit(v, *msg);
+               }
+             });
   };
   if (g.has_weights()) {
     expand([](std::span<const float> w, size_t e) { return w[e]; });
   } else {
     expand([](std::span<const float>, size_t) { return 1.0f; });
   }
-  // Integer-valued sums: identical to per-vertex accumulation.
-  counters->edges += static_cast<double>(edges_sum);
-  counters->hub_edges += static_cast<double>(hub_sum);
-  if (stolen) counters->stolen_edges += static_cast<double>(edges_sum);
-  counters->edges_processed += edges_sum;
 }
 
 // Expands every unit — serially when pool is null or single-threaded,
@@ -170,18 +187,23 @@ void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
 
 // The scatter backend: canonical unit decomposition, parallel expand into
 // per-unit staging, deterministic sharded merge with first-writer
-// attribution, counter aggregation into ExpandCounters. Owns the staging
-// buffers and per-shard attribution scratch, reused across iterations.
+// attribution, counter aggregation into ExpandCounters. Stationary
+// supersteps take a gather path that yields the same results without
+// staging a message. Owns the staging buffers, the stationary payload and
+// executor arenas, and the per-shard attribution scratch, reused across
+// iterations.
 template <typename App>
 class FrontierScatterBackend {
  public:
   using Value = typename App::Value;
   using Message = typename App::Message;
 
-  // Resident bytes across every unit's staging bins (high-water capacity;
-  // the serving-mode memory gauge).
+  // Resident bytes across every unit's staging bins plus the stationary
+  // payload and executor arenas (high-water capacity; the serving-mode
+  // memory gauge).
   size_t StagingBytes() const {
-    size_t total = 0;
+    size_t total = payloads_.capacity() * sizeof(Message) +
+                   executor_of_.capacity() * sizeof(int);
     for (const auto& s : staged_) total += s.CapacityBytes();
     return total;
   }
@@ -204,19 +226,7 @@ class FrontierScatterBackend {
         BuildWorkUnits(g, frontier, fs, loads, owner_of_fragment, active);
     ExpandSuperstep(pool, g, partition, hub_cache, owner_of_fragment, app,
                     values, frontier, units, shards, &staged_, &counters_);
-
-    // Aggregate per-unit counters serially (cheap, integer-exact sums).
-    for (size_t idx = 0; idx < units.size(); ++idx) {
-      const WorkUnit& unit = units[idx];
-      const UnitCounters& c = counters_[idx];
-      out->edges_done[unit.fragment][unit.executor] += c.edges;
-      out->hub_edges[unit.fragment][unit.executor] += c.hub_edges;
-      for (int f = 0; f < n; ++f) {
-        out->raw_msgs[unit.executor][f] += c.raw_msgs[f];
-      }
-      out->stolen_edges += c.stolen_edges;
-      out->edges_processed += c.edges_processed;
-    }
+    AddUnitCounters(units, n, out);
 
     // Sharded merge: every shard replays its bins in canonical unit order
     // (the serial engine's loop nest restricted to the shard's vertices)
@@ -251,11 +261,162 @@ class FrontierScatterBackend {
     }
   }
 
+  // Runs a stationary superstep — every vertex of every fragment active,
+  // as in a fixed-round app — to exactly Expand's results (every counter
+  // cell, store membership, pending messages, values) without staging a
+  // message (DESIGN.md §7, §12):
+  //   1. the plan's units, built as Expand builds them;
+  //   2. a payload pass over the units: OnFrontier once per vertex, its
+  //      executor recorded, the unit's edge counters added by WalkUnit;
+  //   3. a gather per destination shard over `pull`: each destination's
+  //      in-edges in canonical merge order, Scatter/Combine chained as
+  //      Deposit chains them, one Put. The first emitted message is the
+  //      staged path's first writer, so its executor takes the agg_msgs
+  //      charge.
+  // `frontier` must be every fragment's part_vertices and `pull` built
+  // over the same partition (the GraphContext's pull_edges()).
+  void ExpandStationary(ThreadPool* pool, const graph::CsrGraph& g,
+                        const graph::Partition& partition,
+                        const HubCache* hub_cache,
+                        const std::vector<int>& owner_of_fragment,
+                        const std::vector<int>& active,
+                        const FStealDecision& fs,
+                        const std::vector<double>& loads,
+                        const PullEdges& pull, App& app,
+                        std::vector<Value>& values,
+                        const FrontierSoA& frontier, const ShardMap& shards,
+                        MessageStore<Message>& store, ExpandCounters* out) {
+    const int n = partition.num_parts;
+    out->Reset(n);
+    GUM_TRACE_SCOPE("expand.stationary");
+    const std::vector<WorkUnit> units =
+        BuildWorkUnits(g, frontier, fs, loads, owner_of_fragment, active);
+    const size_t num_v = g.num_vertices();
+    size_t covered = 0;
+    for (const WorkUnit& unit : units) covered += unit.end - unit.begin;
+    GUM_CHECK(covered == num_v)
+        << "a stationary superstep expands every vertex once";
+    if (payloads_.size() < num_v) {
+      payloads_.resize(num_v);
+      executor_of_.resize(num_v);
+    }
+    if (counters_.size() < units.size()) counters_.resize(units.size());
+
+    const auto payload_unit = [&](size_t idx) {
+      GUM_TRACE_SCOPE("expand.unit");
+      const WorkUnit& unit = units[idx];
+      counters_[idx].Reset(n);
+      WalkUnit(g, hub_cache, owner_of_fragment[unit.fragment],
+               frontier.Fragment(unit.fragment), unit, &counters_[idx],
+               [&](graph::VertexId u, uint32_t deg) {
+                 payloads_[u] = app.OnFrontier(u, values[u], deg);
+                 executor_of_[u] = unit.executor;
+               });
+    };
+    if (pool == nullptr || pool->num_threads() <= 1) {
+      for (size_t idx = 0; idx < units.size(); ++idx) payload_unit(idx);
+    } else {
+      pool->ParallelFor(units.size(), payload_unit);
+    }
+    AddUnitCounters(units, n, out);
+
+    // Distinct shards own disjoint word-aligned destination ranges, so
+    // their Puts never meet. Each shard counts into a local buffer and
+    // publishes it once, so no two threads write one cache line.
+    const int s_count = shards.num_shards();
+    const size_t cells = static_cast<size_t>(n) * n;
+    shard_counts_.resize(s_count);
+    // The weighted/unweighted branch is taken once, not per edge, by
+    // instantiating the gather per weight accessor (as ExpandUnit does).
+    const auto gather = [&](auto&& weight_of) {
+      return [&, weight_of](size_t s) {
+        GUM_TRACE_SCOPE("expand.gather_shard");
+        // [executor][owner] emitted messages, then first writers.
+        std::vector<uint64_t> counts(2 * cells, 0);
+        uint64_t* raw = counts.data();
+        uint64_t* agg = raw + cells;
+        const size_t end =
+            std::min(num_v, shards.ShardEnd(static_cast<int>(s)));
+        for (size_t dst = shards.ShardBegin(static_cast<int>(s)); dst < end;
+             ++dst) {
+          const auto v = static_cast<graph::VertexId>(dst);
+          const uint32_t dst_owner = partition.owner[v];
+          std::optional<Message> acc;
+          for (graph::EdgeId e = pull.offsets[dst]; e < pull.offsets[dst + 1];
+               ++e) {
+            const graph::VertexId u = pull.sources[e];
+            std::optional<Message> msg =
+                app.Scatter(payloads_[u], v, weight_of(e));
+            if (!msg.has_value()) continue;
+            const size_t cell =
+                static_cast<size_t>(executor_of_[u]) * n + dst_owner;
+            ++raw[cell];
+            if (acc.has_value()) {
+              acc = app.Combine(*acc, *msg);
+            } else {
+              acc = *msg;
+              ++agg[cell];
+            }
+          }
+          if (acc.has_value()) store.Put(v, *acc);
+        }
+        shard_counts_[s] = std::move(counts);
+      };
+    };
+    const auto run_shards = [&](const auto& gather_shard) {
+      if (pool == nullptr || pool->num_threads() <= 1 || s_count <= 1) {
+        for (int s = 0; s < s_count; ++s) {
+          gather_shard(static_cast<size_t>(s));
+        }
+      } else {
+        pool->ParallelForStatic(static_cast<size_t>(s_count), gather_shard);
+      }
+    };
+    if (pull.weights.empty()) {
+      run_shards(gather([](graph::EdgeId) { return 1.0f; }));
+    } else {
+      run_shards(gather([&pull](graph::EdgeId e) { return pull.weights[e]; }));
+    }
+    // Integer counts reduced in shard order (exact in any order anyway).
+    for (int s = 0; s < s_count; ++s) {
+      const std::vector<uint64_t>& counts = shard_counts_[s];
+      for (int e = 0; e < n; ++e) {
+        for (int f = 0; f < n; ++f) {
+          const size_t cell = static_cast<size_t>(e) * n + f;
+          out->raw_msgs[e][f] += static_cast<double>(counts[cell]);
+          out->agg_msgs[e][f] += static_cast<double>(counts[cells + cell]);
+        }
+      }
+    }
+  }
+
  private:
+  // Adds the per-unit counters in unit order (integer-exact sums).
+  void AddUnitCounters(const std::vector<WorkUnit>& units, int n,
+                       ExpandCounters* out) const {
+    for (size_t idx = 0; idx < units.size(); ++idx) {
+      const WorkUnit& unit = units[idx];
+      const UnitCounters& c = counters_[idx];
+      out->edges_done[unit.fragment][unit.executor] += c.edges;
+      out->hub_edges[unit.fragment][unit.executor] += c.hub_edges;
+      for (int f = 0; f < n; ++f) {
+        out->raw_msgs[unit.executor][f] += c.raw_msgs[f];
+      }
+      out->stolen_edges += c.stolen_edges;
+      out->edges_processed += c.edges_processed;
+    }
+  }
+
   std::vector<MessageStaging<Message>> staged_;
   std::vector<UnitCounters> counters_;
+  // Stationary path: each vertex's payload and executor, by vertex id.
+  std::vector<Message> payloads_;
+  std::vector<int> executor_of_;
   // Per-shard first-writer attribution ([shard][executor][owner]).
   std::vector<std::vector<std::vector<double>>> shard_agg_;
+  // Stationary path, per shard: [executor][owner] emitted messages, then
+  // first writers, flat.
+  std::vector<std::vector<uint64_t>> shard_counts_;
 };
 
 }  // namespace gum::core

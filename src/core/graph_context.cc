@@ -43,4 +43,13 @@ const PullEdges& GraphContext::pull_edges() const {
   return pull_;
 }
 
+const FrontierCensus& GraphContext::stationary_census() const {
+  std::call_once(census_once_, [this] {
+    FrontierSoA all;
+    all.Assign(partition_.part_vertices);
+    census_.Take(*g_, hub_cache_, all);
+  });
+  return census_;
+}
+
 }  // namespace gum::core

@@ -3,16 +3,17 @@
 // GraphContext owns everything about a loaded graph that never changes
 // between queries: the partition, the device topology and its reduction
 // schedule, the cost model, the hub cache, the destination-shard map, the
-// host thread pool, and the shared SpMV pull structure. One context is
-// built once per (graph, partition, topology, options) and then any number
-// of GumEngine runs — sequential queries, batched multi-source waves, a
-// whole serving session — execute against it without paying setup again.
-// The per-query mutable half lives in core/run_context.h.
+// host thread pool, the shared per-destination in-edge structure, and the
+// census of a stationary superstep. One context is built once per (graph,
+// partition, topology, options) and then any number of GumEngine runs —
+// sequential queries, batched multi-source waves, a whole serving session
+// — execute against it without paying setup again. The per-query mutable
+// half lives in core/run_context.h.
 //
 // Thread-compatibility: all accessors are const and touch immutable state;
-// pull_edges() is lazily built behind std::call_once, so concurrent
-// first calls are safe. The context must outlive every engine and
-// RunContext bound to it.
+// pull_edges() and stationary_census() are lazily built behind
+// std::call_once, so concurrent first calls are safe. The context must
+// outlive every engine and RunContext bound to it.
 
 #ifndef GUM_CORE_GRAPH_CONTEXT_H_
 #define GUM_CORE_GRAPH_CONTEXT_H_
@@ -21,6 +22,7 @@
 #include <mutex>
 
 #include "common/thread_pool.h"
+#include "core/census.h"
 #include "core/edge_cost_model.h"
 #include "core/engine_options.h"
 #include "core/expand/pull_edges.h"
@@ -62,10 +64,16 @@ class GraphContext {
   ThreadPool* pool() const { return pool_.get(); }
   int num_devices() const { return partition_.num_parts; }
 
-  // The shared per-destination in-edge structure for the SpMV pull gather.
-  // Built on first call (thread-safe); scatter-only workloads never pay
-  // for it. Byte-identical to the backend-private build it replaces.
+  // The shared per-destination in-edge structure for the SpMV pull gather
+  // and the stationary gather. Built on first call (thread-safe);
+  // data-driven scatter workloads never pay for it.
   const PullEdges& pull_edges() const;
+
+  // Step 1's census of a stationary superstep, whose frontier is every
+  // fragment's part_vertices. It depends only on the context, so it is
+  // taken once, on first call (thread-safe), with the census function
+  // the data-driven loop runs.
+  const FrontierCensus& stationary_census() const;
 
  private:
   const graph::CsrGraph* g_;
@@ -80,6 +88,8 @@ class GraphContext {
   std::unique_ptr<ThreadPool> pool_;
   mutable std::once_flag pull_once_;
   mutable PullEdges pull_;
+  mutable std::once_flag census_once_;
+  mutable FrontierCensus census_;
 };
 
 }  // namespace gum::core

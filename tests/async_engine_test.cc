@@ -7,7 +7,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <vector>
@@ -469,12 +468,6 @@ struct GoldenRow {
   uint64_t values_digest = 0;
 };
 
-constexpr uint64_t kFnvBasis = 14695981039346656037ull;
-
-uint64_t Fnv1a(uint64_t digest, uint64_t word) {
-  return (digest ^ word) * 1099511628211ull;
-}
-
 template <typename Value>
 GoldenRow Pin(const RunResult& r, const std::vector<Value>& values) {
   GoldenRow row;
@@ -482,21 +475,8 @@ GoldenRow Pin(const RunResult& r, const std::vector<Value>& values) {
   row.iterations = r.iterations;
   row.messages = r.messages_sent;
   row.edges = r.edges_processed;
-  row.link_bytes_digest = kFnvBasis;
-  for (const auto& lane_row : r.link_bytes) {
-    for (const double b : lane_row) {
-      row.link_bytes_digest =
-          Fnv1a(row.link_bytes_digest, std::bit_cast<uint64_t>(b));
-    }
-  }
-  row.values_digest = kFnvBasis;
-  for (const Value& v : values) {
-    unsigned char bytes[sizeof(Value)];
-    std::memcpy(bytes, &v, sizeof(Value));
-    for (const unsigned char b : bytes) {
-      row.values_digest = Fnv1a(row.values_digest, b);
-    }
-  }
+  row.link_bytes_digest = test::LinkBytesDigest(r);
+  row.values_digest = test::ValuesDigest(values);
   return row;
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <vector>
 
 #include "algos/apps.h"
 #include "algos/reference.h"
@@ -333,6 +337,108 @@ TEST(GumEngineTest, UnreachableSourceTerminatesImmediately) {
   EXPECT_LE(result.iterations, 2);
   EXPECT_EQ(depths[0], 0u);
   EXPECT_EQ(depths[1], BfsApp::kUnreached);
+}
+
+// Golden pins for stationary (fixed-round) supersteps: the simulated
+// clock, the message/edge/steal counters, every link's traffic and every
+// PageRank value, captured from the build whose Step 4 staged and merged
+// every message. Doubles compare as bit patterns; link_bytes and values
+// fold into FNV-1a digests.
+struct StationaryRow {
+  uint64_t total_ms_bits = 0;
+  uint64_t messages = 0;
+  uint64_t edges = 0;
+  uint64_t stolen_edges = 0;
+  uint64_t link_bytes_digest = 0;
+  uint64_t values_digest = 0;
+};
+
+StationaryRow PageRankRow(const graph::CsrGraph& g, int devices,
+                          bool contention, bool fsteal) {
+  EngineOptions opt = TestEngineOptions();
+  if (contention) {
+    opt.contention = sim::ContentionModel::kFair;
+    opt.multipath = sim::MultipathMode::kOn;
+  }
+  opt.enable_fsteal = fsteal;
+  PageRankApp app;
+  app.num_vertices = g.num_vertices();
+  app.rounds = 10;
+  std::vector<double> rank;
+  const RunResult r =
+      GumEngine<PageRankApp>(&g, MakePartition(g, devices), Topo(devices),
+                             opt)
+          .Run(app, &rank);
+  return {std::bit_cast<uint64_t>(r.total_ms), r.messages_sent,
+          r.edges_processed, static_cast<uint64_t>(r.stolen_edges_total),
+          test::LinkBytesDigest(r), test::ValuesDigest(rank)};
+}
+
+TEST(StationaryGoldenTest, PageRankBitIdentical) {
+  constexpr StationaryRow kGolden[] = {
+      {4613214049463289784ull, 66400ull, 66400ull, 645ull,
+       3757680468570417599ull, 326230511209691048ull},
+      {4613125232114984154ull, 66400ull, 66400ull, 0ull,
+       1463228262381529535ull, 326230511209691048ull},
+      {4613205165642648834ull, 66400ull, 66400ull, 645ull,
+       8820423265228958143ull, 326230511209691048ull},
+      {4613102833578934915ull, 66400ull, 66400ull, 0ull,
+       16400100047910349247ull, 326230511209691048ull},
+      {4616548298562959678ull, 66400ull, 66400ull, 969ull,
+       5416303105496909861ull, 16793950641338133513ull},
+      {4616490339716141673ull, 66400ull, 66400ull, 0ull,
+       2023984553244035109ull, 16793950641338133513ull},
+      {4616282099676089073ull, 66400ull, 66400ull, 969ull,
+       16038006542766508069ull, 16793950641338133513ull},
+      {4616224185985363331ull, 66400ull, 66400ull, 0ull,
+       12924575541486225445ull, 16793950641338133513ull},
+      {4612508084007218349ull, 38700ull, 38700ull, 52ull,
+       18353139600023628223ull, 14909380572597451513ull},
+      {4612433697230764436ull, 38700ull, 38700ull, 0ull,
+       1271844657110723007ull, 14909380572597451513ull},
+      {4612499294982345557ull, 38700ull, 38700ull, 52ull,
+       7819969663656274367ull, 14909380572597451513ull},
+      {4612423801521502651ull, 38700ull, 38700ull, 0ull,
+       16548008688540985791ull, 14909380572597451513ull},
+      {4616221436661829113ull, 38700ull, 38700ull, 124ull,
+       1548276999196051493ull, 6114193105435218041ull},
+      {4616114139347502836ull, 38700ull, 38700ull, 0ull,
+       18398096981793507365ull, 6114193105435218041ull},
+      {4615683241822346415ull, 38700ull, 38700ull, 124ull,
+       11492021291901061157ull, 6114193105435218041ull},
+      {4615579587546717422ull, 38700ull, 38700ull, 0ull,
+       13961999946664970277ull, 6114193105435218041ull},
+  };
+  const graph::CsrGraph rmat = SocialGraph(10, 2, /*weighted=*/true);
+  const graph::CsrGraph road = RoadGraph(32, 3);
+  std::vector<StationaryRow> got;
+  // {RMAT 10 weighted, road 32x32} x {3, 8} devices x {contention off,
+  // fair + multipath} x {fsteal on, off}.
+  for (const graph::CsrGraph* g : {&rmat, &road}) {
+    for (const int devices : {3, 8}) {
+      for (const bool contention : {false, true}) {
+        for (const bool fsteal : {true, false}) {
+          got.push_back(PageRankRow(*g, devices, contention, fsteal));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(got.size(), std::size(kGolden));
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message()
+                 << "row " << i << ": {" << got[i].total_ms_bits << "ull, "
+                 << got[i].messages << "ull, " << got[i].edges << "ull, "
+                 << got[i].stolen_edges << "ull, "
+                 << got[i].link_bytes_digest << "ull, "
+                 << got[i].values_digest << "ull},");
+    const StationaryRow& want = kGolden[i];
+    EXPECT_EQ(got[i].total_ms_bits, want.total_ms_bits);
+    EXPECT_EQ(got[i].messages, want.messages);
+    EXPECT_EQ(got[i].edges, want.edges);
+    EXPECT_EQ(got[i].stolen_edges, want.stolen_edges);
+    EXPECT_EQ(got[i].link_bytes_digest, want.link_bytes_digest);
+    EXPECT_EQ(got[i].values_digest, want.values_digest);
+  }
 }
 
 }  // namespace

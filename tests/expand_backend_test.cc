@@ -1,19 +1,27 @@
 // Pluggable expand backends (core/expand/, DESIGN.md §12): every backend —
 // frontier scatter, SpMV push/pull, and the auto density heuristic — must
 // produce byte-identical vertex values for every host-thread and message-
-// shard count, on every bundled algorithm. The suite lives in the parallel
-// test binary so the TSan CI job watches the pull gather's shard
-// parallelism and the payload pre-pass for races.
+// shard count, on every bundled algorithm. The stationary gather must
+// reproduce the staged scatter path counter for counter. The suite lives
+// in the parallel test binary so the TSan CI job watches the pull and
+// stationary gathers' shard parallelism and the payload passes for races.
 
+#include <bit>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algos/apps.h"
 #include "core/engine.h"
+#include "core/census.h"
 #include "core/expand/expand_backend.h"
+#include "core/expand/frontier_scatter.h"
+#include "core/graph_context.h"
 #include "core/vertex_state.h"
+#include "graph/generators.h"
 #include "tests/test_util.h"
 
 namespace gum::core {
@@ -138,6 +146,277 @@ TEST(ExpandBackendTest, EightDeviceMatrixWithStealingActive) {
   BfsApp app;
   app.source = MaxDegreeSource(g);
   ExpectBackendMatrixIdentical(g, part, app);
+}
+
+// --- stationary supersteps (fixed-round apps, DESIGN.md §12) ---
+
+// A fixed-round test app whose Scatter suppresses some edges (so raw
+// messages differ from edges and a destination's first in-edge is not
+// always its first writer), whose payload carries the source id (so
+// summing messages in another order changes the bits), and whose
+// OnFrontier writes the vertex value.
+struct SuppressingRoundsApp {
+  using Value = double;
+  using Message = double;
+
+  std::string name() const { return "suppressing_rounds"; }
+  int fixed_rounds() const { return 2; }
+  Value InitValue(VertexId v) const { return 1.0 / (v + 3); }
+  bool IsInitiallyActive(VertexId) const { return true; }
+  Message InitialAccumulator() const { return 0.0; }
+  Message OnFrontier(VertexId u, Value& val, uint32_t out_degree) {
+    val += 0.25;
+    return static_cast<double>(u) + val / (out_degree + 1);
+  }
+  std::optional<Message> Scatter(const Message& payload, VertexId v,
+                                 float weight) const {
+    if ((static_cast<uint64_t>(payload) + v) % 3 == 0) return std::nullopt;
+    return payload * weight;
+  }
+  Message Combine(const Message& a, const Message& b) const { return a + b; }
+  bool Apply(VertexId, Value& val, const Message& msg) const {
+    val = 0.5 * val + 1e-4 * msg;
+    return true;
+  }
+};
+
+// The stationary identity matrix's graphs: weighted RMAT, a web crawl, a
+// road grid, and an RMAT built keeping duplicate edges and self-loops.
+std::vector<graph::CsrGraph> StationaryGraphs() {
+  std::vector<graph::CsrGraph> graphs;
+  graphs.push_back(SocialGraph(9, 5, /*weighted=*/true));
+  graph::WebCrawlOptions web;
+  web.scale = 9;
+  web.seed = 4;
+  graphs.push_back(
+      std::move(graph::CsrGraph::FromEdgeList(graph::WebCrawl(web))).value());
+  graphs.push_back(RoadGraph(32, 3));
+  graph::RmatOptions rmat;
+  rmat.scale = 8;
+  rmat.edge_factor = 8;
+  rmat.seed = 6;
+  rmat.weighted = true;
+  graph::CsrBuildOptions keep_all;
+  keep_all.deduplicate = false;
+  keep_all.remove_self_loops = false;
+  graphs.push_back(std::move(graph::CsrGraph::FromEdgeList(graph::Rmat(rmat),
+                                                           keep_all))
+                       .value());
+  return graphs;
+}
+
+void ExpectBitsEqual(const std::vector<std::vector<double>>& got,
+                     const std::vector<std::vector<double>>& want,
+                     const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << what;
+    for (size_t j = 0; j < got[i].size(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i][j]),
+                std::bit_cast<uint64_t>(want[i][j]))
+          << what << "[" << i << "][" << j << "]: " << got[i][j] << " vs "
+          << want[i][j];
+    }
+  }
+}
+
+// Runs two supersteps of the staged Expand and of ExpandStationary side by
+// side on one context (its pool, shards, hub cache and PullEdges) and
+// compares every counter cell, store membership, every pending message
+// and every value bit for bit.
+void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
+                                   bool hub) {
+  const graph::CsrGraph& g = ctx.graph();
+  const graph::Partition& part = ctx.partition();
+  const int n = part.num_parts;
+  FrontierSoA frontier;
+  frontier.Assign(part.part_vertices);
+  const FrontierCensus& census = ctx.stationary_census();
+  // Rotated owners (as after an ownership steal) separate the fragment
+  // from its owner, so hub and stolen edges count under different rules.
+  std::vector<int> owner(n);
+  std::vector<int> active(n);
+  for (int i = 0; i < n; ++i) {
+    owner[i] = (i + 1) % n;
+    active[i] = i;
+  }
+  FStealDecision fs;
+  fs.assignment.assign(n, std::vector<double>(n, 0.0));
+  for (int i = 0; i < n; ++i) {
+    if (!fsteal || n == 1) {
+      fs.assignment[i][owner[i]] = census.loads[i];
+      continue;
+    }
+    fs.applied = true;
+    for (int j = 0; j < n; ++j) {
+      fs.assignment[i][j] = census.loads[i] *
+                            (j == owner[i] ? 0.5 : 0.5 / (n - 1));
+    }
+  }
+  const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
+  SuppressingRoundsApp app;
+  std::vector<double> staged_values(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    staged_values[v] = app.InitValue(v);
+  }
+  std::vector<double> gathered_values = staged_values;
+  FrontierScatterBackend<SuppressingRoundsApp> staged_backend;
+  FrontierScatterBackend<SuppressingRoundsApp> stationary_backend;
+  MessageStore<double> staged_store(g.num_vertices());
+  MessageStore<double> gathered_store(g.num_vertices());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    ExpandCounters staged;
+    ExpandCounters gathered;
+    staged_backend.Expand(ctx.pool(), g, part, hub_cache, owner, active, fs,
+                          census.loads, app, staged_values, frontier,
+                          ctx.shard_map(), staged_store, &staged);
+    stationary_backend.ExpandStationary(
+        ctx.pool(), g, part, hub_cache, owner, active, fs, census.loads,
+        ctx.pull_edges(), app, gathered_values, frontier, ctx.shard_map(),
+        gathered_store, &gathered);
+    ExpectBitsEqual(gathered.edges_done, staged.edges_done, "edges_done");
+    ExpectBitsEqual(gathered.hub_edges, staged.hub_edges, "hub_edges");
+    ExpectBitsEqual(gathered.agg_msgs, staged.agg_msgs, "agg_msgs");
+    ExpectBitsEqual(gathered.raw_msgs, staged.raw_msgs, "raw_msgs");
+    EXPECT_EQ(std::bit_cast<uint64_t>(gathered.stolen_edges),
+              std::bit_cast<uint64_t>(staged.stolen_edges));
+    EXPECT_EQ(gathered.edges_processed, staged.edges_processed);
+    EXPECT_EQ(gathered_store.PendingCount(), staged_store.PendingCount());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(gathered_store.Has(v), staged_store.Has(v)) << "v=" << v;
+      if (staged_store.Has(v)) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(gathered_store.Get(v)),
+                  std::bit_cast<uint64_t>(staged_store.Get(v)))
+            << "v=" << v;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(gathered_values[v]),
+                std::bit_cast<uint64_t>(staged_values[v]))
+          << "v=" << v;
+    }
+    staged_store.EndSuperstep();
+    gathered_store.EndSuperstep();
+  }
+}
+
+TEST(StationaryExpandTest, CountersStoreAndValuesMatchStagedPath) {
+  const std::vector<graph::CsrGraph> graphs = StationaryGraphs();
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    // Some raw messages are suppressed, and some first in-edges are not
+    // first writers: the cases the attribution rules exist for.
+    for (const int devices : {1, 3, 8}) {
+      const graph::Partition part = MakePartition(graphs[gi], devices);
+      for (const int threads : {1, 2, 4, 8}) {
+        for (const int shards : {1, 4}) {
+          for (const bool hub : {true, false}) {
+            EngineOptions opt = TestEngineOptions();
+            opt.num_host_threads = threads;
+            opt.num_msg_shards = shards;
+            opt.enable_hub_cache = hub;
+            const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+            for (const bool fsteal : {true, false}) {
+              SCOPED_TRACE(testing::Message()
+                           << "graph " << gi << " devices=" << devices
+                           << " threads=" << threads << " shards=" << shards
+                           << " hub=" << hub << " fsteal=" << fsteal);
+              ExpectStationaryMatchesStaged(ctx, fsteal, hub);
+              if (HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StationaryExpandTest, SuppressingAppExercisesEveryRule) {
+  // The matrix above is only as strong as its app: on the weighted RMAT at
+  // 3 devices some edges are suppressed, hubs exist, and some first
+  // in-edges emit nothing.
+  const graph::CsrGraph g = SocialGraph(9, 5, /*weighted=*/true);
+  const GraphContext ctx(&g, MakePartition(g, 3), Topo(3),
+                         TestEngineOptions());
+  EXPECT_GT(ctx.hub_cache().num_hubs(), 0u);
+  SuppressingRoundsApp app;
+  const PullEdges& pull = ctx.pull_edges();
+  size_t suppressed = 0;
+  size_t suppressed_first = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (graph::EdgeId e = pull.offsets[v]; e < pull.offsets[v + 1]; ++e) {
+      double val = app.InitValue(pull.sources[e]);
+      const double payload = app.OnFrontier(pull.sources[e], val,
+                                            g.OutDegree(pull.sources[e]));
+      if (!app.Scatter(payload, v, 1.0f).has_value()) {
+        ++suppressed;
+        if (e == pull.offsets[v]) ++suppressed_first;
+      }
+    }
+  }
+  EXPECT_GT(suppressed, 0u);
+  EXPECT_LT(suppressed, static_cast<size_t>(g.num_edges()));
+  EXPECT_GT(suppressed_first, 0u);
+}
+
+// The context's stationary census must equal the census loop over
+// part_vertices (the engine's pre-cache Step 1) bit for bit, hub-heavy
+// graphs included.
+TEST(GraphContextTest, StationaryCensusMatchesLoopCensus) {
+  std::vector<graph::CsrGraph> graphs = StationaryGraphs();
+  graph::EdgeList star;  // every vertex points at vertex 0 and back
+  star.num_vertices = 300;
+  for (VertexId v = 1; v < star.num_vertices; ++v) {
+    star.edges.push_back({v, 0, 1.0f});
+    star.edges.push_back({0, v, 1.0f});
+  }
+  graphs.push_back(std::move(graph::CsrGraph::FromEdgeList(star)).value());
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const graph::CsrGraph& g = graphs[gi];
+    for (const int devices : {1, 3, 8}) {
+      for (const uint32_t t4 : {2u, 32u}) {
+        SCOPED_TRACE(testing::Message() << "graph " << gi << " devices="
+                                        << devices << " t4=" << t4);
+        EngineOptions opt = TestEngineOptions();
+        opt.t4_hub_in_degree = t4;
+        const graph::Partition part = MakePartition(g, devices);
+        const GraphContext ctx(&g, part, Topo(devices), opt);
+        if (t4 == 2) {
+          ASSERT_GT(ctx.hub_cache().num_hubs(), 0u);
+        }
+        const FrontierCensus& census = ctx.stationary_census();
+        EXPECT_EQ(&census, &ctx.stationary_census()) << "taken once";
+        ASSERT_EQ(census.loads.size(), static_cast<size_t>(devices));
+        double total_load = 0.0;
+        size_t total_frontier = 0;
+        for (int i = 0; i < devices; ++i) {
+          double load = 0.0;
+          double hub_load = 0.0;
+          for (const VertexId v : part.part_vertices[i]) {
+            load += g.OutDegree(v);
+            if (ctx.hub_cache().IsHub(v)) hub_load += g.OutDegree(v);
+          }
+          total_load += load;
+          total_frontier += part.part_vertices[i].size();
+          const double discount = load > 0 ? 1.0 - hub_load / load : 1.0;
+          EXPECT_EQ(std::bit_cast<uint64_t>(census.loads[i]),
+                    std::bit_cast<uint64_t>(load));
+          EXPECT_EQ(std::bit_cast<uint64_t>(census.remote_discount[i]),
+                    std::bit_cast<uint64_t>(discount));
+          const auto want =
+              graph::ExtractFrontierFeatures(g, part.part_vertices[i])
+                  .ToArray();
+          const auto got = census.features[i].ToArray();
+          for (size_t k = 0; k < want.size(); ++k) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(got[k]),
+                      std::bit_cast<uint64_t>(want[k]))
+                << "fragment " << i << " feature " << k;
+          }
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(census.total_load),
+                  std::bit_cast<uint64_t>(total_load));
+        EXPECT_EQ(census.total_frontier, total_frontier);
+      }
+    }
+  }
 }
 
 // --- mode selection (the auto heuristic) ---

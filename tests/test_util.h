@@ -3,11 +3,16 @@
 #ifndef GUM_TESTS_TEST_UTIL_H_
 #define GUM_TESTS_TEST_UTIL_H_
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine_options.h"
+#include "core/run_result.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
@@ -88,6 +93,36 @@ inline core::EngineOptions TestEngineOptions() {
   opt.osteal.t3_trigger_ms = 3.0;
   opt.t4_hub_in_degree = 32;
   return opt;
+}
+
+// FNV-1a digests for golden pins: doubles fold in as their bit patterns,
+// so a pinned digest moves on any change to a link's traffic or a value.
+inline constexpr uint64_t kFnvBasis = 14695981039346656037ull;
+
+inline uint64_t Fnv1a(uint64_t digest, uint64_t word) {
+  return (digest ^ word) * 1099511628211ull;
+}
+
+inline uint64_t LinkBytesDigest(const core::RunResult& r) {
+  uint64_t digest = kFnvBasis;
+  for (const auto& lane_row : r.link_bytes) {
+    for (const double b : lane_row) {
+      digest = Fnv1a(digest, std::bit_cast<uint64_t>(b));
+    }
+  }
+  return digest;
+}
+
+// Folds every byte of every value, so struct-valued apps digest too.
+template <typename Value>
+uint64_t ValuesDigest(const std::vector<Value>& values) {
+  uint64_t digest = kFnvBasis;
+  for (const Value& v : values) {
+    unsigned char bytes[sizeof(Value)];
+    std::memcpy(bytes, &v, sizeof(Value));
+    for (const unsigned char b : bytes) digest = Fnv1a(digest, b);
+  }
+  return digest;
 }
 
 }  // namespace gum::test
