@@ -10,7 +10,7 @@
 #include "algos/near_far_sssp.h"
 #include "baselines/groute_cc.h"
 #include "baselines/groute.h"
-#include "baselines/gunrock_like.h"
+#include "baselines/gunrock.h"
 #include "common/logging.h"
 #include "core/engine.h"
 #include "core/fast_wcc.h"
@@ -57,36 +57,6 @@ sim::DeviceParams BenchDeviceParams() {
 
 namespace {
 
-// Algorithm-specific single-GPU boost of the Gunrock baseline (paper Exp-2:
-// direction-optimized BFS and near-far SSSP shine on one GPU).
-baselines::GunrockOptions GunrockOptionsFor(Algo algo) {
-  baselines::GunrockOptions opt;
-  opt.device = BenchDeviceParams();
-  // Gunrock's BSP pipeline (advance/filter/separate + per-peer buffer
-  // manipulation, paper Fig. 4a) carries a heavier per-iteration constant
-  // than GUM's aggregated path; paper Fig. 1 measures it at "several ms"
-  // per iteration on 8 GPUs.
-  opt.device.sync_per_peer_us = 250.0;
-  switch (algo) {
-    case Algo::kBfs:
-      // BFS gets the real direction-optimized algorithm instead of a
-      // factor (see the kGunrock/kBfs dispatch below).
-      opt.single_gpu_compute_factor = 1.0;
-      break;
-    case Algo::kSssp:
-      // SSSP gets the real near-far algorithm at n=1 (dispatch below).
-      opt.single_gpu_compute_factor = 1.0;
-      break;
-    case Algo::kWcc:
-      opt.single_gpu_compute_factor = 0.90;
-      break;
-    case Algo::kPr:
-      opt.single_gpu_compute_factor = 0.88;
-      break;
-  }
-  return opt;
-}
-
 // Executes one cell; the report plumbing lives in the RunBenchmark wrapper.
 core::RunResult RunBenchmarkImpl(const DatasetGraphs& data,
                                  const RunConfig& config) {
@@ -104,154 +74,117 @@ core::RunResult RunBenchmarkImpl(const DatasetGraphs& data,
 
   const graph::VertexId source = PickSource(g);
 
+  // The systems differ in options and in the algorithms they special-case
+  // below; every other cell runs one of the four apps.
+  core::EngineOptions opt;
+  const ml::RegressionModel* cost_model = nullptr;
   switch (config.system) {
     case System::kGum: {
-      core::EngineOptions opt = config.gum;
+      opt = config.gum;
       // Calibrate the device unless the caller supplied custom parameters
       // (fig10 uses Gunrock-grade pipeline constants for its "base" bar).
       if (opt.device.base_edge_ns == sim::DeviceParams{}.base_edge_ns) {
         opt.device = BenchDeviceParams();
       }
-      if (config.cost_model != nullptr) opt.exact_cost_oracle = false;
+      cost_model = config.cost_model;
+      if (cost_model != nullptr) opt.exact_cost_oracle = false;
       opt.contention = config.contention;
       opt.multipath = config.multipath;
-      switch (config.algo) {
-        case Algo::kBfs: {
-          algos::BfsApp app;
-          app.source = source;
-          return core::GumEngine<algos::BfsApp>(&g, *partition, *topology,
-                                                opt, config.cost_model)
-              .Run(app);
-        }
-        case Algo::kSssp: {
-          algos::SsspApp app;
-          app.source = source;
-          return core::GumEngine<algos::SsspApp>(&g, *partition, *topology,
-                                                 opt, config.cost_model)
-              .Run(app);
-        }
-        case Algo::kWcc: {
-          // GSwitch-style variant selection on estimated cost: min-label
-          // propagation costs ~diameter barriers + ~2.5 edge passes;
-          // FastWcc (core/fast_wcc.h, the libgrape-lite scheme) is
-          // diameter-independent but hooks every edge each of ~4 rounds.
-          const auto whole = graph::ExtractFrontierFeatures(
-              g, partition->part_vertices.empty()
-                     ? std::vector<graph::VertexId>{}
-                     : partition->part_vertices[0]);
-          const double edge_ns = sim::TrueEdgeCostNs(whole, opt.device);
-          const double edges = static_cast<double>(g.num_edges());
-          const double barrier_ms =
-              (opt.device.sync_per_peer_us * config.devices +
-               5 * opt.device.kernel_launch_us) /
-              1000.0;
-          const double fastwcc_ms = 4.0 * 1.15 * edges * edge_ns / 1e6;
-          const double labelprop_ms =
-              graph::PseudoDiameter(g) * 1.5 * barrier_ms +
-              2.5 * edges * edge_ns / 1e6;
-          if (!config.force_labelprop_wcc && fastwcc_ms < labelprop_ms) {
-            core::FastWccOptions wcc_opt;
-            wcc_opt.device = opt.device;
-            wcc_opt.contention = config.contention;
-            return core::FastWcc(g, *partition, *topology, wcc_opt);
-          }
-          algos::WccApp app;
-          return core::GumEngine<algos::WccApp>(&g, *partition, *topology,
-                                                opt, config.cost_model)
-              .Run(app);
-        }
-        case Algo::kPr: {
-          // Benchmarked PR is delta-PageRank (the paper's intro names
-          // delta-PageRank among the long-tail workloads OSteal targets).
-          algos::DeltaPageRankApp app;
-          app.num_vertices = g.num_vertices();
-          app.epsilon = 1e-13;
-          return core::GumEngine<algos::DeltaPageRankApp>(&g, *partition,
-                                                          *topology, opt,
-                                                          config.cost_model)
-              .Run(app);
-        }
+      if (config.algo != Algo::kWcc || config.force_labelprop_wcc) break;
+      // GSwitch-style variant selection on estimated cost: min-label
+      // propagation costs ~diameter barriers + ~2.5 edge passes;
+      // FastWcc (core/fast_wcc.h, the libgrape-lite scheme) is
+      // diameter-independent but hooks every edge each of ~4 rounds.
+      const auto whole = graph::ExtractFrontierFeatures(
+          g, partition->part_vertices.empty()
+                 ? std::vector<graph::VertexId>{}
+                 : partition->part_vertices[0]);
+      const double edge_ns = sim::TrueEdgeCostNs(whole, opt.device);
+      const double edges = static_cast<double>(g.num_edges());
+      const double barrier_ms =
+          (opt.device.sync_per_peer_us * config.devices +
+           5 * opt.device.kernel_launch_us) /
+          1000.0;
+      const double fastwcc_ms = 4.0 * 1.15 * edges * edge_ns / 1e6;
+      const double labelprop_ms =
+          graph::PseudoDiameter(g) * 1.5 * barrier_ms +
+          2.5 * edges * edge_ns / 1e6;
+      if (fastwcc_ms < labelprop_ms) {
+        core::FastWccOptions wcc_opt;
+        wcc_opt.device = opt.device;
+        wcc_opt.contention = config.contention;
+        return core::FastWcc(g, *partition, *topology, wcc_opt);
       }
       break;
     }
     case System::kGunrock: {
-      baselines::GunrockOptions opt = GunrockOptionsFor(config.algo);
-      opt.contention = config.contention;
-      switch (config.algo) {
-        case Algo::kBfs: {
-          if (config.devices == 1) {
-            // Gunrock's celebrated single-GPU BFS is direction-optimized
-            // (Beamer push/pull); it is what makes its 1-GPU numbers hard
-            // to scale past (paper Exp-2).
-            algos::DoBfsOptions dobfs;
-            dobfs.device = opt.device;
-            return algos::DirectionOptimizedBfs(g, *partition, *topology,
-                                                source, dobfs);
-          }
-          algos::BfsApp app;
-          app.source = source;
-          return baselines::GunrockLikeEngine<algos::BfsApp>(
-                     &g, *partition, *topology, opt)
-              .Run(app);
-        }
-        case Algo::kSssp: {
-          if (config.devices == 1) {
-            // Near-far delta-stepping (Davidson et al.): Gunrock's strong
-            // single-GPU SSSP that is hard to scale out (paper Exp-2).
-            algos::NearFarOptions nf;
-            nf.device = opt.device;
-            return algos::NearFarSssp(g, *partition, *topology, source, nf);
-          }
-          algos::SsspApp app;
-          app.source = source;
-          return baselines::GunrockLikeEngine<algos::SsspApp>(
-                     &g, *partition, *topology, opt)
-              .Run(app);
-        }
-        case Algo::kWcc: {
-          algos::WccApp app;
-          return baselines::GunrockLikeEngine<algos::WccApp>(
-                     &g, *partition, *topology, opt)
-              .Run(app);
-        }
-        case Algo::kPr: {
-          algos::DeltaPageRankApp app;
-          app.num_vertices = g.num_vertices();
-          app.epsilon = 1e-13;
-          return baselines::GunrockLikeEngine<algos::DeltaPageRankApp>(
-                     &g, *partition, *topology, opt)
-              .Run(app);
-        }
+      sim::DeviceParams dev = BenchDeviceParams();
+      // Gunrock's BSP pipeline (advance/filter/separate + per-peer buffer
+      // manipulation, paper Fig. 4a) carries a heavier per-iteration
+      // constant than GUM's aggregated path; paper Fig. 1 measures it at
+      // "several ms" per iteration on 8 GPUs.
+      dev.sync_per_peer_us = 250.0;
+      // Algorithm-specific single-GPU boost (paper Exp-2). BFS and SSSP get
+      // their real single-GPU algorithms instead, below.
+      const double boost = config.algo == Algo::kWcc  ? 0.90
+                           : config.algo == Algo::kPr ? 0.88
+                                                      : 1.0;
+      opt = baselines::GunrockEngineOptions(dev, config.contention, boost);
+      if (config.devices == 1 && config.algo == Algo::kBfs) {
+        // Gunrock's celebrated single-GPU BFS is direction-optimized
+        // (Beamer push/pull); it is what makes its 1-GPU numbers hard
+        // to scale past (paper Exp-2).
+        algos::DoBfsOptions dobfs;
+        dobfs.device = opt.device;
+        return algos::DirectionOptimizedBfs(g, *partition, *topology, source,
+                                            dobfs);
+      }
+      if (config.devices == 1 && config.algo == Algo::kSssp) {
+        // Near-far delta-stepping (Davidson et al.): Gunrock's strong
+        // single-GPU SSSP that is hard to scale out (paper Exp-2).
+        algos::NearFarOptions nf;
+        nf.device = opt.device;
+        return algos::NearFarSssp(g, *partition, *topology, source, nf);
       }
       break;
     }
-    case System::kGroute: {
-      const core::EngineOptions opt = baselines::GrouteEngineOptions(
-          BenchDeviceParams(), config.contention);
-      switch (config.algo) {
-        case Algo::kBfs:
-          return baselines::RunGroute(g, *partition, opt,
-                                      algos::BfsApp{.source = source});
-        case Algo::kSssp:
-          return baselines::RunGroute(g, *partition, opt,
-                                      algos::SsspApp{.source = source});
-        case Algo::kWcc: {
-          // Groute's connected components is its dedicated diameter-
-          // independent local-UF + label-exchange algorithm, not label
-          // propagation (see baselines/groute_cc.h).
-          baselines::GrouteCcOptions cc_opt;
-          cc_opt.device = BenchDeviceParams();
-          cc_opt.contention = config.contention;
-          return baselines::GrouteCcEngine(&g, *partition, cc_opt).Run();
-        }
-        case Algo::kPr:
-          return baselines::RunGroute(
-              g, *partition, opt,
-              algos::DeltaPageRankApp{.num_vertices = g.num_vertices(),
-                                      .epsilon = 1e-13});
+    case System::kGroute:
+      opt = baselines::GrouteEngineOptions(BenchDeviceParams(),
+                                           config.contention);
+      if (config.algo == Algo::kWcc) {
+        // Groute's connected components is its dedicated diameter-
+        // independent local-UF + label-exchange algorithm, not label
+        // propagation (see baselines/groute_cc.h).
+        baselines::GrouteCcOptions cc_opt;
+        cc_opt.device = BenchDeviceParams();
+        cc_opt.contention = config.contention;
+        return baselines::GrouteCcEngine(&g, *partition, cc_opt).Run();
       }
       break;
+  }
+
+  // Groute runs its preset on its own ring; GUM and Gunrock run the BSP
+  // engine on the hybrid cube mesh.
+  const auto run = [&](auto app) {
+    if (config.system == System::kGroute) {
+      return baselines::RunGroute(g, *partition, opt, app);
     }
+    return core::GumEngine<decltype(app)>(&g, *partition, *topology, opt,
+                                          cost_model)
+        .Run(app);
+  };
+  switch (config.algo) {
+    case Algo::kBfs:
+      return run(algos::BfsApp{.source = source});
+    case Algo::kSssp:
+      return run(algos::SsspApp{.source = source});
+    case Algo::kWcc:
+      return run(algos::WccApp{});
+    case Algo::kPr:
+      // Benchmarked PR is delta-PageRank (the paper's intro names
+      // delta-PageRank among the long-tail workloads OSteal targets).
+      return run(algos::DeltaPageRankApp{.num_vertices = g.num_vertices(),
+                                         .epsilon = 1e-13});
   }
   GUM_CHECK(false) << "unreachable";
   return {};

@@ -1,7 +1,7 @@
 // Web-graph connected components across all three engines. Builds a
 // webbase-style crawl (RMAT core + deep tendrils), symmetrizes it, and runs
-// WCC on GUM, the Gunrock-like BSP baseline and the Groute-like async
-// baseline — verifying they agree and comparing their simulated runtimes.
+// WCC on GUM and on its Gunrock (BSP) and Groute (async) presets —
+// verifying they agree and comparing their simulated runtimes.
 //
 //   $ ./web_components
 
@@ -10,7 +10,7 @@
 
 #include "algos/apps.h"
 #include "baselines/groute.h"
-#include "baselines/gunrock_like.h"
+#include "baselines/gunrock.h"
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
@@ -47,8 +47,8 @@ int main() {
       core::GumEngine<algos::WccApp>(&*g, *partition, *topology, {})
           .Run(wcc, &gum_labels);
   const core::RunResult gunrock_run =
-      baselines::GunrockLikeEngine<algos::WccApp>(&*g, *partition, *topology,
-                                                  {})
+      core::GumEngine<algos::WccApp>(&*g, *partition, *topology,
+                                     baselines::GunrockEngineOptions())
           .Run(wcc, &gunrock_labels);
   const core::RunResult groute_run = baselines::RunGroute(
       *g, *partition, baselines::GrouteEngineOptions(), wcc, &groute_labels);

@@ -44,8 +44,8 @@ inline core::EngineOptions GrouteEngineOptions(
   async.worklist = core::AsyncWorklistKind::kSortedSet;
   async.delta = 1.0;  // priorities are unused; skips the weight scan
   async.enable_range_steal = false;
-  async.route = sim::RoutePolicy::kRing;
   async.flush_timeout_us = 1000.0;
+  options.route = sim::RoutePolicy::kRing;
   return options;
 }
 

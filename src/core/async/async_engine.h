@@ -14,7 +14,7 @@
 //     micro-batch, relax it on the host ThreadPool (fixed-size chunks
 //     merged in chunk order, so the result is independent of the thread
 //     count), and send per-destination bundles hop by hop along the
-//     CommPlane's route (AsyncConfig::route) with charged serialization,
+//     CommPlane's route (EngineOptions::route) with charged serialization,
 //     lane reservation, hop latency and segment flush wait — no global
 //     barrier anywhere;
 //   * an idle device first tries a *priority-range steal* — the async
@@ -107,16 +107,12 @@ class AsyncDriver {
     const double p_ns = dev.sync_per_peer_us * 1000.0;
     ThreadPool* pool = ctx_->pool();
 
-    GUM_CHECK(app.fixed_rounds() < 0)
-        << "async mode runs data-driven apps only (" << app.name()
-        << " wants fixed rounds; use its delta variant)";
-    GUM_CHECK(options.fault_plane == nullptr || !options.fault_plane->active())
-        << "async mode does not compose with the fault plane yet";
-    GUM_CHECK(cfg.max_batch >= 1) << "async.max_batch must be >= 1";
+    GUM_CHECK_OK(ValidateRunOptions(options, n, app.fixed_rounds() >= 0,
+                                    /*async_capable_app=*/true));
 
     RunResult result;
     result.timeline = sim::Timeline(n);
-    sim::CommPlane plane(ctx_->topology(), options.contention, cfg.route);
+    sim::CommPlane plane(ctx_->topology(), options.contention, options.route);
 
     auto& values = rc.state.values;
     values.resize(num_v);

@@ -6,9 +6,10 @@
 // bucket width, the worklist flavor (plain buckets vs the stealing
 // multi-queue "SMQ" family, or the Groute preset's sorted set), the SMQ
 // steal_prob / steal_batch_size pair, the priority-range steal thresholds,
-// the send route and segment flush timer, and the seed that makes an async
-// run byte-reproducible (DESIGN.md §7: async relaxes bit-identity across
-// thread counts to seed-determinism).
+// the segment flush timer, and the seed that makes an async run
+// byte-reproducible (DESIGN.md §7: async relaxes bit-identity across
+// thread counts to seed-determinism). The send route is
+// EngineOptions::route, shared with the BSP loop.
 
 #ifndef GUM_CORE_ASYNC_ASYNC_OPTIONS_H_
 #define GUM_CORE_ASYNC_ASYNC_OPTIONS_H_
@@ -17,7 +18,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "sim/comm_plane.h"
 
 namespace gum::core {
 
@@ -74,11 +74,10 @@ struct AsyncConfig {
   // Max worklist entries popped per batch.
   int max_batch = 4096;
 
-  // --- sends: a bundle walks the plane's route hop by hop (the BSP loop
-  // never reads these). A bundle under one 16 KiB router segment waits
+  // --- sends: a bundle walks the plane's route (EngineOptions::route) hop
+  // by hop. A bundle under one 16 KiB router segment waits
   // flush_timeout_us * (1 - bytes / 16 KiB) at every hop; the default
   // timer of 0 never waits.
-  sim::RoutePolicy route = sim::RoutePolicy::kBestPath;
   double flush_timeout_us = 0.0;
 
   // --- safety rails ---

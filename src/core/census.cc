@@ -5,6 +5,7 @@ namespace gum::core {
 void FrontierCensus::Take(const graph::CsrGraph& g, const HubCache& hub_cache,
                           const FrontierSoA& frontier) {
   const int n = frontier.num_fragments();
+  sizes.assign(n, 0);
   loads.assign(n, 0.0);
   remote_discount.assign(n, 1.0);
   features.resize(n);
@@ -17,7 +18,8 @@ void FrontierCensus::Take(const graph::CsrGraph& g, const HubCache& hub_cache,
       if (hub_cache.IsHub(v)) hub_load += g.OutDegree(v);
     }
     total_load += loads[i];
-    total_frontier += frontier.FragmentSize(i);
+    sizes[i] = frontier.FragmentSize(i);
+    total_frontier += sizes[i];
     features[i] = graph::ExtractFrontierFeatures(g, frontier.Fragment(i));
     if (loads[i] > 0) remote_discount[i] = 1.0 - hub_load / loads[i];
   }

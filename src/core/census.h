@@ -3,8 +3,8 @@
 // Per fragment, the census measures the frontier's out-edge load, the
 // share of that load a thief must fetch over NVLink (hub-cached vertices
 // expand locally, Example 6), and the Table-I features the cost model
-// prices. OSteal, FSteal, the expand-mode decision and the time
-// accounting all read it.
+// prices. OSteal, FSteal, the expand-mode decision and both time models
+// (GUM's and the Gunrock preset's) read it.
 //
 // A data-driven superstep takes a fresh census of its frontier. A
 // stationary superstep (a fixed-round app, whose frontier is every
@@ -25,6 +25,7 @@
 namespace gum::core {
 
 struct FrontierCensus {
+  std::vector<size_t> sizes;             // [fragment] frontier vertices
   std::vector<double> loads;             // [fragment] frontier out-edges
   std::vector<double> remote_discount;   // [fragment] 1 - hub load / load
   std::vector<graph::FrontierFeatures> features;  // [fragment] Table I

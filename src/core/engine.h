@@ -26,7 +26,7 @@
 //                            units, expanded on a host ThreadPool
 //   core/message_store.h   — deterministic inbox + per-worker staging,
 //                            destination-sharded merge/apply
-//   core/time_accounting.h — the analytic device-time model
+//   core/time_accounting.h — the analytic device-time models
 // Results are bit-identical for every num_host_threads and num_msg_shards
 // setting; see DESIGN.md, "Determinism contract".
 //
@@ -65,6 +65,10 @@
 // Step 4 runs on one of the pluggable expand backends (core/expand/,
 // selected by EngineOptions::expand_backend + the per-iteration density
 // heuristic). Vertex values are byte-identical across backends.
+//
+// This is the one BSP superstep loop over Scatter/Combine/Apply apps; the
+// Gunrock comparator is a preset of it (baselines/gunrock.h), and the time
+// model (EngineOptions::time_model) is the loop's one policy hook.
 
 #ifndef GUM_CORE_ENGINE_H_
 #define GUM_CORE_ENGINE_H_
@@ -168,22 +172,22 @@ class GumEngine {
     const graph::Partition& partition = ctx_->partition();
     const EngineOptions& options =
         run_options != nullptr ? *run_options : ctx_->options();
+    const int n = partition.num_parts;
+    const int fixed_rounds = app.fixed_rounds();
+    GUM_CHECK_OK(ValidateRunOptions(options, n, fixed_rounds >= 0,
+                                    AsyncCapable<App>));
     // Async mode routes the whole run through the priority-worklist driver
     // (core/async/async_engine.h); everything below is the BSP superstep
     // loop, untouched when mode == kBsp.
-    if (options.mode == EngineMode::kAsync) {
-      if constexpr (AsyncCapable<App>) {
+    if constexpr (AsyncCapable<App>) {
+      if (options.mode == EngineMode::kAsync) {
         RunResult result =
             AsyncDriver<App>(ctx_).Run(app, rc, values_out, options);
         result.async_active = true;
         return result;
-      } else {
-        GUM_CHECK(false) << "async mode requires an app with AsyncPriority ("
-                         << app.name() << " is BSP-only)";
       }
     }
     ThreadPool* pool = ctx_->pool();
-    const int n = partition.num_parts;
     const VertexId num_v = g.num_vertices();
     const sim::DeviceParams& dev = options.device;
     const double p_ns = dev.sync_per_peer_us * 1000.0;
@@ -192,7 +196,7 @@ class GumEngine {
     result.timeline = sim::Timeline(n);
     // Every transfer of the run is charged and recorded through this plane;
     // its telemetry is exported into the result after the last iteration.
-    sim::CommPlane plane(ctx_->topology(), options.contention);
+    sim::CommPlane plane(ctx_->topology(), options.contention, options.route);
     // Multi-path plans only compose with the fair model: kOff is the
     // bit-compatible legacy conversion, so striping stays disabled there
     // and contention=off runs are byte-identical regardless of the knob.
@@ -223,7 +227,6 @@ class GumEngine {
     for (int i = 0; i < n; ++i) active[i] = i;
     int group_size = n;
 
-    const int fixed_rounds = app.fixed_rounds();
     FrontierCensus dynamic_census;
     double prev_wall_ms = 1e18;  // first iteration never triggers OSteal
     // Eq. (4)'s p, estimated online from observed iterations (paper §IV-A:
@@ -253,11 +256,6 @@ class GumEngine {
         options.fault_plane != nullptr && options.fault_plane->active()
             ? options.fault_plane
             : nullptr;
-    if (faults != nullptr) {
-      GUM_CHECK(faults->num_devices() == n)
-          << "fault plane bound to " << faults->num_devices()
-          << " devices, engine has " << n;
-    }
     const int ckpt_every = options.checkpoint.every;
     std::vector<bool> failed(n, false);
     std::vector<int> survivors = AllDevices(n);
@@ -633,11 +631,17 @@ class GumEngine {
       // With multipath the census/aggregation sync follows a topology-aware
       // reduction tree over this iteration's active group (rebuilt per
       // iteration so link faults and group changes reshape it), and the
-      // FSteal fragment payloads are bulk-hinted for striping.
+      // FSteal fragment payloads are bulk-hinted for striping. The Gunrock
+      // model prices this superstep's census, taken before apply.
       sim::ReductionTree census_tree;
       if (multipath) census_tree = plane.BuildCensusTree(active);
       const TimeAccountingSummary acct = [&] {
         GUM_TRACE_SCOPE("gum.account");
+        if (options.time_model == TimeModel::kGunrock) {
+          return AccountGunrockSuperstepTime(
+              iter, plane, dev, options.gunrock_single_gpu_compute_factor,
+              census, expand_counters, &result);
+        }
         return AccountSuperstepTime(
             iter, plane, dev, p_ns, options.enable_message_aggregation,
             features, edges_done, hub_edges, agg_msgs, raw_msgs, apply_msgs,

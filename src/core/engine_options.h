@@ -1,10 +1,12 @@
-// Options shared by the GUM engine and the baseline engines.
+// Options shared by the GUM engine and the baseline presets
+// (baselines/gunrock.h, baselines/groute.h), and their one check.
 
 #ifndef GUM_CORE_ENGINE_OPTIONS_H_
 #define GUM_CORE_ENGINE_OPTIONS_H_
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "core/async/async_options.h"
 #include "core/expand/expand_backend.h"
 #include "core/fsteal.h"
@@ -16,6 +18,9 @@
 #include "sim/device.h"
 
 namespace gum::core {
+
+// The BSP loop's per-superstep device-time model (core/time_accounting.h).
+enum class TimeModel { kGum, kGunrock };
 
 struct EngineOptions {
   // --- execution mode (DESIGN.md §15) ---
@@ -61,6 +66,10 @@ struct EngineOptions {
   // across the transfers occupying it. Results (values, messages) are
   // identical either way — only time and link telemetry differ.
   sim::ContentionModel contention = sim::ContentionModel::kOff;
+  // How a transfer picks its lanes (sim/comm_plane.h). BSP runs take
+  // kBestPath or kDirectOnly (the Gunrock preset: never through a transit
+  // GPU); kRing is the async driver's hop-by-hop Groute ring.
+  sim::RoutePolicy route = sim::RoutePolicy::kBestPath;
   // Multi-path transfer plans + topology-aware census trees
   // (sim/transfer_plan.h). Only meaningful under contention=fair: bulk
   // payloads (FSteal fragments, OSteal/recovery migrations, checkpoint
@@ -79,6 +88,11 @@ struct EngineOptions {
   // frontier-steal); ownership stealing stays active.
   ExpandBackendKind expand_backend = ExpandBackendKind::kScatter;
   SpmvConfig spmv;
+
+  // --- time model (kGunrock: the baselines/gunrock.h preset) ---
+  TimeModel time_model = TimeModel::kGum;
+  // Gunrock's compute-rate multiplier on one GPU; read only by its model.
+  double gunrock_single_gpu_compute_factor = 0.70;
 
   // --- host execution ---
   // Host threads expanding the per-executor work units of Step 4
@@ -110,6 +124,13 @@ struct EngineOptions {
   int max_iterations = 200000;
   bool record_iteration_stats = true;
 };
+
+// Checks one run's options against its device count and its app (fixed-
+// round? has AsyncPriority?). Returns InvalidArgument naming the first
+// combination the engines cannot run faithfully; both drivers check it at
+// entry, and the tools call it behind their flag-naming messages.
+Status ValidateRunOptions(const EngineOptions& options, int num_devices,
+                          bool fixed_round_app, bool async_capable_app);
 
 }  // namespace gum::core
 

@@ -1,5 +1,7 @@
 #include "core/time_accounting.h"
 
+#include <algorithm>
+
 #include "sim/kernel_cost.h"
 #include "sim/timeline.h"
 
@@ -109,6 +111,66 @@ TimeAccountingSummary AccountSuperstepTime(
     double sent = 0;
     for (int j = 0; j < n; ++j) sent += raw_msgs[j][f];
     result->messages_sent += static_cast<uint64_t>(sent);
+  }
+  return summary;
+}
+
+TimeAccountingSummary AccountGunrockSuperstepTime(
+    int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
+    double single_gpu_compute_factor, const FrontierCensus& census,
+    const ExpandCounters& counters, RunResult* result) {
+  sim::Timeline& tl = result->timeline;
+  const int n = static_cast<int>(census.sizes.size());
+  const double p_ns = dev.sync_per_peer_us * 1000.0;
+  const double compute_factor =
+      n == 1 ? single_gpu_compute_factor : kGunrockMultiGpuComputeFactor;
+  TimeAccountingSummary summary;
+  summary.kernel_launches.assign(n, 0);
+  // Pass 1 charges compute/serial per fragment and enqueues its transfers
+  // (local fetch, then one bin per peer); pass 2 posts the buckets.
+  sim::TransferBatch batch;
+  std::vector<double> frag_compute_ns(n, 0.0);
+  std::vector<double> frag_serial_ns(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    if (census.sizes[i] == 0) continue;
+    const double edge_cost_ns =
+        sim::TrueEdgeCostNs(census.features[i], dev) * compute_factor;
+    const double edges = counters.edges_done[i][i];
+
+    frag_compute_ns[i] = edges * edge_cost_ns;
+    batch.Add(i, i, edges * dev.bytes_per_remote_edge, i);
+    double serial_ns = 0;
+    for (int f = 0; f < n; ++f) {
+      const double count = counters.raw_msgs[i][f];
+      result->messages_sent += static_cast<uint64_t>(count);
+      if (count <= 0) continue;
+      const double bytes = count * dev.bytes_per_message;
+      serial_ns += bytes / dev.serialization_gbps;
+      if (f != i) batch.Add(i, f, bytes, i);
+    }
+    // The separate kernel always runs with one bin per peer.
+    serial_ns += 3000.0 * std::max(1, n - 1);
+    frag_serial_ns[i] = serial_ns;
+  }
+  const sim::SettleResult comm = plane.Settle(batch);
+  const double launch_ns = 5 * dev.kernel_launch_us * 1000.0;
+  const double overhead_ns = launch_ns + p_ns * n;
+  for (int i = 0; i < n; ++i) {
+    if (census.sizes[i] == 0) continue;
+    tl.Add(iter, i, sim::TimeCategory::kCompute, frag_compute_ns[i] / 1e6);
+    tl.Add(iter, i, sim::TimeCategory::kCommunication,
+           comm.tag_comm_ns[i] / 1e6);
+    tl.Add(iter, i, sim::TimeCategory::kSerialization,
+           frag_serial_ns[i] / 1e6);
+    tl.Add(iter, i, sim::TimeCategory::kOverhead, overhead_ns / 1e6);
+    summary.kernel_launches[i] = 5;
+    summary.kernel_launch_ns_total += launch_ns;
+  }
+  // Idle devices still participate in the barrier.
+  for (int i = 0; i < n; ++i) {
+    if (census.sizes[i] == 0 && n > 1) {
+      tl.Add(iter, i, sim::TimeCategory::kOverhead, p_ns * n / 1e6);
+    }
   }
   return summary;
 }

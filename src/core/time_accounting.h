@@ -3,9 +3,8 @@
 // Converts the iteration's counter matrices (edges expanded, hub-cached
 // edges, aggregated/raw messages, applied messages) into simulated time on
 // every active device's timeline, split into the four Fig.-6 buckets. This
-// is the analytic substrate model of DESIGN.md §1, formerly a private
-// template-header method of GumEngine; it depends on nothing App-specific,
-// so it lives here as a plain function.
+// is the analytic substrate model of DESIGN.md §1; EngineOptions::
+// time_model picks GUM's or the Gunrock comparator's per superstep.
 //
 // All transfer costs are charged through the CommPlane: the superstep's
 // remote-edge gathers and message forwards are enqueued as one
@@ -18,6 +17,8 @@
 
 #include <vector>
 
+#include "core/census.h"
+#include "core/expand/expand_backend.h"
 #include "core/fsteal.h"
 #include "core/run_result.h"
 #include "graph/frontier_features.h"
@@ -66,6 +67,25 @@ TimeAccountingSummary AccountSuperstepTime(
     double stolen_edges, RunResult* result,
     const sim::ReductionTree* census_tree = nullptr,
     bool multipath_bulk = false);
+
+// Gunrock's compute-rate multiplier on several GPUs, where its algorithm-
+// specific kernels are only partly effective.
+inline constexpr double kGunrockMultiGpuComputeFactor = 0.95;
+
+// Accounts one superstep under the execution model the paper attributes to
+// multi-GPU Gunrock (§VI; the baselines/gunrock.h preset):
+//   * fragment i is expanded by device i (the identity plan), so only the
+//     diagonal edges_done[i][i] and the rows raw_msgs[i] are read;
+//   * edges cost the exact edge cost times the compute factor;
+//   * messages are not aggregated; the "separate" kernel bins them into one
+//     buffer per peer (3 us each, Fig. 4a), sent over the plane's route;
+//   * every non-empty fragment pays 5 kernel launches plus the p * n
+//     barrier, and idle devices still pay p * n (the long tail of Fig. 1).
+// `census` is this superstep's, taken before apply.
+TimeAccountingSummary AccountGunrockSuperstepTime(
+    int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
+    double single_gpu_compute_factor, const FrontierCensus& census,
+    const ExpandCounters& counters, RunResult* result);
 
 }  // namespace gum::core
 

@@ -10,7 +10,7 @@
 
 #include "algos/apps.h"
 #include "baselines/groute.h"
-#include "baselines/gunrock_like.h"
+#include "baselines/gunrock.h"
 #include "core/engine.h"
 #include "sim/comm_plane.h"
 #include "sim/topology.h"
@@ -674,19 +674,17 @@ TEST(CommPlaneEngineTest, GunrockContentionChangesOnlyTime) {
   const auto g = SocialGraph(10, 25);
   BfsApp app;
   app.source = MaxDegreeSource(g);
-  baselines::GunrockOptions off_opt;
-  baselines::GunrockOptions fair_opt;
-  fair_opt.contention = ContentionModel::kFair;
+  const core::EngineOptions off_opt = baselines::GunrockEngineOptions();
+  const core::EngineOptions fair_opt =
+      baselines::GunrockEngineOptions({}, ContentionModel::kFair);
   std::vector<uint32_t> depths_off;
   std::vector<uint32_t> depths_fair;
   const auto part = MakePartition(g, 4);
-  const auto off =
-      baselines::GunrockLikeEngine<BfsApp>(&g, part, Topo(4), off_opt)
-          .Run(app, &depths_off);
+  const auto off = core::GumEngine<BfsApp>(&g, part, Topo(4), off_opt)
+                       .Run(app, &depths_off);
   app.source = MaxDegreeSource(g);
-  const auto fair =
-      baselines::GunrockLikeEngine<BfsApp>(&g, part, Topo(4), fair_opt)
-          .Run(app, &depths_fair);
+  const auto fair = core::GumEngine<BfsApp>(&g, part, Topo(4), fair_opt)
+                        .Run(app, &depths_fair);
   EXPECT_EQ(depths_off, depths_fair);
   EXPECT_EQ(off.iterations, fair.iterations);
   EXPECT_EQ(off.messages_sent, fair.messages_sent);

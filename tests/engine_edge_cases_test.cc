@@ -1,13 +1,19 @@
 // Edge cases and less-traveled engine paths: degenerate graphs, message
-// filtering, iteration caps, and determinism of the learned-model pipeline.
+// filtering, iteration caps, determinism of the learned-model pipeline, and
+// the one check of a run's options (ValidateRunOptions).
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "algos/apps.h"
 #include "algos/reference.h"
+#include "baselines/groute.h"
+#include "baselines/gunrock.h"
 #include "core/engine.h"
+#include "fault/fault_plane.h"
 #include "ml/dataset.h"
 #include "ml/polynomial_regression.h"
 #include "tests/test_util.h"
@@ -192,6 +198,131 @@ TEST(EngineEdgeCaseTest, LearnedModelPipelineDeterministic) {
           .Run(app, &d2);
   EXPECT_EQ(d1, d2);
   EXPECT_DOUBLE_EQ(r1.total_ms, r2.total_ms);
+}
+
+// ---------- ValidateRunOptions: one case per rule ----------
+
+fault::FaultPlane FailStopPlane(int num_devices) {
+  auto plan = fault::FaultPlan::Parse("failstop:1@2");
+  EXPECT_TRUE(plan.ok());
+  auto plane = fault::FaultPlane::Create(*plan, num_devices);
+  EXPECT_TRUE(plane.ok());
+  return std::move(plane).value();
+}
+
+EngineOptions AsyncRunOptions() {
+  EngineOptions opt;
+  opt.mode = EngineMode::kAsync;
+  return opt;
+}
+
+// An async-capable data-driven app (SSSP, BFS, ...) on 4 devices.
+Status ValidateDataDriven(const EngineOptions& opt) {
+  return ValidateRunOptions(opt, 4, /*fixed_round_app=*/false,
+                            /*async_capable_app=*/true);
+}
+
+void ExpectRejected(const Status& status, const std::string& needle) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << status.message();
+}
+
+TEST(ValidateRunOptionsTest, DefaultsAndPresetsPass) {
+  EXPECT_TRUE(ValidateDataDriven(EngineOptions{}).ok());
+  EXPECT_TRUE(ValidateDataDriven(AsyncRunOptions()).ok());
+  EXPECT_TRUE(ValidateDataDriven(baselines::GunrockEngineOptions()).ok());
+  EXPECT_TRUE(ValidateDataDriven(baselines::GrouteEngineOptions()).ok());
+  // Fixed-round and BSP-only apps run on every BSP engine.
+  EXPECT_TRUE(ValidateRunOptions(baselines::GunrockEngineOptions(), 4,
+                                 /*fixed_round_app=*/true,
+                                 /*async_capable_app=*/false)
+                  .ok());
+  // An empty fault plan is inert whatever it was bound to.
+  const fault::FaultPlane empty;
+  EngineOptions opt;
+  opt.fault_plane = &empty;
+  EXPECT_TRUE(ValidateDataDriven(opt).ok());
+}
+
+TEST(ValidateRunOptionsTest, AsyncRejectsActiveFaultPlane) {
+  const fault::FaultPlane plane = FailStopPlane(4);
+  EngineOptions opt = AsyncRunOptions();
+  opt.fault_plane = &plane;
+  ExpectRejected(ValidateDataDriven(opt), "fault plane");
+}
+
+TEST(ValidateRunOptionsTest, AsyncRejectsCheckpoints) {
+  EngineOptions opt = AsyncRunOptions();
+  opt.checkpoint.every = 4;
+  ExpectRejected(ValidateDataDriven(opt), "checkpoints");
+}
+
+TEST(ValidateRunOptionsTest, AsyncRejectsFixedRoundApp) {
+  ExpectRejected(ValidateRunOptions(AsyncRunOptions(), 4,
+                                    /*fixed_round_app=*/true,
+                                    /*async_capable_app=*/true),
+                 "data-driven");
+}
+
+TEST(ValidateRunOptionsTest, AsyncRejectsAppWithoutPriority) {
+  ExpectRejected(ValidateRunOptions(AsyncRunOptions(), 4,
+                                    /*fixed_round_app=*/false,
+                                    /*async_capable_app=*/false),
+                 "AsyncPriority");
+}
+
+TEST(ValidateRunOptionsTest, AsyncRejectsInvalidAsyncConfig) {
+  EngineOptions opt = AsyncRunOptions();
+  opt.async.max_batch = 0;
+  ExpectRejected(ValidateDataDriven(opt), "max_batch");
+  // BSP runs never read the async knobs.
+  opt.mode = EngineMode::kBsp;
+  EXPECT_TRUE(ValidateDataDriven(opt).ok());
+}
+
+TEST(ValidateRunOptionsTest, RejectsFaultPlaneBoundToOtherDeviceCount) {
+  const fault::FaultPlane plane = FailStopPlane(8);
+  EngineOptions opt;
+  opt.fault_plane = &plane;
+  ExpectRejected(ValidateDataDriven(opt), "bound to 8 devices");
+  EXPECT_TRUE(ValidateRunOptions(opt, 8, false, true).ok());
+}
+
+TEST(ValidateRunOptionsTest, BspRejectsRingRoute) {
+  EngineOptions opt;
+  opt.route = sim::RoutePolicy::kRing;
+  ExpectRejected(ValidateDataDriven(opt), "ring");
+  opt.mode = EngineMode::kAsync;
+  EXPECT_TRUE(ValidateDataDriven(opt).ok());
+}
+
+TEST(ValidateRunOptionsTest, GunrockModelRejectsWhatItCannotPrice) {
+  const fault::FaultPlane plane = FailStopPlane(4);
+  const std::pair<void (*)(EngineOptions&), const char*> cases[] = {
+      {[](EngineOptions& o) { o.mode = EngineMode::kAsync; }, "async"},
+      {[](EngineOptions& o) { o.enable_fsteal = true; }, "frontier stealing"},
+      {[](EngineOptions& o) { o.enable_osteal = true; },
+       "ownership stealing"},
+      {[](EngineOptions& o) { o.checkpoint.every = 2; }, "checkpoints"},
+      {[](EngineOptions& o) { o.multipath = sim::MultipathMode::kOn; },
+       "multipath"},
+      {[](EngineOptions& o) {
+         o.expand_backend = ExpandBackendKind::kSpmv;
+       },
+       "expand backend"},
+      {[](EngineOptions& o) { o.expand_backend = ExpandBackendKind::kAuto; },
+       "expand backend"},
+  };
+  for (const auto& [mutate, needle] : cases) {
+    SCOPED_TRACE(needle);
+    EngineOptions opt = baselines::GunrockEngineOptions();
+    mutate(opt);
+    ExpectRejected(ValidateDataDriven(opt), needle);
+  }
+  EngineOptions faulted = baselines::GunrockEngineOptions();
+  faulted.fault_plane = &plane;
+  ExpectRejected(ValidateDataDriven(faulted), "fault plane");
 }
 
 }  // namespace

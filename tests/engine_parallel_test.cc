@@ -13,7 +13,7 @@
 
 #include "algos/apps.h"
 #include "algos/reference.h"
-#include "baselines/gunrock_like.h"
+#include "baselines/gunrock.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "tests/test_util.h"
@@ -185,25 +185,23 @@ TEST(EngineParallelTest, GunrockBitIdenticalAcrossThreadCounts) {
   const auto g = SocialGraph(10, 9);
   const auto part = MakePartition(g, 4);
   std::vector<uint32_t> values1;
-  baselines::GunrockOptions opt1;
+  EngineOptions opt1 = baselines::GunrockEngineOptions();
   opt1.num_host_threads = 1;
   BfsApp app;
   app.source = 5;
   const RunResult r1 =
-      baselines::GunrockLikeEngine<BfsApp>(&g, part, Topo(4), opt1)
-          .Run(app, &values1);
+      GumEngine<BfsApp>(&g, part, Topo(4), opt1).Run(app, &values1);
   for (const int threads : {2, 8}) {
     for (const int shards : {1, 4}) {
       SCOPED_TRACE(testing::Message() << "num_host_threads=" << threads
                                       << " num_msg_shards=" << shards);
-      baselines::GunrockOptions optk;
+      EngineOptions optk = baselines::GunrockEngineOptions();
       optk.num_host_threads = threads;
       optk.num_msg_shards = shards;
       std::vector<uint32_t> values_k;
       app.source = 5;
       const RunResult rk =
-          baselines::GunrockLikeEngine<BfsApp>(&g, part, Topo(4), optk)
-              .Run(app, &values_k);
+          GumEngine<BfsApp>(&g, part, Topo(4), optk).Run(app, &values_k);
       EXPECT_EQ(values1, values_k);
       EXPECT_EQ(r1.iterations, rk.iterations);
       EXPECT_EQ(r1.total_ms, rk.total_ms);
@@ -214,27 +212,27 @@ TEST(EngineParallelTest, GunrockBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Baseline equivalence: the ported GunrockLikeEngine still produces the
-// results the seed engine produced — correct vertex values against the
-// references and the seed's accounting invariants (per-iteration p*n
-// barrier on every device, boost factor on one GPU). The relational seed
-// suite in baselines_test.cc runs unchanged on top of this.
+// Baseline equivalence: the Gunrock preset of the BSP engine still
+// produces the results the seed baseline engine produced — correct vertex
+// values against the references and the seed's accounting invariants
+// (per-iteration p*n barrier on every device, boost factor on one GPU).
+// The relational seed suite in baselines_test.cc runs unchanged on top of
+// this.
 TEST(EngineParallelTest, PortedGunrockReproducesSeedBehavior) {
   const auto g = SocialGraph(10, 4, /*weighted=*/true);
   SsspApp app;
   app.source = 3;
   std::vector<float> dist;
-  const RunResult r =
-      baselines::GunrockLikeEngine<SsspApp>(&g, MakePartition(g, 4), Topo(4),
-                                            {})
-          .Run(app, &dist);
+  const RunResult r = GumEngine<SsspApp>(&g, MakePartition(g, 4), Topo(4),
+                                         baselines::GunrockEngineOptions())
+                           .Run(app, &dist);
   const auto expected = algos::ref::Sssp(g, 3);
   ASSERT_EQ(dist.size(), expected.size());
   for (size_t v = 0; v < dist.size(); ++v) {
     EXPECT_EQ(dist[v], expected[v]) << "vertex " << v;
   }
   // Every device pays at least the p*n barrier in every iteration.
-  const baselines::GunrockOptions defaults;
+  const EngineOptions defaults = baselines::GunrockEngineOptions();
   const double barrier_ms =
       defaults.device.sync_per_peer_us * 4 / 1000.0;
   for (int it = 0; it < r.timeline.num_iterations(); ++it) {

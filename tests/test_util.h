@@ -16,6 +16,7 @@
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "sim/timeline.h"
 #include "sim/topology.h"
 
 namespace gum::test {
@@ -108,6 +109,21 @@ inline uint64_t LinkBytesDigest(const core::RunResult& r) {
   for (const auto& lane_row : r.link_bytes) {
     for (const double b : lane_row) {
       digest = Fnv1a(digest, std::bit_cast<uint64_t>(b));
+    }
+  }
+  return digest;
+}
+
+// Folds every timeline cell's bits, iteration-major, then device, then
+// category.
+inline uint64_t TimelineDigest(const core::RunResult& r) {
+  uint64_t digest = kFnvBasis;
+  for (int it = 0; it < r.timeline.num_iterations(); ++it) {
+    for (int d = 0; d < r.timeline.num_devices(); ++d) {
+      for (int c = 0; c < sim::kNumTimeCategories; ++c) {
+        digest = Fnv1a(digest, std::bit_cast<uint64_t>(r.timeline.Get(
+                                   it, d, static_cast<sim::TimeCategory>(c))));
+      }
     }
   }
   return digest;

@@ -98,7 +98,7 @@
 #include "algos/incremental.h"
 #include "algos/multi_source.h"
 #include "baselines/groute.h"
-#include "baselines/gunrock_like.h"
+#include "baselines/gunrock.h"
 #include "cli_setup.h"
 #include "common/flags.h"
 #include "core/engine.h"
@@ -207,6 +207,8 @@ Result<CliFlags> ParseCliFlags(const FlagParser& flags) {
                        core::ParseEngineMode(flags.GetString("mode", "bsp")));
   // Features only the gum engine implements.
   const std::pair<bool, const char*> gum_only[] = {
+      {!o.enable_fsteal, "--no-fsteal"},
+      {!o.enable_osteal, "--no-osteal"},
       {o.multipath == sim::MultipathMode::kOn, "--multipath=on"},
       {faulted, "--fault-plan/--ckpt-every"},
       {o.expand_backend != core::ExpandBackendKind::kScatter,
@@ -298,11 +300,28 @@ Status BindVertexFlags(const FlagParser& flags, const graph::CsrGraph& g,
   return Status::OK();
 }
 
-// The parsed flags plus the built setup: everything a run reads.
+// The options --engine runs under: GUM's as parsed, or a baseline preset
+// that keeps only the host-execution and contention settings.
+core::EngineOptions EngineRunOptions(const CliFlags& c) {
+  core::EngineOptions o = c.shared.options;
+  o.fault_plane = &c.shared.fault_plane;
+  if (c.engine == "gum") return o;
+  core::EngineOptions preset =
+      c.engine == "gunrock"
+          ? baselines::GunrockEngineOptions(o.device, o.contention)
+          : baselines::GrouteEngineOptions(o.device, o.contention);
+  preset.num_host_threads = o.num_host_threads;
+  preset.num_msg_shards = o.num_msg_shards;
+  return preset;
+}
+
+// The parsed flags, the built setup and the engine options: everything a
+// run reads.
 struct RunEnv {
   const FlagParser& flags;
   const CliFlags& cli;
   const cli::Setup& setup;
+  const core::EngineOptions options;
 };
 
 // Stops the obs recording and writes --trace, --metrics and --report for
@@ -475,31 +494,17 @@ int FinishRun(const RunEnv& env, cli::ObsArtifacts& artifacts, const App& app,
 
 template <typename App>
 int RunStatic(const RunEnv& env, App app) {
-  const CliFlags& c = env.cli;
-  const core::EngineOptions& o = c.shared.options;
   const cli::Setup& s = env.setup;
   core::RunResult result;
   std::vector<typename App::Value> values;
   cli::ObsArtifacts artifacts(env.flags);
-  if (c.engine == "gum") {
-    core::EngineOptions options = o;
-    options.fault_plane = &c.shared.fault_plane;
-    core::GumEngine<App> engine(&s.graph, s.partition, s.topology, options);
-    result = engine.Run(app, &values);
-  } else if (c.engine == "gunrock") {
-    baselines::GunrockOptions options;
-    options.num_host_threads = o.num_host_threads;
-    options.num_msg_shards = o.num_msg_shards;
-    options.contention = o.contention;
-    baselines::GunrockLikeEngine<App> engine(&s.graph, s.partition,
-                                             s.topology, options);
+  if (env.cli.engine != "groute") {
+    core::GumEngine<App> engine(&s.graph, s.partition, s.topology,
+                                env.options);
     result = engine.Run(app, &values);
   } else if constexpr (core::AsyncCapable<App>) {
-    core::EngineOptions options =
-        baselines::GrouteEngineOptions(o.device, o.contention);
-    options.num_host_threads = o.num_host_threads;
-    options.num_msg_shards = o.num_msg_shards;
-    result = baselines::RunGroute(s.graph, s.partition, options, app, &values);
+    result =
+        baselines::RunGroute(s.graph, s.partition, env.options, app, &values);
   } else {
     GUM_CHECK(false) << "ParseCliFlags admits --engine=groute only for "
                         "async-capable apps";
@@ -521,11 +526,8 @@ int RunMutating(const RunEnv& env, App app) {
   cli::ObsArtifacts artifacts(env.flags);
   // The fault plan (if any) replays inside every epoch's run; recovery is
   // byte-exact, so it composes with the incremental/full equivalence.
-  core::EngineOptions options = c.shared.options;
-  options.fault_plane = &c.shared.fault_plane;
-
   core::EpochedGraphContext ectx(env.setup.graph, env.setup.partition,
-                                 env.setup.topology, options,
+                                 env.setup.topology, env.options,
                                  /*symmetric=*/c.algo == "wcc");
   algos::IncrementalSession<App> session;
   core::RunResult aggregate = session.RunInitial(ectx.ctx(), app);
@@ -609,6 +611,12 @@ constexpr bool kStreamable =
 
 template <typename App>
 int Run(const RunEnv& env, App app) {
+  // Backstop: ParseCliFlags names the flag behind every combination this
+  // rejects, so a valid command line never fails here.
+  const Status valid = core::ValidateRunOptions(
+      env.options, env.setup.partition.num_parts, app.fixed_rounds() >= 0,
+      core::AsyncCapable<App>);
+  if (!valid.ok()) return cli::Fail(valid);
   if constexpr (kStreamable<App>) {
     if (env.setup.mutations.active()) return RunMutating(env, std::move(app));
   }
@@ -665,5 +673,5 @@ int main(int argc, char** argv) {
   if (Status s = BindVertexFlags(flags, setup->graph, &c); !s.ok()) {
     return cli::Fail(s);
   }
-  return RunAlgo(RunEnv{flags, c, *setup});
+  return RunAlgo(RunEnv{flags, c, *setup, EngineRunOptions(c)});
 }
