@@ -36,6 +36,10 @@ inline core::EngineOptions GrouteEngineOptions(
     sim::ContentionModel contention = sim::ContentionModel::kOff) {
   core::EngineOptions options;
   options.mode = core::EngineMode::kAsync;
+  // Groute steals neither frontiers nor ownership (the async driver never
+  // reads these switches; the preset states what runs).
+  options.enable_fsteal = false;
+  options.enable_osteal = false;
   device.sync_per_peer_us = 0.0;  // no barrier, no census
   options.device = device;
   options.contention = contention;

@@ -96,8 +96,9 @@ struct EngineOptions {
 
   // --- host execution ---
   // Host threads expanding the per-executor work units of Step 4
-  // (core/superstep.h). <= 0 selects the hardware concurrency; 1 forces the
-  // legacy serial path. Results are bit-identical for every setting (see
+  // (core/expand/frontier_scatter.h). <= 0 selects the hardware
+  // concurrency; 1 runs the units serially, depositing each message as it
+  // is emitted. Results are bit-identical for every setting (see
   // DESIGN.md, "Determinism contract").
   int num_host_threads = 0;
   // Destination shards for the message plane: merge and apply parallelize

@@ -8,14 +8,16 @@
 //   * they mutate only the values of their own frontier vertices, and the
 //     per-fragment ranges are disjoint (SelectStolenRanges partitions each
 //     frontier; distinct fragments never share vertices);
-//   * messages go into a private MessageStaging buffer and counters into a
-//     private UnitCounters record.
+//   * counters go into a private UnitCounters record, and messages into a
+//     private MessageStaging buffer when units run concurrently.
 // They may therefore run on any number of host threads in any order;
 // determinism is restored by merging staging buffers into the MessageStore
-// in canonical unit order — exactly the serial engine's loop nest. The
-// merge parallelizes over destination shards (disjoint contiguous vertex
-// ranges, core/message_store.h), which leaves every per-vertex combine
-// chain untouched (see DESIGN.md, "Determinism contract" and "Sharded
+// in canonical unit order. The merge parallelizes over destination shards
+// (disjoint contiguous vertex ranges, core/message_store.h), which leaves
+// every per-vertex combine chain untouched. With one host thread the units
+// run in that canonical order, so each message is deposited as it is
+// emitted: every vertex sees its messages in the merge's order, and no
+// message is staged (see DESIGN.md, "Determinism contract" and "Sharded
 // message plane").
 //
 // Thread-safety requirement on App: OnFrontier may mutate the vertex value
@@ -113,19 +115,28 @@ void WalkUnit(const graph::CsrGraph& g, const HubCache* hub_cache,
   counters->edges_processed += edges_sum;
 }
 
+// The early-aggregation charge (paper Fig. 4b): the message that claims a
+// vertex's empty inbox slot pays the transfer, one aggregated message from
+// its unit's executor to the vertex's owner. `agg` is [executor][owner];
+// its cells are integer-valued doubles, exact in any order. The serial
+// direct sink and the staged merge's replay both charge through it.
+inline void ChargeFirstWriter(std::vector<std::vector<double>>& agg,
+                              int executor, uint32_t owner) {
+  agg[executor][owner] += 1.0;
+}
+
 // Expands one unit: OnFrontier/Scatter over the unit's vertex range,
-// staging every emitted message and recording the unit's counters.
-// hub_cache may be null (baselines without the Example-6 optimization).
-// The weighted/unweighted branch is selected once per unit, not re-tested
-// on every edge, by instantiating the scatter loop per weight accessor.
-template <typename App>
+// handing every emitted message to `emit(v, owner_of_v, message)` in
+// generation order and recording the unit's counters. hub_cache may be
+// null (baselines without the Example-6 optimization). The weighted/
+// unweighted branch is selected once per unit, not re-tested on every
+// edge, by instantiating the scatter loop per weight accessor.
+template <typename App, typename EmitFn>
 void ExpandUnit(const graph::CsrGraph& g, const graph::Partition& partition,
                 const HubCache* hub_cache, int fragment_owner, App& app,
                 std::vector<typename App::Value>& values,
                 std::span<const graph::VertexId> frontier,
-                const WorkUnit& unit,
-                MessageStaging<typename App::Message>* staged,
-                UnitCounters* counters) {
+                const WorkUnit& unit, UnitCounters* counters, EmitFn&& emit) {
   using Message = typename App::Message;
   const auto expand = [&](auto&& weight_of) {
     WalkUnit(g, hub_cache, fragment_owner, frontier, unit, counters,
@@ -138,8 +149,9 @@ void ExpandUnit(const graph::CsrGraph& g, const graph::Partition& partition,
                  std::optional<Message> msg =
                      app.Scatter(payload, v, weight_of(weights, e));
                  if (!msg.has_value()) continue;
-                 counters->raw_msgs[partition.owner[v]] += 1.0;
-                 staged->Emit(v, *msg);
+                 const uint32_t owner = partition.owner[v];
+                 counters->raw_msgs[owner] += 1.0;
+                 emit(v, owner, *msg);
                }
              });
   };
@@ -150,11 +162,11 @@ void ExpandUnit(const graph::CsrGraph& g, const graph::Partition& partition,
   }
 }
 
-// Expands every unit — serially when pool is null or single-threaded,
-// otherwise on the pool. Each unit's staging buffer bins messages by the
-// destination shards of `shards` (the merge's parallel axis). staged/
-// counters are indexed by unit and reused across iterations (grown on
-// demand, buffers cleared in place).
+// Expands every unit on `pool` (non-null), staging its messages. Each
+// unit's staging buffer bins messages by the destination shards of
+// `shards` (the merge's parallel axis). staged/counters are indexed by
+// unit and reused across iterations (grown on demand, buffers cleared in
+// place).
 template <typename App>
 void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
                      const graph::Partition& partition,
@@ -171,27 +183,29 @@ void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
   const auto expand_one = [&](size_t idx) {
     GUM_TRACE_SCOPE("expand.unit");
     const WorkUnit& unit = units[idx];
-    (*staged)[idx].Configure(shards);
-    (*staged)[idx].Clear();
+    MessageStaging<typename App::Message>& staging = (*staged)[idx];
+    staging.Configure(shards);
+    staging.Clear();
     (*counters)[idx].Reset(partition.num_parts);
     ExpandUnit(g, partition, hub_cache, owner_of_fragment[unit.fragment],
                app, values, frontier.Fragment(unit.fragment), unit,
-               &(*staged)[idx], &(*counters)[idx]);
+               &(*counters)[idx],
+               [&staging](graph::VertexId v, uint32_t,
+                          const typename App::Message& m) {
+                 staging.Emit(v, m);
+               });
   };
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t idx = 0; idx < units.size(); ++idx) expand_one(idx);
-  } else {
-    pool->ParallelFor(units.size(), expand_one);
-  }
+  pool->ParallelFor(units.size(), expand_one);
 }
 
-// The scatter backend: canonical unit decomposition, parallel expand into
-// per-unit staging, deterministic sharded merge with first-writer
-// attribution, counter aggregation into ExpandCounters. Stationary
-// supersteps take a gather path that yields the same results without
-// staging a message. Owns the staging buffers, the stationary payload and
-// executor arenas, and the per-shard attribution scratch, reused across
-// iterations.
+// The scatter backend: canonical unit decomposition, then either a serial
+// expand that deposits every message as it is emitted (one host thread) or
+// a parallel expand into per-unit staging followed by the deterministic
+// sharded merge, both with first-writer attribution, and counter
+// aggregation into ExpandCounters. Stationary supersteps take a gather
+// path that yields the same results without staging a message. Owns the
+// staging buffers, the stationary payload and executor arenas, and the
+// per-shard attribution scratch, reused across iterations.
 template <typename App>
 class FrontierScatterBackend {
  public:
@@ -210,7 +224,11 @@ class FrontierScatterBackend {
 
   // Runs one iteration's full expand + merge. `fs`/`loads`/`active` carry
   // the frontier-steal plan (identity when !fs.applied); `hub_cache` may be
-  // null. Fills `out` (Reset inside).
+  // null. Fills `out` (Reset inside). Without a pool of two or more
+  // threads the units run serially in canonical order and deposit straight
+  // into `store`; otherwise they stage on the pool and merge by shard.
+  // Both paths give the same counters, store and values for any shard
+  // count.
   void Expand(ThreadPool* pool, const graph::CsrGraph& g,
               const graph::Partition& partition, const HubCache* hub_cache,
               const std::vector<int>& owner_of_fragment,
@@ -224,17 +242,37 @@ class FrontierScatterBackend {
     GUM_TRACE_SCOPE("expand.scatter");
     const std::vector<WorkUnit> units =
         BuildWorkUnits(g, frontier, fs, loads, owner_of_fragment, active);
+    const auto combine = [&app](const Message& a, const Message& b) {
+      return app.Combine(a, b);
+    };
+    if (pool == nullptr || pool->num_threads() <= 1) {
+      // Canonical unit order, then generation order: each vertex's
+      // messages arrive exactly as the merge below replays them.
+      if (counters_.size() < units.size()) counters_.resize(units.size());
+      for (size_t idx = 0; idx < units.size(); ++idx) {
+        GUM_TRACE_SCOPE("expand.unit");
+        const WorkUnit& unit = units[idx];
+        counters_[idx].Reset(n);
+        ExpandUnit(g, partition, hub_cache, owner_of_fragment[unit.fragment],
+                   app, values, frontier.Fragment(unit.fragment), unit,
+                   &counters_[idx],
+                   [&](graph::VertexId v, uint32_t owner, const Message& m) {
+                     if (store.Deposit(v, m, combine)) {
+                       ChargeFirstWriter(out->agg_msgs, unit.executor, owner);
+                     }
+                   });
+      }
+      AddUnitCounters(units, n, out);
+      return;
+    }
     ExpandSuperstep(pool, g, partition, hub_cache, owner_of_fragment, app,
                     values, frontier, units, shards, &staged_, &counters_);
     AddUnitCounters(units, n, out);
 
     // Sharded merge: every shard replays its bins in canonical unit order
-    // (the serial engine's loop nest restricted to the shard's vertices)
-    // — combine chains and first-writer attribution stay bit-identical
-    // for any shard x thread count.
-    const auto combine = [&app](const Message& a, const Message& b) {
-      return app.Combine(a, b);
-    };
+    // (the serial loop nest restricted to the shard's vertices) —
+    // combine chains and first-writer attribution stay bit-identical for
+    // any shard x thread count.
     const int s_count = shards.num_shards();
     if (static_cast<int>(shard_agg_.size()) < s_count) {
       shard_agg_.resize(s_count);
@@ -249,10 +287,9 @@ class FrontierScatterBackend {
     store.MergeSharded(
         pool, shards, staged_, units.size(), combine,
         [&](int shard, size_t unit_idx, graph::VertexId v) {
-          // First writer pays the transfer; attributed per shard, reduced
-          // below (integer-valued doubles, exact in any order).
-          shard_agg_[shard][units[unit_idx].executor][partition.owner[v]] +=
-              1.0;
+          // Attributed per shard, reduced below.
+          ChargeFirstWriter(shard_agg_[shard], units[unit_idx].executor,
+                            partition.owner[v]);
         });
     for (const auto& per_exec : shard_agg_) {
       for (int e = 0; e < n; ++e) {

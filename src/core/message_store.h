@@ -2,18 +2,23 @@
 //
 // The BSP engines combine every message addressed to a vertex into one
 // inbox slot ("early aggregation", paper Fig. 4b). The store pairs the
-// typed inbox with a membership Bitmap and supports two write paths:
+// typed inbox with a membership Bitmap and supports three write paths:
 //
-//   * Deposit — direct combine, used when a single thread expands frontiers;
-//   * MessageStaging + MergeSharded — each worker bins its outgoing
-//     messages by destination shard at generation time (O(1) routing, see
-//     ShardMap); shard s then replays every unit's shard-s bin in canonical
-//     work-unit order (fragments ascending, executors in plan order). A
+//   * Deposit — direct combine. With one host thread the scatter backend
+//     runs its work units serially in canonical order (fragments
+//     ascending, executors in plan order) and deposits every message as it
+//     is emitted; that order is the canonical merge order below.
+//   * MessageStaging + MergeSharded — only for units that run concurrently
+//     on a pool: each worker bins its outgoing messages by destination
+//     shard at generation time (O(1) routing, see ShardMap); shard s then
+//     replays every unit's shard-s bin in canonical work-unit order. A
 //     vertex lives in exactly one shard, so each vertex's combine chain —
 //     and therefore the "first writer pays the transfer" attribution of
-//     agg_msgs — is bit-identical to the single-threaded engine for any
+//     agg_msgs — is bit-identical to the serial direct deposits for any
 //     shard x thread count. Shard widths are multiples of 64, so concurrent
 //     shard merges never touch the same Bitmap word.
+//   * Put — one pre-combined message per destination, from the gathers
+//     (the stationary superstep and the SpMV pull).
 //
 // See DESIGN.md, "Determinism contract" and "Sharded message plane".
 
@@ -180,19 +185,6 @@ class MessageStore : public MessageStoreBase {
     inbox_[v] = m;
   }
 
-  // Replays one staging buffer, bins in shard order; `first_writer(v)`
-  // fires for each deposit that claimed a fresh slot. Per-vertex combine
-  // chains match generation order exactly (a vertex maps to one bin).
-  template <typename CombineFn, typename FirstWriterFn>
-  void Merge(const MessageStaging<Message>& staged, CombineFn&& combine,
-             FirstWriterFn&& first_writer) {
-    for (int s = 0; s < staged.num_bins(); ++s) {
-      for (const auto& [v, m] : staged.bin(s)) {
-        if (Deposit(v, m, combine)) first_writer(v);
-      }
-    }
-  }
-
   // Replays shard `shard` of staged[0..num_units) in canonical unit order;
   // `first_writer(unit, v)` fires per fresh slot. Distinct shards touch
   // disjoint word-aligned vertex ranges, so calls with different `shard`
@@ -213,8 +205,9 @@ class MessageStore : public MessageStoreBase {
   // The sharded parallel merge: every shard replays in canonical unit
   // order, shards distributed over the pool in static contiguous ranges.
   // `first_writer(shard, unit, v)` runs concurrently for distinct shards —
-  // accumulate per shard and reduce afterwards. Bit-identical to a serial
-  // Merge of staged[0..num_units) for any shard x thread count.
+  // accumulate per shard and reduce afterwards. Bit-identical to Depositing
+  // staged[0..num_units) unit by unit in generation order, for any shard x
+  // thread count.
   template <typename CombineFn, typename FirstWriterFn>
   void MergeSharded(ThreadPool* pool, const ShardMap& shards,
                     const std::vector<MessageStaging<Message>>& staged,

@@ -37,7 +37,7 @@ FrontierFeatures ExtractFrontierFeatures(
   f.avg_out_degree = out_sum / n;
   f.in_degree_range = static_cast<double>(in_max - in_min);
   f.out_degree_range = static_cast<double>(out_max - out_min);
-  f.entropy = DegreeEntropy(out_degrees);  // frontier order, before the sort
+  f.entropy = DegreeEntropy(out_degrees);  // before Gini reorders it
   f.gini = GiniCoefficient(out_degrees);
   return f;
 }

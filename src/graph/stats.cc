@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -13,15 +14,41 @@ namespace gum::graph {
 
 double GiniCoefficient(std::span<uint32_t> degrees) {
   if (degrees.empty()) return 0.0;
-  std::sort(degrees.begin(), degrees.end());
-  const double n = static_cast<double>(degrees.size());
-  double weighted_sum = 0.0, total = 0.0;
+  uint32_t max_degree = 0;
+  for (const uint32_t d : degrees) max_degree = std::max(max_degree, d);
+  // Degrees below the cap are counted in a histogram bounded by the
+  // maximum; the tail at or above it is swapped to the front and sorted.
+  constexpr uint32_t kCountCap = 64;
+  const uint32_t counted =
+      max_degree < kCountCap ? max_degree + 1 : kCountCap;
+  std::array<size_t, kCountCap> counts;
+  std::fill_n(counts.begin(), counted, size_t{0});
+  size_t tail = 0;
   for (size_t i = 0; i < degrees.size(); ++i) {
-    const double d = degrees[i];
+    if (degrees[i] < kCountCap) {
+      ++counts[degrees[i]];
+    } else {
+      std::swap(degrees[tail++], degrees[i]);
+    }
+  }
+  std::sort(degrees.begin(), degrees.begin() + tail);
+
+  // Sum (i+1)*d per element over the ascending order, the counted degrees
+  // first and then the sorted tail: the same terms in the same order as
+  // summing over a fully sorted sequence. Zero degrees add nothing.
+  double weighted_sum = 0.0, total = 0.0;
+  size_t i = counts[0];
+  const auto add = [&](uint32_t d) {
     weighted_sum += (static_cast<double>(i) + 1.0) * d;
     total += d;
+    ++i;
+  };
+  for (uint32_t d = 1; d < counted; ++d) {
+    for (size_t c = counts[d]; c > 0; --c) add(d);
   }
+  for (size_t k = 0; k < tail; ++k) add(degrees[k]);
   if (total <= 0.0) return 0.0;
+  const double n = static_cast<double>(degrees.size());
   return (2.0 * weighted_sum) / (n * total) - (n + 1.0) / n;
 }
 
@@ -74,7 +101,7 @@ DegreeStats ComputeDegreeStats(const CsrGraph& g) {
   }
   s.avg_out_degree = out_sum / n;
   s.avg_in_degree = in_sum / n;
-  s.entropy = DegreeEntropy(totals);  // before Gini sorts `totals`
+  s.entropy = DegreeEntropy(totals);  // before Gini reorders `totals`
   s.gini = GiniCoefficient(totals);
   return s;
 }

@@ -28,8 +28,15 @@ struct DegreeStats {
 
 DegreeStats ComputeDegreeStats(const CsrGraph& g);
 
-// Gini coefficient of a degree sequence (0 = equal, ->1 skewed). Sorts
-// `degrees` in place.
+// Gini coefficient of a degree sequence (0 = equal, ->1 skewed):
+// 2*sum((i+1)*d_(i)) / (n*sum(d)) - (n+1)/n over the ascending order
+// d_(0) <= ... <= d_(n-1). Degrees below a small cap are counted, not
+// sorted; only the tail at or above it is sorted, at the front of
+// `degrees`, so the call may reorder `degrees`.
+//
+// The sum still runs per element, in double, over that ascending order,
+// so the result is bit-identical to sorting the whole sequence for every
+// input.
 double GiniCoefficient(std::span<uint32_t> degrees);
 
 // Normalized entropy of the distribution d(u)/sum(d): H / ln(n).

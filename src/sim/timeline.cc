@@ -31,17 +31,28 @@ void Timeline::Add(int iter, int device, TimeCategory cat, double ms) {
   iterations_[iter][device].ms[static_cast<int>(cat)] += ms;
 }
 
+const Timeline::DeviceCell* Timeline::Cell(int iter, int device) const {
+  GUM_CHECK(device >= 0 && device < num_devices_);
+  GUM_CHECK(iter >= 0);
+  if (iter >= num_iterations()) return nullptr;
+  return &iterations_[iter][device];
+}
+
 double Timeline::Get(int iter, int device, TimeCategory cat) const {
-  return iterations_[iter][device].ms[static_cast<int>(cat)];
+  const DeviceCell* cell = Cell(iter, device);
+  return cell == nullptr ? 0.0 : cell->ms[static_cast<int>(cat)];
 }
 
 double Timeline::DeviceIterationTotal(int iter, int device) const {
+  const DeviceCell* cell = Cell(iter, device);
+  if (cell == nullptr) return 0.0;
   double total = 0;
-  for (double v : iterations_[iter][device].ms) total += v;
+  for (double v : cell->ms) total += v;
   return total;
 }
 
 double Timeline::IterationWall(int iter) const {
+  GUM_CHECK(iter >= 0);
   double wall = 0;
   for (int d = 0; d < num_devices_; ++d) {
     wall = std::max(wall, DeviceIterationTotal(iter, d));
@@ -82,6 +93,7 @@ double Timeline::StallFraction() const {
 }
 
 int Timeline::ActiveDevices(int iter) const {
+  GUM_CHECK(iter >= 0);
   int active = 0;
   for (int d = 0; d < num_devices_; ++d) {
     if (DeviceIterationTotal(iter, d) > 0) ++active;

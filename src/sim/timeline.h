@@ -43,7 +43,11 @@ class Timeline {
   // timeline to k+1 iterations.
   void Add(int iter, int device, TimeCategory cat, double ms);
 
-  // Busy time of one device in one iteration, one category.
+  // Busy time of one device in one iteration, one category. Reads at or
+  // past num_iterations() return 0: an iteration no device was charged
+  // has no busy time (Add grows the timeline lazily). A negative iteration
+  // or an out-of-range device fails a GUM_CHECK, as in Add; so do the
+  // per-iteration reads below.
   double Get(int iter, int device, TimeCategory cat) const;
 
   // Sum over categories for one device in one iteration.
@@ -76,6 +80,8 @@ class Timeline {
   struct DeviceCell {
     std::array<double, kNumTimeCategories> ms{};
   };
+  // The cell of (iter, device), or null past the last charged iteration.
+  const DeviceCell* Cell(int iter, int device) const;
   int num_devices_ = 0;
   std::vector<std::vector<DeviceCell>> iterations_;  // [iter][device]
 };

@@ -140,15 +140,51 @@ struct GunrockRow {
 template <typename App>
 GunrockRow PinGunrock(const graph::CsrGraph& g, int devices,
                       sim::ContentionModel contention, double factor,
-                      App app) {
+                      int host_threads, App app) {
+  core::EngineOptions options = GunrockEngineOptions({}, contention, factor);
+  options.num_host_threads = host_threads;
   std::vector<typename App::Value> values;
   const core::RunResult r =
-      GumEngine<App>(&g, MakePartition(g, devices), Topo(devices),
-                     GunrockEngineOptions({}, contention, factor))
+      GumEngine<App>(&g, MakePartition(g, devices), Topo(devices), options)
           .Run(app, &values);
   return {std::bit_cast<uint64_t>(r.total_ms), r.iterations, r.messages_sent,
           r.edges_processed, test::LinkBytesDigest(r),
           test::ValuesDigest(values), test::TimelineDigest(r)};
+}
+
+// The 30 pinned rows: {8 devices off, 5 devices fair, 1 device at factor
+// 0.5} x {road 32x32, RMAT 10 weighted} x {bfs, sssp, wcc on the symmetric
+// graph, dpr, pr}.
+std::vector<GunrockRow> PinGunrockRows(int host_threads) {
+  const auto kOff = sim::ContentionModel::kOff;
+  const auto kFair = sim::ContentionModel::kFair;
+  const graph::CsrGraph road = RoadGraph(32, 3);
+  const graph::CsrGraph rmat = SocialGraph(10, 2, /*weighted=*/true);
+  const graph::CsrGraph rmat_sym = SocialGraphSym(10, 2);
+  struct Cell {
+    int devices;
+    sim::ContentionModel contention;
+    double factor;
+  };
+  std::vector<GunrockRow> rows;
+  for (const Cell cell : {Cell{8, kOff, 0.70}, Cell{5, kFair, 0.70},
+                          Cell{1, kOff, 0.5}}) {
+    for (const auto& [g, sym] :
+         {std::pair{&road, &road}, std::pair{&rmat, &rmat_sym}}) {
+      const auto pin = [&](const graph::CsrGraph& graph, auto app) {
+        rows.push_back(PinGunrock(graph, cell.devices, cell.contention,
+                                  cell.factor, host_threads, app));
+      };
+      const VertexId source = test::MaxDegreeSource(*g);
+      pin(*g, BfsApp{.source = source});
+      pin(*g, SsspApp{.source = source});
+      pin(*sym, WccApp{});
+      pin(*g, DeltaPageRankApp{.num_vertices = g->num_vertices(),
+                               .epsilon = 1e-6});
+      pin(*g, PageRankApp{.num_vertices = g->num_vertices(), .rounds = 10});
+    }
+  }
+  return rows;
 }
 
 TEST(GunrockGoldenTest, BitIdentical) {
@@ -214,52 +250,28 @@ TEST(GunrockGoldenTest, BitIdentical) {
       {4610529673156900572ull, 10, 66400, 66400, 16927772387137664991ull,
        3026925336051444861ull, 511821575251072697ull},
   };
-  const auto kOff = sim::ContentionModel::kOff;
-  const auto kFair = sim::ContentionModel::kFair;
-  const graph::CsrGraph road = RoadGraph(32, 3);
-  const graph::CsrGraph rmat = SocialGraph(10, 2, /*weighted=*/true);
-  const graph::CsrGraph rmat_sym = SocialGraphSym(10, 2);
-  struct Cell {
-    int devices;
-    sim::ContentionModel contention;
-    double factor;
-  };
-  std::vector<GunrockRow> got;
-  // {8 devices off, 5 devices fair, 1 device at factor 0.5} x {road 32x32,
-  // RMAT 10 weighted} x {bfs, sssp, wcc on the symmetric graph, dpr, pr}.
-  for (const Cell cell : {Cell{8, kOff, 0.70}, Cell{5, kFair, 0.70},
-                          Cell{1, kOff, 0.5}}) {
-    for (const auto& [g, sym] :
-         {std::pair{&road, &road}, std::pair{&rmat, &rmat_sym}}) {
-      const auto pin = [&](const graph::CsrGraph& graph, auto app) {
-        got.push_back(PinGunrock(graph, cell.devices, cell.contention,
-                                 cell.factor, app));
-      };
-      const VertexId source = test::MaxDegreeSource(*g);
-      pin(*g, BfsApp{.source = source});
-      pin(*g, SsspApp{.source = source});
-      pin(*sym, WccApp{});
-      pin(*g, DeltaPageRankApp{.num_vertices = g->num_vertices(),
-                               .epsilon = 1e-6});
-      pin(*g, PageRankApp{.num_vertices = g->num_vertices(), .rounds = 10});
+  // One host thread deposits messages as it expands; the default pool
+  // stages and merges them. Both must hold the same pins.
+  for (const int host_threads : {1, core::EngineOptions{}.num_host_threads}) {
+    SCOPED_TRACE(testing::Message() << "host_threads=" << host_threads);
+    const std::vector<GunrockRow> got = PinGunrockRows(host_threads);
+    ASSERT_EQ(got.size(), std::size(kGolden));
+    for (size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << "row " << i << ": {" << got[i].total_ms_bits << "ull, "
+                   << got[i].iterations << ", " << got[i].messages << ", "
+                   << got[i].edges << ", " << got[i].link_bytes_digest
+                   << "ull, " << got[i].values_digest << "ull, "
+                   << got[i].timeline_digest << "ull},");
+      const GunrockRow& want = kGolden[i];
+      EXPECT_EQ(got[i].total_ms_bits, want.total_ms_bits);
+      EXPECT_EQ(got[i].iterations, want.iterations);
+      EXPECT_EQ(got[i].messages, want.messages);
+      EXPECT_EQ(got[i].edges, want.edges);
+      EXPECT_EQ(got[i].link_bytes_digest, want.link_bytes_digest);
+      EXPECT_EQ(got[i].values_digest, want.values_digest);
+      EXPECT_EQ(got[i].timeline_digest, want.timeline_digest);
     }
-  }
-  ASSERT_EQ(got.size(), std::size(kGolden));
-  for (size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(testing::Message()
-                 << "row " << i << ": {" << got[i].total_ms_bits << "ull, "
-                 << got[i].iterations << ", " << got[i].messages << ", "
-                 << got[i].edges << ", " << got[i].link_bytes_digest
-                 << "ull, " << got[i].values_digest << "ull, "
-                 << got[i].timeline_digest << "ull},");
-    const GunrockRow& want = kGolden[i];
-    EXPECT_EQ(got[i].total_ms_bits, want.total_ms_bits);
-    EXPECT_EQ(got[i].iterations, want.iterations);
-    EXPECT_EQ(got[i].messages, want.messages);
-    EXPECT_EQ(got[i].edges, want.edges);
-    EXPECT_EQ(got[i].link_bytes_digest, want.link_bytes_digest);
-    EXPECT_EQ(got[i].values_digest, want.values_digest);
-    EXPECT_EQ(got[i].timeline_digest, want.timeline_digest);
   }
 }
 

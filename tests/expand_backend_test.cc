@@ -1,8 +1,9 @@
 // Pluggable expand backends (core/expand/, DESIGN.md §12): every backend —
 // frontier scatter, SpMV push/pull, and the auto density heuristic — must
 // produce byte-identical vertex values for every host-thread and message-
-// shard count, on every bundled algorithm. The stationary gather must
-// reproduce the staged scatter path counter for counter. The suite lives
+// shard count, on every bundled algorithm. The stationary gather and the
+// one-thread direct deposit must reproduce the staged scatter path counter
+// for counter. The suite lives
 // in the parallel test binary so the TSan CI job watches the pull and
 // stationary gathers' shard parallelism and the payload passes for races.
 
@@ -150,20 +151,16 @@ TEST(ExpandBackendTest, EightDeviceMatrixWithStealingActive) {
 
 // --- stationary supersteps (fixed-round apps, DESIGN.md §12) ---
 
-// A fixed-round test app whose Scatter suppresses some edges (so raw
-// messages differ from edges and a destination's first in-edge is not
-// always its first writer), whose payload carries the source id (so
-// summing messages in another order changes the bits), and whose
-// OnFrontier writes the vertex value.
-struct SuppressingRoundsApp {
+// Message rules of the identity tests' apps: Scatter suppresses some edges
+// (so raw messages differ from edges and a destination's first in-edge is
+// not always its first writer), the payload carries the source id (so
+// summing messages in another order changes the bits), and OnFrontier
+// writes the vertex value.
+struct SuppressingMessages {
   using Value = double;
   using Message = double;
 
-  std::string name() const { return "suppressing_rounds"; }
-  int fixed_rounds() const { return 2; }
   Value InitValue(VertexId v) const { return 1.0 / (v + 3); }
-  bool IsInitiallyActive(VertexId) const { return true; }
-  Message InitialAccumulator() const { return 0.0; }
   Message OnFrontier(VertexId u, Value& val, uint32_t out_degree) {
     val += 0.25;
     return static_cast<double>(u) + val / (out_degree + 1);
@@ -179,6 +176,54 @@ struct SuppressingRoundsApp {
     return true;
   }
 };
+
+// The fixed-round (stationary) app.
+struct SuppressingRoundsApp : SuppressingMessages {
+  std::string name() const { return "suppressing_rounds"; }
+  int fixed_rounds() const { return 2; }
+  bool IsInitiallyActive(VertexId) const { return true; }
+  Message InitialAccumulator() const { return 0.0; }
+};
+
+// The data-driven app: supersteps expand the previous one's targets.
+struct SuppressingDataDrivenApp : SuppressingMessages {
+  std::string name() const { return "suppressing_data_driven"; }
+  bool IsInitiallyActive(VertexId v) const { return v % 7 == 0; }
+};
+
+// A frontier-steal plan for the identity tests. Rotated owners (as after
+// an ownership steal) separate each fragment from its owner, so hub and
+// stolen edges count under different rules. With `fsteal` (and n > 1) the
+// owner keeps half of each fragment's load and the other devices split
+// the rest; otherwise the owner takes it all (the identity plan).
+struct TestPlan {
+  std::vector<int> owner;
+  std::vector<int> active;
+  FStealDecision fs;
+};
+
+TestPlan RotatedPlan(int n, const std::vector<double>& loads, bool fsteal) {
+  TestPlan plan;
+  plan.owner.resize(n);
+  plan.active.resize(n);
+  for (int i = 0; i < n; ++i) {
+    plan.owner[i] = (i + 1) % n;
+    plan.active[i] = i;
+  }
+  plan.fs.assignment.assign(n, std::vector<double>(n, 0.0));
+  for (int i = 0; i < n; ++i) {
+    if (!fsteal || n == 1) {
+      plan.fs.assignment[i][plan.owner[i]] = loads[i];
+      continue;
+    }
+    plan.fs.applied = true;
+    for (int j = 0; j < n; ++j) {
+      plan.fs.assignment[i][j] =
+          loads[i] * (j == plan.owner[i] ? 0.5 : 0.5 / (n - 1));
+    }
+  }
+  return plan;
+}
 
 // The stationary identity matrix's graphs: weighted RMAT, a web crawl, a
 // road grid, and an RMAT built keeping duplicate edges and self-loops.
@@ -232,27 +277,10 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
   FrontierSoA frontier;
   frontier.Assign(part.part_vertices);
   const FrontierCensus& census = ctx.stationary_census();
-  // Rotated owners (as after an ownership steal) separate the fragment
-  // from its owner, so hub and stolen edges count under different rules.
-  std::vector<int> owner(n);
-  std::vector<int> active(n);
-  for (int i = 0; i < n; ++i) {
-    owner[i] = (i + 1) % n;
-    active[i] = i;
-  }
-  FStealDecision fs;
-  fs.assignment.assign(n, std::vector<double>(n, 0.0));
-  for (int i = 0; i < n; ++i) {
-    if (!fsteal || n == 1) {
-      fs.assignment[i][owner[i]] = census.loads[i];
-      continue;
-    }
-    fs.applied = true;
-    for (int j = 0; j < n; ++j) {
-      fs.assignment[i][j] = census.loads[i] *
-                            (j == owner[i] ? 0.5 : 0.5 / (n - 1));
-    }
-  }
+  const TestPlan plan = RotatedPlan(n, census.loads, fsteal);
+  const std::vector<int>& owner = plan.owner;
+  const std::vector<int>& active = plan.active;
+  const FStealDecision& fs = plan.fs;
   const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
   SuppressingRoundsApp app;
   std::vector<double> staged_values(g.num_vertices());
@@ -355,6 +383,123 @@ TEST(StationaryExpandTest, SuppressingAppExercisesEveryRule) {
   EXPECT_GT(suppressed, 0u);
   EXPECT_LT(suppressed, static_cast<size_t>(g.num_edges()));
   EXPECT_GT(suppressed_first, 0u);
+}
+
+// --- serial direct deposit (data-driven supersteps, one host thread) ---
+
+// Runs three data-driven supersteps of Expand from the same state twice:
+// with no pool (units serial in canonical order, depositing as they emit)
+// and on the context's pool (staged, merged by shard). Compares every
+// counter cell, store membership, every pending message and every value
+// bit for bit. Each superstep's frontier is the previous one's message
+// targets, and applying a message rewrites the value.
+void ExpectSerialMatchesStaged(const GraphContext& ctx, bool fsteal,
+                               bool hub) {
+  ASSERT_NE(ctx.pool(), nullptr);
+  const graph::CsrGraph& g = ctx.graph();
+  const graph::Partition& part = ctx.partition();
+  const int n = part.num_parts;
+  const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
+  SuppressingDataDrivenApp app;
+  std::vector<double> serial_values(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    serial_values[v] = app.InitValue(v);
+  }
+  std::vector<double> staged_values = serial_values;
+  FrontierScatterBackend<SuppressingDataDrivenApp> serial_backend;
+  FrontierScatterBackend<SuppressingDataDrivenApp> staged_backend;
+  MessageStore<double> serial_store(g.num_vertices());
+  MessageStore<double> staged_store(g.num_vertices());
+  FrontierSoA frontier;
+  frontier.BuildByOwner(g.num_vertices(), part.owner, n,
+                        [&](VertexId v) { return app.IsInitiallyActive(v); });
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(testing::Message() << "superstep " << step);
+    std::vector<double> loads(n, 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (const VertexId v : frontier.Fragment(i)) loads[i] += g.OutDegree(v);
+    }
+    const TestPlan plan = RotatedPlan(n, loads, fsteal);
+    ExpandCounters serial;
+    ExpandCounters staged;
+    serial_backend.Expand(nullptr, g, part, hub_cache, plan.owner,
+                          plan.active, plan.fs, loads, app, serial_values,
+                          frontier, ctx.shard_map(), serial_store, &serial);
+    staged_backend.Expand(ctx.pool(), g, part, hub_cache, plan.owner,
+                          plan.active, plan.fs, loads, app, staged_values,
+                          frontier, ctx.shard_map(), staged_store, &staged);
+    ExpectBitsEqual(serial.edges_done, staged.edges_done, "edges_done");
+    ExpectBitsEqual(serial.hub_edges, staged.hub_edges, "hub_edges");
+    ExpectBitsEqual(serial.agg_msgs, staged.agg_msgs, "agg_msgs");
+    ExpectBitsEqual(serial.raw_msgs, staged.raw_msgs, "raw_msgs");
+    EXPECT_EQ(std::bit_cast<uint64_t>(serial.stolen_edges),
+              std::bit_cast<uint64_t>(staged.stolen_edges));
+    EXPECT_EQ(serial.edges_processed, staged.edges_processed);
+    EXPECT_EQ(serial_backend.StagingBytes(), 0u) << "the serial path stages";
+    ASSERT_EQ(serial_store.PendingCount(), staged_store.PendingCount());
+    ASSERT_GT(serial_store.PendingCount(), 0u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(serial_store.Has(v), staged_store.Has(v)) << "v=" << v;
+      if (serial_store.Has(v)) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(serial_store.Get(v)),
+                  std::bit_cast<uint64_t>(staged_store.Get(v)))
+            << "v=" << v;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(serial_values[v]),
+                std::bit_cast<uint64_t>(staged_values[v]))
+          << "v=" << v;
+    }
+    // Apply, then expand the message targets next.
+    serial_store.ForEachPending([&](VertexId v, double msg) {
+      app.Apply(v, serial_values[v], msg);
+      app.Apply(v, staged_values[v], msg);
+    });
+    frontier.BuildByOwner(g.num_vertices(), part.owner, n,
+                          [&](VertexId v) { return serial_store.Has(v); });
+    serial_store.EndSuperstep();
+    staged_store.EndSuperstep();
+  }
+}
+
+TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
+  std::vector<graph::CsrGraph> graphs;
+  graphs.push_back(SocialGraph(9, 5, /*weighted=*/true));
+  graphs.push_back(RoadGraph(32, 3));
+  graph::RmatOptions rmat;
+  rmat.scale = 8;
+  rmat.edge_factor = 8;
+  rmat.seed = 6;
+  rmat.weighted = true;
+  graph::CsrBuildOptions keep_all;
+  keep_all.deduplicate = false;
+  keep_all.remove_self_loops = false;
+  graphs.push_back(std::move(graph::CsrGraph::FromEdgeList(graph::Rmat(rmat),
+                                                           keep_all))
+                       .value());
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (const int devices : {1, 3, 8}) {
+      const graph::Partition part = MakePartition(graphs[gi], devices);
+      for (const int threads : {2, 4}) {
+        for (const int shards : {1, 4}) {
+          for (const bool hub : {true, false}) {
+            EngineOptions opt = TestEngineOptions();
+            opt.num_host_threads = threads;
+            opt.num_msg_shards = shards;
+            opt.enable_hub_cache = hub;
+            const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+            for (const bool fsteal : {true, false}) {
+              SCOPED_TRACE(testing::Message()
+                           << "graph " << gi << " devices=" << devices
+                           << " threads=" << threads << " shards=" << shards
+                           << " hub=" << hub << " fsteal=" << fsteal);
+              ExpectSerialMatchesStaged(ctx, fsteal, hub);
+              if (HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // The context's stationary census must equal the census loop over

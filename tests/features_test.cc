@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "graph/frontier_features.h"
 #include "graph/generators.h"
+#include "graph/stats.h"
 #include "sim/kernel_cost.h"
 
 namespace gum {
@@ -218,6 +219,56 @@ TEST(FeatureBitIdentityTest, StarWithZeroDegreeLeaves) {
     ExpectBitIdenticalFrontiers(*g, 6);
     const std::vector<VertexId> leaves = {1, 2, 3, 4};
     ExpectBitIdentical(*g, leaves, "zero-degree only");
+  }
+}
+
+// GiniCoefficient counts degrees below a cap of 64 and sorts only the tail
+// at or above it. Runs of cap-1, cap and cap+1, all-equal, all-zero and
+// single-element sequences must give the sort-and-sum reference's bits,
+// and the call may only reorder the sequence.
+void ExpectGiniBitIdentical(std::vector<uint32_t> degrees, const char* what) {
+  const double want =
+      ReferenceGini(std::vector<double>(degrees.begin(), degrees.end()));
+  std::vector<uint32_t> sorted = degrees;
+  std::sort(sorted.begin(), sorted.end());
+  const double got = graph::GiniCoefficient(degrees);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+      << what << ": got " << got << " want " << want << " (n "
+      << degrees.size() << ")";
+  std::sort(degrees.begin(), degrees.end());
+  EXPECT_EQ(degrees, sorted) << what << ": not a permutation";
+}
+
+TEST(FeatureBitIdentityTest, GiniAroundTheCountingCap) {
+  constexpr uint32_t kCap = 64;
+  Rng rng(11);
+  for (const uint32_t d : {kCap - 1, kCap, kCap + 1}) {
+    ExpectGiniBitIdentical(std::vector<uint32_t>(37, d), "all equal");
+    ExpectGiniBitIdentical({d}, "single element");
+    ExpectGiniBitIdentical({0, d}, "zero and one degree");
+  }
+  ExpectGiniBitIdentical({0}, "single zero");
+  ExpectGiniBitIdentical(std::vector<uint32_t>(50, 0), "all zero");
+  ExpectGiniBitIdentical({kCap - 1, kCap, kCap + 1}, "straddling, ascending");
+  ExpectGiniBitIdentical({kCap + 1, kCap, kCap - 1}, "straddling, descending");
+  for (int trial = 0; trial < 50; ++trial) {
+    // Only cap-1, cap and cap+1; then those mixed with small degrees and
+    // hubs far above the cap.
+    std::vector<uint32_t> around;
+    std::vector<uint32_t> mixed;
+    const uint64_t n = 1 + rng.NextBounded(300);
+    for (uint64_t k = 0; k < n; ++k) {
+      around.push_back(kCap - 1 + static_cast<uint32_t>(rng.NextBounded(3)));
+      const uint64_t kind = rng.NextBounded(4);
+      mixed.push_back(kind == 0   ? static_cast<uint32_t>(rng.NextBounded(5))
+                      : kind == 1 ? kCap - 1 +
+                                        static_cast<uint32_t>(rng.NextBounded(3))
+                      : kind == 2 ? static_cast<uint32_t>(rng.NextBounded(kCap))
+                                  : static_cast<uint32_t>(
+                                        kCap + rng.NextBounded(100000)));
+    }
+    ExpectGiniBitIdentical(around, "cap-1, cap, cap+1");
+    ExpectGiniBitIdentical(mixed, "small, around the cap, hubs");
   }
 }
 

@@ -194,29 +194,34 @@ TEST(MessageStoreTest, ShardedMergeMatchesSerialDepositReplay) {
   }
 }
 
-// Merge(single staging) is the shards=1 compatibility surface: replaying
-// one buffer must behave exactly like direct Deposits in generation order.
+// The one-thread scatter backend deposits each message as it is emitted
+// instead of staging it: replaying one staged buffer (a single unit, one
+// shard) must behave exactly like those direct Deposits in generation
+// order, first writers included.
 TEST(MessageStoreTest, SingleBufferMergeMatchesDeposit) {
   constexpr size_t kNumV = 500;
   Rng rng(9);
-  MessageStaging<double> staging;
-  staging.Configure(ShardMap(kNumV, 1));
+  std::vector<MessageStaging<double>> staged(1);
+  staged[0].Configure(ShardMap(kNumV, 1));
   MessageStore<double> direct(kNumV);
   const auto combine = [](double a, double b) { return a + b; };
-  size_t direct_first = 0;
+  std::vector<VertexId> direct_first;
   for (int i = 0; i < 2000; ++i) {
     const auto v = static_cast<VertexId>(rng.NextBounded(kNumV));
     const double m = rng.NextDouble();
-    staging.Emit(v, m);
-    if (direct.Deposit(v, m, combine)) ++direct_first;
+    staged[0].Emit(v, m);
+    if (direct.Deposit(v, m, combine)) direct_first.push_back(v);
   }
   MessageStore<double> merged(kNumV);
-  size_t merge_first = 0;
-  merged.Merge(staging, combine, [&](VertexId) { ++merge_first; });
+  std::vector<VertexId> merge_first;
+  merged.MergeShard(0, staged, staged.size(), combine,
+                    [&](size_t, VertexId v) { merge_first.push_back(v); });
   EXPECT_EQ(merge_first, direct_first);
   for (size_t v = 0; v < kNumV; ++v) {
     ASSERT_EQ(merged.Has(v), direct.Has(v));
-    if (direct.Has(v)) ASSERT_EQ(merged.Get(v), direct.Get(v));
+    if (direct.Has(v)) {
+      ASSERT_EQ(merged.Get(v), direct.Get(v));
+    }
   }
 }
 
@@ -258,14 +263,11 @@ TEST(MessageStoreTest, PutInterleavedWithShardedMergeIsDeterministic) {
     return out;
   };
 
-  // Serial reference: unit-major Merge replay plus all Puts.
+  // Serial reference: unit-major Deposits plus all Puts.
   MessageStore<double> serial(kNumV);
   for (const auto& [v, m] : puts) serial.Put(v, m);
   for (int u = 0; u < kUnits; ++u) {
-    MessageStaging<double> staging;
-    staging.Configure(ShardMap(kNumV, 1));
-    for (const auto& [v, m] : emitted[u]) staging.Emit(v, m);
-    serial.Merge(staging, combine, [](VertexId) {});
+    for (const auto& [v, m] : emitted[u]) serial.Deposit(v, m, combine);
   }
   const auto expected = dump(serial);
   ASSERT_FALSE(expected.empty());

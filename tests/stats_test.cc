@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
 
@@ -70,6 +75,95 @@ TEST(DegreeStatsTest, AveragesMatchTotals) {
   EXPECT_NEAR(s.avg_out_degree * g->num_vertices(),
               static_cast<double>(g->num_edges()), 1e-6);
   EXPECT_NEAR(s.avg_in_degree, s.avg_out_degree, 1e-9);
+}
+
+// Whole-graph stats computed the pre-counting way: Gini over a sorted copy,
+// summed per element in double.
+double SortingGini(std::vector<uint32_t> degrees) {
+  if (degrees.empty()) return 0.0;
+  std::sort(degrees.begin(), degrees.end());
+  const double n = static_cast<double>(degrees.size());
+  double weighted_sum = 0.0, total = 0.0;
+  for (size_t i = 0; i < degrees.size(); ++i) {
+    const double d = degrees[i];
+    weighted_sum += (static_cast<double>(i) + 1.0) * d;
+    total += d;
+  }
+  if (total <= 0.0) return 0.0;
+  return (2.0 * weighted_sum) / (n * total) - (n + 1.0) / n;
+}
+
+DegreeStats SortingDegreeStats(const CsrGraph& g) {
+  DegreeStats s;
+  const VertexId n = g.num_vertices();
+  if (n == 0) return s;
+  s.min_out_degree = std::numeric_limits<uint32_t>::max();
+  s.min_in_degree = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> totals(n);
+  double out_sum = 0, in_sum = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t od = g.OutDegree(v);
+    const uint32_t id = g.has_in_csr() ? g.InDegree(v) : 0;
+    out_sum += od;
+    in_sum += id;
+    s.max_out_degree = std::max(s.max_out_degree, od);
+    s.min_out_degree = std::min(s.min_out_degree, od);
+    s.max_in_degree = std::max(s.max_in_degree, id);
+    s.min_in_degree = std::min(s.min_in_degree, id);
+    totals[v] = od + id;
+  }
+  s.avg_out_degree = out_sum / n;
+  s.avg_in_degree = in_sum / n;
+  s.entropy = DegreeEntropy(totals);
+  s.gini = SortingGini(totals);
+  return s;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(DegreeStatsTest, BitIdenticalToSortingReferenceOnEveryGenerator) {
+  std::vector<std::pair<const char*, EdgeList>> lists;
+  lists.emplace_back("rmat", Rmat({.scale = 11, .edge_factor = 8, .seed = 3}));
+  lists.emplace_back("rmat weighted", Rmat({.scale = 9, .edge_factor = 16,
+                                            .weighted = true, .seed = 5}));
+  lists.emplace_back("road", RoadGrid({.rows = 40, .cols = 30}));
+  lists.emplace_back("web", WebCrawl({.scale = 10, .seed = 2}));
+  lists.emplace_back("erdos-renyi", ErdosRenyi(3000, 20000, false, 4));
+  lists.emplace_back("small world", SmallWorld(2000, 3, 0.1, 6));
+  for (const auto& [name, list] : lists) {
+    for (const bool in_csr : {true, false}) {
+      SCOPED_TRACE(testing::Message() << name << " in_csr=" << in_csr);
+      auto g = CsrGraph::FromEdgeList(list, {.build_in_csr = in_csr});
+      ASSERT_TRUE(g.ok());
+      const DegreeStats got = ComputeDegreeStats(*g);
+      const DegreeStats want = SortingDegreeStats(*g);
+      EXPECT_EQ(Bits(got.gini), Bits(want.gini));
+      EXPECT_EQ(Bits(got.entropy), Bits(want.entropy));
+      EXPECT_EQ(Bits(got.avg_out_degree), Bits(want.avg_out_degree));
+      EXPECT_EQ(Bits(got.avg_in_degree), Bits(want.avg_in_degree));
+      EXPECT_EQ(got.max_out_degree, want.max_out_degree);
+      EXPECT_EQ(got.max_in_degree, want.max_in_degree);
+      EXPECT_EQ(got.min_out_degree, want.min_out_degree);
+      EXPECT_EQ(got.min_in_degree, want.min_in_degree);
+    }
+  }
+}
+
+TEST(GiniTest, BitIdenticalAboveTheExactIntegerBound) {
+  // n*sum(d) >= 2^53: the per-element double sum rounds, and GiniCoefficient
+  // must round exactly as it does rather than abort or sum exactly.
+  Rng rng(8);
+  std::vector<uint32_t> degrees;
+  for (int k = 0; k < (1 << 17); ++k) {
+    degrees.push_back(k % 5 == 0 ? static_cast<uint32_t>(rng.NextBounded(64))
+                                 : static_cast<uint32_t>(
+                                       (1u << 20) + rng.NextBounded(1u << 20)));
+  }
+  double total = 0.0;
+  for (const uint32_t d : degrees) total += d;
+  ASSERT_GE(static_cast<double>(degrees.size()) * total, 0x1p53);
+  const double want = SortingGini(degrees);
+  EXPECT_EQ(Bits(GiniCoefficient(degrees)), Bits(want));
 }
 
 TEST(PseudoDiameterTest, RoadGridFarExceedsRmat) {

@@ -66,6 +66,41 @@ TEST(TimelineTest, SparseIterationGrowth) {
   EXPECT_DOUBLE_EQ(tl.IterationWall(2), 0.0);
 }
 
+TEST(TimelineTest, ReadsPastTheLastChargedIterationAreIdle) {
+  // A superstep that charges no device leaves its iteration ungrown; its
+  // reads see no busy time, as Add's lazy growth implies.
+  Timeline tl(2);
+  tl.Add(1, 0, TimeCategory::kCompute, 2.0);
+  ASSERT_EQ(tl.num_iterations(), 2);
+  for (const int iter : {2, 3, 1000}) {
+    EXPECT_EQ(tl.Get(iter, 1, TimeCategory::kCompute), 0.0);
+    EXPECT_EQ(tl.DeviceIterationTotal(iter, 0), 0.0);
+    EXPECT_EQ(tl.IterationWall(iter), 0.0);
+    EXPECT_EQ(tl.ActiveDevices(iter), 0);
+  }
+  EXPECT_EQ(tl.num_iterations(), 2) << "reads never grow the timeline";
+  EXPECT_EQ(tl.IterationWall(1), 2.0);
+  EXPECT_EQ(tl.ActiveDevices(1), 1);
+  const Timeline empty(3);
+  EXPECT_EQ(empty.IterationWall(0), 0.0);
+  EXPECT_EQ(empty.ActiveDevices(0), 0);
+  EXPECT_EQ(empty.Get(0, 2, TimeCategory::kOverhead), 0.0);
+}
+
+TEST(TimelineDeathTest, NegativeIterationOrBadDeviceFailsCheck) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Timeline tl(2);
+  tl.Add(0, 0, TimeCategory::kCompute, 1.0);
+  EXPECT_DEATH(tl.Get(-1, 0, TimeCategory::kCompute), "Check failed");
+  EXPECT_DEATH(tl.Get(0, 2, TimeCategory::kCompute), "Check failed");
+  // Past the last iteration the device is still checked.
+  EXPECT_DEATH(tl.Get(7, -1, TimeCategory::kCompute), "Check failed");
+  EXPECT_DEATH(tl.DeviceIterationTotal(0, 2), "Check failed");
+  EXPECT_DEATH(tl.DeviceIterationTotal(-1, 0), "Check failed");
+  EXPECT_DEATH(tl.IterationWall(-1), "Check failed");
+  EXPECT_DEATH(tl.ActiveDevices(-1), "Check failed");
+}
+
 TEST(TimelineTest, RenderAsciiShowsDevices) {
   Timeline tl(2);
   tl.Add(0, 0, TimeCategory::kCompute, 10.0);

@@ -331,7 +331,9 @@ void FinishObs(const RunEnv& env, cli::ObsArtifacts& artifacts,
   artifacts.Finish(&result.timeline);
   if (!artifacts.want_report()) return;
   const cli::SetupFlags& s = env.cli.shared;
-  const core::EngineOptions& o = s.options;
+  // The options the engine ran under, so a baseline's preset (no stealing
+  // under Gunrock or Groute) is what the report records.
+  const core::EngineOptions& o = env.options;
   obs::RunReportMeta meta =
       artifacts.ReportMeta(env.cli.engine, env.setup.partition.num_parts);
   meta.config = {
@@ -360,9 +362,10 @@ void FinishObs(const RunEnv& env, cli::ObsArtifacts& artifacts,
   if (o.multipath == sim::MultipathMode::kOn) {
     meta.config.emplace_back("multipath", sim::MultipathModeName(o.multipath));
   }
-  // Only an async run records async keys, so mode-off reports stay
-  // byte-identical to the pre-async schema (modulo schema_version).
-  if (o.mode == core::EngineMode::kAsync) {
+  // Only a --mode=async run records async keys, so mode-off reports stay
+  // byte-identical to the pre-async schema (modulo schema_version). The
+  // Groute preset's fixed async settings are named by the engine instead.
+  if (s.options.mode == core::EngineMode::kAsync) {
     meta.config.emplace_back("mode", core::EngineModeName(o.mode));
     meta.config.emplace_back("worklist",
                              core::AsyncWorklistKindName(o.async.worklist));
