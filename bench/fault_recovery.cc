@@ -76,8 +76,8 @@ int main() {
                          100.0 * (r.total_ms - clean.total_ms) /
                              clean.total_ms,
                          1),
-                     TablePrinter::Num(r.RecoveryChargedMs(), 2),
-                     TablePrinter::Num(r.lost_work_ms, 2)});
+                     TablePrinter::Num(r.faults.RecoveryChargedMs(), 2),
+                     TablePrinter::Num(r.faults.lost_work_ms, 2)});
         }
       }
     }
@@ -107,8 +107,8 @@ int main() {
               sim::MultipathMode::kOn);
       mp.AddRow({abbr, AlgoName(algo), TablePrinter::Num(off.total_ms, 2),
                  TablePrinter::Num(on.total_ms, 2),
-                 TablePrinter::Num(off.RecoveryChargedMs(), 2),
-                 TablePrinter::Num(on.RecoveryChargedMs(), 2),
+                 TablePrinter::Num(off.faults.RecoveryChargedMs(), 2),
+                 TablePrinter::Num(on.faults.RecoveryChargedMs(), 2),
                  TablePrinter::Num(off.total_ms / on.total_ms, 3) + "x"});
     }
   }

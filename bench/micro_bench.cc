@@ -404,9 +404,10 @@ BENCHMARK(BM_SuperstepMergeApplyPr8Dev)
 // One full expand (payloads + traversal + message deposit) of an all-active
 // PageRank iteration on the rmat fixture — the dense shape where the pull
 // SpMV gather should beat frontier scatter (no per-unit staging, no sharded
-// merge, one combined deposit per destination). All three backends run the
+// merge, one combined deposit per destination). Every path runs the
 // identity plan on the same workload, so BENCH_superstep.json carries a
-// direct scatter-vs-spmv trajectory per thread count.
+// direct scatter-vs-spmv trajectory per thread count. The SpMV push is the
+// scatter path over the identity plan, so BM_ExpandScatterPr8Dev times it.
 
 void BM_ExpandScatterPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
@@ -466,29 +467,6 @@ BENCHMARK(BM_ExpandStationaryPr8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
-void BM_ExpandSpmvPushPr8Dev(benchmark::State& state) {
-  PrPhaseFixture& pf = GetPrPhaseFixture();
-  const SuperstepFixture& fx = pf.fx;
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  const core::ShardMap shards(fx.g.num_vertices(), threads);
-  std::vector<double> values = pf.values;
-  core::SpmvBackend<algos::PageRankApp> backend;
-  core::ExpandCounters counters;
-  core::MessageStore<double> store(fx.g.num_vertices());
-  for (auto _ : state) {
-    backend.ExpandPush(&pool, fx.g, fx.partition, fx.owner, pf.app, values,
-                       fx.frontier, shards, store, &counters);
-    benchmark::DoNotOptimize(store.PendingCount());
-    store.EndSuperstep();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.g.num_edges()));
-}
-BENCHMARK(BM_ExpandSpmvPushPr8Dev)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
 void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
@@ -499,13 +477,11 @@ void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   core::SpmvBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
   core::MessageStore<double> store(fx.g.num_vertices());
-  // Warm-up run so the one-time PullEdges build is not timed.
-  backend.ExpandPull(&pool, fx.g, fx.partition, fx.owner, pf.app, values,
-                     fx.frontier, shards, store, &counters);
-  store.EndSuperstep();
+  core::PullEdges pull;
+  pull.Build(fx.g, fx.partition);
   for (auto _ : state) {
-    backend.ExpandPull(&pool, fx.g, fx.partition, fx.owner, pf.app, values,
-                       fx.frontier, shards, store, &counters);
+    backend.ExpandPull(&pool, fx.g, fx.partition, pull, fx.owner, pf.app,
+                       values, fx.frontier, shards, store, &counters);
     benchmark::DoNotOptimize(store.PendingCount());
     store.EndSuperstep();
   }

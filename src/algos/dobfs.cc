@@ -14,6 +14,8 @@ namespace gum::algos {
 namespace {
 using graph::VertexId;
 constexpr uint32_t kUnreached = std::numeric_limits<uint32_t>::max();
+// Kernel launches per level, mirroring the Gunrock baseline's pipeline.
+constexpr int kKernelsPerLevel = 4;
 }  // namespace
 
 core::RunResult DirectionOptimizedBfs(
@@ -94,7 +96,7 @@ core::RunResult DirectionOptimizedBfs(
                             comm_ms);
         result.timeline.Add(
             level, d, sim::TimeCategory::kOverhead,
-            (options.kernels_per_level * dev.kernel_launch_us * 1000.0 +
+            (kKernelsPerLevel * dev.kernel_launch_us * 1000.0 +
              p_ns * n) /
                 1e6);
         result.edges_processed += scanned;
@@ -137,7 +139,7 @@ core::RunResult DirectionOptimizedBfs(
                             comm_ms);
         result.timeline.Add(
             level, d, sim::TimeCategory::kOverhead,
-            (options.kernels_per_level * dev.kernel_launch_us * 1000.0 +
+            (kKernelsPerLevel * dev.kernel_launch_us * 1000.0 +
              p_ns * n) /
                 1e6);
         result.edges_processed += edges;

@@ -33,9 +33,6 @@ struct DoBfsOptions {
   sim::DeviceParams device;
   double alpha = 15.0;  // push -> pull threshold
   double beta = 18.0;   // pull -> push threshold
-  // Extra per-iteration cost constants mirror the Gunrock baseline's
-  // pipeline (barrier + kernel launches).
-  int kernels_per_level = 4;
 };
 
 struct DoBfsStats {

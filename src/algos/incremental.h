@@ -14,11 +14,11 @@
 //                  fixed point; no engine run at all.
 //   kIncremental — warm start is provably sound; run with the affected
 //                  seed frontier.
-//   kFallback    — monotonicity lost: restore the epoch-0 checkpoint
-//                  (fault/checkpoint.h — InitValue state is graph-free,
-//                  so the restore point stays valid for every epoch) and
-//                  replay forward on the mutated graph. The restore
-//                  read-back is charged like any checkpoint restore.
+//   kFallback    — monotonicity lost: restore the epoch-0 vertex state
+//                  (InitValue state is graph-free, so the restore point
+//                  stays valid for every epoch) and replay forward on the
+//                  mutated graph. The restore read-back is charged like
+//                  any checkpoint restore (fault/checkpoint.h).
 //
 // Soundness rules per app:
 //   BFS/SSSP — insert (u,v): seed u when u is reached (activation then
@@ -54,6 +54,7 @@
 #include "core/expand/expand_backend.h"
 #include "core/graph_context.h"
 #include "core/run_context.h"
+#include "core/vertex_state.h"
 #include "fault/checkpoint.h"
 #include "graph/mutation.h"
 
@@ -226,19 +227,17 @@ class IncrementalSession {
                              const core::EngineOptions* run_options = nullptr) {
     app_ = app;
     const graph::VertexId num_v = ctx.graph().num_vertices();
-    ckpt0_.iteration = 0;
-    ckpt0_.state.values.resize(num_v);
+    state0_.values.resize(num_v);
     for (graph::VertexId v = 0; v < num_v; ++v) {
-      ckpt0_.state.values[v] = app_.InitValue(v);
+      state0_.values[v] = app_.InitValue(v);
     }
     init_active_.Resize(num_v);
     for (graph::VertexId v = 0; v < num_v; ++v) {
       if (app_.IsInitiallyActive(v)) init_active_.Set(v);
     }
-    ckpt0_.state.frontier.BuildByOwner(
+    state0_.frontier.BuildByOwner(
         num_v, ctx.partition().owner, ctx.num_devices(),
         [this](graph::VertexId v) { return init_active_.Test(v); });
-    ckpt0_.group_size = ctx.num_devices();
 
     core::GumEngine<App> engine(&ctx);
     core::RunResult result = engine.Run(app_, rc_full_, nullptr, run_options);
@@ -270,7 +269,7 @@ class IncrementalSession {
       case EpochPlanKind::kFallback: {
         ++fallbacks_;
         stats.restore_ms = ChargeRestore(ctx);
-        IncrementalApp<App> inc{&app_, &ckpt0_.state.values, &init_active_};
+        IncrementalApp<App> inc{&app_, &state0_.values, &init_active_};
         core::GumEngine<IncrementalApp<App>> engine(&ctx);
         stats.result = engine.Run(inc, rc_inc_, nullptr, run_options);
         break;
@@ -291,8 +290,7 @@ class IncrementalSession {
     double ms = 0.0;
     for (int d = 0; d < ctx.num_devices(); ++d) {
       const size_t frag_vertices = ctx.partition().part_vertices[d].size();
-      const size_t frontier_vertices =
-          ckpt0_.state.frontier.FragmentSize(d);
+      const size_t frontier_vertices = state0_.frontier.FragmentSize(d);
       ms = std::max(ms, fault::CheckpointTransferMs(fault::FragmentStateBytes(
                             frag_vertices, frontier_vertices, sizeof(Value))));
     }
@@ -303,7 +301,7 @@ class IncrementalSession {
   std::vector<Value> values_;
   // Epoch-0 restore point; InitValue state never depends on the edge set,
   // so it stays a valid restart for every epoch's graph.
-  fault::Checkpoint<Value> ckpt0_;
+  core::VertexState<Value> state0_;
   Bitmap init_active_;
   core::RunContext<App> rc_full_;
   core::RunContext<IncrementalApp<App>> rc_inc_;

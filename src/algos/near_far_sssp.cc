@@ -17,6 +17,8 @@ using core::PriorityWorklist;
 using core::WorklistEntry;
 using graph::VertexId;
 constexpr float kUnreached = std::numeric_limits<float>::max();
+// Kernel launches per band: relax + 2-way split + compaction.
+constexpr int kKernelsPerBand = 5;
 }  // namespace
 
 // Near-far is the degenerate delta-stepping configuration of the shared
@@ -130,7 +132,7 @@ core::RunResult NearFarSssp(const graph::CsrGraph& g,
                               sim::TrueEdgeCostNs(features, dev) / 1e6);
       result.timeline.Add(
           step, d, sim::TimeCategory::kOverhead,
-          (options.kernels_per_band * dev.kernel_launch_us * 1000.0 +
+          (kKernelsPerBand * dev.kernel_launch_us * 1000.0 +
            p_ns * n) /
               1e6);
       result.edges_processed += relaxed;

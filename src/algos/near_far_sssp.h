@@ -31,7 +31,6 @@ struct NearFarOptions {
   sim::DeviceParams device;
   // Band width; 0 picks `average edge weight * 2` automatically.
   double delta = 0.0;
-  int kernels_per_band = 5;  // relax + 2-way split + compaction kernels
 };
 
 struct NearFarStats {

@@ -13,6 +13,14 @@ namespace gum::baselines {
 
 using graph::VertexId;
 
+namespace {
+// Per-round per-device overhead: hooking kernel launches + worklist
+// bookkeeping.
+constexpr double kRoundOverheadUs = 40.0;
+// Bandwidth of every ring segment.
+constexpr double kRingGbps = 25.0;
+}  // namespace
+
 GrouteCcEngine::GrouteCcEngine(const graph::CsrGraph* g,
                                graph::Partition partition,
                                GrouteCcOptions options)
@@ -29,7 +37,7 @@ core::RunResult GrouteCcEngine::Run(std::vector<VertexId>* labels_out) {
   // proceeds around the ring); the plane prices that first hop. Unlike the
   // general Groute engine this model's ring is uniform — the exchange is
   // pipelined, so no segment ever pays the PCIe wrap-around alone.
-  sim::CommPlane plane(sim::Topology::Ring(n, options_.ring_gbps),
+  sim::CommPlane plane(sim::Topology::Ring(n, kRingGbps),
                        options_.contention, sim::RoutePolicy::kDirectOnly);
 
   // Current global labels, reduced at the owners after every round.
@@ -89,7 +97,7 @@ core::RunResult GrouteCcEngine::Run(std::vector<VertexId>* labels_out) {
       const double comm_ms = comm.tag_comm_ns[d] / 1e6;
       const double serial_ms = boundary_updates[d] * dev.bytes_per_message /
                                dev.serialization_gbps / 1e6;
-      const double overhead_ms = options_.round_overhead_us / 1000.0;
+      const double overhead_ms = kRoundOverheadUs / 1000.0;
       result.timeline.Add(round, d, sim::TimeCategory::kCompute, compute_ms);
       result.timeline.Add(round, d, sim::TimeCategory::kCommunication,
                           comm_ms);

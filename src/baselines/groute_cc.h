@@ -27,10 +27,6 @@ namespace gum::baselines {
 
 struct GrouteCcOptions {
   sim::DeviceParams device;
-  // Per-round per-device overhead: hooking kernel launches + worklist
-  // bookkeeping.
-  double round_overhead_us = 40.0;
-  double ring_gbps = 25.0;
   int max_rounds = 64;  // safety rail; expected rounds ~ log2(|V|)
   // Interconnect contention model for the per-round boundary exchange.
   sim::ContentionModel contention = sim::ContentionModel::kOff;

@@ -178,7 +178,9 @@ class AsyncDriver {
     std::vector<double> clock_ms(n, 0.0);
     std::vector<char> parked(n, 0);
     const double census_ms = p_ns * n / 1e6;
-    const double overhead_ms = cfg.batch_overhead_us / 1000.0;
+    // Per-batch micro-kernel launch + bookkeeping charge (no barrier).
+    constexpr double kBatchOverheadUs = 12.0;
+    const double overhead_ms = kBatchOverheadUs / 1000.0;
     constexpr double kHopLatencyMs = 0.002;  // 2us per interconnect hop
     constexpr double kSegmentBytes = 16.0 * 1024;  // one router segment
 

@@ -69,8 +69,6 @@ struct AsyncConfig {
   // high-priority tail downward, whole buckets at a time).
   double range_steal_fraction = 0.5;
 
-  // Per-batch micro-kernel launch + bookkeeping charge (no barrier).
-  double batch_overhead_us = 12.0;
   // Max worklist entries popped per batch.
   int max_batch = 4096;
 

@@ -102,7 +102,6 @@
 #include "fault/fault_plane.h"
 #include "fault/recovery.h"
 #include "graph/csr.h"
-#include "graph/frontier_features.h"
 #include "graph/partition.h"
 #include "ml/model.h"
 #include "sim/comm_plane.h"
@@ -168,17 +167,13 @@ class GumEngine {
   RunResult Run(App& app, RunContext<App>& rc,
                 std::vector<Value>* values_out = nullptr,
                 const EngineOptions* run_options = nullptr) {
-    const graph::CsrGraph& g = ctx_->graph();
-    const graph::Partition& partition = ctx_->partition();
     const EngineOptions& options =
         run_options != nullptr ? *run_options : ctx_->options();
-    const int n = partition.num_parts;
-    const int fixed_rounds = app.fixed_rounds();
-    GUM_CHECK_OK(ValidateRunOptions(options, n, fixed_rounds >= 0,
+    GUM_CHECK_OK(ValidateRunOptions(options, ctx_->partition().num_parts,
+                                    app.fixed_rounds() >= 0,
                                     AsyncCapable<App>));
     // Async mode routes the whole run through the priority-worklist driver
-    // (core/async/async_engine.h); everything below is the BSP superstep
-    // loop, untouched when mode == kBsp.
+    // (core/async/async_engine.h); BSP mode runs the superstep loop.
     if constexpr (AsyncCapable<App>) {
       if (options.mode == EngineMode::kAsync) {
         RunResult result =
@@ -187,544 +182,530 @@ class GumEngine {
         return result;
       }
     }
-    ThreadPool* pool = ctx_->pool();
-    const VertexId num_v = g.num_vertices();
-    const sim::DeviceParams& dev = options.device;
-    const double p_ns = dev.sync_per_peer_us * 1000.0;
+    return BspRun(*ctx_, options, app, rc).Run(values_out);
+  }
 
-    RunResult result;
-    result.timeline = sim::Timeline(n);
-    // Every transfer of the run is charged and recorded through this plane;
-    // its telemetry is exported into the result after the last iteration.
-    sim::CommPlane plane(ctx_->topology(), options.contention, options.route);
-    // Multi-path plans only compose with the fair model: kOff is the
-    // bit-compatible legacy conversion, so striping stays disabled there
-    // and contention=off runs are byte-identical regardless of the knob.
-    const bool multipath =
-        options.multipath == sim::MultipathMode::kOn &&
-        options.contention == sim::ContentionModel::kFair;
-    plane.set_multipath(multipath);
+ private:
+  // One BSP run. Its members are the loop state; its private member
+  // functions are the phases of a superstep, which Run calls in order
+  // (docs/architecture.md).
+  class BspRun {
+   public:
+    BspRun(const GraphContext& ctx, const EngineOptions& options, App& app,
+           RunContext<App>& rc)
+        : ctx_(ctx),
+          options_(options),
+          app_(app),
+          rc_(rc),
+          g_(ctx.graph()),
+          partition_(ctx.partition()),
+          n_(partition_.num_parts),
+          fixed_rounds_(app.fixed_rounds()),
+          // Multi-path plans only compose with the fair model: kOff is the
+          // bit-compatible legacy conversion, so striping stays disabled
+          // there and contention=off runs are byte-identical regardless of
+          // the knob.
+          multipath_(options.multipath == sim::MultipathMode::kOn &&
+                     options.contention == sim::ContentionModel::kFair),
+          // With no plane (or an empty plan) every fault guard is dead and
+          // the run is bit-identical to a fault-free build (DESIGN.md §11).
+          faults_(options.fault_plane != nullptr &&
+                          options.fault_plane->active()
+                      ? options.fault_plane
+                      : nullptr),
+          // Every transfer of the run is charged and recorded through this
+          // plane; its telemetry is exported into the result after the
+          // last iteration.
+          plane_(ctx.topology(), options.contention, options.route),
+          // Eq. (4)'s p is estimated online from observed iterations (paper
+          // §IV-A: "a parameter that can be estimated during previous
+          // iterations"); the first iteration never triggers OSteal.
+          group_{.owner_of_fragment = AllDevices(n_),
+                 .active = AllDevices(n_),
+                 .p_estimate_ns = (options.estimate_sync_online
+                                       ? options.sync_prior_us
+                                       : options.device.sync_per_peer_us) *
+                                  1000.0,
+                 .prev_wall_ms = 1e18},
+          failed_(n_, false),
+          survivors_(AllDevices(n_)),
+          survivor_schedule_(ctx.schedule()) {
+      plane_.set_multipath(multipath_);
+      result_.timeline = sim::Timeline(n_);
+      const VertexId num_v = g_.num_vertices();
+      // SoA vertex state: dense value array + fragment-major frontier
+      // arena (core/vertex_state.h), ascending within each fragment.
+      rc_.state.values.resize(num_v);
+      for (VertexId v = 0; v < num_v; ++v) {
+        rc_.state.values[v] = app_.InitValue(v);
+      }
+      rc_.state.frontier.BuildByOwner(
+          num_v, partition_.owner, n_,
+          [this](VertexId v) { return app_.IsInitiallyActive(v); });
+      rc_.store.Reset(num_v);
+      rc_.apply_msgs.assign(n_, 0.0);
+      rc_.next_frontier.Reset(n_);
+    }
 
-    // SoA vertex state: dense value array + fragment-major frontier arena
-    // (core/vertex_state.h), ascending within each fragment.
-    VertexState<Value>& state = rc.state;
-    auto& values = state.values;
-    auto& frontier = state.frontier;
-    values.resize(num_v);
-    for (VertexId v = 0; v < num_v; ++v) values[v] = app.InitValue(v);
-    frontier.BuildByOwner(num_v, partition.owner, n, [&app](VertexId v) {
-      return app.IsInitiallyActive(v);
-    });
+    RunResult Run(std::vector<Value>* values_out) {
+      const int ckpt_every = options_.checkpoint.every;
+      if (faults_ != nullptr) TakeCheckpoint(0);
+      for (int iter = 0; iter < options_.max_iterations; ++iter) {
+        if (faults_ != nullptr) iter = Barrier(iter);
+        if (stationary()) {
+          if (iter >= fixed_rounds_) break;
+          // Every inner vertex is active each round.
+          rc_.state.frontier.Assign(partition_.part_vertices);
+        }
+        const FrontierCensus& census = Census();
+        if (!stationary() && census.total_frontier == 0) break;
+        IterationStats stats;
+        stats.iteration = iter;
+        stats.fragment_load = census.loads;
+        // Per-iteration expand-mode decision (DESIGN.md §12): depends only
+        // on the census loads and the constant edge count, so it is
+        // deterministic for every thread and shard count.
+        const ExpandMode mode = SelectExpandMode(
+            options_.expand_backend, census.total_load,
+            static_cast<double>(g_.num_edges()), options_.spmv);
+        if (recovery_pending_) {
+          Recover(iter, census, stats);
+        } else {
+          OSteal(iter, census, stats);
+        }
+        stats.group_size = static_cast<int>(group_.active.size());
+        const FStealDecision fs = FSteal(mode, census, stats);
+        Expand(mode, fs, census.loads, stats);
+        Apply();
+        const TimeAccountingSummary acct = Account(iter, census, fs);
+        if (faults_ != nullptr) ChargeStragglers(iter);
+        EstimateP(iter, acct);
+        const bool checkpoint_due =
+            ckpt_every > 0 && (iter + 1) % ckpt_every == 0;
+        if (checkpoint_due) ChargeCheckpoint(iter);
+        Record(iter, mode, fs, census.total_frontier, stats);
+        // Snapshot after the wall is in total_ms, so a restore resumes
+        // with exactly the accounted past of this barrier. Without a fault
+        // plan the snapshot is never read; only the charge above matters.
+        if (checkpoint_due && faults_ != nullptr) TakeCheckpoint(iter + 1);
+      }
+      return Finish(values_out);
+    }
 
-    MessageStore<Message>& store = rc.store;
-    store.Reset(num_v);
-    // Destination shards: the parallel axis of the merge and apply phases.
-    const ShardMap& shard_map = ctx_->shard_map();
+   private:
+    bool stationary() const { return fixed_rounds_ >= 0; }
 
-    std::vector<int> owner_of_fragment(n);
-    for (int i = 0; i < n; ++i) owner_of_fragment[i] = i;
-    std::vector<int> active(n);
-    for (int i = 0; i < n; ++i) active[i] = i;
-    int group_size = n;
-
-    FrontierCensus dynamic_census;
-    double prev_wall_ms = 1e18;  // first iteration never triggers OSteal
-    // Eq. (4)'s p, estimated online from observed iterations (paper §IV-A:
-    // "a parameter that can be estimated during previous iterations").
-    double p_estimate_ns = options.estimate_sync_online
-                               ? options.sync_prior_us * 1000.0
-                               : p_ns;
-
-    // Expand backends and scratch live in the RunContext, reused across
-    // iterations (and across runs in serving mode). The SpMV backend's
-    // heavy structures are built lazily on first use — and the pull
-    // gather's in-edge CSR comes from the shared GraphContext build — so
-    // scatter-only runs never pay for them.
-    FrontierScatterBackend<App>& scatter_backend = rc.scatter_backend;
-    SpmvBackend<App>& spmv_backend = rc.spmv_backend;
-    ExpandCounters& expand_counters = rc.expand_counters;
-    std::vector<double>& apply_msgs = rc.apply_msgs;
-    apply_msgs.assign(n, 0.0);
-    ApplyScratch& apply_scratch = rc.apply_scratch;
-    FrontierSoA& next_frontier = rc.next_frontier;
-    next_frontier.Reset(n);
-
-    // --- fault plane state (DESIGN.md §11) ---
-    // With no plane (or an empty plan) every guard below is dead and the
-    // run is bit-identical to a fault-free build.
-    const fault::FaultPlane* faults =
-        options.fault_plane != nullptr && options.fault_plane->active()
-            ? options.fault_plane
-            : nullptr;
-    const int ckpt_every = options.checkpoint.every;
-    std::vector<bool> failed(n, false);
-    std::vector<int> survivors = AllDevices(n);
-    sim::ReductionSchedule survivor_schedule = ctx_->schedule();
-    fault::Checkpoint<Value> ckpt;
-    bool recovery_pending = false;
-    double pending_lost_ms = 0.0;
-    // Monotonic fault accounting, kept outside RunResult so checkpoint
-    // rollback never erases it; folded into the result after the loop.
-    // Timeline charges DO roll back — the discarded execution (including
-    // any recovery charged on it) is re-charged as lost work at restore.
-    struct FaultAccounting {
-      int checkpoints_taken = 0;
-      double checkpoint_bytes_total = 0.0;
-      double checkpoint_ms_total = 0.0;
-      int devices_failed = 0;
-      int recovery_events = 0;
-      int fragments_migrated = 0;
-      double recovery_detect_ms = 0.0;
-      double recovery_restore_ms = 0.0;
-      double recovery_migrate_ms = 0.0;
-      double lost_work_ms = 0.0;
-      double straggler_ms = 0.0;
-      int link_fault_iterations = 0;
-    } facct;
-    const auto fragment_state_bytes = [&](int i) {
-      return fault::FragmentStateBytes(partition.part_vertices[i].size(),
-                                       frontier.FragmentSize(i),
-                                       sizeof(Value));
-    };
     // Snapshots everything the loop needs to re-enter at `next_iter`. The
     // initial snapshot is free (state is still host-resident); periodic
     // ones charge their owners a PCIe read-back before being taken.
-    const auto take_checkpoint = [&](int next_iter) {
-      ckpt.iteration = next_iter;
-      ckpt.state = state;
-      ckpt.owner_of_fragment = owner_of_fragment;
-      ckpt.active = active;
-      ckpt.group_size = group_size;
-      ckpt.p_estimate_ns = p_estimate_ns;
-      ckpt.prev_wall_ms = prev_wall_ms;
-      ckpt.result = result;
-      ckpt.comm = plane.SnapshotTelemetry();
-    };
-    if (faults != nullptr) take_checkpoint(0);
+    void TakeCheckpoint(int next_iter) {
+      ckpt_.iteration = next_iter;
+      ckpt_.state = rc_.state;
+      ckpt_.group = group_;
+      ckpt_.result = result_;
+      ckpt_.comm = plane_.SnapshotTelemetry();
+    }
 
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
-      // --- fail-stop detection at the superstep barrier ---
-      if (faults != nullptr) {
-        std::vector<int> newly;
-        for (const int d : faults->FailuresAt(iter)) {
-          // Replay re-crosses the failure iteration; already-dead devices
-          // never re-trigger.
-          if (!failed[d]) newly.push_back(d);
-        }
-        if (!newly.empty()) {
-          obs::TraceInstant("fault.failstop");
-          for (const int d : newly) failed[d] = true;
-          survivors.clear();
-          std::vector<int> failed_list;
-          for (int i = 0; i < n; ++i) {
-            (failed[i] ? failed_list : survivors).push_back(i);
-          }
-          GUM_CHECK(!survivors.empty()) << "fault plan killed every device";
-          survivor_schedule =
-              sim::ReductionSchedule::BuildWithForbidden(ctx_->topology(),
-                                                         failed_list);
-          // State is lost only if a dead device owned fragments or worked
-          // in the group; a device OSteal already evicted takes nothing
-          // with it, so the run continues from live state.
-          bool state_lost = false;
-          for (const int d : newly) {
-            for (int i = 0; i < n; ++i) {
-              state_lost = state_lost || owner_of_fragment[i] == d;
-            }
-            state_lost = state_lost ||
-                         std::find(active.begin(), active.end(), d) !=
-                             active.end();
-          }
-          facct.devices_failed += static_cast<int>(newly.size());
-          if (state_lost) {
-            // Roll back to the last checkpoint; everything charged since
-            // (including the lost iterations' walls) becomes lost work,
-            // re-charged at the restore barrier below.
-            pending_lost_ms = result.total_ms - ckpt.result.total_ms;
-            state = ckpt.state;
-            owner_of_fragment = ckpt.owner_of_fragment;
-            active = ckpt.active;
-            group_size = ckpt.group_size;
-            p_estimate_ns = ckpt.p_estimate_ns;
-            prev_wall_ms = ckpt.prev_wall_ms;
-            result = ckpt.result;
-            plane.RestoreTelemetry(ckpt.comm);
-            iter = ckpt.iteration;
-            recovery_pending = true;
-          } else {
-            // Nothing rolls back: charge the barrier timeout and continue
-            // with the shrunk candidate set.
-            const double detect_ms =
-                options.recovery.detect_timeout_us / 1000.0;
-            for (const int d : survivors) {
-              result.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
-                                  detect_ms);
-            }
-            facct.recovery_detect_ms += detect_ms;
-            ++facct.recovery_events;
-          }
-        }
-        // --- link-fault overlay for this iteration ---
-        plane.ClearLinkFaults();
-        const auto link_faults = faults->LinkFaultsAt(iter);
-        for (const auto& lf : link_faults) {
-          plane.SetLinkScale(lf.a, lf.b, lf.scale);
-        }
-        if (!link_faults.empty()) ++facct.link_fault_iterations;
+    // The superstep barrier: fail-stop detection, rollback, and the link-
+    // fault overlay. Returns the iteration to run, rewound on rollback.
+    int Barrier(int iter) {
+      std::vector<int> newly;
+      for (const int d : faults_->FailuresAt(iter)) {
+        // Replay re-crosses the failure iteration; already-dead devices
+        // never re-trigger.
+        if (!failed_[d]) newly.push_back(d);
       }
-      if (fixed_rounds >= 0) {
-        if (iter >= fixed_rounds) break;
-        // Stationary workload: every inner vertex is active each round.
-        frontier.Assign(partition.part_vertices);
-      }
-
-      // --- Step 1: workload census ---
-      // A stationary superstep's census depends only on the context, which
-      // takes it once; a data-driven one re-takes it for this frontier.
-      const FrontierCensus& census = [&]() -> const FrontierCensus& {
-        GUM_TRACE_SCOPE("gum.census");
-        if (fixed_rounds >= 0) return ctx_->stationary_census();
-        dynamic_census.Take(g, ctx_->hub_cache(), frontier);
-        return dynamic_census;
-      }();
-      const std::vector<double>& loads = census.loads;
-      const std::vector<graph::FrontierFeatures>& features = census.features;
-      const std::vector<double>& remote_discount = census.remote_discount;
-      const double total_load = census.total_load;
-      const size_t total_frontier = census.total_frontier;
-      if (fixed_rounds < 0 && total_frontier == 0) break;
-
-      IterationStats stats;
-      stats.iteration = iter;
-      stats.fragment_load = loads;
-
-      // Per-iteration expand-mode decision (DESIGN.md §12): depends only
-      // on the census loads and the constant edge count, so it is
-      // deterministic for every thread and shard count.
-      const ExpandMode expand_mode = SelectExpandMode(
-          options.expand_backend, total_load,
-          static_cast<double>(g.num_edges()), options.spmv);
-
-      // --- fault recovery: rebuild ownership over the survivors ---
-      // Runs at the first barrier after a rollback: drive the OSteal
-      // enumeration over the survivor schedule (dead columns forbidden),
-      // then charge detection, checkpoint read-back, migration, and the
-      // rolled-back work at this barrier.
-      bool recovered_this_iter = false;
-      if (recovery_pending) {
-        recovery_pending = false;
-        recovered_this_iter = true;
-        GUM_TRACE_SCOPE("fault.recover");
-        const auto cost_surv = BuildCostMatrix(
-            features, remote_discount, ctx_->cost_model(), plane, survivors);
-        OStealDecision dec = fault::RebuildOwnership(
-            cost_surv, loads, survivor_schedule, p_estimate_ns,
-            options.osteal, static_cast<int>(survivors.size()),
-            options.enable_osteal);
-        stats.osteal_evaluated = options.enable_osteal;
-        stats.osteal_decision_host_ms = dec.decision_host_ms;
-        result.osteal_decision_host_ms_total += dec.decision_host_ms;
-        result.osteal_lp_iterations_total += dec.lp_iterations_total;
-        result.osteal_milp_nodes_total += dec.milp_nodes_total;
-        std::vector<double> frag_bytes(n);
-        for (int i = 0; i < n; ++i) frag_bytes[i] = fragment_state_bytes(i);
-        const fault::RecoveryCharge charge = fault::ComputeRecoveryCharge(
-            options.recovery, owner_of_fragment, dec.owner, failed,
-            frag_bytes, multipath ? &plane : nullptr);
-        if (dec.group_size != group_size) {
-          stats.group_size_changed = true;
-          ++result.osteal_shrink_events;
+      if (!newly.empty()) {
+        obs::TraceInstant("fault.failstop");
+        for (const int d : newly) failed_[d] = true;
+        survivors_.clear();
+        std::vector<int> failed_list;
+        for (int i = 0; i < n_; ++i) {
+          (failed_[i] ? failed_list : survivors_).push_back(i);
         }
-        group_size = dec.group_size;
-        owner_of_fragment = dec.owner;
-        active = dec.active;
-        for (const int d : survivors) {
-          result.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
-                              charge.per_device_ms[d] + pending_lost_ms);
+        GUM_CHECK(!survivors_.empty()) << "fault plan killed every device";
+        survivor_schedule_ = sim::ReductionSchedule::BuildWithForbidden(
+            ctx_.topology(), failed_list);
+        // State is lost only if a dead device owned fragments or worked in
+        // the group; a device OSteal already evicted takes nothing with
+        // it, so the run continues from live state.
+        bool state_lost = false;
+        for (const int d : newly) {
+          state_lost = state_lost ||
+                       std::ranges::count(group_.owner_of_fragment, d) > 0 ||
+                       std::ranges::count(group_.active, d) > 0;
         }
-        facct.recovery_detect_ms += charge.detect_ms;
-        facct.recovery_restore_ms += charge.restore_ms;
-        facct.recovery_migrate_ms += charge.migrate_ms;
-        facct.lost_work_ms += pending_lost_ms;
-        facct.fragments_migrated += charge.fragments_migrated;
-        ++facct.recovery_events;
-        pending_lost_ms = 0.0;
-        obs::TraceInstant("fault.recover");
-        if (obs::MetricsEnabled()) {
-          auto& reg = obs::MetricsRegistry::Global();
-          reg.GetCounter("gum_fault_recoveries_total").Increment();
-          reg.GetCounter("gum_fault_fragments_migrated_total")
-              .Increment(charge.fragments_migrated);
+        result_.faults.devices_failed += static_cast<int>(newly.size());
+        if (state_lost) {
+          iter = Rollback();
+        } else {
+          // Nothing rolls back: charge the barrier timeout and continue
+          // with the shrunk candidate set.
+          const double detect_ms =
+              options_.recovery.detect_timeout_us / 1000.0;
+          for (const int d : survivors_) {
+            result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
+                                 detect_ms);
+          }
+          result_.faults.recovery_detect_ms += detect_ms;
+          ++result_.faults.recovery_events;
         }
       }
-
-      // --- Step 2: ownership stealing ---
-      // Evaluate OSteal when the previous iteration was latency-bound, or
-      // whenever the group is already shrunk (so it can grow back as the
-      // workload recovers, paper §IV-B). After a fail-stop the enumeration
-      // runs over the survivor schedule, capped at the survivor count —
-      // with no failures both equal the full schedule, bit for bit.
-      if (!recovered_this_iter && options.enable_osteal && n > 1 &&
-          (prev_wall_ms < options.osteal.t3_trigger_ms ||
-           group_size < n)) {
-        GUM_TRACE_SCOPE("gum.osteal");
-        const auto cost_full =
-            BuildCostMatrix(features, remote_discount, ctx_->cost_model(),
-                            plane, survivors);
-        OStealDecision dec = DecideOSteal(cost_full, loads,
-                                          survivor_schedule, p_estimate_ns,
-                                          options.osteal,
-                                          static_cast<int>(survivors.size()));
-        stats.osteal_evaluated = true;
-        stats.osteal_decision_host_ms = dec.decision_host_ms;
-        result.osteal_decision_host_ms_total += dec.decision_host_ms;
-        result.osteal_lp_iterations_total += dec.lp_iterations_total;
-        result.osteal_milp_nodes_total += dec.milp_nodes_total;
-        if (dec.group_size != group_size) {
-          // Migrate residual frontier status from re-owned fragments.
-          if (multipath) {
-            // Bulk ownership migrations stripe across link-disjoint paths
-            // and contend with each other as one settled batch.
-            sim::TransferBatch migration;
-            for (int i = 0; i < n; ++i) {
-              if (dec.owner[i] != owner_of_fragment[i] &&
-                  frontier.FragmentSize(i) > 0) {
-                const double bytes =
-                    static_cast<double>(frontier.FragmentSize(i)) *
-                    dev.bytes_per_message;
-                migration.AddBulk(owner_of_fragment[i], dec.owner[i], bytes,
-                                  dec.owner[i]);
-              }
-            }
-            if (!migration.empty()) {
-              const sim::SettleResult settled = plane.Settle(migration);
-              for (int d = 0; d < n; ++d) {
-                if (settled.tag_comm_ns[d] > 0.0) {
-                  result.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
-                                      settled.tag_comm_ns[d] / 1e6);
-                }
-              }
-            }
-          } else {
-            for (int i = 0; i < n; ++i) {
-              if (dec.owner[i] != owner_of_fragment[i] &&
-                  frontier.FragmentSize(i) > 0) {
-                const double bytes =
-                    static_cast<double>(frontier.FragmentSize(i)) *
-                    dev.bytes_per_message;
-                const double ns = plane.PointToPointNs(
-                    owner_of_fragment[i], dec.owner[i], bytes);
-                result.timeline.Add(iter, dec.owner[i],
-                                    sim::TimeCategory::kOverhead, ns / 1e6);
-              }
-            }
-          }
-          group_size = dec.group_size;
-          owner_of_fragment = dec.owner;
-          active = dec.active;
-          stats.group_size_changed = true;
-          ++result.osteal_shrink_events;
-        }
-        // Policy generation itself costs time on the coordinator and a
-        // broadcast to every worker.
-        const double osteal_sim_us = 12.0 + 4.0 * n;
-        for (int d : active) {
-          result.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
-                              osteal_sim_us / 1000.0);
-        }
-        result.osteal_sim_overhead_ms += osteal_sim_us / 1000.0;
+      plane_.ClearLinkFaults();
+      const auto link_faults = faults_->LinkFaultsAt(iter);
+      for (const auto& lf : link_faults) {
+        plane_.SetLinkScale(lf.a, lf.b, lf.scale);
       }
-      stats.group_size = group_size;
+      if (!link_faults.empty()) ++result_.faults.link_fault_iterations;
+      return iter;
+    }
 
-      // --- Step 3: frontier stealing ---
-      // Non-scatter modes take the identity plan: the linear-algebra
-      // backend has no per-executor frontier ranges to steal (push runs
-      // the identity plan, pull parallelizes over destinations).
+    // Restores the last checkpoint and returns its resume iteration.
+    // Everything charged since (including the lost iterations' walls)
+    // becomes lost work, re-charged at the recovery barrier. The fault
+    // counters count every event of the run, so they survive.
+    int Rollback() {
+      pending_lost_ms_ = result_.total_ms - ckpt_.result.total_ms;
+      rc_.state = ckpt_.state;
+      group_ = ckpt_.group;
+      const FaultStats faults = result_.faults;
+      result_ = ckpt_.result;
+      result_.faults = faults;
+      plane_.RestoreTelemetry(ckpt_.comm);
+      recovery_pending_ = true;
+      return ckpt_.iteration;
+    }
+
+    // Step 1: the workload census. A stationary superstep's census depends
+    // only on the context, which takes it once; a data-driven one re-takes
+    // it for this frontier.
+    const FrontierCensus& Census() {
+      GUM_TRACE_SCOPE("gum.census");
+      if (stationary()) return ctx_.stationary_census();
+      dynamic_census_.Take(g_, ctx_.hub_cache(), rc_.state.frontier);
+      return dynamic_census_;
+    }
+
+    // Fault recovery at the first barrier after a rollback: drives the
+    // OSteal enumeration over the survivor schedule (dead columns
+    // forbidden), then charges detection, checkpoint read-back, migration,
+    // and the rolled-back work at this barrier.
+    void Recover(int iter, const FrontierCensus& census,
+                 IterationStats& stats) {
+      recovery_pending_ = false;
+      GUM_TRACE_SCOPE("fault.recover");
+      const auto cost =
+          BuildCostMatrix(census.features, census.remote_discount,
+                          ctx_.cost_model(), plane_, survivors_);
+      OStealDecision dec = fault::RebuildOwnership(
+          cost, census.loads, survivor_schedule_, group_.p_estimate_ns,
+          options_.osteal, static_cast<int>(survivors_.size()),
+          options_.enable_osteal);
+      stats.osteal_evaluated = options_.enable_osteal;
+      std::vector<double> frag_bytes(n_);
+      for (int i = 0; i < n_; ++i) frag_bytes[i] = FragmentStateBytes(i);
+      const fault::RecoveryCharge charge = fault::ComputeRecoveryCharge(
+          options_.recovery, group_.owner_of_fragment, dec.owner, failed_,
+          frag_bytes, multipath_ ? &plane_ : nullptr);
+      AdoptOSteal(std::move(dec), /*always=*/true, stats);
+      for (const int d : survivors_) {
+        result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
+                             charge.per_device_ms[d] + pending_lost_ms_);
+      }
+      FaultStats& faults = result_.faults;
+      faults.recovery_detect_ms += charge.detect_ms;
+      faults.recovery_restore_ms += charge.restore_ms;
+      faults.recovery_migrate_ms += charge.migrate_ms;
+      faults.lost_work_ms += pending_lost_ms_;
+      faults.fragments_migrated += charge.fragments_migrated;
+      ++faults.recovery_events;
+      pending_lost_ms_ = 0.0;
+      obs::TraceInstant("fault.recover");
+      if (obs::MetricsEnabled()) {
+        auto& reg = obs::MetricsRegistry::Global();
+        reg.GetCounter("gum_fault_recoveries_total").Increment();
+        reg.GetCounter("gum_fault_fragments_migrated_total")
+            .Increment(charge.fragments_migrated);
+      }
+    }
+
+    // Step 2: ownership stealing. Evaluated when the previous iteration
+    // was latency-bound, or whenever the group is already shrunk (so it can
+    // grow back as the workload recovers, paper §IV-B). After a fail-stop
+    // the enumeration runs over the survivor schedule, capped at the
+    // survivor count — with no failures both equal the full schedule, bit
+    // for bit.
+    void OSteal(int iter, const FrontierCensus& census,
+                IterationStats& stats) {
+      const int group_size = static_cast<int>(group_.active.size());
+      if (!options_.enable_osteal || n_ <= 1 ||
+          !(group_.prev_wall_ms < options_.osteal.t3_trigger_ms ||
+            group_size < n_)) {
+        return;
+      }
+      GUM_TRACE_SCOPE("gum.osteal");
+      const auto cost =
+          BuildCostMatrix(census.features, census.remote_discount,
+                          ctx_.cost_model(), plane_, survivors_);
+      OStealDecision dec = DecideOSteal(
+          cost, census.loads, survivor_schedule_, group_.p_estimate_ns,
+          options_.osteal, static_cast<int>(survivors_.size()));
+      stats.osteal_evaluated = true;
+      if (dec.group_size != group_size) ChargeMigration(iter, dec.owner);
+      AdoptOSteal(std::move(dec), /*always=*/false, stats);
+      // Policy generation itself costs time on the coordinator and a
+      // broadcast to every worker.
+      const double osteal_sim_us = 12.0 + 4.0 * n_;
+      for (const int d : group_.active) {
+        result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
+                             osteal_sim_us / 1000.0);
+      }
+      result_.osteal_sim_overhead_ms += osteal_sim_us / 1000.0;
+    }
+
+    // Migrates the residual frontier status of every fragment `owner`
+    // re-owns to its new owner. With multipath the migrations stripe
+    // across link-disjoint paths and contend as one settled batch.
+    void ChargeMigration(int iter, const std::vector<int>& owner) {
+      sim::TransferBatch migration;
+      for (int i = 0; i < n_; ++i) {
+        const int from = group_.owner_of_fragment[i];
+        const size_t frontier = rc_.state.frontier.FragmentSize(i);
+        if (owner[i] == from || frontier == 0) continue;
+        const double bytes = static_cast<double>(frontier) *
+                             options_.device.bytes_per_message;
+        if (multipath_) {
+          migration.AddBulk(from, owner[i], bytes, owner[i]);
+        } else {
+          result_.timeline.Add(iter, owner[i], sim::TimeCategory::kOverhead,
+                               plane_.PointToPointNs(from, owner[i], bytes) /
+                                   1e6);
+        }
+      }
+      if (migration.empty()) return;
+      const sim::SettleResult settled = plane_.Settle(migration);
+      for (int d = 0; d < n_; ++d) {
+        if (settled.tag_comm_ns[d] > 0.0) {
+          result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
+                               settled.tag_comm_ns[d] / 1e6);
+        }
+      }
+    }
+
+    // Folds an OSteal decision's solver effort into the run and counts a
+    // group-size change. Adopts the decision's ownership when the size
+    // changes, or always when `always` (recovery rebuilds ownership over
+    // the survivors even at an unchanged size).
+    void AdoptOSteal(OStealDecision&& dec, bool always,
+                     IterationStats& stats) {
+      stats.osteal_decision_host_ms = dec.decision_host_ms;
+      result_.osteal_decision_host_ms_total += dec.decision_host_ms;
+      result_.osteal_lp_iterations_total += dec.lp_iterations_total;
+      result_.osteal_milp_nodes_total += dec.milp_nodes_total;
+      const bool changed =
+          dec.group_size != static_cast<int>(group_.active.size());
+      if (changed) {
+        stats.group_size_changed = true;
+        ++result_.osteal_shrink_events;
+      }
+      if (changed || always) {
+        group_.owner_of_fragment = std::move(dec.owner);
+        group_.active = std::move(dec.active);
+      }
+    }
+
+    // Step 3: frontier stealing. Non-scatter modes take the identity plan:
+    // the linear-algebra backend has no per-executor frontier ranges to
+    // steal (push runs the identity plan, pull parallelizes over
+    // destinations).
+    FStealDecision FSteal(ExpandMode mode, const FrontierCensus& census,
+                          IterationStats& stats) {
       FStealDecision fs;
-      if (expand_mode == ExpandMode::kScatter && options.enable_fsteal &&
-          group_size > 1) {
+      if (mode == ExpandMode::kScatter && options_.enable_fsteal &&
+          group_.active.size() > 1) {
         GUM_TRACE_SCOPE("gum.fsteal");
-        const auto cost = BuildCostMatrix(features, remote_discount,
-                                          ctx_->cost_model(), plane, active);
-        fs = DecideFSteal(cost, loads, owner_of_fragment, active,
-                          options.fsteal);
+        const auto cost =
+            BuildCostMatrix(census.features, census.remote_discount,
+                            ctx_.cost_model(), plane_, group_.active);
+        fs = DecideFSteal(cost, census.loads, group_.owner_of_fragment,
+                          group_.active, options_.fsteal);
       } else {
-        fs.assignment.assign(n, std::vector<double>(n, 0.0));
-        for (int i = 0; i < n; ++i) {
-          fs.assignment[i][owner_of_fragment[i]] = loads[i];
+        fs.assignment.assign(n_, std::vector<double>(n_, 0.0));
+        for (int i = 0; i < n_; ++i) {
+          fs.assignment[i][group_.owner_of_fragment[i]] = census.loads[i];
         }
       }
       stats.fsteal_applied = fs.applied;
       stats.fsteal_decision_host_ms = fs.decision_host_ms;
       stats.fsteal_plan_cells = fs.plan_cells;
-      result.fsteal_decision_host_ms_total += fs.decision_host_ms;
-      result.fsteal_lp_iterations_total += fs.lp_iterations;
-      result.fsteal_milp_nodes_total += fs.milp_nodes;
-      result.fsteal_plan_cells_total += fs.plan_cells;
-      if (fs.applied) ++result.fsteal_applied_iterations;
+      result_.fsteal_decision_host_ms_total += fs.decision_host_ms;
+      result_.fsteal_lp_iterations_total += fs.lp_iterations;
+      result_.fsteal_milp_nodes_total += fs.milp_nodes;
+      result_.fsteal_plan_cells_total += fs.plan_cells;
+      if (fs.applied) ++result_.fsteal_applied_iterations;
+      return fs;
+    }
 
-      // --- Step 4: process the frontiers (pluggable expand backend) ---
-      std::fill(apply_msgs.begin(), apply_msgs.end(), 0.0);
+    // Step 4: process the frontiers on the mode's expand backend.
+    void Expand(ExpandMode mode, const FStealDecision& fs,
+                const std::vector<double>& loads, IterationStats& stats) {
+      std::fill(rc_.apply_msgs.begin(), rc_.apply_msgs.end(), 0.0);
+      ThreadPool* pool = ctx_.pool();
+      const std::vector<int>& owner = group_.owner_of_fragment;
+      auto& values = rc_.state.values;
+      const FrontierSoA& frontier = rc_.state.frontier;
+      ExpandCounters& counters = rc_.expand_counters;
       {
         GUM_TRACE_SCOPE("gum.expand");
-        switch (expand_mode) {
+        switch (mode) {
           case ExpandMode::kScatter:
             // Stationary supersteps gather instead of staging messages;
             // both paths yield the same values and counters (DESIGN.md
             // §12).
-            if (fixed_rounds >= 0) {
-              scatter_backend.ExpandStationary(
-                  pool, g, partition, &ctx_->hub_cache(), owner_of_fragment,
-                  active, fs, loads, ctx_->pull_edges(), app, values,
-                  frontier, shard_map, store, &expand_counters);
+            if (stationary()) {
+              rc_.scatter_backend.ExpandStationary(
+                  pool, g_, partition_, &ctx_.hub_cache(), owner,
+                  group_.active, fs, loads, ctx_.pull_edges(), app_, values,
+                  frontier, ctx_.shard_map(), rc_.store, &counters);
             } else {
-              scatter_backend.Expand(pool, g, partition, &ctx_->hub_cache(),
-                                     owner_of_fragment, active, fs, loads,
-                                     app, values, frontier, shard_map, store,
-                                     &expand_counters);
+              rc_.scatter_backend.Expand(
+                  pool, g_, partition_, &ctx_.hub_cache(), owner,
+                  group_.active, fs, loads, app_, values, frontier,
+                  ctx_.shard_map(), rc_.store, &counters);
             }
             break;
           case ExpandMode::kSpmvPush:
-            spmv_backend.ExpandPush(pool, g, partition,
-                                    owner_of_fragment, app, values, frontier,
-                                    shard_map, store, &expand_counters);
+            // The SpMSpV push is the scatter pipeline over the identity
+            // plan, without the hub cache.
+            rc_.scatter_backend.Expand(pool, g_, partition_, nullptr, owner,
+                                       group_.active, fs, loads, app_,
+                                       values, frontier, ctx_.shard_map(),
+                                       rc_.store, &counters);
             break;
           case ExpandMode::kSpmvPull:
-            spmv_backend.UseSharedPullEdges(&ctx_->pull_edges());
-            spmv_backend.ExpandPull(pool, g, partition,
-                                    owner_of_fragment, app, values, frontier,
-                                    shard_map, store, &expand_counters);
+            rc_.spmv_backend.ExpandPull(pool, g_, partition_,
+                                        ctx_.pull_edges(), owner, app_,
+                                        values, frontier, ctx_.shard_map(),
+                                        rc_.store, &counters);
             break;
         }
       }
-      const std::vector<std::vector<double>>& edges_done =
-          expand_counters.edges_done;
-      const std::vector<std::vector<double>>& hub_edges =
-          expand_counters.hub_edges;
-      const std::vector<std::vector<double>>& agg_msgs =
-          expand_counters.agg_msgs;
-      const std::vector<std::vector<double>>& raw_msgs =
-          expand_counters.raw_msgs;
-      const double stolen_edges_this_iter = expand_counters.stolen_edges;
-      result.edges_processed += expand_counters.edges_processed;
-      result.stolen_edges_total += stolen_edges_this_iter;
-      stats.stolen_edges = stolen_edges_this_iter;
+      result_.edges_processed += counters.edges_processed;
+      result_.stolen_edges_total += counters.stolen_edges;
+      stats.stolen_edges = counters.stolen_edges;
+    }
 
-      // --- apply phase (end of superstep; next frontier) ---
-      {
-        GUM_TRACE_SCOPE("gum.apply");
-        if (fixed_rounds >= 0) {
-          // Stationary workload: the frontier is rebuilt from part_vertices
-          // at the top of the next round, so no next-frontier is built.
-          ApplySuperstep(pool, shard_map, partition, app, store,
-                         values, /*fixed_rounds=*/true, &apply_scratch,
-                         nullptr, &apply_msgs);
-        } else {
-          ApplySuperstep(pool, shard_map, partition, app, store,
-                         values, /*fixed_rounds=*/false, &apply_scratch,
-                         &next_frontier, &apply_msgs);
-          std::swap(frontier, next_frontier);
-        }
-      }
+    // The apply phase (end of superstep): applies the combined messages
+    // and builds the next frontier. A stationary superstep rebuilds its
+    // frontier from part_vertices at the top of the next round instead.
+    void Apply() {
+      GUM_TRACE_SCOPE("gum.apply");
+      ApplySuperstep(ctx_.pool(), ctx_.shard_map(), partition_, app_,
+                     rc_.store, rc_.state.values, stationary(),
+                     &rc_.apply_scratch,
+                     stationary() ? nullptr : &rc_.next_frontier,
+                     &rc_.apply_msgs);
+      if (!stationary()) std::swap(rc_.state.frontier, rc_.next_frontier);
+    }
 
-      // --- time accounting ---
-      // With multipath the census/aggregation sync follows a topology-aware
-      // reduction tree over this iteration's active group (rebuilt per
-      // iteration so link faults and group changes reshape it), and the
-      // FSteal fragment payloads are bulk-hinted for striping. The Gunrock
-      // model prices this superstep's census, taken before apply.
+    // Time accounting under the run's time model. With multipath the
+    // census/aggregation sync follows a topology-aware reduction tree over
+    // this iteration's active group (rebuilt per iteration so link faults
+    // and group changes reshape it), and the FSteal fragment payloads are
+    // bulk-hinted for striping. The Gunrock model prices this superstep's
+    // census, taken before apply.
+    TimeAccountingSummary Account(int iter, const FrontierCensus& census,
+                                  const FStealDecision& fs) {
       sim::ReductionTree census_tree;
-      if (multipath) census_tree = plane.BuildCensusTree(active);
-      const TimeAccountingSummary acct = [&] {
-        GUM_TRACE_SCOPE("gum.account");
-        if (options.time_model == TimeModel::kGunrock) {
-          return AccountGunrockSuperstepTime(
-              iter, plane, dev, options.gunrock_single_gpu_compute_factor,
-              census, expand_counters, &result);
-        }
-        return AccountSuperstepTime(
-            iter, plane, dev, p_ns, options.enable_message_aggregation,
-            features, edges_done, hub_edges, agg_msgs, raw_msgs, apply_msgs,
-            owner_of_fragment, active, fs, stolen_edges_this_iter, &result,
-            multipath ? &census_tree : nullptr, multipath);
-      }();
+      if (multipath_) census_tree = plane_.BuildCensusTree(group_.active);
+      GUM_TRACE_SCOPE("gum.account");
+      if (options_.time_model == TimeModel::kGunrock) {
+        return AccountGunrockSuperstepTime(
+            iter, plane_, options_.device,
+            options_.gunrock_single_gpu_compute_factor, census,
+            rc_.expand_counters, &result_);
+      }
+      return AccountSuperstepTime(
+          iter, plane_, options_.device, options_.enable_message_aggregation,
+          census, rc_.expand_counters, rc_.apply_msgs,
+          group_.owner_of_fragment, group_.active, fs, &result_,
+          multipath_ ? &census_tree : nullptr);
+    }
 
-      // --- fault plane: straggler slowdown ---
-      // A straggler's kernels run `factor`x slower this iteration; charge
-      // the extra compute on whatever the accounting layer charged it
-      // (including stolen work it executed).
-      if (faults != nullptr) {
-        for (const int d : active) {
-          const double slow = faults->ComputeSlowdown(d, iter);
-          if (slow > 1.0) {
-            const double extra =
-                (slow - 1.0) *
-                result.timeline.Get(iter, d, sim::TimeCategory::kCompute);
-            if (extra > 0.0) {
-              result.timeline.Add(iter, d, sim::TimeCategory::kCompute,
-                                  extra);
-              facct.straggler_ms += extra;
-            }
+    // A straggler's kernels run `factor`x slower this iteration; charge
+    // the extra compute on whatever the accounting layer charged it
+    // (including stolen work it executed).
+    void ChargeStragglers(int iter) {
+      for (const int d : group_.active) {
+        const double slow = faults_->ComputeSlowdown(d, iter);
+        if (slow <= 1.0) continue;
+        const double extra =
+            (slow - 1.0) *
+            result_.timeline.Get(iter, d, sim::TimeCategory::kCompute);
+        if (extra > 0.0) {
+          result_.timeline.Add(iter, d, sim::TimeCategory::kCompute, extra);
+          result_.faults.straggler_ms += extra;
+        }
+      }
+    }
+
+    // Refreshes the p estimate from this iteration's observed barrier
+    // cost: average per-device overhead minus the kernel-launch time
+    // actually charged by the accounting layer, divided by the group size.
+    void EstimateP(int iter, const TimeAccountingSummary& acct) {
+      // EWMA weight of the newest observation.
+      constexpr double kSyncEwmaAlpha = 0.2;
+      const std::vector<int>& active = group_.active;
+      if (!options_.estimate_sync_online || active.empty()) return;
+      double overhead_sum = 0;
+      for (const int d : active) {
+        overhead_sum +=
+            result_.timeline.Get(iter, d, sim::TimeCategory::kOverhead);
+      }
+      const double per_device_ns =
+          (overhead_sum * 1e6 - acct.kernel_launch_ns_total) / active.size();
+      const double observed_p = std::max(0.0, per_device_ns / active.size());
+      group_.p_estimate_ns = (1.0 - kSyncEwmaAlpha) * group_.p_estimate_ns +
+                             kSyncEwmaAlpha * observed_p;
+    }
+
+    // The periodic checkpoint's charge: each active owner writes its
+    // fragments' state to host storage over PCIe inside this iteration's
+    // wall (and therefore inside its own snapshot's accounted past).
+    void ChargeCheckpoint(int iter) {
+      GUM_TRACE_SCOPE("fault.checkpoint");
+      double slowest_ms = 0.0;
+      for (const int d : group_.active) {
+        double dev_bytes = 0.0;
+        for (int i = 0; i < n_; ++i) {
+          if (group_.owner_of_fragment[i] == d) {
+            dev_bytes += FragmentStateBytes(i);
           }
         }
+        // With multipath the write-back stripes across the device's own
+        // PCIe host lane plus an NVLink relay through its fastest peer.
+        const double ms =
+            multipath_ ? dev_bytes / plane_.CheckpointWritebackGbps(d) / 1e6
+                       : fault::CheckpointTransferMs(dev_bytes);
+        result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead, ms);
+        result_.faults.checkpoint_bytes_total += dev_bytes;
+        slowest_ms = std::max(slowest_ms, ms);
       }
+      ++result_.faults.checkpoints_taken;
+      result_.faults.checkpoint_ms_total += slowest_ms;
+      obs::TraceInstant("fault.checkpoint");
+    }
 
-      // Refresh the p estimate from this iteration's observed barrier cost:
-      // average per-device overhead minus the kernel-launch time actually
-      // charged by the accounting layer, divided by the group size.
-      if (options.estimate_sync_online && !active.empty()) {
-        double overhead_sum = 0;
-        for (const int d : active) {
-          overhead_sum +=
-              result.timeline.Get(iter, d, sim::TimeCategory::kOverhead);
-        }
-        const double per_device_ns =
-            (overhead_sum * 1e6 - acct.kernel_launch_ns_total) /
-            active.size();
-        const double observed_p =
-            std::max(0.0, per_device_ns / active.size());
-        p_estimate_ns = (1.0 - options.sync_ewma_alpha) * p_estimate_ns +
-                        options.sync_ewma_alpha * observed_p;
-      }
-
-      // --- fault plane: periodic checkpoint ---
-      // Each active owner writes its fragments' state to host storage over
-      // PCIe; the write is charged inside this iteration's wall (and is
-      // therefore part of its own snapshot's accounted past).
-      const bool checkpoint_due =
-          ckpt_every > 0 && (iter + 1) % ckpt_every == 0;
-      if (checkpoint_due) {
-        GUM_TRACE_SCOPE("fault.checkpoint");
-        double slowest_ms = 0.0;
-        for (const int d : active) {
-          double dev_bytes = 0.0;
-          for (int i = 0; i < n; ++i) {
-            if (owner_of_fragment[i] == d) dev_bytes += fragment_state_bytes(i);
-          }
-          // With multipath the write-back stripes across the device's own
-          // PCIe host lane plus an NVLink relay through its fastest peer.
-          const double ms =
-              multipath
-                  ? dev_bytes / plane.CheckpointWritebackGbps(d) / 1e6
-                  : fault::CheckpointTransferMs(dev_bytes);
-          result.timeline.Add(iter, d, sim::TimeCategory::kOverhead, ms);
-          facct.checkpoint_bytes_total += dev_bytes;
-          slowest_ms = std::max(slowest_ms, ms);
-        }
-        ++facct.checkpoints_taken;
-        facct.checkpoint_ms_total += slowest_ms;
-        obs::TraceInstant("fault.checkpoint");
-      }
-
-      const double wall = result.timeline.IterationWall(iter);
-      result.total_ms += wall;
+    // Closes the superstep: its wall, its stats and its metrics.
+    void Record(int iter, ExpandMode mode, const FStealDecision& fs,
+                size_t total_frontier, IterationStats& stats) {
+      const double wall = result_.timeline.IterationWall(iter);
+      result_.total_ms += wall;
       stats.wall_ms = wall;
-      stats.device_busy_ms.resize(n);
-      for (int d = 0; d < n; ++d) {
-        stats.device_busy_ms[d] = result.timeline.DeviceIterationTotal(iter, d);
-      }
-      if (options.record_iteration_stats) {
-        result.iteration_stats.push_back(std::move(stats));
+      stats.device_busy_ms.resize(n_);
+      for (int d = 0; d < n_; ++d) {
+        stats.device_busy_ms[d] =
+            result_.timeline.DeviceIterationTotal(iter, d);
       }
       if (obs::MetricsEnabled()) {
         auto& reg = obs::MetricsRegistry::Global();
@@ -737,53 +718,69 @@ class GumEngine {
             .Observe(static_cast<uint64_t>(fs.decision_host_ms * 1000.0));
         reg.GetHistogram("gum_iteration_frontier_vertices")
             .Observe(static_cast<uint64_t>(total_frontier));
-        reg.GetGauge("gum_group_size").Set(group_size);
-        reg.GetGauge("gum_expand_backend").Set(static_cast<int>(expand_mode));
+        reg.GetGauge("gum_group_size").Set(stats.group_size);
+        reg.GetGauge("gum_expand_backend").Set(static_cast<int>(mode));
         reg.GetCounter("gum_expand_iterations_total",
-                       {{"backend", ExpandModeName(expand_mode)}})
+                       {{"backend", ExpandModeName(mode)}})
             .Increment();
         // Serving-mode memory residency: the high-water arenas this
         // RunContext keeps across iterations and queries.
         reg.GetGauge("gum_frontier_arena_bytes")
-            .Set(static_cast<double>(rc.FrontierArenaBytes()));
+            .Set(static_cast<double>(rc_.FrontierArenaBytes()));
         reg.GetGauge("gum_staging_bytes")
-            .Set(static_cast<double>(rc.StagingBytes()));
+            .Set(static_cast<double>(rc_.StagingBytes()));
       }
-      prev_wall_ms = wall;
-      result.iterations = iter + 1;
-      // Snapshot after the wall is in total_ms, so a restore resumes with
-      // exactly the accounted past of this barrier. Without a fault plan
-      // the snapshot is never read; only the charge above matters.
-      if (checkpoint_due && faults != nullptr) take_checkpoint(iter + 1);
+      if (options_.record_iteration_stats) {
+        result_.iteration_stats.push_back(std::move(stats));
+      }
+      group_.prev_wall_ms = wall;
+      result_.iterations = iter + 1;
     }
 
-    // Fold the monotonic fault accounting into the result.
-    result.fault_plan_active = faults != nullptr;
-    result.checkpoints_taken = facct.checkpoints_taken;
-    result.checkpoint_bytes_total = facct.checkpoint_bytes_total;
-    result.checkpoint_ms_total = facct.checkpoint_ms_total;
-    result.devices_failed = facct.devices_failed;
-    result.recovery_events = facct.recovery_events;
-    result.fragments_migrated = facct.fragments_migrated;
-    result.recovery_detect_ms = facct.recovery_detect_ms;
-    result.recovery_restore_ms = facct.recovery_restore_ms;
-    result.recovery_migrate_ms = facct.recovery_migrate_ms;
-    result.lost_work_ms = facct.lost_work_ms;
-    result.straggler_ms = facct.straggler_ms;
-    result.link_fault_iterations = facct.link_fault_iterations;
-    if (faults != nullptr) plane.ClearLinkFaults();
+    // Exports the plane's telemetry and the values.
+    RunResult Finish(std::vector<Value>* values_out) {
+      result_.fault_plan_active = faults_ != nullptr;
+      if (faults_ != nullptr) plane_.ClearLinkFaults();
+      result_.link_bytes = plane_.link_bytes();
+      result_.payload_bytes = plane_.payload_bytes();
+      result_.link_busy_ms = plane_.link_busy_ms();
+      result_.multipath_active = multipath_;
+      result_.multipath = plane_.multipath_stats();
+      if (values_out != nullptr) *values_out = std::move(rc_.state.values);
+      return std::move(result_);
+    }
 
-    result.link_bytes = plane.link_bytes();
-    result.payload_bytes = plane.payload_bytes();
-    result.link_busy_ms = plane.link_busy_ms();
-    result.multipath_active = multipath;
-    result.multipath = plane.multipath_stats();
+    // Bytes a device moves to snapshot or restore fragment i.
+    double FragmentStateBytes(int i) const {
+      return fault::FragmentStateBytes(partition_.part_vertices[i].size(),
+                                       rc_.state.frontier.FragmentSize(i),
+                                       sizeof(Value));
+    }
 
-    if (values_out != nullptr) *values_out = std::move(values);
-    return result;
-  }
+    const GraphContext& ctx_;
+    const EngineOptions& options_;
+    App& app_;
+    RunContext<App>& rc_;
+    const graph::CsrGraph& g_;
+    const graph::Partition& partition_;
+    const int n_;
+    const int fixed_rounds_;  // -1: data-driven
+    const bool multipath_;
+    const fault::FaultPlane* const faults_;  // null: no fault plane
 
- private:
+    RunResult result_;
+    sim::CommPlane plane_;
+    GroupState group_;
+    FrontierCensus dynamic_census_;
+    // --- fault plane state (DESIGN.md §11) ---
+    std::vector<bool> failed_;
+    std::vector<int> survivors_;
+    sim::ReductionSchedule survivor_schedule_;
+    fault::Checkpoint<Value> ckpt_;
+    bool recovery_pending_ = false;
+    double pending_lost_ms_ = 0.0;
+  };
+
   static std::vector<int> AllDevices(int n) {
     std::vector<int> all(n);
     for (int i = 0; i < n; ++i) all[i] = i;

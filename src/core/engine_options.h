@@ -57,7 +57,6 @@ struct EngineOptions {
   // false, OSteal is given the device's true constant (oracle).
   bool estimate_sync_online = true;
   double sync_prior_us = 200.0;  // deliberately generic starting guess
-  double sync_ewma_alpha = 0.2;
 
   // --- substrate ---
   sim::DeviceParams device;

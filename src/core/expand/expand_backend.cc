@@ -28,18 +28,6 @@ const char* ExpandModeName(ExpandMode mode) {
   return "scatter";
 }
 
-const char* ExpandModeSpanName(ExpandMode mode) {
-  switch (mode) {
-    case ExpandMode::kScatter:
-      return "expand.scatter";
-    case ExpandMode::kSpmvPush:
-      return "expand.spmv_push";
-    case ExpandMode::kSpmvPull:
-      return "expand.spmv_pull";
-  }
-  return "expand.scatter";
-}
-
 bool ParseExpandBackendKind(std::string_view text, ExpandBackendKind* out) {
   if (text == "scatter") {
     *out = ExpandBackendKind::kScatter;

@@ -6,11 +6,11 @@
 //   * frontier scatter (expand/frontier_scatter.h) — the paper's native
 //     model: per-executor work units walk their frontier range and push one
 //     message per out-edge, merged shard-by-shard (Gunrock-style advance);
-//   * SpMV (expand/spmv.h) — the GraphBLAST-style linear-algebra
-//     formulation: a payload vector per frontier vertex, then either a push
-//     SpMSpV (sparse frontiers) or a pull gather over a per-destination
-//     in-edge structure (dense frontiers), combining each destination's
-//     messages in one pass.
+//   * SpMV — the GraphBLAST-style linear-algebra formulation: a push
+//     SpMSpV for sparse frontiers, which is the frontier-scatter pipeline
+//     over the identity plan, or a pull gather (expand/spmv.h) over a
+//     per-destination in-edge structure for dense frontiers, combining
+//     each destination's messages in one pass.
 //
 // A per-iteration density heuristic (frontier out-edges vs. total edges,
 // mirroring direction-optimized BFS's push/pull switch) selects the mode.
@@ -54,8 +54,6 @@ struct SpmvConfig {
 
 const char* ExpandBackendKindName(ExpandBackendKind kind);
 const char* ExpandModeName(ExpandMode mode);
-// Trace-span name for the mode ("expand.scatter", "expand.spmv_push", ...).
-const char* ExpandModeSpanName(ExpandMode mode);
 
 // Parses "scatter" | "spmv" | "auto"; returns false on anything else.
 bool ParseExpandBackendKind(std::string_view text, ExpandBackendKind* out);

@@ -247,10 +247,10 @@ class FrontierScatterBackend {
     };
     if (pool == nullptr || pool->num_threads() <= 1) {
       // Canonical unit order, then generation order: each vertex's
-      // messages arrive exactly as the merge below replays them.
+      // messages arrive exactly as the merge below replays them. Units get
+      // no span here: one thread has no unit balance to show.
       if (counters_.size() < units.size()) counters_.resize(units.size());
       for (size_t idx = 0; idx < units.size(); ++idx) {
-        GUM_TRACE_SCOPE("expand.unit");
         const WorkUnit& unit = units[idx];
         counters_[idx].Reset(n);
         ExpandUnit(g, partition, hub_cache, owner_of_fragment[unit.fragment],
@@ -340,7 +340,6 @@ class FrontierScatterBackend {
     if (counters_.size() < units.size()) counters_.resize(units.size());
 
     const auto payload_unit = [&](size_t idx) {
-      GUM_TRACE_SCOPE("expand.unit");
       const WorkUnit& unit = units[idx];
       counters_[idx].Reset(n);
       WalkUnit(g, hub_cache, owner_of_fragment[unit.fragment],
@@ -353,7 +352,11 @@ class FrontierScatterBackend {
     if (pool == nullptr || pool->num_threads() <= 1) {
       for (size_t idx = 0; idx < units.size(); ++idx) payload_unit(idx);
     } else {
-      pool->ParallelFor(units.size(), payload_unit);
+      // Only the pool spans its units: there they show unit balance.
+      pool->ParallelFor(units.size(), [&](size_t idx) {
+        GUM_TRACE_SCOPE("expand.unit");
+        payload_unit(idx);
+      });
     }
     AddUnitCounters(units, n, out);
 

@@ -37,7 +37,6 @@ void PullEdges::Build(const graph::CsrGraph& g,
       }
     }
   }
-  built = true;
 }
 
 }  // namespace gum::core

@@ -24,7 +24,6 @@ struct PullEdges {
   std::vector<graph::VertexId> sources;  // concatenated per destination
   std::vector<float> weights;            // parallel to sources; empty when
                                          // the graph is unweighted
-  bool built = false;
 
   void Build(const graph::CsrGraph& g, const graph::Partition& partition);
 };

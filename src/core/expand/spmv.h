@@ -4,14 +4,13 @@
 // payloads, the adjacency matrix is applied to it, and each destination's
 // incoming contributions are combined. Two directions:
 //
-//   * push (SpMSpV, sparse frontiers) — a payload pre-pass materializes
-//     OnFrontier's result per frontier vertex, then the frontier-scatter
-//     pipeline replays those payloads along out-edges (identity plan; the
-//     linear-algebra backend does not frontier-steal);
-//   * pull (SpMV, dense frontiers) — each destination shard gathers over a
-//     per-destination in-edge structure (PullEdges), skipping sources not
-//     in the frontier via a membership bitmap, and deposits ONE combined
-//     message per destination.
+//   * push (SpMSpV, sparse frontiers) — the frontier-scatter pipeline over
+//     the identity plan (the linear-algebra backend does not
+//     frontier-steal); the engine runs it on its FrontierScatterBackend;
+//   * pull (SpMV, dense frontiers) — this backend: each destination shard
+//     gathers over a per-destination in-edge structure (PullEdges),
+//     skipping sources not in the frontier via a membership bitmap, and
+//     deposits ONE combined message per destination.
 //
 // Byte-identical values by construction: the determinism contract's
 // canonical merge order visits a destination's messages by (source
@@ -42,7 +41,6 @@
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "core/expand/expand_backend.h"
-#include "core/expand/frontier_scatter.h"
 #include "core/expand/pull_edges.h"
 #include "core/message_store.h"
 #include "core/vertex_state.h"
@@ -57,44 +55,19 @@ class SpmvBackend {
   using Value = typename App::Value;
   using Message = typename App::Message;
 
-  // Points the pull gather at an externally owned PullEdges (the
-  // GraphContext's shared build, identical bytes to a private one); the
-  // backend's internal copy is then never built. `shared` must be built
-  // and must outlive the backend. Null reverts to the lazy internal build.
-  void UseSharedPullEdges(const PullEdges* shared) { shared_pull_ = shared; }
-
-  // Resident bytes the backend retains across runs: the push pipeline's
-  // staging bins plus the payload arena (the serving-mode memory gauge;
-  // the shared PullEdges is accounted by its owner).
+  // Resident bytes the backend retains across runs: the payload arena
+  // (the serving-mode memory gauge; the shared PullEdges is accounted by
+  // its owner).
   size_t StagingBytes() const {
-    return push_.StagingBytes() + payloads_.capacity() * sizeof(Message);
-  }
-
-  // Push direction: payload pre-pass, then the scatter pipeline over the
-  // identity plan replaying the payloads. Values and message telemetry are
-  // byte-identical to FrontierScatterBackend with the identity plan.
-  void ExpandPush(ThreadPool* pool, const graph::CsrGraph& g,
-                  const graph::Partition& partition,
-                  const std::vector<int>& owner_of_fragment, App& app,
-                  std::vector<Value>& values, const FrontierSoA& frontier,
-                  const ShardMap& shards, MessageStore<Message>& store,
-                  ExpandCounters* out) {
-    GUM_TRACE_SCOPE("expand.spmv_push");
-    ComputePayloads(pool, g, app, values, frontier);
-    PayloadApp shim{&app, &payloads_};
-    const FStealDecision identity;
-    const std::vector<double> no_loads(
-        static_cast<size_t>(partition.num_parts), 0.0);
-    push_.Expand(pool, g, partition, /*hub_cache=*/nullptr, owner_of_fragment,
-                 /*active=*/{}, identity, no_loads, shim, values, frontier,
-                 shards, store, out);
+    return payloads_.capacity() * sizeof(Message);
   }
 
   // Pull direction: payload pre-pass, frontier membership bitmap, then a
-  // per-destination-shard gather over PullEdges depositing one combined
-  // message per destination.
+  // per-destination-shard gather over `pull` depositing one combined
+  // message per destination. `pull` must be built over the same partition
+  // (the GraphContext's pull_edges()).
   void ExpandPull(ThreadPool* pool, const graph::CsrGraph& g,
-                  const graph::Partition& partition,
+                  const graph::Partition& partition, const PullEdges& pull,
                   const std::vector<int>& owner_of_fragment, App& app,
                   std::vector<Value>& values, const FrontierSoA& frontier,
                   const ShardMap& shards, MessageStore<Message>& store,
@@ -102,14 +75,6 @@ class SpmvBackend {
     const int n = partition.num_parts;
     out->Reset(n);
     GUM_TRACE_SCOPE("expand.spmv_pull");
-    const PullEdges* pull = shared_pull_;
-    if (pull == nullptr) {
-      if (!pull_.built) {
-        GUM_TRACE_SCOPE("expand.pull_build");
-        pull_.Build(g, partition);
-      }
-      pull = &pull_;
-    }
     ComputePayloads(pool, g, app, values, frontier);
 
     // Membership bitmap, rebuilt serially: vertices of different fragments
@@ -134,7 +99,7 @@ class SpmvBackend {
     }
     shard_edges_processed_.assign(static_cast<size_t>(s_count), 0);
 
-    const bool weighted = !pull->weights.empty();
+    const bool weighted = !pull.weights.empty();
     const auto gather_shard = [&](size_t s) {
       GUM_TRACE_SCOPE("expand.pull_shard");
       auto& edge_matrix = shard_edges_[s];
@@ -144,18 +109,18 @@ class SpmvBackend {
                                   shards.ShardEnd(static_cast<int>(s)));
       for (size_t dst = begin; dst < end; ++dst) {
         const auto v = static_cast<graph::VertexId>(dst);
-        const graph::EdgeId eb = pull->offsets[dst];
-        const graph::EdgeId ee = pull->offsets[dst + 1];
+        const graph::EdgeId eb = pull.offsets[dst];
+        const graph::EdgeId ee = pull.offsets[dst + 1];
         if (eb == ee) continue;
         const int edge_row_dst = owner_of_fragment[partition.owner[v]];
         if constexpr (HasCombineAll<App>) {
           Message acc = app.InitialAccumulator();
           bool any = false;
           for (graph::EdgeId e = eb; e < ee; ++e) {
-            const graph::VertexId u = pull->sources[e];
+            const graph::VertexId u = pull.sources[e];
             if (!in_frontier_.Test(u)) continue;
             acc = app.CombineAll(acc, payloads_[u],
-                                 weighted ? pull->weights[e] : 1.0f);
+                                 weighted ? pull.weights[e] : 1.0f);
             edge_matrix[partition.owner[u]][edge_row_dst] += 1.0;
             ++edges_seen;
             any = true;
@@ -164,12 +129,12 @@ class SpmvBackend {
         } else {
           std::optional<Message> acc;
           for (graph::EdgeId e = eb; e < ee; ++e) {
-            const graph::VertexId u = pull->sources[e];
+            const graph::VertexId u = pull.sources[e];
             if (!in_frontier_.Test(u)) continue;
             edge_matrix[partition.owner[u]][edge_row_dst] += 1.0;
             ++edges_seen;
             std::optional<Message> m = app.Scatter(
-                payloads_[u], v, weighted ? pull->weights[e] : 1.0f);
+                payloads_[u], v, weighted ? pull.weights[e] : 1.0f);
             if (!m.has_value()) continue;
             acc = acc.has_value() ? app.Combine(*acc, *m) : *m;
           }
@@ -197,26 +162,6 @@ class SpmvBackend {
   }
 
  private:
-  // Replays the pre-pass payloads through the scatter pipeline: OnFrontier
-  // side effects already happened, so the shim's OnFrontier is a pure read.
-  struct PayloadApp {
-    using Value = typename App::Value;
-    using Message = typename App::Message;
-    App* app;
-    const std::vector<Message>* payloads;
-
-    Message OnFrontier(graph::VertexId u, Value&, uint32_t) {
-      return (*payloads)[u];
-    }
-    std::optional<Message> Scatter(const Message& payload, graph::VertexId v,
-                                   float weight) const {
-      return app->Scatter(payload, v, weight);
-    }
-    Message Combine(const Message& a, const Message& b) const {
-      return app->Combine(a, b);
-    }
-  };
-
   // Calls OnFrontier exactly once per frontier vertex (it may mutate the
   // vertex's value — delta-PageRank consumes its residual here), storing
   // the payload into a num_vertices-sized arena. Distinct vertices, so the
@@ -239,11 +184,8 @@ class SpmvBackend {
     }
   }
 
-  PullEdges pull_;
-  const PullEdges* shared_pull_ = nullptr;
   Bitmap in_frontier_;
   std::vector<Message> payloads_;
-  FrontierScatterBackend<PayloadApp> push_;
   // [shard][src_fragment][dst_executor] active in-edge charges.
   std::vector<std::vector<std::vector<double>>> shard_edges_;
   std::vector<uint64_t> shard_edges_processed_;

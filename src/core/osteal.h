@@ -35,6 +35,16 @@ struct OStealDecision {
   int64_t milp_nodes_total = 0;
 };
 
+// The communication group between supersteps: what Step 2 and fault
+// recovery decide, and what the next Step-2 trigger reads. The engine's
+// checkpoints snapshot it whole (fault/checkpoint.h).
+struct GroupState {
+  std::vector<int> owner_of_fragment;  // device owning each fragment
+  std::vector<int> active;             // devices in the group, ascending
+  double p_estimate_ns = 0.0;          // Eq. (4)'s p, estimated online
+  double prev_wall_ms = 0.0;           // the previous superstep's wall
+};
+
 // Enumerates m = 1..n over the reduction schedule, stopping at the first m
 // whose sync term p*m alone reaches the best total so far (no larger group
 // can win, so the decision equals the full enumeration's). `cost` is the full

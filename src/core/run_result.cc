@@ -25,7 +25,7 @@ double RunResult::TotalPayloadBytes() const {
   return total;
 }
 
-double RunResult::RecoveryChargedMs() const {
+double FaultStats::RecoveryChargedMs() const {
   return recovery_detect_ms + recovery_restore_ms + recovery_migrate_ms +
          lost_work_ms;
 }

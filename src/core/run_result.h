@@ -26,6 +26,27 @@ struct IterationStats {
   int fsteal_plan_cells = 0;          // off-owner cells of the applied plan
 };
 
+// Fault-plane counters (src/fault/, DESIGN.md §11). They count every event
+// of the run: a checkpoint rollback restores the rest of the RunResult but
+// keeps these.
+struct FaultStats {
+  int checkpoints_taken = 0;
+  double checkpoint_bytes_total = 0.0;  // state written across checkpoints
+  double checkpoint_ms_total = 0.0;     // wall charge across checkpoints
+  int devices_failed = 0;               // fail-stops observed
+  int recovery_events = 0;              // barrier detections that recovered
+  int fragments_migrated = 0;           // re-owned away from their ckpt owner
+  double recovery_detect_ms = 0.0;      // barrier timeout charges
+  double recovery_restore_ms = 0.0;     // checkpoint read-back (slowest dev)
+  double recovery_migrate_ms = 0.0;     // inherited-fragment state read-back
+  double lost_work_ms = 0.0;            // rolled-back simulated wall time
+  double straggler_ms = 0.0;            // extra compute charged to stragglers
+  int link_fault_iterations = 0;        // iterations run with a degraded link
+  // Total charged recovery time: detection + restore + migration + lost
+  // work. Nonzero iff at least one fail-stop was recovered from.
+  double RecoveryChargedMs() const;
+};
+
 struct RunResult {
   int iterations = 0;
   double total_ms = 0.0;  // simulated end-to-end (sum of iteration walls)
@@ -53,21 +74,7 @@ struct RunResult {
   // All zero unless a fault plan or a checkpoint cadence was active; the
   // obs run report emits its `faults` section only when one was.
   bool fault_plan_active = false;
-  int checkpoints_taken = 0;
-  double checkpoint_bytes_total = 0.0;  // state written across checkpoints
-  double checkpoint_ms_total = 0.0;     // wall charge across checkpoints
-  int devices_failed = 0;               // fail-stops observed
-  int recovery_events = 0;              // barrier detections that recovered
-  int fragments_migrated = 0;           // re-owned away from their ckpt owner
-  double recovery_detect_ms = 0.0;      // barrier timeout charges
-  double recovery_restore_ms = 0.0;     // checkpoint read-back (slowest dev)
-  double recovery_migrate_ms = 0.0;     // inherited-fragment state read-back
-  double lost_work_ms = 0.0;            // rolled-back simulated wall time
-  double straggler_ms = 0.0;            // extra compute charged to stragglers
-  int link_fault_iterations = 0;        // iterations run with a degraded link
-  // Total charged recovery time: detection + restore + migration + lost
-  // work. Nonzero iff at least one fail-stop was recovered from.
-  double RecoveryChargedMs() const;
+  FaultStats faults;
 
   sim::Timeline timeline;
   std::vector<IterationStats> iteration_stats;

@@ -9,20 +9,15 @@ namespace gum::core {
 
 TimeAccountingSummary AccountSuperstepTime(
     int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
-    double p_ns, bool aggregate_messages,
-    const std::vector<graph::FrontierFeatures>& features,
-    const std::vector<std::vector<double>>& edges_done,
-    const std::vector<std::vector<double>>& hub_edges,
-    const std::vector<std::vector<double>>& agg_msgs,
-    const std::vector<std::vector<double>>& raw_msgs,
-    const std::vector<double>& apply_msgs,
+    bool aggregate_messages, const FrontierCensus& census,
+    const ExpandCounters& counters, const std::vector<double>& apply_msgs,
     const std::vector<int>& owner_of_fragment,
     const std::vector<int>& active, const FStealDecision& fs,
-    double stolen_edges, RunResult* result,
-    const sim::ReductionTree* census_tree, bool multipath_bulk) {
+    RunResult* result, const sim::ReductionTree* census_tree) {
   sim::Timeline& tl = result->timeline;
-  const int n = static_cast<int>(edges_done.size());
+  const int n = static_cast<int>(counters.edges_done.size());
   const int m = static_cast<int>(active.size());
+  const double p_ns = dev.sync_per_peer_us * 1000.0;
   TimeAccountingSummary summary;
   summary.kernel_launches.assign(n, 0);
   // Pass 1: charge compute/serialization/overhead per device and enqueue
@@ -39,16 +34,17 @@ TimeAccountingSummary AccountSuperstepTime(
     int destinations = 0;
     double worked = 0;
     for (int i = 0; i < n; ++i) {
-      const double edges = edges_done[i][j];
+      const double edges = counters.edges_done[i][j];
       if (edges <= 0) continue;
       worked += edges;
       ++kernels;  // one gather kernel per source fragment
-      compute_ns[j] += edges * sim::TrueEdgeCostNs(features[i], dev);
-      const double remote_edges = (i == j) ? 0.0 : edges - hub_edges[i][j];
+      compute_ns[j] += edges * sim::TrueEdgeCostNs(census.features[i], dev);
+      const double remote_edges =
+          (i == j) ? 0.0 : edges - counters.hub_edges[i][j];
       const double local_edges = edges - remote_edges;
       // Remote gathers are the FSteal fragment payloads — plan-eligible
       // bulk when multipath is on; local reads never stripe.
-      if (multipath_bulk && i != j) {
+      if (census_tree != nullptr && i != j) {
         batch.AddBulk(i, j, remote_edges * dev.bytes_per_remote_edge, j);
       } else {
         batch.Add(i, j, remote_edges * dev.bytes_per_remote_edge, j);
@@ -57,8 +53,8 @@ TimeAccountingSummary AccountSuperstepTime(
     }
     // Message forwarding to each destination fragment's owner.
     for (int f = 0; f < n; ++f) {
-      const double count =
-          aggregate_messages ? agg_msgs[j][f] : raw_msgs[j][f];
+      const double count = aggregate_messages ? counters.agg_msgs[j][f]
+                                              : counters.raw_msgs[j][f];
       if (count <= 0) continue;
       const double bytes = count * dev.bytes_per_message;
       const int owner = owner_of_fragment[f];
@@ -103,13 +99,13 @@ TimeAccountingSummary AccountSuperstepTime(
     tl.Add(iter, j, sim::TimeCategory::kSerialization, serial_ns[j] / 1e6);
     tl.Add(iter, j, sim::TimeCategory::kOverhead, overhead_ns[j] / 1e6);
   }
-  if (fs.applied && stolen_edges > 0) {
-    result->fsteal_sim_overhead_ms +=
-        stolen_edges * 0.000008;  // 8 B status copy per stolen edge, ~GB/s
+  if (fs.applied && counters.stolen_edges > 0) {
+    // 8 B status copy per stolen edge, ~GB/s.
+    result->fsteal_sim_overhead_ms += counters.stolen_edges * 0.000008;
   }
   for (int f = 0; f < n; ++f) {
     double sent = 0;
-    for (int j = 0; j < n; ++j) sent += raw_msgs[j][f];
+    for (int j = 0; j < n; ++j) sent += counters.raw_msgs[j][f];
     result->messages_sent += static_cast<uint64_t>(sent);
   }
   return summary;

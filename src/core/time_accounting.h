@@ -21,7 +21,6 @@
 #include "core/expand/expand_backend.h"
 #include "core/fsteal.h"
 #include "core/run_result.h"
-#include "graph/frontier_features.h"
 #include "sim/comm_plane.h"
 #include "sim/device.h"
 
@@ -38,35 +37,29 @@ struct TimeAccountingSummary {
   double kernel_launch_ns_total = 0.0;
 };
 
-// Accounts one superstep. `features[i]` describes fragment i's frontier;
-// `edges_done[i][j]` / `hub_edges[i][j]` are fragment-i edges expanded by
-// device j (hub-cached ones read locally); `agg_msgs[j][f]` / `raw_msgs
-// [j][f]` are messages device j sends toward fragment f after / before
-// per-vertex aggregation; `apply_msgs[f]` are messages applied to fragment
-// f's vertices. Adds to result->timeline, messages_sent and the
-// stealing-overhead totals; transfer bytes and lane busy time accumulate
-// in `plane` (the engine exports them into RunResult after the run).
+// Accounts one superstep from its census (`census.features[i]` describes
+// fragment i's frontier) and its expand counters: `edges_done[i][j]` /
+// `hub_edges[i][j]` are fragment-i edges expanded by device j (hub-cached
+// ones read locally); `agg_msgs[j][f]` / `raw_msgs[j][f]` are messages
+// device j sends toward fragment f after / before per-vertex aggregation.
+// `apply_msgs[f]` are messages applied to fragment f's vertices. Adds to
+// result->timeline, messages_sent and the stealing-overhead totals;
+// transfer bytes and lane busy time accumulate in `plane` (the engine
+// exports them into RunResult after the run).
 //
-// Multipath (sim/transfer_plan.h): when `multipath_bulk` is set the
-// remote-edge gathers — the FSteal fragment payloads — are enqueued as
-// bulk transfers so the plane may stripe them, and when `census_tree` is
-// non-null the per-device sync charge follows the tree's SyncFactor
-// instead of the all-to-one group factor m. Both default off and leave
-// the legacy accounting bit-identical.
+// Multipath (sim/transfer_plan.h): a non-null `census_tree` means the
+// group runs multipath. The per-device sync charge then follows the tree's
+// SyncFactor instead of the all-to-one group factor m, and the remote-edge
+// gathers — the FSteal fragment payloads — are enqueued as bulk transfers
+// so the plane may stripe them. Null leaves the legacy accounting
+// bit-identical.
 TimeAccountingSummary AccountSuperstepTime(
     int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
-    double p_ns, bool aggregate_messages,
-    const std::vector<graph::FrontierFeatures>& features,
-    const std::vector<std::vector<double>>& edges_done,
-    const std::vector<std::vector<double>>& hub_edges,
-    const std::vector<std::vector<double>>& agg_msgs,
-    const std::vector<std::vector<double>>& raw_msgs,
-    const std::vector<double>& apply_msgs,
+    bool aggregate_messages, const FrontierCensus& census,
+    const ExpandCounters& counters, const std::vector<double>& apply_msgs,
     const std::vector<int>& owner_of_fragment,
     const std::vector<int>& active, const FStealDecision& fs,
-    double stolen_edges, RunResult* result,
-    const sim::ReductionTree* census_tree = nullptr,
-    bool multipath_bulk = false);
+    RunResult* result, const sim::ReductionTree* census_tree = nullptr);
 
 // Gunrock's compute-rate multiplier on several GPUs, where its algorithm-
 // specific kernels are only partly effective.

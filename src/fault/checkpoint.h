@@ -2,12 +2,13 @@
 //
 // A Checkpoint is a full snapshot of the state the GUM engine needs to
 // re-enter its superstep loop at an iteration barrier: vertex values, the
-// per-fragment frontier, fragment ownership and the active group, the
-// online p estimate, and the whole RunResult (timeline + counters) plus
-// CommPlane telemetry so a rolled-back run re-accumulates time exactly as
-// if the lost iterations never ran. The determinism contract (DESIGN.md §7)
-// makes values independent of ownership and steal plans, which is what lets
-// a replay over a *shrunk* group converge to byte-identical output.
+// per-fragment frontier, the group state (fragment ownership, the active
+// group, the online p estimate, the last wall), and the whole RunResult
+// (timeline + counters) plus CommPlane telemetry so a rolled-back run
+// re-accumulates time exactly as if the lost iterations never ran. The
+// determinism contract (DESIGN.md §7) makes values independent of
+// ownership and steal plans, which is what lets a replay over a *shrunk*
+// group converge to byte-identical output.
 //
 // Snapshots live in host memory (the coordinator); what the analytic model
 // charges is the device -> host read-back of each owner's fragment state
@@ -17,8 +18,8 @@
 #define GUM_FAULT_CHECKPOINT_H_
 
 #include <cstddef>
-#include <vector>
 
+#include "core/osteal.h"
 #include "core/run_result.h"
 #include "core/vertex_state.h"
 #include "graph/types.h"
@@ -50,11 +51,7 @@ struct Checkpoint {
   int iteration = 0;
   // SoA vertex state (values + frontier arena) — two flat copies.
   core::VertexState<Value> state;
-  std::vector<int> owner_of_fragment;
-  std::vector<int> active;
-  int group_size = 0;
-  double p_estimate_ns = 0.0;
-  double prev_wall_ms = 0.0;
+  core::GroupState group;
   core::RunResult result;
   sim::CommPlane::Telemetry comm;
 };

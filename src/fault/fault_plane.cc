@@ -62,22 +62,6 @@ std::string FormatFactor(double f) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kFailStop:
-      return "failstop";
-    case FaultKind::kStraggler:
-      return "straggler";
-    case FaultKind::kLinkDegrade:
-      return "degrade";
-    case FaultKind::kLinkDown:
-      return "linkdown";
-    case FaultKind::kLinkFlap:
-      return "flap";
-  }
-  return "unknown";
-}
-
 std::string FaultEvent::Describe() const {
   char buf[96];
   switch (kind) {

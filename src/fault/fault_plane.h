@@ -33,8 +33,6 @@ enum class FaultKind {
   kLinkFlap,     // link (a, b) alternates down/up every `period` iterations
 };
 
-const char* FaultKindName(FaultKind kind);
-
 // One scheduled fault. Iteration ranges are inclusive on both ends; a
 // fail-stop only uses `begin`. Link faults are symmetric (both directions
 // of the (a, b) pair).

@@ -60,10 +60,6 @@ Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& list,
       if (weighted) g.out_weights_[pos] = e.weight;
     }
   }
-  // Sorted insert order is already guaranteed by the sort above; the
-  // sort_neighbors option only matters if dedup was off with unstable input,
-  // so nothing extra to do here.
-  (void)options.sort_neighbors;
 
   if (options.build_in_csr) {
     g.in_offsets_.assign(n + 1, 0);

@@ -21,7 +21,6 @@ struct CsrBuildOptions {
   bool deduplicate = true;      // keep the first of duplicate (src,dst) pairs
   bool symmetrize = false;      // add reverse edge for every edge (for WCC)
   bool build_in_csr = true;     // also build the in-adjacency
-  bool sort_neighbors = true;   // sort adjacency lists by target id
 };
 
 class CsrGraph {

@@ -121,23 +121,24 @@ void WriteRunReport(std::ostream& os, const RunReportMeta& meta,
   // Fault-plane counters (DESIGN.md §11). Gated so a faults-off run emits
   // no "faults" key at all — its report stays byte-identical to a build
   // without the fault subsystem (modulo schema_version).
-  if (result.fault_plan_active || result.checkpoints_taken > 0 ||
-      result.recovery_events > 0) {
+  const core::FaultStats& faults = result.faults;
+  if (result.fault_plan_active || faults.checkpoints_taken > 0 ||
+      faults.recovery_events > 0) {
     w.Key("faults").BeginObject();
     w.Key("plan_active").Value(result.fault_plan_active);
-    w.Key("checkpoints_taken").Value(result.checkpoints_taken);
-    w.Key("checkpoint_bytes_total").Value(result.checkpoint_bytes_total);
-    w.Key("checkpoint_ms_total").Value(result.checkpoint_ms_total);
-    w.Key("devices_failed").Value(result.devices_failed);
-    w.Key("recovery_events").Value(result.recovery_events);
-    w.Key("fragments_migrated").Value(result.fragments_migrated);
-    w.Key("recovery_detect_ms").Value(result.recovery_detect_ms);
-    w.Key("recovery_restore_ms").Value(result.recovery_restore_ms);
-    w.Key("recovery_migrate_ms").Value(result.recovery_migrate_ms);
-    w.Key("recovery_charged_ms").Value(result.RecoveryChargedMs());
-    w.Key("lost_work_ms").Value(result.lost_work_ms);
-    w.Key("straggler_ms").Value(result.straggler_ms);
-    w.Key("link_fault_iterations").Value(result.link_fault_iterations);
+    w.Key("checkpoints_taken").Value(faults.checkpoints_taken);
+    w.Key("checkpoint_bytes_total").Value(faults.checkpoint_bytes_total);
+    w.Key("checkpoint_ms_total").Value(faults.checkpoint_ms_total);
+    w.Key("devices_failed").Value(faults.devices_failed);
+    w.Key("recovery_events").Value(faults.recovery_events);
+    w.Key("fragments_migrated").Value(faults.fragments_migrated);
+    w.Key("recovery_detect_ms").Value(faults.recovery_detect_ms);
+    w.Key("recovery_restore_ms").Value(faults.recovery_restore_ms);
+    w.Key("recovery_migrate_ms").Value(faults.recovery_migrate_ms);
+    w.Key("recovery_charged_ms").Value(faults.RecoveryChargedMs());
+    w.Key("lost_work_ms").Value(faults.lost_work_ms);
+    w.Key("straggler_ms").Value(faults.straggler_ms);
+    w.Key("link_fault_iterations").Value(faults.link_fault_iterations);
     w.EndObject();
   }
 

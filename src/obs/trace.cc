@@ -82,8 +82,6 @@ const char* SimCategoryName(int category) {
 
 }  // namespace
 
-int CurrentThreadLane() { return GetThreadBuffer().lane; }
-
 void SetThreadLane(int lane, const std::string& name) {
   ThreadBuffer& buf = GetThreadBuffer();
   buf.lane = lane;

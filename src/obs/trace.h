@@ -52,14 +52,10 @@ inline bool TracingEnabled() {
   return internal::g_tracing_enabled.load(std::memory_order_relaxed);
 }
 
-// Deterministic lane id of the calling thread (0 unless a ThreadPool
-// worker registered itself). Lanes become the "tid" of exported host
-// spans, so traces from identical runs line up regardless of OS thread
-// ids.
-int CurrentThreadLane();
 // Registers the calling thread's lane and display name. Called by the
 // ThreadPool for its workers; the main thread defaults to lane 0
-// ("host-main").
+// ("host-main"). Lanes become the "tid" of exported host spans, so traces
+// from identical runs line up regardless of OS thread ids.
 void SetThreadLane(int lane, const std::string& name);
 
 // One finished host-clock span (µs relative to the session epoch).

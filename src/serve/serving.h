@@ -152,7 +152,7 @@ class ServeSession {
       clock_ms += result.total_ms;
       bs.iterations = result.iterations;
       bs.wall_ms = result.total_ms;
-      bs.recovery_ms = result.RecoveryChargedMs();
+      bs.recovery_ms = result.faults.RecoveryChargedMs();
       stats.recovery_ms += bs.recovery_ms;
 
       {

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "algos/apps.h"
 #include "algos/reference.h"
 #include "core/engine.h"
+#include "fault/fault_plane.h"
 #include "tests/test_util.h"
 
 namespace gum::core {
@@ -438,6 +440,363 @@ TEST(StationaryGoldenTest, PageRankBitIdentical) {
     EXPECT_EQ(got[i].stolen_edges, want.stolen_edges);
     EXPECT_EQ(got[i].link_bytes_digest, want.link_bytes_digest);
     EXPECT_EQ(got[i].values_digest, want.values_digest);
+  }
+}
+
+// Golden pins for GUM's own BSP clock on data-driven apps: the simulated
+// clock, the counters, every link's traffic, every value, every timeline
+// cell and every fault-plane field, captured from the build whose
+// superstep loop was one function. Doubles compare as bit patterns;
+// link_bytes, values, the timeline and the fault fields fold into FNV-1a
+// digests.
+struct GumRow {
+  uint64_t total_ms_bits = 0;
+  int iterations = 0;
+  uint64_t edges = 0;
+  uint64_t messages = 0;
+  int osteal_shrinks = 0;
+  int fsteal_applied = 0;
+  uint64_t stolen_edges_bits = 0;
+  uint64_t link_bytes_digest = 0;
+  uint64_t values_digest = 0;
+  uint64_t timeline_digest = 0;
+  uint64_t faults_digest = 0;
+};
+
+// The fault cases. On these graphs OSteal shrinks the 8-device group to
+// {1} at iteration 1 (5 devices: also {1}), so device 1 owns every
+// fragment from then on and device 2 is evicted.
+enum class GumFault {
+  kNone,
+  kRollback,     // device 1 dies before the first periodic checkpoint
+  kEvicted,      // device 2 dies after OSteal evicted it: no rollback
+  kSlowLinks,    // a straggler plus a degraded and a flapping link
+  kFairFailStop  // device 1 dies after a checkpoint, multipath on
+};
+
+struct GumCase {
+  int devices;
+  GumFault fault;
+  const char* plan;
+  int ckpt_every;
+  bool fair_multipath;
+};
+
+constexpr GumCase kGumCases[] = {
+    {8, GumFault::kNone, "", 0, false},
+    {8, GumFault::kRollback, "failstop:1@3", 4, false},
+    {8, GumFault::kEvicted, "failstop:2@3", 0, false},
+    {8, GumFault::kSlowLinks,
+     "straggler:1@0-40x3;degrade:1-3@0-1x0.25;flap:1-5@0-3/1", 0, false},
+    {5, GumFault::kFairFailStop, "failstop:1@3", 2, true},
+    {1, GumFault::kNone, "", 0, false},
+};
+
+// Every fault-plane field of a result, ints and flags as doubles.
+std::vector<double> FaultFields(const RunResult& r) {
+  const FaultStats& f = r.faults;
+  return {static_cast<double>(r.fault_plan_active),
+          static_cast<double>(f.checkpoints_taken),
+          f.checkpoint_bytes_total,
+          f.checkpoint_ms_total,
+          static_cast<double>(f.devices_failed),
+          static_cast<double>(f.recovery_events),
+          static_cast<double>(f.fragments_migrated),
+          f.recovery_detect_ms,
+          f.recovery_restore_ms,
+          f.recovery_migrate_ms,
+          f.lost_work_ms,
+          f.straggler_ms,
+          static_cast<double>(f.link_fault_iterations)};
+}
+
+// A pin is only a guard if its fault fired the way the case says.
+void ExpectFaultFired(const GumCase& c, const RunResult& r) {
+  const FaultStats& f = r.faults;
+  switch (c.fault) {
+    case GumFault::kNone:
+      EXPECT_FALSE(r.fault_plan_active);
+      EXPECT_EQ(f.recovery_events, 0);
+      break;
+    case GumFault::kRollback:
+      EXPECT_EQ(f.devices_failed, 1);
+      EXPECT_EQ(f.recovery_events, 1);
+      EXPECT_GT(f.lost_work_ms, 0.0);
+      EXPECT_GT(f.checkpoints_taken, 0);
+      break;
+    case GumFault::kEvicted:
+      EXPECT_EQ(f.devices_failed, 1);
+      EXPECT_EQ(f.recovery_events, 1);
+      EXPECT_EQ(f.lost_work_ms, 0.0);
+      EXPECT_EQ(f.fragments_migrated, 0);
+      EXPECT_GT(f.recovery_detect_ms, 0.0);
+      break;
+    case GumFault::kSlowLinks:
+      EXPECT_GT(f.straggler_ms, 0.0);
+      EXPECT_GT(f.link_fault_iterations, 0);
+      EXPECT_EQ(f.devices_failed, 0);
+      break;
+    case GumFault::kFairFailStop:
+      EXPECT_TRUE(r.multipath_active);
+      EXPECT_EQ(f.devices_failed, 1);
+      EXPECT_GT(f.lost_work_ms, 0.0);
+      EXPECT_GT(f.checkpoints_taken, 0);
+      break;
+  }
+}
+
+template <typename App>
+GumRow PinGum(const graph::CsrGraph& g, const GumCase& c, int host_threads,
+              App app) {
+  EngineOptions opt = TestEngineOptions();
+  opt.num_host_threads = host_threads;
+  opt.checkpoint.every = c.ckpt_every;
+  if (c.fair_multipath) {
+    opt.contention = sim::ContentionModel::kFair;
+    opt.multipath = sim::MultipathMode::kOn;
+  }
+  fault::FaultPlane plane;
+  if (c.plan[0] != '\0') {
+    auto plan = fault::FaultPlan::Parse(c.plan);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    auto bound = fault::FaultPlane::Create(*plan, c.devices);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    plane = std::move(bound).value();
+    opt.fault_plane = &plane;
+  }
+  std::vector<typename App::Value> values;
+  const RunResult r =
+      GumEngine<App>(&g, MakePartition(g, c.devices), Topo(c.devices), opt)
+          .Run(app, &values);
+  ExpectFaultFired(c, r);
+  uint64_t faults_digest = test::kFnvBasis;
+  for (const double field : FaultFields(r)) {
+    faults_digest = test::Fnv1a(faults_digest, std::bit_cast<uint64_t>(field));
+  }
+  return {std::bit_cast<uint64_t>(r.total_ms),
+          r.iterations,
+          r.edges_processed,
+          r.messages_sent,
+          r.osteal_shrink_events,
+          r.fsteal_applied_iterations,
+          std::bit_cast<uint64_t>(r.stolen_edges_total),
+          test::LinkBytesDigest(r),
+          test::ValuesDigest(values),
+          test::TimelineDigest(r),
+          faults_digest};
+}
+
+// The pinned rows: kGumCases x {road 32x32, RMAT 10 weighted} x {bfs,
+// sssp, wcc on the symmetric graph, dpr}.
+std::vector<GumRow> PinGumRows(int host_threads) {
+  const graph::CsrGraph road = RoadGraph(32, 3);
+  const graph::CsrGraph rmat = SocialGraph(10, 2, /*weighted=*/true);
+  const graph::CsrGraph rmat_sym = SocialGraphSym(10, 2);
+  std::vector<GumRow> rows;
+  for (const GumCase& c : kGumCases) {
+    for (const auto& [g, sym] :
+         {std::pair{&road, &road}, std::pair{&rmat, &rmat_sym}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "case plan '" << c.plan << "', devices " << c.devices
+                   << ", " << (g == &road ? "road" : "rmat"));
+      const auto pin = [&](const graph::CsrGraph& graph, auto app) {
+        rows.push_back(PinGum(graph, c, host_threads, app));
+      };
+      const VertexId source = test::MaxDegreeSource(*g);
+      pin(*g, BfsApp{.source = source});
+      pin(*g, SsspApp{.source = source});
+      pin(*sym, WccApp{});
+      pin(*g, DeltaPageRankApp{.num_vertices = g->num_vertices(),
+                               .epsilon = 1e-6});
+    }
+  }
+  return rows;
+}
+
+TEST(GumGoldenTest, BitIdentical) {
+  constexpr GumRow kGolden[] = {
+      {4626082097828281104ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       3675952395465852965ull, 10885558025992347513ull, 1011000235074159272ull,
+       8977388880535415087ull},
+      {4626165902334511177ull, 61, 7167ull, 7167ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull,
+       2127547868768671379ull, 8977388880535415087ull},
+      {4626674516703863526ull, 63, 123630ull, 123630ull, 1, 1,
+       4638426141214900224ull, 6989162597928732709ull, 13346994205906133797ull,
+       8257979048232922111ull, 8977388880535415087ull},
+      {4625389289783346659ull, 49, 127751ull, 127751ull, 1, 1,
+       4638426141214900224ull, 13468121863456360485ull,
+       17844785856219385124ull, 7057431388344620162ull,
+       8977388880535415087ull},
+      {4612145105112131512ull, 5, 6486ull, 6486ull, 1, 1,
+       4642718634609737728ull, 6924853124892788773ull, 6958107229267241064ull,
+       15574263474241833003ull, 8977388880535415087ull},
+      {4614549413589499302ull, 8, 15599ull, 15599ull, 1, 1,
+       4642718634609737728ull, 18155665113229363237ull,
+       11940344131088449570ull, 12099917518251634816ull,
+       8977388880535415087ull},
+      {4612743072829584008ull, 6, 28350ull, 28350ull, 1, 1,
+       4655213484747784192ull, 2452481277018572837ull, 13398839423619047053ull,
+       12491425124725265603ull, 8977388880535415087ull},
+      {4625415461142819908ull, 46, 210554ull, 210554ull, 1, 1,
+       4651734629957500928ull, 15361286272928516133ull, 5890401787944674878ull,
+       10689489360102256970ull, 8977388880535415087ull},
+      {4626407270011839120ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       15546222754330904613ull, 10885558025992347513ull, 296514088645531491ull,
+       686481123742596597ull},
+      {4626491114137235912ull, 61, 7167ull, 7167ull, 1, 0, 0ull,
+       11021107883428087845ull, 15719651170260642214ull, 791363591005643114ull,
+       2943165838087702359ull},
+      {4627089031966316099ull, 63, 123630ull, 123630ull, 1, 0, 0ull,
+       3602133658678134821ull, 13346994205906133797ull,
+       17513328014409370412ull, 1552043984675142046ull},
+      {4625807926153214582ull, 49, 127751ull, 127751ull, 1, 0, 0ull,
+       9782432993069828133ull, 17844785856219385124ull,
+       10823767175596033306ull, 9706296494936403450ull},
+      {4615337384375030226ull, 5, 6486ull, 6486ull, 1, 0, 0ull,
+       16220671982901725221ull, 6958107229267241064ull, 4456618944495193247ull,
+       4432977253940587664ull},
+      {4616989341606321844ull, 8, 15599ull, 15599ull, 1, 0, 0ull,
+       16815318107772749861ull, 11940344131088449570ull,
+       17236648918023849472ull, 16026159661210030486ull},
+      {4616282197397949616ull, 6, 28350ull, 28350ull, 1, 0, 0ull,
+       15372284412863252517ull, 13398839423619047053ull, 679705580478147671ull,
+       15896013449518796602ull},
+      {4625856818486153438ull, 46, 210554ull, 210554ull, 1, 0, 0ull,
+       6310710940874377253ull, 5890401787944674878ull, 3965144319682152543ull,
+       10645512012451399322ull},
+      {4626222835316636434ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       3675952395465852965ull, 10885558025992347513ull, 2566556343358987273ull,
+       14188053649403078959ull},
+      {4626306639822866507ull, 61, 7167ull, 7167ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull,
+       10446144217244945310ull, 14188053649403078959ull},
+      {4626815254192218854ull, 63, 123630ull, 123630ull, 1, 1,
+       4638426141214900224ull, 6989162597928732709ull, 13346994205906133797ull,
+       7336419972297887686ull, 14188053649403078959ull},
+      {4625530027271701987ull, 49, 127751ull, 127751ull, 1, 1,
+       4638426141214900224ull, 13468121863456360485ull,
+       17844785856219385124ull, 10073052577196436483ull,
+       14188053649403078959ull},
+      {4613271005018974136ull, 5, 6486ull, 6486ull, 1, 1,
+       4642718634609737728ull, 6924853124892788773ull, 6958107229267241064ull,
+       4868625218731197874ull, 14188053649403078959ull},
+      {4615675313496341926ull, 8, 15599ull, 15599ull, 1, 1,
+       4642718634609737728ull, 18155665113229363237ull,
+       11940344131088449570ull, 8182697235080926941ull,
+       14188053649403078959ull},
+      {4613868972736426632ull, 6, 28350ull, 28350ull, 1, 1,
+       4655213484747784192ull, 2452481277018572837ull, 13398839423619047053ull,
+       4813629982053523690ull, 14188053649403078959ull},
+      {4625556198631175236ull, 46, 210554ull, 210554ull, 1, 1,
+       4651734629957500928ull, 15361286272928516133ull, 5890401787944674878ull,
+       14333253616296480887ull, 14188053649403078959ull},
+      {4626086731298378583ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       3675952395465852965ull, 10885558025992347513ull, 5291698528201386776ull,
+       15570859354283172945ull},
+      {4626173805667333977ull, 61, 7167ull, 7167ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull,
+       5533302213862556036ull, 6356753852392378764ull},
+      {4626793942390372623ull, 63, 123630ull, 123630ull, 1, 1,
+       4638426141214900224ull, 6989162597928732709ull, 13346994205906133797ull,
+       14639751596008176640ull, 12391837607809936127ull},
+      {4625523526667275363ull, 49, 127751ull, 127751ull, 1, 1,
+       4638426141214900224ull, 13468121863456360485ull,
+       17844785856219385124ull, 1361959732614509015ull,
+       8902658270480143895ull},
+      {4612289747211088728ull, 5, 6486ull, 6486ull, 1, 1,
+       4642718634609737728ull, 6924853124892788773ull, 6958107229267241064ull,
+       5061077465468687637ull, 12308706363224779001ull},
+      {4614925151972369859ull, 8, 15599ull, 15599ull, 1, 1,
+       4642718634609737728ull, 18155665113229363237ull,
+       11940344131088449570ull, 16881879152219745714ull,
+       8105680524978180599ull},
+      {4613168517844142718ull, 6, 28350ull, 28350ull, 1, 1,
+       4656286608096493568ull, 788849265693493285ull, 13398839423619047053ull,
+       6505766024138429651ull, 11176794862102793157ull},
+      {4626059861139158142ull, 46, 210554ull, 210554ull, 1, 1,
+       4651708241678434304ull, 12897128432722053157ull, 5890401787944674878ull,
+       10486792495206958826ull, 4190845685990676535ull},
+      {4625253758734213655ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       2782792828431860095ull, 10885558025992347513ull,
+       13103075244818822579ull, 1391381656153239653ull},
+      {4625279460023193019ull, 61, 7167ull, 7167ull, 1, 0, 0ull,
+       4155889337477595519ull, 15719651170260642214ull,
+       13439668099374357019ull, 5854075583159193415ull},
+      {4625550129593119855ull, 63, 123630ull, 123630ull, 1, 1,
+       4637159503819702272ull, 3908570277166940543ull, 13346994205906133797ull,
+       15544923272761577553ull, 578399548594954661ull},
+      {4623987034420727382ull, 49, 127751ull, 127751ull, 1, 1,
+       4637159503819702272ull, 16338837576099004799ull,
+       12577449464423436918ull, 6344571644178908241ull,
+       2344764502089156454ull},
+      {4612503985893507201ull, 5, 6486ull, 6486ull, 1, 1,
+       4642718634609737728ull, 1940571319601955199ull, 6958107229267241064ull,
+       1452965338515740032ull, 3777918790388547365ull},
+      {4614440232352016285ull, 8, 15599ull, 15599ull, 1, 1,
+       4642718634609737728ull, 5024922437350818175ull, 11940344131088449570ull,
+       8264845445754642756ull, 3346349430733510617ull},
+      {4613074266273185344ull, 6, 28350ull, 28350ull, 1, 1,
+       4651708241678434304ull, 6601359328302563711ull, 13398839423619047053ull,
+       16080637802063396251ull, 10035720791698549104ull},
+      {4624102917247511872ull, 46, 210554ull, 210554ull, 1, 1,
+       4649764305120526336ull, 11130175086624997759ull,
+       10275035467701007154ull, 2770148280283841312ull,
+       3930044586864517471ull},
+      {4621192248356314138ull, 61, 3870ull, 3870ull, 0, 0, 0ull,
+       9495990776069470175ull, 10885558025992347513ull,
+       11812740220035860169ull, 8977388880535415087ull},
+      {4621196379461418528ull, 61, 7167ull, 7167ull, 0, 0, 0ull,
+       7140424552512862175ull, 15719651170260642214ull,
+       15067873397551509930ull, 8977388880535415087ull},
+      {4621489545318705666ull, 63, 123630ull, 123630ull, 0, 0, 0ull,
+       18155596334680356831ull, 13346994205906133797ull,
+       12267793508795798668ull, 8977388880535415087ull},
+      {4620007661100974986ull, 49, 127751ull, 127751ull, 0, 0, 0ull,
+       18275437260952418271ull, 7483595773932399925ull,
+       10010900855890846366ull, 8977388880535415087ull},
+      {4605066889614517504ull, 5, 6486ull, 6486ull, 0, 0, 0ull,
+       7434571400733636575ull, 6958107229267241064ull, 1995631412905827917ull,
+       8977388880535415087ull},
+      {4608327332492655802ull, 8, 15599ull, 15599ull, 0, 0, 0ull,
+       5613491523334289375ull, 11940344131088449570ull,
+       16106344214451281730ull, 8977388880535415087ull},
+      {4607380641356738855ull, 6, 28350ull, 28350ull, 0, 0, 0ull,
+       3199095930133526495ull, 13398839423619047053ull,
+       11256593070227017416ull, 8977388880535415087ull},
+      {4620621833795158103ull, 46, 210554ull, 210554ull, 0, 0, 0ull,
+       16011522890713380831ull, 15341350774008039046ull,
+       17911317392837357824ull, 8977388880535415087ull},
+  };
+  // One host thread deposits messages as it expands; the default pool
+  // stages and merges them. Both must hold the same pins.
+  for (const int host_threads : {1, EngineOptions{}.num_host_threads}) {
+    SCOPED_TRACE(testing::Message() << "host_threads=" << host_threads);
+    const std::vector<GumRow> got = PinGumRows(host_threads);
+    ASSERT_EQ(got.size(), std::size(kGolden));
+    for (size_t i = 0; i < got.size(); ++i) {
+      const GumRow& r = got[i];
+      SCOPED_TRACE(testing::Message()
+                   << "row " << i << ": {" << r.total_ms_bits << "ull, "
+                   << r.iterations << ", " << r.edges << "ull, " << r.messages
+                   << "ull, " << r.osteal_shrinks << ", " << r.fsteal_applied
+                   << ", " << r.stolen_edges_bits << "ull, "
+                   << r.link_bytes_digest << "ull, " << r.values_digest
+                   << "ull, " << r.timeline_digest << "ull, "
+                   << r.faults_digest << "ull},");
+      const GumRow& want = kGolden[i];
+      EXPECT_EQ(r.total_ms_bits, want.total_ms_bits);
+      EXPECT_EQ(r.iterations, want.iterations);
+      EXPECT_EQ(r.edges, want.edges);
+      EXPECT_EQ(r.messages, want.messages);
+      EXPECT_EQ(r.osteal_shrinks, want.osteal_shrinks);
+      EXPECT_EQ(r.fsteal_applied, want.fsteal_applied);
+      EXPECT_EQ(r.stolen_edges_bits, want.stolen_edges_bits);
+      EXPECT_EQ(r.link_bytes_digest, want.link_bytes_digest);
+      EXPECT_EQ(r.values_digest, want.values_digest);
+      EXPECT_EQ(r.timeline_digest, want.timeline_digest);
+      EXPECT_EQ(r.faults_digest, want.faults_digest);
+    }
   }
 }
 

@@ -69,9 +69,9 @@ TEST(FaultRecoveryTest, BfsByteIdenticalAfterFailStop) {
   const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/1);
   EXPECT_EQ(faulted.values, clean.values);
   EXPECT_TRUE(faulted.result.fault_plan_active);
-  EXPECT_EQ(faulted.result.devices_failed, 1);
-  EXPECT_GE(faulted.result.recovery_events, 1);
-  EXPECT_GT(faulted.result.RecoveryChargedMs(), 0.0);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 1);
+  EXPECT_GE(faulted.result.faults.recovery_events, 1);
+  EXPECT_GT(faulted.result.faults.RecoveryChargedMs(), 0.0);
   EXPECT_GT(faulted.result.total_ms, clean.result.total_ms);
   EXPECT_FALSE(clean.result.fault_plan_active);
 }
@@ -87,8 +87,8 @@ TEST(FaultRecoveryTest, SsspByteIdenticalAfterFailStop) {
   const auto plane = MustPlane("failstop:2@3", 4);
   const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/2);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_EQ(faulted.result.devices_failed, 1);
-  EXPECT_GT(faulted.result.RecoveryChargedMs(), 0.0);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 1);
+  EXPECT_GT(faulted.result.faults.RecoveryChargedMs(), 0.0);
 }
 
 TEST(FaultRecoveryTest, PageRankByteIdenticalAfterFailStop) {
@@ -103,7 +103,7 @@ TEST(FaultRecoveryTest, PageRankByteIdenticalAfterFailStop) {
   const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/3);
   EXPECT_EQ(faulted.values, clean.values);  // bit-exact doubles
   EXPECT_EQ(faulted.result.iterations, clean.result.iterations);
-  EXPECT_EQ(faulted.result.devices_failed, 1);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 1);
 }
 
 TEST(FaultRecoveryTest, WccByteIdenticalAfterFailStop) {
@@ -116,7 +116,7 @@ TEST(FaultRecoveryTest, WccByteIdenticalAfterFailStop) {
   const auto plane = MustPlane("failstop:0@2", 4);
   const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/1);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_EQ(faulted.result.devices_failed, 1);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 1);
 }
 
 TEST(FaultRecoveryTest, DeterministicAcrossThreadsAndCadences) {
@@ -139,9 +139,10 @@ TEST(FaultRecoveryTest, DeterministicAcrossThreadsAndCadences) {
       EXPECT_DOUBLE_EQ(run.result.total_ms, reference.result.total_ms)
           << "threads=" << threads << " ckpt_every=" << ckpt;
       EXPECT_EQ(run.result.iterations, reference.result.iterations);
-      EXPECT_EQ(run.result.recovery_events, reference.result.recovery_events);
-      EXPECT_DOUBLE_EQ(run.result.RecoveryChargedMs(),
-                       reference.result.RecoveryChargedMs());
+      EXPECT_EQ(run.result.faults.recovery_events,
+                reference.result.faults.recovery_events);
+      EXPECT_DOUBLE_EQ(run.result.faults.RecoveryChargedMs(),
+                       reference.result.faults.RecoveryChargedMs());
     }
   }
 }
@@ -158,11 +159,11 @@ TEST(FaultRecoveryTest, ZeroCadenceRestartsFromIterationZero) {
   // charged as lost time.
   const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/0);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_EQ(faulted.result.checkpoints_taken, 0);
-  EXPECT_EQ(faulted.result.devices_failed, 1);
-  if (faulted.result.lost_work_ms > 0) {
-    EXPECT_GT(faulted.result.RecoveryChargedMs(),
-              faulted.result.recovery_detect_ms);
+  EXPECT_EQ(faulted.result.faults.checkpoints_taken, 0);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 1);
+  if (faulted.result.faults.lost_work_ms > 0) {
+    EXPECT_GT(faulted.result.faults.RecoveryChargedMs(),
+              faulted.result.faults.recovery_detect_ms);
   }
 }
 
@@ -175,8 +176,8 @@ TEST(FaultRecoveryTest, TwoFailuresBothRecovered) {
   const auto plane = MustPlane("failstop:2@1;failstop:6@2", 8);
   const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/1);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_EQ(faulted.result.devices_failed, 2);
-  EXPECT_GE(faulted.result.recovery_events, 2);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 2);
+  EXPECT_GE(faulted.result.faults.recovery_events, 2);
 }
 
 TEST(FaultRecoveryTest, RecoveryWorksWithOStealDisabled) {
@@ -189,7 +190,7 @@ TEST(FaultRecoveryTest, RecoveryWorksWithOStealDisabled) {
   const auto faulted =
       RunEngine(g, part, app, &plane, /*ckpt_every=*/1, 1, /*osteal=*/false);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_EQ(faulted.result.devices_failed, 1);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 1);
 }
 
 TEST(FaultRecoveryTest, StragglerChangesTimeNeverValues) {
@@ -207,9 +208,9 @@ TEST(FaultRecoveryTest, StragglerChangesTimeNeverValues) {
       4);
   const auto slow = RunEngine(g, part, app, &plane, 0);
   EXPECT_EQ(slow.values, clean.values);
-  EXPECT_GT(slow.result.straggler_ms, 0.0);
+  EXPECT_GT(slow.result.faults.straggler_ms, 0.0);
   EXPECT_GT(slow.result.total_ms, clean.result.total_ms);
-  EXPECT_EQ(slow.result.devices_failed, 0);
+  EXPECT_EQ(slow.result.faults.devices_failed, 0);
 }
 
 TEST(FaultRecoveryTest, LinkFaultsRerouteNeverChangeValues) {
@@ -222,8 +223,8 @@ TEST(FaultRecoveryTest, LinkFaultsRerouteNeverChangeValues) {
       MustPlane("linkdown:0-1@0-50;degrade:2-3@1-4x0.25;flap:4-5@0-50/1", 8);
   const auto faulted = RunEngine(g, part, app, &plane, 0);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_GT(faulted.result.link_fault_iterations, 0);
-  EXPECT_EQ(faulted.result.devices_failed, 0);
+  EXPECT_GT(faulted.result.faults.link_fault_iterations, 0);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 0);
 }
 
 TEST(FaultRecoveryTest, CheckpointsAloneChargeTimeNeverValues) {
@@ -234,8 +235,8 @@ TEST(FaultRecoveryTest, CheckpointsAloneChargeTimeNeverValues) {
   const auto clean = RunEngine(g, part, app, nullptr, 0);
   const auto ckpt = RunEngine(g, part, app, nullptr, /*ckpt_every=*/2);
   EXPECT_EQ(ckpt.values, clean.values);
-  EXPECT_GT(ckpt.result.checkpoints_taken, 0);
-  EXPECT_GT(ckpt.result.checkpoint_ms_total, 0.0);
+  EXPECT_GT(ckpt.result.faults.checkpoints_taken, 0);
+  EXPECT_GT(ckpt.result.faults.checkpoint_ms_total, 0.0);
   EXPECT_GT(ckpt.result.total_ms, clean.result.total_ms);
   EXPECT_FALSE(ckpt.result.fault_plan_active);
 }
@@ -249,8 +250,8 @@ TEST(FaultRecoveryTest, FailureAfterConvergenceIsInvisible) {
   const auto plane = MustPlane("failstop:1@500", 4);
   const auto faulted = RunEngine(g, part, app, &plane, 0);
   EXPECT_EQ(faulted.values, clean.values);
-  EXPECT_EQ(faulted.result.devices_failed, 0);
-  EXPECT_EQ(faulted.result.recovery_events, 0);
+  EXPECT_EQ(faulted.result.faults.devices_failed, 0);
+  EXPECT_EQ(faulted.result.faults.recovery_events, 0);
   // The plan is active but nothing fired: identical charged time.
   EXPECT_DOUBLE_EQ(faulted.result.total_ms, clean.result.total_ms);
   EXPECT_TRUE(faulted.result.fault_plan_active);
@@ -279,8 +280,8 @@ void ExpectRecoveryExactUnderBackend(const graph::CsrGraph& g,
   const RunResult result = engine.Run(app, &faulted);
   EXPECT_EQ(faulted, clean)
       << "backend=" << ExpandBackendKindName(backend);
-  EXPECT_EQ(result.devices_failed, 1);
-  EXPECT_GE(result.recovery_events, 1);
+  EXPECT_EQ(result.faults.devices_failed, 1);
+  EXPECT_GE(result.faults.recovery_events, 1);
 }
 
 TEST(FaultRecoveryTest, ScatterBackendRecoversExactly) {
@@ -340,8 +341,8 @@ TEST(FaultRecoveryTest, LinkFaultsDuringStripedTransfersDropOnlyPaths) {
   std::vector<uint32_t> reference_values;
   const RunResult reference = run(&plane, 1, &reference_values);
   EXPECT_EQ(reference_values, clean_values);
-  EXPECT_GT(reference.link_fault_iterations, 0);
-  EXPECT_EQ(reference.devices_failed, 0);
+  EXPECT_GT(reference.faults.link_fault_iterations, 0);
+  EXPECT_EQ(reference.faults.devices_failed, 0);
 
   for (const int threads : {2, 4, 8}) {
     std::vector<uint32_t> values;
@@ -381,15 +382,15 @@ TEST(FaultRecoveryTest, FailStopRecoveryExactUnderMultipath) {
   std::vector<uint32_t> on_values;
   const RunResult on = run(&plane, sim::MultipathMode::kOn, &on_values);
   EXPECT_EQ(on_values, clean_values);
-  EXPECT_EQ(on.devices_failed, 1);
-  EXPECT_GE(on.recovery_events, 1);
+  EXPECT_EQ(on.faults.devices_failed, 1);
+  EXPECT_GE(on.faults.recovery_events, 1);
 
   std::vector<uint32_t> off_values;
   const RunResult off = run(&plane, sim::MultipathMode::kOff, &off_values);
   EXPECT_EQ(off_values, clean_values);
   // The striped recovery path is strictly cheaper than the PCIe
   // round-trip on the same migration set.
-  EXPECT_LE(on.recovery_migrate_ms, off.recovery_migrate_ms);
+  EXPECT_LE(on.faults.recovery_migrate_ms, off.faults.recovery_migrate_ms);
 }
 
 // Unit-level check of the recovery charge itself: a migrated fragment
@@ -437,7 +438,7 @@ TEST(FaultRecoveryTest, ChaosPlanConvergesByteIdentical) {
     const auto plane = MustPlane("chaos", 8, seed);
     const auto faulted = RunEngine(g, part, app, &plane, /*ckpt_every=*/2);
     EXPECT_EQ(faulted.values, clean.values) << "seed=" << seed;
-    EXPECT_EQ(faulted.result.devices_failed, 1) << "seed=" << seed;
+    EXPECT_EQ(faulted.result.faults.devices_failed, 1) << "seed=" << seed;
   }
 }
 

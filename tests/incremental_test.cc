@@ -349,7 +349,7 @@ TEST(MutationFaultComposeTest, FailStopMidEpochRecoversToMutatedResult) {
     // Fallback replays run long enough to hit the scheduled fail-stop;
     // short incremental epochs may converge before it fires.
     if (stats.kind == EpochPlanKind::kFallback) {
-      EXPECT_GT(stats.result.recovery_events, 0) << "epoch " << e;
+      EXPECT_GT(stats.result.faults.recovery_events, 0) << "epoch " << e;
     }
     h.ExpectMatchesFull(app);
   }

@@ -520,18 +520,18 @@ TEST(RunReportTest, MutationsSectionRoundTrips) {
 TEST(RunReportTest, FaultsSectionRoundTrips) {
   core::RunResult result;
   result.fault_plan_active = true;
-  result.checkpoints_taken = 3;
-  result.checkpoint_bytes_total = 4096.0;
-  result.checkpoint_ms_total = 0.5;
-  result.devices_failed = 1;
-  result.recovery_events = 2;
-  result.fragments_migrated = 5;
-  result.recovery_detect_ms = 0.25;
-  result.recovery_restore_ms = 1.5;
-  result.recovery_migrate_ms = 0.75;
-  result.lost_work_ms = 2.0;
-  result.straggler_ms = 0.125;
-  result.link_fault_iterations = 4;
+  result.faults.checkpoints_taken = 3;
+  result.faults.checkpoint_bytes_total = 4096.0;
+  result.faults.checkpoint_ms_total = 0.5;
+  result.faults.devices_failed = 1;
+  result.faults.recovery_events = 2;
+  result.faults.fragments_migrated = 5;
+  result.faults.recovery_detect_ms = 0.25;
+  result.faults.recovery_restore_ms = 1.5;
+  result.faults.recovery_migrate_ms = 0.75;
+  result.faults.lost_work_ms = 2.0;
+  result.faults.straggler_ms = 0.125;
+  result.faults.link_fault_iterations = 4;
 
   RunReportMeta meta;
   std::ostringstream os;
@@ -561,8 +561,8 @@ TEST(RunReportTest, CheckpointOnlyRunStillEmitsFaultsSection) {
   // ckpt_every > 0 without a fault plan charges real time; the report must
   // say where it went even though plan_active is false.
   core::RunResult result;
-  result.checkpoints_taken = 2;
-  result.checkpoint_ms_total = 0.25;
+  result.faults.checkpoints_taken = 2;
+  result.faults.checkpoint_ms_total = 0.25;
   RunReportMeta meta;
   std::ostringstream os;
   WriteRunReport(os, meta, result, nullptr);

@@ -431,15 +431,17 @@ void PrintSummary(const RunEnv& env, const core::RunResult& r) {
                 << "quiescence:      " << r.quiescence_rounds
                 << " census rounds\n";
     }
+    const core::FaultStats& faults = r.faults;
     if (r.fault_plan_active) {
-      std::cout << "faults:          devices failed " << r.devices_failed
-                << ", recoveries " << r.recovery_events
-                << ", fragments migrated " << r.fragments_migrated
-                << ", recovery charged " << r.RecoveryChargedMs() << " ms\n";
+      std::cout << "faults:          devices failed " << faults.devices_failed
+                << ", recoveries " << faults.recovery_events
+                << ", fragments migrated " << faults.fragments_migrated
+                << ", recovery charged " << faults.RecoveryChargedMs()
+                << " ms\n";
     }
-    if (r.checkpoints_taken > 0) {
-      std::cout << "checkpoints:     " << r.checkpoints_taken << " ("
-                << r.checkpoint_ms_total << " ms charged)\n";
+    if (faults.checkpoints_taken > 0) {
+      std::cout << "checkpoints:     " << faults.checkpoints_taken << " ("
+                << faults.checkpoint_ms_total << " ms charged)\n";
     }
     std::cout << "breakdown (ms):  compute " << r.ComputeMs() << ", comm "
               << r.CommunicationMs() << ", serialization "
