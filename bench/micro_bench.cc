@@ -27,7 +27,6 @@
 #include "core/edge_cost_model.h"
 #include "core/engine.h"
 #include "core/expand/frontier_scatter.h"
-#include "core/expand/spmv.h"
 #include "core/fsteal.h"
 #include "core/message_store.h"
 #include "core/osteal.h"
@@ -467,6 +466,8 @@ BENCHMARK(BM_ExpandStationaryPr8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
+// The SpMV pull on the same superstep: a payload pass, the frontier
+// bitmap, then the stationary path's gather over the frontier's sources.
 void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
@@ -474,7 +475,7 @@ void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   ThreadPool pool(threads);
   const core::ShardMap shards(fx.g.num_vertices(), threads);
   std::vector<double> values = pf.values;
-  core::SpmvBackend<algos::PageRankApp> backend;
+  core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
   core::MessageStore<double> store(fx.g.num_vertices());
   core::PullEdges pull;

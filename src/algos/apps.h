@@ -5,14 +5,6 @@
 // All message combiners are commutative and associative, so results are
 // independent of the stealing policy, the partitioner and the device count
 // (the property suite in tests/ checks exactly this).
-//
-// Apps whose Scatter never suppresses an edge and whose
-// InitialAccumulator is a true Combine identity additionally provide the
-// optional CombineAll hook (core/expand/expand_backend.h): the SpMV pull
-// gather fuses Scatter+Combine per in-edge through it. It must satisfy
-// CombineAll(acc, p, w) == Combine(acc, *Scatter(p, dst, w)) bit for bit.
-// Delta-PageRank suppresses zero payloads, so it defines no hook and the
-// pull gather falls back to the Scatter/Combine pair.
 
 #ifndef GUM_ALGOS_APPS_H_
 #define GUM_ALGOS_APPS_H_
@@ -50,10 +42,6 @@ struct BfsApp {
   Message Combine(const Message& a, const Message& b) const {
     return std::min(a, b);
   }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float) const {
-    return std::min(acc, payload + 1);
-  }
   bool Apply(VertexId, Value& val, const Message& msg) const {
     if (msg < val) {
       val = msg;
@@ -89,10 +77,6 @@ struct SsspApp {
   }
   Message Combine(const Message& a, const Message& b) const {
     return std::min(a, b);
-  }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float weight) const {
-    return std::min(acc, payload + weight);
   }
   bool Apply(VertexId, Value& val, const Message& msg) const {
     if (msg < val) {
@@ -130,10 +114,6 @@ struct WccApp {
   }
   Message Combine(const Message& a, const Message& b) const {
     return std::min(a, b);
-  }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float) const {
-    return std::min(acc, payload);
   }
   bool Apply(VertexId, Value& val, const Message& msg) const {
     if (msg < val) {
@@ -176,13 +156,6 @@ struct PageRankApp {
     return payload;
   }
   Message Combine(const Message& a, const Message& b) const { return a + b; }
-  // Exact: the 0.0 seed is an additive identity for the non-negative
-  // contributions, so the pull chain reproduces the scatter chain's
-  // double sums bit for bit.
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float) const {
-    return acc + payload;
-  }
   bool Apply(VertexId, Value& val, const Message& msg) const {
     val = (1.0 - damping) / num_vertices + damping * msg;
     return true;

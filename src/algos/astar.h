@@ -59,10 +59,6 @@ struct AStarApp {
   Message Combine(const Message& a, const Message& b) const {
     return std::min(a, b);
   }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float weight) const {
-    return std::min(acc, payload + weight);
-  }
   bool Apply(VertexId, Value& val, const Message& msg) const {
     if (msg < val) {
       val = msg;

@@ -51,7 +51,6 @@
 #include "algos/apps.h"
 #include "common/bitmap.h"
 #include "core/engine.h"
-#include "core/expand/expand_backend.h"
 #include "core/graph_context.h"
 #include "core/run_context.h"
 #include "core/vertex_state.h"
@@ -83,12 +82,6 @@ struct IncrementalApp {
   }
   Message Combine(const Message& a, const Message& b) const {
     return inner->Combine(a, b);
-  }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float weight) const
-    requires core::HasCombineAll<App>
-  {
-    return inner->CombineAll(acc, payload, weight);
   }
   bool Apply(VertexId v, Value& val, const Message& msg) const {
     return inner->Apply(v, val, msg);

@@ -28,9 +28,8 @@
 //    iteration; float min over identical operands is order-independent
 //    bit for bit, so every lane distance lands byte-identical.
 //
-// Both combiners are commutative and associative, and both CombineAll
-// hooks satisfy CombineAll(acc, p, w) == Combine(acc, *Scatter(p, _, w))
-// bit for bit, so all three expand backends agree (see algos/apps.h).
+// Both combiners are commutative and associative, so scatter and gather
+// agree bit for bit (see algos/apps.h).
 
 #ifndef GUM_ALGOS_MULTI_SOURCE_H_
 #define GUM_ALGOS_MULTI_SOURCE_H_
@@ -148,10 +147,6 @@ struct MultiSourceBfsApp {
   Message Combine(const Message& a, const Message& b) const {
     return Msg{a.mask | b.mask, std::min(a.depth, b.depth)};
   }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float) const {
-    return Msg{acc.mask | payload.mask, std::min(acc.depth, payload.depth + 1)};
-  }
   bool Apply(graph::VertexId, Value& val, const Message& msg) const {
     const uint64_t fresh = msg.mask & ~val.visited;
     if (fresh == 0) return false;
@@ -236,16 +231,6 @@ struct MultiSourceSsspApp {
     c.mask = a.mask | b.mask;
     for (int l = 0; l < kMaxBatchLanes; ++l) {
       c.dist[l] = std::min(a.dist[l], b.dist[l]);
-    }
-    return c;
-  }
-  Message CombineAll(const Message& acc, const Message& payload,
-                     float weight) const {
-    Msg c = acc;
-    c.mask |= payload.mask;
-    for (uint64_t b = payload.mask; b != 0; b &= b - 1) {
-      const int l = std::countr_zero(b);
-      c.dist[l] = std::min(c.dist[l], payload.dist[l] + weight);
     }
     return c;
   }

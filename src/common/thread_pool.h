@@ -77,6 +77,19 @@ class ThreadPool {
   size_t grain_ = 1;
 };
 
+// The shard loop: fn(s) once for every s in [0, count). Without a pool of
+// two or more threads, or with one shard, it runs ascending on the calling
+// thread and calls fn directly; otherwise ParallelForStatic's contiguous
+// blocks keep adjacent shards on one thread.
+template <typename Fn>
+void ForEachShard(ThreadPool* pool, int count, Fn&& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1 || count <= 1) {
+    for (int s = 0; s < count; ++s) fn(static_cast<size_t>(s));
+  } else {
+    pool->ParallelForStatic(static_cast<size_t>(count), fn);
+  }
+}
+
 }  // namespace gum
 
 #endif  // GUM_COMMON_THREAD_POOL_H_

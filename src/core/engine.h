@@ -22,10 +22,11 @@
 //   core/run_context.h     — the per-query mutable state (values, frontier,
 //                            message store, backend staging arenas)
 //   core/census.h          — the Step-1 workload census
-//   core/superstep.h       — Step-4 decomposition into per-executor work
-//                            units, expanded on a host ThreadPool
+//   core/expand/           — Step 4: per-executor work units scattered on
+//                            a host ThreadPool, or the destination gather
 //   core/message_store.h   — deterministic inbox + per-worker staging,
-//                            destination-sharded merge/apply
+//                            destination-sharded merge
+//   core/superstep.h       — the sharded apply that ends a superstep
 //   core/time_accounting.h — the analytic device-time models
 // Results are bit-identical for every num_host_threads and num_msg_shards
 // setting; see DESIGN.md, "Determinism contract".
@@ -57,14 +58,11 @@
 //     Message Combine(const Message& a, const Message& b) const;  // assoc.
 //     // Applies the combined message; true activates dst next iteration.
 //     bool Apply(VertexId v, Value& val, const Message& msg) const;
-//     // Optional (SpMV pull fusion, core/expand/expand_backend.h):
-//     // Message CombineAll(const Message& acc, const Message& payload,
-//     //                    float weight) const;
 //   };
 //
-// Step 4 runs on one of the pluggable expand backends (core/expand/,
-// selected by EngineOptions::expand_backend + the per-iteration density
-// heuristic). Vertex values are byte-identical across backends.
+// Step 4 scatters or gathers (core/expand/; EngineOptions::expand_backend
+// and the per-iteration density rule pick the direction). Vertex values
+// are byte-identical either way.
 //
 // This is the one BSP superstep loop over Scatter/Combine/Apply apps; the
 // Gunrock comparator is a preset of it (baselines/gunrock.h), and the time
@@ -89,7 +87,6 @@
 #include "core/engine_options.h"
 #include "core/expand/expand_backend.h"
 #include "core/expand/frontier_scatter.h"
-#include "core/expand/spmv.h"
 #include "core/graph_context.h"
 #include "core/hub_cache.h"
 #include "core/message_store.h"
@@ -265,9 +262,9 @@ class GumEngine {
         // Per-iteration expand-mode decision (DESIGN.md §12): depends only
         // on the census loads and the constant edge count, so it is
         // deterministic for every thread and shard count.
-        const ExpandMode mode = SelectExpandMode(
-            options_.expand_backend, census.total_load,
-            static_cast<double>(g_.num_edges()), options_.spmv);
+        const ExpandMode mode =
+            SelectExpandMode(options_.expand_backend, census.total_load,
+                             static_cast<double>(g_.num_edges()));
         if (recovery_pending_) {
           Recover(iter, census, stats);
         } else {
@@ -583,10 +580,10 @@ class GumEngine {
                                        rc_.store, &counters);
             break;
           case ExpandMode::kSpmvPull:
-            rc_.spmv_backend.ExpandPull(pool, g_, partition_,
-                                        ctx_.pull_edges(), owner, app_,
-                                        values, frontier, ctx_.shard_map(),
-                                        rc_.store, &counters);
+            rc_.scatter_backend.ExpandPull(pool, g_, partition_,
+                                           ctx_.pull_edges(), owner, app_,
+                                           values, frontier, ctx_.shard_map(),
+                                           rc_.store, &counters);
             break;
         }
       }

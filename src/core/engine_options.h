@@ -86,7 +86,6 @@ struct EngineOptions {
   // the frontier-steal solve (the linear-algebra backend does not
   // frontier-steal); ownership stealing stays active.
   ExpandBackendKind expand_backend = ExpandBackendKind::kScatter;
-  SpmvConfig spmv;
 
   // --- time model (kGunrock: the baselines/gunrock.h preset) ---
   TimeModel time_model = TimeModel::kGum;

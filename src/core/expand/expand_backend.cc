@@ -42,10 +42,10 @@ bool ParseExpandBackendKind(std::string_view text, ExpandBackendKind* out) {
 }
 
 ExpandMode SelectExpandMode(ExpandBackendKind kind, double frontier_edges,
-                            double total_edges, const SpmvConfig& config) {
+                            double total_edges) {
   if (kind == ExpandBackendKind::kScatter) return ExpandMode::kScatter;
   const bool dense = total_edges > 0.0 &&
-                     frontier_edges >= config.density_threshold * total_edges;
+                     frontier_edges >= kPullDensityThreshold * total_edges;
   if (kind == ExpandBackendKind::kSpmv) {
     return dense ? ExpandMode::kSpmvPull : ExpandMode::kSpmvPush;
   }

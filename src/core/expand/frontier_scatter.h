@@ -1,9 +1,10 @@
-// Frontier-scatter expand backend (paper §V, Example 4, Step 4; extracted
-// from core/superstep.h — see DESIGN.md §12).
+// Step 4's expand backend (paper §V, Example 4; DESIGN.md §12): process
+// the frontiers and combine every message per target vertex, in one of two
+// directions over the same App hooks.
 //
-// One iteration's expansion work is decomposed into work *units* — each a
-// (fragment, executor, contiguous vertex range) triple. Units are mutually
-// independent:
+// Scatter (push). One iteration's expansion work is decomposed into work
+// *units* — each a (fragment, executor, contiguous vertex range) triple.
+// Units are mutually independent:
 //   * they read the shared graph/partition/hub-cache (immutable);
 //   * they mutate only the values of their own frontier vertices, and the
 //     per-fragment ranges are disjoint (SelectStolenRanges partitions each
@@ -20,6 +21,14 @@
 // message is staged (see DESIGN.md, "Determinism contract" and "Sharded
 // message plane").
 //
+// Gather (pull). Each destination shard walks its destinations' in-edges
+// in PullEdges, which lists them in that same canonical merge order, and
+// chains Scatter/Combine exactly as the merge would, so every combine
+// chain is the scatter path's bit for bit. Two callers share the one
+// gather: a stationary superstep (every vertex active) charges what the
+// scatter path charges, and the SpMV pull (a dense frontier under
+// --expand=spmv|auto) charges remote gathers instead of messages.
+//
 // Thread-safety requirement on App: OnFrontier may mutate the vertex value
 // it is handed but must not mutate App member state; Scatter and Combine
 // must be pure. Every bundled app satisfies this.
@@ -33,6 +42,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
@@ -198,21 +208,21 @@ void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
   pool->ParallelFor(units.size(), expand_one);
 }
 
-// The scatter backend: canonical unit decomposition, then either a serial
+// The expand backend: canonical unit decomposition, then either a serial
 // expand that deposits every message as it is emitted (one host thread) or
 // a parallel expand into per-unit staging followed by the deterministic
 // sharded merge, both with first-writer attribution, and counter
-// aggregation into ExpandCounters. Stationary supersteps take a gather
-// path that yields the same results without staging a message. Owns the
-// staging buffers, the stationary payload and executor arenas, and the
-// per-shard attribution scratch, reused across iterations.
+// aggregation into ExpandCounters. Stationary supersteps and the SpMV pull
+// run the destination gather instead, staging no message. Owns the staging
+// buffers, the payload and executor arenas, and the per-shard count
+// scratch, reused across iterations.
 template <typename App>
 class FrontierScatterBackend {
  public:
   using Value = typename App::Value;
   using Message = typename App::Message;
 
-  // Resident bytes across every unit's staging bins plus the stationary
+  // Resident bytes across every unit's staging bins plus the gathers'
   // payload and executor arenas (high-water capacity; the serving-mode
   // memory gauge).
   size_t StagingBytes() const {
@@ -305,11 +315,9 @@ class FrontierScatterBackend {
   //   1. the plan's units, built as Expand builds them;
   //   2. a payload pass over the units: OnFrontier once per vertex, its
   //      executor recorded, the unit's edge counters added by WalkUnit;
-  //   3. a gather per destination shard over `pull`: each destination's
-  //      in-edges in canonical merge order, Scatter/Combine chained as
-  //      Deposit chains them, one Put. The first emitted message is the
-  //      staged path's first writer, so its executor takes the agg_msgs
-  //      charge.
+  //   3. the destination gather over every source. The first emitted
+  //      message is the staged path's first writer, so its executor takes
+  //      the agg_msgs charge.
   // `frontier` must be every fragment's part_vertices and `pull` built
   // over the same partition (the GraphContext's pull_edges()).
   void ExpandStationary(ThreadPool* pool, const graph::CsrGraph& g,
@@ -333,10 +341,8 @@ class FrontierScatterBackend {
     for (const WorkUnit& unit : units) covered += unit.end - unit.begin;
     GUM_CHECK(covered == num_v)
         << "a stationary superstep expands every vertex once";
-    if (payloads_.size() < num_v) {
-      payloads_.resize(num_v);
-      executor_of_.resize(num_v);
-    }
+    if (payloads_.size() < num_v) payloads_.resize(num_v);
+    if (executor_of_.size() < num_v) executor_of_.resize(num_v);
     if (counters_.size() < units.size()) counters_.resize(units.size());
 
     const auto payload_unit = [&](size_t idx) {
@@ -360,77 +366,171 @@ class FrontierScatterBackend {
     }
     AddUnitCounters(units, n, out);
 
-    // Distinct shards own disjoint word-aligned destination ranges, so
-    // their Puts never meet. Each shard counts into a local buffer and
-    // publishes it once, so no two threads write one cache line.
-    const int s_count = shards.num_shards();
+    Gather<GatherRule::kStationary>(pool, partition, owner_of_fragment, pull,
+                                    app, shards, store);
+    AddShardCounts(shards.num_shards(), n, 0, out->raw_msgs);
+    AddShardCounts(shards.num_shards(), n, static_cast<size_t>(n) * n,
+                   out->agg_msgs);
+  }
+
+  // Runs one SpMV pull superstep over a dense frontier: OnFrontier once
+  // per frontier vertex into the payload arena, a frontier membership
+  // bitmap, then the destination gather over the frontier's sources. The
+  // pull reads remote payloads and adjacency instead of forwarding
+  // messages: each active in-edge charges edges_done at [fragment(u)]
+  // [executor(fragment(v))] and edges_processed, whether Scatter emits or
+  // not, and no message is reported (DESIGN.md §12). `pull` must be built
+  // over the same partition (the GraphContext's pull_edges()).
+  void ExpandPull(ThreadPool* pool, const graph::CsrGraph& g,
+                  const graph::Partition& partition, const PullEdges& pull,
+                  const std::vector<int>& owner_of_fragment, App& app,
+                  std::vector<Value>& values, const FrontierSoA& frontier,
+                  const ShardMap& shards, MessageStore<Message>& store,
+                  ExpandCounters* out) {
+    const int n = partition.num_parts;
+    out->Reset(n);
+    GUM_TRACE_SCOPE("expand.spmv_pull");
+    const size_t num_v = g.num_vertices();
+    if (payloads_.size() < num_v) payloads_.resize(num_v);
+    {
+      GUM_TRACE_SCOPE("expand.payload");
+      // Distinct vertices, so the fragments may run on any thread.
+      const auto payload_fragment = [&](size_t i) {
+        for (graph::VertexId u : frontier.Fragment(static_cast<int>(i))) {
+          payloads_[u] = app.OnFrontier(u, values[u], g.OutDegree(u));
+        }
+      };
+      if (pool == nullptr) {
+        for (int i = 0; i < n; ++i) payload_fragment(static_cast<size_t>(i));
+      } else {
+        pool->ParallelFor(static_cast<size_t>(n), payload_fragment);
+      }
+    }
+    // Rebuilt serially: vertices of different fragments may share a word,
+    // so concurrent Set calls would race.
+    in_frontier_.Resize(num_v);
+    for (graph::VertexId u : frontier.Flat()) in_frontier_.Set(u);
+
+    Gather<GatherRule::kPull>(pool, partition, owner_of_fragment, pull, app,
+                              shards, store);
+    out->edges_processed =
+        AddShardCounts(shards.num_shards(), n, 0, out->edges_done);
+  }
+
+ private:
+  // Which sources the gather reads and what an in-edge charges, fixed at
+  // compile time by its caller.
+  enum class GatherRule {
+    // Every vertex is a source. Each emitted message counts one raw
+    // message, and a destination's first one an aggregated message, at
+    // [executor(u)][fragment(v)].
+    kStationary,
+    // Frontier sources only. Each of their in-edges counts one remote
+    // gather at [fragment(u)][executor(fragment(v))], emitted or not.
+    kPull,
+  };
+
+  // The one destination gather. Each shard walks its destinations'
+  // in-edges in `pull` (canonical merge order), chains the emitted
+  // messages as Deposit chains them — the first is stored, later ones are
+  // Combined — and Puts one message per destination. Distinct shards own
+  // disjoint word-aligned destination ranges, so their Puts never meet;
+  // each counts into its own slice of shard_counts_ ([row][column] cells,
+  // then the first writers' cells).
+  template <GatherRule kRule>
+  void Gather(ThreadPool* pool, const graph::Partition& partition,
+              const std::vector<int>& owner_of_fragment,
+              const PullEdges& pull, const App& app, const ShardMap& shards,
+              MessageStore<Message>& store) {
+    // An int, so the count stores (uint64_t) cannot alias it and the inner
+    // loop keeps it in a register.
+    const int n = partition.num_parts;
     const size_t cells = static_cast<size_t>(n) * n;
-    shard_counts_.resize(s_count);
+    const size_t num_v = pull.offsets.size() - 1;
+    const size_t stride = CountStride(partition.num_parts);
+    const int s_count = shards.num_shards();
+    shard_counts_.resize(static_cast<size_t>(s_count) * stride);
     // The weighted/unweighted branch is taken once, not per edge, by
     // instantiating the gather per weight accessor (as ExpandUnit does).
     const auto gather = [&](auto&& weight_of) {
       return [&, weight_of](size_t s) {
         GUM_TRACE_SCOPE("expand.gather_shard");
-        // [executor][owner] emitted messages, then first writers.
-        std::vector<uint64_t> counts(2 * cells, 0);
-        uint64_t* raw = counts.data();
-        uint64_t* agg = raw + cells;
+        uint64_t* const counts = shard_counts_.data() + s * stride;
+        uint64_t* const first_writers = counts + cells;
+        std::fill_n(counts, 2 * cells, 0);
         const size_t end =
             std::min(num_v, shards.ShardEnd(static_cast<int>(s)));
         for (size_t dst = shards.ShardBegin(static_cast<int>(s)); dst < end;
              ++dst) {
           const auto v = static_cast<graph::VertexId>(dst);
-          const uint32_t dst_owner = partition.owner[v];
+          const uint32_t dst_fragment = partition.owner[v];
+          const size_t column = kRule == GatherRule::kPull
+                                    ? owner_of_fragment[dst_fragment]
+                                    : dst_fragment;
           std::optional<Message> acc;
           for (graph::EdgeId e = pull.offsets[dst]; e < pull.offsets[dst + 1];
                ++e) {
             const graph::VertexId u = pull.sources[e];
+            if constexpr (kRule == GatherRule::kPull) {
+              if (!in_frontier_.Test(u)) continue;
+              ++counts[static_cast<size_t>(partition.owner[u]) * n + column];
+            }
             std::optional<Message> msg =
                 app.Scatter(payloads_[u], v, weight_of(e));
             if (!msg.has_value()) continue;
-            const size_t cell =
-                static_cast<size_t>(executor_of_[u]) * n + dst_owner;
-            ++raw[cell];
+            [[maybe_unused]] size_t cell = 0;
+            if constexpr (kRule == GatherRule::kStationary) {
+              cell = static_cast<size_t>(executor_of_[u]) * n + column;
+              ++counts[cell];
+            }
             if (acc.has_value()) {
               acc = app.Combine(*acc, *msg);
             } else {
               acc = *msg;
-              ++agg[cell];
+              if constexpr (kRule == GatherRule::kStationary) {
+                ++first_writers[cell];
+              }
             }
           }
           if (acc.has_value()) store.Put(v, *acc);
         }
-        shard_counts_[s] = std::move(counts);
       };
     };
-    const auto run_shards = [&](const auto& gather_shard) {
-      if (pool == nullptr || pool->num_threads() <= 1 || s_count <= 1) {
-        for (int s = 0; s < s_count; ++s) {
-          gather_shard(static_cast<size_t>(s));
-        }
-      } else {
-        pool->ParallelForStatic(static_cast<size_t>(s_count), gather_shard);
-      }
-    };
     if (pull.weights.empty()) {
-      run_shards(gather([](graph::EdgeId) { return 1.0f; }));
+      ForEachShard(pool, s_count, gather([](graph::EdgeId) { return 1.0f; }));
     } else {
-      run_shards(gather([&pull](graph::EdgeId e) { return pull.weights[e]; }));
-    }
-    // Integer counts reduced in shard order (exact in any order anyway).
-    for (int s = 0; s < s_count; ++s) {
-      const std::vector<uint64_t>& counts = shard_counts_[s];
-      for (int e = 0; e < n; ++e) {
-        for (int f = 0; f < n; ++f) {
-          const size_t cell = static_cast<size_t>(e) * n + f;
-          out->raw_msgs[e][f] += static_cast<double>(counts[cell]);
-          out->agg_msgs[e][f] += static_cast<double>(counts[cells + cell]);
-        }
-      }
+      ForEachShard(pool, s_count, gather([&pull](graph::EdgeId e) {
+                     return pull.weights[e];
+                   }));
     }
   }
 
- private:
+  // A shard's slice of shard_counts_: room for both count blocks, padded so
+  // that no two shards write one cache line.
+  static size_t CountStride(int n) {
+    return (2 * static_cast<size_t>(n) * n + 15) / 8 * 8;
+  }
+
+  // Adds every shard's count block at `offset` into m[row][column] in
+  // shard order, and returns the counts' total (integer-valued: exact in
+  // any order).
+  uint64_t AddShardCounts(int s_count, int n, size_t offset,
+                          std::vector<std::vector<double>>& m) const {
+    const size_t stride = CountStride(n);
+    uint64_t total = 0;
+    for (int s = 0; s < s_count; ++s) {
+      const uint64_t* counts = shard_counts_.data() + s * stride + offset;
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+          const uint64_t c = counts[static_cast<size_t>(i) * n + j];
+          m[i][j] += static_cast<double>(c);
+          total += c;
+        }
+      }
+    }
+    return total;
+  }
+
   // Adds the per-unit counters in unit order (integer-exact sums).
   void AddUnitCounters(const std::vector<WorkUnit>& units, int n,
                        ExpandCounters* out) const {
@@ -449,14 +549,16 @@ class FrontierScatterBackend {
 
   std::vector<MessageStaging<Message>> staged_;
   std::vector<UnitCounters> counters_;
-  // Stationary path: each vertex's payload and executor, by vertex id.
+  // The gathers' payload per source vertex; the stationary path also
+  // records each vertex's executor.
   std::vector<Message> payloads_;
   std::vector<int> executor_of_;
+  // The pull's frontier membership.
+  Bitmap in_frontier_;
   // Per-shard first-writer attribution ([shard][executor][owner]).
   std::vector<std::vector<std::vector<double>>> shard_agg_;
-  // Stationary path, per shard: [executor][owner] emitted messages, then
-  // first writers, flat.
-  std::vector<std::vector<uint64_t>> shard_counts_;
+  // The gather's per-shard count slices, CountStride apart.
+  std::vector<uint64_t> shard_counts_;
 };
 
 }  // namespace gum::core

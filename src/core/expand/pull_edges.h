@@ -1,12 +1,12 @@
-// Per-destination in-edge structure for the SpMV pull gather (extracted
-// from core/expand/spmv.h so the immutable serving substrate — see
-// core/graph_context.h — can own one shared copy across every query).
+// Per-destination in-edge structure for Step 4's destination gather
+// (core/expand/frontier_scatter.h). The immutable serving substrate
+// (core/graph_context.h) owns one shared copy across every query.
 //
 // Unlike the CSR's in-adjacency (sorted by source id, no weights), each
 // destination's sources appear in the canonical combine order — (owner
 // fragment ascending, source vertex ascending) — and carry the out-edge's
-// weight. The pull gather therefore reproduces every combine chain of the
-// scatter path bit for bit (see the determinism notes in spmv.h).
+// weight. The gather therefore reproduces every combine chain of the
+// scatter path bit for bit (DESIGN.md §7, §12).
 
 #ifndef GUM_CORE_EXPAND_PULL_EDGES_H_
 #define GUM_CORE_EXPAND_PULL_EDGES_H_

@@ -64,9 +64,9 @@ class GraphContext {
   ThreadPool* pool() const { return pool_.get(); }
   int num_devices() const { return partition_.num_parts; }
 
-  // The shared per-destination in-edge structure for the SpMV pull gather
-  // and the stationary gather. Built on first call (thread-safe);
-  // data-driven scatter workloads never pay for it.
+  // The shared per-destination in-edge structure for the destination
+  // gather (stationary supersteps and the SpMV pull). Built on first call
+  // (thread-safe); data-driven scatter workloads never pay for it.
   const PullEdges& pull_edges() const;
 
   // Step 1's census of a stationary superstep, whose frontier is every

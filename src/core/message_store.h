@@ -17,8 +17,8 @@
 //     agg_msgs — is bit-identical to the serial direct deposits for any
 //     shard x thread count. Shard widths are multiples of 64, so concurrent
 //     shard merges never touch the same Bitmap word.
-//   * Put — one pre-combined message per destination, from the gathers
-//     (the stationary superstep and the SpMV pull).
+//   * Put — one pre-combined message per destination, from the
+//     destination gather (the stationary superstep and the SpMV pull).
 //
 // See DESIGN.md, "Determinism contract" and "Sharded message plane".
 
@@ -176,10 +176,11 @@ class MessageStore : public MessageStoreBase {
     return false;
   }
 
-  // Stores a pre-combined message, overwriting any pending one. The SpMV
-  // pull backend computes each destination's full combine chain itself and
-  // deposits exactly once per destination. Safe to call concurrently for
-  // vertices of different shards (shards never share a Bitmap word).
+  // Stores a pre-combined message, overwriting any pending one. The
+  // destination gather computes each destination's full combine chain
+  // itself and deposits exactly once per destination. Safe to call
+  // concurrently for vertices of different shards (shards never share a
+  // Bitmap word).
   void Put(graph::VertexId v, const Message& m) {
     set_.Set(v);
     inbox_[v] = m;
@@ -221,11 +222,7 @@ class MessageStore : public MessageStoreBase {
                    first_writer(static_cast<int>(s), unit, v);
                  });
     };
-    if (pool == nullptr || pool->num_threads() <= 1 || s_count <= 1) {
-      for (int s = 0; s < s_count; ++s) merge_one(static_cast<size_t>(s));
-    } else {
-      pool->ParallelForStatic(static_cast<size_t>(s_count), merge_one);
-    }
+    ForEachShard(pool, s_count, merge_one);
   }
 
   const Message& Get(graph::VertexId v) const { return inbox_[v]; }

@@ -1,7 +1,7 @@
 // Per-query mutable engine state (DESIGN.md §13).
 //
 // RunContext<App> bundles everything GumEngine::Run mutates: the vertex
-// values and frontier, the message store, the expand backends' staging
+// values and frontier, the message store, the expand backend's staging
 // arenas, and the apply-phase scratch. A fresh RunContext per run is
 // exactly the pre-split engine (the legacy Run overload makes one); a
 // long-lived RunContext reused across runs is the serving-mode fast path —
@@ -20,7 +20,6 @@
 
 #include "core/expand/expand_backend.h"
 #include "core/expand/frontier_scatter.h"
-#include "core/expand/spmv.h"
 #include "core/message_store.h"
 #include "core/superstep.h"
 #include "core/vertex_state.h"
@@ -36,7 +35,6 @@ struct RunContext {
   VertexState<Value> state;
   MessageStore<Message> store;
   FrontierScatterBackend<App> scatter_backend;
-  SpmvBackend<App> spmv_backend;
   ExpandCounters expand_counters;
   ApplyScratch apply_scratch;
   FrontierSoA next_frontier;
@@ -46,9 +44,7 @@ struct RunContext {
   size_t FrontierArenaBytes() const {
     return state.frontier.ArenaBytes() + next_frontier.ArenaBytes();
   }
-  size_t StagingBytes() const {
-    return scatter_backend.StagingBytes() + spmv_backend.StagingBytes();
-  }
+  size_t StagingBytes() const { return scatter_backend.StagingBytes(); }
 };
 
 }  // namespace gum::core

@@ -1,7 +1,6 @@
-// Superstep runtime: the apply phase shared by the GUM engine and the
-// baseline engines. The expand phase lives in the pluggable backends under
-// core/expand/ (frontier_scatter.h re-exported here — it carries the
-// WorkUnit decomposition both engines build on; see DESIGN.md §12).
+// The apply phase that ends every BSP superstep (Step 1 of the next one:
+// apply the combined messages, build the next frontier). Step 4's expand
+// lives in core/expand/ (DESIGN.md §12).
 //
 // Thread-safety requirement on App: Apply may mutate the vertex value it
 // is handed but must not mutate App member state (Apply runs concurrently
@@ -16,7 +15,6 @@
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "core/expand/frontier_scatter.h"
 #include "core/message_store.h"
 #include "core/vertex_state.h"
 #include "graph/partition.h"
@@ -93,11 +91,7 @@ void ApplySuperstep(ThreadPool* pool, const ShardMap& shards,
           });
     }
   };
-  if (pool == nullptr || pool->num_threads() <= 1 || s_count <= 1) {
-    for (int s = 0; s < s_count; ++s) apply_shard(static_cast<size_t>(s));
-  } else {
-    pool->ParallelForStatic(static_cast<size_t>(s_count), apply_shard);
-  }
+  ForEachShard(pool, s_count, apply_shard);
 
   if (want_frontier) {
     next_frontier->AssignFromShardSegments(scratch->segments, s_count,

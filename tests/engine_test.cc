@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "algos/apps.h"
+#include "algos/astar.h"
 #include "algos/reference.h"
 #include "core/engine.h"
 #include "fault/fault_plane.h"
@@ -16,6 +17,7 @@
 namespace gum::core {
 namespace {
 
+using algos::AStarApp;
 using algos::BfsApp;
 using algos::DeltaPageRankApp;
 using algos::PageRankApp;
@@ -547,9 +549,11 @@ void ExpectFaultFired(const GumCase& c, const RunResult& r) {
 
 template <typename App>
 GumRow PinGum(const graph::CsrGraph& g, const GumCase& c, int host_threads,
-              App app) {
+              App app,
+              ExpandBackendKind expand = ExpandBackendKind::kScatter) {
   EngineOptions opt = TestEngineOptions();
   opt.num_host_threads = host_threads;
+  opt.expand_backend = expand;
   opt.checkpoint.every = c.ckpt_every;
   if (c.fair_multipath) {
     opt.contention = sim::ContentionModel::kFair;
@@ -611,6 +615,28 @@ std::vector<GumRow> PinGumRows(int host_threads) {
     }
   }
   return rows;
+}
+
+// Compares every field, printing the row as a kGolden initializer.
+void ExpectGumRowEq(const GumRow& r, const GumRow& want) {
+  SCOPED_TRACE(testing::Message()
+               << "{" << r.total_ms_bits << "ull, " << r.iterations << ", "
+               << r.edges << "ull, " << r.messages << "ull, "
+               << r.osteal_shrinks << ", " << r.fsteal_applied << ", "
+               << r.stolen_edges_bits << "ull, " << r.link_bytes_digest
+               << "ull, " << r.values_digest << "ull, " << r.timeline_digest
+               << "ull, " << r.faults_digest << "ull},");
+  EXPECT_EQ(r.total_ms_bits, want.total_ms_bits);
+  EXPECT_EQ(r.iterations, want.iterations);
+  EXPECT_EQ(r.edges, want.edges);
+  EXPECT_EQ(r.messages, want.messages);
+  EXPECT_EQ(r.osteal_shrinks, want.osteal_shrinks);
+  EXPECT_EQ(r.fsteal_applied, want.fsteal_applied);
+  EXPECT_EQ(r.stolen_edges_bits, want.stolen_edges_bits);
+  EXPECT_EQ(r.link_bytes_digest, want.link_bytes_digest);
+  EXPECT_EQ(r.values_digest, want.values_digest);
+  EXPECT_EQ(r.timeline_digest, want.timeline_digest);
+  EXPECT_EQ(r.faults_digest, want.faults_digest);
 }
 
 TEST(GumGoldenTest, BitIdentical) {
@@ -775,27 +801,147 @@ TEST(GumGoldenTest, BitIdentical) {
     const std::vector<GumRow> got = PinGumRows(host_threads);
     ASSERT_EQ(got.size(), std::size(kGolden));
     for (size_t i = 0; i < got.size(); ++i) {
-      const GumRow& r = got[i];
+      SCOPED_TRACE(testing::Message() << "row " << i);
+      ExpectGumRowEq(got[i], kGolden[i]);
+    }
+  }
+}
+
+// Golden pins for the pull gather (`--expand=spmv|auto`), in GumGoldenTest's
+// fields, captured from the build whose pull ran in its own backend and
+// fused Scatter and Combine through an app hook. Rows: {road 32x32, RMAT 10
+// weighted} x {spmv, auto} x {bfs, sssp, wcc on the symmetric graph, pr,
+// dpr, astar} at 8 devices; road sssp under spmv with a fail-stop that
+// rolls back (checkpoint.every 2); RMAT sssp under auto on 5 devices,
+// fair + multipath.
+std::vector<GumRow> PinSpmvRows(int host_threads) {
+  const graph::CsrGraph road = RoadGraph(32, 3);
+  const graph::CsrGraph rmat = SocialGraph(10, 2, /*weighted=*/true);
+  const graph::CsrGraph rmat_sym = SocialGraphSym(10, 2);
+  constexpr GumCase kEight = {8, GumFault::kNone, "", 0, false};
+  std::vector<GumRow> rows;
+  for (const auto& [g, sym] :
+       {std::pair{&road, &road}, std::pair{&rmat, &rmat_sym}}) {
+    const VertexId source = test::MaxDegreeSource(*g);
+    for (const ExpandBackendKind expand :
+         {ExpandBackendKind::kSpmv, ExpandBackendKind::kAuto}) {
       SCOPED_TRACE(testing::Message()
-                   << "row " << i << ": {" << r.total_ms_bits << "ull, "
-                   << r.iterations << ", " << r.edges << "ull, " << r.messages
-                   << "ull, " << r.osteal_shrinks << ", " << r.fsteal_applied
-                   << ", " << r.stolen_edges_bits << "ull, "
-                   << r.link_bytes_digest << "ull, " << r.values_digest
-                   << "ull, " << r.timeline_digest << "ull, "
-                   << r.faults_digest << "ull},");
-      const GumRow& want = kGolden[i];
-      EXPECT_EQ(r.total_ms_bits, want.total_ms_bits);
-      EXPECT_EQ(r.iterations, want.iterations);
-      EXPECT_EQ(r.edges, want.edges);
-      EXPECT_EQ(r.messages, want.messages);
-      EXPECT_EQ(r.osteal_shrinks, want.osteal_shrinks);
-      EXPECT_EQ(r.fsteal_applied, want.fsteal_applied);
-      EXPECT_EQ(r.stolen_edges_bits, want.stolen_edges_bits);
-      EXPECT_EQ(r.link_bytes_digest, want.link_bytes_digest);
-      EXPECT_EQ(r.values_digest, want.values_digest);
-      EXPECT_EQ(r.timeline_digest, want.timeline_digest);
-      EXPECT_EQ(r.faults_digest, want.faults_digest);
+                   << (g == &road ? "road" : "rmat") << ", "
+                   << ExpandBackendKindName(expand));
+      const auto pin = [&](const graph::CsrGraph& graph, auto app) {
+        rows.push_back(PinGum(graph, kEight, host_threads, app, expand));
+      };
+      pin(*g, BfsApp{.source = source});
+      pin(*g, SsspApp{.source = source});
+      pin(*sym, WccApp{});
+      pin(*g, PageRankApp{.num_vertices = g->num_vertices(), .rounds = 10});
+      pin(*g, DeltaPageRankApp{.num_vertices = g->num_vertices(),
+                               .epsilon = 1e-6});
+      pin(*g, AStarApp{.source = source, .target = 1000, .heuristic = {}});
+    }
+  }
+  constexpr GumCase kRollback = {8, GumFault::kRollback, "failstop:1@3", 2,
+                                 false};
+  rows.push_back(PinGum(road, kRollback, host_threads,
+                        SsspApp{.source = test::MaxDegreeSource(road)},
+                        ExpandBackendKind::kSpmv));
+  constexpr GumCase kFair = {5, GumFault::kNone, "", 0, true};
+  rows.push_back(PinGum(rmat, kFair, host_threads,
+                        SsspApp{.source = test::MaxDegreeSource(rmat)},
+                        ExpandBackendKind::kAuto));
+  return rows;
+}
+
+TEST(SpmvGoldenTest, BitIdentical) {
+  constexpr GumRow kGolden[] = {
+      {4626082097828281104ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       3675952395465852965ull, 10885558025992347513ull, 1011000235074159272ull,
+       8977388880535415087ull},
+      {4626039654802656945ull, 61, 7167ull, 3449ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull, 6695233412373347389ull,
+       8977388880535415087ull},
+      {4626252205510409273ull, 63, 123630ull, 742ull, 1, 0, 0ull,
+       976567236636248101ull, 13346994205906133797ull, 3465695952142393288ull,
+       8977388880535415087ull},
+      {4615603391651498252ull, 10, 38700ull, 0ull, 1, 0, 0ull,
+       14457617182390814757ull, 6114193105435218041ull, 4043882837865815216ull,
+       8977388880535415087ull},
+      {4624925778582527375ull, 49, 127751ull, 367ull, 1, 0, 0ull,
+       13662540808014596133ull, 17844785856219385124ull, 1485664944109737543ull,
+       8977388880535415087ull},
+      {4626039654802656945ull, 61, 7167ull, 3449ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull, 6695233412373347389ull,
+       8977388880535415087ull},
+      {4626082097828281104ull, 61, 3870ull, 3870ull, 1, 0, 0ull,
+       3675952395465852965ull, 10885558025992347513ull, 1011000235074159272ull,
+       8977388880535415087ull},
+      {4626039654802656945ull, 61, 7167ull, 3449ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull, 6695233412373347389ull,
+       8977388880535415087ull},
+      {4626252205510409273ull, 63, 123630ull, 742ull, 1, 0, 0ull,
+       976567236636248101ull, 13346994205906133797ull, 3465695952142393288ull,
+       8977388880535415087ull},
+      {4615603391651498252ull, 10, 38700ull, 0ull, 1, 0, 0ull,
+       14457617182390814757ull, 6114193105435218041ull, 4043882837865815216ull,
+       8977388880535415087ull},
+      {4624925778582527375ull, 49, 127751ull, 367ull, 1, 0, 0ull,
+       13662540808014596133ull, 17844785856219385124ull, 1485664944109737543ull,
+       8977388880535415087ull},
+      {4626039654802656945ull, 61, 7167ull, 3449ull, 1, 0, 0ull,
+       10650743988681508901ull, 15719651170260642214ull, 6695233412373347389ull,
+       8977388880535415087ull},
+      {4611937390940797860ull, 5, 6486ull, 303ull, 1, 0, 0ull,
+       11133491165926328357ull, 6958107229267241064ull, 5680380822383352576ull,
+       8977388880535415087ull},
+      {4614159117724664527ull, 8, 15599ull, 359ull, 1, 0, 0ull,
+       457321221151590437ull, 11940344131088449570ull, 3873843587259379955ull,
+       8977388880535415087ull},
+      {4612578851572941456ull, 6, 28350ull, 79ull, 1, 0, 0ull,
+       12268031035140016165ull, 13398839423619047053ull,
+       12412554787214284095ull, 8977388880535415087ull},
+      {4616256589885679215ull, 10, 66400ull, 0ull, 1, 0, 0ull,
+       7205282466045429797ull, 16793950641338133513ull, 3460178930317156863ull,
+       8977388880535415087ull},
+      {4624996112122091915ull, 46, 210554ull, 650ull, 1, 0, 0ull,
+       14651847010949072933ull, 5890401787944674878ull, 5118769438655352965ull,
+       8977388880535415087ull},
+      {4614159117724664527ull, 8, 15599ull, 359ull, 1, 0, 0ull,
+       457321221151590437ull, 11940344131088449570ull, 3873843587259379955ull,
+       8977388880535415087ull},
+      {4612022945822919017ull, 5, 6486ull, 303ull, 1, 1, 4642718634609737728ull,
+       14688331005781936165ull, 6958107229267241064ull, 6818510620514583660ull,
+       8977388880535415087ull},
+      {4614244564600458620ull, 8, 15599ull, 359ull, 1, 1,
+       4642718634609737728ull, 4302907119763261477ull, 11940344131088449570ull,
+       3920569159586243912ull, 8977388880535415087ull},
+      {4612578851572941456ull, 6, 28350ull, 79ull, 1, 0, 0ull,
+       12268031035140016165ull, 13398839423619047053ull,
+       12412554787214284095ull, 8977388880535415087ull},
+      {4616256589885679215ull, 10, 66400ull, 0ull, 1, 0, 0ull,
+       7205282466045429797ull, 16793950641338133513ull, 3460178930317156863ull,
+       8977388880535415087ull},
+      {4624995955917240839ull, 46, 210554ull, 650ull, 1, 0, 0ull,
+       13684244755230033957ull, 5890401787944674878ull, 13460572471349906056ull,
+       8977388880535415087ull},
+      {4614244564600458620ull, 8, 15599ull, 359ull, 1, 1,
+       4642718634609737728ull, 4302907119763261477ull, 11940344131088449570ull,
+       3920569159586243912ull, 8977388880535415087ull},
+      {4626242499638803584ull, 61, 7167ull, 3449ull, 1, 0, 0ull,
+       5637898953836791845ull, 15719651170260642214ull, 11171230050615765094ull,
+       16188127975092532790ull},
+      {4612551065687043157ull, 8, 15599ull, 359ull, 1, 1,
+       4642718634609737728ull, 12872845010276417919ull, 11940344131088449570ull,
+       11310395564612316276ull, 8977388880535415087ull},
+  };
+  // One host thread gathers every shard in turn; the default pool gathers
+  // them concurrently. Both must hold the same pins.
+  for (const int host_threads : {1, EngineOptions{}.num_host_threads}) {
+    SCOPED_TRACE(testing::Message() << "host_threads=" << host_threads);
+    const std::vector<GumRow> got = PinSpmvRows(host_threads);
+    ASSERT_EQ(got.size(), std::size(kGolden));
+    for (size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "row " << i);
+      ExpectGumRowEq(got[i], kGolden[i]);
     }
   }
 }

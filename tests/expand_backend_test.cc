@@ -1,11 +1,11 @@
-// Pluggable expand backends (core/expand/, DESIGN.md §12): every backend —
-// frontier scatter, SpMV push/pull, and the auto density heuristic — must
+// Step 4's directions (core/expand/, DESIGN.md §12): every --expand kind —
+// frontier scatter, SpMV push/pull, and the auto density rule — must
 // produce byte-identical vertex values for every host-thread and message-
 // shard count, on every bundled algorithm. The stationary gather and the
 // one-thread direct deposit must reproduce the staged scatter path counter
-// for counter. The suite lives
-// in the parallel test binary so the TSan CI job watches the pull and
-// stationary gathers' shard parallelism and the payload passes for races.
+// for counter, and the pull its store and values under its own charge
+// rule. The suite lives in the parallel test binary so the TSan CI job
+// watches the gather's shard parallelism and the payload passes for races.
 
 #include <bit>
 #include <cstdint>
@@ -117,9 +117,8 @@ TEST(ExpandBackendTest, WccByteIdenticalAcrossBackends) {
 }
 
 TEST(ExpandBackendTest, DeltaPageRankUsesScatterFallbackPath) {
-  // DeltaPageRank has no CombineAll hook (its Scatter suppresses small
-  // residuals), so the pull gather runs the optional Scatter/Combine
-  // fallback — still byte-identical.
+  // DeltaPageRank's Scatter suppresses zero payloads, so the pull gather
+  // skips in-edges that emit nothing — still byte-identical.
   const auto g = SocialGraph(9, 5);
   const auto part = MakePartition(g, 4);
   DeltaPageRankApp app;
@@ -502,6 +501,115 @@ TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
   }
 }
 
+// --- the pull gather (dense frontiers under --expand=spmv|auto) ---
+
+// Runs three data-driven supersteps from the same state through
+// ExpandPull on `pull_pool` and through the staged scatter Expand over the
+// identity plan, and compares store membership, every pending message and
+// every value bit for bit. The rotated owner map keeps each fragment off
+// its executor. The pull's charges are checked against a count over the
+// frontier's out-edges: each is a remote gather from the source's fragment
+// to the destination fragment's executor, whether Scatter emits or not,
+// and the pull sends no message.
+void ExpectPullMatchesScatter(const GraphContext& ctx, ThreadPool* pull_pool) {
+  const graph::CsrGraph& g = ctx.graph();
+  const graph::Partition& part = ctx.partition();
+  const int n = part.num_parts;
+  SuppressingDataDrivenApp app;
+  std::vector<double> pull_values(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    pull_values[v] = app.InitValue(v);
+  }
+  std::vector<double> scatter_values = pull_values;
+  FrontierScatterBackend<SuppressingDataDrivenApp> pull_backend;
+  FrontierScatterBackend<SuppressingDataDrivenApp> scatter_backend;
+  MessageStore<double> pull_store(g.num_vertices());
+  MessageStore<double> scatter_store(g.num_vertices());
+  FrontierSoA frontier;
+  frontier.BuildByOwner(g.num_vertices(), part.owner, n,
+                        [&](VertexId v) { return app.IsInitiallyActive(v); });
+  const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(testing::Message() << "superstep " << step);
+    std::vector<double> loads(n, 0.0);
+    for (int i = 0; i < n; ++i) {
+      for (const VertexId v : frontier.Fragment(i)) loads[i] += g.OutDegree(v);
+    }
+    const TestPlan plan = RotatedPlan(n, loads, /*fsteal=*/false);
+    ExpandCounters pulled;
+    ExpandCounters scattered;
+    pull_backend.ExpandPull(pull_pool, g, part, ctx.pull_edges(), plan.owner,
+                            app, pull_values, frontier, ctx.shard_map(),
+                            pull_store, &pulled);
+    scatter_backend.Expand(ctx.pool(), g, part, nullptr, plan.owner,
+                           plan.active, plan.fs, loads, app, scatter_values,
+                           frontier, ctx.shard_map(), scatter_store,
+                           &scattered);
+    std::vector<std::vector<double>> edges = zero;
+    uint64_t edges_processed = 0;
+    for (int i = 0; i < n; ++i) {
+      for (const VertexId u : frontier.Fragment(i)) {
+        for (const VertexId v : g.OutNeighbors(u)) {
+          edges[i][plan.owner[part.owner[v]]] += 1.0;
+          ++edges_processed;
+        }
+      }
+    }
+    ExpectBitsEqual(pulled.edges_done, edges, "edges_done");
+    ExpectBitsEqual(pulled.raw_msgs, zero, "raw_msgs");
+    ExpectBitsEqual(pulled.agg_msgs, zero, "agg_msgs");
+    EXPECT_EQ(pulled.edges_processed, edges_processed);
+    ASSERT_EQ(pull_store.PendingCount(), scatter_store.PendingCount());
+    ASSERT_GT(pull_store.PendingCount(), 0u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(pull_store.Has(v), scatter_store.Has(v)) << "v=" << v;
+      if (pull_store.Has(v)) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(pull_store.Get(v)),
+                  std::bit_cast<uint64_t>(scatter_store.Get(v)))
+            << "v=" << v;
+      }
+      ASSERT_EQ(std::bit_cast<uint64_t>(pull_values[v]),
+                std::bit_cast<uint64_t>(scatter_values[v]))
+          << "v=" << v;
+    }
+    // Apply, then expand the message targets next.
+    pull_store.ForEachPending([&](VertexId v, double msg) {
+      app.Apply(v, pull_values[v], msg);
+      app.Apply(v, scatter_values[v], msg);
+    });
+    frontier.BuildByOwner(g.num_vertices(), part.owner, n,
+                          [&](VertexId v) { return pull_store.Has(v); });
+    pull_store.EndSuperstep();
+    scatter_store.EndSuperstep();
+  }
+}
+
+TEST(PullExpandTest, StoreValuesAndChargesMatchScatter) {
+  const std::vector<graph::CsrGraph> graphs = StationaryGraphs();
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (const int devices : {1, 3, 8}) {
+      const graph::Partition part = MakePartition(graphs[gi], devices);
+      for (const int threads : {2, 4}) {
+        for (const int shards : {1, 4}) {
+          EngineOptions opt = TestEngineOptions();
+          opt.num_host_threads = threads;
+          opt.num_msg_shards = shards;
+          const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+          ThreadPool* const pools[] = {ctx.pool(), nullptr};
+          for (ThreadPool* pool : pools) {
+            SCOPED_TRACE(testing::Message()
+                         << "graph " << gi << " devices=" << devices
+                         << " threads=" << threads << " shards=" << shards
+                         << " pool=" << (pool != nullptr));
+            ExpectPullMatchesScatter(ctx, pool);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The context's stationary census must equal the census loop over
 // part_vertices (the engine's pre-cache Step 1) bit for bit, hub-heavy
 // graphs included.
@@ -567,26 +675,19 @@ TEST(GraphContextTest, StationaryCensusMatchesLoopCensus) {
 // --- mode selection (the auto heuristic) ---
 
 TEST(ExpandBackendTest, SelectExpandModeThresholds) {
-  SpmvConfig cfg;  // density_threshold = 0.05
-  // Scatter kind never switches.
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kScatter, 1e9, 1e9, cfg),
+  // kPullDensityThreshold = 0.05. Scatter kind never switches.
+  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kScatter, 1e9, 1e9),
             ExpandMode::kScatter);
   // Spmv kind: dense -> pull, sparse -> push.
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kSpmv, 50.0, 1000.0, cfg),
+  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kSpmv, 50.0, 1000.0),
             ExpandMode::kSpmvPull);
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kSpmv, 49.0, 1000.0, cfg),
+  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kSpmv, 49.0, 1000.0),
             ExpandMode::kSpmvPush);
   // Auto: dense -> pull, sparse -> scatter (keeps frontier stealing).
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kAuto, 50.0, 1000.0, cfg),
+  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kAuto, 50.0, 1000.0),
             ExpandMode::kSpmvPull);
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kAuto, 49.0, 1000.0, cfg),
+  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kAuto, 49.0, 1000.0),
             ExpandMode::kScatter);
-  // The switch point moves with the threshold.
-  cfg.density_threshold = 0.5;
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kSpmv, 499.0, 1000.0, cfg),
-            ExpandMode::kSpmvPush);
-  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kAuto, 500.0, 1000.0, cfg),
-            ExpandMode::kSpmvPull);
 }
 
 TEST(ExpandBackendTest, AutoSwitchPointIsDeterministicAcrossThreads) {
