@@ -26,7 +26,7 @@ int main() {
                "partition ===\n\n";
   TablePrinter tp({"Graph", "Policy", "total (ms)", "stolen edges",
                    "decisions", "host decision ms"});
-  for (const std::string abbr : {std::string("SW"), std::string("U5")}) {
+  for (const std::string& abbr : {std::string("SW"), std::string("U5")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     const graph::CsrGraph& g = data.directed;
     auto partition = graph::PartitionGraph(

@@ -42,7 +42,7 @@ int main() {
                "8 vGPUs, seg partition (simulated ms) ===\n\n";
   TablePrinter tp({"Graph", "Topology", "no steal", "steal", "gain",
                    "stolen edges"});
-  for (const std::string abbr : {std::string("SW"), std::string("USA")}) {
+  for (const std::string& abbr : {std::string("SW"), std::string("USA")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     const graph::CsrGraph& g = data.directed;
     auto partition = graph::PartitionGraph(

@@ -44,7 +44,7 @@ int main() {
                "fail iteration — GUM, 8 vGPUs ===\n\n";
   TablePrinter tp({"Graph", "Algo", "Fail@", "Ckpt", "Makespan",
                    "Overhead%", "Recovery ms", "Lost ms"});
-  for (const std::string abbr : {std::string("SW"), std::string("U2")}) {
+  for (const std::string& abbr : {std::string("SW"), std::string("U2")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     for (const Algo algo : {Algo::kBfs, Algo::kPr}) {
       const core::RunResult clean = Run(data, algo, nullptr, 0);
@@ -93,7 +93,7 @@ int main() {
                "(failstop:3@2, cadence 1) ===\n\n";
   TablePrinter mp({"Graph", "Algo", "Makespan off", "Makespan on",
                    "Recovery off", "Recovery on", "Speedup"});
-  for (const std::string abbr : {std::string("SW"), std::string("U2")}) {
+  for (const std::string& abbr : {std::string("SW"), std::string("U2")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     const auto plan = fault::FaultPlan::Parse("failstop:3@2");
     for (const Algo algo : {Algo::kBfs, Algo::kPr}) {

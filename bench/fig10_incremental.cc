@@ -43,7 +43,7 @@ int main() {
 
   TablePrinter tp({"Graph", "Alg.", "gunrock", "gum-base", "+opt", "+fsteal",
                    "+osteal"});
-  for (const std::string abbr : {std::string("OR"), std::string("USA")}) {
+  for (const std::string& abbr : {std::string("OR"), std::string("USA")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     for (Algo algo : algos) {
       RunConfig config;

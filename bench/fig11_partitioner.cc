@@ -20,7 +20,7 @@ int main() {
       graph::PartitionerKind::kMetisLike};
 
   TablePrinter tp({"Graph", "Partitioner", "no steal", "+S", "gain"});
-  for (const std::string abbr :
+  for (const std::string& abbr :
        {std::string("OR"), std::string("U2"), std::string("LJ")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     for (graph::PartitionerKind kind : kinds) {

@@ -15,7 +15,7 @@ using namespace gum::bench; // NOLINT(build/namespaces)
 
 int main() {
   std::cout << "=== Figure 9: OSteal switching process — SSSP, 8 GPUs ===\n";
-  for (const std::string abbr : {std::string("WB"), std::string("USA")}) {
+  for (const std::string& abbr : {std::string("WB"), std::string("USA")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     auto run = [&](bool osteal) {
       RunConfig config;

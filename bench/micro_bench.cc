@@ -145,21 +145,23 @@ void BM_FrontierFeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierFeatureExtraction)->Arg(1024)->Arg(16384);
 
+// The frontier's degree prefix comes from the census, taken before Step 3,
+// so it is built outside the timed loop.
 void BM_SelectStolenRanges(benchmark::State& state) {
   const auto& g = BenchGraph();
-  std::vector<graph::VertexId> frontier(16384);
-  double total = 0;
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    frontier[i] = static_cast<graph::VertexId>(i);
-    total += g.OutDegree(frontier[i]);
+  std::vector<graph::EdgeId> prefix(16384);
+  graph::EdgeId total = 0;
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    total += g.OutDegree(static_cast<graph::VertexId>(i));
+    prefix[i] = total;
   }
-  std::vector<double> quota(8, total / 8);
+  std::vector<double> quota(8, static_cast<double>(total) / 8);
   const auto workers = AllWorkers(8);
   for (auto _ : state) {
-    auto ranges = core::SelectStolenRanges(g, frontier, quota, workers);
+    auto ranges = core::SelectStolenRanges(prefix, quota, workers);
     benchmark::DoNotOptimize(ranges);
   }
-  state.SetItemsProcessed(state.iterations() * frontier.size());
+  state.SetItemsProcessed(state.iterations() * prefix.size());
 }
 BENCHMARK(BM_SelectStolenRanges);
 
@@ -192,6 +194,7 @@ struct SuperstepFixture {
   const graph::CsrGraph& g = BenchGraph();
   graph::Partition partition;
   core::FrontierSoA frontier;
+  core::FrontierCensus census;
   core::FStealDecision fs;
   std::vector<int> owner;
   std::vector<core::WorkUnit> units;
@@ -203,22 +206,17 @@ struct SuperstepFixture {
         std::move(graph::PartitionGraph(g, n, graph::PartitionOptions{}))
             .value();
     frontier.Assign(partition.part_vertices);
-    std::vector<double> loads(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (const graph::VertexId v : frontier.Fragment(i)) {
-        loads[i] += g.OutDegree(v);
-      }
-    }
+    census.Take(g, core::HubCache(), frontier);
     fs.applied = true;
     fs.assignment.assign(n, std::vector<double>(n));
     for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) fs.assignment[i][j] = loads[i] / n;
+      for (int j = 0; j < n; ++j) fs.assignment[i][j] = census.loads[i] / n;
     }
     owner.resize(n);
     std::iota(owner.begin(), owner.end(), 0);
     std::vector<int> active(n);
     std::iota(active.begin(), active.end(), 0);
-    units = core::BuildWorkUnits(g, frontier, fs, loads, owner, active);
+    units = core::BuildWorkUnits(frontier, fs, census, owner, active);
     values.assign(g.num_vertices(), 0);
   }
 };
@@ -354,7 +352,7 @@ void BM_SuperstepApplyPr8Dev(benchmark::State& state) {
                        [](int, size_t, graph::VertexId) {});
     state.ResumeTiming();
     core::ApplySuperstep(&pool, shards, fx.partition, pf.app, store, values,
-                         /*fixed_rounds=*/true, &scratch, nullptr, nullptr);
+                         &scratch, nullptr, nullptr);
     benchmark::DoNotOptimize(values.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -387,7 +385,7 @@ void BM_SuperstepMergeApplyPr8Dev(benchmark::State& state) {
     store.MergeSharded(&pool, shards, staged, fx.units.size(), combine,
                        [](int, size_t, graph::VertexId) {});
     core::ApplySuperstep(&pool, shards, fx.partition, pf.app, store, values,
-                         /*fixed_rounds=*/true, &scratch, nullptr, nullptr);
+                         &scratch, nullptr, nullptr);
     benchmark::DoNotOptimize(values.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -419,10 +417,9 @@ void BM_ExpandScatterPr8Dev(benchmark::State& state) {
   core::ExpandCounters counters;
   core::MessageStore<double> store(fx.g.num_vertices());
   const core::FStealDecision no_steal;
-  const std::vector<double> no_loads(8, 0.0);
   for (auto _ : state) {
     backend.Expand(&pool, fx.g, fx.partition, nullptr, fx.owner,
-                   /*active=*/{}, no_steal, no_loads, pf.app, values,
+                   /*active=*/{}, no_steal, fx.census, pf.app, values,
                    fx.frontier, shards, store, &counters);
     benchmark::DoNotOptimize(store.PendingCount());
     store.EndSuperstep();
@@ -435,56 +432,96 @@ BENCHMARK(BM_ExpandScatterPr8Dev)
     ->UseRealTime();
 
 // The stationary path on the same all-active PageRank superstep: a
-// payload pass over the units, then a destination-sharded gather over
-// the context-shared PullEdges (built once, outside the timed loop) —
-// the same store and counters as BM_ExpandScatterPr8Dev, no staging.
-void BM_ExpandStationaryPr8Dev(benchmark::State& state) {
-  PrPhaseFixture& pf = GetPrPhaseFixture();
-  const SuperstepFixture& fx = pf.fx;
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  const core::ShardMap shards(fx.g.num_vertices(), threads);
-  std::vector<double> values = pf.values;
+// payload pass over the units, then the destination gather over the
+// context-shared PullEdges (built once, outside the timed loop), which
+// applies every vertex — the same counters and values as
+// BM_ExpandScatterPr8Dev followed by the apply, nothing staged or stored.
+template <typename Fixture>
+void RunExpandStationary(benchmark::State& state, const Fixture& fx,
+                         algos::PageRankApp& app, std::vector<double> values) {
+  ThreadPool pool(static_cast<int>(state.range(0)));
   core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
-  core::MessageStore<double> store(fx.g.num_vertices());
   const core::FStealDecision no_steal;
-  const std::vector<double> no_loads(8, 0.0);
   core::PullEdges pull;
   pull.Build(fx.g, fx.partition);
   for (auto _ : state) {
     backend.ExpandStationary(&pool, fx.g, fx.partition, nullptr, fx.owner,
-                             /*active=*/{}, no_steal, no_loads, pull, pf.app,
-                             values, fx.frontier, shards, store, &counters);
-    benchmark::DoNotOptimize(store.PendingCount());
-    store.EndSuperstep();
+                             /*active=*/{}, no_steal, fx.census, pull, app,
+                             values, fx.frontier, &counters);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.g.num_edges()));
+}
+
+void BM_ExpandStationaryPr8Dev(benchmark::State& state) {
+  PrPhaseFixture& pf = GetPrPhaseFixture();
+  RunExpandStationary(state, pf.fx, pf.app, pf.values);
 }
 BENCHMARK(BM_ExpandStationaryPr8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
+// The same stationary superstep on the skew of the Social recipe
+// (bench/datasets.cc, perfbench social-pr): RMAT a/b/c = .62/.19/.12
+// without the vertex permutation, so in-edges pile up on low vertex ids.
+// BenchGraph's permutation spreads them evenly, which hides how equal-
+// width destination ranges split the gather's work.
+struct SocialPrFixture {
+  graph::CsrGraph g;
+  graph::Partition partition;
+  core::FrontierSoA frontier;
+  core::FrontierCensus census;
+  std::vector<int> owner;
+  algos::PageRankApp app;
+
+  SocialPrFixture()
+      : g(std::move(graph::CsrGraph::FromEdgeList(graph::Rmat(
+                        {.scale = 14, .edge_factor = 12, .a = 0.62,
+                         .b = 0.19, .c = 0.12, .permute_vertices = false,
+                         .weighted = true, .seed = 33})))
+              .value()) {
+    const int n = 8;
+    partition =
+        std::move(graph::PartitionGraph(g, n, graph::PartitionOptions{}))
+            .value();
+    frontier.Assign(partition.part_vertices);
+    census.Take(g, core::HubCache(), frontier);
+    owner = AllWorkers(n);
+    app.num_vertices = g.num_vertices();
+  }
+};
+
+void BM_ExpandStationarySocialPr8Dev(benchmark::State& state) {
+  static SocialPrFixture* fx = new SocialPrFixture;
+  RunExpandStationary(
+      state, *fx, fx->app,
+      std::vector<double>(fx->g.num_vertices(), 1.0 / fx->g.num_vertices()));
+}
+BENCHMARK(BM_ExpandStationarySocialPr8Dev)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
+
 // The SpMV pull on the same superstep: a payload pass, the frontier
-// bitmap, then the stationary path's gather over the frontier's sources.
+// bitmap, then the stationary path's gather over the frontier's sources,
+// which applies every vertex as in BM_ExpandStationaryPr8Dev.
 void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
   const int threads = static_cast<int>(state.range(0));
   ThreadPool pool(threads);
-  const core::ShardMap shards(fx.g.num_vertices(), threads);
   std::vector<double> values = pf.values;
   core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
-  core::MessageStore<double> store(fx.g.num_vertices());
   core::PullEdges pull;
   pull.Build(fx.g, fx.partition);
   for (auto _ : state) {
     backend.ExpandPull(&pool, fx.g, fx.partition, pull, fx.owner, pf.app,
-                       values, fx.frontier, shards, store, &counters);
-    benchmark::DoNotOptimize(store.PendingCount());
-    store.EndSuperstep();
+                       values, fx.frontier, /*store=*/nullptr, &counters);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.g.num_edges()));

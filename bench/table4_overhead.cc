@@ -39,7 +39,7 @@ int main() {
   TablePrinter tp({"Graph", "GPUs", "FSteal cost", "FSteal ratio",
                    "FSteal host-ms", "OSteal cost", "OSteal ratio",
                    "OSteal host-ms"});
-  for (const std::string abbr : {std::string("U2"), std::string("WB")}) {
+  for (const std::string& abbr : {std::string("U2"), std::string("WB")}) {
     const DatasetGraphs data = BuildDataset(abbr);
     for (int devices : {2, 4, 8}) {
       const core::RunResult none = Run(data, devices, false, false);

@@ -2,9 +2,10 @@
 //
 // Per fragment, the census measures the frontier's out-edge load, the
 // share of that load a thief must fetch over NVLink (hub-cached vertices
-// expand locally, Example 6), and the Table-I features the cost model
-// prices. OSteal, FSteal, the expand-mode decision and both time models
-// (GUM's and the Gunrock preset's) read it.
+// expand locally, Example 6), the Table-I features the cost model prices,
+// and the out-degree prefix Step 3 cuts stolen ranges from. OSteal,
+// FSteal, the expand-mode decision and both time models (GUM's and the
+// Gunrock preset's) read it.
 //
 // A data-driven superstep takes a fresh census of its frontier. A
 // stationary superstep (a fixed-round app, whose frontier is every
@@ -21,6 +22,7 @@
 #include "core/vertex_state.h"
 #include "graph/csr.h"
 #include "graph/frontier_features.h"
+#include "graph/types.h"
 
 namespace gum::core {
 
@@ -29,6 +31,10 @@ struct FrontierCensus {
   std::vector<double> loads;             // [fragment] frontier out-edges
   std::vector<double> remote_discount;   // [fragment] 1 - hub load / load
   std::vector<graph::FrontierFeatures> features;  // [fragment] Table I
+  // [fragment][k] out-edges of the fragment's first k + 1 frontier
+  // vertices: Algorithm 1's inclusive prefix D (line 13), which
+  // SelectStolenRanges cuts. Its last entry equals loads[fragment].
+  std::vector<std::vector<graph::EdgeId>> degree_prefix;
   double total_load = 0.0;
   size_t total_frontier = 0;
 

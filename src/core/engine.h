@@ -24,9 +24,11 @@
 //   core/census.h          — the Step-1 workload census
 //   core/expand/           — Step 4: per-executor work units scattered on
 //                            a host ThreadPool, or the destination gather
+//                            (which also applies a stationary superstep)
 //   core/message_store.h   — deterministic inbox + per-worker staging,
 //                            destination-sharded merge
-//   core/superstep.h       — the sharded apply that ends a superstep
+//   core/superstep.h       — the sharded apply that ends a data-driven
+//                            superstep
 //   core/time_accounting.h — the analytic device-time models
 // Results are bit-identical for every num_host_threads and num_msg_shards
 // setting; see DESIGN.md, "Determinism contract".
@@ -239,7 +241,9 @@ class GumEngine {
       rc_.state.frontier.BuildByOwner(
           num_v, partition_.owner, n_,
           [this](VertexId v) { return app_.IsInitiallyActive(v); });
-      rc_.store.Reset(num_v);
+      // A stationary superstep applies inside its gather and never
+      // touches the store, so a fixed-round run leaves it unallocated.
+      if (!stationary()) rc_.store.Reset(num_v);
       rc_.apply_msgs.assign(n_, 0.0);
       rc_.next_frontier.Reset(n_);
     }
@@ -272,7 +276,7 @@ class GumEngine {
         }
         stats.group_size = static_cast<int>(group_.active.size());
         const FStealDecision fs = FSteal(mode, census, stats);
-        Expand(mode, fs, census.loads, stats);
+        Expand(mode, fs, census, stats);
         Apply();
         const TimeAccountingSummary acct = Account(iter, census, fs);
         if (faults_ != nullptr) ChargeStragglers(iter);
@@ -543,48 +547,35 @@ class GumEngine {
       return fs;
     }
 
-    // Step 4: process the frontiers on the mode's expand backend.
+    // Step 4: process the frontiers on the mode's expand backend. A
+    // stationary superstep gathers, and applies every vertex inside the
+    // gather, instead of staging messages; both paths yield the same values
+    // and counters (DESIGN.md §7, §12). The SpMSpV push is the scatter
+    // pipeline over the identity plan, without the hub cache.
     void Expand(ExpandMode mode, const FStealDecision& fs,
-                const std::vector<double>& loads, IterationStats& stats) {
-      std::fill(rc_.apply_msgs.begin(), rc_.apply_msgs.end(), 0.0);
+                const FrontierCensus& census, IterationStats& stats) {
       ThreadPool* pool = ctx_.pool();
       const std::vector<int>& owner = group_.owner_of_fragment;
       auto& values = rc_.state.values;
       const FrontierSoA& frontier = rc_.state.frontier;
       ExpandCounters& counters = rc_.expand_counters;
+      const HubCache* hub_cache =
+          mode == ExpandMode::kSpmvPush ? nullptr : &ctx_.hub_cache();
       {
         GUM_TRACE_SCOPE("gum.expand");
-        switch (mode) {
-          case ExpandMode::kScatter:
-            // Stationary supersteps gather instead of staging messages;
-            // both paths yield the same values and counters (DESIGN.md
-            // §12).
-            if (stationary()) {
-              rc_.scatter_backend.ExpandStationary(
-                  pool, g_, partition_, &ctx_.hub_cache(), owner,
-                  group_.active, fs, loads, ctx_.pull_edges(), app_, values,
-                  frontier, ctx_.shard_map(), rc_.store, &counters);
-            } else {
-              rc_.scatter_backend.Expand(
-                  pool, g_, partition_, &ctx_.hub_cache(), owner,
-                  group_.active, fs, loads, app_, values, frontier,
-                  ctx_.shard_map(), rc_.store, &counters);
-            }
-            break;
-          case ExpandMode::kSpmvPush:
-            // The SpMSpV push is the scatter pipeline over the identity
-            // plan, without the hub cache.
-            rc_.scatter_backend.Expand(pool, g_, partition_, nullptr, owner,
-                                       group_.active, fs, loads, app_,
-                                       values, frontier, ctx_.shard_map(),
-                                       rc_.store, &counters);
-            break;
-          case ExpandMode::kSpmvPull:
-            rc_.scatter_backend.ExpandPull(pool, g_, partition_,
-                                           ctx_.pull_edges(), owner, app_,
-                                           values, frontier, ctx_.shard_map(),
-                                           rc_.store, &counters);
-            break;
+        if (mode == ExpandMode::kSpmvPull) {
+          rc_.scatter_backend.ExpandPull(
+              pool, g_, partition_, ctx_.pull_edges(), owner, app_, values,
+              frontier, stationary() ? nullptr : &rc_.store, &counters);
+        } else if (stationary()) {
+          rc_.scatter_backend.ExpandStationary(
+              pool, g_, partition_, hub_cache, owner, group_.active, fs,
+              census, ctx_.pull_edges(), app_, values, frontier, &counters);
+        } else {
+          rc_.scatter_backend.Expand(pool, g_, partition_, hub_cache, owner,
+                                     group_.active, fs, census, app_, values,
+                                     frontier, ctx_.shard_map(), rc_.store,
+                                     &counters);
         }
       }
       result_.edges_processed += counters.edges_processed;
@@ -593,16 +584,24 @@ class GumEngine {
     }
 
     // The apply phase (end of superstep): applies the combined messages
-    // and builds the next frontier. A stationary superstep rebuilds its
-    // frontier from part_vertices at the top of the next round instead.
+    // and builds the next frontier. A stationary superstep's gather has
+    // applied every vertex once, so each fragment applied one message per
+    // vertex; its frontier is rebuilt from part_vertices at the top of the
+    // next round.
     void Apply() {
       GUM_TRACE_SCOPE("gum.apply");
+      if (stationary()) {
+        for (int i = 0; i < n_; ++i) {
+          rc_.apply_msgs[i] =
+              static_cast<double>(partition_.part_vertices[i].size());
+        }
+        return;
+      }
+      std::fill(rc_.apply_msgs.begin(), rc_.apply_msgs.end(), 0.0);
       ApplySuperstep(ctx_.pool(), ctx_.shard_map(), partition_, app_,
-                     rc_.store, rc_.state.values, stationary(),
-                     &rc_.apply_scratch,
-                     stationary() ? nullptr : &rc_.next_frontier,
-                     &rc_.apply_msgs);
-      if (!stationary()) std::swap(rc_.state.frontier, rc_.next_frontier);
+                     rc_.store, rc_.state.values, &rc_.apply_scratch,
+                     &rc_.next_frontier, &rc_.apply_msgs);
+      std::swap(rc_.state.frontier, rc_.next_frontier);
     }
 
     // Time accounting under the run's time model. With multipath the

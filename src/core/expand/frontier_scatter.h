@@ -21,17 +21,21 @@
 // message is staged (see DESIGN.md, "Determinism contract" and "Sharded
 // message plane").
 //
-// Gather (pull). Each destination shard walks its destinations' in-edges
+// Gather (pull). Each destination block walks its destinations' in-edges
 // in PullEdges, which lists them in that same canonical merge order, and
 // chains Scatter/Combine exactly as the merge would, so every combine
-// chain is the scatter path's bit for bit. Two callers share the one
+// chain is the scatter path's bit for bit. Blocks are contiguous
+// destination ranges cut at equal shares of in-edges plus destinations,
+// claimed dynamically by the pool's threads. Two callers share the one
 // gather: a stationary superstep (every vertex active) charges what the
 // scatter path charges, and the SpMV pull (a dense frontier under
-// --expand=spmv|auto) charges remote gathers instead of messages.
+// --expand=spmv|auto) charges remote gathers instead of messages. A
+// stationary superstep applies each destination inside the gather once
+// its chain is complete, so it never touches the MessageStore.
 //
-// Thread-safety requirement on App: OnFrontier may mutate the vertex value
-// it is handed but must not mutate App member state; Scatter and Combine
-// must be pure. Every bundled app satisfies this.
+// Thread-safety requirement on App: OnFrontier and Apply may mutate the
+// vertex value they are handed but must not mutate App member state;
+// Scatter and Combine must be pure. Every bundled app satisfies this.
 
 #ifndef GUM_CORE_EXPAND_FRONTIER_SCATTER_H_
 #define GUM_CORE_EXPAND_FRONTIER_SCATTER_H_
@@ -46,6 +50,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "core/census.h"
 #include "core/expand/expand_backend.h"
 #include "core/expand/pull_edges.h"
 #include "core/fsteal.h"
@@ -86,14 +91,27 @@ struct UnitCounters {
 
 // Builds the iteration's units in canonical order: fragments ascending;
 // within a stolen fragment, the plan's active-worker order (the row order
-// of SelectStolenRanges). Empty ranges produce no unit. This order defines
-// the deterministic merge sequence.
-std::vector<WorkUnit> BuildWorkUnits(const graph::CsrGraph& g,
-                                     const FrontierSoA& frontier,
+// of SelectStolenRanges, which cuts the census's degree prefix). Empty
+// ranges produce no unit. This order defines the deterministic merge
+// sequence. `census` must be taken over `frontier`.
+std::vector<WorkUnit> BuildWorkUnits(const FrontierSoA& frontier,
                                      const FStealDecision& fs,
-                                     const std::vector<double>& loads,
+                                     const FrontierCensus& census,
                                      const std::vector<int>& owner_of_fragment,
                                      const std::vector<int>& active);
+
+// The gather's destination blocks per pool thread. Several per thread let
+// dynamic claiming even out what the cost cut misses.
+inline constexpr size_t kGatherBlocksPerThread = 8;
+
+// Cuts the gather's destinations [0, offsets.size() - 1) into `num_blocks`
+// contiguous blocks, in order, at equal shares of in-edges plus
+// destinations (`offsets` is PullEdges::offsets). Every cut lies on a
+// 64-vertex boundary, so two blocks never share a Bitmap word; a graph too
+// small to fill every block leaves some empty. Writes num_blocks + 1
+// ascending bounds: block b is [bounds[b], bounds[b + 1]).
+void CutGatherBlocks(std::span<const graph::EdgeId> offsets,
+                     size_t num_blocks, std::vector<size_t>* bounds);
 
 // Walks one unit's vertex range, calling visit(u, out_degree) once per
 // vertex in frontier order, and adds the unit's edge counters: `edges`
@@ -214,7 +232,7 @@ void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
 // sharded merge, both with first-writer attribution, and counter
 // aggregation into ExpandCounters. Stationary supersteps and the SpMV pull
 // run the destination gather instead, staging no message. Owns the staging
-// buffers, the payload and executor arenas, and the per-shard count
+// buffers, the payload and executor arenas, and the per-block count
 // scratch, reused across iterations.
 template <typename App>
 class FrontierScatterBackend {
@@ -232,18 +250,18 @@ class FrontierScatterBackend {
     return total;
   }
 
-  // Runs one iteration's full expand + merge. `fs`/`loads`/`active` carry
-  // the frontier-steal plan (identity when !fs.applied); `hub_cache` may be
-  // null. Fills `out` (Reset inside). Without a pool of two or more
-  // threads the units run serially in canonical order and deposit straight
-  // into `store`; otherwise they stage on the pool and merge by shard.
-  // Both paths give the same counters, store and values for any shard
-  // count.
+  // Runs one iteration's full expand + merge. `fs`/`active` carry the
+  // frontier-steal plan (identity when !fs.applied), cut from `census`,
+  // the frontier's census; `hub_cache` may be null. Fills `out` (Reset
+  // inside). Without a pool of two or more threads the units run serially
+  // in canonical order and deposit straight into `store`; otherwise they
+  // stage on the pool and merge by shard. Both paths give the same
+  // counters, store and values for any shard count.
   void Expand(ThreadPool* pool, const graph::CsrGraph& g,
               const graph::Partition& partition, const HubCache* hub_cache,
               const std::vector<int>& owner_of_fragment,
               const std::vector<int>& active, const FStealDecision& fs,
-              const std::vector<double>& loads, App& app,
+              const FrontierCensus& census, App& app,
               std::vector<Value>& values, const FrontierSoA& frontier,
               const ShardMap& shards, MessageStore<Message>& store,
               ExpandCounters* out) {
@@ -251,7 +269,7 @@ class FrontierScatterBackend {
     out->Reset(n);
     GUM_TRACE_SCOPE("expand.scatter");
     const std::vector<WorkUnit> units =
-        BuildWorkUnits(g, frontier, fs, loads, owner_of_fragment, active);
+        BuildWorkUnits(frontier, fs, census, owner_of_fragment, active);
     const auto combine = [&app](const Message& a, const Message& b) {
       return app.Combine(a, b);
     };
@@ -309,33 +327,33 @@ class FrontierScatterBackend {
   }
 
   // Runs a stationary superstep — every vertex of every fragment active,
-  // as in a fixed-round app — to exactly Expand's results (every counter
-  // cell, store membership, pending messages, values) without staging a
-  // message (DESIGN.md §7, §12):
-  //   1. the plan's units, built as Expand builds them;
-  //   2. a payload pass over the units: OnFrontier once per vertex, its
-  //      executor recorded, the unit's edge counters added by WalkUnit;
-  //   3. the destination gather over every source. The first emitted
+  // as in a fixed-round app — to exactly the staged Expand's counters and
+  // values followed by the fixed-round apply, without staging a message or
+  // touching a MessageStore (DESIGN.md §7, §12). Two pool passes:
+  //   1. a payload pass over the plan's units (built as Expand builds
+  //      them): OnFrontier once per vertex, its executor recorded, the
+  //      unit's edge counters added by WalkUnit;
+  //   2. the destination gather over every source. The first emitted
   //      message is the staged path's first writer, so its executor takes
-  //      the agg_msgs charge.
-  // `frontier` must be every fragment's part_vertices and `pull` built
-  // over the same partition (the GraphContext's pull_edges()).
+  //      the agg_msgs charge. Each destination is applied once its chain
+  //      is complete, with InitialAccumulator() when nothing arrived.
+  // `frontier` must be every fragment's part_vertices, `census` its
+  // census, and `pull` built over the same partition (the GraphContext's
+  // stationary_census() and pull_edges()).
   void ExpandStationary(ThreadPool* pool, const graph::CsrGraph& g,
                         const graph::Partition& partition,
                         const HubCache* hub_cache,
                         const std::vector<int>& owner_of_fragment,
                         const std::vector<int>& active,
                         const FStealDecision& fs,
-                        const std::vector<double>& loads,
-                        const PullEdges& pull, App& app,
-                        std::vector<Value>& values,
-                        const FrontierSoA& frontier, const ShardMap& shards,
-                        MessageStore<Message>& store, ExpandCounters* out) {
+                        const FrontierCensus& census, const PullEdges& pull,
+                        App& app, std::vector<Value>& values,
+                        const FrontierSoA& frontier, ExpandCounters* out) {
     const int n = partition.num_parts;
     out->Reset(n);
     GUM_TRACE_SCOPE("expand.stationary");
     const std::vector<WorkUnit> units =
-        BuildWorkUnits(g, frontier, fs, loads, owner_of_fragment, active);
+        BuildWorkUnits(frontier, fs, census, owner_of_fragment, active);
     const size_t num_v = g.num_vertices();
     size_t covered = 0;
     for (const WorkUnit& unit : units) covered += unit.end - unit.begin;
@@ -364,13 +382,12 @@ class FrontierScatterBackend {
         payload_unit(idx);
       });
     }
-    AddUnitCounters(units, n, out);
 
     Gather<GatherRule::kStationary>(pool, partition, owner_of_fragment, pull,
-                                    app, shards, store);
-    AddShardCounts(shards.num_shards(), n, 0, out->raw_msgs);
-    AddShardCounts(shards.num_shards(), n, static_cast<size_t>(n) * n,
-                   out->agg_msgs);
+                                    app, values, /*store=*/nullptr);
+    AddUnitCounters(units, n, out);
+    AddBlockCounts(n, 0, out->raw_msgs);
+    AddBlockCounts(n, static_cast<size_t>(n) * n, out->agg_msgs);
   }
 
   // Runs one SpMV pull superstep over a dense frontier: OnFrontier once
@@ -379,14 +396,16 @@ class FrontierScatterBackend {
   // pull reads remote payloads and adjacency instead of forwarding
   // messages: each active in-edge charges edges_done at [fragment(u)]
   // [executor(fragment(v))] and edges_processed, whether Scatter emits or
-  // not, and no message is reported (DESIGN.md §12). `pull` must be built
-  // over the same partition (the GraphContext's pull_edges()).
+  // not, and no message is reported (DESIGN.md §12). A data-driven
+  // superstep passes the `store` that each destination's combined message
+  // is Put into; a stationary one passes none, and the gather applies
+  // every destination as ExpandStationary does. `pull` must be built over
+  // the same partition (the GraphContext's pull_edges()).
   void ExpandPull(ThreadPool* pool, const graph::CsrGraph& g,
                   const graph::Partition& partition, const PullEdges& pull,
                   const std::vector<int>& owner_of_fragment, App& app,
                   std::vector<Value>& values, const FrontierSoA& frontier,
-                  const ShardMap& shards, MessageStore<Message>& store,
-                  ExpandCounters* out) {
+                  MessageStore<Message>* store, ExpandCounters* out) {
     const int n = partition.num_parts;
     out->Reset(n);
     GUM_TRACE_SCOPE("expand.spmv_pull");
@@ -412,9 +431,8 @@ class FrontierScatterBackend {
     for (graph::VertexId u : frontier.Flat()) in_frontier_.Set(u);
 
     Gather<GatherRule::kPull>(pool, partition, owner_of_fragment, pull, app,
-                              shards, store);
-    out->edges_processed =
-        AddShardCounts(shards.num_shards(), n, 0, out->edges_done);
+                              values, store);
+    out->edges_processed = AddBlockCounts(n, 0, out->edges_done);
   }
 
  private:
@@ -430,46 +448,50 @@ class FrontierScatterBackend {
     kPull,
   };
 
-  // The one destination gather. Each shard walks its destinations'
-  // in-edges in `pull` (canonical merge order), chains the emitted
-  // messages as Deposit chains them — the first is stored, later ones are
-  // Combined — and Puts one message per destination. Distinct shards own
-  // disjoint word-aligned destination ranges, so their Puts never meet;
-  // each counts into its own slice of shard_counts_ ([row][column] cells,
-  // then the first writers' cells).
+  // The one destination gather. Each block walks its destinations'
+  // in-edges in `pull` (canonical merge order) and chains the emitted
+  // messages as Deposit chains them: the first is stored, later ones are
+  // Combined. The finished chain is Put into `store` or, without one,
+  // applied to the destination's value. Blocks own disjoint word-aligned
+  // destination ranges, so their Puts and Applies never meet; each counts
+  // into its own slice of block_counts_ ([row][column] cells, then the
+  // first writers' cells). Without a pool of two or more threads one block
+  // covers every destination.
   template <GatherRule kRule>
   void Gather(ThreadPool* pool, const graph::Partition& partition,
               const std::vector<int>& owner_of_fragment,
-              const PullEdges& pull, const App& app, const ShardMap& shards,
-              MessageStore<Message>& store) {
+              const PullEdges& pull, const App& app,
+              std::vector<Value>& values, MessageStore<Message>* store) {
     // An int, so the count stores (uint64_t) cannot alias it and the inner
     // loop keeps it in a register.
     const int n = partition.num_parts;
     const size_t cells = static_cast<size_t>(n) * n;
-    const size_t num_v = pull.offsets.size() - 1;
-    const size_t stride = CountStride(partition.num_parts);
-    const int s_count = shards.num_shards();
-    shard_counts_.resize(static_cast<size_t>(s_count) * stride);
+    const size_t stride = CountStride(n);
+    const bool on_pool = pool != nullptr && pool->num_threads() > 1;
+    const size_t num_blocks =
+        on_pool ? kGatherBlocksPerThread * pool->num_threads() : 1;
+    CutGatherBlocks(pull.offsets, num_blocks, &block_bounds_);
+    block_counts_.resize(num_blocks * stride);
     // The weighted/unweighted branch is taken once, not per edge, by
     // instantiating the gather per weight accessor (as ExpandUnit does).
     const auto gather = [&](auto&& weight_of) {
-      return [&, weight_of](size_t s) {
-        GUM_TRACE_SCOPE("expand.gather_shard");
-        uint64_t* const counts = shard_counts_.data() + s * stride;
+      return [&, weight_of](size_t b) {
+        GUM_TRACE_SCOPE("expand.gather_block");
+        uint64_t* const counts = block_counts_.data() + b * stride;
         uint64_t* const first_writers = counts + cells;
         std::fill_n(counts, 2 * cells, 0);
-        const size_t end =
-            std::min(num_v, shards.ShardEnd(static_cast<int>(s)));
-        for (size_t dst = shards.ShardBegin(static_cast<int>(s)); dst < end;
-             ++dst) {
+        const size_t end = block_bounds_[b + 1];
+        for (size_t dst = block_bounds_[b]; dst < end; ++dst) {
           const auto v = static_cast<graph::VertexId>(dst);
           const uint32_t dst_fragment = partition.owner[v];
           const size_t column = kRule == GatherRule::kPull
                                     ? owner_of_fragment[dst_fragment]
                                     : dst_fragment;
+          // A local: the count stores may alias pull.offsets (both
+          // uint64_t), which would reload the bound after every in-edge.
+          const graph::EdgeId edges_end = pull.offsets[dst + 1];
           std::optional<Message> acc;
-          for (graph::EdgeId e = pull.offsets[dst]; e < pull.offsets[dst + 1];
-               ++e) {
+          for (graph::EdgeId e = pull.offsets[dst]; e < edges_end; ++e) {
             const graph::VertexId u = pull.sources[e];
             if constexpr (kRule == GatherRule::kPull) {
               if (!in_frontier_.Test(u)) continue;
@@ -492,34 +514,44 @@ class FrontierScatterBackend {
               }
             }
           }
-          if (acc.has_value()) store.Put(v, *acc);
+          if (store != nullptr) {
+            if (acc.has_value()) store->Put(v, *acc);
+          } else {
+            app.Apply(v, values[v],
+                      acc.has_value() ? *acc : app.InitialAccumulator());
+          }
         }
       };
     };
+    const auto run = [&](auto&& gather_block) {
+      if (on_pool) {
+        pool->ParallelFor(num_blocks, gather_block);
+      } else {
+        gather_block(0);
+      }
+    };
     if (pull.weights.empty()) {
-      ForEachShard(pool, s_count, gather([](graph::EdgeId) { return 1.0f; }));
+      run(gather([](graph::EdgeId) { return 1.0f; }));
     } else {
-      ForEachShard(pool, s_count, gather([&pull](graph::EdgeId e) {
-                     return pull.weights[e];
-                   }));
+      run(gather([&pull](graph::EdgeId e) { return pull.weights[e]; }));
     }
   }
 
-  // A shard's slice of shard_counts_: room for both count blocks, padded so
-  // that no two shards write one cache line.
+  // A block's slice of block_counts_: room for both count blocks, padded so
+  // that no two blocks write one cache line.
   static size_t CountStride(int n) {
     return (2 * static_cast<size_t>(n) * n + 15) / 8 * 8;
   }
 
-  // Adds every shard's count block at `offset` into m[row][column] in
-  // shard order, and returns the counts' total (integer-valued: exact in
+  // Adds every block's count block at `offset` into m[row][column] in
+  // block order, and returns the counts' total (integer-valued: exact in
   // any order).
-  uint64_t AddShardCounts(int s_count, int n, size_t offset,
+  uint64_t AddBlockCounts(int n, size_t offset,
                           std::vector<std::vector<double>>& m) const {
     const size_t stride = CountStride(n);
     uint64_t total = 0;
-    for (int s = 0; s < s_count; ++s) {
-      const uint64_t* counts = shard_counts_.data() + s * stride + offset;
+    for (size_t b = 0; b + 1 < block_bounds_.size(); ++b) {
+      const uint64_t* counts = block_counts_.data() + b * stride + offset;
       for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {
           const uint64_t c = counts[static_cast<size_t>(i) * n + j];
@@ -557,8 +589,10 @@ class FrontierScatterBackend {
   Bitmap in_frontier_;
   // Per-shard first-writer attribution ([shard][executor][owner]).
   std::vector<std::vector<std::vector<double>>> shard_agg_;
-  // The gather's per-shard count slices, CountStride apart.
-  std::vector<uint64_t> shard_counts_;
+  // The gather's destination block bounds and per-block count slices,
+  // CountStride apart.
+  std::vector<size_t> block_bounds_;
+  std::vector<uint64_t> block_counts_;
 };
 
 }  // namespace gum::core

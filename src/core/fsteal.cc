@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/logging.h"
-#include "common/parallel_primitives.h"
 #include "common/stopwatch.h"
 #include "obs/trace.h"
 #include "solver/steal_problem.h"
@@ -123,50 +123,50 @@ FStealDecision DecideFSteal(const std::vector<std::vector<double>>& cost,
 }
 
 std::vector<std::pair<size_t, size_t>> SelectStolenRanges(
-    const graph::CsrGraph& g, std::span<const graph::VertexId> frontier,
+    std::span<const graph::EdgeId> degree_prefix,
     const std::vector<double>& quota_row, const std::vector<int>& workers) {
-  // D = exclusive prefix sum of frontier out-degrees (Algorithm 1 line 13).
-  std::vector<uint64_t> degrees(frontier.size());
-  for (size_t k = 0; k < frontier.size(); ++k) {
-    degrees[k] = g.OutDegree(frontier[k]);
-  }
-  const std::vector<uint64_t> d_prefix = InclusivePrefixSum(degrees);
-
-  // F = prefix sum of the quota row in worker order (line 14).
-  std::vector<uint64_t> quota_prefix(workers.size());
-  double running = 0.0;
-  for (size_t w = 0; w < workers.size(); ++w) {
-    running += quota_row[workers[w]];
-    quota_prefix[w] = static_cast<uint64_t>(std::llround(running));
-  }
-
-  // F = SortedSearch(F, D) (line 15): split after the vertex where the
-  // cumulative degree first reaches each quota boundary.
-  const std::vector<size_t> splits =
-      SortedSearchLower(d_prefix, quota_prefix);
-
+  // F = prefix sum of the quota row in worker order (line 14), rounded to
+  // whole edges: next_quota(w, &running) is F[w] when `running` holds the
+  // quotas of workers before w. A worker whose F does not rise has none.
+  const auto next_quota = [&quota_row, &workers](size_t w, double* running) {
+    *running += quota_row[workers[w]];
+    return static_cast<uint64_t>(std::llround(*running));
+  };
   // The last worker with a positive quota also absorbs the rounding
   // remainder (and any zero-out-degree tail of the frontier).
   size_t last_pos = workers.size();
+  double running = 0.0;
+  uint64_t prev = 0;
   for (size_t w = 0; w < workers.size(); ++w) {
-    const uint64_t prev = w == 0 ? 0 : quota_prefix[w - 1];
-    if (quota_prefix[w] > prev) last_pos = w;
+    const uint64_t quota = next_quota(w, &running);
+    if (quota > prev) last_pos = w;
+    prev = quota;
   }
 
+  const size_t size = degree_prefix.size();
   std::vector<std::pair<size_t, size_t>> ranges(workers.size());
   size_t begin = 0;
+  running = 0.0;
+  prev = 0;
   for (size_t w = 0; w < workers.size(); ++w) {
-    const uint64_t prev = w == 0 ? 0 : quota_prefix[w - 1];
+    const uint64_t quota = next_quota(w, &running);
     size_t end;
-    if (quota_prefix[w] <= prev) {
+    if (quota <= prev) {
       end = begin;  // zero quota: empty range
     } else if (w == last_pos) {
-      end = frontier.size();
+      end = size;
     } else {
-      end = std::clamp(splits[w] + 1, begin, frontier.size());
+      // F = SortedSearch(F, D) (line 15): split after the vertex where the
+      // cumulative degree first reaches the quota boundary.
+      const size_t split = static_cast<size_t>(
+          std::lower_bound(degree_prefix.begin(), degree_prefix.end(),
+                           quota) -
+          degree_prefix.begin());
+      end = std::clamp(split + 1, begin, size);
     }
     ranges[w] = {begin, end};
     begin = end;
+    prev = quota;
   }
   return ranges;
 }

@@ -4,8 +4,8 @@
 //     c_ij = bytes_per_edge / B_eff(i, j) + g(W_i)        [ns per edge]
 // (communication plus estimated compute, paper §III-B), solve the min-max
 // MILP of Eq. (1) for the touched-edges matrix X, and convert each row of X
-// into contiguous frontier-vertex ranges with a prefix-sum over out-degrees
-// plus a sorted search (Algorithm 1, lines 9-18).
+// into contiguous frontier-vertex ranges by searching the census's prefix
+// sum over out-degrees (Algorithm 1, lines 9-18).
 
 #ifndef GUM_CORE_FSTEAL_H_
 #define GUM_CORE_FSTEAL_H_
@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/edge_cost_model.h"
-#include "graph/csr.h"
 #include "graph/frontier_features.h"
+#include "graph/types.h"
 #include "sim/comm_plane.h"
 
 namespace gum::core {
@@ -68,13 +68,14 @@ FStealDecision DecideFSteal(const std::vector<std::vector<double>>& cost,
                             const std::vector<int>& active_workers,
                             const FStealConfig& config);
 
-// Algorithm 1 lines 9-18: splits `frontier` (vertices of one fragment) into
-// per-worker contiguous ranges whose out-edge counts match `quota_row` as
-// closely as vertex granularity allows ("we select a group of vertices
-// associated with required number of edges"). Returns [begin, end) index
-// pairs into `frontier`, one per entry of `workers`.
+// Algorithm 1 lines 9-18: splits one fragment's frontier into per-worker
+// contiguous ranges whose out-edge counts match `quota_row` as closely as
+// vertex granularity allows ("we select a group of vertices associated
+// with required number of edges"). `degree_prefix` is the frontier's
+// inclusive out-degree prefix (FrontierCensus::degree_prefix). Returns
+// [begin, end) index pairs into the frontier, one per entry of `workers`.
 std::vector<std::pair<size_t, size_t>> SelectStolenRanges(
-    const graph::CsrGraph& g, std::span<const graph::VertexId> frontier,
+    std::span<const graph::EdgeId> degree_prefix,
     const std::vector<double>& quota_row, const std::vector<int>& workers);
 
 }  // namespace gum::core

@@ -1,6 +1,7 @@
-// The apply phase that ends every BSP superstep (Step 1 of the next one:
-// apply the combined messages, build the next frontier). Step 4's expand
-// lives in core/expand/ (DESIGN.md §12).
+// The apply phase that ends every data-driven BSP superstep (Step 1 of the
+// next one: apply the combined messages, build the next frontier). Step
+// 4's expand lives in core/expand/ (DESIGN.md §12); a stationary
+// superstep's gather applies every vertex itself.
 //
 // Thread-safety requirement on App: Apply may mutate the vertex value it
 // is handed but must not mutate App member state (Apply runs concurrently
@@ -31,28 +32,28 @@ struct ApplyScratch {
   std::vector<std::vector<double>> counts;
 };
 
-// End-of-superstep apply phase, parallel over destination shards: each
-// shard drains its store range in ascending vertex order, applies combined
-// messages, and (data-driven mode) pushes activated vertices into per-shard
-// per-fragment segments. Segments are then concatenated in shard order —
-// shards are ascending contiguous vertex ranges, so each fragment's next
-// frontier comes out ascending, identical to the serial drain. In
-// fixed-round mode every vertex is applied, absent inboxes with the app's
-// Combine identity. next_frontier, when non-null, receives the rebuilt
-// frontier (arena reused across iterations). apply_counts, when non-null,
-// accumulates per-fragment applied-message counts. Clears the store.
+// End-of-superstep apply phase of a data-driven superstep, parallel over
+// destination shards: each shard drains its store range in ascending
+// vertex order, applies combined messages, and pushes activated vertices
+// into per-shard per-fragment segments. Segments are then concatenated in
+// shard order — shards are ascending contiguous vertex ranges, so each
+// fragment's next frontier comes out ascending, identical to the serial
+// drain. (A stationary superstep applies inside its gather instead,
+// core/expand/frontier_scatter.h.) next_frontier, when non-null, receives
+// the rebuilt frontier (arena reused across iterations). apply_counts,
+// when non-null, accumulates per-fragment applied-message counts. Clears
+// the store.
 template <typename App>
 void ApplySuperstep(ThreadPool* pool, const ShardMap& shards,
                     const graph::Partition& partition, App& app,
                     MessageStore<typename App::Message>& store,
                     std::vector<typename App::Value>& values,
-                    bool fixed_rounds, ApplyScratch* scratch,
-                    FrontierSoA* next_frontier,
+                    ApplyScratch* scratch, FrontierSoA* next_frontier,
                     std::vector<double>* apply_counts) {
   using Message = typename App::Message;
   const int s_count = shards.num_shards();
   const size_t n = static_cast<size_t>(partition.num_parts);
-  const bool want_frontier = !fixed_rounds && next_frontier != nullptr;
+  const bool want_frontier = next_frontier != nullptr;
   const bool want_counts = apply_counts != nullptr;
   if (scratch->segments.size() < static_cast<size_t>(s_count)) {
     scratch->segments.resize(s_count);
@@ -73,23 +74,13 @@ void ApplySuperstep(ThreadPool* pool, const ShardMap& shards,
     const size_t begin = shards.ShardBegin(static_cast<int>(s));
     const size_t end =
         std::min(values.size(), shards.ShardEnd(static_cast<int>(s)));
-    if (fixed_rounds) {
-      for (size_t v = begin; v < end; ++v) {
-        const auto vid = static_cast<graph::VertexId>(v);
-        const Message msg =
-            store.Has(vid) ? store.Get(vid) : app.InitialAccumulator();
-        app.Apply(vid, values[v], msg);
-        if (want_counts) cnt[partition.owner[vid]] += 1.0;
-      }
-    } else {
-      store.ForEachPendingInRange(
-          begin, end, [&](graph::VertexId v, const Message& msg) {
-            if (app.Apply(v, values[v], msg) && want_frontier) {
-              segs[partition.owner[v]].push_back(v);
-            }
-            if (want_counts) cnt[partition.owner[v]] += 1.0;
-          });
-    }
+    store.ForEachPendingInRange(
+        begin, end, [&](graph::VertexId v, const Message& msg) {
+          if (app.Apply(v, values[v], msg) && want_frontier) {
+            segs[partition.owner[v]].push_back(v);
+          }
+          if (want_counts) cnt[partition.owner[v]] += 1.0;
+        });
   };
   ForEachShard(pool, s_count, apply_shard);
 

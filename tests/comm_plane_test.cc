@@ -604,7 +604,9 @@ TEST(TransferPlanTest, LinkFaultDropsThePathNeverTheTransfer) {
     if (p.transit < 0 && !p.via_pcie) thin_direct = p.fraction;
   }
   ASSERT_GT(nominal_direct, 0.0);
-  if (thin_direct > 0.0) EXPECT_LT(thin_direct, nominal_direct);
+  if (thin_direct > 0.0) {
+    EXPECT_LT(thin_direct, nominal_direct);
+  }
 }
 
 TEST(TransferPlanTest, ReductionTreeIsDeterministicAndBeatsTheStar) {

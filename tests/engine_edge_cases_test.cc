@@ -44,7 +44,9 @@ TEST(EngineEdgeCaseTest, EdgelessGraph) {
   EXPECT_LE(result.iterations, 1);
   EXPECT_EQ(depths[5], 0u);
   for (VertexId v = 0; v < 16; ++v) {
-    if (v != 5) EXPECT_EQ(depths[v], BfsApp::kUnreached);
+    if (v != 5) {
+      EXPECT_EQ(depths[v], BfsApp::kUnreached);
+    }
   }
 }
 
@@ -112,7 +114,9 @@ TEST(EngineEdgeCaseTest, ScatterFilteringRespected) {
   ASSERT_TRUE(fg.ok());
   const auto expected = algos::ref::Bfs(*fg, app.source);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (v % 2 == 0 || v == app.source) EXPECT_EQ(depths[v], expected[v]);
+    if (v % 2 == 0 || v == app.source) {
+      EXPECT_EQ(depths[v], expected[v]);
+    }
   }
 }
 

@@ -1,12 +1,14 @@
 // Step 4's directions (core/expand/, DESIGN.md §12): every --expand kind —
 // frontier scatter, SpMV push/pull, and the auto density rule — must
 // produce byte-identical vertex values for every host-thread and message-
-// shard count, on every bundled algorithm. The stationary gather and the
-// one-thread direct deposit must reproduce the staged scatter path counter
-// for counter, and the pull its store and values under its own charge
-// rule. The suite lives in the parallel test binary so the TSan CI job
-// watches the gather's shard parallelism and the payload passes for races.
+// shard count, on every bundled algorithm. The stationary gather, with the
+// apply it runs, and the one-thread direct deposit must reproduce the
+// staged scatter path counter for counter, and the pull its store and
+// values under its own charge rule. The suite lives in the parallel test
+// binary so the TSan CI job watches the gather's block parallelism and the
+// payload passes for races.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -16,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include "algos/apps.h"
+#include "algos/reference.h"
 #include "core/engine.h"
 #include "core/census.h"
 #include "core/expand/expand_backend.h"
 #include "core/expand/frontier_scatter.h"
+#include "core/expand/pull_edges.h"
 #include "core/graph_context.h"
 #include "core/vertex_state.h"
 #include "graph/generators.h"
@@ -170,18 +174,43 @@ struct SuppressingMessages {
     return payload * weight;
   }
   Message Combine(const Message& a, const Message& b) const { return a + b; }
+  Message InitialAccumulator() const { return 0.0; }
   bool Apply(VertexId, Value& val, const Message& msg) const {
     val = 0.5 * val + 1e-4 * msg;
     return true;
   }
 };
 
-// The fixed-round (stationary) app.
+// The fixed-round (stationary) app: SuppressingMessages over a value that
+// also records the message Apply received, bit for bit, and whether one
+// arrived. InitialAccumulator() is a NaN that no chain of the finite
+// messages yields, so it marks a vertex that received nothing.
 struct SuppressingRoundsApp : SuppressingMessages {
+  static constexpr uint64_t kNothingArrived = 0x7ff800000badf00dULL;
+  struct Value {
+    double x = 0.0;
+    uint64_t applied_bits = 0;
+    bool arrived = false;
+  };
+
   std::string name() const { return "suppressing_rounds"; }
   int fixed_rounds() const { return 2; }
   bool IsInitiallyActive(VertexId) const { return true; }
-  Message InitialAccumulator() const { return 0.0; }
+  Value InitValue(VertexId v) const {
+    return {.x = SuppressingMessages::InitValue(v)};
+  }
+  Message InitialAccumulator() const {
+    return std::bit_cast<double>(kNothingArrived);
+  }
+  Message OnFrontier(VertexId u, Value& val, uint32_t out_degree) {
+    return SuppressingMessages::OnFrontier(u, val.x, out_degree);
+  }
+  bool Apply(VertexId v, Value& val, const Message& msg) const {
+    val.applied_bits = std::bit_cast<uint64_t>(msg);
+    val.arrived = val.applied_bits != kNothingArrived;
+    if (val.arrived) SuppressingMessages::Apply(v, val.x, msg);
+    return true;
+  }
 };
 
 // The data-driven app: supersteps expand the previous one's targets.
@@ -264,12 +293,42 @@ void ExpectBitsEqual(const std::vector<std::vector<double>>& got,
   }
 }
 
-// Runs two supersteps of the staged Expand and of ExpandStationary side by
-// side on one context (its pool, shards, hub cache and PullEdges) and
-// compares every counter cell, store membership, every pending message
-// and every value bit for bit.
+// The fixed-round apply that ended a staged stationary superstep: every
+// vertex applies its stored message, or InitialAccumulator() when it has
+// none, and each fragment counts one applied message per vertex.
+template <typename App>
+void ApplyEveryVertex(const graph::Partition& part, const App& app,
+                      MessageStore<typename App::Message>& store,
+                      std::vector<typename App::Value>& values,
+                      std::vector<double>* applied) {
+  for (VertexId v = 0; v < values.size(); ++v) {
+    app.Apply(v, values[v],
+              store.Has(v) ? store.Get(v) : app.InitialAccumulator());
+    (*applied)[part.owner[v]] += 1.0;
+  }
+  store.EndSuperstep();
+}
+
+void ExpectValueBitsEqual(const SuppressingRoundsApp::Value& got,
+                          const SuppressingRoundsApp::Value& want,
+                          VertexId v) {
+  ASSERT_EQ(std::bit_cast<uint64_t>(got.x), std::bit_cast<uint64_t>(want.x))
+      << "v=" << v;
+  ASSERT_EQ(got.applied_bits, want.applied_bits) << "v=" << v;
+  ASSERT_EQ(got.arrived, want.arrived) << "v=" << v;
+}
+
+// Runs two stationary supersteps three ways side by side on one context
+// (its pool, hub cache, census and PullEdges): the staged Expand plus the
+// fixed-round apply, ExpandStationary, and ExpandPull without a store.
+// Compares every counter cell of ExpandStationary with the staged path's,
+// and every value of both gathers bit for bit; a value records the
+// message its vertex applied and whether one arrived. Adds the vertices
+// that applied InitialAccumulator() to arrivals[0] and the rest to
+// arrivals[1].
 void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
-                                   bool hub) {
+                                   bool hub, size_t arrivals[2]) {
+  using Value = SuppressingRoundsApp::Value;
   const graph::CsrGraph& g = ctx.graph();
   const graph::Partition& part = ctx.partition();
   const int n = part.num_parts;
@@ -282,26 +341,32 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
   const FStealDecision& fs = plan.fs;
   const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
   SuppressingRoundsApp app;
-  std::vector<double> staged_values(g.num_vertices());
+  std::vector<Value> staged_values(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     staged_values[v] = app.InitValue(v);
   }
-  std::vector<double> gathered_values = staged_values;
+  std::vector<Value> gathered_values = staged_values;
+  std::vector<Value> pulled_values = staged_values;
   FrontierScatterBackend<SuppressingRoundsApp> staged_backend;
   FrontierScatterBackend<SuppressingRoundsApp> stationary_backend;
+  FrontierScatterBackend<SuppressingRoundsApp> pull_backend;
   MessageStore<double> staged_store(g.num_vertices());
-  MessageStore<double> gathered_store(g.num_vertices());
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(testing::Message() << "round " << round);
     ExpandCounters staged;
     ExpandCounters gathered;
+    ExpandCounters pulled;
+    std::vector<double> applied(n, 0.0);
     staged_backend.Expand(ctx.pool(), g, part, hub_cache, owner, active, fs,
-                          census.loads, app, staged_values, frontier,
+                          census, app, staged_values, frontier,
                           ctx.shard_map(), staged_store, &staged);
+    ApplyEveryVertex(part, app, staged_store, staged_values, &applied);
     stationary_backend.ExpandStationary(
-        ctx.pool(), g, part, hub_cache, owner, active, fs, census.loads,
-        ctx.pull_edges(), app, gathered_values, frontier, ctx.shard_map(),
-        gathered_store, &gathered);
+        ctx.pool(), g, part, hub_cache, owner, active, fs, census,
+        ctx.pull_edges(), app, gathered_values, frontier, &gathered);
+    pull_backend.ExpandPull(ctx.pool(), g, part, ctx.pull_edges(), owner,
+                            app, pulled_values, frontier, /*store=*/nullptr,
+                            &pulled);
     ExpectBitsEqual(gathered.edges_done, staged.edges_done, "edges_done");
     ExpectBitsEqual(gathered.hub_edges, staged.hub_edges, "hub_edges");
     ExpectBitsEqual(gathered.agg_msgs, staged.agg_msgs, "agg_msgs");
@@ -309,31 +374,30 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
     EXPECT_EQ(std::bit_cast<uint64_t>(gathered.stolen_edges),
               std::bit_cast<uint64_t>(staged.stolen_edges));
     EXPECT_EQ(gathered.edges_processed, staged.edges_processed);
-    EXPECT_EQ(gathered_store.PendingCount(), staged_store.PendingCount());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(gathered_store.Has(v), staged_store.Has(v)) << "v=" << v;
-      if (staged_store.Has(v)) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(gathered_store.Get(v)),
-                  std::bit_cast<uint64_t>(staged_store.Get(v)))
-            << "v=" << v;
-      }
-      ASSERT_EQ(std::bit_cast<uint64_t>(gathered_values[v]),
-                std::bit_cast<uint64_t>(staged_values[v]))
-          << "v=" << v;
+    // What the engine records as a stationary superstep's applied
+    // messages: one per vertex of the fragment.
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(applied[i],
+                static_cast<double>(part.part_vertices[i].size()));
     }
-    staged_store.EndSuperstep();
-    gathered_store.EndSuperstep();
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ExpectValueBitsEqual(gathered_values[v], staged_values[v], v);
+      ExpectValueBitsEqual(pulled_values[v], staged_values[v], v);
+      if (testing::Test::HasFatalFailure()) return;
+      ++arrivals[staged_values[v].arrived ? 1 : 0];
+    }
   }
 }
 
 TEST(StationaryExpandTest, CountersStoreAndValuesMatchStagedPath) {
   const std::vector<graph::CsrGraph> graphs = StationaryGraphs();
+  size_t arrivals[2] = {0, 0};
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     // Some raw messages are suppressed, and some first in-edges are not
     // first writers: the cases the attribution rules exist for.
     for (const int devices : {1, 3, 8}) {
       const graph::Partition part = MakePartition(graphs[gi], devices);
-      for (const int threads : {1, 2, 4, 8}) {
+      for (const int threads : {1, 2, 3, 4, 8}) {
         for (const int shards : {1, 4}) {
           for (const bool hub : {true, false}) {
             EngineOptions opt = TestEngineOptions();
@@ -346,7 +410,7 @@ TEST(StationaryExpandTest, CountersStoreAndValuesMatchStagedPath) {
                            << "graph " << gi << " devices=" << devices
                            << " threads=" << threads << " shards=" << shards
                            << " hub=" << hub << " fsteal=" << fsteal);
-              ExpectStationaryMatchesStaged(ctx, fsteal, hub);
+              ExpectStationaryMatchesStaged(ctx, fsteal, hub, arrivals);
               if (HasFatalFailure()) return;
             }
           }
@@ -354,6 +418,10 @@ TEST(StationaryExpandTest, CountersStoreAndValuesMatchStagedPath) {
       }
     }
   }
+  // Both of the apply's inputs occur: InitialAccumulator() at a vertex no
+  // message reached, and a combined message.
+  EXPECT_GT(arrivals[0], 0u);
+  EXPECT_GT(arrivals[1], 0u);
 }
 
 TEST(StationaryExpandTest, SuppressingAppExercisesEveryRule) {
@@ -370,7 +438,7 @@ TEST(StationaryExpandTest, SuppressingAppExercisesEveryRule) {
   size_t suppressed_first = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (graph::EdgeId e = pull.offsets[v]; e < pull.offsets[v + 1]; ++e) {
-      double val = app.InitValue(pull.sources[e]);
+      SuppressingRoundsApp::Value val = app.InitValue(pull.sources[e]);
       const double payload = app.OnFrontier(pull.sources[e], val,
                                             g.OutDegree(pull.sources[e]));
       if (!app.Scatter(payload, v, 1.0f).has_value()) {
@@ -412,20 +480,18 @@ void ExpectSerialMatchesStaged(const GraphContext& ctx, bool fsteal,
   FrontierSoA frontier;
   frontier.BuildByOwner(g.num_vertices(), part.owner, n,
                         [&](VertexId v) { return app.IsInitiallyActive(v); });
+  FrontierCensus census;
   for (int step = 0; step < 3; ++step) {
     SCOPED_TRACE(testing::Message() << "superstep " << step);
-    std::vector<double> loads(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (const VertexId v : frontier.Fragment(i)) loads[i] += g.OutDegree(v);
-    }
-    const TestPlan plan = RotatedPlan(n, loads, fsteal);
+    census.Take(g, ctx.hub_cache(), frontier);
+    const TestPlan plan = RotatedPlan(n, census.loads, fsteal);
     ExpandCounters serial;
     ExpandCounters staged;
     serial_backend.Expand(nullptr, g, part, hub_cache, plan.owner,
-                          plan.active, plan.fs, loads, app, serial_values,
+                          plan.active, plan.fs, census, app, serial_values,
                           frontier, ctx.shard_map(), serial_store, &serial);
     staged_backend.Expand(ctx.pool(), g, part, hub_cache, plan.owner,
-                          plan.active, plan.fs, loads, app, staged_values,
+                          plan.active, plan.fs, census, app, staged_values,
                           frontier, ctx.shard_map(), staged_store, &staged);
     ExpectBitsEqual(serial.edges_done, staged.edges_done, "edges_done");
     ExpectBitsEqual(serial.hub_edges, staged.hub_edges, "hub_edges");
@@ -529,20 +595,18 @@ void ExpectPullMatchesScatter(const GraphContext& ctx, ThreadPool* pull_pool) {
   frontier.BuildByOwner(g.num_vertices(), part.owner, n,
                         [&](VertexId v) { return app.IsInitiallyActive(v); });
   const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
+  FrontierCensus census;
   for (int step = 0; step < 3; ++step) {
     SCOPED_TRACE(testing::Message() << "superstep " << step);
-    std::vector<double> loads(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (const VertexId v : frontier.Fragment(i)) loads[i] += g.OutDegree(v);
-    }
-    const TestPlan plan = RotatedPlan(n, loads, /*fsteal=*/false);
+    census.Take(g, ctx.hub_cache(), frontier);
+    const TestPlan plan = RotatedPlan(n, census.loads, /*fsteal=*/false);
     ExpandCounters pulled;
     ExpandCounters scattered;
     pull_backend.ExpandPull(pull_pool, g, part, ctx.pull_edges(), plan.owner,
-                            app, pull_values, frontier, ctx.shard_map(),
-                            pull_store, &pulled);
+                            app, pull_values, frontier, &pull_store,
+                            &pulled);
     scatter_backend.Expand(ctx.pool(), g, part, nullptr, plan.owner,
-                           plan.active, plan.fs, loads, app, scatter_values,
+                           plan.active, plan.fs, census, app, scatter_values,
                            frontier, ctx.shard_map(), scatter_store,
                            &scattered);
     std::vector<std::vector<double>> edges = zero;
@@ -610,6 +674,99 @@ TEST(PullExpandTest, StoreValuesAndChargesMatchScatter) {
   }
 }
 
+// The gather's destination blocks tile [0, V) in order, cut on 64-vertex
+// boundaries at equal shares of in-edges plus destinations. On the
+// unpermuted Social recipe (RMAT a/b/c = .62/.19/.12, bench/datasets.cc),
+// where in-edges pile up on low ids, a block exceeds its share by at most
+// the heaviest 64-vertex word, which equal-width halves do not come near.
+TEST(GatherBlocksTest, TileWordAlignedAndBalanceSocialRmat) {
+  graph::RmatOptions social;
+  social.scale = 13;
+  social.edge_factor = 16;
+  social.a = 0.62;
+  social.b = 0.19;
+  social.c = 0.12;
+  social.permute_vertices = false;
+  social.weighted = true;
+  social.seed = 101;
+  const graph::CsrGraph g =
+      std::move(graph::CsrGraph::FromEdgeList(graph::Rmat(social))).value();
+  const graph::Partition part = MakePartition(g, 8);
+  PullEdges pull;
+  pull.Build(g, part);
+  const size_t num_v = g.num_vertices();
+  const auto cost_before = [&](size_t x) { return pull.offsets[x] + x; };
+  const uint64_t total = cost_before(num_v);
+  uint64_t heaviest_word = 0;
+  for (size_t x = 0; x < num_v; x += 64) {
+    const uint64_t word = cost_before(std::min(x + 64, num_v)) - cost_before(x);
+    heaviest_word = std::max(heaviest_word, word);
+  }
+  // Equal-width halves, as the ShardMap cuts two shards.
+  const size_t half = (num_v / 2 + 63) / 64 * 64;
+  const uint64_t equal_width_max =
+      std::max(cost_before(half), total - cost_before(half));
+  EXPECT_GT(static_cast<double>(equal_width_max), 0.6 * total);
+  for (const size_t num_blocks : {1, 2, 3, 8, 16, 24, 64}) {
+    SCOPED_TRACE(testing::Message() << num_blocks << " blocks");
+    std::vector<size_t> bounds;
+    CutGatherBlocks(pull.offsets, num_blocks, &bounds);
+    ASSERT_EQ(bounds.size(), num_blocks + 1);
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), num_v);
+    uint64_t largest = 0;
+    for (size_t b = 0; b < num_blocks; ++b) {
+      ASSERT_LE(bounds[b], bounds[b + 1]);
+      EXPECT_EQ(bounds[b] % 64, 0u) << "block " << b;
+      const uint64_t cost = cost_before(bounds[b + 1]) - cost_before(bounds[b]);
+      EXPECT_LE(cost, total / num_blocks + heaviest_word) << "block " << b;
+      largest = std::max(largest, cost);
+    }
+    if (num_blocks == 2) {
+      EXPECT_LT(largest, equal_width_max);
+    }
+  }
+  // Fewer destinations than blocks: the tail blocks are empty.
+  PullEdges tiny;
+  tiny.offsets = {0, 2, 3, 3};
+  std::vector<size_t> bounds;
+  CutGatherBlocks(tiny.offsets, 4, &bounds);
+  EXPECT_EQ(bounds, (std::vector<size_t>{0, 3, 3, 3, 3}));
+}
+
+// A fixed-round app on a graph with no edges has a census load of 0, so
+// --expand=spmv pushes: the only stationary superstep that does. Every
+// vertex must still be applied, with InitialAccumulator(), as under
+// scatter and in algos/reference.
+TEST(ExpandBackendTest, EdgelessPageRankAppliesEveryVertexUnderSpmvPush) {
+  graph::EdgeList edgeless;
+  edgeless.num_vertices = 300;
+  const graph::CsrGraph g =
+      std::move(graph::CsrGraph::FromEdgeList(edgeless)).value();
+  ASSERT_EQ(g.num_edges(), 0u);
+  EXPECT_EQ(SelectExpandMode(ExpandBackendKind::kSpmv, 0.0, 0.0),
+            ExpandMode::kSpmvPush);
+  const graph::Partition part = MakePartition(g, 4);
+  PageRankApp app;
+  app.num_vertices = g.num_vertices();
+  app.rounds = 3;
+  const std::vector<double> want =
+      algos::ref::PageRank(g, app.damping, app.rounds);
+  const auto scatter =
+      RunValues(g, part, app, ExpandBackendKind::kScatter, 1, 1);
+  ASSERT_EQ(scatter.size(), want.size());
+  for (size_t v = 0; v < want.size(); ++v) {
+    EXPECT_DOUBLE_EQ(scatter[v], want[v]) << "v=" << v;
+  }
+  for (const int threads : {1, 3}) {
+    RunResult result;
+    const auto values = RunValues(g, part, app, ExpandBackendKind::kSpmv,
+                                  threads, 4, &result);
+    EXPECT_EQ(values, scatter) << "threads=" << threads;
+    EXPECT_EQ(result.iterations, app.rounds);
+  }
+}
+
 // The context's stationary census must equal the census loop over
 // part_vertices (the engine's pre-cache Step 1) bit for bit, hub-heavy
 // graphs included.
@@ -643,10 +800,14 @@ TEST(GraphContextTest, StationaryCensusMatchesLoopCensus) {
         for (int i = 0; i < devices; ++i) {
           double load = 0.0;
           double hub_load = 0.0;
+          std::vector<graph::EdgeId> prefix;
           for (const VertexId v : part.part_vertices[i]) {
             load += g.OutDegree(v);
             if (ctx.hub_cache().IsHub(v)) hub_load += g.OutDegree(v);
+            prefix.push_back((prefix.empty() ? 0 : prefix.back()) +
+                             g.OutDegree(v));
           }
+          EXPECT_EQ(census.degree_prefix[i], prefix) << "fragment " << i;
           total_load += load;
           total_frontier += part.part_vertices[i].size();
           const double discount = load > 0 ? 1.0 - hub_load / load : 1.0;

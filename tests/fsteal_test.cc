@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <random>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "common/parallel_primitives.h"
+#include "core/census.h"
 #include "core/fsteal.h"
+#include "core/hub_cache.h"
+#include "core/vertex_state.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "sim/comm_plane.h"
 
@@ -153,6 +164,16 @@ TEST(DecideFStealTest, GreedyModeAlsoBalances) {
   EXPECT_TRUE(dec.applied);
 }
 
+// `frontier`'s degree prefix as the census records it for a fragment.
+std::vector<graph::EdgeId> DegreePrefix(const CsrGraph& g,
+                                        const std::vector<VertexId>& frontier) {
+  FrontierSoA soa;
+  soa.Assign({frontier});
+  FrontierCensus census;
+  census.Take(g, HubCache(), soa);
+  return census.degree_prefix[0];
+}
+
 TEST(SelectStolenRangesTest, PartitionsWholeFrontier) {
   auto g = graph::CsrGraph::FromEdgeList(
       graph::Rmat({.scale = 9, .edge_factor = 6, .seed = 8}));
@@ -167,7 +188,7 @@ TEST(SelectStolenRangesTest, PartitionsWholeFrontier) {
   quota[1] = std::floor(total_edges * 0.3);
   quota[3] = total_edges - quota[0] - quota[1];
   const auto ranges =
-      SelectStolenRanges(*g, frontier, quota, {0, 1, 2, 3});
+      SelectStolenRanges(DegreePrefix(*g, frontier), quota, {0, 1, 2, 3});
   ASSERT_EQ(ranges.size(), 4u);
   // Contiguous cover of [0, frontier.size()).
   size_t cursor = 0;
@@ -194,7 +215,8 @@ TEST(SelectStolenRangesTest, EdgeQuotasApproximatelyRespected) {
     max_deg = std::max(max_deg, g->OutDegree(v));
   }
   std::vector<double> quota = {total / 2, total / 2};
-  const auto ranges = SelectStolenRanges(*g, frontier, quota, {0, 1});
+  const auto ranges =
+      SelectStolenRanges(DegreePrefix(*g, frontier), quota, {0, 1});
   double first = 0;
   for (size_t k = ranges[0].first; k < ranges[0].second; ++k) {
     first += g->OutDegree(frontier[k]);
@@ -210,12 +232,106 @@ TEST(SelectStolenRangesTest, AllQuotaToOneWorker) {
   std::vector<VertexId> frontier = {1, 5, 9, 13};
   double total = 0;
   for (VertexId v : frontier) total += g->OutDegree(v);
-  const auto ranges =
-      SelectStolenRanges(*g, frontier, {0.0, total, 0.0}, {0, 1, 2});
+  const auto ranges = SelectStolenRanges(DegreePrefix(*g, frontier),
+                                         {0.0, total, 0.0}, {0, 1, 2});
   EXPECT_EQ(ranges[0].first, ranges[0].second);
   EXPECT_EQ(ranges[1].first, 0u);
   EXPECT_EQ(ranges[1].second, frontier.size());
   EXPECT_EQ(ranges[2].first, ranges[2].second);
+}
+
+// SelectStolenRanges as it was before the census kept the degree prefix:
+// it re-read the frontier's out-degrees into a fresh prefix on every call.
+std::vector<std::pair<size_t, size_t>> RecomputingStolenRanges(
+    const CsrGraph& g, std::span<const VertexId> frontier,
+    const std::vector<double>& quota_row, const std::vector<int>& workers) {
+  std::vector<uint64_t> degrees(frontier.size());
+  for (size_t k = 0; k < frontier.size(); ++k) {
+    degrees[k] = g.OutDegree(frontier[k]);
+  }
+  const std::vector<uint64_t> d_prefix = InclusivePrefixSum(degrees);
+  std::vector<uint64_t> quota_prefix(workers.size());
+  double running = 0.0;
+  for (size_t w = 0; w < workers.size(); ++w) {
+    running += quota_row[workers[w]];
+    quota_prefix[w] = static_cast<uint64_t>(std::llround(running));
+  }
+  const std::vector<size_t> splits =
+      SortedSearchLower(d_prefix, quota_prefix);
+  size_t last_pos = workers.size();
+  for (size_t w = 0; w < workers.size(); ++w) {
+    const uint64_t prev = w == 0 ? 0 : quota_prefix[w - 1];
+    if (quota_prefix[w] > prev) last_pos = w;
+  }
+  std::vector<std::pair<size_t, size_t>> ranges(workers.size());
+  size_t begin = 0;
+  for (size_t w = 0; w < workers.size(); ++w) {
+    const uint64_t prev = w == 0 ? 0 : quota_prefix[w - 1];
+    size_t end;
+    if (quota_prefix[w] <= prev) {
+      end = begin;
+    } else if (w == last_pos) {
+      end = frontier.size();
+    } else {
+      end = std::clamp(splits[w] + 1, begin, frontier.size());
+    }
+    ranges[w] = {begin, end};
+    begin = end;
+  }
+  return ranges;
+}
+
+TEST(SelectStolenRangesTest, CensusPrefixMatchesRecomputedDegrees) {
+  auto g = graph::CsrGraph::FromEdgeList(
+      graph::Rmat({.scale = 9, .edge_factor = 6, .seed = 12}));
+  ASSERT_TRUE(g.ok());
+  std::vector<VertexId> zero_degree;
+  for (VertexId v = 0; v < g->num_vertices(); ++v) {
+    if (g->OutDegree(v) == 0) zero_degree.push_back(v);
+  }
+  ASSERT_FALSE(zero_degree.empty());
+  std::mt19937_64 rng(21);
+  for (int c = 0; c < 720; ++c) {
+    SCOPED_TRACE(testing::Message() << "case " << c);
+    // Case c % 6: 0 an empty fragment, 1 a frontier ending in zero-degree
+    // vertices, 2 quotas past the load, otherwise an ascending sample.
+    std::vector<VertexId> frontier;
+    if (c % 6 != 0) {
+      const size_t size = 1 + rng() % 300;
+      for (size_t k = 0; k < size; ++k) {
+        frontier.push_back(static_cast<VertexId>(rng() % g->num_vertices()));
+      }
+      std::sort(frontier.begin(), frontier.end());
+      frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                     frontier.end());
+    }
+    if (c % 6 == 1) {
+      for (size_t k = 1 + rng() % 5; k > 0; --k) {
+        frontier.push_back(zero_degree[rng() % zero_degree.size()]);
+      }
+    }
+    double load = 0.0;
+    for (const VertexId v : frontier) load += g->OutDegree(v);
+    // 1-8 workers: an ascending sample of 8 devices, about a quarter of
+    // them with a zero quota, the rest with fractional shares of the load.
+    std::vector<int> workers = AllWorkers(8);
+    std::shuffle(workers.begin(), workers.end(), rng);
+    workers.resize(1 + c % 8);
+    std::sort(workers.begin(), workers.end());
+    std::vector<double> weight(8, 0.0);
+    double weight_sum = 0.0;
+    for (const int w : workers) {
+      weight[w] = rng() % 4 == 0 ? 0.0 : 1.0 + static_cast<double>(rng() % 97);
+      weight_sum += weight[w];
+    }
+    const double asked = c % 6 == 2 ? 1.5 * load : load;
+    std::vector<double> quota(8, 0.0);
+    for (const int w : workers) {
+      if (weight_sum > 0.0) quota[w] = asked * weight[w] / weight_sum;
+    }
+    EXPECT_EQ(SelectStolenRanges(DegreePrefix(*g, frontier), quota, workers),
+              RecomputingStolenRanges(*g, frontier, quota, workers));
+  }
 }
 
 }  // namespace

@@ -96,7 +96,9 @@ TEST(TopologyTest, FullyConnectedAllPairs) {
   const Topology t = Topology::FullyConnected(5, 30.0);
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 5; ++j) {
-      if (i != j) EXPECT_DOUBLE_EQ(t.DirectBandwidth(i, j), 30.0);
+      if (i != j) {
+        EXPECT_DOUBLE_EQ(t.DirectBandwidth(i, j), 30.0);
+      }
     }
   }
 }
@@ -141,7 +143,9 @@ TEST(TopologyTest, EffectiveBandwidthNeverBelowPcie) {
   const Topology t = Topology::HybridCubeMesh8();
   for (int i = 0; i < 8; ++i) {
     for (int j = 0; j < 8; ++j) {
-      if (i != j) EXPECT_GE(t.EffectiveBandwidth(i, j), Topology::kPcieGBps);
+      if (i != j) {
+        EXPECT_GE(t.EffectiveBandwidth(i, j), Topology::kPcieGBps);
+      }
     }
   }
 }
