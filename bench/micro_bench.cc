@@ -22,7 +22,6 @@
 #include "common/json.h"
 
 #include "algos/apps.h"
-#include "common/parallel_primitives.h"
 #include "common/thread_pool.h"
 #include "core/edge_cost_model.h"
 #include "core/engine.h"
@@ -124,7 +123,7 @@ void BM_OStealEnumeration(benchmark::State& state) {
   const auto cost = StealCost(8);
   const auto loads = StealLoads(8);
   for (auto _ : state) {
-    auto decision = core::DecideOSteal(cost, loads, schedule, 1e5, {});
+    auto decision = core::DecideOSteal(cost, loads, schedule, 1e5);
     benchmark::DoNotOptimize(decision);
   }
 }
@@ -284,8 +283,9 @@ BENCHMARK(BM_SuperstepFullBfs8Dev)
 // PageRank on the rmat fixture: every vertex active, double-sum combiner —
 // the message-heaviest Step-4 shape, where merge+apply dominate wall-clock.
 // The CI bench-smoke job emits these rows as BENCH_superstep.json
-// (workload in the name, threads/shards as named args, wall-ms as
-// real_time), the machine-readable perf trajectory of the message plane.
+// (workload in the name, threads as a named arg, one destination shard
+// per thread as the engine cuts them, wall-ms as real_time), the
+// machine-readable perf trajectory of the message plane.
 
 struct PrPhaseFixture {
   const SuperstepFixture& fx = GetSuperstepFixture();
@@ -306,9 +306,9 @@ PrPhaseFixture& GetPrPhaseFixture() {
 void BM_SuperstepMergePr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  const core::ShardMap shards(fx.g.num_vertices(),
-                              static_cast<int>(state.range(1)));
+  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(threads);
+  const core::ShardMap shards(fx.g.num_vertices(), threads);
   std::vector<double> values = pf.values;
   std::vector<core::MessageStaging<double>> staged;
   std::vector<core::UnitCounters> counters;
@@ -327,16 +327,15 @@ void BM_SuperstepMergePr8Dev(benchmark::State& state) {
                           static_cast<int64_t>(fx.g.num_edges()));
 }
 BENCHMARK(BM_SuperstepMergePr8Dev)
-    ->ArgNames({"threads", "shards"})
-    ->Args({1, 1})->Args({2, 2})->Args({4, 4})->Args({8, 8})->Args({8, 32})
+    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
 void BM_SuperstepApplyPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  const core::ShardMap shards(fx.g.num_vertices(),
-                              static_cast<int>(state.range(1)));
+  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(threads);
+  const core::ShardMap shards(fx.g.num_vertices(), threads);
   std::vector<double> values = pf.values;
   std::vector<core::MessageStaging<double>> staged;
   std::vector<core::UnitCounters> counters;
@@ -359,19 +358,17 @@ void BM_SuperstepApplyPr8Dev(benchmark::State& state) {
                           static_cast<int64_t>(fx.g.num_vertices()));
 }
 BENCHMARK(BM_SuperstepApplyPr8Dev)
-    ->ArgNames({"threads", "shards"})
-    ->Args({1, 1})->Args({2, 2})->Args({4, 4})->Args({8, 8})->Args({8, 32})
+    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
 // Merge + apply back to back — the phase the sharded message plane
-// parallelizes; compare {t,s}={1,1} (the pre-shard serial drain) against
-// {8,8}.
+// parallelizes; compare 1 thread (the serial drain) against 8.
 void BM_SuperstepMergeApplyPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  const core::ShardMap shards(fx.g.num_vertices(),
-                              static_cast<int>(state.range(1)));
+  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(threads);
+  const core::ShardMap shards(fx.g.num_vertices(), threads);
   std::vector<double> values = pf.values;
   std::vector<core::MessageStaging<double>> staged;
   std::vector<core::UnitCounters> counters;
@@ -392,8 +389,7 @@ void BM_SuperstepMergeApplyPr8Dev(benchmark::State& state) {
                           static_cast<int64_t>(fx.g.num_edges()));
 }
 BENCHMARK(BM_SuperstepMergeApplyPr8Dev)
-    ->ArgNames({"threads", "shards"})
-    ->Args({1, 1})->Args({2, 2})->Args({4, 4})->Args({8, 8})->Args({8, 32})
+    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
 // --- pluggable expand backends (core/expand/, DESIGN.md §12) ---
@@ -747,21 +743,6 @@ void BM_RmatGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RmatGeneration);
-
-void BM_PrefixSumAndSearch(benchmark::State& state) {
-  std::vector<uint64_t> degrees(65536);
-  for (size_t i = 0; i < degrees.size(); ++i) degrees[i] = i % 37;
-  for (auto _ : state) {
-    auto prefix = InclusivePrefixSum(degrees);
-    const std::vector<uint64_t> needles = {prefix.back() / 4,
-                                           prefix.back() / 2,
-                                           3 * prefix.back() / 4};
-    auto splits = SortedSearchLower(prefix, needles);
-    benchmark::DoNotOptimize(splits);
-  }
-  state.SetItemsProcessed(state.iterations() * degrees.size());
-}
-BENCHMARK(BM_PrefixSumAndSearch);
 
 // --- the --bench-json reporter ---
 

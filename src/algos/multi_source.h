@@ -11,7 +11,7 @@
 // Determinism contract (tests/multi_source_test.cc): for every lane l,
 // ExtractBfsLane/ExtractSsspLane of the batched result is byte-identical
 // to a sequential BfsApp/SsspApp run from sources[l] — for every host
-// thread count, shard count, and expand backend.
+// thread count and expand backend.
 //
 //  * BFS: batched BFS is depth-lockstep — every message emitted in
 //    iteration i carries depth i+1 (induction: sources start at depth 0;

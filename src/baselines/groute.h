@@ -29,8 +29,8 @@
 namespace gum::baselines {
 
 // The Groute preset over `device` and the interconnect contention model.
-// Callers may still set host threads and message shards; neither changes
-// a result.
+// Callers may still set the host thread count, which never changes a
+// result.
 inline core::EngineOptions GrouteEngineOptions(
     sim::DeviceParams device = {},
     sim::ContentionModel contention = sim::ContentionModel::kOff) {

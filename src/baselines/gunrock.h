@@ -20,8 +20,8 @@
 namespace gum::baselines {
 
 // The Gunrock preset over `device`, the interconnect contention model and
-// Gunrock's compute-rate multiplier on one GPU. Callers may still set host
-// threads and message shards; neither changes a result.
+// Gunrock's compute-rate multiplier on one GPU. Callers may still set the
+// host thread count, which never changes a result.
 inline core::EngineOptions GunrockEngineOptions(
     sim::DeviceParams device = {},
     sim::ContentionModel contention = sim::ContentionModel::kOff,

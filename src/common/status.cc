@@ -8,22 +8,12 @@ const char* StatusCodeName(StatusCode code) {
       return "OK";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
-    case StatusCode::kFailedPrecondition:
-      return "FailedPrecondition";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kInfeasible:
       return "Infeasible";
     case StatusCode::kUnbounded:

@@ -19,14 +19,9 @@ namespace gum {
 enum class StatusCode : uint8_t {
   kOk = 0,
   kInvalidArgument,
-  kOutOfRange,
   kNotFound,
-  kAlreadyExists,
-  kFailedPrecondition,
-  kUnimplemented,
   kInternal,
   kIoError,
-  kResourceExhausted,
   kInfeasible,  // optimization problem has no feasible solution
   kUnbounded,   // optimization problem is unbounded
 };
@@ -58,29 +53,14 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Infeasible(std::string msg) {
     return Status(StatusCode::kInfeasible, std::move(msg));

@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <string>
 
 #include "obs/trace.h"
@@ -36,13 +35,9 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::RunIndices() {
   const std::function<void(size_t)>& fn = *task_;
-  const size_t grain = grain_;
-  for (size_t block = next_.fetch_add(1, std::memory_order_relaxed);
-       block * grain < count_;
-       block = next_.fetch_add(1, std::memory_order_relaxed)) {
-    const size_t begin = block * grain;
-    const size_t end = std::min(count_, begin + grain);
-    for (size_t i = begin; i < end; ++i) fn(i);
+  for (size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < count_;
+       i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    fn(i);
   }
 }
 
@@ -70,11 +65,9 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn,
-                             size_t grain) {
+                             const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  if (grain == 0) grain = 1;
-  if (workers_.empty() || count <= grain) {
+  if (workers_.empty() || count == 1) {
     for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -82,7 +75,6 @@ void ThreadPool::ParallelFor(size_t count,
     std::lock_guard<std::mutex> lock(mu_);
     task_ = &fn;
     count_ = count;
-    grain_ = grain;
     next_.store(0, std::memory_order_relaxed);
     unfinished_ = static_cast<int>(workers_.size());
     ++generation_;
@@ -95,12 +87,6 @@ void ThreadPool::ParallelFor(size_t count,
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return unfinished_ == 0; });
   task_ = nullptr;
-}
-
-void ThreadPool::ParallelForStatic(size_t count,
-                                   const std::function<void(size_t)>& fn) {
-  const size_t threads = static_cast<size_t>(num_threads_);
-  ParallelFor(count, fn, (count + threads - 1) / threads);
 }
 
 }  // namespace gum

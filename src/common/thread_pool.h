@@ -39,18 +39,10 @@ class ThreadPool {
   int num_threads() const { return num_threads_; }
 
   // Invokes fn(i) exactly once for every i in [0, count), distributing
-  // indices dynamically across the pool, and returns once all invocations
-  // have completed. fn must not throw and must not call ParallelFor on the
-  // same pool (no nesting). grain >= 1 is the number of consecutive indices
-  // a thread claims at a time — larger grains cut claim traffic and keep
-  // index-adjacent data on one thread.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                   size_t grain = 1);
-
-  // Static-range variant: one contiguous block of ceil(count / num_threads)
-  // indices per thread, so index-adjacent work (e.g. ascending vertex
-  // shards) stays cache-local within a thread.
-  void ParallelForStatic(size_t count, const std::function<void(size_t)>& fn);
+  // indices dynamically across the pool one at a time, and returns once all
+  // invocations have completed. fn must not throw and must not call
+  // ParallelFor on the same pool (no nesting).
+  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
   // std::thread::hardware_concurrency() clamped to at least 1.
   static int HardwareThreads();
@@ -69,24 +61,22 @@ class ThreadPool {
   int unfinished_ = 0;       // workers still inside the current generation
   bool stop_ = false;
 
-  // Current task; valid only while a generation is in flight. next_ claims
-  // whole blocks of grain_ consecutive indices.
+  // Current task; valid only while a generation is in flight. next_ is the
+  // next unclaimed index.
   const std::function<void(size_t)>* task_ = nullptr;
   std::atomic<size_t> next_{0};
   size_t count_ = 0;
-  size_t grain_ = 1;
 };
 
 // The shard loop: fn(s) once for every s in [0, count). Without a pool of
 // two or more threads, or with one shard, it runs ascending on the calling
-// thread and calls fn directly; otherwise ParallelForStatic's contiguous
-// blocks keep adjacent shards on one thread.
+// thread and calls fn directly; otherwise the pool's threads claim shards.
 template <typename Fn>
 void ForEachShard(ThreadPool* pool, int count, Fn&& fn) {
   if (pool == nullptr || pool->num_threads() <= 1 || count <= 1) {
     for (int s = 0; s < count; ++s) fn(static_cast<size_t>(s));
   } else {
-    pool->ParallelForStatic(static_cast<size_t>(count), fn);
+    pool->ParallelFor(static_cast<size_t>(count), fn);
   }
 }
 

@@ -28,7 +28,7 @@
 // Determinism contract (DESIGN.md §7, relaxed): the event loop is
 // sequential and every stochastic choice (SMQ sampling) draws from a
 // worklist-private seeded Rng, so a run is byte-reproducible for a fixed
-// AsyncConfig::seed across every thread and shard count. Monotone
+// AsyncConfig::seed across every thread count. Monotone
 // min-combine apps (BFS/SSSP/A*/WCC) converge to bitwise the reference
 // fixpoint regardless of execution order; delta-PageRank converges to the
 // epsilon fixpoint with FP sums ordered by the (deterministic) event
@@ -142,12 +142,14 @@ class AsyncDriver {
     }
     result.async_delta = delta;
 
-    // Per-device worklists, seeds split from the run seed.
+    // Per-device worklists, seeds split from the run seed; an SMQ worklist
+    // keeps kSmqQueues internal queues.
+    constexpr int kSmqQueues = 4;
     std::vector<PriorityWorklist> wl;
     wl.reserve(n);
     uint64_t seed_state = cfg.seed;
     for (int d = 0; d < n; ++d) {
-      wl.emplace_back(cfg.worklist, delta, cfg.smq_queues, cfg.steal_prob,
+      wl.emplace_back(cfg.worklist, delta, kSmqQueues, cfg.steal_prob,
                       cfg.steal_batch_size, SplitMix64(seed_state));
     }
 
@@ -186,8 +188,11 @@ class AsyncDriver {
 
     std::vector<WorklistEntry> steal_buf;
     // The async FSteal: an idle thief takes a span of the largest
-    // worklist's coldest buckets (ties: lowest victim id), paying the
-    // entry transfer victim -> thief plus one re-bucket launch.
+    // worklist's coldest buckets (ties: lowest victim id), aiming at
+    // kRangeStealFraction of the victim's entries (whole buckets from the
+    // high-priority tail downward), and pays the entry transfer victim ->
+    // thief plus one re-bucket launch.
+    constexpr double kRangeStealFraction = 0.5;
     auto try_range_steal = [&](int thief, double now) -> bool {
       if (!cfg.enable_range_steal) return false;
       int victim = -1;
@@ -202,8 +207,7 @@ class AsyncDriver {
       }
       if (victim < 0) return false;
       steal_buf.clear();
-      const int got = wl[victim].ExtractTail(cfg.range_steal_fraction,
-                                             &steal_buf);
+      const int got = wl[victim].ExtractTail(kRangeStealFraction, &steal_buf);
       if (got == 0) return false;
       // Each entry ships its vertex id + priority hint.
       const double bytes = static_cast<double>(got) *
@@ -257,6 +261,9 @@ class AsyncDriver {
     Outboxes outgoing(n);
     std::vector<double> remote_edges(n, 0.0);
 
+    // Worklist entries popped per batch, and the safety rail on batches.
+    constexpr int kMaxBatch = 4096;
+    constexpr long long kMaxBatches = 20'000'000;
     long long batches = 0;
     while (true) {
       // Earliest-ready device; ties break on the lowest id.
@@ -278,7 +285,7 @@ class AsyncDriver {
       }
       if (d == -1) break;  // global quiescence: all worklists and wires empty
       ++batches;
-      GUM_CHECK(batches <= cfg.max_batches)
+      GUM_CHECK(batches <= kMaxBatches)
           << "async engine hit the batch limit before quiescence";
 
       const double t_start = ready;
@@ -303,7 +310,7 @@ class AsyncDriver {
       // Pop the hottest bucket (SMQ: the sampled-best queue) and drop
       // entries superseded since they were pushed (lazy deletion).
       batch.clear();
-      wl[d].Pop(wl[d].MinBucket(), cfg.max_batch, &batch);
+      wl[d].Pop(wl[d].MinBucket(), kMaxBatch, &batch);
       live.clear();
       for (const auto& e : batch) {
         if (dirty.Test(e.vertex)) {

@@ -49,20 +49,9 @@ Status ValidateAsyncConfig(const AsyncConfig& config) {
   if (config.steal_batch_size < 1) {
     return Status::InvalidArgument("--steal-batch must be >= 1");
   }
-  if (config.smq_queues < 1) {
-    return Status::InvalidArgument("async smq_queues must be >= 1");
-  }
   if (config.range_steal_min_victim < 0) {
     return Status::InvalidArgument(
         "async range_steal_min_victim must be >= 0");
-  }
-  if (config.range_steal_fraction <= 0.0 ||
-      config.range_steal_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "async range_steal_fraction must be in (0, 1]");
-  }
-  if (config.max_batch < 1) {
-    return Status::InvalidArgument("async max_batch must be >= 1");
   }
   return Status::OK();
 }

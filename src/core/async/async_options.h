@@ -5,7 +5,7 @@
 // (kAsync). AsyncConfig carries every async-only knob: the delta-stepping
 // bucket width, the worklist flavor (plain buckets vs the stealing
 // multi-queue "SMQ" family, or the Groute preset's sorted set), the SMQ
-// steal_prob / steal_batch_size pair, the priority-range steal thresholds,
+// steal_prob / steal_batch_size pair, the priority-range steal threshold,
 // the segment flush timer, and the seed that makes an async run
 // byte-reproducible (DESIGN.md §7: async relaxes bit-identity across
 // thread counts to seed-determinism). The send route is
@@ -48,14 +48,12 @@ struct AsyncConfig {
   AsyncWorklistKind worklist = AsyncWorklistKind::kBuckets;
 
   // --- SMQ knobs (the StealProb / stealBatchSize pair) ---
-  int smq_queues = 4;            // internal queues per device worklist
   double steal_prob = 0.5;       // chance a pop also rebalances two queues
   int steal_batch_size = 8;      // entries moved per intra-worklist steal
 
   // Seed behind every stochastic choice (SMQ queue sampling/stealing).
-  // Fixing it makes the whole run byte-reproducible for any thread and
-  // shard count; changing it explores a different (still convergent)
-  // execution order.
+  // Fixing it makes the whole run byte-reproducible for any thread count;
+  // changing it explores a different (still convergent) execution order.
   uint64_t seed = 1;
 
   // --- priority-range stealing (the async generalization of FSteal) ---
@@ -65,21 +63,12 @@ struct AsyncConfig {
   bool enable_range_steal = true;
   // A victim must hold at least this many live entries to be robbed.
   int range_steal_min_victim = 512;
-  // Fraction of the victim's entries the thief aims to take (from the
-  // high-priority tail downward, whole buckets at a time).
-  double range_steal_fraction = 0.5;
-
-  // Max worklist entries popped per batch.
-  int max_batch = 4096;
 
   // --- sends: a bundle walks the plane's route (EngineOptions::route) hop
   // by hop. A bundle under one 16 KiB router segment waits
   // flush_timeout_us * (1 - bytes / 16 KiB) at every hop; the default
   // timer of 0 never waits.
   double flush_timeout_us = 0.0;
-
-  // --- safety rails ---
-  long long max_batches = 20'000'000;
 };
 
 // Strict range validation for user-provided knobs (the CLI rejects a bad

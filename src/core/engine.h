@@ -30,8 +30,8 @@
 //   core/superstep.h       — the sharded apply that ends a data-driven
 //                            superstep
 //   core/time_accounting.h — the analytic device-time models
-// Results are bit-identical for every num_host_threads and num_msg_shards
-// setting; see DESIGN.md, "Determinism contract".
+// Results are bit-identical for every num_host_threads setting; see
+// DESIGN.md, "Determinism contract".
 //
 // Serving mode (DESIGN.md §13): build one GraphContext, then run many
 // queries against it — GumEngine(&context) plus a reused RunContext keeps
@@ -159,10 +159,10 @@ class GumEngine {
   // Runs the app against a caller-owned RunContext (reusable across runs —
   // the serving fast path; results are identical to a fresh context).
   // `run_options`, when non-null, overrides the context's options for this
-  // run only. It may change run-scoped knobs (fault plane, checkpoint and
-  // recovery configs, steal switches, max_iterations, expand backend,
+  // run only. It may change run-scoped knobs (fault plane, checkpoint
+  // config, steal switches, max_iterations, expand backend,
   // record_iteration_stats) but must keep the geometry-defining fields the
-  // context was built from (device, threads, shards, hub cache, topology).
+  // context was built from (device, threads, hub cache, topology).
   RunResult Run(App& app, RunContext<App>& rc,
                 std::vector<Value>* values_out = nullptr,
                 const EngineOptions* run_options = nullptr) {
@@ -265,7 +265,7 @@ class GumEngine {
         stats.fragment_load = census.loads;
         // Per-iteration expand-mode decision (DESIGN.md §12): depends only
         // on the census loads and the constant edge count, so it is
-        // deterministic for every thread and shard count.
+        // deterministic for every thread count.
         const ExpandMode mode =
             SelectExpandMode(options_.expand_backend, census.total_load,
                              static_cast<double>(g_.num_edges()));
@@ -342,13 +342,11 @@ class GumEngine {
         } else {
           // Nothing rolls back: charge the barrier timeout and continue
           // with the shrunk candidate set.
-          const double detect_ms =
-              options_.recovery.detect_timeout_us / 1000.0;
           for (const int d : survivors_) {
             result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
-                                 detect_ms);
+                                 fault::kDetectTimeoutMs);
           }
-          result_.faults.recovery_detect_ms += detect_ms;
+          result_.faults.recovery_detect_ms += fault::kDetectTimeoutMs;
           ++result_.faults.recovery_events;
         }
       }
@@ -400,14 +398,13 @@ class GumEngine {
                           ctx_.cost_model(), plane_, survivors_);
       OStealDecision dec = fault::RebuildOwnership(
           cost, census.loads, survivor_schedule_, group_.p_estimate_ns,
-          options_.osteal, static_cast<int>(survivors_.size()),
-          options_.enable_osteal);
+          static_cast<int>(survivors_.size()), options_.enable_osteal);
       stats.osteal_evaluated = options_.enable_osteal;
       std::vector<double> frag_bytes(n_);
       for (int i = 0; i < n_; ++i) frag_bytes[i] = FragmentStateBytes(i);
       const fault::RecoveryCharge charge = fault::ComputeRecoveryCharge(
-          options_.recovery, group_.owner_of_fragment, dec.owner, failed_,
-          frag_bytes, multipath_ ? &plane_ : nullptr);
+          group_.owner_of_fragment, dec.owner, failed_, frag_bytes,
+          multipath_ ? &plane_ : nullptr);
       AdoptOSteal(std::move(dec), /*always=*/true, stats);
       for (const int d : survivors_) {
         result_.timeline.Add(iter, d, sim::TimeCategory::kOverhead,
@@ -450,7 +447,7 @@ class GumEngine {
                           ctx_.cost_model(), plane_, survivors_);
       OStealDecision dec = DecideOSteal(
           cost, census.loads, survivor_schedule_, group_.p_estimate_ns,
-          options_.osteal, static_cast<int>(survivors_.size()));
+          static_cast<int>(survivors_.size()));
       stats.osteal_evaluated = true;
       if (dec.group_size != group_size) ChargeMigration(iter, dec.owner);
       AdoptOSteal(std::move(dec), /*always=*/false, stats);

@@ -13,7 +13,6 @@
 #include "core/osteal.h"
 #include "fault/checkpoint.h"
 #include "fault/fault_plane.h"
-#include "fault/recovery.h"
 #include "sim/comm_plane.h"
 #include "sim/device.h"
 
@@ -29,7 +28,7 @@ struct EngineOptions {
   // run through src/core/async/: per-device priority worklists drained in
   // micro-batches with no global barrier, termination via a charged
   // quiescence census. Async runs are seed-deterministic (byte-identical
-  // for a fixed async.seed across thread and shard counts) and converge
+  // for a fixed async.seed across thread counts) and converge
   // to the same fixpoint for monotone apps (DESIGN.md §7).
   EngineMode mode = EngineMode::kBsp;
   AsyncConfig async;
@@ -82,7 +81,7 @@ struct EngineOptions {
   // kScatter reproduces the pre-backend engine bit for bit (stdout and
   // values). kSpmv / kAuto change accounted time and message telemetry but
   // never values: every backend is byte-identical on values for every
-  // thread and shard count. Iterations that run a non-scatter mode skip
+  // thread count. Iterations that run a non-scatter mode skip
   // the frontier-steal solve (the linear-algebra backend does not
   // frontier-steal); ownership stealing stays active.
   ExpandBackendKind expand_backend = ExpandBackendKind::kScatter;
@@ -96,16 +95,11 @@ struct EngineOptions {
   // Host threads expanding the per-executor work units of Step 4
   // (core/expand/frontier_scatter.h). <= 0 selects the hardware
   // concurrency; 1 runs the units serially, depositing each message as it
-  // is emitted. Results are bit-identical for every setting (see
+  // is emitted. The message plane's merge and apply split the vertices
+  // into one destination shard per resolved thread (core/message_store.h
+  // ShardMap). Results are bit-identical for every setting (see
   // DESIGN.md, "Determinism contract").
   int num_host_threads = 0;
-  // Destination shards for the message plane: merge and apply parallelize
-  // over disjoint contiguous vertex ranges (core/message_store.h ShardMap).
-  // <= 0 matches the resolved host thread count. Results are bit-identical
-  // for every setting — a vertex lives in exactly one shard, so combine
-  // chains and first-writer attribution never change (DESIGN.md, "Sharded
-  // message plane").
-  int num_msg_shards = 0;
 
   // --- fault plane (src/fault/, DESIGN.md §11) ---
   // Deterministic fault schedule queried at every superstep barrier. Null,
@@ -117,7 +111,6 @@ struct EngineOptions {
   // honestly: each snapshot costs its owners a PCIe read-back, so turning
   // checkpoints on changes reported time (never values).
   fault::CheckpointConfig checkpoint;
-  fault::RecoveryConfig recovery;
 
   // --- safety rails ---
   int max_iterations = 200000;

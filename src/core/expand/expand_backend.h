@@ -14,7 +14,7 @@
 // A per-iteration density rule (frontier out-edges vs. total edges,
 // mirroring direction-optimized BFS's push/pull switch) selects the
 // direction. Both produce byte-identical vertex values for every thread
-// and shard count — the determinism contract (DESIGN.md §7) does not
+// count — the determinism contract (DESIGN.md §7) does not
 // depend on the direction. Only accounted time and message telemetry
 // differ: the pull reads remote adjacency instead of forwarding messages,
 // so its iterations charge remote-gather bytes and send zero messages.
@@ -55,8 +55,8 @@ const char* ExpandModeName(ExpandMode mode);
 bool ParseExpandBackendKind(std::string_view text, ExpandBackendKind* out);
 
 // The per-iteration direction decision. Depends only on the census loads
-// and the (constant) edge count, so it is deterministic across thread and
-// shard counts.
+// and the (constant) edge count, so it is deterministic across thread
+// counts.
 ExpandMode SelectExpandMode(ExpandBackendKind kind, double frontier_edges,
                             double total_edges);
 

@@ -30,9 +30,7 @@ GraphContext::GraphContext(const graph::CsrGraph* g,
   if (host_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(host_threads_);
   }
-  shard_map_ = ShardMap(g_->num_vertices(), options_.num_msg_shards > 0
-                                                ? options_.num_msg_shards
-                                                : host_threads_);
+  shard_map_ = ShardMap(g_->num_vertices(), host_threads_);
 }
 
 const PullEdges& GraphContext::pull_edges() const {

@@ -56,8 +56,8 @@ class GraphContext {
   const sim::ReductionSchedule& schedule() const { return schedule_; }
   const EdgeCostModel& cost_model() const { return cost_model_; }
   const HubCache& hub_cache() const { return hub_cache_; }
-  // Destination shards of the message plane (merge/apply parallel axis);
-  // derived from options().num_msg_shards and the resolved thread count.
+  // Destination shards of the message plane (merge/apply parallel axis):
+  // one per resolved host thread.
   const ShardMap& shard_map() const { return shard_map_; }
   int host_threads() const { return host_threads_; }
   // Null when host_threads() == 1 (the serial path).

@@ -14,7 +14,6 @@ OStealDecision DecideOSteal(const std::vector<std::vector<double>>& cost,
                             const std::vector<double>& loads,
                             const sim::ReductionSchedule& schedule,
                             double sync_per_peer_ns,
-                            const OStealConfig& config,
                             int max_group_size) {
   GUM_TRACE_SCOPE("osteal.decide");
   const int n = schedule.num_devices();
@@ -33,21 +32,15 @@ OStealDecision DecideOSteal(const std::vector<std::vector<double>>& cost,
     if (sync_per_peer_ns * m >= best.predicted_cost_ns) break;
     const std::vector<int> active = schedule.ActiveFor(m);
 
-    double z;
-    if (config.use_greedy) {
-      z = solver::GreedyStealPlan(cost, loads, active).makespan;
-    } else {
-      auto plan = solver::SolveStealProblem(cost, loads, active);
-      if (!plan.ok()) {
-        GUM_LOG(Warning) << "OSteal inner solve failed for m=" << m << ": "
-                         << plan.status().ToString();
-        continue;
-      }
-      best.lp_iterations_total += plan->lp_iterations;
-      best.milp_nodes_total += plan->milp_nodes;
-      z = plan->makespan;
+    auto plan = solver::SolveStealProblem(cost, loads, active);
+    if (!plan.ok()) {
+      GUM_LOG(Warning) << "OSteal inner solve failed for m=" << m << ": "
+                       << plan.status().ToString();
+      continue;
     }
-    const double total = z + sync_per_peer_ns * m;
+    best.lp_iterations_total += plan->lp_iterations;
+    best.milp_nodes_total += plan->milp_nodes;
+    const double total = plan->makespan + sync_per_peer_ns * m;
     if (total < best.predicted_cost_ns) {
       best.predicted_cost_ns = total;
       best.group_size = m;

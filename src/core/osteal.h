@@ -20,7 +20,6 @@ struct OStealConfig {
   // Example 5: evaluate OSteal only when the previous iteration's wall time
   // fell below this threshold (synchronization-bound regime).
   double t3_trigger_ms = 2.0;
-  bool use_greedy = false;  // LPT instead of the MILP inside the enumeration
 };
 
 struct OStealDecision {
@@ -59,7 +58,6 @@ OStealDecision DecideOSteal(const std::vector<std::vector<double>>& cost,
                             const std::vector<double>& loads,
                             const sim::ReductionSchedule& schedule,
                             double sync_per_peer_ns,
-                            const OStealConfig& config,
                             int max_group_size = 0);
 
 }  // namespace gum::core

@@ -11,12 +11,12 @@ core::OStealDecision RebuildOwnership(
     const std::vector<std::vector<double>>& cost,
     const std::vector<double>& loads,
     const sim::ReductionSchedule& survivor_schedule, double sync_per_peer_ns,
-    const core::OStealConfig& config, int num_survivors, bool enumerate) {
+    int num_survivors, bool enumerate) {
   GUM_CHECK(num_survivors >= 1 &&
             num_survivors <= survivor_schedule.num_devices());
   if (enumerate) {
     return core::DecideOSteal(cost, loads, survivor_schedule,
-                              sync_per_peer_ns, config, num_survivors);
+                              sync_per_peer_ns, num_survivors);
   }
   // OSteal disabled: no voluntary shrinking, the group is every survivor.
   core::OStealDecision dec;
@@ -28,15 +28,15 @@ core::OStealDecision RebuildOwnership(
 }
 
 RecoveryCharge ComputeRecoveryCharge(
-    const RecoveryConfig& config, const std::vector<int>& ckpt_owner,
-    const std::vector<int>& new_owner, const std::vector<bool>& failed,
+    const std::vector<int>& ckpt_owner, const std::vector<int>& new_owner,
+    const std::vector<bool>& failed,
     const std::vector<double>& fragment_bytes,
     const sim::CommPlane* multipath_plane) {
   const size_t n = ckpt_owner.size();
   GUM_CHECK(new_owner.size() == n && failed.size() == n &&
             fragment_bytes.size() == n);
   RecoveryCharge charge;
-  charge.detect_ms = config.detect_timeout_us / 1000.0;
+  charge.detect_ms = kDetectTimeoutMs;
   charge.per_device_ms.assign(n, 0.0);
   // Per-device read/migration time. Legacy (null plane): every byte rides
   // the single PCIe host lane — bytes accumulate per device and convert

@@ -20,11 +20,9 @@
 
 namespace gum::fault {
 
-struct RecoveryConfig {
-  // Simulated barrier timeout before the survivors declare a silent peer
-  // dead and start recovery (charged to every survivor).
-  double detect_timeout_us = 500.0;
-};
+// Simulated barrier timeout before the survivors declare a silent peer
+// dead and start recovery (500 µs, charged to every survivor).
+inline constexpr double kDetectTimeoutMs = 0.5;
 
 // Per-event recovery charges (simulated ms). restore/migrate are the
 // slowest device's share (the barrier waits for the last reader);
@@ -47,7 +45,7 @@ core::OStealDecision RebuildOwnership(
     const std::vector<std::vector<double>>& cost,
     const std::vector<double>& loads,
     const sim::ReductionSchedule& survivor_schedule, double sync_per_peer_ns,
-    const core::OStealConfig& config, int num_survivors, bool enumerate);
+    int num_survivors, bool enumerate);
 
 // Charges for one recovery event. `ckpt_owner` / `new_owner` are the
 // fragment ownership vectors before and after RebuildOwnership;
@@ -64,8 +62,8 @@ core::OStealDecision RebuildOwnership(
 // read-backs stripe across the device's PCIe lane plus its fastest NVLink
 // relay. Null reproduces the single-path PCIe charges bit for bit.
 RecoveryCharge ComputeRecoveryCharge(
-    const RecoveryConfig& config, const std::vector<int>& ckpt_owner,
-    const std::vector<int>& new_owner, const std::vector<bool>& failed,
+    const std::vector<int>& ckpt_owner, const std::vector<int>& new_owner,
+    const std::vector<bool>& failed,
     const std::vector<double>& fragment_bytes,
     const sim::CommPlane* multipath_plane = nullptr);
 

@@ -1,7 +1,7 @@
 // Async engine mode (src/core/async/, DESIGN.md §15): worklist unit tests,
 // convergence-to-reference for every async-capable app, the relaxed
-// determinism contract — byte-reproducible for a fixed seed across the
-// full {1,2,4,8} threads x {1,4} shards matrix (DESIGN.md §7) — and golden
+// determinism contract — byte-reproducible for a fixed seed across host
+// thread counts {1,2,3,4,8} (DESIGN.md §7) — and golden
 // pins for the driver and its Groute preset.
 
 #include <bit>
@@ -268,41 +268,35 @@ TEST(AsyncEngineTest, SmqWorklistStillExact) {
 
 // The relaxed determinism contract (DESIGN.md §7): for a fixed
 // AsyncConfig::seed the whole run — values, simulated time, batch and
-// steal counts — is byte-reproducible across every host-thread and
-// message-shard count, for both worklist flavors and all three
-// acceptance apps.
+// steal counts — is byte-reproducible across every host-thread count, for
+// both worklist flavors and all three acceptance apps.
 // `run(options, &values)` runs one cell of the matrix.
 template <typename Value, typename RunFn>
 void ExpectThreadDeterminism(const EngineOptions& base, RunFn run) {
   std::vector<Value> ref_values;
   RunResult ref;
   bool have_ref = false;
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      EngineOptions opt = base;
-      opt.num_host_threads = threads;
-      opt.num_msg_shards = shards;
-      std::vector<Value> values;
-      const RunResult result = run(opt, &values);
-      if (!have_ref) {
-        ref_values = values;
-        ref = result;
-        have_ref = true;
-        continue;
-      }
-      ASSERT_EQ(values.size(), ref_values.size());
-      for (size_t v = 0; v < values.size(); ++v) {
-        ASSERT_EQ(std::memcmp(&values[v], &ref_values[v], sizeof(Value)), 0)
-            << "vertex " << v << " differs at threads=" << threads
-            << " shards=" << shards;
-      }
-      EXPECT_EQ(result.total_ms, ref.total_ms)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(result.async_batches, ref.async_batches);
-      EXPECT_EQ(result.messages_sent, ref.messages_sent);
-      EXPECT_EQ(result.async_range_steals, ref.async_range_steals);
-      EXPECT_EQ(result.quiescence_rounds, ref.quiescence_rounds);
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    EngineOptions opt = base;
+    opt.num_host_threads = threads;
+    std::vector<Value> values;
+    const RunResult result = run(opt, &values);
+    if (!have_ref) {
+      ref_values = values;
+      ref = result;
+      have_ref = true;
+      continue;
     }
+    ASSERT_EQ(values.size(), ref_values.size());
+    for (size_t v = 0; v < values.size(); ++v) {
+      ASSERT_EQ(std::memcmp(&values[v], &ref_values[v], sizeof(Value)), 0)
+          << "vertex " << v << " differs at threads=" << threads;
+    }
+    EXPECT_EQ(result.total_ms, ref.total_ms) << "threads=" << threads;
+    EXPECT_EQ(result.async_batches, ref.async_batches);
+    EXPECT_EQ(result.messages_sent, ref.messages_sent);
+    EXPECT_EQ(result.async_range_steals, ref.async_range_steals);
+    EXPECT_EQ(result.quiescence_rounds, ref.quiescence_rounds);
   }
 }
 

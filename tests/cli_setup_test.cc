@@ -25,7 +25,6 @@ TEST(CliSetupTest, DefaultsWhenOnlyTheGeneratorIsGiven) {
   EXPECT_EQ(s->devices, 8);
   EXPECT_EQ(s->partition.kind, graph::PartitionerKind::kRandom);
   EXPECT_EQ(s->options.num_host_threads, 0);
-  EXPECT_EQ(s->options.num_msg_shards, 0);
   EXPECT_EQ(s->options.checkpoint.every, 0);
   EXPECT_TRUE(s->options.enable_fsteal);
   EXPECT_FALSE(s->fault_plane.active());
@@ -50,7 +49,6 @@ TEST(CliSetupTest, RejectsBadNumericValuesNamingTheFlag) {
       {"--gen=rmat", "--scale=31"},
       {"--gen=rmat", "--seed=abc"},
       {"--gen=rmat", "--devices=9"},
-      {"--gen=rmat", "--msg-shards=xyz"},
       {"--gen=rmat", "--host-threads=-5"},
       {"--gen=rmat", "--ckpt-every=-3"},
       {"--gen=rmat", "--fault-seed=-1"},

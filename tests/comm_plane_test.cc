@@ -642,29 +642,26 @@ TEST(CommPlaneEngineTest, MultipathChangesOnlyTimeAcrossThreadsAndShards) {
   BfsApp app;
   app.source = MaxDegreeSource(g);
   const auto part = MakePartition(g, 4);
-  auto run = [&](MultipathMode multipath, int threads, int shards,
+  auto run = [&](MultipathMode multipath, int threads,
                  std::vector<uint32_t>* depths) {
     auto opt = TestEngineOptions();
     opt.contention = ContentionModel::kFair;
     opt.multipath = multipath;
     opt.num_host_threads = threads;
-    opt.num_msg_shards = shards;
     opt.enable_osteal = true;
     core::GumEngine<BfsApp> engine(&g, part, Topo(4), opt);
     return engine.Run(app, depths);
   };
   std::vector<uint32_t> base;
-  const auto off = run(MultipathMode::kOff, 1, 1, &base);
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      std::vector<uint32_t> depths;
-      const auto on = run(MultipathMode::kOn, threads, shards, &depths);
-      EXPECT_EQ(depths, base) << threads << " threads, " << shards
-                              << " shards";
-      EXPECT_EQ(on.iterations, off.iterations);
-      EXPECT_EQ(on.edges_processed, off.edges_processed);
-      EXPECT_TRUE(on.multipath_active);
-    }
+  const auto off = run(MultipathMode::kOff, 1, &base);
+  // One message shard per thread: 3 threads cut an odd shard count.
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    std::vector<uint32_t> depths;
+    const auto on = run(MultipathMode::kOn, threads, &depths);
+    EXPECT_EQ(depths, base) << threads << " threads";
+    EXPECT_EQ(on.iterations, off.iterations);
+    EXPECT_EQ(on.edges_processed, off.edges_processed);
+    EXPECT_TRUE(on.multipath_active);
   }
   // And the knob is observable: the on-run exports striping telemetry,
   // the off-run none.

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/bitmap.h"
-#include "common/parallel_primitives.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/table_printer.h"
@@ -188,32 +187,6 @@ TEST(BitmapTest, ClearAndAny) {
   bm.Clear();
   EXPECT_FALSE(bm.Any());
   EXPECT_EQ(bm.Count(), 0u);
-}
-
-// ---------- prefix sums / sorted search ----------
-
-TEST(PrimitivesTest, ExclusivePrefixSum) {
-  const std::vector<int> in = {3, 0, 5, 2};
-  const auto out = ExclusivePrefixSum(in);
-  EXPECT_EQ(out, (std::vector<int>{0, 3, 3, 8, 10}));
-}
-
-TEST(PrimitivesTest, InclusivePrefixSum) {
-  const std::vector<int> in = {3, 0, 5, 2};
-  EXPECT_EQ(InclusivePrefixSum(in), (std::vector<int>{3, 3, 8, 10}));
-}
-
-TEST(PrimitivesTest, EmptyPrefixSums) {
-  EXPECT_EQ(ExclusivePrefixSum(std::vector<int>{}),
-            (std::vector<int>{0}));
-  EXPECT_TRUE(InclusivePrefixSum(std::vector<int>{}).empty());
-}
-
-TEST(PrimitivesTest, SortedSearchLowerBounds) {
-  const std::vector<int> haystack = {2, 4, 4, 8};
-  const std::vector<int> needles = {0, 2, 3, 4, 5, 8, 9};
-  EXPECT_EQ(SortedSearchLower(haystack, needles),
-            (std::vector<size_t>{0, 0, 1, 1, 3, 3, 4}));
 }
 
 // ---------- table printer ----------

@@ -278,8 +278,8 @@ TEST(ValidateRunOptionsTest, AsyncRejectsAppWithoutPriority) {
 
 TEST(ValidateRunOptionsTest, AsyncRejectsInvalidAsyncConfig) {
   EngineOptions opt = AsyncRunOptions();
-  opt.async.max_batch = 0;
-  ExpectRejected(ValidateDataDriven(opt), "max_batch");
+  opt.async.steal_prob = 1.5;
+  ExpectRejected(ValidateDataDriven(opt), "--steal-prob");
   // BSP runs never read the async knobs.
   opt.mode = EngineMode::kBsp;
   EXPECT_TRUE(ValidateDataDriven(opt).ok());

@@ -1,12 +1,12 @@
 // Step 4's directions (core/expand/, DESIGN.md §12): every --expand kind —
 // frontier scatter, SpMV push/pull, and the auto density rule — must
-// produce byte-identical vertex values for every host-thread and message-
-// shard count, on every bundled algorithm. The stationary gather, with the
-// apply it runs, and the one-thread direct deposit must reproduce the
-// staged scatter path counter for counter, and the pull its store and
-// values under its own charge rule. The suite lives in the parallel test
-// binary so the TSan CI job watches the gather's block parallelism and the
-// payload passes for races.
+// produce byte-identical vertex values for every host-thread count (one
+// message shard per thread), on every bundled algorithm. The stationary
+// gather, with the apply it runs, and the one-thread direct deposit must
+// reproduce the staged scatter path counter for counter, and the pull its
+// store and values under its own charge rule. The suite lives in the
+// parallel test binary so the TSan CI job watches the gather's block
+// parallelism and the payload passes for races.
 
 #include <algorithm>
 #include <bit>
@@ -50,12 +50,11 @@ template <typename App>
 std::vector<typename App::Value> RunValues(const graph::CsrGraph& g,
                                            const graph::Partition& part,
                                            App app, ExpandBackendKind backend,
-                                           int threads, int shards,
+                                           int threads,
                                            RunResult* result_out = nullptr) {
   EngineOptions opt = TestEngineOptions();
   opt.expand_backend = backend;
   opt.num_host_threads = threads;
-  opt.num_msg_shards = shards;
   GumEngine<App> engine(&g, part, Topo(part.num_parts), opt);
   std::vector<typename App::Value> values;
   RunResult result = engine.Run(app, &values);
@@ -63,24 +62,22 @@ std::vector<typename App::Value> RunValues(const graph::CsrGraph& g,
   return values;
 }
 
-// Scatter at {threads=1, shards=1} is the reference: every backend at every
-// point of the {1,2,4,8} threads x {1,4} shards matrix must match it bit
-// for bit.
+// Scatter at one thread is the reference: every backend at every thread
+// count of {1,2,3,4,8} (one shard per thread, 3 an odd count) must match it
+// bit for bit.
 template <typename App>
 void ExpectBackendMatrixIdentical(const graph::CsrGraph& g,
                                   const graph::Partition& part, App app) {
   const auto reference =
-      RunValues(g, part, app, ExpandBackendKind::kScatter, 1, 1);
+      RunValues(g, part, app, ExpandBackendKind::kScatter, 1);
   for (const auto backend : {ExpandBackendKind::kScatter,
                              ExpandBackendKind::kSpmv,
                              ExpandBackendKind::kAuto}) {
-    for (const int threads : {1, 2, 4, 8}) {
-      for (const int shards : {1, 4}) {
-        const auto values = RunValues(g, part, app, backend, threads, shards);
-        EXPECT_EQ(values, reference)
-            << "backend=" << ExpandBackendKindName(backend)
-            << " threads=" << threads << " shards=" << shards;
-      }
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      const auto values = RunValues(g, part, app, backend, threads);
+      EXPECT_EQ(values, reference)
+          << "backend=" << ExpandBackendKindName(backend)
+          << " threads=" << threads;
     }
   }
 }
@@ -128,10 +125,10 @@ TEST(ExpandBackendTest, DeltaPageRankUsesScatterFallbackPath) {
   DeltaPageRankApp app;
   app.num_vertices = g.num_vertices();
   const auto reference =
-      RunValues(g, part, app, ExpandBackendKind::kScatter, 1, 1);
+      RunValues(g, part, app, ExpandBackendKind::kScatter, 1);
   for (const int threads : {1, 4}) {
     const auto values =
-        RunValues(g, part, app, ExpandBackendKind::kSpmv, threads, 4);
+        RunValues(g, part, app, ExpandBackendKind::kSpmv, threads);
     ASSERT_EQ(values.size(), reference.size());
     for (size_t v = 0; v < values.size(); ++v) {
       EXPECT_EQ(values[v].rank, reference[v].rank)
@@ -398,21 +395,18 @@ TEST(StationaryExpandTest, CountersStoreAndValuesMatchStagedPath) {
     for (const int devices : {1, 3, 8}) {
       const graph::Partition part = MakePartition(graphs[gi], devices);
       for (const int threads : {1, 2, 3, 4, 8}) {
-        for (const int shards : {1, 4}) {
-          for (const bool hub : {true, false}) {
-            EngineOptions opt = TestEngineOptions();
-            opt.num_host_threads = threads;
-            opt.num_msg_shards = shards;
-            opt.enable_hub_cache = hub;
-            const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
-            for (const bool fsteal : {true, false}) {
-              SCOPED_TRACE(testing::Message()
-                           << "graph " << gi << " devices=" << devices
-                           << " threads=" << threads << " shards=" << shards
-                           << " hub=" << hub << " fsteal=" << fsteal);
-              ExpectStationaryMatchesStaged(ctx, fsteal, hub, arrivals);
-              if (HasFatalFailure()) return;
-            }
+        for (const bool hub : {true, false}) {
+          EngineOptions opt = TestEngineOptions();
+          opt.num_host_threads = threads;
+          opt.enable_hub_cache = hub;
+          const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+          for (const bool fsteal : {true, false}) {
+            SCOPED_TRACE(testing::Message()
+                         << "graph " << gi << " devices=" << devices
+                         << " threads=" << threads << " hub=" << hub
+                         << " fsteal=" << fsteal);
+            ExpectStationaryMatchesStaged(ctx, fsteal, hub, arrivals);
+            if (HasFatalFailure()) return;
           }
         }
       }
@@ -544,22 +538,19 @@ TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     for (const int devices : {1, 3, 8}) {
       const graph::Partition part = MakePartition(graphs[gi], devices);
-      for (const int threads : {2, 4}) {
-        for (const int shards : {1, 4}) {
-          for (const bool hub : {true, false}) {
-            EngineOptions opt = TestEngineOptions();
-            opt.num_host_threads = threads;
-            opt.num_msg_shards = shards;
-            opt.enable_hub_cache = hub;
-            const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
-            for (const bool fsteal : {true, false}) {
-              SCOPED_TRACE(testing::Message()
-                           << "graph " << gi << " devices=" << devices
-                           << " threads=" << threads << " shards=" << shards
-                           << " hub=" << hub << " fsteal=" << fsteal);
-              ExpectSerialMatchesStaged(ctx, fsteal, hub);
-              if (HasFatalFailure()) return;
-            }
+      for (const int threads : {2, 3, 4}) {
+        for (const bool hub : {true, false}) {
+          EngineOptions opt = TestEngineOptions();
+          opt.num_host_threads = threads;
+          opt.enable_hub_cache = hub;
+          const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+          for (const bool fsteal : {true, false}) {
+            SCOPED_TRACE(testing::Message()
+                         << "graph " << gi << " devices=" << devices
+                         << " threads=" << threads << " hub=" << hub
+                         << " fsteal=" << fsteal);
+            ExpectSerialMatchesStaged(ctx, fsteal, hub);
+            if (HasFatalFailure()) return;
           }
         }
       }
@@ -653,21 +644,18 @@ TEST(PullExpandTest, StoreValuesAndChargesMatchScatter) {
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     for (const int devices : {1, 3, 8}) {
       const graph::Partition part = MakePartition(graphs[gi], devices);
-      for (const int threads : {2, 4}) {
-        for (const int shards : {1, 4}) {
-          EngineOptions opt = TestEngineOptions();
-          opt.num_host_threads = threads;
-          opt.num_msg_shards = shards;
-          const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
-          ThreadPool* const pools[] = {ctx.pool(), nullptr};
-          for (ThreadPool* pool : pools) {
-            SCOPED_TRACE(testing::Message()
-                         << "graph " << gi << " devices=" << devices
-                         << " threads=" << threads << " shards=" << shards
-                         << " pool=" << (pool != nullptr));
-            ExpectPullMatchesScatter(ctx, pool);
-            if (HasFatalFailure()) return;
-          }
+      for (const int threads : {2, 3, 4}) {
+        EngineOptions opt = TestEngineOptions();
+        opt.num_host_threads = threads;
+        const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+        ThreadPool* const pools[] = {ctx.pool(), nullptr};
+        for (ThreadPool* pool : pools) {
+          SCOPED_TRACE(testing::Message()
+                       << "graph " << gi << " devices=" << devices
+                       << " threads=" << threads
+                       << " pool=" << (pool != nullptr));
+          ExpectPullMatchesScatter(ctx, pool);
+          if (HasFatalFailure()) return;
         }
       }
     }
@@ -753,7 +741,7 @@ TEST(ExpandBackendTest, EdgelessPageRankAppliesEveryVertexUnderSpmvPush) {
   const std::vector<double> want =
       algos::ref::PageRank(g, app.damping, app.rounds);
   const auto scatter =
-      RunValues(g, part, app, ExpandBackendKind::kScatter, 1, 1);
+      RunValues(g, part, app, ExpandBackendKind::kScatter, 1);
   ASSERT_EQ(scatter.size(), want.size());
   for (size_t v = 0; v < want.size(); ++v) {
     EXPECT_DOUBLE_EQ(scatter[v], want[v]) << "v=" << v;
@@ -761,7 +749,7 @@ TEST(ExpandBackendTest, EdgelessPageRankAppliesEveryVertexUnderSpmvPush) {
   for (const int threads : {1, 3}) {
     RunResult result;
     const auto values = RunValues(g, part, app, ExpandBackendKind::kSpmv,
-                                  threads, 4, &result);
+                                  threads, &result);
     EXPECT_EQ(values, scatter) << "threads=" << threads;
     EXPECT_EQ(result.iterations, app.rounds);
   }
@@ -861,11 +849,11 @@ TEST(ExpandBackendTest, AutoSwitchPointIsDeterministicAcrossThreads) {
   app.source = MaxDegreeSource(g);
   RunResult reference_result;
   const auto reference = RunValues(g, part, app, ExpandBackendKind::kAuto, 1,
-                                   1, &reference_result);
+                                   &reference_result);
   for (const int threads : {2, 4, 8}) {
     RunResult result;
     const auto values = RunValues(g, part, app, ExpandBackendKind::kAuto,
-                                  threads, 4, &result);
+                                  threads, &result);
     EXPECT_EQ(values, reference) << "threads=" << threads;
     EXPECT_EQ(result.iterations, reference_result.iterations);
     EXPECT_DOUBLE_EQ(result.total_ms, reference_result.total_ms);

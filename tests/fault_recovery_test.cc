@@ -397,7 +397,6 @@ TEST(FaultRecoveryTest, FailStopRecoveryExactUnderMultipath) {
 // whose checkpoint owner survived rides the striped NVLink paths, which
 // beat the legacy host PCIe round-trip.
 TEST(FaultRecoveryTest, MultipathRecoveryChargeBeatsLegacy) {
-  const fault::RecoveryConfig config;
   // Eight fragments on eight devices. Device 1 is dead: fragment 1
   // migrates to device 2 (host read-back — its checkpoint owner is gone),
   // and fragment 3 is rebalanced from the *surviving* device 3 to device 4
@@ -409,13 +408,13 @@ TEST(FaultRecoveryTest, MultipathRecoveryChargeBeatsLegacy) {
   const std::vector<double> fragment_bytes(8, 4e6);
 
   const fault::RecoveryCharge legacy = fault::ComputeRecoveryCharge(
-      config, ckpt_owner, new_owner, failed, fragment_bytes);
+      ckpt_owner, new_owner, failed, fragment_bytes);
 
   sim::CommPlane plane(sim::Topology::HybridCubeMesh8(),
                        sim::ContentionModel::kFair);
   plane.set_multipath(true);
   const fault::RecoveryCharge striped = fault::ComputeRecoveryCharge(
-      config, ckpt_owner, new_owner, failed, fragment_bytes, &plane);
+      ckpt_owner, new_owner, failed, fragment_bytes, &plane);
 
   EXPECT_EQ(legacy.fragments_migrated, 2);
   EXPECT_EQ(striped.fragments_migrated, 2);

@@ -371,14 +371,8 @@ TEST(FlagsTest, AsyncConfigRejectsOutOfRangeKnobsLoudly) {
   reject([](core::AsyncConfig& c) { c.steal_prob = -0.1; }, "--steal-prob");
   reject([](core::AsyncConfig& c) { c.steal_batch_size = 0; },
          "--steal-batch");
-  reject([](core::AsyncConfig& c) { c.smq_queues = 0; }, "smq_queues");
   reject([](core::AsyncConfig& c) { c.range_steal_min_victim = -1; },
          "range_steal_min_victim");
-  reject([](core::AsyncConfig& c) { c.range_steal_fraction = 0.0; },
-         "range_steal_fraction");
-  reject([](core::AsyncConfig& c) { c.range_steal_fraction = 1.5; },
-         "range_steal_fraction");
-  reject([](core::AsyncConfig& c) { c.max_batch = 0; }, "max_batch");
 }
 
 // A parsed flag set maps onto AsyncConfig exactly the way gum_cli binds it.

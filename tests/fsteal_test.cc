@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel_primitives.h"
 #include "core/census.h"
 #include "core/fsteal.h"
 #include "core/hub_cache.h"
@@ -238,6 +237,30 @@ TEST(SelectStolenRangesTest, AllQuotaToOneWorker) {
   EXPECT_EQ(ranges[1].first, 0u);
   EXPECT_EQ(ranges[1].second, frontier.size());
   EXPECT_EQ(ranges[2].first, ranges[2].second);
+}
+
+// Inclusive prefix sum: out[i] = sum of in[0..i].
+std::vector<uint64_t> InclusivePrefixSum(const std::vector<uint64_t>& in) {
+  std::vector<uint64_t> out(in.size());
+  uint64_t running = 0;
+  for (size_t i = 0; i < in.size(); ++i) {
+    running += in[i];
+    out[i] = running;
+  }
+  return out;
+}
+
+// For each needle, the index of the first element of the ascending
+// haystack that is >= needle (ModernGPU's SortedSearch<MgpuBoundsLower>).
+std::vector<size_t> SortedSearchLower(const std::vector<uint64_t>& haystack,
+                                      const std::vector<uint64_t>& needles) {
+  std::vector<size_t> out(needles.size());
+  for (size_t i = 0; i < needles.size(); ++i) {
+    out[i] = static_cast<size_t>(
+        std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
+        haystack.begin());
+  }
+  return out;
 }
 
 // SelectStolenRanges as it was before the census kept the degree prefix:

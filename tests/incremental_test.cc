@@ -1,7 +1,7 @@
 // Incremental-recompute tests (DESIGN.md §14). The load-bearing contract:
 // after every mutation epoch, the incremental session's values byte-equal
 // a full recompute on the mutated graph — across batch sizes, host thread
-// counts, shard counts, and expand backends. Plus the planner's soundness
+// counts, and expand backends. Plus the planner's soundness
 // decisions (skip / warm incremental / checkpoint fallback) and the
 // mutations x fault-plane compose.
 
@@ -71,18 +71,15 @@ void ExpectIncrementalEqualsFull(const CsrGraph& base, bool symmetric,
     for (size_t v = 0; v < full.size(); ++v) {
       ASSERT_EQ(session.values()[v], full[v])
           << "epoch " << e << " vertex " << v << " diverged (threads="
-          << options.num_host_threads << ", shards="
-          << options.num_msg_shards << ", expand="
+          << options.num_host_threads << ", expand="
           << core::ExpandBackendKindName(options.expand_backend) << ")";
     }
   }
 }
 
-core::EngineOptions Options(int threads, int shards,
-                            core::ExpandBackendKind backend) {
+core::EngineOptions Options(int threads, core::ExpandBackendKind backend) {
   core::EngineOptions opt = test::TestEngineOptions();
   opt.num_host_threads = threads;
-  opt.num_msg_shards = shards;
   opt.expand_backend = backend;
   return opt;
 }
@@ -92,17 +89,16 @@ constexpr core::ExpandBackendKind kBackends[] = {
     core::ExpandBackendKind::kAuto};
 
 // --- the determinism matrix: every algorithm, geometry, and backend ---
+// (one message shard per thread; 3 threads cut an odd shard count)
 
 TEST(IncrementalEqualsFullTest, BfsAcrossGeometryAndBackends) {
   const CsrGraph base = test::SocialGraph(8);
   BfsApp app;
   app.source = test::MaxDegreeSource(base);
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      for (const auto backend : kBackends) {
-        ExpectIncrementalEqualsFull(base, false, "rand:3x16", 21, app,
-                                    Options(threads, shards, backend));
-      }
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    for (const auto backend : kBackends) {
+      ExpectIncrementalEqualsFull(base, false, "rand:3x16", 21, app,
+                                  Options(threads, backend));
     }
   }
 }
@@ -111,12 +107,10 @@ TEST(IncrementalEqualsFullTest, SsspAcrossGeometryAndBackends) {
   const CsrGraph base = test::SocialGraph(8, 2, /*weighted=*/true);
   SsspApp app;
   app.source = test::MaxDegreeSource(base);
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      for (const auto backend : kBackends) {
-        ExpectIncrementalEqualsFull(base, false, "rand:3x16", 22, app,
-                                    Options(threads, shards, backend));
-      }
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    for (const auto backend : kBackends) {
+      ExpectIncrementalEqualsFull(base, false, "rand:3x16", 22, app,
+                                  Options(threads, backend));
     }
   }
 }
@@ -124,12 +118,10 @@ TEST(IncrementalEqualsFullTest, SsspAcrossGeometryAndBackends) {
 TEST(IncrementalEqualsFullTest, WccAcrossGeometryAndBackends) {
   const CsrGraph base = test::SocialGraphSym(8);
   WccApp app;
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      for (const auto backend : kBackends) {
-        ExpectIncrementalEqualsFull(base, /*symmetric=*/true, "rand:3x16", 23,
-                                    app, Options(threads, shards, backend));
-      }
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    for (const auto backend : kBackends) {
+      ExpectIncrementalEqualsFull(base, /*symmetric=*/true, "rand:3x16", 23,
+                                  app, Options(threads, backend));
     }
   }
 }
@@ -139,12 +131,10 @@ TEST(IncrementalEqualsFullTest, PageRankAcrossGeometryAndBackends) {
   PageRankApp app;
   app.num_vertices = base.num_vertices();
   app.rounds = 10;
-  for (const int threads : {1, 2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      for (const auto backend : kBackends) {
-        ExpectIncrementalEqualsFull(base, false, "rand:3x16", 24, app,
-                                    Options(threads, shards, backend));
-      }
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    for (const auto backend : kBackends) {
+      ExpectIncrementalEqualsFull(base, false, "rand:3x16", 24, app,
+                                  Options(threads, backend));
     }
   }
 }
@@ -161,7 +151,7 @@ TEST(IncrementalEqualsFullTest, BatchSizeSweep) {
           std::string(kind) + ":2x" + std::to_string(per_epoch);
       ExpectIncrementalEqualsFull(
           base, false, spec, 31, app,
-          Options(4, 4, core::ExpandBackendKind::kScatter));
+          Options(4, core::ExpandBackendKind::kScatter));
     }
   }
 }

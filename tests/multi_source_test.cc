@@ -1,7 +1,7 @@
 // Determinism tests for bit-parallel multi-source batching
 // (algos/multi_source.h, DESIGN.md §13): every lane of a batched BFS/SSSP
 // wave must be byte-identical to the sequential single-source run — for
-// every host thread count, shard count, and expand backend — and reusing
+// every host thread count and expand backend — and reusing
 // one RunContext across runs must change nothing.
 
 #include <gtest/gtest.h>
@@ -34,12 +34,10 @@ std::vector<VertexId> BatchSources(const graph::CsrGraph& g, int count) {
   return sources;
 }
 
-core::EngineOptions Options(ExpandBackendKind backend, int threads,
-                            int shards) {
+core::EngineOptions Options(ExpandBackendKind backend, int threads) {
   core::EngineOptions opt = test::TestEngineOptions();
   opt.expand_backend = backend;
   opt.num_host_threads = threads;
-  opt.num_msg_shards = shards;
   return opt;
 }
 
@@ -98,27 +96,25 @@ void CheckBatchedMatchesSequential(int batch_size) {
   std::vector<std::vector<SingleValue>> reference;
   for (const VertexId s : sources) {
     reference.push_back(RunOnce(
-        g, partition, Options(ExpandBackendKind::kScatter, 1, 1),
+        g, partition, Options(ExpandBackendKind::kScatter, 1),
         Case::Single(s)));
   }
 
   for (const ExpandBackendKind backend :
        {ExpandBackendKind::kScatter, ExpandBackendKind::kSpmv,
         ExpandBackendKind::kAuto}) {
-    for (const int threads : {1, 2, 4, 8}) {
-      for (const int shards : {1, 4}) {
-        SCOPED_TRACE(testing::Message()
-                     << "backend=" << static_cast<int>(backend)
-                     << " threads=" << threads << " shards=" << shards);
-        const auto batched =
-            RunOnce(g, partition, Options(backend, threads, shards),
-                    typename Case::BatchApp(sources));
-        for (size_t lane = 0; lane < sources.size(); ++lane) {
-          // Byte-identical per lane, not approximately equal.
-          ASSERT_EQ(Case::Lane(batched, static_cast<int>(lane)),
-                    reference[lane])
-              << "lane " << lane << " (source " << sources[lane] << ")";
-        }
+    // One message shard per thread: 3 threads cut an odd shard count.
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "backend=" << static_cast<int>(backend)
+                   << " threads=" << threads);
+      const auto batched = RunOnce(g, partition, Options(backend, threads),
+                                   typename Case::BatchApp(sources));
+      for (size_t lane = 0; lane < sources.size(); ++lane) {
+        // Byte-identical per lane, not approximately equal.
+        ASSERT_EQ(Case::Lane(batched, static_cast<int>(lane)),
+                  reference[lane])
+            << "lane " << lane << " (source " << sources[lane] << ")";
       }
     }
   }
@@ -145,10 +141,10 @@ TEST(MultiSourceBfsTest, SingleLaneBatchMatchesPlainBfs) {
   const graph::Partition partition = test::MakePartition(g, 2);
   const VertexId s = test::MaxDegreeSource(g);
   const auto ref = RunOnce(g, partition,
-                           Options(ExpandBackendKind::kScatter, 2, 2),
+                           Options(ExpandBackendKind::kScatter, 2),
                            BfsCase::Single(s));
   const auto batched =
-      RunOnce(g, partition, Options(ExpandBackendKind::kScatter, 2, 2),
+      RunOnce(g, partition, Options(ExpandBackendKind::kScatter, 2),
               algos::MultiSourceBfsApp({s}));
   EXPECT_EQ(algos::ExtractBfsLane(batched, 0), ref);
 }
@@ -160,7 +156,7 @@ TEST(MultiSourceTest, RunContextReuseIsByteIdentical) {
   const graph::CsrGraph g = test::SocialGraph(10, 2);
   const graph::Partition partition = test::MakePartition(g, 4);
   const core::GraphContext ctx(&g, partition, test::Topo(4),
-                               Options(ExpandBackendKind::kAuto, 4, 4));
+                               Options(ExpandBackendKind::kAuto, 4));
   core::GumEngine<algos::MultiSourceBfsApp> engine(&ctx);
   core::RunContext<algos::MultiSourceBfsApp> rc;
 
@@ -202,7 +198,7 @@ TEST(MultiSourceTest, SharedContextServesSingleAndBatchedEngines) {
   const graph::CsrGraph g = test::SocialGraph(10, 2);
   const graph::Partition partition = test::MakePartition(g, 4);
   const core::GraphContext ctx(&g, partition, test::Topo(4),
-                               Options(ExpandBackendKind::kScatter, 2, 2));
+                               Options(ExpandBackendKind::kScatter, 2));
 
   const VertexId s = test::MaxDegreeSource(g);
   core::GumEngine<algos::BfsApp> single(&ctx);
@@ -219,7 +215,7 @@ TEST(MultiSourceTest, SharedContextServesSingleAndBatchedEngines) {
 
   // And the legacy-constructed engine (owning its context) agrees.
   const auto legacy = RunOnce(g, partition,
-                              Options(ExpandBackendKind::kScatter, 2, 2),
+                              Options(ExpandBackendKind::kScatter, 2),
                               BfsCase::Single(s));
   EXPECT_EQ(legacy, single_vals);
 }

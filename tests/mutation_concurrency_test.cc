@@ -27,7 +27,6 @@ TEST(MutationConcurrencyTest, EpochedBfsUnderThreadsAndShards) {
 
   core::EngineOptions options = test::TestEngineOptions();
   options.num_host_threads = 4;
-  options.num_msg_shards = 4;
   core::EpochedGraphContext ectx(base, test::MakePartition(base, 4),
                                  test::Topo(4), options,
                                  /*symmetric=*/false);
@@ -58,7 +57,6 @@ TEST(MutationConcurrencyTest, EpochedPageRankSpmvUnderThreads) {
 
   core::EngineOptions options = test::TestEngineOptions();
   options.num_host_threads = 4;
-  options.num_msg_shards = 2;
   options.expand_backend = core::ExpandBackendKind::kSpmv;
   core::EpochedGraphContext ectx(base, test::MakePartition(base, 4),
                                  test::Topo(4), options,

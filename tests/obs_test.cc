@@ -306,15 +306,12 @@ TEST(ObsConcurrencyTest, PoolThreadsRecordSpansAndMetricsConcurrently) {
   std::atomic<uint64_t> checksum{0};
   {
     ThreadPool pool(kThreads);
-    pool.ParallelFor(
-        kItems,
-        [&](size_t i) {
-          GUM_TRACE_SCOPE("work.item");
-          items.Increment();
-          sizes.Observe(static_cast<uint64_t>(i));
-          checksum.fetch_add(i, std::memory_order_relaxed);
-        },
-        /*grain=*/8);
+    pool.ParallelFor(kItems, [&](size_t i) {
+      GUM_TRACE_SCOPE("work.item");
+      items.Increment();
+      sizes.Observe(static_cast<uint64_t>(i));
+      checksum.fetch_add(i, std::memory_order_relaxed);
+    });
   }  // pool joins; worker buffers retire into the registry
   session.Stop();
 

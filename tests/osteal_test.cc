@@ -29,7 +29,7 @@ TEST(OStealTest, TinyWorkloadShrinksToOne) {
   const auto cost = UniformCost(8, 1.0, 2.0);  // ns/edge
   const std::vector<double> loads = {3, 1, 0, 2, 0, 0, 1, 0};
   const auto dec =
-      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/100000.0, {});
+      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/100000.0);
   EXPECT_EQ(dec.group_size, 1);
   EXPECT_EQ(dec.active.size(), 1u);
   // Long tail: p*2 already exceeds z(1) + p, so the enumeration stops after
@@ -43,7 +43,7 @@ TEST(OStealTest, HeavyWorkloadKeepsAllDevices) {
   const auto cost = UniformCost(8, 1.0, 1.2);
   std::vector<double> loads(8, 5e7);  // 50M edges each
   const auto dec =
-      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/100000.0, {});
+      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/100000.0);
   EXPECT_EQ(dec.group_size, 8);
 }
 
@@ -55,7 +55,7 @@ TEST(OStealTest, IntermediateWorkloadPicksMiddleGroup) {
   // Optimum m = sqrt(W*1.05/p). Choose W so optimum ~ 3-5.
   const double p = 100000.0;
   std::vector<double> loads(8, 2e5);  // W = 1.6e6 => m* ~ sqrt(16.8) ~ 4
-  const auto dec = DecideOSteal(cost, loads, schedule, p, {});
+  const auto dec = DecideOSteal(cost, loads, schedule, p);
   EXPECT_GE(dec.group_size, 2);
   EXPECT_LE(dec.group_size, 6);
 }
@@ -66,7 +66,7 @@ TEST(OStealTest, OwnerVectorConsistentWithActive) {
   const auto cost = UniformCost(8, 1.0, 2.0);
   const std::vector<double> loads = {10, 10, 10, 10, 10, 10, 10, 10};
   const auto dec =
-      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/50000.0, {});
+      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/50000.0);
   ASSERT_EQ(static_cast<int>(dec.active.size()), dec.group_size);
   for (int i = 0; i < 8; ++i) {
     EXPECT_NE(std::find(dec.active.begin(), dec.active.end(), dec.owner[i]),
@@ -79,20 +79,9 @@ TEST(OStealTest, ZeroSyncCostNeverShrinks) {
       sim::ReductionSchedule::Build(sim::Topology::HybridCubeMesh8());
   const auto cost = UniformCost(8, 1.0, 1.5);
   std::vector<double> loads(8, 1000);
-  const auto dec = DecideOSteal(cost, loads, schedule, 0.0, {});
+  const auto dec = DecideOSteal(cost, loads, schedule, 0.0);
   // With free synchronization, more parallelism is never worse.
   EXPECT_EQ(dec.group_size, 8);
-}
-
-TEST(OStealTest, GreedyModeProducesValidDecision) {
-  const auto schedule =
-      sim::ReductionSchedule::Build(sim::Topology::HybridCubeMesh8());
-  const auto cost = UniformCost(8, 1.0, 2.0);
-  OStealConfig config;
-  config.use_greedy = true;
-  const std::vector<double> loads = {5, 0, 0, 0, 0, 0, 0, 0};
-  const auto dec = DecideOSteal(cost, loads, schedule, 100000.0, config);
-  EXPECT_EQ(dec.group_size, 1);
 }
 
 TEST(OStealTest, PredictedCostMatchesEquationFour) {
@@ -103,7 +92,7 @@ TEST(OStealTest, PredictedCostMatchesEquationFour) {
   const auto cost = UniformCost(2, 2.0, 3.0);
   const std::vector<double> loads = {100, 0};
   const double p = 1000.0;
-  const auto dec = DecideOSteal(cost, loads, schedule, p, {});
+  const auto dec = DecideOSteal(cost, loads, schedule, p);
   // m=1 options: either device alone. If device 0 survives: z=200;
   // if device 1: z=300. Schedule picks its canonical survivor; m=2 would be
   // z>=120 (split) + 2000 sync. Best should be m=1 with cost ~ z + 1000.
@@ -117,15 +106,14 @@ TEST(OStealTest, MaxGroupSizeCapsEnumeration) {
       sim::ReductionSchedule::Build(sim::Topology::HybridCubeMesh8());
   const auto cost = UniformCost(8, 1.0, 1.2);
   std::vector<double> loads(8, 5e7);  // heavy: uncapped picks all 8
-  const auto uncapped =
-      DecideOSteal(cost, loads, schedule, 100000.0, {});
+  const auto uncapped = DecideOSteal(cost, loads, schedule, 100000.0);
   ASSERT_EQ(uncapped.group_size, 8);
-  const auto capped = DecideOSteal(cost, loads, schedule, 100000.0, {},
+  const auto capped = DecideOSteal(cost, loads, schedule, 100000.0,
                                    /*max_group_size=*/5);
   EXPECT_LE(capped.group_size, 5);
   ASSERT_EQ(static_cast<int>(capped.active.size()), capped.group_size);
   // Zero (the default) means "no cap" and must match the legacy signature.
-  const auto zero = DecideOSteal(cost, loads, schedule, 100000.0, {},
+  const auto zero = DecideOSteal(cost, loads, schedule, 100000.0,
                                  /*max_group_size=*/0);
   EXPECT_EQ(zero.group_size, uncapped.group_size);
   EXPECT_EQ(zero.owner, uncapped.owner);
@@ -138,23 +126,16 @@ TEST(OStealTest, MaxGroupSizeCapsEnumeration) {
 OStealDecision ExhaustiveOSteal(const std::vector<std::vector<double>>& cost,
                                 const std::vector<double>& loads,
                                 const sim::ReductionSchedule& schedule,
-                                double p, const OStealConfig& config,
-                                int max_group_size) {
+                                double p, int max_group_size) {
   const int n = schedule.num_devices();
   const int limit = max_group_size > 0 ? std::min(max_group_size, n) : n;
   OStealDecision best;
   best.predicted_cost_ns = std::numeric_limits<double>::infinity();
   for (int m = 1; m <= limit; ++m) {
     const std::vector<int> active = schedule.ActiveFor(m);
-    double z;
-    if (config.use_greedy) {
-      z = solver::GreedyStealPlan(cost, loads, active).makespan;
-    } else {
-      auto plan = solver::SolveStealProblem(cost, loads, active);
-      if (!plan.ok()) continue;
-      z = plan->makespan;
-    }
-    const double total = z + p * m;
+    auto plan = solver::SolveStealProblem(cost, loads, active);
+    if (!plan.ok()) continue;
+    const double total = plan->makespan + p * m;
     if (total < best.predicted_cost_ns) {
       best.predicted_cost_ns = total;
       best.group_size = m;
@@ -196,24 +177,17 @@ TEST(OStealEarlyExitTest, MatchesExhaustiveEnumerationBitForBit) {
       if (forbidden.empty()) caps.push_back(0);
       for (const double p : {0.0, 1e3, 1e5, 1e7}) {
         for (const int cap : caps) {
-          for (const bool greedy : {false, true}) {
-            OStealConfig config;
-            config.use_greedy = greedy;
-            const auto ref =
-                ExhaustiveOSteal(cost, loads, schedule, p, config, cap);
-            const auto dec =
-                DecideOSteal(cost, loads, schedule, p, config, cap);
-            SCOPED_TRACE(::testing::Message()
-                         << "trial=" << trial << " p=" << p << " cap=" << cap
-                         << " greedy=" << greedy << " forbidden="
-                         << forbidden.size());
-            ASSERT_EQ(dec.group_size, ref.group_size);
-            EXPECT_EQ(dec.owner, ref.owner);
-            EXPECT_EQ(dec.active, ref.active);
-            EXPECT_EQ(std::bit_cast<uint64_t>(dec.predicted_cost_ns),
-                      std::bit_cast<uint64_t>(ref.predicted_cost_ns));
-            (dec.group_size < survivors ? shrunk : full) += 1;
-          }
+          const auto ref = ExhaustiveOSteal(cost, loads, schedule, p, cap);
+          const auto dec = DecideOSteal(cost, loads, schedule, p, cap);
+          SCOPED_TRACE(::testing::Message()
+                       << "trial=" << trial << " p=" << p << " cap=" << cap
+                       << " forbidden=" << forbidden.size());
+          ASSERT_EQ(dec.group_size, ref.group_size);
+          EXPECT_EQ(dec.owner, ref.owner);
+          EXPECT_EQ(dec.active, ref.active);
+          EXPECT_EQ(std::bit_cast<uint64_t>(dec.predicted_cost_ns),
+                    std::bit_cast<uint64_t>(ref.predicted_cost_ns));
+          (dec.group_size < survivors ? shrunk : full) += 1;
         }
       }
     }
@@ -297,7 +271,7 @@ TEST(ReductionScheduleForbiddenTest, DecisionOverSurvivorsAvoidsTheDead) {
       sim::Topology::HybridCubeMesh8(), forbidden);
   const auto cost = UniformCost(8, 1.0, 1.5);
   std::vector<double> loads(8, 2e5);
-  const auto dec = DecideOSteal(cost, loads, schedule, 100000.0, {},
+  const auto dec = DecideOSteal(cost, loads, schedule, 100000.0,
                                 /*max_group_size=*/7);
   EXPECT_LE(dec.group_size, 7);
   for (int frag = 0; frag < 8; ++frag) EXPECT_NE(dec.owner[frag], 4);

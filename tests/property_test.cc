@@ -178,7 +178,6 @@ TEST(AblationTest, GreedySolverKeepsCorrectness) {
   const auto g = SocialGraph(9, 18, /*weighted=*/true);
   auto opt = TestEngineOptions();
   opt.fsteal.use_greedy = true;
-  opt.osteal.use_greedy = true;
   SsspApp app;
   app.source = 1;
   std::vector<float> dist;

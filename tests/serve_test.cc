@@ -111,10 +111,9 @@ std::vector<Query> BfsStream(const graph::CsrGraph& g, int count) {
   return qs;
 }
 
-core::EngineOptions ServeTestOptions(int threads = 2, int shards = 2) {
+core::EngineOptions ServeTestOptions(int threads = 2) {
   core::EngineOptions opt = test::TestEngineOptions();
   opt.num_host_threads = threads;
-  opt.num_msg_shards = shards;
   return opt;
 }
 
@@ -171,21 +170,19 @@ TEST(ServeSessionTest, StreamIsDeterministicAcrossGeometry) {
   opts.batch_width = 8;
 
   const core::GraphContext ref_ctx(&g, part, test::Topo(4),
-                                   ServeTestOptions(1, 1));
+                                   ServeTestOptions(1));
   const auto ref = ServeBfsStream(ref_ctx, stream, opts);
 
-  for (const int threads : {2, 4, 8}) {
-    for (const int shards : {1, 4}) {
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " shards=" << shards);
-      const core::GraphContext ctx(&g, part, test::Topo(4),
-                                   ServeTestOptions(threads, shards));
-      const auto got = ServeBfsStream(ctx, stream, opts);
-      EXPECT_DOUBLE_EQ(got.stats.makespan_ms, ref.stats.makespan_ms);
-      ASSERT_EQ(got.values.size(), ref.values.size());
-      for (size_t i = 0; i < ref.values.size(); ++i) {
-        ASSERT_EQ(got.values[i], ref.values[i]) << "query " << i;
-      }
+  // One message shard per thread: 3 threads cut an odd shard count.
+  for (const int threads : {2, 3, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const core::GraphContext ctx(&g, part, test::Topo(4),
+                                 ServeTestOptions(threads));
+    const auto got = ServeBfsStream(ctx, stream, opts);
+    EXPECT_DOUBLE_EQ(got.stats.makespan_ms, ref.stats.makespan_ms);
+    ASSERT_EQ(got.values.size(), ref.values.size());
+    for (size_t i = 0; i < ref.values.size(); ++i) {
+      ASSERT_EQ(got.values[i], ref.values[i]) << "query " << i;
     }
   }
 }

@@ -104,8 +104,6 @@ Result<SetupFlags> ParseSetupFlags(const FlagParser& flags) {
   core::EngineOptions& o = s.options;
   GUM_ASSIGN_OR_RETURN(o.num_host_threads,
                        GetIntFlag(flags, "host-threads", 0, 0, kMaxThreads));
-  GUM_ASSIGN_OR_RETURN(o.num_msg_shards,
-                       GetIntFlag(flags, "msg-shards", 0, 0, kMaxThreads));
   GUM_ASSIGN_OR_RETURN(
       o.contention,
       sim::ParseContentionModel(flags.GetString("contention", "off")));

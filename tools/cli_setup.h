@@ -32,8 +32,8 @@
 namespace gum::cli {
 
 // Upper bound of every thread-count flag, far past any real use, so a typo
-// cannot ask for millions of threads. --host-threads and --msg-shards take
-// 0 for the hardware concurrency and the thread count respectively.
+// cannot ask for millions of threads. --host-threads takes 0 for the
+// hardware concurrency.
 inline constexpr int kMaxThreads = 1024;
 
 // Ranged integer flag narrowed to int (FlagParser::GetIntInRange).
@@ -58,8 +58,8 @@ struct SetupFlags {
   // --devices and --partitioner.
   int devices = 8;
   graph::PartitionOptions partition;
-  // --host-threads, --msg-shards, --contention, --multipath, --expand,
-  // --no-fsteal, --no-osteal and --ckpt-every (checkpoint.every).
+  // --host-threads, --contention, --multipath, --expand, --no-fsteal,
+  // --no-osteal and --ckpt-every (checkpoint.every).
   // options.fault_plane stays null; the caller points it at fault_plane
   // once this struct is in place.
   core::EngineOptions options;

@@ -42,11 +42,10 @@
 //                                simulated time and link telemetry)
 //   --host-threads=N             host threads for the superstep runtime
 //                                (0 = hardware concurrency, 1 = serial;
-//                                results are identical for every setting)
-//   --msg-shards=N               destination shards for the message plane's
-//                                parallel merge/apply (0 = match host
-//                                threads; results identical for every
-//                                setting)
+//                                the message plane's merge/apply splits
+//                                the vertices into one destination shard
+//                                per thread; results are identical for
+//                                every setting)
 //
 // Output:
 //   --timeline                   print the per-device utilization chart
@@ -116,7 +115,7 @@ constexpr const char* kKnownFlags[] = {
     "devices",   "partitioner", "source",   "pr-rounds",   "epsilon",
     "no-fsteal", "no-osteal",  "timeline",  "save-values", "help",
     "timeline-csv", "host-threads", "contention", "show-links",
-    "msg-shards", "trace", "metrics", "report",
+    "trace", "metrics", "report",
     "fault-plan", "fault-seed", "ckpt-every", "expand", "sources",
     "multipath", "mutations", "mutation-seed", "compact-every", "incremental",
     "mode", "delta", "worklist", "steal-prob", "steal-batch", "async-seed",
@@ -136,7 +135,7 @@ void PrintUsage() {
       "               [--source=V] [--sources=a,b,c] [--pr-rounds=N] "
       "[--epsilon=E]\n"
       "               [--no-fsteal] [--no-osteal] [--host-threads=N]\n"
-      "               [--msg-shards=N] [--expand=scatter|spmv|auto]\n"
+      "               [--expand=scatter|spmv|auto]\n"
       "               [--contention=off|fair] [--multipath=off|on]\n"
       "               [--timeline] [--show-links]\n"
       "               [--save-values=PATH]\n"
@@ -311,7 +310,6 @@ core::EngineOptions EngineRunOptions(const CliFlags& c) {
           ? baselines::GunrockEngineOptions(o.device, o.contention)
           : baselines::GrouteEngineOptions(o.device, o.contention);
   preset.num_host_threads = o.num_host_threads;
-  preset.num_msg_shards = o.num_msg_shards;
   return preset;
 }
 
@@ -340,7 +338,6 @@ void FinishObs(const RunEnv& env, cli::ObsArtifacts& artifacts,
       {"contention", env.flags.GetString("contention", "off")},
       {"partitioner", env.flags.GetString("partitioner", "random")},
       {"host_threads", std::to_string(o.num_host_threads)},
-      {"msg_shards", std::to_string(o.num_msg_shards)},
       {"fsteal", o.enable_fsteal ? "on" : "off"},
       {"osteal", o.enable_osteal ? "on" : "off"},
       {"expand", core::ExpandBackendKindName(o.expand_backend)},

@@ -20,7 +20,7 @@
 //   --batch-width=N              max queries per wave, 1..64 (default 64;
 //                                1 = the sequential baseline)
 //   --devices=N --partitioner=random|seg|metis
-//   --host-threads=N --msg-shards=N --expand=scatter|spmv|auto
+//   --host-threads=N --expand=scatter|spmv|auto
 //   --contention=off|fair        interconnect contention model (default off)
 //   --multipath=off|on           stripe bulk transfers across link-disjoint
 //                                paths (fair contention only; per-query
@@ -88,7 +88,7 @@ namespace {
 constexpr const char* kKnownFlags[] = {
     "graph",       "gen",         "scale",       "edge-factor", "weighted",
     "seed",        "rows",        "cols",        "algo",        "devices",
-    "partitioner", "host-threads", "msg-shards", "expand",      "sources",
+    "partitioner", "host-threads", "expand",      "sources",
     "queries",     "query-seed",  "batch-width", "fault-plan",  "fault-seed",
     "fault-batch", "ckpt-every",  "save-values", "report",      "metrics",
     "trace",       "bench-json",  "bench-widths", "bench-threads", "help",
@@ -102,8 +102,7 @@ void PrintUsage() {
       "                 [--algo=bfs|sssp] [--devices=N]\n"
       "                 [--partitioner=random|seg|metis]\n"
       "                 [--sources=a,b,c | --queries=N --query-seed=S]\n"
-      "                 [--batch-width=N] [--host-threads=N] "
-      "[--msg-shards=N]\n"
+      "                 [--batch-width=N] [--host-threads=N]\n"
       "                 [--expand=scatter|spmv|auto]\n"
       "                 [--contention=off|fair] [--multipath=off|on]\n"
       "                 [--fault-plan=SPEC] [--fault-seed=S] "
@@ -209,7 +208,6 @@ int FinishServe(
     meta.config = {
         {"batch_width", std::to_string(cfg.serve.batch_width)},
         {"host_threads", std::to_string(cfg.options.num_host_threads)},
-        {"msg_shards", std::to_string(cfg.options.num_msg_shards)},
         {"expand",
          core::ExpandBackendKindName(cfg.options.expand_backend)},
         {"queries", std::to_string(cfg.sources.size())},
