@@ -427,24 +427,30 @@ BENCHMARK(BM_ExpandScatterPr8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
-// The stationary path on the same all-active PageRank superstep: a
-// payload pass over the units, then the destination gather over the
-// context-shared PullEdges (built once, outside the timed loop), which
-// applies every vertex — the same counters and values as
-// BM_ExpandScatterPr8Dev followed by the apply, nothing staged or stored.
+// The stationary path on the same all-active PageRank superstep: the
+// gather under the push's charge rule over every vertex — a payload pass
+// over the units, then the destination gather over the context-shared
+// PullEdges (built once, outside the timed loop), which applies every
+// vertex. The same counters and values as BM_ExpandScatterPr8Dev followed
+// by the apply, nothing staged or stored.
 template <typename Fixture>
 void RunExpandStationary(benchmark::State& state, const Fixture& fx,
                          algos::PageRankApp& app, std::vector<double> values) {
   ThreadPool pool(static_cast<int>(state.range(0)));
   core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
+  core::ApplyScratch scratch;
+  std::vector<double> apply_msgs;
   const core::FStealDecision no_steal;
   core::PullEdges pull;
   pull.Build(fx.g, fx.partition);
+  core::FrontierSoA frontier = fx.frontier;
   for (auto _ : state) {
-    backend.ExpandStationary(&pool, fx.g, fx.partition, nullptr, fx.owner,
-                             /*active=*/{}, no_steal, fx.census, pull, app,
-                             values, fx.frontier, &counters);
+    backend.Gather(&pool, fx.g, fx.partition, nullptr, fx.owner,
+                   /*active=*/{}, no_steal, fx.census, pull,
+                   core::GatherCharge::kMessages,
+                   core::GatherSources::kEveryVertex, app, values, &frontier,
+                   &scratch, &apply_msgs, &counters);
     benchmark::DoNotOptimize(values.data());
     benchmark::ClobberMemory();
   }
@@ -500,9 +506,9 @@ BENCHMARK(BM_ExpandStationarySocialPr8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
-// The SpMV pull on the same superstep: a payload pass, the frontier
-// bitmap, then the stationary path's gather over the frontier's sources,
-// which applies every vertex as in BM_ExpandStationaryPr8Dev.
+// The SpMV pull on the same superstep: the stationary path's gather under
+// the pull's charge rule, which applies every vertex as in
+// BM_ExpandStationaryPr8Dev.
 void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
@@ -511,11 +517,18 @@ void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   std::vector<double> values = pf.values;
   core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
+  core::ApplyScratch scratch;
+  std::vector<double> apply_msgs;
+  const core::FStealDecision no_steal;
   core::PullEdges pull;
   pull.Build(fx.g, fx.partition);
+  core::FrontierSoA frontier = fx.frontier;
   for (auto _ : state) {
-    backend.ExpandPull(&pool, fx.g, fx.partition, pull, fx.owner, pf.app,
-                       values, fx.frontier, /*store=*/nullptr, &counters);
+    backend.Gather(&pool, fx.g, fx.partition, nullptr, fx.owner,
+                   /*active=*/{}, no_steal, fx.census, pull,
+                   core::GatherCharge::kRemoteGathers,
+                   core::GatherSources::kEveryVertex, pf.app, values,
+                   &frontier, &scratch, &apply_msgs, &counters);
     benchmark::DoNotOptimize(values.data());
     benchmark::ClobberMemory();
   }

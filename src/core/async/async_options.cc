@@ -1,5 +1,7 @@
 #include "core/async/async_options.h"
 
+#include <cmath>
+
 namespace gum::core {
 
 const char* EngineModeName(EngineMode mode) {
@@ -38,12 +40,14 @@ Result<AsyncWorklistKind> ParseAsyncWorklistKind(const std::string& name) {
                                  "' (expected buckets|smq)");
 }
 
+// Every range check is written so that NaN fails it: each comparison with
+// a NaN is false.
 Status ValidateAsyncConfig(const AsyncConfig& config) {
-  if (config.delta < 0.0) {
+  if (!(config.delta >= 0.0)) {
     return Status::InvalidArgument(
         "--delta must be > 0 (omit the flag for the app-aware default)");
   }
-  if (config.steal_prob < 0.0 || config.steal_prob > 1.0) {
+  if (!(config.steal_prob >= 0.0 && config.steal_prob <= 1.0)) {
     return Status::InvalidArgument("--steal-prob must be in [0, 1]");
   }
   if (config.steal_batch_size < 1) {
@@ -52,6 +56,11 @@ Status ValidateAsyncConfig(const AsyncConfig& config) {
   if (config.range_steal_min_victim < 0) {
     return Status::InvalidArgument(
         "async range_steal_min_victim must be >= 0");
+  }
+  if (!(config.flush_timeout_us >= 0.0 &&
+        std::isfinite(config.flush_timeout_us))) {
+    return Status::InvalidArgument(
+        "async flush_timeout_us must be finite and >= 0");
   }
   return Status::OK();
 }

@@ -23,12 +23,12 @@
 //                            message store, backend staging arenas)
 //   core/census.h          — the Step-1 workload census
 //   core/expand/           — Step 4: per-executor work units scattered on
-//                            a host ThreadPool, or the destination gather
-//                            (which also applies a stationary superstep)
-//   core/message_store.h   — deterministic inbox + per-worker staging,
-//                            destination-sharded merge
-//   core/superstep.h       — the sharded apply that ends a data-driven
-//                            superstep
+//                            a host ThreadPool, or the destination gather,
+//                            which applies every destination in place
+//   core/message_store.h   — the push's deterministic inbox + per-worker
+//                            staging, destination-sharded merge
+//   core/superstep.h       — the sharded apply that ends a push superstep,
+//                            and the apply scratch the gather shares
 //   core/time_accounting.h — the analytic device-time models
 // Results are bit-identical for every num_host_threads setting; see
 // DESIGN.md, "Determinism contract".
@@ -241,11 +241,11 @@ class GumEngine {
       rc_.state.frontier.BuildByOwner(
           num_v, partition_.owner, n_,
           [this](VertexId v) { return app_.IsInitiallyActive(v); });
-      // A stationary superstep applies inside its gather and never
-      // touches the store, so a fixed-round run leaves it unallocated.
+      // Only push supersteps touch the store, and a stationary superstep
+      // always gathers, so a fixed-round run leaves it unallocated.
       if (!stationary()) rc_.store.Reset(num_v);
       rc_.apply_msgs.assign(n_, 0.0);
-      rc_.next_frontier.Reset(n_);
+      rc_.apply_scratch.next_frontier.Reset(n_);
     }
 
     RunResult Run(std::vector<Value>* values_out) {
@@ -277,7 +277,7 @@ class GumEngine {
         stats.group_size = static_cast<int>(group_.active.size());
         const FStealDecision fs = FSteal(mode, census, stats);
         Expand(mode, fs, census, stats);
-        Apply();
+        Apply(mode);
         const TimeAccountingSummary acct = Account(iter, census, fs);
         if (faults_ != nullptr) ChargeStragglers(iter);
         EstimateP(iter, acct);
@@ -295,6 +295,10 @@ class GumEngine {
 
    private:
     bool stationary() const { return fixed_rounds_ >= 0; }
+    // Stationary supersteps and dense pulls gather; the rest push.
+    bool Gathers(ExpandMode mode) const {
+      return stationary() || mode == ExpandMode::kSpmvPull;
+    }
 
     // Snapshots everything the loop needs to re-enter at `next_iter`. The
     // initial snapshot is free (state is still host-resident); periodic
@@ -544,35 +548,34 @@ class GumEngine {
       return fs;
     }
 
-    // Step 4: process the frontiers on the mode's expand backend. A
-    // stationary superstep gathers, and applies every vertex inside the
-    // gather, instead of staging messages; both paths yield the same values
-    // and counters (DESIGN.md §7, §12). The SpMSpV push is the scatter
+    // Step 4: process the frontiers on the mode's expand backend. A gather
+    // applies in place (DESIGN.md §7, §12); the SpMSpV push is the scatter
     // pipeline over the identity plan, without the hub cache.
     void Expand(ExpandMode mode, const FStealDecision& fs,
                 const FrontierCensus& census, IterationStats& stats) {
       ThreadPool* pool = ctx_.pool();
       const std::vector<int>& owner = group_.owner_of_fragment;
       auto& values = rc_.state.values;
-      const FrontierSoA& frontier = rc_.state.frontier;
       ExpandCounters& counters = rc_.expand_counters;
       const HubCache* hub_cache =
           mode == ExpandMode::kSpmvPush ? nullptr : &ctx_.hub_cache();
       {
         GUM_TRACE_SCOPE("gum.expand");
-        if (mode == ExpandMode::kSpmvPull) {
-          rc_.scatter_backend.ExpandPull(
-              pool, g_, partition_, ctx_.pull_edges(), owner, app_, values,
-              frontier, stationary() ? nullptr : &rc_.store, &counters);
-        } else if (stationary()) {
-          rc_.scatter_backend.ExpandStationary(
+        if (Gathers(mode)) {
+          rc_.scatter_backend.Gather(
               pool, g_, partition_, hub_cache, owner, group_.active, fs,
-              census, ctx_.pull_edges(), app_, values, frontier, &counters);
+              census, ctx_.pull_edges(),
+              mode == ExpandMode::kSpmvPull ? GatherCharge::kRemoteGathers
+                                            : GatherCharge::kMessages,
+              stationary() ? GatherSources::kEveryVertex
+                           : GatherSources::kFrontier,
+              app_, values, &rc_.state.frontier, &rc_.apply_scratch,
+              &rc_.apply_msgs, &counters);
         } else {
           rc_.scatter_backend.Expand(pool, g_, partition_, hub_cache, owner,
                                      group_.active, fs, census, app_, values,
-                                     frontier, ctx_.shard_map(), rc_.store,
-                                     &counters);
+                                     rc_.state.frontier, ctx_.shard_map(),
+                                     rc_.store, &counters);
         }
       }
       result_.edges_processed += counters.edges_processed;
@@ -580,25 +583,15 @@ class GumEngine {
       stats.stolen_edges = counters.stolen_edges;
     }
 
-    // The apply phase (end of superstep): applies the combined messages
-    // and builds the next frontier. A stationary superstep's gather has
-    // applied every vertex once, so each fragment applied one message per
-    // vertex; its frontier is rebuilt from part_vertices at the top of the
-    // next round.
-    void Apply() {
+    // The apply phase (end of superstep). A gather has applied in place
+    // and set apply_msgs and, if data-driven, the next frontier; a push
+    // superstep drains the store into them here.
+    void Apply(ExpandMode mode) {
       GUM_TRACE_SCOPE("gum.apply");
-      if (stationary()) {
-        for (int i = 0; i < n_; ++i) {
-          rc_.apply_msgs[i] =
-              static_cast<double>(partition_.part_vertices[i].size());
-        }
-        return;
-      }
-      std::fill(rc_.apply_msgs.begin(), rc_.apply_msgs.end(), 0.0);
+      if (Gathers(mode)) return;
       ApplySuperstep(ctx_.pool(), ctx_.shard_map(), partition_, app_,
                      rc_.store, rc_.state.values, &rc_.apply_scratch,
-                     &rc_.next_frontier, &rc_.apply_msgs);
-      std::swap(rc_.state.frontier, rc_.next_frontier);
+                     &rc_.state.frontier, &rc_.apply_msgs);
     }
 
     // Time accounting under the run's time model. With multipath the

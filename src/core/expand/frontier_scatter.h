@@ -26,12 +26,12 @@
 // chains Scatter/Combine exactly as the merge would, so every combine
 // chain is the scatter path's bit for bit. Blocks are contiguous
 // destination ranges cut at equal shares of in-edges plus destinations,
-// claimed dynamically by the pool's threads. Two callers share the one
-// gather: a stationary superstep (every vertex active) charges what the
-// scatter path charges, and the SpMV pull (a dense frontier under
-// --expand=spmv|auto) charges remote gathers instead of messages. A
-// stationary superstep applies each destination inside the gather once
-// its chain is complete, so it never touches the MessageStore.
+// claimed dynamically by the pool's threads. Stationary supersteps (every
+// vertex active) and the SpMV pull (a dense frontier under
+// --expand=spmv|auto) share it; they differ only in what an in-edge
+// charges and which sources it reads. The gather applies each destination
+// once its chain is complete, never touching the MessageStore, and a
+// data-driven pull assembles its next frontier in block order.
 //
 // Thread-safety requirement on App: OnFrontier and Apply may mutate the
 // vertex value they are handed but must not mutate App member state;
@@ -56,6 +56,7 @@
 #include "core/fsteal.h"
 #include "core/hub_cache.h"
 #include "core/message_store.h"
+#include "core/superstep.h"
 #include "core/vertex_state.h"
 #include "graph/csr.h"
 #include "graph/partition.h"
@@ -112,6 +113,16 @@ inline constexpr size_t kGatherBlocksPerThread = 8;
 // ascending bounds: block b is [bounds[b], bounds[b + 1]).
 void CutGatherBlocks(std::span<const graph::EdgeId> offsets,
                      size_t num_blocks, std::vector<size_t>* bounds);
+
+// A gather's two rules (DESIGN.md §12), picked per superstep; each pair
+// is its own instantiation of the edge loop. The charge: the push's
+// messages at [executor(u)][fragment(v)], or the SpMV pull's remote gathers
+// at [fragment(u)][executor(fragment(v))] per in-edge from a source.
+enum class GatherCharge { kMessages, kRemoteGathers };
+// The sources: every vertex, applying every destination (a stationary
+// superstep), or the frontier's, applying each destination that received
+// a message (a data-driven pull).
+enum class GatherSources { kEveryVertex, kFrontier };
 
 // Walks one unit's vertex range, calling visit(u, out_degree) once per
 // vertex in frontier order, and adds the unit's edge counters: `edges`
@@ -226,14 +237,14 @@ void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
   pool->ParallelFor(units.size(), expand_one);
 }
 
-// The expand backend: canonical unit decomposition, then either a serial
-// expand that deposits every message as it is emitted (one host thread) or
-// a parallel expand into per-unit staging followed by the deterministic
-// sharded merge, both with first-writer attribution, and counter
-// aggregation into ExpandCounters. Stationary supersteps and the SpMV pull
-// run the destination gather instead, staging no message. Owns the staging
-// buffers, the payload and executor arenas, and the per-block count
-// scratch, reused across iterations.
+// The expand backend's two Step-4 entry points. Expand pushes: canonical
+// unit decomposition, then a serial expand that deposits each message as
+// it is emitted (one host thread) or a parallel expand into per-unit
+// staging and the deterministic sharded merge, both with first-writer
+// attribution, and counter aggregation into ExpandCounters. Gather applies
+// in place, staging nothing. Owns the staging buffers, the payload and
+// executor arenas, the frontier bitmap and the per-block count scratch,
+// reused across iterations.
 template <typename App>
 class FrontierScatterBackend {
  public:
@@ -326,152 +337,128 @@ class FrontierScatterBackend {
     }
   }
 
-  // Runs a stationary superstep — every vertex of every fragment active,
-  // as in a fixed-round app — to exactly the staged Expand's counters and
-  // values followed by the fixed-round apply, without staging a message or
-  // touching a MessageStore (DESIGN.md §7, §12). Two pool passes:
-  //   1. a payload pass over the plan's units (built as Expand builds
-  //      them): OnFrontier once per vertex, its executor recorded, the
-  //      unit's edge counters added by WalkUnit;
-  //   2. the destination gather over every source. The first emitted
-  //      message is the staged path's first writer, so its executor takes
-  //      the agg_msgs charge. Each destination is applied once its chain
-  //      is complete, with InitialAccumulator() when nothing arrived.
-  // `frontier` must be every fragment's part_vertices, `census` its
-  // census, and `pull` built over the same partition (the GraphContext's
-  // stationary_census() and pull_edges()).
-  void ExpandStationary(ThreadPool* pool, const graph::CsrGraph& g,
-                        const graph::Partition& partition,
-                        const HubCache* hub_cache,
-                        const std::vector<int>& owner_of_fragment,
-                        const std::vector<int>& active,
-                        const FStealDecision& fs,
-                        const FrontierCensus& census, const PullEdges& pull,
-                        App& app, std::vector<Value>& values,
-                        const FrontierSoA& frontier, ExpandCounters* out) {
+  // Runs one gather superstep (DESIGN.md §7, §12), applying every
+  // destination in place, in two pool passes: a payload pass over the
+  // plan's units, built as Expand builds them (OnFrontier once per source;
+  // under kMessages its executor recorded and WalkUnit's counters added),
+  // then GatherBlocks. `pull` must be built over the same partition (the
+  // GraphContext's pull_edges()). Under kEveryVertex, `frontier` must be
+  // every fragment's part_vertices and `census` its census; under
+  // kFrontier, it is replaced by the next frontier, assembled in `scratch`.
+  // `apply_msgs` receives each fragment's applied destinations. Fills `out`
+  // (Reset inside).
+  void Gather(ThreadPool* pool, const graph::CsrGraph& g,
+              const graph::Partition& partition, const HubCache* hub_cache,
+              const std::vector<int>& owner_of_fragment,
+              const std::vector<int>& active, const FStealDecision& fs,
+              const FrontierCensus& census, const PullEdges& pull,
+              GatherCharge charge, GatherSources sources, App& app,
+              std::vector<Value>& values, FrontierSoA* frontier,
+              ApplyScratch* scratch, std::vector<double>* apply_msgs,
+              ExpandCounters* out) {
     const int n = partition.num_parts;
     out->Reset(n);
-    GUM_TRACE_SCOPE("expand.stationary");
+    GUM_TRACE_SCOPE("expand.gather");
+    const bool messages = charge == GatherCharge::kMessages;
+    const bool every_vertex = sources == GatherSources::kEveryVertex;
+    GUM_CHECK(every_vertex || !messages)
+        << "a data-driven frontier is gathered only by the pull";
     const std::vector<WorkUnit> units =
-        BuildWorkUnits(frontier, fs, census, owner_of_fragment, active);
+        BuildWorkUnits(*frontier, fs, census, owner_of_fragment, active);
     const size_t num_v = g.num_vertices();
     size_t covered = 0;
     for (const WorkUnit& unit : units) covered += unit.end - unit.begin;
-    GUM_CHECK(covered == num_v)
+    GUM_CHECK(!every_vertex || covered == num_v)
         << "a stationary superstep expands every vertex once";
     if (payloads_.size() < num_v) payloads_.resize(num_v);
-    if (executor_of_.size() < num_v) executor_of_.resize(num_v);
+    if (messages && executor_of_.size() < num_v) executor_of_.resize(num_v);
     if (counters_.size() < units.size()) counters_.resize(units.size());
 
     const auto payload_unit = [&](size_t idx) {
       const WorkUnit& unit = units[idx];
       counters_[idx].Reset(n);
       WalkUnit(g, hub_cache, owner_of_fragment[unit.fragment],
-               frontier.Fragment(unit.fragment), unit, &counters_[idx],
+               frontier->Fragment(unit.fragment), unit, &counters_[idx],
                [&](graph::VertexId u, uint32_t deg) {
                  payloads_[u] = app.OnFrontier(u, values[u], deg);
-                 executor_of_[u] = unit.executor;
+                 if (messages) executor_of_[u] = unit.executor;
                });
     };
-    if (pool == nullptr || pool->num_threads() <= 1) {
-      for (size_t idx = 0; idx < units.size(); ++idx) payload_unit(idx);
-    } else {
+    const bool on_pool = pool != nullptr && pool->num_threads() > 1;
+    if (on_pool) {
       // Only the pool spans its units: there they show unit balance.
       pool->ParallelFor(units.size(), [&](size_t idx) {
         GUM_TRACE_SCOPE("expand.unit");
         payload_unit(idx);
       });
+    } else {
+      for (size_t idx = 0; idx < units.size(); ++idx) payload_unit(idx);
+    }
+    if (!every_vertex) {
+      // Built serially: vertices of different fragments may share a word,
+      // so concurrent Set calls would race.
+      in_frontier_.Resize(num_v);
+      for (graph::VertexId u : frontier->Flat()) in_frontier_.Set(u);
     }
 
-    Gather<GatherRule::kStationary>(pool, partition, owner_of_fragment, pull,
-                                    app, values, /*store=*/nullptr);
-    AddUnitCounters(units, n, out);
-    AddBlockCounts(n, 0, out->raw_msgs);
-    AddBlockCounts(n, static_cast<size_t>(n) * n, out->agg_msgs);
-  }
-
-  // Runs one SpMV pull superstep over a dense frontier: OnFrontier once
-  // per frontier vertex into the payload arena, a frontier membership
-  // bitmap, then the destination gather over the frontier's sources. The
-  // pull reads remote payloads and adjacency instead of forwarding
-  // messages: each active in-edge charges edges_done at [fragment(u)]
-  // [executor(fragment(v))] and edges_processed, whether Scatter emits or
-  // not, and no message is reported (DESIGN.md §12). A data-driven
-  // superstep passes the `store` that each destination's combined message
-  // is Put into; a stationary one passes none, and the gather applies
-  // every destination as ExpandStationary does. `pull` must be built over
-  // the same partition (the GraphContext's pull_edges()).
-  void ExpandPull(ThreadPool* pool, const graph::CsrGraph& g,
-                  const graph::Partition& partition, const PullEdges& pull,
-                  const std::vector<int>& owner_of_fragment, App& app,
-                  std::vector<Value>& values, const FrontierSoA& frontier,
-                  MessageStore<Message>* store, ExpandCounters* out) {
-    const int n = partition.num_parts;
-    out->Reset(n);
-    GUM_TRACE_SCOPE("expand.spmv_pull");
-    const size_t num_v = g.num_vertices();
-    if (payloads_.size() < num_v) payloads_.resize(num_v);
-    {
-      GUM_TRACE_SCOPE("expand.payload");
-      // Distinct vertices, so the fragments may run on any thread.
-      const auto payload_fragment = [&](size_t i) {
-        for (graph::VertexId u : frontier.Fragment(static_cast<int>(i))) {
-          payloads_[u] = app.OnFrontier(u, values[u], g.OutDegree(u));
-        }
-      };
-      if (pool == nullptr) {
-        for (int i = 0; i < n; ++i) payload_fragment(static_cast<size_t>(i));
-      } else {
-        pool->ParallelFor(static_cast<size_t>(n), payload_fragment);
-      }
+    const size_t num_blocks =
+        on_pool ? kGatherBlocksPerThread * pool->num_threads() : 1;
+    CutGatherBlocks(pull.offsets, num_blocks, &block_bounds_);
+    block_counts_.resize(num_blocks * CountStride(n));
+    if (!every_vertex) {
+      scratch->ClearSegments(num_blocks, n);
+      GatherBlocks<GatherCharge::kRemoteGathers, GatherSources::kFrontier>(
+          pool, partition, owner_of_fragment, pull, app, values, scratch);
+    } else if (!messages) {
+      GatherBlocks<GatherCharge::kRemoteGathers,
+                   GatherSources::kEveryVertex>(
+          pool, partition, owner_of_fragment, pull, app, values, scratch);
+    } else {
+      GatherBlocks<GatherCharge::kMessages, GatherSources::kEveryVertex>(
+          pool, partition, owner_of_fragment, pull, app, values, scratch);
     }
-    // Rebuilt serially: vertices of different fragments may share a word,
-    // so concurrent Set calls would race.
-    in_frontier_.Resize(num_v);
-    for (graph::VertexId u : frontier.Flat()) in_frontier_.Set(u);
 
-    Gather<GatherRule::kPull>(pool, partition, owner_of_fragment, pull, app,
-                              values, store);
-    out->edges_processed = AddBlockCounts(n, 0, out->edges_done);
+    const size_t cells = static_cast<size_t>(n) * n;
+    if (messages) {
+      AddUnitCounters(units, n, out);
+      AddBlockCounts(n, 0, out->raw_msgs);
+      AddBlockCounts(n, cells, out->agg_msgs);
+    } else {
+      out->edges_processed = AddBlockCounts(n, 0, out->edges_done);
+    }
+    apply_msgs->assign(n, 0.0);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const uint64_t* applied =
+          block_counts_.data() + b * CountStride(n) + 2 * cells;
+      for (int i = 0; i < n; ++i) (*apply_msgs)[i] += applied[i];
+    }
+    if (!every_vertex) {
+      scratch->SwapInNextFrontier(static_cast<int>(num_blocks), n, frontier);
+    }
   }
 
  private:
-  // Which sources the gather reads and what an in-edge charges, fixed at
-  // compile time by its caller.
-  enum class GatherRule {
-    // Every vertex is a source. Each emitted message counts one raw
-    // message, and a destination's first one an aggregated message, at
-    // [executor(u)][fragment(v)].
-    kStationary,
-    // Frontier sources only. Each of their in-edges counts one remote
-    // gather at [fragment(u)][executor(fragment(v))], emitted or not.
-    kPull,
-  };
-
-  // The one destination gather. Each block walks its destinations'
-  // in-edges in `pull` (canonical merge order) and chains the emitted
-  // messages as Deposit chains them: the first is stored, later ones are
-  // Combined. The finished chain is Put into `store` or, without one,
-  // applied to the destination's value. Blocks own disjoint word-aligned
-  // destination ranges, so their Puts and Applies never meet; each counts
-  // into its own slice of block_counts_ ([row][column] cells, then the
-  // first writers' cells). Without a pool of two or more threads one block
-  // covers every destination.
-  template <GatherRule kRule>
-  void Gather(ThreadPool* pool, const graph::Partition& partition,
-              const std::vector<int>& owner_of_fragment,
-              const PullEdges& pull, const App& app,
-              std::vector<Value>& values, MessageStore<Message>* store) {
+  // The destination gather over block_bounds_. Each block walks its
+  // destinations' in-edges in `pull` (canonical merge order), chains the
+  // emitted messages as Deposit chains them (the first is stored, later
+  // ones are Combined) and applies the finished chain. Blocks own disjoint
+  // word-aligned destination ranges, so their applies never meet; each
+  // counts into its own slice of block_counts_ (charge cells, first
+  // writers' cells, applied destinations per fragment) and appends its
+  // activations to its own row of scratch->segments.
+  template <GatherCharge kCharge, GatherSources kSources>
+  void GatherBlocks(ThreadPool* pool, const graph::Partition& partition,
+                    const std::vector<int>& owner_of_fragment,
+                    const PullEdges& pull, const App& app,
+                    std::vector<Value>& values, ApplyScratch* scratch) {
+    constexpr bool kRemote = kCharge == GatherCharge::kRemoteGathers;
+    constexpr bool kFrontier = kSources == GatherSources::kFrontier;
     // An int, so the count stores (uint64_t) cannot alias it and the inner
     // loop keeps it in a register.
     const int n = partition.num_parts;
     const size_t cells = static_cast<size_t>(n) * n;
     const size_t stride = CountStride(n);
-    const bool on_pool = pool != nullptr && pool->num_threads() > 1;
-    const size_t num_blocks =
-        on_pool ? kGatherBlocksPerThread * pool->num_threads() : 1;
-    CutGatherBlocks(pull.offsets, num_blocks, &block_bounds_);
-    block_counts_.resize(num_blocks * stride);
+    const size_t num_blocks = block_bounds_.size() - 1;
     // The weighted/unweighted branch is taken once, not per edge, by
     // instantiating the gather per weight accessor (as ExpandUnit does).
     const auto gather = [&](auto&& weight_of) {
@@ -479,29 +466,33 @@ class FrontierScatterBackend {
         GUM_TRACE_SCOPE("expand.gather_block");
         uint64_t* const counts = block_counts_.data() + b * stride;
         uint64_t* const first_writers = counts + cells;
-        std::fill_n(counts, 2 * cells, 0);
+        uint64_t* const applied = first_writers + cells;
+        std::fill_n(counts, 2 * cells + n, 0);
+        [[maybe_unused]] std::vector<graph::VertexId>* activated = nullptr;
+        if constexpr (kFrontier) activated = scratch->segments[b].data();
         const size_t end = block_bounds_[b + 1];
         for (size_t dst = block_bounds_[b]; dst < end; ++dst) {
           const auto v = static_cast<graph::VertexId>(dst);
           const uint32_t dst_fragment = partition.owner[v];
-          const size_t column = kRule == GatherRule::kPull
-                                    ? owner_of_fragment[dst_fragment]
-                                    : dst_fragment;
+          const size_t column =
+              kRemote ? owner_of_fragment[dst_fragment] : dst_fragment;
           // A local: the count stores may alias pull.offsets (both
           // uint64_t), which would reload the bound after every in-edge.
           const graph::EdgeId edges_end = pull.offsets[dst + 1];
           std::optional<Message> acc;
           for (graph::EdgeId e = pull.offsets[dst]; e < edges_end; ++e) {
             const graph::VertexId u = pull.sources[e];
-            if constexpr (kRule == GatherRule::kPull) {
+            if constexpr (kFrontier) {
               if (!in_frontier_.Test(u)) continue;
+            }
+            if constexpr (kRemote) {
               ++counts[static_cast<size_t>(partition.owner[u]) * n + column];
             }
             std::optional<Message> msg =
                 app.Scatter(payloads_[u], v, weight_of(e));
             if (!msg.has_value()) continue;
             [[maybe_unused]] size_t cell = 0;
-            if constexpr (kRule == GatherRule::kStationary) {
+            if constexpr (!kRemote) {
               cell = static_cast<size_t>(executor_of_[u]) * n + column;
               ++counts[cell];
             }
@@ -509,22 +500,24 @@ class FrontierScatterBackend {
               acc = app.Combine(*acc, *msg);
             } else {
               acc = *msg;
-              if constexpr (kRule == GatherRule::kStationary) {
-                ++first_writers[cell];
-              }
+              if constexpr (!kRemote) ++first_writers[cell];
             }
           }
-          if (store != nullptr) {
-            if (acc.has_value()) store->Put(v, *acc);
+          if constexpr (kFrontier) {
+            if (!acc.has_value()) continue;
+            if (app.Apply(v, values[v], *acc)) {
+              activated[dst_fragment].push_back(v);
+            }
           } else {
             app.Apply(v, values[v],
                       acc.has_value() ? *acc : app.InitialAccumulator());
           }
+          ++applied[dst_fragment];
         }
       };
     };
     const auto run = [&](auto&& gather_block) {
-      if (on_pool) {
+      if (num_blocks > 1) {
         pool->ParallelFor(num_blocks, gather_block);
       } else {
         gather_block(0);
@@ -537,10 +530,10 @@ class FrontierScatterBackend {
     }
   }
 
-  // A block's slice of block_counts_: room for both count blocks, padded so
-  // that no two blocks write one cache line.
+  // A block's slice of block_counts_: room for the two count matrices and
+  // the applied counts, padded so that no two blocks write one cache line.
   static size_t CountStride(int n) {
-    return (2 * static_cast<size_t>(n) * n + 15) / 8 * 8;
+    return (2 * static_cast<size_t>(n) * n + n + 15) / 8 * 8;
   }
 
   // Adds every block's count block at `offset` into m[row][column] in
@@ -581,11 +574,11 @@ class FrontierScatterBackend {
 
   std::vector<MessageStaging<Message>> staged_;
   std::vector<UnitCounters> counters_;
-  // The gathers' payload per source vertex; the stationary path also
-  // records each vertex's executor.
+  // The gather's payload per source vertex, and under kMessages each
+  // source's executor.
   std::vector<Message> payloads_;
   std::vector<int> executor_of_;
-  // The pull's frontier membership.
+  // A data-driven pull's frontier membership (kFrontier only).
   Bitmap in_frontier_;
   // Per-shard first-writer attribution ([shard][executor][owner]).
   std::vector<std::vector<std::vector<double>>> shard_agg_;

@@ -1,8 +1,11 @@
 // Deterministic per-superstep message store, sharded by destination.
 //
 // The BSP engines combine every message addressed to a vertex into one
-// inbox slot ("early aggregation", paper Fig. 4b). The store pairs the
-// typed inbox with a membership Bitmap and supports three write paths:
+// inbox slot ("early aggregation", paper Fig. 4b). The store and its
+// ShardMap serve push supersteps only: a gather (a stationary superstep or
+// the SpMV pull) applies each destination's combined message in place and
+// never touches them (core/expand/frontier_scatter.h). The store pairs the
+// typed inbox with a membership Bitmap and supports two write paths:
 //
 //   * Deposit — direct combine. With one host thread the scatter backend
 //     runs its work units serially in canonical order (fragments
@@ -17,8 +20,6 @@
 //     agg_msgs — is bit-identical to the serial direct deposits for any
 //     shard x thread count. Shard widths are multiples of 64, so concurrent
 //     shard merges never touch the same Bitmap word.
-//   * Put — one pre-combined message per destination, from the
-//     destination gather (the stationary superstep and the SpMV pull).
 //
 // See DESIGN.md, "Determinism contract" and "Sharded message plane".
 
@@ -156,7 +157,7 @@ class MessageStore : public MessageStoreBase {
   // Reinitializes for a new run over num_vertices vertices, keeping the
   // inbox allocation when the size is unchanged (serving-mode reuse).
   // Stale inbox bytes are never observable: Get is only reached for
-  // pending vertices, whose slots a Deposit/Put wrote first.
+  // pending vertices, whose slots a Deposit wrote first.
   void Reset(size_t num_vertices) {
     ResetMembership(num_vertices);
     inbox_.resize(num_vertices);
@@ -174,16 +175,6 @@ class MessageStore : public MessageStoreBase {
     }
     inbox_[v] = combine(inbox_[v], m);
     return false;
-  }
-
-  // Stores a pre-combined message, overwriting any pending one. The
-  // destination gather computes each destination's full combine chain
-  // itself and deposits exactly once per destination. Safe to call
-  // concurrently for vertices of different shards (shards never share a
-  // Bitmap word).
-  void Put(graph::VertexId v, const Message& m) {
-    set_.Set(v);
-    inbox_[v] = m;
   }
 
   // Replays shard `shard` of staged[0..num_units) in canonical unit order;
@@ -226,14 +217,6 @@ class MessageStore : public MessageStoreBase {
   }
 
   const Message& Get(graph::VertexId v) const { return inbox_[v]; }
-
-  // Pending messages in ascending vertex order: fn(v, combined_message).
-  template <typename Fn>
-  void ForEachPending(Fn&& fn) const {
-    set_.ForEachSet([&](size_t v) {
-      fn(static_cast<graph::VertexId>(v), inbox_[v]);
-    });
-  }
 
   // Pending messages with begin <= vertex < end, ascending. Safe to call
   // concurrently for word-aligned disjoint ranges (i.e. shard ranges).

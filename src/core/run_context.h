@@ -2,7 +2,7 @@
 //
 // RunContext<App> bundles everything GumEngine::Run mutates: the vertex
 // values and frontier, the message store, the expand backend's staging
-// arenas, and the apply-phase scratch. A fresh RunContext per run is
+// arenas, and the apply-phase scratch with its spare frontier arena. A fresh RunContext per run is
 // exactly the pre-split engine (the legacy Run overload makes one); a
 // long-lived RunContext reused across runs is the serving-mode fast path —
 // every buffer keeps its high-water capacity, so steady-state queries
@@ -37,12 +37,12 @@ struct RunContext {
   FrontierScatterBackend<App> scatter_backend;
   ExpandCounters expand_counters;
   ApplyScratch apply_scratch;
-  FrontierSoA next_frontier;
   std::vector<double> apply_msgs;
 
   // Resident bytes retained across queries (capacity, not live size).
   size_t FrontierArenaBytes() const {
-    return state.frontier.ArenaBytes() + next_frontier.ArenaBytes();
+    return state.frontier.ArenaBytes() +
+           apply_scratch.next_frontier.ArenaBytes();
   }
   size_t StagingBytes() const { return scatter_backend.StagingBytes(); }
 };

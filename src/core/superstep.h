@@ -1,17 +1,18 @@
-// The apply phase that ends every data-driven BSP superstep (Step 1 of the
-// next one: apply the combined messages, build the next frontier). Step
-// 4's expand lives in core/expand/ (DESIGN.md §12); a stationary
-// superstep's gather applies every vertex itself.
+// The apply phase that ends a push superstep (Step 1 of the next one:
+// apply the combined messages, build the next frontier), and the scratch
+// it shares with the gather, which applies in place (core/expand/,
+// DESIGN.md §12).
 //
 // Thread-safety requirement on App: Apply may mutate the vertex value it
 // is handed but must not mutate App member state (Apply runs concurrently
-// across destination shards — disjoint vertex ranges).
+// across destination ranges — disjoint vertex ranges).
 
 #ifndef GUM_CORE_SUPERSTEP_H_
 #define GUM_CORE_SUPERSTEP_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -22,53 +23,65 @@
 
 namespace gum::core {
 
-// Scratch reused across iterations by the sharded apply phase. Buffers are
-// cleared in place, so steady-state supersteps keep their capacity instead
-// of re-growing vectors.
+// Scratch reused across iterations by an apply over ascending contiguous
+// destination ranges (the push's shards, or the gather's blocks). Buffers
+// are cleared in place, so steady-state supersteps keep their capacity
+// instead of re-growing vectors.
 struct ApplyScratch {
-  // [shard][fragment] -> activated vertices, ascending within the shard.
+  // [range][fragment] -> activated vertices, ascending within the range.
   std::vector<std::vector<std::vector<graph::VertexId>>> segments;
-  // [shard][fragment] -> applied-message counts.
+  // [range][fragment] -> applied-message counts.
   std::vector<std::vector<double>> counts;
+  // The next frontier's arena, swapped with the current one.
+  FrontierSoA next_frontier;
+
+  // Empties the first `num_ranges` rows of segments, before they run.
+  void ClearSegments(size_t num_ranges, size_t num_fragments) {
+    if (segments.size() < num_ranges) segments.resize(num_ranges);
+    for (size_t r = 0; r < num_ranges; ++r) {
+      segments[r].resize(num_fragments);
+      for (auto& seg : segments[r]) seg.clear();
+    }
+  }
+
+  // Replaces `frontier` with the segments concatenated in range order,
+  // ascending per fragment since the ranges ascend.
+  void SwapInNextFrontier(int num_ranges, int num_fragments,
+                          FrontierSoA* frontier) {
+    next_frontier.AssignFromShardSegments(segments, num_ranges,
+                                          num_fragments);
+    std::swap(*frontier, next_frontier);
+  }
 };
 
-// End-of-superstep apply phase of a data-driven superstep, parallel over
+// End-of-superstep apply phase of a push superstep, parallel over
 // destination shards: each shard drains its store range in ascending
 // vertex order, applies combined messages, and pushes activated vertices
-// into per-shard per-fragment segments. Segments are then concatenated in
-// shard order — shards are ascending contiguous vertex ranges, so each
-// fragment's next frontier comes out ascending, identical to the serial
-// drain. (A stationary superstep applies inside its gather instead,
-// core/expand/frontier_scatter.h.) next_frontier, when non-null, receives
-// the rebuilt frontier (arena reused across iterations). apply_counts,
-// when non-null, accumulates per-fragment applied-message counts. Clears
+// into per-shard per-fragment segments. `frontier`, when non-null, is then
+// replaced by the segments concatenated in shard order, identical to the
+// serial drain. `apply_counts`, when non-null, receives per-fragment
+// applied-message counts (integer-valued, added in shard order). Clears
 // the store.
 template <typename App>
 void ApplySuperstep(ThreadPool* pool, const ShardMap& shards,
                     const graph::Partition& partition, App& app,
                     MessageStore<typename App::Message>& store,
                     std::vector<typename App::Value>& values,
-                    ApplyScratch* scratch, FrontierSoA* next_frontier,
+                    ApplyScratch* scratch, FrontierSoA* frontier,
                     std::vector<double>* apply_counts) {
   using Message = typename App::Message;
   const int s_count = shards.num_shards();
   const size_t n = static_cast<size_t>(partition.num_parts);
-  const bool want_frontier = next_frontier != nullptr;
+  const bool want_frontier = frontier != nullptr;
   const bool want_counts = apply_counts != nullptr;
-  if (scratch->segments.size() < static_cast<size_t>(s_count)) {
-    scratch->segments.resize(s_count);
-  }
+  if (want_frontier) scratch->ClearSegments(s_count, n);
   if (scratch->counts.size() < static_cast<size_t>(s_count)) {
     scratch->counts.resize(s_count);
   }
 
   const auto apply_shard = [&](size_t s) {
     GUM_TRACE_SCOPE("apply.shard");
-    auto& segs = scratch->segments[s];
-    if (want_frontier) {
-      if (segs.size() != n) segs.resize(n);
-      for (auto& seg : segs) seg.clear();
-    }
+    auto* const segs = want_frontier ? scratch->segments[s].data() : nullptr;
     auto& cnt = scratch->counts[s];
     if (want_counts) cnt.assign(n, 0.0);
     const size_t begin = shards.ShardBegin(static_cast<int>(s));
@@ -85,14 +98,14 @@ void ApplySuperstep(ThreadPool* pool, const ShardMap& shards,
   ForEachShard(pool, s_count, apply_shard);
 
   if (want_frontier) {
-    next_frontier->AssignFromShardSegments(scratch->segments, s_count,
-                                           static_cast<int>(n));
+    scratch->SwapInNextFrontier(s_count, static_cast<int>(n), frontier);
   }
   if (want_counts) {
     // Integer-valued doubles: exact under any summation order; shard order
     // keeps it deterministic anyway.
+    apply_counts->assign(n, 0.0);
     for (int s = 0; s < s_count; ++s) {
-      for (size_t i = 0; i < n && i < scratch->counts[s].size(); ++i) {
+      for (size_t i = 0; i < n; ++i) {
         (*apply_counts)[i] += scratch->counts[s][i];
       }
     }

@@ -4,6 +4,12 @@
 // (needed for pull-style kernels and for in-degree features of the cost
 // model, paper Table I), and optional edge weights (SSSP). Vertices are
 // dense uint32 ids in [0, num_vertices).
+//
+// Ordering rule: FromEdgeList, which builds every CsrGraph (DeltaCsr::
+// Compact's mutation snapshots included), sorts the edges by (src, dst), so
+// every OutNeighbors(v) ascends by target and every InNeighbors(v) by
+// source; kept duplicates sit side by side. DeltaCsr binary-searches and
+// merges into out-lists on this rule.
 
 #ifndef GUM_GRAPH_CSR_H_
 #define GUM_GRAPH_CSR_H_

@@ -3,14 +3,16 @@
 // produce byte-identical vertex values for every host-thread count (one
 // message shard per thread), on every bundled algorithm. The stationary
 // gather, with the apply it runs, and the one-thread direct deposit must
-// reproduce the staged scatter path counter for counter, and the pull its
-// store and values under its own charge rule. The suite lives in the
+// reproduce the staged scatter path counter for counter, and the pull,
+// applying in place, the values, next frontier and applied counts of the
+// store-then-apply path under its own charge rule. The suite lives in the
 // parallel test binary so the TSan CI job watches the gather's block
 // parallelism and the payload passes for races.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,12 +21,15 @@
 
 #include "algos/apps.h"
 #include "algos/reference.h"
+#include "common/bitmap.h"
 #include "core/engine.h"
 #include "core/census.h"
 #include "core/expand/expand_backend.h"
 #include "core/expand/frontier_scatter.h"
 #include "core/expand/pull_edges.h"
 #include "core/graph_context.h"
+#include "core/message_store.h"
+#include "core/superstep.h"
 #include "core/vertex_state.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -210,10 +215,15 @@ struct SuppressingRoundsApp : SuppressingMessages {
   }
 };
 
-// The data-driven app: supersteps expand the previous one's targets.
+// The data-driven app: supersteps expand the previous one's targets, and
+// an apply at every fifth vertex does not activate it.
 struct SuppressingDataDrivenApp : SuppressingMessages {
   std::string name() const { return "suppressing_data_driven"; }
   bool IsInitiallyActive(VertexId v) const { return v % 7 == 0; }
+  bool Apply(VertexId v, Value& val, const Message& msg) const {
+    SuppressingMessages::Apply(v, val, msg);
+    return v % 5 != 0;
+  }
 };
 
 // A frontier-steal plan for the identity tests. Rotated owners (as after
@@ -315,14 +325,37 @@ void ExpectValueBitsEqual(const SuppressingRoundsApp::Value& got,
   ASSERT_EQ(got.arrived, want.arrived) << "v=" << v;
 }
 
+// The pull's charges for one superstep whose sources are `frontier`: each
+// out-edge of a frontier vertex is one remote gather from the source's
+// fragment to the executor of the destination's fragment, whether Scatter
+// emits or not. Returns the [fragment][executor] matrix and adds the edge
+// count to *edges_processed.
+std::vector<std::vector<double>> PullCharges(
+    const graph::CsrGraph& g, const graph::Partition& part,
+    const std::vector<int>& owner, const FrontierSoA& frontier,
+    uint64_t* edges_processed) {
+  const int n = part.num_parts;
+  std::vector<std::vector<double>> edges(n, std::vector<double>(n, 0.0));
+  for (int i = 0; i < n; ++i) {
+    for (const VertexId u : frontier.Fragment(i)) {
+      for (const VertexId v : g.OutNeighbors(u)) {
+        edges[i][owner[part.owner[v]]] += 1.0;
+        ++*edges_processed;
+      }
+    }
+  }
+  return edges;
+}
+
 // Runs two stationary supersteps three ways side by side on one context
 // (its pool, hub cache, census and PullEdges): the staged Expand plus the
-// fixed-round apply, ExpandStationary, and ExpandPull without a store.
-// Compares every counter cell of ExpandStationary with the staged path's,
-// and every value of both gathers bit for bit; a value records the
-// message its vertex applied and whether one arrived. Adds the vertices
-// that applied InitialAccumulator() to arrivals[0] and the rest to
-// arrivals[1].
+// fixed-round apply, and the gather over every vertex under each charge
+// rule. Compares every counter cell and apply_msgs of the messages-charged
+// gather with the staged path's, the pull-charged gather's charges with a
+// count over every out-edge, and every value of both gathers bit for bit;
+// a value records the message its vertex applied and whether one arrived.
+// Adds the vertices that applied InitialAccumulator() to arrivals[0] and
+// the rest to arrivals[1].
 void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
                                    bool hub, size_t arrivals[2]) {
   using Value = SuppressingRoundsApp::Value;
@@ -348,22 +381,33 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
   FrontierScatterBackend<SuppressingRoundsApp> stationary_backend;
   FrontierScatterBackend<SuppressingRoundsApp> pull_backend;
   MessageStore<double> staged_store(g.num_vertices());
+  ApplyScratch scratch;
+  const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
+  uint64_t all_edges = 0;
+  const std::vector<std::vector<double>> pull_edges =
+      PullCharges(g, part, owner, frontier, &all_edges);
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(testing::Message() << "round " << round);
     ExpandCounters staged;
     ExpandCounters gathered;
     ExpandCounters pulled;
     std::vector<double> applied(n, 0.0);
+    std::vector<double> gathered_applied;
+    std::vector<double> pulled_applied;
     staged_backend.Expand(ctx.pool(), g, part, hub_cache, owner, active, fs,
                           census, app, staged_values, frontier,
                           ctx.shard_map(), staged_store, &staged);
     ApplyEveryVertex(part, app, staged_store, staged_values, &applied);
-    stationary_backend.ExpandStationary(
+    stationary_backend.Gather(
         ctx.pool(), g, part, hub_cache, owner, active, fs, census,
-        ctx.pull_edges(), app, gathered_values, frontier, &gathered);
-    pull_backend.ExpandPull(ctx.pool(), g, part, ctx.pull_edges(), owner,
-                            app, pulled_values, frontier, /*store=*/nullptr,
-                            &pulled);
+        ctx.pull_edges(), GatherCharge::kMessages,
+        GatherSources::kEveryVertex, app, gathered_values, &frontier,
+        &scratch, &gathered_applied, &gathered);
+    pull_backend.Gather(ctx.pool(), g, part, hub_cache, owner, active, fs,
+                        census, ctx.pull_edges(),
+                        GatherCharge::kRemoteGathers,
+                        GatherSources::kEveryVertex, app, pulled_values,
+                        &frontier, &scratch, &pulled_applied, &pulled);
     ExpectBitsEqual(gathered.edges_done, staged.edges_done, "edges_done");
     ExpectBitsEqual(gathered.hub_edges, staged.hub_edges, "hub_edges");
     ExpectBitsEqual(gathered.agg_msgs, staged.agg_msgs, "agg_msgs");
@@ -371,12 +415,20 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
     EXPECT_EQ(std::bit_cast<uint64_t>(gathered.stolen_edges),
               std::bit_cast<uint64_t>(staged.stolen_edges));
     EXPECT_EQ(gathered.edges_processed, staged.edges_processed);
+    // The pull charges a remote gather per in-edge of every source and
+    // sends no message.
+    ExpectBitsEqual(pulled.edges_done, pull_edges, "pull edges_done");
+    ExpectBitsEqual(pulled.raw_msgs, zero, "pull raw_msgs");
+    ExpectBitsEqual(pulled.agg_msgs, zero, "pull agg_msgs");
+    EXPECT_EQ(pulled.edges_processed, all_edges);
     // What the engine records as a stationary superstep's applied
     // messages: one per vertex of the fragment.
     for (int i = 0; i < n; ++i) {
       EXPECT_EQ(applied[i],
                 static_cast<double>(part.part_vertices[i].size()));
     }
+    EXPECT_EQ(gathered_applied, applied);
+    EXPECT_EQ(pulled_applied, applied);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       ExpectValueBitsEqual(gathered_values[v], staged_values[v], v);
       ExpectValueBitsEqual(pulled_values[v], staged_values[v], v);
@@ -509,10 +561,11 @@ void ExpectSerialMatchesStaged(const GraphContext& ctx, bool fsteal,
           << "v=" << v;
     }
     // Apply, then expand the message targets next.
-    serial_store.ForEachPending([&](VertexId v, double msg) {
-      app.Apply(v, serial_values[v], msg);
-      app.Apply(v, staged_values[v], msg);
-    });
+    serial_store.ForEachPendingInRange(
+        0, g.num_vertices(), [&](VertexId v, double msg) {
+          app.Apply(v, serial_values[v], msg);
+          app.Apply(v, staged_values[v], msg);
+        });
     frontier.BuildByOwner(g.num_vertices(), part.owner, n,
                           [&](VertexId v) { return serial_store.Has(v); });
     serial_store.EndSuperstep();
@@ -560,15 +613,52 @@ TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
 
 // --- the pull gather (dense frontiers under --expand=spmv|auto) ---
 
-// Runs three data-driven supersteps from the same state through
-// ExpandPull on `pull_pool` and through the staged scatter Expand over the
-// identity plan, and compares store membership, every pending message and
-// every value bit for bit. The rotated owner map keeps each fragment off
-// its executor. The pull's charges are checked against a count over the
-// frontier's out-edges: each is a remote gather from the source's fragment
-// to the destination fragment's executor, whether Scatter emits or not,
-// and the pull sends no message.
-void ExpectPullMatchesScatter(const GraphContext& ctx, ThreadPool* pull_pool) {
+// A test-local copy of the pull as it ran before it applied in place:
+// OnFrontier once per frontier vertex, a frontier membership bitmap, then
+// each destination's chain over its in-edges from frontier sources in
+// PullEdges order, put into `store` once per destination that received a
+// message. (A Deposit into an empty slot is what MessageStore::Put did.)
+// ApplySuperstep then drains the store, as the engine's apply phase did.
+template <typename App>
+void PutReferencePull(const graph::CsrGraph& g, const PullEdges& pull,
+                      App& app, std::vector<typename App::Value>& values,
+                      const FrontierSoA& frontier,
+                      MessageStore<typename App::Message>& store) {
+  using Message = typename App::Message;
+  std::vector<Message> payloads(g.num_vertices());
+  Bitmap in_frontier(g.num_vertices());
+  for (const VertexId u : frontier.Flat()) {
+    payloads[u] = app.OnFrontier(u, values[u], g.OutDegree(u));
+    in_frontier.Set(u);
+  }
+  const auto combine = [&app](const Message& a, const Message& b) {
+    return app.Combine(a, b);
+  };
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    std::optional<Message> acc;
+    for (graph::EdgeId e = pull.offsets[v]; e < pull.offsets[v + 1]; ++e) {
+      const VertexId u = pull.sources[e];
+      if (!in_frontier.Test(u)) continue;
+      const float weight = pull.weights.empty() ? 1.0f : pull.weights[e];
+      const std::optional<Message> msg = app.Scatter(payloads[u], v, weight);
+      if (!msg.has_value()) continue;
+      acc = acc.has_value() ? app.Combine(*acc, *msg) : *msg;
+    }
+    if (acc.has_value()) store.Deposit(v, *acc, combine);
+  }
+}
+
+// Runs three data-driven supersteps from the same state through the
+// gather on `pull_pool` (the pull's charge rule over the frontier's
+// sources) and through the reference above, and compares the values, the
+// next frontier and apply_msgs bit for bit. Each superstep's frontier is
+// the previous one's activated destinations. The reference's store is
+// also checked against the staged scatter Expand's over the identity plan,
+// so its chains are the push's. The rotated owner map keeps each fragment
+// off its executor, and the pull's charges are checked against a count
+// over the frontier's out-edges; the pull sends no message.
+void ExpectPullMatchesReference(const GraphContext& ctx,
+                                ThreadPool* pull_pool) {
   const graph::CsrGraph& g = ctx.graph();
   const graph::Partition& part = ctx.partition();
   const int n = part.num_parts;
@@ -577,74 +667,91 @@ void ExpectPullMatchesScatter(const GraphContext& ctx, ThreadPool* pull_pool) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     pull_values[v] = app.InitValue(v);
   }
+  std::vector<double> ref_values = pull_values;
   std::vector<double> scatter_values = pull_values;
   FrontierScatterBackend<SuppressingDataDrivenApp> pull_backend;
   FrontierScatterBackend<SuppressingDataDrivenApp> scatter_backend;
-  MessageStore<double> pull_store(g.num_vertices());
+  MessageStore<double> ref_store(g.num_vertices());
   MessageStore<double> scatter_store(g.num_vertices());
-  FrontierSoA frontier;
-  frontier.BuildByOwner(g.num_vertices(), part.owner, n,
-                        [&](VertexId v) { return app.IsInitiallyActive(v); });
+  ApplyScratch pull_scratch;
+  ApplyScratch ref_scratch;
+  FrontierSoA pull_frontier;
+  pull_frontier.BuildByOwner(
+      g.num_vertices(), part.owner, n,
+      [&](VertexId v) { return app.IsInitiallyActive(v); });
+  FrontierSoA ref_frontier = pull_frontier;
   const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
   FrontierCensus census;
   for (int step = 0; step < 3; ++step) {
     SCOPED_TRACE(testing::Message() << "superstep " << step);
-    census.Take(g, ctx.hub_cache(), frontier);
+    census.Take(g, ctx.hub_cache(), ref_frontier);
     const TestPlan plan = RotatedPlan(n, census.loads, /*fsteal=*/false);
-    ExpandCounters pulled;
+    uint64_t edges_processed = 0;
+    const std::vector<std::vector<double>> edges =
+        PullCharges(g, part, plan.owner, ref_frontier, &edges_processed);
+
     ExpandCounters scattered;
-    pull_backend.ExpandPull(pull_pool, g, part, ctx.pull_edges(), plan.owner,
-                            app, pull_values, frontier, &pull_store,
-                            &pulled);
     scatter_backend.Expand(ctx.pool(), g, part, nullptr, plan.owner,
                            plan.active, plan.fs, census, app, scatter_values,
-                           frontier, ctx.shard_map(), scatter_store,
+                           ref_frontier, ctx.shard_map(), scatter_store,
                            &scattered);
-    std::vector<std::vector<double>> edges = zero;
-    uint64_t edges_processed = 0;
-    for (int i = 0; i < n; ++i) {
-      for (const VertexId u : frontier.Fragment(i)) {
-        for (const VertexId v : g.OutNeighbors(u)) {
-          edges[i][plan.owner[part.owner[v]]] += 1.0;
-          ++edges_processed;
-        }
+    PutReferencePull(g, ctx.pull_edges(), app, ref_values, ref_frontier,
+                     ref_store);
+    ASSERT_EQ(ref_store.PendingCount(), scatter_store.PendingCount());
+    ASSERT_GT(ref_store.PendingCount(), 0u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(ref_store.Has(v), scatter_store.Has(v)) << "v=" << v;
+      if (ref_store.Has(v)) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(ref_store.Get(v)),
+                  std::bit_cast<uint64_t>(scatter_store.Get(v)))
+            << "v=" << v;
       }
+      ASSERT_EQ(std::bit_cast<uint64_t>(ref_values[v]),
+                std::bit_cast<uint64_t>(scatter_values[v]))
+          << "v=" << v;
     }
+    scatter_store.EndSuperstep();
+    std::vector<double> ref_applied;
+    ApplySuperstep(ctx.pool(), ctx.shard_map(), part, app, ref_store,
+                   ref_values, &ref_scratch, &ref_frontier, &ref_applied);
+    scatter_values = ref_values;
+
+    ExpandCounters pulled;
+    std::vector<double> pull_applied;
+    pull_backend.Gather(pull_pool, g, part, nullptr, plan.owner, plan.active,
+                        plan.fs, census, ctx.pull_edges(),
+                        GatherCharge::kRemoteGathers, GatherSources::kFrontier,
+                        app, pull_values, &pull_frontier, &pull_scratch,
+                        &pull_applied, &pulled);
     ExpectBitsEqual(pulled.edges_done, edges, "edges_done");
     ExpectBitsEqual(pulled.raw_msgs, zero, "raw_msgs");
     ExpectBitsEqual(pulled.agg_msgs, zero, "agg_msgs");
     EXPECT_EQ(pulled.edges_processed, edges_processed);
-    ASSERT_EQ(pull_store.PendingCount(), scatter_store.PendingCount());
-    ASSERT_GT(pull_store.PendingCount(), 0u);
+    EXPECT_EQ(pull_applied, ref_applied);
+    // Each fragment's next frontier, ascending, as the sharded apply
+    // assembled it; some applied destinations stay inactive.
+    ASSERT_GT(ref_frontier.TotalSize(), 0u);
+    ASSERT_LT(static_cast<double>(ref_frontier.TotalSize()),
+              std::accumulate(ref_applied.begin(), ref_applied.end(), 0.0));
+    ASSERT_EQ(pull_frontier.ToVectors(), ref_frontier.ToVectors());
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(std::ranges::is_sorted(pull_frontier.Fragment(i)))
+          << "fragment " << i;
+    }
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(pull_store.Has(v), scatter_store.Has(v)) << "v=" << v;
-      if (pull_store.Has(v)) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(pull_store.Get(v)),
-                  std::bit_cast<uint64_t>(scatter_store.Get(v)))
-            << "v=" << v;
-      }
       ASSERT_EQ(std::bit_cast<uint64_t>(pull_values[v]),
-                std::bit_cast<uint64_t>(scatter_values[v]))
+                std::bit_cast<uint64_t>(ref_values[v]))
           << "v=" << v;
     }
-    // Apply, then expand the message targets next.
-    pull_store.ForEachPending([&](VertexId v, double msg) {
-      app.Apply(v, pull_values[v], msg);
-      app.Apply(v, scatter_values[v], msg);
-    });
-    frontier.BuildByOwner(g.num_vertices(), part.owner, n,
-                          [&](VertexId v) { return pull_store.Has(v); });
-    pull_store.EndSuperstep();
-    scatter_store.EndSuperstep();
   }
 }
 
-TEST(PullExpandTest, StoreValuesAndChargesMatchScatter) {
+TEST(PullExpandTest, ValuesFrontierAndChargesMatchReference) {
   const std::vector<graph::CsrGraph> graphs = StationaryGraphs();
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     for (const int devices : {1, 3, 8}) {
       const graph::Partition part = MakePartition(graphs[gi], devices);
-      for (const int threads : {2, 3, 4}) {
+      for (const int threads : {1, 2, 3, 4, 8}) {
         EngineOptions opt = TestEngineOptions();
         opt.num_host_threads = threads;
         const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
@@ -654,7 +761,7 @@ TEST(PullExpandTest, StoreValuesAndChargesMatchScatter) {
                        << "graph " << gi << " devices=" << devices
                        << " threads=" << threads
                        << " pool=" << (pool != nullptr));
-          ExpectPullMatchesScatter(ctx, pool);
+          ExpectPullMatchesReference(ctx, pool);
           if (HasFatalFailure()) return;
         }
       }

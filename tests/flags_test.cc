@@ -373,6 +373,14 @@ TEST(FlagsTest, AsyncConfigRejectsOutOfRangeKnobsLoudly) {
          "--steal-batch");
   reject([](core::AsyncConfig& c) { c.range_steal_min_victim = -1; },
          "range_steal_min_victim");
+  // NaN fails every range check, and the flush timer is range-checked too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  reject([nan](core::AsyncConfig& c) { c.delta = nan; }, "--delta");
+  reject([nan](core::AsyncConfig& c) { c.steal_prob = nan; }, "--steal-prob");
+  reject([](core::AsyncConfig& c) { c.flush_timeout_us = -1.0; },
+         "flush_timeout_us");
+  reject([nan](core::AsyncConfig& c) { c.flush_timeout_us = nan; },
+         "flush_timeout_us");
 }
 
 // A parsed flag set maps onto AsyncConfig exactly the way gum_cli binds it.

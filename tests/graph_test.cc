@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/csr.h"
 #include "graph/generators.h"
+#include "graph/mutation.h"
 #include "graph/partition.h"
 #include "graph/types.h"
 
@@ -82,14 +86,77 @@ TEST(CsrTest, SymmetrizeAddsReverseEdges) {
   }
 }
 
+// Every out-list ascends by target and every in-list by source (the rule
+// graph/csr.h states): on each generator, weighted or not, symmetrized or
+// not, with duplicates kept, and on a DeltaCsr compaction after inserts
+// and deletes that land inside existing out-lists.
 TEST(CsrTest, NeighborsSortedAscending) {
+  const auto expect_sorted = [](const CsrGraph& g, const std::string& what) {
+    ASSERT_TRUE(g.has_in_csr()) << what;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const auto out = g.OutNeighbors(v);
+      ASSERT_TRUE(std::is_sorted(out.begin(), out.end()))
+          << what << ": out-list of " << v;
+      const auto in = g.InNeighbors(v);
+      ASSERT_TRUE(std::is_sorted(in.begin(), in.end()))
+          << what << ": in-list of " << v;
+    }
+  };
   EdgeList list;
   list.num_vertices = 5;
   list.edges = {{0, 4, 1.0f}, {0, 1, 1.0f}, {0, 3, 1.0f}, {0, 2, 1.0f}};
-  auto g = CsrGraph::FromEdgeList(list);
-  ASSERT_TRUE(g.ok());
-  const auto nbrs = g->OutNeighbors(0);
-  EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+  expect_sorted(CsrGraph::FromEdgeList(list).value(), "5-vertex list");
+
+  for (const bool weighted : {false, true}) {
+    const std::vector<std::pair<std::string, EdgeList>> lists = {
+        {"rmat", Rmat({.scale = 9, .edge_factor = 8, .weighted = weighted,
+                       .seed = 3})},
+        {"web", WebCrawl({.scale = 9, .weighted = weighted, .seed = 4})},
+        {"road", RoadGrid({.rows = 16, .cols = 16, .weighted = weighted,
+                           .seed = 5})},
+        {"er", ErdosRenyi(400, 3000, weighted, 6)},
+    };
+    for (const auto& [name, edges] : lists) {
+      for (const bool symmetrize : {false, true}) {
+        CsrBuildOptions options;
+        options.symmetrize = symmetrize;
+        const std::string what = name + (weighted ? " weighted" : "") +
+                                 (symmetrize ? " symmetrized" : "");
+        expect_sorted(CsrGraph::FromEdgeList(edges, options).value(), what);
+      }
+    }
+  }
+  CsrBuildOptions keep_all;
+  keep_all.deduplicate = false;
+  keep_all.remove_self_loops = false;
+  expect_sorted(
+      CsrGraph::FromEdgeList(Rmat({.scale = 8, .seed = 7}), keep_all).value(),
+      "rmat with duplicates");
+
+  const CsrGraph base =
+      CsrGraph::FromEdgeList(Rmat({.scale = 9, .weighted = true, .seed = 8}))
+          .value();
+  DeltaCsr delta(&base);
+  size_t inserted = 0;
+  size_t deleted = 0;
+  for (VertexId u = 0; u < base.num_vertices(); u += 3) {
+    const auto out = base.OutNeighbors(u);
+    const VertexId v = (u * 37 + 11) % base.num_vertices();
+    if (delta.ApplyEdge(MutationKind::kInsertEdge, u, v, 2.0f) ==
+        DeltaCsr::Effect::kInserted) {
+      ++inserted;
+    }
+    if (!out.empty() &&
+        delta.ApplyEdge(MutationKind::kDeleteEdge, u, out[out.size() / 2],
+                        1.0f) == DeltaCsr::Effect::kDeleted) {
+      ++deleted;
+    }
+  }
+  ASSERT_GT(inserted, 0u);
+  ASSERT_GT(deleted, 0u);
+  const CsrGraph compacted = delta.Compact();
+  EXPECT_EQ(compacted.num_edges(), base.num_edges() + inserted - deleted);
+  expect_sorted(compacted, "compacted DeltaCsr");
 }
 
 TEST(CsrTest, UnweightedGraphHasNoWeightArray) {

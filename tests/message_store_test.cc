@@ -81,9 +81,9 @@ TEST(MessageStoreTest, ForEachPendingInRangeMatchesFullScan) {
     SCOPED_TRACE(testing::Message() << "range [" << begin << ", " << end
                                     << ")");
     std::vector<VertexId> expected;
-    store.ForEachPending([&](VertexId v, uint32_t) {
-      if (v >= begin && v < end) expected.push_back(v);
-    });
+    for (VertexId v = 0; v < store.num_vertices(); ++v) {
+      if (v >= begin && v < end && store.Has(v)) expected.push_back(v);
+    }
     std::vector<VertexId> got;
     store.ForEachPendingInRange(begin, end, [&](VertexId v, uint32_t) {
       got.push_back(v);
@@ -225,33 +225,19 @@ TEST(MessageStoreTest, SingleBufferMergeMatchesDeposit) {
   }
 }
 
-// The serving-plane mixed-path contract: Put (the pull gather's
-// pre-combined per-destination deposit) interleaved with MergeSharded
-// scatter replays must land byte-identical for every thread x shard count.
-// Put targets and scatter targets are disjoint (a destination deposits via
-// exactly one path per superstep, as in the engine), with Puts issued both
-// before and after the merge to exercise interleaving.
-TEST(MessageStoreTest, PutInterleavedWithShardedMergeIsDeterministic) {
+// The sharded merge of several units' random emissions lands
+// byte-identical to unit-major serial Deposits for every thread x shard
+// count.
+TEST(MessageStoreTest, ShardedMergeMatchesSerialDepositsAcrossThreads) {
   constexpr size_t kNumV = 8192;
   constexpr int kUnits = 5;
   Rng rng(17);
 
-  // Pull-path destinations: one pre-combined deposit each.
-  std::vector<std::pair<VertexId, double>> puts;
-  std::vector<bool> is_put_target(kNumV, false);
-  for (int i = 0; i < 400; ++i) {
-    const auto v = static_cast<VertexId>(rng.NextBounded(kNumV));
-    if (is_put_target[v]) continue;
-    is_put_target[v] = true;
-    puts.emplace_back(v, rng.NextDouble());
-  }
-  // Scatter-path emissions, avoiding the pull destinations.
   std::vector<std::vector<std::pair<VertexId, double>>> emitted(kUnits);
   for (int u = 0; u < kUnits; ++u) {
     const int count = 800 + static_cast<int>(rng.NextBounded(800));
     for (int i = 0; i < count; ++i) {
       const auto v = static_cast<VertexId>(rng.NextBounded(kNumV));
-      if (is_put_target[v]) continue;
       emitted[u].emplace_back(v, rng.NextDouble());
     }
   }
@@ -259,13 +245,13 @@ TEST(MessageStoreTest, PutInterleavedWithShardedMergeIsDeterministic) {
   const auto combine = [](double a, double b) { return a + b; };
   const auto dump = [](const MessageStore<double>& store) {
     std::vector<std::pair<VertexId, double>> out;
-    store.ForEachPending([&](VertexId v, double m) { out.emplace_back(v, m); });
+    store.ForEachPendingInRange(
+        0, kNumV, [&](VertexId v, double m) { out.emplace_back(v, m); });
     return out;
   };
 
-  // Serial reference: unit-major Deposits plus all Puts.
+  // Serial reference: unit-major Deposits.
   MessageStore<double> serial(kNumV);
-  for (const auto& [v, m] : puts) serial.Put(v, m);
   for (int u = 0; u < kUnits; ++u) {
     for (const auto& [v, m] : emitted[u]) serial.Deposit(v, m, combine);
   }
@@ -283,17 +269,10 @@ TEST(MessageStoreTest, PutInterleavedWithShardedMergeIsDeterministic) {
         staged[u].Configure(map);
         for (const auto& [v, m] : emitted[u]) staged[u].Emit(v, m);
       }
-      MessageStore<double> mixed(kNumV);
-      // First half of the pull deposits lands before the merge, the rest
-      // after — disjoint destinations, so order must not matter.
-      const size_t half = puts.size() / 2;
-      for (size_t i = 0; i < half; ++i) mixed.Put(puts[i].first, puts[i].second);
-      mixed.MergeSharded(&pool, map, staged, staged.size(), combine,
-                         [](int, size_t, VertexId) {});
-      for (size_t i = half; i < puts.size(); ++i) {
-        mixed.Put(puts[i].first, puts[i].second);
-      }
-      EXPECT_EQ(dump(mixed), expected);
+      MessageStore<double> merged(kNumV);
+      merged.MergeSharded(&pool, map, staged, staged.size(), combine,
+                          [](int, size_t, VertexId) {});
+      EXPECT_EQ(dump(merged), expected);
     }
   }
 }
