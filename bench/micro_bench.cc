@@ -8,12 +8,15 @@
 // google-benchmark's built-in --benchmark_out: pass --bench-json=FILE and
 // the collected runs (including aggregates and user counters) are emitted
 // in the same shape CI's figure harness reads, with the writer's uniform
-// escaping and round-trip-safe doubles.
+// escaping and round-trip-safe doubles. The console shows the runs as
+// usual, so --bench-json takes only the console --benchmark_format.
+// Without --bench-json, google-benchmark's own flags apply unchanged.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -29,7 +32,6 @@
 #include "core/fsteal.h"
 #include "core/message_store.h"
 #include "core/osteal.h"
-#include "core/superstep.h"
 #include "core/vertex_state.h"
 #include "graph/csr.h"
 #include "graph/frontier_features.h"
@@ -196,6 +198,7 @@ struct SuperstepFixture {
   core::FrontierCensus census;
   core::FStealDecision fs;
   std::vector<int> owner;
+  std::vector<int> active;
   std::vector<core::WorkUnit> units;
   std::vector<uint32_t> values;
 
@@ -211,10 +214,8 @@ struct SuperstepFixture {
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) fs.assignment[i][j] = census.loads[i] / n;
     }
-    owner.resize(n);
-    std::iota(owner.begin(), owner.end(), 0);
-    std::vector<int> active(n);
-    std::iota(active.begin(), active.end(), 0);
+    owner = AllWorkers(n);
+    active = AllWorkers(n);
     units = core::BuildWorkUnits(frontier, fs, census, owner, active);
     values.assign(g.num_vertices(), 0);
   }
@@ -247,10 +248,10 @@ BENCHMARK(BM_SuperstepExpandBfs8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
-// Expansion plus the destination-sharded merge and store drain — one full
-// Step 4. Merge and apply parallelize over shards (= threads here, the
-// default knob), so end-to-end scaling is no longer capped by a serial
-// drain.
+// One full push superstep, FrontierScatterBackend::Expand: the expansion,
+// then each destination shard's merge and apply (shards = threads here, as
+// the engine cuts them). The frontier the superstep replaces is restored
+// untimed.
 void BM_SuperstepFullBfs8Dev(benchmark::State& state) {
   const SuperstepFixture& fx = GetSuperstepFixture();
   const int threads = static_cast<int>(state.range(0));
@@ -258,18 +259,19 @@ void BM_SuperstepFullBfs8Dev(benchmark::State& state) {
   const core::ShardMap shards(fx.g.num_vertices(), threads);
   algos::BfsApp app;
   std::vector<uint32_t> values = fx.values;
-  std::vector<core::MessageStaging<uint32_t>> staged;
-  std::vector<core::UnitCounters> counters;
+  core::FrontierScatterBackend<algos::BfsApp> backend;
+  core::ExpandCounters counters;
   core::MessageStore<uint32_t> store(fx.g.num_vertices());
-  const auto combine = [](uint32_t a, uint32_t b) { return std::min(a, b); };
+  core::FrontierSoA frontier = fx.frontier;
+  std::vector<double> apply_msgs;
   for (auto _ : state) {
-    core::ExpandSuperstep(&pool, fx.g, fx.partition, nullptr, fx.owner, app,
-                          values, fx.frontier, fx.units, shards, &staged,
-                          &counters);
-    store.MergeSharded(&pool, shards, staged, fx.units.size(), combine,
-                       [](int, size_t, graph::VertexId) {});
-    benchmark::DoNotOptimize(store.PendingCount());
-    store.EndSuperstep();
+    backend.Expand(&pool, fx.g, fx.partition, nullptr, fx.owner, fx.active,
+                   fx.fs, fx.census, app, values, &frontier, shards, store,
+                   &apply_msgs, &counters);
+    benchmark::DoNotOptimize(apply_msgs.data());
+    state.PauseTiming();
+    frontier = fx.frontier;
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.g.num_edges()));
@@ -278,14 +280,19 @@ BENCHMARK(BM_SuperstepFullBfs8Dev)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
-// --- phase-split superstep timings (expand / merge / apply) ---
+// --- pluggable expand backends (core/expand/, DESIGN.md §12) ---
 //
 // PageRank on the rmat fixture: every vertex active, double-sum combiner —
-// the message-heaviest Step-4 shape, where merge+apply dominate wall-clock.
-// The CI bench-smoke job emits these rows as BENCH_superstep.json
-// (workload in the name, threads as a named arg, one destination shard
-// per thread as the engine cuts them, wall-ms as real_time), the
-// machine-readable perf trajectory of the message plane.
+// the message-heaviest Step-4 shape. Each row is one full superstep,
+// applied included (payloads + traversal + combine + apply), under the
+// identity plan: the push's expand and per-shard merge and apply, the
+// stationary gather, and the SpMV pull, which gathers without staging or
+// storing a message. The SpMV push is the scatter path over the identity
+// plan, so BM_ExpandScatterPr8Dev times it. The CI bench-smoke job emits
+// these rows as BENCH_superstep.json (threads as the argument, one
+// destination shard per thread as the engine cuts them, wall-ms as
+// real_time), so it carries a scatter-vs-gather trajectory per thread
+// count.
 
 struct PrPhaseFixture {
   const SuperstepFixture& fx = GetSuperstepFixture();
@@ -303,105 +310,8 @@ PrPhaseFixture& GetPrPhaseFixture() {
   return *fx;
 }
 
-void BM_SuperstepMergePr8Dev(benchmark::State& state) {
-  PrPhaseFixture& pf = GetPrPhaseFixture();
-  const SuperstepFixture& fx = pf.fx;
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  const core::ShardMap shards(fx.g.num_vertices(), threads);
-  std::vector<double> values = pf.values;
-  std::vector<core::MessageStaging<double>> staged;
-  std::vector<core::UnitCounters> counters;
-  core::ExpandSuperstep(&pool, fx.g, fx.partition, nullptr, fx.owner, pf.app,
-                        values, fx.frontier, fx.units, shards, &staged,
-                        &counters);
-  core::MessageStore<double> store(fx.g.num_vertices());
-  const auto combine = [](double a, double b) { return a + b; };
-  for (auto _ : state) {
-    store.MergeSharded(&pool, shards, staged, fx.units.size(), combine,
-                       [](int, size_t, graph::VertexId) {});
-    benchmark::DoNotOptimize(store.PendingCount());
-    store.EndSuperstep();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.g.num_edges()));
-}
-BENCHMARK(BM_SuperstepMergePr8Dev)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
-void BM_SuperstepApplyPr8Dev(benchmark::State& state) {
-  PrPhaseFixture& pf = GetPrPhaseFixture();
-  const SuperstepFixture& fx = pf.fx;
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  const core::ShardMap shards(fx.g.num_vertices(), threads);
-  std::vector<double> values = pf.values;
-  std::vector<core::MessageStaging<double>> staged;
-  std::vector<core::UnitCounters> counters;
-  core::ExpandSuperstep(&pool, fx.g, fx.partition, nullptr, fx.owner, pf.app,
-                        values, fx.frontier, fx.units, shards, &staged,
-                        &counters);
-  core::MessageStore<double> store(fx.g.num_vertices());
-  const auto combine = [](double a, double b) { return a + b; };
-  core::ApplyScratch scratch;
-  for (auto _ : state) {
-    state.PauseTiming();
-    store.MergeSharded(&pool, shards, staged, fx.units.size(), combine,
-                       [](int, size_t, graph::VertexId) {});
-    state.ResumeTiming();
-    core::ApplySuperstep(&pool, shards, fx.partition, pf.app, store, values,
-                         &scratch, nullptr, nullptr);
-    benchmark::DoNotOptimize(values.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.g.num_vertices()));
-}
-BENCHMARK(BM_SuperstepApplyPr8Dev)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
-// Merge + apply back to back — the phase the sharded message plane
-// parallelizes; compare 1 thread (the serial drain) against 8.
-void BM_SuperstepMergeApplyPr8Dev(benchmark::State& state) {
-  PrPhaseFixture& pf = GetPrPhaseFixture();
-  const SuperstepFixture& fx = pf.fx;
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  const core::ShardMap shards(fx.g.num_vertices(), threads);
-  std::vector<double> values = pf.values;
-  std::vector<core::MessageStaging<double>> staged;
-  std::vector<core::UnitCounters> counters;
-  core::ExpandSuperstep(&pool, fx.g, fx.partition, nullptr, fx.owner, pf.app,
-                        values, fx.frontier, fx.units, shards, &staged,
-                        &counters);
-  core::MessageStore<double> store(fx.g.num_vertices());
-  const auto combine = [](double a, double b) { return a + b; };
-  core::ApplyScratch scratch;
-  for (auto _ : state) {
-    store.MergeSharded(&pool, shards, staged, fx.units.size(), combine,
-                       [](int, size_t, graph::VertexId) {});
-    core::ApplySuperstep(&pool, shards, fx.partition, pf.app, store, values,
-                         &scratch, nullptr, nullptr);
-    benchmark::DoNotOptimize(values.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.g.num_edges()));
-}
-BENCHMARK(BM_SuperstepMergeApplyPr8Dev)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
-// --- pluggable expand backends (core/expand/, DESIGN.md §12) ---
-//
-// One full expand (payloads + traversal + message deposit) of an all-active
-// PageRank iteration on the rmat fixture — the dense shape where the pull
-// SpMV gather should beat frontier scatter (no per-unit staging, no sharded
-// merge, one combined deposit per destination). Every path runs the
-// identity plan on the same workload, so BENCH_superstep.json carries a
-// direct scatter-vs-spmv trajectory per thread count. The SpMV push is the
-// scatter path over the identity plan, so BM_ExpandScatterPr8Dev times it.
-
+// The push replaces the all-active frontier with the applied vertices, so
+// the all-active one is restored untimed.
 void BM_ExpandScatterPr8Dev(benchmark::State& state) {
   PrPhaseFixture& pf = GetPrPhaseFixture();
   const SuperstepFixture& fx = pf.fx;
@@ -413,12 +323,16 @@ void BM_ExpandScatterPr8Dev(benchmark::State& state) {
   core::ExpandCounters counters;
   core::MessageStore<double> store(fx.g.num_vertices());
   const core::FStealDecision no_steal;
+  core::FrontierSoA frontier = fx.frontier;
+  std::vector<double> apply_msgs;
   for (auto _ : state) {
     backend.Expand(&pool, fx.g, fx.partition, nullptr, fx.owner,
                    /*active=*/{}, no_steal, fx.census, pf.app, values,
-                   fx.frontier, shards, store, &counters);
-    benchmark::DoNotOptimize(store.PendingCount());
-    store.EndSuperstep();
+                   &frontier, shards, store, &apply_msgs, &counters);
+    benchmark::DoNotOptimize(values.data());
+    state.PauseTiming();
+    frontier = fx.frontier;
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.g.num_edges()));
@@ -431,15 +345,14 @@ BENCHMARK(BM_ExpandScatterPr8Dev)
 // gather under the push's charge rule over every vertex — a payload pass
 // over the units, then the destination gather over the context-shared
 // PullEdges (built once, outside the timed loop), which applies every
-// vertex. The same counters and values as BM_ExpandScatterPr8Dev followed
-// by the apply, nothing staged or stored.
+// vertex. The same counters and values as BM_ExpandScatterPr8Dev, nothing
+// staged or stored.
 template <typename Fixture>
 void RunExpandStationary(benchmark::State& state, const Fixture& fx,
                          algos::PageRankApp& app, std::vector<double> values) {
   ThreadPool pool(static_cast<int>(state.range(0)));
   core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
-  core::ApplyScratch scratch;
   std::vector<double> apply_msgs;
   const core::FStealDecision no_steal;
   core::PullEdges pull;
@@ -450,7 +363,7 @@ void RunExpandStationary(benchmark::State& state, const Fixture& fx,
                    /*active=*/{}, no_steal, fx.census, pull,
                    core::GatherCharge::kMessages,
                    core::GatherSources::kEveryVertex, app, values, &frontier,
-                   &scratch, &apply_msgs, &counters);
+                   &apply_msgs, &counters);
     benchmark::DoNotOptimize(values.data());
     benchmark::ClobberMemory();
   }
@@ -517,7 +430,6 @@ void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
   std::vector<double> values = pf.values;
   core::FrontierScatterBackend<algos::PageRankApp> backend;
   core::ExpandCounters counters;
-  core::ApplyScratch scratch;
   std::vector<double> apply_msgs;
   const core::FStealDecision no_steal;
   core::PullEdges pull;
@@ -528,7 +440,7 @@ void BM_ExpandSpmvPullPr8Dev(benchmark::State& state) {
                    /*active=*/{}, no_steal, fx.census, pull,
                    core::GatherCharge::kRemoteGathers,
                    core::GatherSources::kEveryVertex, pf.app, values,
-                   &frontier, &scratch, &apply_msgs, &counters);
+                   &frontier, &apply_msgs, &counters);
     benchmark::DoNotOptimize(values.data());
     benchmark::ClobberMemory();
   }
@@ -806,17 +718,21 @@ void WriteBenchJson(std::ostream& os,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --bench-json=FILE before google-benchmark sees the arguments.
+  // Strip --bench-json=FILE before google-benchmark sees the arguments,
+  // and note the last --benchmark_format, as google-benchmark reads it.
+  constexpr std::string_view kJsonPrefix = "--bench-json=";
+  constexpr std::string_view kFormatPrefix = "--benchmark_format=";
   std::string json_path;
+  std::string_view format = "console";
   std::vector<char*> args;
   args.reserve(static_cast<size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    constexpr std::string_view kPrefix = "--bench-json=";
     const std::string_view arg = argv[i];
-    if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      json_path = std::string(arg.substr(kPrefix.size()));
+    if (arg.starts_with(kJsonPrefix)) {
+      json_path = std::string(arg.substr(kJsonPrefix.size()));
       continue;
     }
+    if (arg.starts_with(kFormatPrefix)) format = arg.substr(kFormatPrefix.size());
     args.push_back(argv[i]);
   }
   int filtered_argc = static_cast<int>(args.size());
@@ -824,9 +740,18 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_path.empty()) {
+  if (json_path.empty()) {
+    benchmark::RunSpecifiedBenchmarks();
+  } else {
+    if (format != "console") {
+      std::cerr << "micro_bench: --bench-json=FILE writes its JSON next to "
+                   "console output; it cannot be combined with "
+                   "--benchmark_format="
+                << format << "\n";
+      return 1;
+    }
+    CollectingReporter reporter;
+    benchmark::RunSpecifiedBenchmarks(&reporter);
     std::ofstream out(json_path);
     WriteBenchJson(out, reporter.runs());
   }

@@ -1,7 +1,8 @@
 // Deterministic host thread pool.
 //
-// The superstep runtime (core/superstep.h) decomposes Step 4 of every
-// iteration into independent work units; this pool runs them concurrently.
+// The superstep runtime (core/expand/) decomposes Step 4 of every
+// iteration into independent work units and destination ranges; this pool
+// runs them concurrently.
 // Determinism is a joint contract: ParallelFor distributes *indices*
 // dynamically (any thread may claim any index), so callers must make each
 // index's effect independent of execution order — write to per-index output

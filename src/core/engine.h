@@ -1,7 +1,8 @@
 // The GUM multi-GPU graph processing engine (paper §V).
 //
 // BSP execution with remote work stealing. Per iteration (paper Example 4):
-//   Step 1  generate frontiers (apply previous messages);
+//   Step 1  generate frontiers (the previous Step 4 applied its messages
+//           and built them) and take the workload census;
 //   Step 2  ownership stealing — when the previous iteration was
 //           synchronization-bound, enumerate group sizes over the reduction
 //           tree and possibly shrink/grow the communication group;
@@ -20,15 +21,15 @@
 //                            shard map, thread pool, shared PullEdges,
 //                            the stationary census)
 //   core/run_context.h     — the per-query mutable state (values, frontier,
-//                            message store, backend staging arenas)
+//                            message store, expand backend and its arenas)
 //   core/census.h          — the Step-1 workload census
 //   core/expand/           — Step 4: per-executor work units scattered on
-//                            a host ThreadPool, or the destination gather,
-//                            which applies every destination in place
+//                            a host ThreadPool, then merged and applied per
+//                            destination shard, or the destination gather;
+//                            both apply in place and build the next
+//                            frontier
 //   core/message_store.h   — the push's deterministic inbox + per-worker
-//                            staging, destination-sharded merge
-//   core/superstep.h       — the sharded apply that ends a push superstep,
-//                            and the apply scratch the gather shares
+//                            staging, replayed per destination shard
 //   core/time_accounting.h — the analytic device-time models
 // Results are bit-identical for every num_host_threads setting; see
 // DESIGN.md, "Determinism contract".
@@ -94,7 +95,6 @@
 #include "core/message_store.h"
 #include "core/run_context.h"
 #include "core/run_result.h"
-#include "core/superstep.h"
 #include "core/time_accounting.h"
 #include "core/vertex_state.h"
 #include "fault/checkpoint.h"
@@ -245,7 +245,7 @@ class GumEngine {
       // always gathers, so a fixed-round run leaves it unallocated.
       if (!stationary()) rc_.store.Reset(num_v);
       rc_.apply_msgs.assign(n_, 0.0);
-      rc_.apply_scratch.next_frontier.Reset(n_);
+      rc_.scatter_backend.ResetNextFrontier(n_);
     }
 
     RunResult Run(std::vector<Value>* values_out) {
@@ -277,10 +277,9 @@ class GumEngine {
         stats.group_size = static_cast<int>(group_.active.size());
         const FStealDecision fs = FSteal(mode, census, stats);
         Expand(mode, fs, census, stats);
-        Apply(mode);
-        const TimeAccountingSummary acct = Account(iter, census, fs);
+        const double kernel_launch_ns = Account(iter, census, fs);
         if (faults_ != nullptr) ChargeStragglers(iter);
-        EstimateP(iter, acct);
+        EstimateP(iter, kernel_launch_ns);
         const bool checkpoint_due =
             ckpt_every > 0 && (iter + 1) % ckpt_every == 0;
         if (checkpoint_due) ChargeCheckpoint(iter);
@@ -295,10 +294,6 @@ class GumEngine {
 
    private:
     bool stationary() const { return fixed_rounds_ >= 0; }
-    // Stationary supersteps and dense pulls gather; the rest push.
-    bool Gathers(ExpandMode mode) const {
-      return stationary() || mode == ExpandMode::kSpmvPull;
-    }
 
     // Snapshots everything the loop needs to re-enter at `next_iter`. The
     // initial snapshot is free (state is still host-resident); periodic
@@ -548,9 +543,10 @@ class GumEngine {
       return fs;
     }
 
-    // Step 4: process the frontiers on the mode's expand backend. A gather
-    // applies in place (DESIGN.md §7, §12); the SpMSpV push is the scatter
-    // pipeline over the identity plan, without the hub cache.
+    // Step 4: process the frontiers on the mode's expand backend, which
+    // applies in place and leaves the next frontier and apply_msgs set
+    // (DESIGN.md §7, §12); the SpMSpV push is the scatter pipeline over the
+    // identity plan, without the hub cache.
     void Expand(ExpandMode mode, const FStealDecision& fs,
                 const FrontierCensus& census, IterationStats& stats) {
       ThreadPool* pool = ctx_.pool();
@@ -561,7 +557,8 @@ class GumEngine {
           mode == ExpandMode::kSpmvPush ? nullptr : &ctx_.hub_cache();
       {
         GUM_TRACE_SCOPE("gum.expand");
-        if (Gathers(mode)) {
+        // Stationary supersteps and dense pulls gather; the rest push.
+        if (stationary() || mode == ExpandMode::kSpmvPull) {
           rc_.scatter_backend.Gather(
               pool, g_, partition_, hub_cache, owner, group_.active, fs,
               census, ctx_.pull_edges(),
@@ -569,13 +566,13 @@ class GumEngine {
                                             : GatherCharge::kMessages,
               stationary() ? GatherSources::kEveryVertex
                            : GatherSources::kFrontier,
-              app_, values, &rc_.state.frontier, &rc_.apply_scratch,
-              &rc_.apply_msgs, &counters);
+              app_, values, &rc_.state.frontier, &rc_.apply_msgs,
+              &counters);
         } else {
-          rc_.scatter_backend.Expand(pool, g_, partition_, hub_cache, owner,
-                                     group_.active, fs, census, app_, values,
-                                     rc_.state.frontier, ctx_.shard_map(),
-                                     rc_.store, &counters);
+          rc_.scatter_backend.Expand(
+              pool, g_, partition_, hub_cache, owner, group_.active, fs,
+              census, app_, values, &rc_.state.frontier, ctx_.shard_map(),
+              rc_.store, &rc_.apply_msgs, &counters);
         }
       }
       result_.edges_processed += counters.edges_processed;
@@ -583,25 +580,15 @@ class GumEngine {
       stats.stolen_edges = counters.stolen_edges;
     }
 
-    // The apply phase (end of superstep). A gather has applied in place
-    // and set apply_msgs and, if data-driven, the next frontier; a push
-    // superstep drains the store into them here.
-    void Apply(ExpandMode mode) {
-      GUM_TRACE_SCOPE("gum.apply");
-      if (Gathers(mode)) return;
-      ApplySuperstep(ctx_.pool(), ctx_.shard_map(), partition_, app_,
-                     rc_.store, rc_.state.values, &rc_.apply_scratch,
-                     &rc_.state.frontier, &rc_.apply_msgs);
-    }
-
     // Time accounting under the run's time model. With multipath the
     // census/aggregation sync follows a topology-aware reduction tree over
     // this iteration's active group (rebuilt per iteration so link faults
     // and group changes reshape it), and the FSteal fragment payloads are
     // bulk-hinted for striping. The Gunrock model prices this superstep's
-    // census, taken before apply.
-    TimeAccountingSummary Account(int iter, const FrontierCensus& census,
-                                  const FStealDecision& fs) {
+    // census, taken before apply. Returns the kernel-launch time charged,
+    // in ns.
+    double Account(int iter, const FrontierCensus& census,
+                   const FStealDecision& fs) {
       sim::ReductionTree census_tree;
       if (multipath_) census_tree = plane_.BuildCensusTree(group_.active);
       GUM_TRACE_SCOPE("gum.account");
@@ -638,7 +625,7 @@ class GumEngine {
     // Refreshes the p estimate from this iteration's observed barrier
     // cost: average per-device overhead minus the kernel-launch time
     // actually charged by the accounting layer, divided by the group size.
-    void EstimateP(int iter, const TimeAccountingSummary& acct) {
+    void EstimateP(int iter, double kernel_launch_ns) {
       // EWMA weight of the newest observation.
       constexpr double kSyncEwmaAlpha = 0.2;
       const std::vector<int>& active = group_.active;
@@ -649,7 +636,7 @@ class GumEngine {
             result_.timeline.Get(iter, d, sim::TimeCategory::kOverhead);
       }
       const double per_device_ns =
-          (overhead_sum * 1e6 - acct.kernel_launch_ns_total) / active.size();
+          (overhead_sum * 1e6 - kernel_launch_ns) / active.size();
       const double observed_p = std::max(0.0, per_device_ns / active.size());
       group_.p_estimate_ns = (1.0 - kSyncEwmaAlpha) * group_.p_estimate_ns +
                              kSyncEwmaAlpha * observed_p;

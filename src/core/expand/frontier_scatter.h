@@ -12,14 +12,15 @@
 //   * counters go into a private UnitCounters record, and messages into a
 //     private MessageStaging buffer when units run concurrently.
 // They may therefore run on any number of host threads in any order;
-// determinism is restored by merging staging buffers into the MessageStore
-// in canonical unit order. The merge parallelizes over destination shards
+// determinism is restored by replaying the staging buffers into the
+// MessageStore in canonical unit order, one destination shard at a time
 // (disjoint contiguous vertex ranges, core/message_store.h), which leaves
 // every per-vertex combine chain untouched. With one host thread the units
 // run in that canonical order, so each message is deposited as it is
-// emitted: every vertex sees its messages in the merge's order, and no
-// message is staged (see DESIGN.md, "Determinism contract" and "Sharded
-// message plane").
+// emitted: every vertex sees its messages in the replay's order, and no
+// message is staged. Each destination range then applies its finished
+// chains in place, right after its own replay (see DESIGN.md,
+// "Determinism contract" and "Sharded message plane").
 //
 // Gather (pull). Each destination block walks its destinations' in-edges
 // in PullEdges, which lists them in that same canonical merge order, and
@@ -44,6 +45,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -56,7 +58,6 @@
 #include "core/fsteal.h"
 #include "core/hub_cache.h"
 #include "core/message_store.h"
-#include "core/superstep.h"
 #include "core/vertex_state.h"
 #include "graph/csr.h"
 #include "graph/partition.h"
@@ -154,16 +155,6 @@ void WalkUnit(const graph::CsrGraph& g, const HubCache* hub_cache,
   counters->edges_processed += edges_sum;
 }
 
-// The early-aggregation charge (paper Fig. 4b): the message that claims a
-// vertex's empty inbox slot pays the transfer, one aggregated message from
-// its unit's executor to the vertex's owner. `agg` is [executor][owner];
-// its cells are integer-valued doubles, exact in any order. The serial
-// direct sink and the staged merge's replay both charge through it.
-inline void ChargeFirstWriter(std::vector<std::vector<double>>& agg,
-                              int executor, uint32_t owner) {
-  agg[executor][owner] += 1.0;
-}
-
 // Expands one unit: OnFrontier/Scatter over the unit's vertex range,
 // handing every emitted message to `emit(v, owner_of_v, message)` in
 // generation order and recording the unit's counters. hub_cache may be
@@ -237,14 +228,15 @@ void ExpandSuperstep(ThreadPool* pool, const graph::CsrGraph& g,
   pool->ParallelFor(units.size(), expand_one);
 }
 
-// The expand backend's two Step-4 entry points. Expand pushes: canonical
-// unit decomposition, then a serial expand that deposits each message as
-// it is emitted (one host thread) or a parallel expand into per-unit
-// staging and the deterministic sharded merge, both with first-writer
-// attribution, and counter aggregation into ExpandCounters. Gather applies
-// in place, staging nothing. Owns the staging buffers, the payload and
-// executor arenas, the frontier bitmap and the per-block count scratch,
-// reused across iterations.
+// The expand backend's two Step-4 entry points, each of which ends the
+// superstep with the next frontier and the applied counts set. Expand
+// pushes: canonical unit decomposition, then a serial expand that deposits
+// each message as it is emitted (one host thread) or a parallel expand into
+// per-unit staging, then one merge-and-apply pass per destination range.
+// Gather pulls, applying in place and staging nothing. Owns the staging
+// buffers, the payload and executor arenas, the frontier bitmap, the
+// per-range count slices and the next frontier's segments and arena, reused
+// across iterations.
 template <typename App>
 class FrontierScatterBackend {
  public:
@@ -261,80 +253,118 @@ class FrontierScatterBackend {
     return total;
   }
 
-  // Runs one iteration's full expand + merge. `fs`/`active` carry the
-  // frontier-steal plan (identity when !fs.applied), cut from `census`,
-  // the frontier's census; `hub_cache` may be null. Fills `out` (Reset
-  // inside). Without a pool of two or more threads the units run serially
-  // in canonical order and deposit straight into `store`; otherwise they
-  // stage on the pool and merge by shard. Both paths give the same
-  // counters, store and values for any shard count.
+  // Resident bytes of the spare frontier arena the next frontier is
+  // assembled in (high-water capacity).
+  size_t NextFrontierBytes() const { return next_frontier_.ArenaBytes(); }
+  // Empties the spare frontier arena for a run over `num_fragments`
+  // fragments, keeping its capacity.
+  void ResetNextFrontier(int num_fragments) {
+    next_frontier_.Reset(num_fragments);
+  }
+
+  // Runs one push superstep (DESIGN.md §7, §12) and applies it in place.
+  // `fs`/`active` carry the frontier-steal plan (identity when !fs.applied),
+  // cut from `census`, the census of `frontier`; `hub_cache` may be null.
+  // Without a pool of two or more threads the units run serially in
+  // canonical order and deposit straight into `store`; otherwise they stage
+  // on the pool. Then one pass per destination range (the `shards` on a
+  // pool, one range without one) replays the range's bins (staged runs
+  // only), drains its store slots through Apply and counts its first
+  // writers and applied destinations. `frontier` is replaced by the next
+  // frontier, assembled in range order, `apply_msgs` receives each
+  // fragment's applied destinations, and the store is left empty. Fills
+  // `out` (Reset inside). Both paths give the same counters, values and
+  // frontier for any shard count.
   void Expand(ThreadPool* pool, const graph::CsrGraph& g,
               const graph::Partition& partition, const HubCache* hub_cache,
               const std::vector<int>& owner_of_fragment,
               const std::vector<int>& active, const FStealDecision& fs,
               const FrontierCensus& census, App& app,
-              std::vector<Value>& values, const FrontierSoA& frontier,
+              std::vector<Value>& values, FrontierSoA* frontier,
               const ShardMap& shards, MessageStore<Message>& store,
-              ExpandCounters* out) {
+              std::vector<double>* apply_msgs, ExpandCounters* out) {
     const int n = partition.num_parts;
     out->Reset(n);
-    GUM_TRACE_SCOPE("expand.scatter");
     const std::vector<WorkUnit> units =
-        BuildWorkUnits(frontier, fs, census, owner_of_fragment, active);
+        BuildWorkUnits(*frontier, fs, census, owner_of_fragment, active);
     const auto combine = [&app](const Message& a, const Message& b) {
       return app.Combine(a, b);
     };
-    if (pool == nullptr || pool->num_threads() <= 1) {
-      // Canonical unit order, then generation order: each vertex's
-      // messages arrive exactly as the merge below replays them. Units get
-      // no span here: one thread has no unit balance to show.
-      if (counters_.size() < units.size()) counters_.resize(units.size());
-      for (size_t idx = 0; idx < units.size(); ++idx) {
-        const WorkUnit& unit = units[idx];
-        counters_[idx].Reset(n);
-        ExpandUnit(g, partition, hub_cache, owner_of_fragment[unit.fragment],
-                   app, values, frontier.Fragment(unit.fragment), unit,
-                   &counters_[idx],
-                   [&](graph::VertexId v, uint32_t owner, const Message& m) {
-                     if (store.Deposit(v, m, combine)) {
-                       ChargeFirstWriter(out->agg_msgs, unit.executor, owner);
-                     }
-                   });
+    const bool staged = pool != nullptr && pool->num_threads() > 1;
+    const size_t num_ranges = staged ? shards.num_shards() : 1;
+    block_bounds_.assign(num_ranges + 1, values.size());
+    for (size_t r = 0; r < num_ranges; ++r) {
+      block_bounds_[r] = shards.ShardBegin(static_cast<int>(r));
+    }
+    const size_t cells = static_cast<size_t>(n) * n;
+    const size_t stride = CountStride(n);
+    block_counts_.assign(num_ranges * stride, 0);
+    // The early-aggregation charge (paper Fig. 4b): the message that claims
+    // a vertex's empty inbox slot pays the transfer, one aggregated message
+    // from its unit's executor to the vertex's owner.
+    const auto cell = [n](int executor, uint32_t owner) {
+      return static_cast<size_t>(executor) * n + owner;
+    };
+    {
+      GUM_TRACE_SCOPE("expand.scatter");
+      if (staged) {
+        ExpandSuperstep(pool, g, partition, hub_cache, owner_of_fragment, app,
+                        values, *frontier, units, shards, &staged_,
+                        &counters_);
+      } else {
+        // Canonical unit order, then generation order: each vertex's
+        // messages arrive exactly as a staged range replays them. Units get
+        // no span here: one thread has no unit balance to show.
+        uint64_t* const first_writers = block_counts_.data() + cells;
+        if (counters_.size() < units.size()) counters_.resize(units.size());
+        for (size_t idx = 0; idx < units.size(); ++idx) {
+          const WorkUnit& unit = units[idx];
+          counters_[idx].Reset(n);
+          ExpandUnit(g, partition, hub_cache,
+                     owner_of_fragment[unit.fragment], app, values,
+                     frontier->Fragment(unit.fragment), unit, &counters_[idx],
+                     [&](graph::VertexId v, uint32_t owner, const Message& m) {
+                       if (store.Deposit(v, m, combine)) {
+                         ++first_writers[cell(unit.executor, owner)];
+                       }
+                     });
+        }
       }
       AddUnitCounters(units, n, out);
-      return;
     }
-    ExpandSuperstep(pool, g, partition, hub_cache, owner_of_fragment, app,
-                    values, frontier, units, shards, &staged_, &counters_);
-    AddUnitCounters(units, n, out);
 
-    // Sharded merge: every shard replays its bins in canonical unit order
-    // (the serial loop nest restricted to the shard's vertices) —
-    // combine chains and first-writer attribution stay bit-identical for
-    // any shard x thread count.
-    const int s_count = shards.num_shards();
-    if (static_cast<int>(shard_agg_.size()) < s_count) {
-      shard_agg_.resize(s_count);
-    }
-    for (auto& per_exec : shard_agg_) {
-      if (static_cast<int>(per_exec.size()) != n) {
-        per_exec.assign(n, std::vector<double>(n, 0.0));
-      } else {
-        for (auto& row : per_exec) std::fill(row.begin(), row.end(), 0.0);
+    // One pass per range: the range replays its bins in canonical unit
+    // order (the serial loop nest restricted to its vertices), so combine
+    // chains and first writers are the serial ones for any shard x thread
+    // count, then applies its finished chains. Ranges own disjoint
+    // word-aligned vertex ranges, so neither step meets another range's.
+    GUM_TRACE_SCOPE("gum.apply");
+    ClearSegments(num_ranges, n);
+    ForEachShard(pool, static_cast<int>(num_ranges), [&](size_t r) {
+      uint64_t* const first_writers = block_counts_.data() + r * stride + cells;
+      uint64_t* const applied = first_writers + cells;
+      if (staged) {
+        GUM_TRACE_SCOPE("merge.shard");
+        store.MergeShard(static_cast<int>(r), staged_, units.size(), combine,
+                         [&](size_t unit_idx, graph::VertexId v) {
+                           ++first_writers[cell(units[unit_idx].executor,
+                                                partition.owner[v])];
+                         });
       }
-    }
-    store.MergeSharded(
-        pool, shards, staged_, units.size(), combine,
-        [&](int shard, size_t unit_idx, graph::VertexId v) {
-          // Attributed per shard, reduced below.
-          ChargeFirstWriter(shard_agg_[shard], units[unit_idx].executor,
-                            partition.owner[v]);
-        });
-    for (const auto& per_exec : shard_agg_) {
-      for (int e = 0; e < n; ++e) {
-        for (int f = 0; f < n; ++f) out->agg_msgs[e][f] += per_exec[e][f];
-      }
-    }
+      GUM_TRACE_SCOPE("apply.shard");
+      std::vector<graph::VertexId>* const activated = segments_[r].data();
+      store.ForEachPendingInRange(
+          block_bounds_[r], block_bounds_[r + 1],
+          [&](graph::VertexId v, const Message& msg) {
+            const uint32_t fragment = partition.owner[v];
+            if (app.Apply(v, values[v], msg)) activated[fragment].push_back(v);
+            ++applied[fragment];
+          });
+    });
+    AddBlockCounts(n, cells, out->agg_msgs);
+    AddAppliedCounts(n, apply_msgs);
+    SwapInNextFrontier(static_cast<int>(num_ranges), n, frontier);
+    store.EndSuperstep();
   }
 
   // Runs one gather superstep (DESIGN.md §7, §12), applying every
@@ -344,9 +374,9 @@ class FrontierScatterBackend {
   // then GatherBlocks. `pull` must be built over the same partition (the
   // GraphContext's pull_edges()). Under kEveryVertex, `frontier` must be
   // every fragment's part_vertices and `census` its census; under
-  // kFrontier, it is replaced by the next frontier, assembled in `scratch`.
-  // `apply_msgs` receives each fragment's applied destinations. Fills `out`
-  // (Reset inside).
+  // kFrontier, it is replaced by the next frontier, assembled in block
+  // order. `apply_msgs` receives each fragment's applied destinations: all
+  // of them under kEveryVertex. Fills `out` (Reset inside).
   void Gather(ThreadPool* pool, const graph::CsrGraph& g,
               const graph::Partition& partition, const HubCache* hub_cache,
               const std::vector<int>& owner_of_fragment,
@@ -354,8 +384,7 @@ class FrontierScatterBackend {
               const FrontierCensus& census, const PullEdges& pull,
               GatherCharge charge, GatherSources sources, App& app,
               std::vector<Value>& values, FrontierSoA* frontier,
-              ApplyScratch* scratch, std::vector<double>* apply_msgs,
-              ExpandCounters* out) {
+              std::vector<double>* apply_msgs, ExpandCounters* out) {
     const int n = partition.num_parts;
     out->Reset(n);
     GUM_TRACE_SCOPE("expand.gather");
@@ -406,16 +435,16 @@ class FrontierScatterBackend {
     CutGatherBlocks(pull.offsets, num_blocks, &block_bounds_);
     block_counts_.resize(num_blocks * CountStride(n));
     if (!every_vertex) {
-      scratch->ClearSegments(num_blocks, n);
+      ClearSegments(num_blocks, n);
       GatherBlocks<GatherCharge::kRemoteGathers, GatherSources::kFrontier>(
-          pool, partition, owner_of_fragment, pull, app, values, scratch);
+          pool, partition, owner_of_fragment, pull, app, values);
     } else if (!messages) {
       GatherBlocks<GatherCharge::kRemoteGathers,
                    GatherSources::kEveryVertex>(
-          pool, partition, owner_of_fragment, pull, app, values, scratch);
+          pool, partition, owner_of_fragment, pull, app, values);
     } else {
       GatherBlocks<GatherCharge::kMessages, GatherSources::kEveryVertex>(
-          pool, partition, owner_of_fragment, pull, app, values, scratch);
+          pool, partition, owner_of_fragment, pull, app, values);
     }
 
     const size_t cells = static_cast<size_t>(n) * n;
@@ -426,14 +455,15 @@ class FrontierScatterBackend {
     } else {
       out->edges_processed = AddBlockCounts(n, 0, out->edges_done);
     }
-    apply_msgs->assign(n, 0.0);
-    for (size_t b = 0; b < num_blocks; ++b) {
-      const uint64_t* applied =
-          block_counts_.data() + b * CountStride(n) + 2 * cells;
-      for (int i = 0; i < n; ++i) (*apply_msgs)[i] += applied[i];
-    }
-    if (!every_vertex) {
-      scratch->SwapInNextFrontier(static_cast<int>(num_blocks), n, frontier);
+    if (every_vertex) {
+      apply_msgs->resize(n);
+      for (int i = 0; i < n; ++i) {
+        (*apply_msgs)[i] =
+            static_cast<double>(partition.part_vertices[i].size());
+      }
+    } else {
+      AddAppliedCounts(n, apply_msgs);
+      SwapInNextFrontier(static_cast<int>(num_blocks), n, frontier);
     }
   }
 
@@ -444,13 +474,13 @@ class FrontierScatterBackend {
   // ones are Combined) and applies the finished chain. Blocks own disjoint
   // word-aligned destination ranges, so their applies never meet; each
   // counts into its own slice of block_counts_ (charge cells, first
-  // writers' cells, applied destinations per fragment) and appends its
-  // activations to its own row of scratch->segments.
+  // writers' cells and, under kFrontier, applied destinations per
+  // fragment) and appends its activations to its own row of segments_.
   template <GatherCharge kCharge, GatherSources kSources>
   void GatherBlocks(ThreadPool* pool, const graph::Partition& partition,
                     const std::vector<int>& owner_of_fragment,
                     const PullEdges& pull, const App& app,
-                    std::vector<Value>& values, ApplyScratch* scratch) {
+                    std::vector<Value>& values) {
     constexpr bool kRemote = kCharge == GatherCharge::kRemoteGathers;
     constexpr bool kFrontier = kSources == GatherSources::kFrontier;
     // An int, so the count stores (uint64_t) cannot alias it and the inner
@@ -469,7 +499,7 @@ class FrontierScatterBackend {
         uint64_t* const applied = first_writers + cells;
         std::fill_n(counts, 2 * cells + n, 0);
         [[maybe_unused]] std::vector<graph::VertexId>* activated = nullptr;
-        if constexpr (kFrontier) activated = scratch->segments[b].data();
+        if constexpr (kFrontier) activated = segments_[b].data();
         const size_t end = block_bounds_[b + 1];
         for (size_t dst = block_bounds_[b]; dst < end; ++dst) {
           const auto v = static_cast<graph::VertexId>(dst);
@@ -508,11 +538,11 @@ class FrontierScatterBackend {
             if (app.Apply(v, values[v], *acc)) {
               activated[dst_fragment].push_back(v);
             }
+            ++applied[dst_fragment];
           } else {
             app.Apply(v, values[v],
                       acc.has_value() ? *acc : app.InitialAccumulator());
           }
-          ++applied[dst_fragment];
         }
       };
     };
@@ -530,8 +560,9 @@ class FrontierScatterBackend {
     }
   }
 
-  // A block's slice of block_counts_: room for the two count matrices and
-  // the applied counts, padded so that no two blocks write one cache line.
+  // A block's (or push range's) slice of block_counts_: room for the two
+  // count matrices and the applied counts, padded so that no two blocks
+  // write one cache line.
   static size_t CountStride(int n) {
     return (2 * static_cast<size_t>(n) * n + n + 15) / 8 * 8;
   }
@@ -554,6 +585,35 @@ class FrontierScatterBackend {
       }
     }
     return total;
+  }
+
+  // Assigns every block's applied counts, summed in block order, to
+  // apply_msgs (integer-valued: exact in any order).
+  void AddAppliedCounts(int n, std::vector<double>* apply_msgs) const {
+    const size_t stride = CountStride(n);
+    const size_t offset = 2 * static_cast<size_t>(n) * n;
+    apply_msgs->assign(n, 0.0);
+    for (size_t b = 0; b + 1 < block_bounds_.size(); ++b) {
+      const uint64_t* applied = block_counts_.data() + b * stride + offset;
+      for (int i = 0; i < n; ++i) (*apply_msgs)[i] += applied[i];
+    }
+  }
+
+  // Empties the first `num_blocks` rows of segments_, before they run.
+  void ClearSegments(size_t num_blocks, int n) {
+    if (segments_.size() < num_blocks) segments_.resize(num_blocks);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      segments_[b].resize(n);
+      for (auto& seg : segments_[b]) seg.clear();
+    }
+  }
+
+  // Replaces `frontier` with the segments concatenated in block order,
+  // ascending per fragment since the blocks ascend. The replaced arena
+  // becomes the spare.
+  void SwapInNextFrontier(int num_blocks, int n, FrontierSoA* frontier) {
+    next_frontier_.AssignFromShardSegments(segments_, num_blocks, n);
+    std::swap(*frontier, next_frontier_);
   }
 
   // Adds the per-unit counters in unit order (integer-exact sums).
@@ -580,12 +640,15 @@ class FrontierScatterBackend {
   std::vector<int> executor_of_;
   // A data-driven pull's frontier membership (kFrontier only).
   Bitmap in_frontier_;
-  // Per-shard first-writer attribution ([shard][executor][owner]).
-  std::vector<std::vector<std::vector<double>>> shard_agg_;
-  // The gather's destination block bounds and per-block count slices,
-  // CountStride apart.
+  // The destination blocks of a gather, or ranges of a push, and their
+  // count slices, CountStride apart.
   std::vector<size_t> block_bounds_;
   std::vector<uint64_t> block_counts_;
+  // [block][fragment] -> activated vertices, ascending within the block;
+  // and the arena the next frontier is assembled in, swapped with the
+  // current one.
+  std::vector<std::vector<std::vector<graph::VertexId>>> segments_;
+  FrontierSoA next_frontier_;
 };
 
 }  // namespace gum::core

@@ -10,8 +10,8 @@
 //   * Deposit — direct combine. With one host thread the scatter backend
 //     runs its work units serially in canonical order (fragments
 //     ascending, executors in plan order) and deposits every message as it
-//     is emitted; that order is the canonical merge order below.
-//   * MessageStaging + MergeSharded — only for units that run concurrently
+//     is emitted; that order is the canonical replay order below.
+//   * MessageStaging + MergeShard — only for units that run concurrently
 //     on a pool: each worker bins its outgoing messages by destination
 //     shard at generation time (O(1) routing, see ShardMap); shard s then
 //     replays every unit's shard-s bin in canonical work-unit order. A
@@ -19,9 +19,12 @@
 //     and therefore the "first writer pays the transfer" attribution of
 //     agg_msgs — is bit-identical to the serial direct deposits for any
 //     shard x thread count. Shard widths are multiples of 64, so concurrent
-//     shard merges never touch the same Bitmap word.
+//     shard replays never touch the same Bitmap word.
 //
-// See DESIGN.md, "Determinism contract" and "Sharded message plane".
+// Either way the push then drains each shard's range through Apply
+// (ForEachPendingInRange) right after that shard's replay, and clears the
+// store (EndSuperstep). See DESIGN.md, "Determinism contract" and "Sharded
+// message plane".
 
 #ifndef GUM_CORE_MESSAGE_STORE_H_
 #define GUM_CORE_MESSAGE_STORE_H_
@@ -33,8 +36,6 @@
 #include <vector>
 
 #include "common/bitmap.h"
-#include "common/thread_pool.h"
-#include "obs/trace.h"
 #include "graph/types.h"
 
 namespace gum::core {
@@ -42,7 +43,7 @@ namespace gum::core {
 // Partition of [0, num_vertices) into contiguous equal-width shards. The
 // width is rounded up to a multiple of 64 (the Bitmap word size) so that
 // two shards never share a membership word — the invariant that lets
-// MergeSharded and the sharded apply run shards on different threads.
+// the push replay and apply shards on different threads.
 // Routing is one integer division: ShardOf(v) = v / width().
 class ShardMap {
  public:
@@ -135,8 +136,8 @@ class MessageStoreBase {
   bool Has(graph::VertexId v) const { return set_.Test(v); }
   // Vertices with a pending combined message.
   size_t PendingCount() const;
-  // Forgets every pending message; call once the apply phase has drained
-  // the store.
+  // Forgets every pending message; call once the push has drained the
+  // store.
   void EndSuperstep();
 
  protected:
@@ -192,28 +193,6 @@ class MessageStore : public MessageStoreBase {
         if (Deposit(v, m, combine)) first_writer(u, v);
       }
     }
-  }
-
-  // The sharded parallel merge: every shard replays in canonical unit
-  // order, shards distributed over the pool in static contiguous ranges.
-  // `first_writer(shard, unit, v)` runs concurrently for distinct shards —
-  // accumulate per shard and reduce afterwards. Bit-identical to Depositing
-  // staged[0..num_units) unit by unit in generation order, for any shard x
-  // thread count.
-  template <typename CombineFn, typename FirstWriterFn>
-  void MergeSharded(ThreadPool* pool, const ShardMap& shards,
-                    const std::vector<MessageStaging<Message>>& staged,
-                    size_t num_units, CombineFn&& combine,
-                    FirstWriterFn&& first_writer) {
-    const int s_count = shards.num_shards();
-    const auto merge_one = [&](size_t s) {
-      GUM_TRACE_SCOPE("merge.shard");
-      MergeShard(static_cast<int>(s), staged, num_units, combine,
-                 [&first_writer, s](size_t unit, graph::VertexId v) {
-                   first_writer(static_cast<int>(s), unit, v);
-                 });
-    };
-    ForEachShard(pool, s_count, merge_one);
   }
 
   const Message& Get(graph::VertexId v) const { return inbox_[v]; }

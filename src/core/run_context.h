@@ -1,8 +1,8 @@
 // Per-query mutable engine state (DESIGN.md §13).
 //
 // RunContext<App> bundles everything GumEngine::Run mutates: the vertex
-// values and frontier, the message store, the expand backend's staging
-// arenas, and the apply-phase scratch with its spare frontier arena. A fresh RunContext per run is
+// values and frontier, the message store, and the expand backend with its
+// staging arenas and spare frontier arena. A fresh RunContext per run is
 // exactly the pre-split engine (the legacy Run overload makes one); a
 // long-lived RunContext reused across runs is the serving-mode fast path —
 // every buffer keeps its high-water capacity, so steady-state queries
@@ -21,7 +21,6 @@
 #include "core/expand/expand_backend.h"
 #include "core/expand/frontier_scatter.h"
 #include "core/message_store.h"
-#include "core/superstep.h"
 #include "core/vertex_state.h"
 
 namespace gum::core {
@@ -36,13 +35,11 @@ struct RunContext {
   MessageStore<Message> store;
   FrontierScatterBackend<App> scatter_backend;
   ExpandCounters expand_counters;
-  ApplyScratch apply_scratch;
   std::vector<double> apply_msgs;
 
   // Resident bytes retained across queries (capacity, not live size).
   size_t FrontierArenaBytes() const {
-    return state.frontier.ArenaBytes() +
-           apply_scratch.next_frontier.ArenaBytes();
+    return state.frontier.ArenaBytes() + scatter_backend.NextFrontierBytes();
   }
   size_t StagingBytes() const { return scatter_backend.StagingBytes(); }
 };

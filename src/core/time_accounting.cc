@@ -7,7 +7,7 @@
 
 namespace gum::core {
 
-TimeAccountingSummary AccountSuperstepTime(
+double AccountSuperstepTime(
     int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
     bool aggregate_messages, const FrontierCensus& census,
     const ExpandCounters& counters, const std::vector<double>& apply_msgs,
@@ -18,8 +18,7 @@ TimeAccountingSummary AccountSuperstepTime(
   const int n = static_cast<int>(counters.edges_done.size());
   const int m = static_cast<int>(active.size());
   const double p_ns = dev.sync_per_peer_us * 1000.0;
-  TimeAccountingSummary summary;
-  summary.kernel_launches.assign(n, 0);
+  double kernel_launch_ns = 0.0;
   // Pass 1: charge compute/serialization/overhead per device and enqueue
   // the superstep's transfers. Enqueue order mirrors the legacy per-device
   // accumulation (per active j: remote gather, local gather per source
@@ -71,10 +70,8 @@ TimeAccountingSummary AccountSuperstepTime(
         ++kernels;
       }
     }
-    const int launches = kernels + 2;
-    const double launch_ns = launches * dev.kernel_launch_us * 1000.0;
-    summary.kernel_launches[j] = launches;
-    summary.kernel_launch_ns_total += launch_ns;
+    const double launch_ns = (kernels + 2) * dev.kernel_launch_us * 1000.0;
+    kernel_launch_ns += launch_ns;
     overhead_ns[j] += launch_ns;
     // Barrier + buffer bookkeeping, Eq. (4). The legacy charge is the
     // all-to-one group factor m; with a reduction tree each device pays
@@ -108,10 +105,10 @@ TimeAccountingSummary AccountSuperstepTime(
     for (int j = 0; j < n; ++j) sent += counters.raw_msgs[j][f];
     result->messages_sent += static_cast<uint64_t>(sent);
   }
-  return summary;
+  return kernel_launch_ns;
 }
 
-TimeAccountingSummary AccountGunrockSuperstepTime(
+double AccountGunrockSuperstepTime(
     int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
     double single_gpu_compute_factor, const FrontierCensus& census,
     const ExpandCounters& counters, RunResult* result) {
@@ -120,8 +117,7 @@ TimeAccountingSummary AccountGunrockSuperstepTime(
   const double p_ns = dev.sync_per_peer_us * 1000.0;
   const double compute_factor =
       n == 1 ? single_gpu_compute_factor : kGunrockMultiGpuComputeFactor;
-  TimeAccountingSummary summary;
-  summary.kernel_launches.assign(n, 0);
+  double kernel_launch_ns = 0.0;
   // Pass 1 charges compute/serial per fragment and enqueues its transfers
   // (local fetch, then one bin per peer); pass 2 posts the buckets.
   sim::TransferBatch batch;
@@ -159,8 +155,7 @@ TimeAccountingSummary AccountGunrockSuperstepTime(
     tl.Add(iter, i, sim::TimeCategory::kSerialization,
            frag_serial_ns[i] / 1e6);
     tl.Add(iter, i, sim::TimeCategory::kOverhead, overhead_ns / 1e6);
-    summary.kernel_launches[i] = 5;
-    summary.kernel_launch_ns_total += launch_ns;
+    kernel_launch_ns += launch_ns;
   }
   // Idle devices still participate in the barrier.
   for (int i = 0; i < n; ++i) {
@@ -168,7 +163,7 @@ TimeAccountingSummary AccountGunrockSuperstepTime(
       tl.Add(iter, i, sim::TimeCategory::kOverhead, p_ns * n / 1e6);
     }
   }
-  return summary;
+  return kernel_launch_ns;
 }
 
 }  // namespace gum::core

@@ -26,17 +26,6 @@
 
 namespace gum::core {
 
-// What the accounting actually charged, fed back into the engine's online
-// p estimate (Eq. 4): the estimate subtracts the *recorded* kernel-launch
-// time instead of guessing a fixed per-iteration kernel count.
-struct TimeAccountingSummary {
-  // Kernel launches charged per device this iteration (gather kernels +
-  // apply kernels + the fixed launch pair); zero for inactive devices.
-  std::vector<int> kernel_launches;
-  // Total launch time charged across active devices, in ns.
-  double kernel_launch_ns_total = 0.0;
-};
-
 // Accounts one superstep from its census (`census.features[i]` describes
 // fragment i's frontier) and its expand counters: `edges_done[i][j]` /
 // `hub_edges[i][j]` are fragment-i edges expanded by device j (hub-cached
@@ -53,7 +42,11 @@ struct TimeAccountingSummary {
 // gathers — the FSteal fragment payloads — are enqueued as bulk transfers
 // so the plane may stripe them. Null leaves the legacy accounting
 // bit-identical.
-TimeAccountingSummary AccountSuperstepTime(
+//
+// Both models return the kernel-launch time they charged across active
+// devices, in ns: the engine's online p estimate (Eq. 4) subtracts the
+// *recorded* launch time instead of guessing a fixed kernel count.
+double AccountSuperstepTime(
     int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
     bool aggregate_messages, const FrontierCensus& census,
     const ExpandCounters& counters, const std::vector<double>& apply_msgs,
@@ -75,7 +68,7 @@ inline constexpr double kGunrockMultiGpuComputeFactor = 0.95;
 //   * every non-empty fragment pays 5 kernel launches plus the p * n
 //     barrier, and idle devices still pay p * n (the long tail of Fig. 1).
 // `census` is this superstep's, taken before apply.
-TimeAccountingSummary AccountGunrockSuperstepTime(
+double AccountGunrockSuperstepTime(
     int iter, sim::CommPlane& plane, const sim::DeviceParams& dev,
     double single_gpu_compute_factor, const FrontierCensus& census,
     const ExpandCounters& counters, RunResult* result);

@@ -50,10 +50,11 @@ class FrontierSoA {
   // Replaces the contents with per-fragment vertex lists.
   void Assign(const std::vector<std::vector<graph::VertexId>>& per_fragment);
 
-  // Replaces the contents with the sharded apply phase's output layout:
+  // Replaces the contents with the per-range apply's output layout:
   // fragment i's frontier is segments[0][i] + segments[1][i] + ... —
-  // shards are ascending contiguous vertex ranges, so the concatenation
-  // comes out ascending per fragment.
+  // ranges (the push's shards, the gather's blocks) are ascending
+  // contiguous vertex ranges, so the concatenation comes out ascending
+  // per fragment.
   void AssignFromShardSegments(
       const std::vector<std::vector<std::vector<graph::VertexId>>>& segments,
       int num_shards, int num_fragments);

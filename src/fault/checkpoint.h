@@ -28,7 +28,7 @@
 namespace gum::fault {
 
 struct CheckpointConfig {
-  // Take a snapshot after every `every`-th iteration's apply phase; 0
+  // Take a snapshot after every `every`-th iteration; 0
   // disables periodic checkpoints. With a fault plan active, an implicit
   // free snapshot of the initial state always exists, so recovery falls
   // back to iteration 0 when no periodic checkpoint was taken yet.

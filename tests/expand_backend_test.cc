@@ -1,13 +1,15 @@
 // Step 4's directions (core/expand/, DESIGN.md §12): every --expand kind —
 // frontier scatter, SpMV push/pull, and the auto density rule — must
 // produce byte-identical vertex values for every host-thread count (one
-// message shard per thread), on every bundled algorithm. The stationary
-// gather, with the apply it runs, and the one-thread direct deposit must
-// reproduce the staged scatter path counter for counter, and the pull,
-// applying in place, the values, next frontier and applied counts of the
-// store-then-apply path under its own charge rule. The suite lives in the
-// parallel test binary so the TSan CI job watches the gather's block
-// parallelism and the payload passes for races.
+// message shard per thread), on every bundled algorithm. Every entry point
+// applies in place; each is checked against a test-local copy of the
+// store-then-apply path it replaced (ReferencePush): the push and the
+// stationary gather counter for counter, the one-thread direct deposit
+// against the staged push, and the pull on values, next frontier and
+// applied counts under its own charge rule. The suite lives in the
+// parallel test binary so the TSan CI job watches the push's per-shard
+// merge and apply, the gather's block parallelism and the payload passes
+// for races.
 
 #include <algorithm>
 #include <bit>
@@ -22,6 +24,7 @@
 #include "algos/apps.h"
 #include "algos/reference.h"
 #include "common/bitmap.h"
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/census.h"
 #include "core/expand/expand_backend.h"
@@ -29,7 +32,6 @@
 #include "core/expand/pull_edges.h"
 #include "core/graph_context.h"
 #include "core/message_store.h"
-#include "core/superstep.h"
 #include "core/vertex_state.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -215,13 +217,26 @@ struct SuppressingRoundsApp : SuppressingMessages {
   }
 };
 
-// The data-driven app: supersteps expand the previous one's targets, and
-// an apply at every fifth vertex does not activate it.
+// The data-driven app: supersteps expand the previous one's targets, a
+// value also records the message Apply received, bit for bit, and an apply
+// at every fifth vertex does not activate it.
 struct SuppressingDataDrivenApp : SuppressingMessages {
+  struct Value {
+    double x = 0.0;
+    uint64_t applied_bits = 0;
+  };
+
   std::string name() const { return "suppressing_data_driven"; }
   bool IsInitiallyActive(VertexId v) const { return v % 7 == 0; }
+  Value InitValue(VertexId v) const {
+    return {.x = SuppressingMessages::InitValue(v)};
+  }
+  Message OnFrontier(VertexId u, Value& val, uint32_t out_degree) {
+    return SuppressingMessages::OnFrontier(u, val.x, out_degree);
+  }
   bool Apply(VertexId v, Value& val, const Message& msg) const {
-    SuppressingMessages::Apply(v, val, msg);
+    val.applied_bits = std::bit_cast<uint64_t>(msg);
+    SuppressingMessages::Apply(v, val.x, msg);
     return v % 5 != 0;
   }
 };
@@ -300,6 +315,165 @@ void ExpectBitsEqual(const std::vector<std::vector<double>>& got,
   }
 }
 
+// Every cell of two supersteps' expand counters, bit for bit.
+void ExpectCountersEqual(const ExpandCounters& got, const ExpandCounters& want) {
+  ExpectBitsEqual(got.edges_done, want.edges_done, "edges_done");
+  ExpectBitsEqual(got.hub_edges, want.hub_edges, "hub_edges");
+  ExpectBitsEqual(got.agg_msgs, want.agg_msgs, "agg_msgs");
+  ExpectBitsEqual(got.raw_msgs, want.raw_msgs, "raw_msgs");
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.stolen_edges),
+            std::bit_cast<uint64_t>(want.stolen_edges));
+  EXPECT_EQ(got.edges_processed, want.edges_processed);
+}
+
+// A test-local copy of the push as it ran before it applied in place.
+// Expand is FrontierScatterBackend::Expand as it was: a serial expand that
+// deposits each message as it is emitted (no pool of two or more threads),
+// or a staged expand merged shard by shard on the pool
+// (MessageStore::MergeSharded), first writers charged per shard and
+// reduced in shard order. It leaves the combined messages in the store.
+// Apply is ApplySuperstep, the BSP loop's old apply phase: each shard
+// drains its store range, and the next frontier is assembled in shard
+// order. The in-place push is checked against the two back to back; the
+// stationary and pull tests read Expand's store.
+template <typename App>
+class ReferencePush {
+ public:
+  using Value = typename App::Value;
+  using Message = typename App::Message;
+
+  void Expand(ThreadPool* pool, const graph::CsrGraph& g,
+              const graph::Partition& partition, const HubCache* hub_cache,
+              const std::vector<int>& owner_of_fragment,
+              const std::vector<int>& active, const FStealDecision& fs,
+              const FrontierCensus& census, App& app,
+              std::vector<Value>& values, const FrontierSoA& frontier,
+              const ShardMap& shards, MessageStore<Message>& store,
+              ExpandCounters* out) {
+    const int n = partition.num_parts;
+    out->Reset(n);
+    const std::vector<WorkUnit> units =
+        BuildWorkUnits(frontier, fs, census, owner_of_fragment, active);
+    const auto combine = [&app](const Message& a, const Message& b) {
+      return app.Combine(a, b);
+    };
+    if (pool == nullptr || pool->num_threads() <= 1) {
+      if (counters_.size() < units.size()) counters_.resize(units.size());
+      for (size_t idx = 0; idx < units.size(); ++idx) {
+        const WorkUnit& unit = units[idx];
+        counters_[idx].Reset(n);
+        ExpandUnit(g, partition, hub_cache, owner_of_fragment[unit.fragment],
+                   app, values, frontier.Fragment(unit.fragment), unit,
+                   &counters_[idx],
+                   [&](VertexId v, uint32_t owner, const Message& m) {
+                     if (store.Deposit(v, m, combine)) {
+                       ChargeFirstWriter(out->agg_msgs, unit.executor, owner);
+                     }
+                   });
+      }
+      AddUnitCounters(units, n, out);
+      return;
+    }
+    ExpandSuperstep(pool, g, partition, hub_cache, owner_of_fragment, app,
+                    values, frontier, units, shards, &staged_, &counters_);
+    AddUnitCounters(units, n, out);
+
+    const int s_count = shards.num_shards();
+    if (static_cast<int>(shard_agg_.size()) < s_count) {
+      shard_agg_.resize(s_count);
+    }
+    for (auto& per_exec : shard_agg_) {
+      if (static_cast<int>(per_exec.size()) != n) {
+        per_exec.assign(n, std::vector<double>(n, 0.0));
+      } else {
+        for (auto& row : per_exec) std::fill(row.begin(), row.end(), 0.0);
+      }
+    }
+    // MergeSharded: every shard replays its bins in canonical unit order.
+    ForEachShard(pool, s_count, [&](size_t s) {
+      store.MergeShard(static_cast<int>(s), staged_, units.size(), combine,
+                       [&](size_t unit_idx, VertexId v) {
+                         ChargeFirstWriter(shard_agg_[s],
+                                           units[unit_idx].executor,
+                                           partition.owner[v]);
+                       });
+    });
+    for (const auto& per_exec : shard_agg_) {
+      for (int e = 0; e < n; ++e) {
+        for (int f = 0; f < n; ++f) out->agg_msgs[e][f] += per_exec[e][f];
+      }
+    }
+  }
+
+  void Apply(ThreadPool* pool, const ShardMap& shards,
+             const graph::Partition& partition, App& app,
+             MessageStore<Message>& store, std::vector<Value>& values,
+             FrontierSoA* frontier, std::vector<double>* apply_counts) {
+    const int s_count = shards.num_shards();
+    const size_t n = static_cast<size_t>(partition.num_parts);
+    if (segments_.size() < static_cast<size_t>(s_count)) {
+      segments_.resize(s_count);
+    }
+    for (int s = 0; s < s_count; ++s) {
+      segments_[s].resize(n);
+      for (auto& seg : segments_[s]) seg.clear();
+    }
+    if (counts_.size() < static_cast<size_t>(s_count)) counts_.resize(s_count);
+    ForEachShard(pool, s_count, [&](size_t s) {
+      auto* const segs = segments_[s].data();
+      auto& cnt = counts_[s];
+      cnt.assign(n, 0.0);
+      const size_t begin = shards.ShardBegin(static_cast<int>(s));
+      const size_t end =
+          std::min(values.size(), shards.ShardEnd(static_cast<int>(s)));
+      store.ForEachPendingInRange(begin, end, [&](VertexId v,
+                                                  const Message& msg) {
+        if (app.Apply(v, values[v], msg)) segs[partition.owner[v]].push_back(v);
+        cnt[partition.owner[v]] += 1.0;
+      });
+    });
+    next_frontier_.AssignFromShardSegments(segments_, s_count,
+                                           static_cast<int>(n));
+    std::swap(*frontier, next_frontier_);
+    apply_counts->assign(n, 0.0);
+    for (int s = 0; s < s_count; ++s) {
+      for (size_t i = 0; i < n; ++i) (*apply_counts)[i] += counts_[s][i];
+    }
+    store.EndSuperstep();
+  }
+
+ private:
+  static void ChargeFirstWriter(std::vector<std::vector<double>>& agg,
+                                int executor, uint32_t owner) {
+    agg[executor][owner] += 1.0;
+  }
+
+  void AddUnitCounters(const std::vector<WorkUnit>& units, int n,
+                       ExpandCounters* out) const {
+    for (size_t idx = 0; idx < units.size(); ++idx) {
+      const WorkUnit& unit = units[idx];
+      const UnitCounters& c = counters_[idx];
+      out->edges_done[unit.fragment][unit.executor] += c.edges;
+      out->hub_edges[unit.fragment][unit.executor] += c.hub_edges;
+      for (int f = 0; f < n; ++f) {
+        out->raw_msgs[unit.executor][f] += c.raw_msgs[f];
+      }
+      out->stolen_edges += c.stolen_edges;
+      out->edges_processed += c.edges_processed;
+    }
+  }
+
+  std::vector<MessageStaging<Message>> staged_;
+  std::vector<UnitCounters> counters_;
+  // [shard][executor][owner] first writers.
+  std::vector<std::vector<std::vector<double>>> shard_agg_;
+  // [shard][fragment] activations and applied counts, and the spare
+  // frontier arena.
+  std::vector<std::vector<std::vector<VertexId>>> segments_;
+  std::vector<std::vector<double>> counts_;
+  FrontierSoA next_frontier_;
+};
+
 // The fixed-round apply that ended a staged stationary superstep: every
 // vertex applies its stored message, or InitialAccumulator() when it has
 // none, and each fragment counts one applied message per vertex.
@@ -348,9 +522,9 @@ std::vector<std::vector<double>> PullCharges(
 }
 
 // Runs two stationary supersteps three ways side by side on one context
-// (its pool, hub cache, census and PullEdges): the staged Expand plus the
-// fixed-round apply, and the gather over every vertex under each charge
-// rule. Compares every counter cell and apply_msgs of the messages-charged
+// (its pool, hub cache, census and PullEdges): the reference push's staged
+// Expand plus the fixed-round apply, and the gather over every vertex under
+// each charge rule. Compares every counter cell and apply_msgs of the messages-charged
 // gather with the staged path's, the pull-charged gather's charges with a
 // count over every out-edge, and every value of both gathers bit for bit;
 // a value records the message its vertex applied and whether one arrived.
@@ -377,11 +551,10 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
   }
   std::vector<Value> gathered_values = staged_values;
   std::vector<Value> pulled_values = staged_values;
-  FrontierScatterBackend<SuppressingRoundsApp> staged_backend;
+  ReferencePush<SuppressingRoundsApp> staged_push;
   FrontierScatterBackend<SuppressingRoundsApp> stationary_backend;
   FrontierScatterBackend<SuppressingRoundsApp> pull_backend;
   MessageStore<double> staged_store(g.num_vertices());
-  ApplyScratch scratch;
   const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
   uint64_t all_edges = 0;
   const std::vector<std::vector<double>> pull_edges =
@@ -394,27 +567,21 @@ void ExpectStationaryMatchesStaged(const GraphContext& ctx, bool fsteal,
     std::vector<double> applied(n, 0.0);
     std::vector<double> gathered_applied;
     std::vector<double> pulled_applied;
-    staged_backend.Expand(ctx.pool(), g, part, hub_cache, owner, active, fs,
-                          census, app, staged_values, frontier,
-                          ctx.shard_map(), staged_store, &staged);
+    staged_push.Expand(ctx.pool(), g, part, hub_cache, owner, active, fs,
+                       census, app, staged_values, frontier, ctx.shard_map(),
+                       staged_store, &staged);
     ApplyEveryVertex(part, app, staged_store, staged_values, &applied);
     stationary_backend.Gather(
         ctx.pool(), g, part, hub_cache, owner, active, fs, census,
         ctx.pull_edges(), GatherCharge::kMessages,
         GatherSources::kEveryVertex, app, gathered_values, &frontier,
-        &scratch, &gathered_applied, &gathered);
+        &gathered_applied, &gathered);
     pull_backend.Gather(ctx.pool(), g, part, hub_cache, owner, active, fs,
                         census, ctx.pull_edges(),
                         GatherCharge::kRemoteGathers,
                         GatherSources::kEveryVertex, app, pulled_values,
-                        &frontier, &scratch, &pulled_applied, &pulled);
-    ExpectBitsEqual(gathered.edges_done, staged.edges_done, "edges_done");
-    ExpectBitsEqual(gathered.hub_edges, staged.hub_edges, "hub_edges");
-    ExpectBitsEqual(gathered.agg_msgs, staged.agg_msgs, "agg_msgs");
-    ExpectBitsEqual(gathered.raw_msgs, staged.raw_msgs, "raw_msgs");
-    EXPECT_EQ(std::bit_cast<uint64_t>(gathered.stolen_edges),
-              std::bit_cast<uint64_t>(staged.stolen_edges));
-    EXPECT_EQ(gathered.edges_processed, staged.edges_processed);
+                        &frontier, &pulled_applied, &pulled);
+    ExpectCountersEqual(gathered, staged);
     // The pull charges a remote gather per in-edge of every source and
     // sends no message.
     ExpectBitsEqual(pulled.edges_done, pull_edges, "pull edges_done");
@@ -498,82 +665,11 @@ TEST(StationaryExpandTest, SuppressingAppExercisesEveryRule) {
   EXPECT_GT(suppressed_first, 0u);
 }
 
-// --- serial direct deposit (data-driven supersteps, one host thread) ---
+// --- the push (data-driven supersteps) ---
 
-// Runs three data-driven supersteps of Expand from the same state twice:
-// with no pool (units serial in canonical order, depositing as they emit)
-// and on the context's pool (staged, merged by shard). Compares every
-// counter cell, store membership, every pending message and every value
-// bit for bit. Each superstep's frontier is the previous one's message
-// targets, and applying a message rewrites the value.
-void ExpectSerialMatchesStaged(const GraphContext& ctx, bool fsteal,
-                               bool hub) {
-  ASSERT_NE(ctx.pool(), nullptr);
-  const graph::CsrGraph& g = ctx.graph();
-  const graph::Partition& part = ctx.partition();
-  const int n = part.num_parts;
-  const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
-  SuppressingDataDrivenApp app;
-  std::vector<double> serial_values(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    serial_values[v] = app.InitValue(v);
-  }
-  std::vector<double> staged_values = serial_values;
-  FrontierScatterBackend<SuppressingDataDrivenApp> serial_backend;
-  FrontierScatterBackend<SuppressingDataDrivenApp> staged_backend;
-  MessageStore<double> serial_store(g.num_vertices());
-  MessageStore<double> staged_store(g.num_vertices());
-  FrontierSoA frontier;
-  frontier.BuildByOwner(g.num_vertices(), part.owner, n,
-                        [&](VertexId v) { return app.IsInitiallyActive(v); });
-  FrontierCensus census;
-  for (int step = 0; step < 3; ++step) {
-    SCOPED_TRACE(testing::Message() << "superstep " << step);
-    census.Take(g, ctx.hub_cache(), frontier);
-    const TestPlan plan = RotatedPlan(n, census.loads, fsteal);
-    ExpandCounters serial;
-    ExpandCounters staged;
-    serial_backend.Expand(nullptr, g, part, hub_cache, plan.owner,
-                          plan.active, plan.fs, census, app, serial_values,
-                          frontier, ctx.shard_map(), serial_store, &serial);
-    staged_backend.Expand(ctx.pool(), g, part, hub_cache, plan.owner,
-                          plan.active, plan.fs, census, app, staged_values,
-                          frontier, ctx.shard_map(), staged_store, &staged);
-    ExpectBitsEqual(serial.edges_done, staged.edges_done, "edges_done");
-    ExpectBitsEqual(serial.hub_edges, staged.hub_edges, "hub_edges");
-    ExpectBitsEqual(serial.agg_msgs, staged.agg_msgs, "agg_msgs");
-    ExpectBitsEqual(serial.raw_msgs, staged.raw_msgs, "raw_msgs");
-    EXPECT_EQ(std::bit_cast<uint64_t>(serial.stolen_edges),
-              std::bit_cast<uint64_t>(staged.stolen_edges));
-    EXPECT_EQ(serial.edges_processed, staged.edges_processed);
-    EXPECT_EQ(serial_backend.StagingBytes(), 0u) << "the serial path stages";
-    ASSERT_EQ(serial_store.PendingCount(), staged_store.PendingCount());
-    ASSERT_GT(serial_store.PendingCount(), 0u);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(serial_store.Has(v), staged_store.Has(v)) << "v=" << v;
-      if (serial_store.Has(v)) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(serial_store.Get(v)),
-                  std::bit_cast<uint64_t>(staged_store.Get(v)))
-            << "v=" << v;
-      }
-      ASSERT_EQ(std::bit_cast<uint64_t>(serial_values[v]),
-                std::bit_cast<uint64_t>(staged_values[v]))
-          << "v=" << v;
-    }
-    // Apply, then expand the message targets next.
-    serial_store.ForEachPendingInRange(
-        0, g.num_vertices(), [&](VertexId v, double msg) {
-          app.Apply(v, serial_values[v], msg);
-          app.Apply(v, staged_values[v], msg);
-        });
-    frontier.BuildByOwner(g.num_vertices(), part.owner, n,
-                          [&](VertexId v) { return serial_store.Has(v); });
-    serial_store.EndSuperstep();
-    staged_store.EndSuperstep();
-  }
-}
-
-TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
+// The data-driven identity matrix's graphs: weighted RMAT, a road grid, and
+// an RMAT built keeping duplicate edges and self-loops.
+std::vector<graph::CsrGraph> DataDrivenGraphs() {
   std::vector<graph::CsrGraph> graphs;
   graphs.push_back(SocialGraph(9, 5, /*weighted=*/true));
   graphs.push_back(RoadGraph(32, 3));
@@ -588,6 +684,181 @@ TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
   graphs.push_back(std::move(graph::CsrGraph::FromEdgeList(graph::Rmat(rmat),
                                                            keep_all))
                        .value());
+  return graphs;
+}
+
+void ExpectValueBitsEqual(const SuppressingDataDrivenApp::Value& got,
+                          const SuppressingDataDrivenApp::Value& want,
+                          VertexId v) {
+  ASSERT_EQ(std::bit_cast<uint64_t>(got.x), std::bit_cast<uint64_t>(want.x))
+      << "v=" << v;
+  ASSERT_EQ(got.applied_bits, want.applied_bits) << "v=" << v;
+}
+
+// What a data-driven superstep leaves behind, compared bit for bit: the
+// values, each fragment's next frontier (ascending) and the applied
+// counts. Some applied destinations stay inactive.
+void ExpectSuperstepEqual(
+    const std::vector<SuppressingDataDrivenApp::Value>& got_values,
+    const FrontierSoA& got_frontier, const std::vector<double>& got_applied,
+    const std::vector<SuppressingDataDrivenApp::Value>& want_values,
+    const FrontierSoA& want_frontier,
+    const std::vector<double>& want_applied) {
+  EXPECT_EQ(got_applied, want_applied);
+  ASSERT_GT(want_frontier.TotalSize(), 0u);
+  ASSERT_LT(static_cast<double>(want_frontier.TotalSize()),
+            std::accumulate(want_applied.begin(), want_applied.end(), 0.0));
+  ASSERT_EQ(got_frontier.ToVectors(), want_frontier.ToVectors());
+  for (int i = 0; i < got_frontier.num_fragments(); ++i) {
+    ASSERT_TRUE(std::ranges::is_sorted(got_frontier.Fragment(i)))
+        << "fragment " << i;
+  }
+  for (VertexId v = 0; v < got_values.size(); ++v) {
+    ExpectValueBitsEqual(got_values[v], want_values[v], v);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Runs three data-driven supersteps of the in-place push from the same
+// state on `pool` (null: units serial in canonical order, depositing as
+// they emit, and one apply range) and through ReferencePush's Expand and
+// Apply on the same pool. Compares every counter cell, apply_msgs, the next
+// frontier and every value bit for bit, and checks that the push leaves its
+// store empty. Each superstep's frontier is the previous one's activated
+// destinations.
+void ExpectPushMatchesReference(const GraphContext& ctx, ThreadPool* pool,
+                                bool fsteal, bool hub) {
+  using App = SuppressingDataDrivenApp;
+  const graph::CsrGraph& g = ctx.graph();
+  const graph::Partition& part = ctx.partition();
+  const int n = part.num_parts;
+  const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
+  App app;
+  std::vector<App::Value> push_values(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    push_values[v] = app.InitValue(v);
+  }
+  std::vector<App::Value> ref_values = push_values;
+  FrontierScatterBackend<App> backend;
+  ReferencePush<App> reference;
+  MessageStore<double> push_store(g.num_vertices());
+  MessageStore<double> ref_store(g.num_vertices());
+  FrontierSoA push_frontier;
+  push_frontier.BuildByOwner(
+      g.num_vertices(), part.owner, n,
+      [&](VertexId v) { return app.IsInitiallyActive(v); });
+  FrontierSoA ref_frontier = push_frontier;
+  FrontierCensus census;
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(testing::Message() << "superstep " << step);
+    census.Take(g, ctx.hub_cache(), ref_frontier);
+    const TestPlan plan = RotatedPlan(n, census.loads, fsteal);
+    ExpandCounters pushed;
+    ExpandCounters want;
+    std::vector<double> push_applied;
+    std::vector<double> ref_applied;
+    backend.Expand(pool, g, part, hub_cache, plan.owner, plan.active,
+                   plan.fs, census, app, push_values, &push_frontier,
+                   ctx.shard_map(), push_store, &push_applied, &pushed);
+    reference.Expand(pool, g, part, hub_cache, plan.owner, plan.active,
+                     plan.fs, census, app, ref_values, ref_frontier,
+                     ctx.shard_map(), ref_store, &want);
+    reference.Apply(pool, ctx.shard_map(), part, app, ref_store, ref_values,
+                    &ref_frontier, &ref_applied);
+    ExpectCountersEqual(pushed, want);
+    EXPECT_EQ(push_store.PendingCount(), 0u);
+    ExpectSuperstepEqual(push_values, push_frontier, push_applied,
+                         ref_values, ref_frontier, ref_applied);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(PushExpandTest, ValuesFrontierAndCountersMatchReference) {
+  const std::vector<graph::CsrGraph> graphs = DataDrivenGraphs();
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (const int devices : {1, 3, 8}) {
+      const graph::Partition part = MakePartition(graphs[gi], devices);
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        for (const bool hub : {true, false}) {
+          EngineOptions opt = TestEngineOptions();
+          opt.num_host_threads = threads;
+          opt.enable_hub_cache = hub;
+          const GraphContext ctx(&graphs[gi], part, Topo(devices), opt);
+          ThreadPool* const pools[] = {ctx.pool(), nullptr};
+          for (ThreadPool* pool : pools) {
+            for (const bool fsteal : {true, false}) {
+              SCOPED_TRACE(testing::Message()
+                           << "graph " << gi << " devices=" << devices
+                           << " threads=" << threads << " hub=" << hub
+                           << " pool=" << (pool != nullptr)
+                           << " fsteal=" << fsteal);
+              ExpectPushMatchesReference(ctx, pool, fsteal, hub);
+              if (HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Runs three data-driven supersteps of the push from the same state twice:
+// with no pool (units serial in canonical order, depositing as they emit)
+// and on the context's pool (staged, merged and applied by shard).
+// Compares every counter cell, apply_msgs, the next frontier and every
+// value bit for bit, and checks that both leave their store empty.
+void ExpectSerialMatchesStaged(const GraphContext& ctx, bool fsteal,
+                               bool hub) {
+  using App = SuppressingDataDrivenApp;
+  ASSERT_NE(ctx.pool(), nullptr);
+  const graph::CsrGraph& g = ctx.graph();
+  const graph::Partition& part = ctx.partition();
+  const int n = part.num_parts;
+  const HubCache* hub_cache = hub ? &ctx.hub_cache() : nullptr;
+  App app;
+  std::vector<App::Value> serial_values(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    serial_values[v] = app.InitValue(v);
+  }
+  std::vector<App::Value> staged_values = serial_values;
+  FrontierScatterBackend<App> serial_backend;
+  FrontierScatterBackend<App> staged_backend;
+  MessageStore<double> serial_store(g.num_vertices());
+  MessageStore<double> staged_store(g.num_vertices());
+  FrontierSoA serial_frontier;
+  serial_frontier.BuildByOwner(
+      g.num_vertices(), part.owner, n,
+      [&](VertexId v) { return app.IsInitiallyActive(v); });
+  FrontierSoA staged_frontier = serial_frontier;
+  FrontierCensus census;
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(testing::Message() << "superstep " << step);
+    census.Take(g, ctx.hub_cache(), serial_frontier);
+    const TestPlan plan = RotatedPlan(n, census.loads, fsteal);
+    ExpandCounters serial;
+    ExpandCounters staged;
+    std::vector<double> serial_applied;
+    std::vector<double> staged_applied;
+    serial_backend.Expand(nullptr, g, part, hub_cache, plan.owner,
+                          plan.active, plan.fs, census, app, serial_values,
+                          &serial_frontier, ctx.shard_map(), serial_store,
+                          &serial_applied, &serial);
+    staged_backend.Expand(ctx.pool(), g, part, hub_cache, plan.owner,
+                          plan.active, plan.fs, census, app, staged_values,
+                          &staged_frontier, ctx.shard_map(), staged_store,
+                          &staged_applied, &staged);
+    ExpectCountersEqual(serial, staged);
+    EXPECT_EQ(serial_backend.StagingBytes(), 0u) << "the serial path stages";
+    EXPECT_EQ(serial_store.PendingCount(), 0u);
+    EXPECT_EQ(staged_store.PendingCount(), 0u);
+    ExpectSuperstepEqual(serial_values, serial_frontier, serial_applied,
+                         staged_values, staged_frontier, staged_applied);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
+  const std::vector<graph::CsrGraph> graphs = DataDrivenGraphs();
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     for (const int devices : {1, 3, 8}) {
       const graph::Partition part = MakePartition(graphs[gi], devices);
@@ -618,7 +889,8 @@ TEST(SerialExpandTest, DirectDepositMatchesStagedPath) {
 // each destination's chain over its in-edges from frontier sources in
 // PullEdges order, put into `store` once per destination that received a
 // message. (A Deposit into an empty slot is what MessageStore::Put did.)
-// ApplySuperstep then drains the store, as the engine's apply phase did.
+// ReferencePush::Apply then drains the store, as the engine's apply phase
+// did.
 template <typename App>
 void PutReferencePull(const graph::CsrGraph& g, const PullEdges& pull,
                       App& app, std::vector<typename App::Value>& values,
@@ -653,28 +925,27 @@ void PutReferencePull(const graph::CsrGraph& g, const PullEdges& pull,
 // sources) and through the reference above, and compares the values, the
 // next frontier and apply_msgs bit for bit. Each superstep's frontier is
 // the previous one's activated destinations. The reference's store is
-// also checked against the staged scatter Expand's over the identity plan,
-// so its chains are the push's. The rotated owner map keeps each fragment
-// off its executor, and the pull's charges are checked against a count
-// over the frontier's out-edges; the pull sends no message.
+// also checked against ReferencePush's staged Expand over the identity
+// plan, so its chains are the push's. The rotated owner map keeps each
+// fragment off its executor, and the pull's charges are checked against a
+// count over the frontier's out-edges; the pull sends no message.
 void ExpectPullMatchesReference(const GraphContext& ctx,
                                 ThreadPool* pull_pool) {
+  using App = SuppressingDataDrivenApp;
   const graph::CsrGraph& g = ctx.graph();
   const graph::Partition& part = ctx.partition();
   const int n = part.num_parts;
-  SuppressingDataDrivenApp app;
-  std::vector<double> pull_values(g.num_vertices());
+  App app;
+  std::vector<App::Value> pull_values(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     pull_values[v] = app.InitValue(v);
   }
-  std::vector<double> ref_values = pull_values;
-  std::vector<double> scatter_values = pull_values;
-  FrontierScatterBackend<SuppressingDataDrivenApp> pull_backend;
-  FrontierScatterBackend<SuppressingDataDrivenApp> scatter_backend;
+  std::vector<App::Value> ref_values = pull_values;
+  std::vector<App::Value> scatter_values = pull_values;
+  FrontierScatterBackend<App> pull_backend;
+  ReferencePush<App> reference;
   MessageStore<double> ref_store(g.num_vertices());
   MessageStore<double> scatter_store(g.num_vertices());
-  ApplyScratch pull_scratch;
-  ApplyScratch ref_scratch;
   FrontierSoA pull_frontier;
   pull_frontier.BuildByOwner(
       g.num_vertices(), part.owner, n,
@@ -691,10 +962,9 @@ void ExpectPullMatchesReference(const GraphContext& ctx,
         PullCharges(g, part, plan.owner, ref_frontier, &edges_processed);
 
     ExpandCounters scattered;
-    scatter_backend.Expand(ctx.pool(), g, part, nullptr, plan.owner,
-                           plan.active, plan.fs, census, app, scatter_values,
-                           ref_frontier, ctx.shard_map(), scatter_store,
-                           &scattered);
+    reference.Expand(ctx.pool(), g, part, nullptr, plan.owner, plan.active,
+                     plan.fs, census, app, scatter_values, ref_frontier,
+                     ctx.shard_map(), scatter_store, &scattered);
     PutReferencePull(g, ctx.pull_edges(), app, ref_values, ref_frontier,
                      ref_store);
     ASSERT_EQ(ref_store.PendingCount(), scatter_store.PendingCount());
@@ -706,14 +976,13 @@ void ExpectPullMatchesReference(const GraphContext& ctx,
                   std::bit_cast<uint64_t>(scatter_store.Get(v)))
             << "v=" << v;
       }
-      ASSERT_EQ(std::bit_cast<uint64_t>(ref_values[v]),
-                std::bit_cast<uint64_t>(scatter_values[v]))
-          << "v=" << v;
+      ExpectValueBitsEqual(ref_values[v], scatter_values[v], v);
+      if (testing::Test::HasFatalFailure()) return;
     }
     scatter_store.EndSuperstep();
     std::vector<double> ref_applied;
-    ApplySuperstep(ctx.pool(), ctx.shard_map(), part, app, ref_store,
-                   ref_values, &ref_scratch, &ref_frontier, &ref_applied);
+    reference.Apply(ctx.pool(), ctx.shard_map(), part, app, ref_store,
+                    ref_values, &ref_frontier, &ref_applied);
     scatter_values = ref_values;
 
     ExpandCounters pulled;
@@ -721,28 +990,15 @@ void ExpectPullMatchesReference(const GraphContext& ctx,
     pull_backend.Gather(pull_pool, g, part, nullptr, plan.owner, plan.active,
                         plan.fs, census, ctx.pull_edges(),
                         GatherCharge::kRemoteGathers, GatherSources::kFrontier,
-                        app, pull_values, &pull_frontier, &pull_scratch,
-                        &pull_applied, &pulled);
+                        app, pull_values, &pull_frontier, &pull_applied,
+                        &pulled);
     ExpectBitsEqual(pulled.edges_done, edges, "edges_done");
     ExpectBitsEqual(pulled.raw_msgs, zero, "raw_msgs");
     ExpectBitsEqual(pulled.agg_msgs, zero, "agg_msgs");
     EXPECT_EQ(pulled.edges_processed, edges_processed);
-    EXPECT_EQ(pull_applied, ref_applied);
-    // Each fragment's next frontier, ascending, as the sharded apply
-    // assembled it; some applied destinations stay inactive.
-    ASSERT_GT(ref_frontier.TotalSize(), 0u);
-    ASSERT_LT(static_cast<double>(ref_frontier.TotalSize()),
-              std::accumulate(ref_applied.begin(), ref_applied.end(), 0.0));
-    ASSERT_EQ(pull_frontier.ToVectors(), ref_frontier.ToVectors());
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(std::ranges::is_sorted(pull_frontier.Fragment(i)))
-          << "fragment " << i;
-    }
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(pull_values[v]),
-                std::bit_cast<uint64_t>(ref_values[v]))
-          << "v=" << v;
-    }
+    ExpectSuperstepEqual(pull_values, pull_frontier, pull_applied, ref_values,
+                         ref_frontier, ref_applied);
+    if (testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -1,8 +1,9 @@
 // Unit tests for the destination-sharded message plane
 // (core/message_store.h): ShardMap geometry, ranged pending iteration, and
-// the contract that MergeSharded reproduces the serial Deposit replay bit
-// for bit — combined inbox values AND first-writer attribution — for any
-// shard x thread count.
+// the contract that replaying every shard with MergeShard, shards claimed
+// by a pool's threads, reproduces the serial Deposit replay bit for bit —
+// combined inbox values AND first-writer attribution — for any shard x
+// thread count.
 
 #include <gtest/gtest.h>
 
@@ -121,11 +122,12 @@ TEST(MessageStagingTest, BinsByShardPreservingGenerationOrder) {
   EXPECT_EQ(staging.bin(1).size(), 1u);
 }
 
-// The tentpole contract: sharded parallel merge == serial Deposit replay.
+// The push's contract: sharded parallel merge == serial Deposit replay.
 // Random emissions across several "units" (staging buffers); the serial
 // reference replays unit-major in generation order, the sharded path runs
-// shard-major on a pool. Inbox values (non-associative combine included via
-// double sums) and first-writer attribution must match exactly.
+// MergeShard per shard on a pool. Inbox values (non-associative combine
+// included via double sums) and first-writer attribution must match
+// exactly.
 TEST(MessageStoreTest, ShardedMergeMatchesSerialDepositReplay) {
   constexpr size_t kNumV = 10000;
   constexpr int kUnits = 7;
@@ -169,13 +171,15 @@ TEST(MessageStoreTest, ShardedMergeMatchesSerialDepositReplay) {
     std::vector<std::vector<size_t>> first_counts(
         map.num_shards(), std::vector<size_t>(kUnits, 0));
     std::vector<int> first_writer(kNumV, -1);
-    sharded.MergeSharded(&pool, map, staged, staged.size(), combine,
-                         [&](int shard, size_t unit, VertexId v) {
+    ForEachShard(&pool, map.num_shards(), [&](size_t shard) {
+      sharded.MergeShard(static_cast<int>(shard), staged, staged.size(),
+                         combine, [&](size_t unit, VertexId v) {
                            // Shards own disjoint vertex ranges, so these
                            // writes are race-free across threads.
                            ++first_counts[shard][unit];
                            first_writer[v] = static_cast<int>(unit);
                          });
+    });
 
     ASSERT_EQ(sharded.PendingCount(), serial.PendingCount());
     for (size_t v = 0; v < kNumV; ++v) {
@@ -270,8 +274,10 @@ TEST(MessageStoreTest, ShardedMergeMatchesSerialDepositsAcrossThreads) {
         for (const auto& [v, m] : emitted[u]) staged[u].Emit(v, m);
       }
       MessageStore<double> merged(kNumV);
-      merged.MergeSharded(&pool, map, staged, staged.size(), combine,
-                          [](int, size_t, VertexId) {});
+      ForEachShard(&pool, map.num_shards(), [&](size_t shard) {
+        merged.MergeShard(static_cast<int>(shard), staged, staged.size(),
+                          combine, [](size_t, VertexId) {});
+      });
       EXPECT_EQ(dump(merged), expected);
     }
   }
