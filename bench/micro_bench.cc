@@ -36,6 +36,7 @@
 #include "graph/csr.h"
 #include "graph/frontier_features.h"
 #include "graph/generators.h"
+#include "graph/mutation.h"
 #include "graph/partition.h"
 #include "ml/dataset.h"
 #include "ml/polynomial_regression.h"
@@ -657,6 +658,55 @@ void BM_Partition(benchmark::State& state) {
   state.SetLabel(graph::PartitionerName(opt.kind));
 }
 BENCHMARK(BM_Partition)->Arg(0)->Arg(1)->Arg(2);
+
+// The road workloads' graph: a 128x128 road grid.
+const graph::CsrGraph& RoadBenchGraph() {
+  static const graph::CsrGraph* g = [] {
+    auto built = graph::CsrGraph::FromEdgeList(
+        graph::RoadGrid({.rows = 128, .cols = 128, .seed = 33}));
+    return new graph::CsrGraph(std::move(built).value());
+  }();
+  return *g;
+}
+
+// Road set-up's partition: the grid cut 8 ways by the metis-like
+// partitioner.
+void BM_PartitionRoadMetis(benchmark::State& state) {
+  const auto& g = RoadBenchGraph();
+  graph::PartitionOptions opt;
+  opt.kind = graph::PartitionerKind::kMetisLike;
+  for (auto _ : state) {
+    auto p = graph::PartitionGraph(g, 8, opt);
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_PartitionRoadMetis);
+
+// An epoch barrier's rebuild: the flat snapshot of the grid under a
+// road-closure overlay, 32 segments closed in both directions.
+void BM_DeltaMaterialize(benchmark::State& state) {
+  const auto& g = RoadBenchGraph();
+  graph::DynamicGraph dyn(g, /*symmetric=*/false);
+  std::vector<graph::MutationEvent> closures;
+  // 509 is coprime to the vertex count, so the walk meets each vertex
+  // once and no segment is drawn twice.
+  for (graph::VertexId k = 0; closures.size() < 64; ++k) {
+    const graph::VertexId u = k * 509 % g.num_vertices();
+    const auto out = g.OutNeighbors(u);
+    const auto v = std::find_if(out.begin(), out.end(),
+                                [u](graph::VertexId t) { return t > u; });
+    if (v == out.end()) continue;
+    closures.push_back({graph::MutationKind::kDeleteEdge, u, *v});
+    closures.push_back({graph::MutationKind::kDeleteEdge, *v, u});
+  }
+  dyn.Apply(closures);
+  for (auto _ : state) {
+    auto flat = dyn.Materialize();
+    benchmark::DoNotOptimize(flat);
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_DeltaMaterialize);
 
 void BM_RmatGeneration(benchmark::State& state) {
   graph::RmatOptions opt;

@@ -28,16 +28,27 @@ Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& list,
     }
   }
 
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+  const auto less = [](const Edge& a, const Edge& b) {
     if (a.src != b.src) return a.src < b.src;
     return a.dst < b.dst;
-  });
-  if (options.deduplicate) {
-    edges.erase(std::unique(edges.begin(), edges.end(),
-                            [](const Edge& a, const Edge& b) {
-                              return a.src == b.src && a.dst == b.dst;
-                            }),
-                edges.end());
+  };
+  // A strictly ascending list (DeltaCsr::Compact's, for one) is already
+  // sorted and free of duplicates: with no ties to permute, skipping the
+  // sort builds the same bytes. The scan stops at the first tie or descent.
+  const bool strictly_ascending =
+      std::adjacent_find(edges.begin(), edges.end(),
+                         [&](const Edge& a, const Edge& b) {
+                           return !less(a, b);
+                         }) == edges.end();
+  if (!strictly_ascending) {
+    std::sort(edges.begin(), edges.end(), less);
+    if (options.deduplicate) {
+      edges.erase(std::unique(edges.begin(), edges.end(),
+                              [](const Edge& a, const Edge& b) {
+                                return a.src == b.src && a.dst == b.dst;
+                              }),
+                  edges.end());
+    }
   }
 
   CsrGraph g;

@@ -9,7 +9,11 @@
 // Compact's mutation snapshots included), sorts the edges by (src, dst), so
 // every OutNeighbors(v) ascends by target and every InNeighbors(v) by
 // source; kept duplicates sit side by side. DeltaCsr binary-searches and
-// merges into out-lists on this rule.
+// merges into out-lists on this rule, and the metis-like partitioner merges
+// out- and in-lists on it. A working list (after the self-loop filter and
+// symmetrization) that already ascends strictly by (src, dst), as
+// DeltaCsr::Compact's does, skips the sort: with no ties to permute, it is
+// the sorted order.
 
 #ifndef GUM_GRAPH_CSR_H_
 #define GUM_GRAPH_CSR_H_
@@ -24,7 +28,10 @@ namespace gum::graph {
 
 struct CsrBuildOptions {
   bool remove_self_loops = true;
-  bool deduplicate = true;      // keep the first of duplicate (src,dst) pairs
+  // Keep one edge of each duplicate (src,dst) run. Which one survives, and
+  // so its weight, is unspecified until a duplicate rule is defined: the
+  // unstable sort decides.
+  bool deduplicate = true;
   bool symmetrize = false;      // add reverse edge for every edge (for WCC)
   bool build_in_csr = true;     // also build the in-adjacency
 };

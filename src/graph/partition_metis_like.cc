@@ -15,56 +15,100 @@
 // same objective (edge cut under a balance constraint) with the same
 // multilevel structure, which is what paper Exp-6 (Fig. 11) needs from its
 // "metis" configuration.
+//
+// Data path: every level is one flat symmetric adjacency, an offsets array
+// and one (neighbor, weight) array whose rows ascend by neighbor. The finest
+// level merges each vertex's ascending out- and in-lists. Each coarser level
+// is the Galerkin product Pᵀ·A·P, formed one coarse row at a time in a dense
+// accumulator indexed by coarse id plus a touched list (the
+// sparse-accumulator idiom), so no level builds a hash map or a vector per
+// vertex.
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
 #include "graph/partition.h"
+#include "obs/trace.h"
 
 namespace gum::graph {
 
 namespace {
 
+using Arc = std::pair<uint32_t, uint64_t>;  // (neighbor, edge_weight)
+
 // Symmetric weighted adjacency for one coarsening level.
 struct Level {
-  // adj[u] = list of (neighbor, edge_weight); symmetric, no self loops.
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> adj;
+  // Row u is arcs[offsets[u], offsets[u + 1]): u's neighbors in ascending
+  // order with their edge weights; symmetric, no self loops.
+  std::vector<uint64_t> offsets{0};
+  std::vector<Arc> arcs;
   std::vector<uint64_t> vertex_weight;
   // Map from this level's vertex to the coarser level's vertex.
   std::vector<uint32_t> coarse_of;
+
+  uint32_t size() const { return static_cast<uint32_t>(offsets.size() - 1); }
+  std::span<const Arc> Row(uint32_t u) const {
+    return {arcs.data() + offsets[u], arcs.data() + offsets[u + 1]};
+  }
 };
 
+// Row u lists u's out- and in-neighbors with their multiplicities summed and
+// self loops dropped. Both lists ascend (csr.h's ordering rule), so one
+// merge emits the row in order. A graph without an in-CSR is transposed
+// first by counting sort, which lists in-neighbors in ascending order too.
 Level BuildFinestLevel(const CsrGraph& g) {
-  Level level;
   const VertexId n = g.num_vertices();
-  level.vertex_weight.resize(n);
-  for (VertexId v = 0; v < n; ++v) {
-    level.vertex_weight[v] = 1 + g.OutDegree(v);
-  }
-  // Symmetrize and accumulate multi-edge weights.
-  std::vector<std::unordered_map<uint32_t, uint64_t>> acc(n);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : g.OutNeighbors(u)) {
-      if (u == v) continue;
-      acc[u][v] += 1;
-      acc[v][u] += 1;
+  std::vector<EdgeId> in_offsets;
+  std::vector<VertexId> in_sources;
+  if (!g.has_in_csr()) {
+    in_offsets.assign(n + 1, 0);
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v : g.OutNeighbors(u)) ++in_offsets[v + 1];
+    }
+    std::partial_sum(in_offsets.begin(), in_offsets.end(),
+                     in_offsets.begin());
+    in_sources.resize(g.num_edges());
+    std::vector<EdgeId> cursor(in_offsets.begin(), in_offsets.end() - 1);
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v : g.OutNeighbors(u)) in_sources[cursor[v]++] = u;
     }
   }
-  level.adj.resize(n);
+
+  Level level;
+  level.vertex_weight.resize(n);
+  level.offsets.resize(n + 1);
+  level.arcs.reserve(2 * g.num_edges());  // every out- and in-edge at most
   for (VertexId u = 0; u < n; ++u) {
-    level.adj[u].assign(acc[u].begin(), acc[u].end());
-    std::sort(level.adj[u].begin(), level.adj[u].end());
+    level.vertex_weight[u] = 1 + g.OutDegree(u);
+    const std::span<const VertexId> out = g.OutNeighbors(u);
+    const std::span<const VertexId> in =
+        g.has_in_csr() ? g.InNeighbors(u)
+                       : std::span<const VertexId>(
+                             in_sources.data() + in_offsets[u],
+                             in_sources.data() + in_offsets[u + 1]);
+    size_t i = 0, j = 0;
+    while (i < out.size() || j < in.size()) {
+      const VertexId v =
+          j == in.size() || (i < out.size() && out[i] <= in[j]) ? out[i]
+                                                                 : in[j];
+      uint64_t w = 0;
+      for (; i < out.size() && out[i] == v; ++i) ++w;
+      for (; j < in.size() && in[j] == v; ++j) ++w;
+      if (v != u) level.arcs.emplace_back(v, w);
+    }
+    level.offsets[u + 1] = level.arcs.size();
   }
   return level;
 }
 
 // Heavy-edge matching; returns the coarser level. Sets level.coarse_of.
 Level Coarsen(Level& level, Rng& rng) {
-  const uint32_t n = static_cast<uint32_t>(level.adj.size());
+  const uint32_t n = level.size();
   std::vector<uint32_t> match(n, n);  // n = unmatched
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -75,7 +119,7 @@ Level Coarsen(Level& level, Rng& rng) {
     if (match[u] != n) continue;
     uint32_t best = n;
     uint64_t best_weight = 0;
-    for (const auto& [v, w] : level.adj[u]) {
+    for (const auto& [v, w] : level.Row(u)) {
       if (match[v] == n && w > best_weight) {
         best = v;
         best_weight = w;
@@ -89,49 +133,65 @@ Level Coarsen(Level& level, Rng& rng) {
     }
   }
 
+  // The smaller member of each pair (or a solo vertex) represents it;
+  // coarse ids follow the representatives in ascending order.
   level.coarse_of.assign(n, 0);
   uint32_t next_id = 0;
   for (uint32_t u = 0; u < n; ++u) {
-    if (match[u] >= u || match[u] == n) {
-      // u is the representative of its pair (or solo).
-      if (match[u] == n) match[u] = u;
-      if (match[u] >= u) {
-        level.coarse_of[u] = next_id;
-        if (match[u] != u) level.coarse_of[match[u]] = next_id;
-        ++next_id;
-      }
+    if (match[u] >= u) {
+      level.coarse_of[u] = next_id;
+      level.coarse_of[match[u]] = next_id;
+      ++next_id;
     }
   }
 
+  // Coarse row cu sums its members' rows mapped through coarse_of. The
+  // accumulator is indexed by coarse id; acc[cv] == 0 marks cv untouched,
+  // since every weight is at least 1. The arcs inside the pair land on cu
+  // itself and are dropped when the row is emitted.
   Level coarse;
-  coarse.vertex_weight.assign(next_id, 0);
-  std::vector<std::unordered_map<uint32_t, uint64_t>> acc(next_id);
-  for (uint32_t u = 0; u < n; ++u) {
-    const uint32_t cu = level.coarse_of[u];
-    coarse.vertex_weight[cu] += level.vertex_weight[u];
-  }
-  // Each symmetric edge appears in both endpoint lists; visiting all lists
-  // double-counts, so accumulate from u's list only toward cv != cu once per
-  // direction and halve implicitly by only adding from the u side.
-  for (uint32_t u = 0; u < n; ++u) {
-    const uint32_t cu = level.coarse_of[u];
-    for (const auto& [v, w] : level.adj[u]) {
+  coarse.vertex_weight.resize(next_id);
+  coarse.offsets.resize(next_id + 1);
+  coarse.arcs.reserve(level.arcs.size());
+  std::vector<uint64_t> acc(next_id, 0);
+  // One spare slot: an arc to a cv already touched writes past the last
+  // kept id.
+  std::vector<uint32_t> touched(next_id + 1);
+  size_t num_touched = 0;
+  const auto gather = [&](uint32_t u) {
+    for (const auto& [v, w] : level.Row(u)) {
       const uint32_t cv = level.coarse_of[v];
-      if (cu != cv) acc[cu][cv] += w;  // symmetric input keeps acc symmetric
+      touched[num_touched] = cv;
+      num_touched += acc[cv] == 0;  // a first touch keeps its slot
+      acc[cv] += w;
     }
-  }
-  coarse.adj.resize(next_id);
-  for (uint32_t cu = 0; cu < next_id; ++cu) {
-    coarse.adj[cu].assign(acc[cu].begin(), acc[cu].end());
-    std::sort(coarse.adj[cu].begin(), coarse.adj[cu].end());
+  };
+  for (uint32_t u = 0; u < n; ++u) {
+    const uint32_t partner = match[u];
+    if (partner < u) continue;  // gathered with its representative
+    const uint32_t cu = level.coarse_of[u];
+    coarse.vertex_weight[cu] = level.vertex_weight[u];
+    gather(u);
+    if (partner != u) {
+      coarse.vertex_weight[cu] += level.vertex_weight[partner];
+      gather(partner);
+    }
+    std::sort(touched.begin(), touched.begin() + num_touched);
+    for (size_t i = 0; i < num_touched; ++i) {
+      const uint32_t cv = touched[i];
+      if (cv != cu) coarse.arcs.emplace_back(cv, acc[cv]);
+      acc[cv] = 0;
+    }
+    num_touched = 0;
+    coarse.offsets[cu + 1] = coarse.arcs.size();
   }
   return coarse;
 }
 
 // Greedy growing initial partition on the coarsest level.
 std::vector<uint32_t> InitialPartition(const Level& level, int num_parts,
-                                       double balance_slack, Rng& rng) {
-  const uint32_t n = static_cast<uint32_t>(level.adj.size());
+                                       double balance_slack) {
+  const uint32_t n = level.size();
   const uint64_t total_weight =
       std::accumulate(level.vertex_weight.begin(), level.vertex_weight.end(),
                       uint64_t{0});
@@ -149,6 +209,7 @@ std::vector<uint32_t> InitialPartition(const Level& level, int num_parts,
   });
 
   uint32_t seed_cursor = 0;
+  std::vector<Arc> nbrs;
   for (int p = 0; p < num_parts; ++p) {
     // Grow part p from the next unassigned seed.
     while (seed_cursor < n && part[by_weight[seed_cursor]] !=
@@ -164,7 +225,8 @@ std::vector<uint32_t> InitialPartition(const Level& level, int num_parts,
       const uint32_t u = frontier.back();
       frontier.pop_back();
       // Strongest-first expansion.
-      std::vector<std::pair<uint32_t, uint64_t>> nbrs(level.adj[u]);
+      const std::span<const Arc> row = level.Row(u);
+      nbrs.assign(row.begin(), row.end());
       std::sort(nbrs.begin(), nbrs.end(),
                 [](const auto& a, const auto& b) {
                   return a.second > b.second;
@@ -192,14 +254,13 @@ std::vector<uint32_t> InitialPartition(const Level& level, int num_parts,
       part_weight[lightest] += level.vertex_weight[u];
     }
   }
-  (void)rng;
   return part;
 }
 
 // Boundary FM-style refinement on one level; mutates `part` in place.
 void Refine(const Level& level, std::vector<uint32_t>& part, int num_parts,
             double balance_slack, int passes) {
-  const uint32_t n = static_cast<uint32_t>(level.adj.size());
+  const uint32_t n = level.size();
   std::vector<uint64_t> part_weight(num_parts, 0);
   for (uint32_t u = 0; u < n; ++u) {
     part_weight[part[u]] += level.vertex_weight[u];
@@ -213,10 +274,16 @@ void Refine(const Level& level, std::vector<uint32_t>& part, int num_parts,
   for (int pass = 0; pass < passes; ++pass) {
     bool moved = false;
     for (uint32_t u = 0; u < n; ++u) {
-      if (level.adj[u].empty()) continue;
-      std::fill(gain.begin(), gain.end(), 0);
-      for (const auto& [v, w] : level.adj[u]) gain[part[v]] += w;
+      const std::span<const Arc> row = level.Row(u);
       const uint32_t from = part[u];
+      // With every neighbor in u's own part (or none at all), no other part
+      // gains u.
+      if (std::all_of(row.begin(), row.end(),
+                      [&](const Arc& a) { return part[a.first] == from; })) {
+        continue;
+      }
+      std::fill(gain.begin(), gain.end(), 0);
+      for (const auto& [v, w] : row) gain[part[v]] += w;
       uint32_t best = from;
       for (int p = 0; p < num_parts; ++p) {
         if (p == static_cast<int>(from)) continue;
@@ -243,27 +310,31 @@ std::vector<uint32_t> MetisLikeAssign(const CsrGraph& g, int num_parts,
                                       const PartitionOptions& options) {
   Rng rng(options.seed);
   std::vector<Level> levels;
-  levels.push_back(BuildFinestLevel(g));
-  const uint32_t target = static_cast<uint32_t>(
-      std::max(16, options.coarsen_target_multiplier * num_parts));
-  while (levels.back().adj.size() > target && levels.size() < 40) {
-    Level coarse = Coarsen(levels.back(), rng);
-    if (coarse.adj.size() >= levels.back().adj.size() * 95 / 100) {
-      break;  // matching stalled (e.g. star graph)
+  {
+    GUM_TRACE_SCOPE("partition.coarsen");
+    levels.push_back(BuildFinestLevel(g));
+    const uint32_t target = static_cast<uint32_t>(
+        std::max(16, options.coarsen_target_multiplier * num_parts));
+    while (levels.back().size() > target && levels.size() < 40) {
+      Level coarse = Coarsen(levels.back(), rng);
+      if (coarse.size() >= levels.back().size() * 95 / 100) {
+        break;  // matching stalled (e.g. star graph)
+      }
+      levels.push_back(std::move(coarse));
     }
-    levels.push_back(std::move(coarse));
   }
 
-  std::vector<uint32_t> part = InitialPartition(
-      levels.back(), num_parts, options.balance_slack, rng);
+  GUM_TRACE_SCOPE("partition.refine");
+  std::vector<uint32_t> part =
+      InitialPartition(levels.back(), num_parts, options.balance_slack);
   Refine(levels.back(), part, num_parts, options.balance_slack,
          options.refinement_passes);
 
   // Project back down through the levels, refining at each.
   for (size_t li = levels.size(); li-- > 1;) {
     const Level& fine = levels[li - 1];
-    std::vector<uint32_t> fine_part(fine.adj.size());
-    for (size_t u = 0; u < fine.adj.size(); ++u) {
+    std::vector<uint32_t> fine_part(fine.size());
+    for (uint32_t u = 0; u < fine.size(); ++u) {
       fine_part[u] = part[fine.coarse_of[u]];
     }
     part = std::move(fine_part);

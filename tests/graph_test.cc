@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -157,6 +158,222 @@ TEST(CsrTest, NeighborsSortedAscending) {
   const CsrGraph compacted = delta.Compact();
   EXPECT_EQ(compacted.num_edges(), base.num_edges() + inserted - deleted);
   expect_sorted(compacted, "compacted DeltaCsr");
+}
+
+// The arrays of a CSR build, laid out as CsrGraph stores them.
+struct CsrArrays {
+  std::vector<EdgeId> out_offsets;
+  std::vector<VertexId> out_targets;
+  std::vector<float> out_weights;
+  std::vector<EdgeId> in_offsets;
+  std::vector<VertexId> in_targets;
+
+  bool operator==(const CsrArrays&) const = default;
+};
+
+CsrArrays ArraysOf(const CsrGraph& g) {
+  CsrArrays a;
+  const VertexId n = g.num_vertices();
+  a.out_offsets.push_back(0);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto out = g.OutNeighbors(v);
+    a.out_targets.insert(a.out_targets.end(), out.begin(), out.end());
+    const auto w = g.OutWeights(v);
+    a.out_weights.insert(a.out_weights.end(), w.begin(), w.end());
+    a.out_offsets.push_back(a.out_targets.size());
+  }
+  if (g.has_in_csr()) {
+    a.in_offsets.push_back(0);
+    for (VertexId v = 0; v < n; ++v) {
+      const auto in = g.InNeighbors(v);
+      a.in_targets.insert(a.in_targets.end(), in.begin(), in.end());
+      a.in_offsets.push_back(a.in_targets.size());
+    }
+  }
+  return a;
+}
+
+// FromEdgeList as it was before ascending input skipped the sort: it
+// always sorts by (src, dst), then deduplicates.
+CsrArrays AlwaysSortBuild(const EdgeList& list,
+                          const CsrBuildOptions& options) {
+  const VertexId n = list.num_vertices;
+  std::vector<Edge> edges;
+  for (const Edge& e : list.edges) {
+    if (options.remove_self_loops && e.src == e.dst) continue;
+    edges.push_back(e);
+    if (options.symmetrize && e.src != e.dst) {
+      edges.push_back(Edge{e.dst, e.src, e.weight});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.src != b.src) return a.src < b.src;
+    return a.dst < b.dst;
+  });
+  if (options.deduplicate) {
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const Edge& a, const Edge& b) {
+                              return a.src == b.src && a.dst == b.dst;
+                            }),
+                edges.end());
+  }
+  CsrArrays a;
+  a.out_offsets.assign(n + 1, 0);
+  for (const Edge& e : edges) a.out_offsets[e.src + 1]++;
+  std::partial_sum(a.out_offsets.begin(), a.out_offsets.end(),
+                   a.out_offsets.begin());
+  const bool weighted =
+      std::any_of(edges.begin(), edges.end(),
+                  [](const Edge& e) { return e.weight != 1.0f; });
+  a.out_targets.resize(edges.size());
+  if (weighted) a.out_weights.resize(edges.size());
+  std::vector<EdgeId> cursor(a.out_offsets.begin(), a.out_offsets.end() - 1);
+  for (const Edge& e : edges) {
+    const EdgeId pos = cursor[e.src]++;
+    a.out_targets[pos] = e.dst;
+    if (weighted) a.out_weights[pos] = e.weight;
+  }
+  if (options.build_in_csr) {
+    a.in_offsets.assign(n + 1, 0);
+    for (const VertexId dst : a.out_targets) a.in_offsets[dst + 1]++;
+    std::partial_sum(a.in_offsets.begin(), a.in_offsets.end(),
+                     a.in_offsets.begin());
+    a.in_targets.resize(a.out_targets.size());
+    std::vector<EdgeId> in_cursor(a.in_offsets.begin(),
+                                  a.in_offsets.end() - 1);
+    for (VertexId u = 0; u < n; ++u) {
+      for (EdgeId e = a.out_offsets[u]; e < a.out_offsets[u + 1]; ++e) {
+        a.in_targets[in_cursor[a.out_targets[e]]++] = u;
+      }
+    }
+  }
+  return a;
+}
+
+// A strictly ascending working list skips FromEdgeList's sort; every build
+// must still equal the always-sort build byte for byte: strictly ascending
+// lists with and without weights and in-CSR, ascending lists with ties of
+// differing weights (which must take the sort and its deduplication), lists
+// with self-loops, symmetrized lists, unsorted generator output, and a
+// DeltaCsr compaction after road closures.
+TEST(CsrTest, AscendingInputMatchesSortedBuild) {
+  const auto expect_same = [](const EdgeList& list,
+                              const CsrBuildOptions& options,
+                              const std::string& what) {
+    auto built = CsrGraph::FromEdgeList(list, options);
+    ASSERT_TRUE(built.ok()) << what;
+    EXPECT_TRUE(ArraysOf(*built) == AlwaysSortBuild(list, options)) << what;
+  };
+  const auto with_options = [&](const EdgeList& list,
+                                const std::string& what) {
+    for (const bool dedup : {true, false}) {
+      for (const bool loops : {true, false}) {
+        for (const bool symmetrize : {false, true}) {
+          for (const bool in_csr : {true, false}) {
+            CsrBuildOptions options;
+            options.deduplicate = dedup;
+            options.remove_self_loops = loops;
+            options.symmetrize = symmetrize;
+            options.build_in_csr = in_csr;
+            expect_same(list, options,
+                        what + (dedup ? " dedup" : "") +
+                            (loops ? " no-loops" : "") +
+                            (symmetrize ? " symmetrized" : "") +
+                            (in_csr ? " in-csr" : ""));
+          }
+        }
+      }
+    }
+  };
+  // The list a built graph's arrays spell out: strictly ascending.
+  const auto listed = [](const CsrGraph& g) {
+    EdgeList list;
+    list.num_vertices = g.num_vertices();
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      const auto out = g.OutNeighbors(u);
+      const auto w = g.OutWeights(u);
+      for (size_t i = 0; i < out.size(); ++i) {
+        list.edges.push_back({u, out[i], w.empty() ? 1.0f : w[i]});
+      }
+    }
+    return list;
+  };
+
+  for (const bool weighted : {false, true}) {
+    const EdgeList road =
+        RoadGrid({.rows = 12, .cols = 12, .weighted = weighted, .seed = 5});
+    with_options(road, weighted ? "weighted road" : "road");
+    const EdgeList ascending = listed(CsrGraph::FromEdgeList(road).value());
+    with_options(ascending,
+                 weighted ? "ascending weighted road" : "ascending road");
+
+    // Ties: each fifth edge repeats with another weight, right after
+    // itself, so the list ascends but not strictly.
+    EdgeList ties = ascending;
+    ties.edges.clear();
+    for (size_t i = 0; i < ascending.edges.size(); ++i) {
+      ties.edges.push_back(ascending.edges[i]);
+      if (i % 5 == 0) {
+        Edge twin = ascending.edges[i];
+        twin.weight += 3.0f;
+        ties.edges.push_back(twin);
+      }
+    }
+    with_options(ties, weighted ? "weighted ties" : "ties");
+
+    // A self-loop on every fourth vertex, merged in ascending position.
+    std::vector<Edge> self_loops;
+    for (VertexId u = 0; u < ascending.num_vertices; u += 4) {
+      self_loops.push_back({u, u, 2.0f});
+    }
+    EdgeList loops = ascending;
+    loops.edges.clear();
+    std::merge(ascending.edges.begin(), ascending.edges.end(),
+               self_loops.begin(), self_loops.end(),
+               std::back_inserter(loops.edges),
+               [](const Edge& a, const Edge& b) {
+                 return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+               });
+    with_options(loops, weighted ? "weighted self-loops" : "self-loops");
+  }
+  with_options(Rmat({.scale = 8, .edge_factor = 6, .weighted = true,
+                     .seed = 12}),
+               "unsorted rmat");
+
+  // An epoch barrier's compaction: 8 road segments closed in both
+  // directions, 2 reopened at another weight.
+  const CsrGraph base =
+      CsrGraph::FromEdgeList(RoadGrid({.rows = 16, .cols = 16, .seed = 9}))
+          .value();
+  DeltaCsr delta(&base);
+  int closed = 0;
+  for (VertexId u = 3; u < base.num_vertices() && closed < 8; u += 29) {
+    const auto out = base.OutNeighbors(u);
+    if (out.empty() || !delta.HasEdge(u, out[0])) continue;
+    const VertexId v = out[0];
+    ASSERT_EQ(delta.ApplyEdge(MutationKind::kDeleteEdge, u, v, 1.0f),
+              DeltaCsr::Effect::kDeleted);
+    ASSERT_EQ(delta.ApplyEdge(MutationKind::kDeleteEdge, v, u, 1.0f),
+              DeltaCsr::Effect::kDeleted);
+    if (closed < 2) {
+      ASSERT_EQ(delta.ApplyEdge(MutationKind::kInsertEdge, u, v, 40.0f),
+                DeltaCsr::Effect::kInserted);
+    }
+    ++closed;
+  }
+  ASSERT_EQ(closed, 8);
+  EdgeList overlay;
+  overlay.num_vertices = base.num_vertices();
+  for (VertexId u = 0; u < base.num_vertices(); ++u) {
+    delta.ForEachOut(u, [&](VertexId v, float w) {
+      overlay.edges.push_back({u, v, w});
+    });
+  }
+  CsrBuildOptions compact_options;
+  compact_options.symmetrize = false;
+  compact_options.build_in_csr = base.has_in_csr();
+  EXPECT_TRUE(ArraysOf(delta.Compact()) ==
+              AlwaysSortBuild(overlay, compact_options));
 }
 
 TEST(CsrTest, UnweightedGraphHasNoWeightArray) {

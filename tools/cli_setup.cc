@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/comm_plane.h"
 #include "sim/transfer_plan.h"
 
@@ -136,15 +137,27 @@ Result<SetupFlags> ParseSetupFlags(const FlagParser& flags) {
 }
 
 Result<Setup> BuildSetup(const SetupFlags& s, bool symmetrize) {
-  GUM_ASSIGN_OR_RETURN(const graph::EdgeList edges, LoadOrGenerate(s));
-  graph::CsrBuildOptions build;
-  build.symmetrize = symmetrize;
-  GUM_ASSIGN_OR_RETURN(graph::CsrGraph g,
-                       graph::CsrGraph::FromEdgeList(edges, build));
+  graph::EdgeList edges;
+  {
+    obs::ScopedTrace span(s.graph_path.empty() ? "setup.generate"
+                                               : "setup.load");
+    GUM_ASSIGN_OR_RETURN(edges, LoadOrGenerate(s));
+  }
+  graph::CsrGraph g;
+  {
+    GUM_TRACE_SCOPE("setup.csr");
+    graph::CsrBuildOptions build;
+    build.symmetrize = symmetrize;
+    GUM_ASSIGN_OR_RETURN(g, graph::CsrGraph::FromEdgeList(edges, build));
+  }
   std::cout << "graph:           " << g.num_vertices() << " vertices, "
             << g.num_edges() << " edges\n";
-  GUM_ASSIGN_OR_RETURN(graph::Partition partition,
-                       graph::PartitionGraph(g, s.devices, s.partition));
+  graph::Partition partition;
+  {
+    GUM_TRACE_SCOPE("setup.partition");
+    GUM_ASSIGN_OR_RETURN(partition,
+                         graph::PartitionGraph(g, s.devices, s.partition));
+  }
   GUM_ASSIGN_OR_RETURN(sim::Topology topology,
                        sim::Topology::HybridCubeMeshSubset(s.devices));
   graph::MutationStream mutations;

@@ -313,19 +313,21 @@ core::EngineOptions EngineRunOptions(const CliFlags& c) {
   return preset;
 }
 
-// The parsed flags, the built setup and the engine options: everything a
-// run reads.
+// The parsed flags, the built setup, the engine options and the obs
+// recording: everything a run reads and writes.
 struct RunEnv {
   const FlagParser& flags;
   const CliFlags& cli;
   const cli::Setup& setup;
   const core::EngineOptions options;
+  // Started before the set-up, so the trace covers it too.
+  cli::ObsArtifacts& artifacts;
 };
 
 // Stops the obs recording and writes --trace, --metrics and --report for
 // either run path.
-void FinishObs(const RunEnv& env, cli::ObsArtifacts& artifacts,
-               const core::RunResult& result) {
+void FinishObs(const RunEnv& env, const core::RunResult& result) {
+  cli::ObsArtifacts& artifacts = env.artifacts;
   artifacts.Finish(&result.timeline);
   if (!artifacts.want_report()) return;
   const cli::SetupFlags& s = env.cli.shared;
@@ -468,9 +470,9 @@ void PrintSummary(const RunEnv& env, const core::RunResult& r) {
 // Everything after either run path's run: obs artifacts, the stdout
 // summary, and --save-values.
 template <typename App, typename Value>
-int FinishRun(const RunEnv& env, cli::ObsArtifacts& artifacts, const App& app,
-              const core::RunResult& r, const std::vector<Value>& values) {
-  FinishObs(env, artifacts, r);
+int FinishRun(const RunEnv& env, const App& app, const core::RunResult& r,
+              const std::vector<Value>& values) {
+  FinishObs(env, r);
   PrintSummary(env, r);
   if (!env.flags.Has("save-values")) return 0;
   std::ofstream out(env.flags.GetString("save-values", ""));
@@ -499,7 +501,6 @@ int RunStatic(const RunEnv& env, App app) {
   const cli::Setup& s = env.setup;
   core::RunResult result;
   std::vector<typename App::Value> values;
-  cli::ObsArtifacts artifacts(env.flags);
   if (env.cli.engine != "groute") {
     core::GumEngine<App> engine(&s.graph, s.partition, s.topology,
                                 env.options);
@@ -513,7 +514,7 @@ int RunStatic(const RunEnv& env, App app) {
   }
   // The engine (and its thread pool) is already destroyed, so every worker
   // span has drained.
-  return FinishRun(env, artifacts, app, result, values);
+  return FinishRun(env, app, result, values);
 }
 
 // Streaming mode (--mutations): the graph advances in epochs and the query
@@ -525,7 +526,6 @@ template <typename App>
 int RunMutating(const RunEnv& env, App app) {
   const CliFlags& c = env.cli;
   const graph::MutationStream& stream = env.setup.mutations;
-  cli::ObsArtifacts artifacts(env.flags);
   // The fault plan (if any) replays inside every epoch's run; recovery is
   // byte-exact, so it composes with the incremental/full equivalence.
   core::EpochedGraphContext ectx(env.setup.graph, env.setup.partition,
@@ -600,7 +600,7 @@ int RunMutating(const RunEnv& env, App app) {
               << " ms\n";
   }
 
-  return FinishRun(env, artifacts, app, aggregate, values);
+  return FinishRun(env, app, aggregate, values);
 }
 
 // IncrementalSession's apps; ParseCliFlags admits no other with
@@ -670,10 +670,11 @@ int main(int argc, char** argv) {
   if (!cli_or.ok()) return cli::Fail(cli_or.status(), PrintUsage);
   CliFlags& c = *cli_or;
 
+  cli::ObsArtifacts artifacts(flags);
   auto setup = cli::BuildSetup(c.shared, /*symmetrize=*/c.algo == "wcc");
   if (!setup.ok()) return cli::Fail(setup.status());
   if (Status s = BindVertexFlags(flags, setup->graph, &c); !s.ok()) {
     return cli::Fail(s);
   }
-  return RunAlgo(RunEnv{flags, c, *setup, EngineRunOptions(c)});
+  return RunAlgo(RunEnv{flags, c, *setup, EngineRunOptions(c), artifacts});
 }

@@ -267,8 +267,7 @@ int FinishServe(
 
 template <typename Traits>
 int RunServe(const FlagParser& flags, const cli::Setup& setup,
-             const ServeConfig& cfg) {
-  cli::ObsArtifacts artifacts(flags);
+             const ServeConfig& cfg, cli::ObsArtifacts& artifacts) {
   serve::ServeOutcome<typename Traits::ValueType> outcome;
   {
     const core::GraphContext ctx(&setup.graph, setup.partition,
@@ -290,9 +289,8 @@ int RunServe(const FlagParser& flags, const cli::Setup& setup,
 template <typename Traits>
 int RunServeMutating(const FlagParser& flags, const cli::Setup& setup,
                      const ServeConfig& cfg, const cli::SetupFlags& shared,
-                     int update_rate) {
+                     int update_rate, cli::ObsArtifacts& artifacts) {
   const graph::MutationStream& stream = setup.mutations;
-  cli::ObsArtifacts artifacts(flags);
   serve::ServeOutcome<typename Traits::ValueType> outcome;
   int epochs_applied = 0;
   int events_applied = 0;
@@ -424,15 +422,17 @@ Result<ServeFlags> ParseServeFlags(const FlagParser& flags) {
   return f;
 }
 
+// `artifacts` started recording before the set-up, so the trace covers it
+// too.
 template <typename Traits>
 int Serve(const FlagParser& flags, const ServeFlags& f,
-          const cli::Setup& setup) {
+          const cli::Setup& setup, cli::ObsArtifacts& artifacts) {
   if (setup.mutations.active()) {
     return RunServeMutating<Traits>(flags, setup, f.cfg, f.shared,
-                                    f.update_rate);
+                                    f.update_rate, artifacts);
   }
   if (flags.Has("bench-json")) return RunBench<Traits>(flags, setup, f.cfg);
-  return RunServe<Traits>(flags, setup, f.cfg);
+  return RunServe<Traits>(flags, setup, f.cfg, artifacts);
 }
 
 }  // namespace
@@ -451,6 +451,7 @@ int main(int argc, char** argv) {
     cfg.serve.fault_plane = &f.shared.fault_plane;
   }
 
+  cli::ObsArtifacts artifacts(flags);
   auto setup = cli::BuildSetup(f.shared, /*symmetrize=*/false);
   if (!setup.ok()) return cli::Fail(setup.status());
   // --- query stream ---
@@ -466,6 +467,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  return f.algo == "bfs" ? Serve<serve::BfsServeTraits>(flags, f, *setup)
-                         : Serve<serve::SsspServeTraits>(flags, f, *setup);
+  return f.algo == "bfs"
+             ? Serve<serve::BfsServeTraits>(flags, f, *setup, artifacts)
+             : Serve<serve::SsspServeTraits>(flags, f, *setup, artifacts);
 }
