@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/logging.h"
 #include "graph/frontier_features.h"
 #include "sim/comm_plane.h"
 #include "sim/kernel_cost.h"
@@ -23,7 +22,6 @@ core::RunResult DirectionOptimizedBfs(
     const sim::Topology& topology, VertexId source,
     const DoBfsOptions& options, std::vector<uint32_t>* depths_out,
     DoBfsStats* stats_out) {
-  GUM_CHECK(g.has_in_csr()) << "direction-optimized BFS needs the in-CSR";
   const int n = partition.num_parts;
   const VertexId num_v = g.num_vertices();
   const sim::DeviceParams& dev = options.device;

@@ -14,7 +14,7 @@
 // frontier shrinks below |V|/beta.
 //
 // Depths are identical to plain BFS (both directions are level-exact);
-// only the simulated cost differs. Requires a CsrGraph built with in-CSR.
+// only the simulated cost differs.
 
 #ifndef GUM_ALGOS_DOBFS_H_
 #define GUM_ALGOS_DOBFS_H_

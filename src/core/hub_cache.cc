@@ -6,8 +6,7 @@ HubCache::HubCache(const graph::CsrGraph& g, uint32_t t4_hub_in_degree) {
   enabled_ = true;
   bitmap_.Resize(g.num_vertices());
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    const uint32_t deg = g.has_in_csr() ? g.InDegree(v) : g.OutDegree(v);
-    if (deg > t4_hub_in_degree) {
+    if (g.InDegree(v) > t4_hub_in_degree) {
       bitmap_.Set(v);
       cache_bytes_ += sizeof(graph::VertexId) * g.OutDegree(v);
     }

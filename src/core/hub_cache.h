@@ -18,8 +18,7 @@ class HubCache {
  public:
   HubCache() = default;
 
-  // Marks every vertex with in-degree > t4 (falls back to out-degree when
-  // the graph has no in-CSR).
+  // Marks every vertex with in-degree > t4.
   HubCache(const graph::CsrGraph& g, uint32_t t4_hub_in_degree);
 
   bool IsHub(graph::VertexId v) const {

@@ -28,61 +28,58 @@ Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& list,
     }
   }
 
-  const auto less = [](const Edge& a, const Edge& b) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     if (a.src != b.src) return a.src < b.src;
     return a.dst < b.dst;
-  };
-  // A strictly ascending list (DeltaCsr::Compact's, for one) is already
-  // sorted and free of duplicates: with no ties to permute, skipping the
-  // sort builds the same bytes. The scan stops at the first tie or descent.
-  const bool strictly_ascending =
-      std::adjacent_find(edges.begin(), edges.end(),
-                         [&](const Edge& a, const Edge& b) {
-                           return !less(a, b);
-                         }) == edges.end();
-  if (!strictly_ascending) {
-    std::sort(edges.begin(), edges.end(), less);
-    if (options.deduplicate) {
-      edges.erase(std::unique(edges.begin(), edges.end(),
-                              [](const Edge& a, const Edge& b) {
-                                return a.src == b.src && a.dst == b.dst;
-                              }),
-                  edges.end());
-    }
+  });
+  if (options.deduplicate) {
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const Edge& a, const Edge& b) {
+                              return a.src == b.src && a.dst == b.dst;
+                            }),
+                edges.end());
   }
 
-  CsrGraph g;
-  g.out_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges) g.out_offsets_[e.src + 1]++;
-  std::partial_sum(g.out_offsets_.begin(), g.out_offsets_.end(),
-                   g.out_offsets_.begin());
-
+  // The sorted list is the rows in order, so edge i lands in slot i. An
+  // unweighted list never fills a weight array.
   const bool weighted =
       std::any_of(edges.begin(), edges.end(),
                   [](const Edge& e) { return e.weight != 1.0f; });
-  g.out_targets_.resize(edges.size());
-  if (weighted) g.out_weights_.resize(edges.size());
-  {
-    std::vector<EdgeId> cursor(g.out_offsets_.begin(),
-                               g.out_offsets_.end() - 1);
-    for (const Edge& e : edges) {
-      const EdgeId pos = cursor[e.src]++;
-      g.out_targets_[pos] = e.dst;
-      if (weighted) g.out_weights_[pos] = e.weight;
-    }
+  std::vector<EdgeId> offsets(n + 1, 0);
+  std::vector<VertexId> targets(edges.size());
+  std::vector<float> weights(weighted ? edges.size() : 0);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    ++offsets[edges[i].src + 1];
+    targets[i] = edges[i].dst;
+    if (weighted) weights[i] = edges[i].weight;
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return Assemble(std::move(offsets), std::move(targets), std::move(weights));
+}
+
+CsrGraph CsrGraph::Assemble(std::vector<EdgeId> offsets,
+                            std::vector<VertexId> targets,
+                            std::vector<float> weights) {
+  CsrGraph g;
+  g.out_offsets_ = std::move(offsets);
+  g.out_targets_ = std::move(targets);
+  if (std::any_of(weights.begin(), weights.end(),
+                  [](float w) { return w != 1.0f; })) {
+    g.out_weights_ = std::move(weights);
   }
 
-  if (options.build_in_csr) {
-    g.in_offsets_.assign(n + 1, 0);
-    for (const VertexId dst : g.out_targets_) g.in_offsets_[dst + 1]++;
-    std::partial_sum(g.in_offsets_.begin(), g.in_offsets_.end(),
-                     g.in_offsets_.begin());
-    g.in_targets_.resize(g.out_targets_.size());
-    std::vector<EdgeId> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-    for (VertexId u = 0; u < n; ++u) {
-      for (const VertexId v : g.OutNeighbors(u)) {
-        g.in_targets_[cursor[v]++] = u;
-      }
+  // Walking the out-rows in ascending source order lists every in-row in
+  // ascending source order too.
+  const VertexId n = g.num_vertices();
+  g.in_offsets_.assign(n + 1, 0);
+  for (const VertexId dst : g.out_targets_) g.in_offsets_[dst + 1]++;
+  std::partial_sum(g.in_offsets_.begin(), g.in_offsets_.end(),
+                   g.in_offsets_.begin());
+  g.in_targets_.resize(g.out_targets_.size());
+  std::vector<EdgeId> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : g.OutNeighbors(u)) {
+      g.in_targets_[cursor[v]++] = u;
     }
   }
   return g;

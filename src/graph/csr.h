@@ -1,19 +1,19 @@
 // Compressed Sparse Row graph representation.
 //
-// CsrGraph stores the out-adjacency in CSR form, optionally the in-adjacency
-// (needed for pull-style kernels and for in-degree features of the cost
+// CsrGraph stores the out-adjacency and the in-adjacency in CSR form (the
+// in-CSR serves pull-style kernels and the in-degree features of the cost
 // model, paper Table I), and optional edge weights (SSSP). Vertices are
 // dense uint32 ids in [0, num_vertices).
 //
-// Ordering rule: FromEdgeList, which builds every CsrGraph (DeltaCsr::
-// Compact's mutation snapshots included), sorts the edges by (src, dst), so
-// every OutNeighbors(v) ascends by target and every InNeighbors(v) by
-// source; kept duplicates sit side by side. DeltaCsr binary-searches and
-// merges into out-lists on this rule, and the metis-like partitioner merges
-// out- and in-lists on it. A working list (after the self-loop filter and
-// symmetrization) that already ascends strictly by (src, dst), as
-// DeltaCsr::Compact's does, skips the sort: with no ties to permute, it is
-// the sorted order.
+// Ordering rule: both builds end in one private assembly step, which takes
+// the out-rows in final order, keeps the weights only if one differs from
+// 1, and builds the in-CSR by walking the out-rows in ascending source
+// order. FromEdgeList always sorts the edges by (src, dst) before it
+// scatters them into rows; DeltaCsr::Compact hands the assembly its merged
+// rows, which ascend already. So every OutNeighbors(v) ascends by target
+// and every InNeighbors(v) by source; kept duplicates sit side by side.
+// DeltaCsr binary-searches and merges into out-lists on this rule, and the
+// metis-like partitioner merges out- and in-lists on it.
 
 #ifndef GUM_GRAPH_CSR_H_
 #define GUM_GRAPH_CSR_H_
@@ -33,7 +33,6 @@ struct CsrBuildOptions {
   // unstable sort decides.
   bool deduplicate = true;
   bool symmetrize = false;      // add reverse edge for every edge (for WCC)
-  bool build_in_csr = true;     // also build the in-adjacency
 };
 
 class CsrGraph {
@@ -50,7 +49,6 @@ class CsrGraph {
         out_offsets_.empty() ? 0 : out_offsets_.size() - 1);
   }
   EdgeId num_edges() const { return out_targets_.size(); }
-  bool has_in_csr() const { return !in_offsets_.empty(); }
   bool has_weights() const { return !out_weights_.empty(); }
 
   uint32_t OutDegree(VertexId v) const {
@@ -83,11 +81,21 @@ class CsrGraph {
   size_t MemoryBytes() const;
 
  private:
+  friend class DeltaCsr;  // Compact assembles its merged rows directly
+
+  // The assembly every build ends in. Row u of the out-CSR is
+  // targets[offsets[u], offsets[u + 1]), already in final order; `weights`
+  // is parallel to `targets` or empty, and is kept only if some weight
+  // differs from 1.
+  static CsrGraph Assemble(std::vector<EdgeId> offsets,
+                           std::vector<VertexId> targets,
+                           std::vector<float> weights);
+
   std::vector<EdgeId> out_offsets_;    // size num_vertices + 1
   std::vector<VertexId> out_targets_;  // size num_edges
   std::vector<float> out_weights_;     // size num_edges or 0
-  std::vector<EdgeId> in_offsets_;     // size num_vertices + 1 or 0
-  std::vector<VertexId> in_targets_;   // size num_edges or 0
+  std::vector<EdgeId> in_offsets_;     // size num_vertices + 1
+  std::vector<VertexId> in_targets_;   // size num_edges
 };
 
 }  // namespace gum::graph

@@ -20,10 +20,9 @@ FrontierFeatures ExtractFrontierFeatures(
   // census allocates nothing once it has grown to the largest frontier.
   thread_local std::vector<uint32_t> out_degrees;
   out_degrees.clear();
-  const bool has_in = g.has_in_csr();
   for (const VertexId v : frontier) {
     const uint32_t od = g.OutDegree(v);
-    const uint32_t id = has_in ? g.InDegree(v) : od;
+    const uint32_t id = g.InDegree(v);
     out_sum += od;
     in_sum += id;
     out_min = std::min(out_min, od);

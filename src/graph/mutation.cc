@@ -402,21 +402,22 @@ size_t DeltaCsr::delta_bytes() const {
 }
 
 CsrGraph DeltaCsr::Compact() const {
-  EdgeList list;
-  list.num_vertices = base_->num_vertices();
-  list.edges.reserve(base_->num_edges() + added_count_ - deleted_count_);
-  for (VertexId u = 0; u < base_->num_vertices(); ++u) {
+  const VertexId n = base_->num_vertices();
+  const size_t num_edges = base_->num_edges() + added_count_ - deleted_count_;
+  std::vector<EdgeId> offsets(n + 1, 0);
+  std::vector<VertexId> targets;
+  std::vector<float> weights;
+  targets.reserve(num_edges);
+  weights.reserve(num_edges);
+  for (VertexId u = 0; u < n; ++u) {
     ForEachOut(u, [&](VertexId v, float w) {
-      list.edges.push_back(Edge{u, v, w});
+      targets.push_back(v);
+      weights.push_back(w);
     });
+    offsets[u + 1] = targets.size();
   }
-  CsrBuildOptions options;
-  options.symmetrize = false;  // the overlay already carries both directions
-  options.build_in_csr = base_->has_in_csr();
-  auto built = CsrGraph::FromEdgeList(list, options);
-  GUM_CHECK(built.ok()) << "delta compaction failed: "
-                        << built.status().ToString();
-  return std::move(*built);
+  return CsrGraph::Assemble(std::move(offsets), std::move(targets),
+                            std::move(weights));
 }
 
 DynamicGraph::DynamicGraph(CsrGraph base, bool symmetric)
@@ -468,10 +469,8 @@ DynamicGraph::ApplyStats DynamicGraph::Apply(
         apply_edge(MutationKind::kDeleteEdge, ev.u, t, ev.epoch, 1.0f);
       }
       if (!symmetric_) {
-        if (base_->has_in_csr()) {
-          for (const VertexId src : base_->InNeighbors(ev.u)) {
-            apply_edge(MutationKind::kDeleteEdge, src, ev.u, ev.epoch, 1.0f);
-          }
+        for (const VertexId src : base_->InNeighbors(ev.u)) {
+          apply_edge(MutationKind::kDeleteEdge, src, ev.u, ev.epoch, 1.0f);
         }
         for (VertexId src = 0; src < base_->num_vertices(); ++src) {
           if (src == ev.u) continue;

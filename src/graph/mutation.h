@@ -125,6 +125,10 @@ class MutationStream {
 // both ascending, so iteration order is canonical for the determinism
 // contract. The overlay never touches the base arrays — engines keep
 // reading the base CSR until the epoch materializes a new flat snapshot.
+//
+// The base must be built with the default CsrBuildOptions::deduplicate and
+// remove_self_loops: then every merged row ascends strictly and holds no
+// self loop, which is what Compact hands the CSR assembly unchecked.
 class DeltaCsr {
  public:
   // `base` must outlive the overlay.
@@ -162,9 +166,9 @@ class DeltaCsr {
   const CsrGraph& base() const { return *base_; }
   bool symmetric() const { return symmetric_; }
 
-  // Folds base + overlay into a fresh flat CsrGraph (same build options the
-  // base was produced under: ascending adjacency, in-CSR iff the base has
-  // one, weights iff any logical edge weight differs from 1).
+  // Folds base + overlay into a fresh flat CsrGraph: each vertex's merged
+  // row goes straight into the CSR assembly, which keeps the weights iff
+  // some logical edge weight differs from 1 and builds the in-CSR.
   CsrGraph Compact() const;
 
  private:

@@ -45,12 +45,11 @@ struct Partition {
 struct PartitionOptions {
   PartitionerKind kind = PartitionerKind::kRandom;
   uint64_t seed = 1;
-  // Maximum allowed part size as a multiple of the average (metis-like).
-  double balance_slack = 1.05;
-  // Multilevel knobs (metis-like).
-  int coarsen_target_multiplier = 8;  // stop when |V| <= multiplier * parts
-  int refinement_passes = 4;
 };
+
+// The metis-like partitioner's largest allowed part weight, as a multiple
+// of the average (a vertex weighs 1 + its out-degree).
+inline constexpr double kMetisBalanceSlack = 1.05;
 
 // Partitions g into num_parts parts. Fails with InvalidArgument for
 // num_parts < 1 or an empty graph with num_parts > 0 requested vertices.

@@ -39,6 +39,13 @@ namespace gum::graph {
 
 namespace {
 
+// Coarsening stops once a level has at most this many vertices per part
+// (and at least 16 vertices in all).
+constexpr int kCoarsenTargetPerPart = 8;
+// FM passes per level; a level also stops at the first pass that moves
+// nothing.
+constexpr int kRefinementPasses = 4;
+
 using Arc = std::pair<uint32_t, uint64_t>;  // (neighbor, edge_weight)
 
 // Symmetric weighted adjacency for one coarsening level.
@@ -59,26 +66,9 @@ struct Level {
 
 // Row u lists u's out- and in-neighbors with their multiplicities summed and
 // self loops dropped. Both lists ascend (csr.h's ordering rule), so one
-// merge emits the row in order. A graph without an in-CSR is transposed
-// first by counting sort, which lists in-neighbors in ascending order too.
+// merge emits the row in order.
 Level BuildFinestLevel(const CsrGraph& g) {
   const VertexId n = g.num_vertices();
-  std::vector<EdgeId> in_offsets;
-  std::vector<VertexId> in_sources;
-  if (!g.has_in_csr()) {
-    in_offsets.assign(n + 1, 0);
-    for (VertexId u = 0; u < n; ++u) {
-      for (VertexId v : g.OutNeighbors(u)) ++in_offsets[v + 1];
-    }
-    std::partial_sum(in_offsets.begin(), in_offsets.end(),
-                     in_offsets.begin());
-    in_sources.resize(g.num_edges());
-    std::vector<EdgeId> cursor(in_offsets.begin(), in_offsets.end() - 1);
-    for (VertexId u = 0; u < n; ++u) {
-      for (VertexId v : g.OutNeighbors(u)) in_sources[cursor[v]++] = u;
-    }
-  }
-
   Level level;
   level.vertex_weight.resize(n);
   level.offsets.resize(n + 1);
@@ -86,11 +76,7 @@ Level BuildFinestLevel(const CsrGraph& g) {
   for (VertexId u = 0; u < n; ++u) {
     level.vertex_weight[u] = 1 + g.OutDegree(u);
     const std::span<const VertexId> out = g.OutNeighbors(u);
-    const std::span<const VertexId> in =
-        g.has_in_csr() ? g.InNeighbors(u)
-                       : std::span<const VertexId>(
-                             in_sources.data() + in_offsets[u],
-                             in_sources.data() + in_offsets[u + 1]);
+    const std::span<const VertexId> in = g.InNeighbors(u);
     size_t i = 0, j = 0;
     while (i < out.size() || j < in.size()) {
       const VertexId v =
@@ -189,14 +175,13 @@ Level Coarsen(Level& level, Rng& rng) {
 }
 
 // Greedy growing initial partition on the coarsest level.
-std::vector<uint32_t> InitialPartition(const Level& level, int num_parts,
-                                       double balance_slack) {
+std::vector<uint32_t> InitialPartition(const Level& level, int num_parts) {
   const uint32_t n = level.size();
   const uint64_t total_weight =
       std::accumulate(level.vertex_weight.begin(), level.vertex_weight.end(),
                       uint64_t{0});
   const double quota =
-      balance_slack * static_cast<double>(total_weight) / num_parts;
+      kMetisBalanceSlack * static_cast<double>(total_weight) / num_parts;
 
   std::vector<uint32_t> part(n, static_cast<uint32_t>(num_parts));
   std::vector<uint64_t> part_weight(num_parts, 0);
@@ -258,8 +243,7 @@ std::vector<uint32_t> InitialPartition(const Level& level, int num_parts,
 }
 
 // Boundary FM-style refinement on one level; mutates `part` in place.
-void Refine(const Level& level, std::vector<uint32_t>& part, int num_parts,
-            double balance_slack, int passes) {
+void Refine(const Level& level, std::vector<uint32_t>& part, int num_parts) {
   const uint32_t n = level.size();
   std::vector<uint64_t> part_weight(num_parts, 0);
   for (uint32_t u = 0; u < n; ++u) {
@@ -268,10 +252,10 @@ void Refine(const Level& level, std::vector<uint32_t>& part, int num_parts,
   const uint64_t total_weight =
       std::accumulate(part_weight.begin(), part_weight.end(), uint64_t{0});
   const double quota =
-      balance_slack * static_cast<double>(total_weight) / num_parts;
+      kMetisBalanceSlack * static_cast<double>(total_weight) / num_parts;
 
   std::vector<uint64_t> gain(num_parts);
-  for (int pass = 0; pass < passes; ++pass) {
+  for (int pass = 0; pass < kRefinementPasses; ++pass) {
     bool moved = false;
     for (uint32_t u = 0; u < n; ++u) {
       const std::span<const Arc> row = level.Row(u);
@@ -314,7 +298,7 @@ std::vector<uint32_t> MetisLikeAssign(const CsrGraph& g, int num_parts,
     GUM_TRACE_SCOPE("partition.coarsen");
     levels.push_back(BuildFinestLevel(g));
     const uint32_t target = static_cast<uint32_t>(
-        std::max(16, options.coarsen_target_multiplier * num_parts));
+        std::max(16, kCoarsenTargetPerPart * num_parts));
     while (levels.back().size() > target && levels.size() < 40) {
       Level coarse = Coarsen(levels.back(), rng);
       if (coarse.size() >= levels.back().size() * 95 / 100) {
@@ -325,10 +309,8 @@ std::vector<uint32_t> MetisLikeAssign(const CsrGraph& g, int num_parts,
   }
 
   GUM_TRACE_SCOPE("partition.refine");
-  std::vector<uint32_t> part =
-      InitialPartition(levels.back(), num_parts, options.balance_slack);
-  Refine(levels.back(), part, num_parts, options.balance_slack,
-         options.refinement_passes);
+  std::vector<uint32_t> part = InitialPartition(levels.back(), num_parts);
+  Refine(levels.back(), part, num_parts);
 
   // Project back down through the levels, refining at each.
   for (size_t li = levels.size(); li-- > 1;) {
@@ -338,8 +320,7 @@ std::vector<uint32_t> MetisLikeAssign(const CsrGraph& g, int num_parts,
       fine_part[u] = part[fine.coarse_of[u]];
     }
     part = std::move(fine_part);
-    Refine(fine, part, num_parts, options.balance_slack,
-           options.refinement_passes);
+    Refine(fine, part, num_parts);
   }
   GUM_CHECK(part.size() == g.num_vertices());
   return part;

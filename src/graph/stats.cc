@@ -90,7 +90,7 @@ DegreeStats ComputeDegreeStats(const CsrGraph& g) {
   double out_sum = 0, in_sum = 0;
   for (VertexId v = 0; v < n; ++v) {
     const uint32_t od = g.OutDegree(v);
-    const uint32_t id = g.has_in_csr() ? g.InDegree(v) : 0;
+    const uint32_t id = g.InDegree(v);
     out_sum += od;
     in_sum += id;
     s.max_out_degree = std::max(s.max_out_degree, od);
@@ -128,9 +128,7 @@ std::pair<VertexId, uint32_t> BfsFarthest(const CsrGraph& g, VertexId source) {
       }
     };
     for (VertexId v : g.OutNeighbors(u)) visit(v);
-    if (g.has_in_csr()) {
-      for (VertexId v : g.InNeighbors(u)) visit(v);
-    }
+    for (VertexId v : g.InNeighbors(u)) visit(v);
   }
   return {farthest, depth[farthest]};
 }

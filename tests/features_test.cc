@@ -127,7 +127,7 @@ FrontierFeatures ReferenceFeatures(const CsrGraph& g,
   std::vector<double> out_degrees;
   for (const VertexId v : frontier) {
     const uint32_t od = g.OutDegree(v);
-    const uint32_t id = g.has_in_csr() ? g.InDegree(v) : od;
+    const uint32_t id = g.InDegree(v);
     out_sum += od;
     in_sum += id;
     out_min = std::min(out_min, od);
@@ -183,28 +183,22 @@ void ExpectBitIdenticalFrontiers(const CsrGraph& g, uint64_t seed) {
 }
 
 TEST(FeatureBitIdentityTest, RoadGrid) {
-  for (const bool in_csr : {true, false}) {
-    auto g = CsrGraph::FromEdgeList(graph::RoadGrid({.rows = 24, .cols = 24}),
-                                    {.build_in_csr = in_csr});
-    ASSERT_TRUE(g.ok());
-    ExpectBitIdenticalFrontiers(*g, 3);
-  }
+  auto g = CsrGraph::FromEdgeList(graph::RoadGrid({.rows = 24, .cols = 24}));
+  ASSERT_TRUE(g.ok());
+  ExpectBitIdenticalFrontiers(*g, 3);
 }
 
 TEST(FeatureBitIdentityTest, RmatWithHighDegreeHubs) {
-  for (const bool in_csr : {true, false}) {
-    auto g = CsrGraph::FromEdgeList(
-        graph::Rmat({.scale = 11, .edge_factor = 12, .seed = 4}),
-        {.build_in_csr = in_csr});
-    ASSERT_TRUE(g.ok());
-    // Hubs far above any per-degree memo table must be covered.
-    uint32_t max_degree = 0;
-    for (VertexId v = 0; v < g->num_vertices(); ++v) {
-      max_degree = std::max(max_degree, g->OutDegree(v));
-    }
-    ASSERT_GT(max_degree, 256u);
-    ExpectBitIdenticalFrontiers(*g, 5);
+  auto g = CsrGraph::FromEdgeList(
+      graph::Rmat({.scale = 11, .edge_factor = 12, .seed = 4}));
+  ASSERT_TRUE(g.ok());
+  // Hubs far above any per-degree memo table must be covered.
+  uint32_t max_degree = 0;
+  for (VertexId v = 0; v < g->num_vertices(); ++v) {
+    max_degree = std::max(max_degree, g->OutDegree(v));
   }
+  ASSERT_GT(max_degree, 256u);
+  ExpectBitIdenticalFrontiers(*g, 5);
 }
 
 TEST(FeatureBitIdentityTest, StarWithZeroDegreeLeaves) {
@@ -213,13 +207,11 @@ TEST(FeatureBitIdentityTest, StarWithZeroDegreeLeaves) {
   graph::EdgeList list;
   list.num_vertices = 5001;
   for (VertexId v = 1; v <= 5000; ++v) list.edges.push_back({0, v, 1.0f});
-  for (const bool in_csr : {true, false}) {
-    auto g = CsrGraph::FromEdgeList(list, {.build_in_csr = in_csr});
-    ASSERT_TRUE(g.ok());
-    ExpectBitIdenticalFrontiers(*g, 6);
-    const std::vector<VertexId> leaves = {1, 2, 3, 4};
-    ExpectBitIdentical(*g, leaves, "zero-degree only");
-  }
+  auto g = CsrGraph::FromEdgeList(list);
+  ASSERT_TRUE(g.ok());
+  ExpectBitIdenticalFrontiers(*g, 6);
+  const std::vector<VertexId> leaves = {1, 2, 3, 4};
+  ExpectBitIdentical(*g, leaves, "zero-degree only");
 }
 
 // GiniCoefficient counts degrees below a cap of 64 and sorts only the tail

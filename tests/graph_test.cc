@@ -93,7 +93,6 @@ TEST(CsrTest, SymmetrizeAddsReverseEdges) {
 // and deletes that land inside existing out-lists.
 TEST(CsrTest, NeighborsSortedAscending) {
   const auto expect_sorted = [](const CsrGraph& g, const std::string& what) {
-    ASSERT_TRUE(g.has_in_csr()) << what;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       const auto out = g.OutNeighbors(v);
       ASSERT_TRUE(std::is_sorted(out.begin(), out.end()))
@@ -167,34 +166,29 @@ struct CsrArrays {
   std::vector<float> out_weights;
   std::vector<EdgeId> in_offsets;
   std::vector<VertexId> in_targets;
-
-  bool operator==(const CsrArrays&) const = default;
 };
 
 CsrArrays ArraysOf(const CsrGraph& g) {
   CsrArrays a;
   const VertexId n = g.num_vertices();
   a.out_offsets.push_back(0);
+  a.in_offsets.push_back(0);
   for (VertexId v = 0; v < n; ++v) {
     const auto out = g.OutNeighbors(v);
     a.out_targets.insert(a.out_targets.end(), out.begin(), out.end());
     const auto w = g.OutWeights(v);
     a.out_weights.insert(a.out_weights.end(), w.begin(), w.end());
     a.out_offsets.push_back(a.out_targets.size());
-  }
-  if (g.has_in_csr()) {
-    a.in_offsets.push_back(0);
-    for (VertexId v = 0; v < n; ++v) {
-      const auto in = g.InNeighbors(v);
-      a.in_targets.insert(a.in_targets.end(), in.begin(), in.end());
-      a.in_offsets.push_back(a.in_targets.size());
-    }
+    const auto in = g.InNeighbors(v);
+    a.in_targets.insert(a.in_targets.end(), in.begin(), in.end());
+    a.in_offsets.push_back(a.in_targets.size());
   }
   return a;
 }
 
-// FromEdgeList as it was before ascending input skipped the sort: it
-// always sorts by (src, dst), then deduplicates.
+// FromEdgeList as it was before every build shared one assembly: it always
+// sorts by (src, dst), deduplicates, scatters through per-vertex cursors,
+// keeps weights only if one differs from 1, and transposes into the in-CSR.
 CsrArrays AlwaysSortBuild(const EdgeList& list,
                           const CsrBuildOptions& options) {
   const VertexId n = list.num_vertices;
@@ -233,54 +227,55 @@ CsrArrays AlwaysSortBuild(const EdgeList& list,
     a.out_targets[pos] = e.dst;
     if (weighted) a.out_weights[pos] = e.weight;
   }
-  if (options.build_in_csr) {
-    a.in_offsets.assign(n + 1, 0);
-    for (const VertexId dst : a.out_targets) a.in_offsets[dst + 1]++;
-    std::partial_sum(a.in_offsets.begin(), a.in_offsets.end(),
-                     a.in_offsets.begin());
-    a.in_targets.resize(a.out_targets.size());
-    std::vector<EdgeId> in_cursor(a.in_offsets.begin(),
-                                  a.in_offsets.end() - 1);
-    for (VertexId u = 0; u < n; ++u) {
-      for (EdgeId e = a.out_offsets[u]; e < a.out_offsets[u + 1]; ++e) {
-        a.in_targets[in_cursor[a.out_targets[e]]++] = u;
-      }
+  a.in_offsets.assign(n + 1, 0);
+  for (const VertexId dst : a.out_targets) a.in_offsets[dst + 1]++;
+  std::partial_sum(a.in_offsets.begin(), a.in_offsets.end(),
+                   a.in_offsets.begin());
+  a.in_targets.resize(a.out_targets.size());
+  std::vector<EdgeId> in_cursor(a.in_offsets.begin(), a.in_offsets.end() - 1);
+  for (VertexId u = 0; u < n; ++u) {
+    for (EdgeId e = a.out_offsets[u]; e < a.out_offsets[u + 1]; ++e) {
+      a.in_targets[in_cursor[a.out_targets[e]]++] = u;
     }
   }
   return a;
 }
 
-// A strictly ascending working list skips FromEdgeList's sort; every build
-// must still equal the always-sort build byte for byte: strictly ascending
-// lists with and without weights and in-CSR, ascending lists with ties of
-// differing weights (which must take the sort and its deduplication), lists
-// with self-loops, symmetrized lists, unsorted generator output, and a
-// DeltaCsr compaction after road closures.
+void ExpectSameArrays(const CsrGraph& g, const CsrArrays& want,
+                      const std::string& what) {
+  const CsrArrays got = ArraysOf(g);
+  EXPECT_TRUE(got.out_offsets == want.out_offsets) << what << ": out offsets";
+  EXPECT_TRUE(got.out_targets == want.out_targets) << what << ": out targets";
+  EXPECT_TRUE(got.out_weights == want.out_weights) << what << ": weights";
+  EXPECT_TRUE(got.in_offsets == want.in_offsets) << what << ": in offsets";
+  EXPECT_TRUE(got.in_targets == want.in_targets) << what << ": in targets";
+}
+
+// FromEdgeList and DeltaCsr::Compact both end in CsrGraph's one assembly,
+// and each must equal the always-sort build array by array. FromEdgeList:
+// strictly ascending lists with and without weights, ascending lists with
+// ties of differing weights, lists with self-loops, symmetrized lists,
+// unsorted generator output, and edgeless lists. Compact (against the
+// always-sort build of its overlay's edge list): road closures, an insert
+// that brings weights to an unweighted base, deletes that take every
+// non-unit weight from a weighted one, delv, a symmetric stream, empty
+// overlays, and an edgeless graph.
 TEST(CsrTest, AscendingInputMatchesSortedBuild) {
-  const auto expect_same = [](const EdgeList& list,
-                              const CsrBuildOptions& options,
-                              const std::string& what) {
-    auto built = CsrGraph::FromEdgeList(list, options);
-    ASSERT_TRUE(built.ok()) << what;
-    EXPECT_TRUE(ArraysOf(*built) == AlwaysSortBuild(list, options)) << what;
-  };
   const auto with_options = [&](const EdgeList& list,
                                 const std::string& what) {
     for (const bool dedup : {true, false}) {
       for (const bool loops : {true, false}) {
         for (const bool symmetrize : {false, true}) {
-          for (const bool in_csr : {true, false}) {
-            CsrBuildOptions options;
-            options.deduplicate = dedup;
-            options.remove_self_loops = loops;
-            options.symmetrize = symmetrize;
-            options.build_in_csr = in_csr;
-            expect_same(list, options,
-                        what + (dedup ? " dedup" : "") +
-                            (loops ? " no-loops" : "") +
-                            (symmetrize ? " symmetrized" : "") +
-                            (in_csr ? " in-csr" : ""));
-          }
+          CsrBuildOptions options;
+          options.deduplicate = dedup;
+          options.remove_self_loops = loops;
+          options.symmetrize = symmetrize;
+          const std::string cell = what + (dedup ? " dedup" : "") +
+                                   (loops ? " no-loops" : "") +
+                                   (symmetrize ? " symmetrized" : "");
+          auto built = CsrGraph::FromEdgeList(list, options);
+          ASSERT_TRUE(built.ok()) << cell;
+          ExpectSameArrays(*built, AlwaysSortBuild(list, options), cell);
         }
       }
     }
@@ -339,16 +334,55 @@ TEST(CsrTest, AscendingInputMatchesSortedBuild) {
   with_options(Rmat({.scale = 8, .edge_factor = 6, .weighted = true,
                      .seed = 12}),
                "unsorted rmat");
+  EdgeList edgeless;
+  edgeless.num_vertices = 7;
+  with_options(edgeless, "edgeless");
+  with_options(EdgeList{}, "no vertices");
+
+  const auto expect_compacts = [](const DeltaCsr& delta,
+                                  const std::string& what) {
+    EdgeList overlay;
+    overlay.num_vertices = delta.base().num_vertices();
+    for (VertexId u = 0; u < overlay.num_vertices; ++u) {
+      delta.ForEachOut(u, [&](VertexId v, float w) {
+        overlay.edges.push_back({u, v, w});
+      });
+    }
+    ExpectSameArrays(delta.Compact(), AlwaysSortBuild(overlay, {}), what);
+  };
+  // Applies every epoch of `spec` to `base`, checks the compaction and
+  // returns it.
+  const auto expect_epochs = [&](const CsrGraph& base, bool symmetric,
+                                 const std::string& spec,
+                                 const std::string& what) {
+    DynamicGraph dyn(base, symmetric);
+    auto plan = MutationPlan::Parse(spec);
+    if (!plan.ok()) {
+      ADD_FAILURE() << what << ": " << plan.status().ToString();
+      return CsrGraph();
+    }
+    auto stream = MutationStream::Create(*plan, dyn.base(), /*seed=*/5);
+    if (!stream.ok()) {
+      ADD_FAILURE() << what << ": " << stream.status().ToString();
+      return CsrGraph();
+    }
+    for (int e = 1; e <= stream->num_epochs(); ++e) {
+      dyn.Apply(stream->BatchAt(e));
+    }
+    expect_compacts(dyn.delta(), what);
+    return dyn.Materialize();
+  };
 
   // An epoch barrier's compaction: 8 road segments closed in both
   // directions, 2 reopened at another weight.
-  const CsrGraph base =
+  const CsrGraph road =
       CsrGraph::FromEdgeList(RoadGrid({.rows = 16, .cols = 16, .seed = 9}))
           .value();
-  DeltaCsr delta(&base);
+  DeltaCsr delta(&road);
+  expect_compacts(delta, "empty overlay on a weighted road");
   int closed = 0;
-  for (VertexId u = 3; u < base.num_vertices() && closed < 8; u += 29) {
-    const auto out = base.OutNeighbors(u);
+  for (VertexId u = 3; u < road.num_vertices() && closed < 8; u += 29) {
+    const auto out = road.OutNeighbors(u);
     if (out.empty() || !delta.HasEdge(u, out[0])) continue;
     const VertexId v = out[0];
     ASSERT_EQ(delta.ApplyEdge(MutationKind::kDeleteEdge, u, v, 1.0f),
@@ -362,18 +396,62 @@ TEST(CsrTest, AscendingInputMatchesSortedBuild) {
     ++closed;
   }
   ASSERT_EQ(closed, 8);
-  EdgeList overlay;
-  overlay.num_vertices = base.num_vertices();
-  for (VertexId u = 0; u < base.num_vertices(); ++u) {
-    delta.ForEachOut(u, [&](VertexId v, float w) {
-      overlay.edges.push_back({u, v, w});
-    });
+  expect_compacts(delta, "road closures");
+
+  // Weights appear: one weighted insert into an unweighted base.
+  const CsrGraph unweighted =
+      CsrGraph::FromEdgeList(
+          RoadGrid({.rows = 12, .cols = 12, .weighted = false, .seed = 5}))
+          .value();
+  ASSERT_FALSE(unweighted.has_weights());
+  expect_epochs(unweighted, false, "none", "empty overlay on a road");
+  EXPECT_TRUE(expect_epochs(unweighted, false, "ins:0-77@1x2.5",
+                            "weighted insert")
+                  .has_weights());
+
+  // Weights vanish: every non-unit edge of a weighted base deleted.
+  EdgeList few = RoadGrid({.rows = 12, .cols = 12, .weighted = false,
+                           .seed = 5});
+  for (size_t i = 0; i < few.edges.size(); i += 37) few.edges[i].weight = 3.0f;
+  const CsrGraph few_weighted = CsrGraph::FromEdgeList(few).value();
+  ASSERT_TRUE(few_weighted.has_weights());
+  std::string deletes;
+  for (VertexId u = 0; u < few_weighted.num_vertices(); ++u) {
+    const auto out = few_weighted.OutNeighbors(u);
+    const auto w = few_weighted.OutWeights(u);
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (w[i] == 1.0f) continue;
+      deletes += (deletes.empty() ? "" : ";") + std::string("del:") +
+                 std::to_string(u) + "-" + std::to_string(out[i]) + "@1";
+    }
   }
-  CsrBuildOptions compact_options;
-  compact_options.symmetrize = false;
-  compact_options.build_in_csr = base.has_in_csr();
-  EXPECT_TRUE(ArraysOf(delta.Compact()) ==
-              AlwaysSortBuild(overlay, compact_options));
+  EXPECT_FALSE(expect_epochs(few_weighted, false, deletes,
+                             "every non-unit weight deleted")
+                   .has_weights());
+
+  // delv on a directed graph drops in- and out-edges, base and added.
+  const CsrGraph rmat =
+      CsrGraph::FromEdgeList(Rmat({.scale = 8, .weighted = true, .seed = 3}))
+          .value();
+  ASSERT_GT(rmat.InDegree(1), 0u);
+  ASSERT_GT(rmat.OutDegree(1), 0u);
+  const CsrGraph isolated = expect_epochs(
+      rmat, false, "ins:9-1@1x2;delv:1@1;delv:2@2;ins:2-3@2", "delv");
+  EXPECT_EQ(isolated.InDegree(1) + isolated.OutDegree(1), 0u);
+
+  // A symmetric stream mirrors every event.
+  CsrBuildOptions symmetrize;
+  symmetrize.symmetrize = true;
+  const CsrGraph symmetric =
+      CsrGraph::FromEdgeList(Rmat({.scale = 8, .seed = 4}), symmetrize)
+          .value();
+  expect_epochs(symmetric, true, "rand:3x40", "symmetric stream");
+  expect_epochs(symmetric, true, "delv:0@1;ins:5-6@1x4", "symmetric delv");
+
+  // An edgeless graph, with an empty overlay and with one insert.
+  const CsrGraph empty = CsrGraph::FromEdgeList(edgeless).value();
+  expect_epochs(empty, false, "none", "edgeless");
+  expect_epochs(empty, false, "ins:2-5@1", "edgeless plus one edge");
 }
 
 TEST(CsrTest, UnweightedGraphHasNoWeightArray) {

@@ -257,7 +257,6 @@ TEST(DeltaCsrTest, CompactFoldsOverlayIntoFlatCsr) {
   const CsrGraph flat = d.Compact();
   EXPECT_EQ(flat.num_vertices(), g.num_vertices());
   EXPECT_EQ(Edges(flat), Edges(d));
-  EXPECT_EQ(flat.has_in_csr(), g.has_in_csr());
   // Compacting the compacted graph with an empty overlay is the identity.
   DeltaCsr d2(&flat);
   EXPECT_EQ(Edges(d2.Compact()), Edges(flat));

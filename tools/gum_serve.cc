@@ -58,7 +58,10 @@
 //                                JSON: BM_Serve_batched/wW/tT vs
 //                                BM_Serve_sequential/wW/tT (simulated
 //                                makespan as real_time ns, plus qps and
-//                                latency percentiles as extra fields)
+//                                latency percentiles as extra fields);
+//                                it writes nothing else, so --save-values,
+//                                --report, --metrics, --trace and
+//                                --mutations are rejected with it
 //   --bench-widths=1,8,64 --bench-threads=1,4
 //
 // Example:
@@ -409,13 +412,23 @@ Result<ServeFlags> ParseServeFlags(const FlagParser& flags) {
     if (cfg.serve.ckpt_every <= 0) cfg.serve.ckpt_every = 2;
   }
 
-  if (!f.shared.mutation_plan.empty()) {
-    if (flags.Has("bench-json")) {
+  if (flags.Has("bench-json")) {
+    // The sweep writes only its JSON, so a per-run output would silently
+    // stay unwritten.
+    for (const char* output : {"trace", "metrics", "report", "save-values"}) {
+      if (flags.Has(output)) {
+        return Status::InvalidArgument("--" + std::string(output) +
+                                       " does not compose with --bench-json");
+      }
+    }
+    if (!f.shared.mutation_plan.empty()) {
       return Status::InvalidArgument(
           "--mutations does not compose with --bench-json (use "
           "bench/mutation_throughput)");
     }
-  } else if (flags.Has("update-rate") || flags.Has("compact-every")) {
+  }
+  if (f.shared.mutation_plan.empty() &&
+      (flags.Has("update-rate") || flags.Has("compact-every"))) {
     return Status::InvalidArgument(
         "--update-rate/--compact-every need an active --mutations stream");
   }
@@ -427,6 +440,20 @@ Result<ServeFlags> ParseServeFlags(const FlagParser& flags) {
 template <typename Traits>
 int Serve(const FlagParser& flags, const ServeFlags& f,
           const cli::Setup& setup, cli::ObsArtifacts& artifacts) {
+  // Backstop: ParseServeFlags names the flag behind every combination this
+  // rejects, so a valid command line never fails here. The options checked
+  // are the widest any batch runs: the faulted batch's, which add the fault
+  // plane and its checkpoints to the context's.
+  core::EngineOptions widest = f.cfg.options;
+  if (f.cfg.serve.fault_plane != nullptr) {
+    widest.fault_plane = f.cfg.serve.fault_plane;
+    widest.checkpoint.every = f.cfg.serve.ckpt_every;
+  }
+  const Status valid = core::ValidateRunOptions(
+      widest, setup.partition.num_parts, /*fixed_round_app=*/false,
+      core::AsyncCapable<typename Traits::SingleApp> &&
+          core::AsyncCapable<typename Traits::BatchApp>);
+  if (!valid.ok()) return cli::Fail(valid);
   if (setup.mutations.active()) {
     return RunServeMutating<Traits>(flags, setup, f.cfg, f.shared,
                                     f.update_rate, artifacts);
