@@ -87,7 +87,6 @@ core::RunResult RunBenchmarkImpl(const DatasetGraphs& data,
         opt.device = BenchDeviceParams();
       }
       cost_model = config.cost_model;
-      if (cost_model != nullptr) opt.exact_cost_oracle = false;
       opt.contention = config.contention;
       opt.multipath = config.multipath;
       if (config.algo != Algo::kWcc || config.force_labelprop_wcc) break;
@@ -103,7 +102,7 @@ core::RunResult RunBenchmarkImpl(const DatasetGraphs& data,
       const double edges = static_cast<double>(g.num_edges());
       const double barrier_ms =
           (opt.device.sync_per_peer_us * config.devices +
-           5 * opt.device.kernel_launch_us) /
+           5 * sim::kKernelLaunchUs) /
           1000.0;
       const double fastwcc_ms = 4.0 * 1.15 * edges * edge_ns / 1e6;
       const double labelprop_ms =

@@ -53,7 +53,6 @@ int main() {
       *g, 8, {.kind = graph::PartitionerKind::kSegment});
   auto topology = sim::Topology::HybridCubeMeshSubset(8);
   core::EngineOptions options;
-  options.exact_cost_oracle = false;  // use the learned model
   options.fsteal.t1_min_max_load = 512;
   options.fsteal.t2_min_imbalance = 256;
 

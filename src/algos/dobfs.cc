@@ -94,7 +94,7 @@ core::RunResult DirectionOptimizedBfs(
                             comm_ms);
         result.timeline.Add(
             level, d, sim::TimeCategory::kOverhead,
-            (kKernelsPerLevel * dev.kernel_launch_us * 1000.0 +
+            (kKernelsPerLevel * sim::kKernelLaunchUs * 1000.0 +
              p_ns * n) /
                 1e6);
         result.edges_processed += scanned;
@@ -129,7 +129,7 @@ core::RunResult DirectionOptimizedBfs(
             sim::TrueEdgeCostNs(features, dev) / 1e6;
         const double comm_ms =
             sim::CommPlane::NominalLaneNs(remote_msgs *
-                                          dev.bytes_per_message) /
+                                          sim::kBytesPerMessage) /
             1e6;
         result.timeline.Add(level, d, sim::TimeCategory::kCompute,
                             compute_ms);
@@ -137,7 +137,7 @@ core::RunResult DirectionOptimizedBfs(
                             comm_ms);
         result.timeline.Add(
             level, d, sim::TimeCategory::kOverhead,
-            (kKernelsPerLevel * dev.kernel_launch_us * 1000.0 +
+            (kKernelsPerLevel * sim::kKernelLaunchUs * 1000.0 +
              p_ns * n) /
                 1e6);
         result.edges_processed += edges;

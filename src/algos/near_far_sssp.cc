@@ -94,7 +94,7 @@ core::RunResult NearFarSssp(const graph::CsrGraph& g,
       stats.far_pile_moves += worklist.size();
       for (int d = 0; d < n; ++d) {
         result.timeline.Add(step, d, sim::TimeCategory::kOverhead,
-                            (dev.kernel_launch_us * 1000.0 +
+                            (sim::kKernelLaunchUs * 1000.0 +
                              worklist.size() / n * 2.0) /
                                 1e6);
       }
@@ -132,7 +132,7 @@ core::RunResult NearFarSssp(const graph::CsrGraph& g,
                               sim::TrueEdgeCostNs(features, dev) / 1e6);
       result.timeline.Add(
           step, d, sim::TimeCategory::kOverhead,
-          (kKernelsPerBand * dev.kernel_launch_us * 1000.0 +
+          (kKernelsPerBand * sim::kKernelLaunchUs * 1000.0 +
            p_ns * n) /
               1e6);
       result.edges_processed += relaxed;

@@ -19,6 +19,8 @@ namespace {
 constexpr double kRoundOverheadUs = 40.0;
 // Bandwidth of every ring segment.
 constexpr double kRingGbps = 25.0;
+// Safety rail on the exchange rounds; expected rounds ~ log2(|V|).
+constexpr int kMaxRounds = 64;
 }  // namespace
 
 GrouteCcEngine::GrouteCcEngine(const graph::CsrGraph* g,
@@ -62,7 +64,7 @@ core::RunResult GrouteCcEngine::Run(std::vector<VertexId>* labels_out) {
 
   int round = 0;
   bool converged = false;
-  for (; round < options_.max_rounds && !converged; ++round) {
+  for (; round < kMaxRounds && !converged; ++round) {
     std::copy(label.begin(), label.end(), proposed.begin());
     double round_wall_ms = 0.0;
     std::vector<double> boundary_updates(n, 0.0);
@@ -86,7 +88,7 @@ core::RunResult GrouteCcEngine::Run(std::vector<VertexId>* labels_out) {
     // the contention model.
     sim::TransferBatch batch;
     for (int d = 0; d < n; ++d) {
-      batch.Add(d, (d + 1) % n, boundary_updates[d] * dev.bytes_per_message,
+      batch.Add(d, (d + 1) % n, boundary_updates[d] * sim::kBytesPerMessage,
                 d);
     }
     const sim::SettleResult comm = plane.Settle(batch);
@@ -95,8 +97,8 @@ core::RunResult GrouteCcEngine::Run(std::vector<VertexId>* labels_out) {
       const double compute_ms =
           fragment_edges[d] * uf_edge_cost_ns[d] / 1e6;
       const double comm_ms = comm.tag_comm_ns[d] / 1e6;
-      const double serial_ms = boundary_updates[d] * dev.bytes_per_message /
-                               dev.serialization_gbps / 1e6;
+      const double serial_ms = boundary_updates[d] * sim::kBytesPerMessage /
+                               sim::kSerializationGbps / 1e6;
       const double overhead_ms = kRoundOverheadUs / 1000.0;
       result.timeline.Add(round, d, sim::TimeCategory::kCompute, compute_ms);
       result.timeline.Add(round, d, sim::TimeCategory::kCommunication,

@@ -27,7 +27,6 @@ namespace gum::baselines {
 
 struct GrouteCcOptions {
   sim::DeviceParams device;
-  int max_rounds = 64;  // safety rail; expected rounds ~ log2(|V|)
   // Interconnect contention model for the per-round boundary exchange.
   sim::ContentionModel contention = sim::ContentionModel::kOff;
 };

@@ -211,11 +211,11 @@ class AsyncDriver {
       if (got == 0) return false;
       // Each entry ships its vertex id + priority hint.
       const double bytes = static_cast<double>(got) *
-                           (dev.bytes_per_message + 8.0);
+                           (sim::kBytesPerMessage + 8.0);
       const double xfer_ms = plane.PointToPointNs(victim, thief, bytes) / 1e6;
       plane.RecordLinkTraffic(victim, thief, bytes);
       plane.RecordPayload(victim, thief, bytes);
-      const double relaunch_ms = dev.kernel_launch_us / 1000.0;
+      const double relaunch_ms = sim::kKernelLaunchUs / 1000.0;
       clock_ms[thief] =
           std::max(clock_ms[thief], now) + xfer_ms + relaunch_ms;
       for (const auto& entry : steal_buf) {
@@ -391,13 +391,13 @@ class AsyncDriver {
           remote_edges[owner] += g.OutDegree(u);
         }
       }
-      const double local_bytes = local_edges * dev.bytes_per_remote_edge;
+      const double local_bytes = local_edges * sim::kBytesPerRemoteEdge;
       const double local_fetch_ms = plane.LaneMs(d, d, local_bytes);
       plane.ReserveLane(d, d, t_start, local_bytes);
       double remote_fetch_ms = 0.0;
       for (int o = 0; o < n; ++o) {
         if (o == d || remote_edges[o] == 0.0) continue;
-        const double bytes = remote_edges[o] * dev.bytes_per_remote_edge;
+        const double bytes = remote_edges[o] * sim::kBytesPerRemoteEdge;
         remote_fetch_ms += plane.PointToPointNs(o, d, bytes) / 1e6;
         plane.RecordLinkTraffic(o, d, bytes);
         plane.RecordPayload(o, d, bytes);
@@ -426,8 +426,8 @@ class AsyncDriver {
         if (f == d || outgoing[f].empty()) continue;
         result.messages_sent += outgoing[f].size();
         const double bytes =
-            static_cast<double>(outgoing[f].size()) * dev.bytes_per_message;
-        serial_ms += bytes / dev.serialization_gbps / 1e6;
+            static_cast<double>(outgoing[f].size()) * sim::kBytesPerMessage;
+        serial_ms += bytes / sim::kSerializationGbps / 1e6;
         const double flush_ms =
             cfg.flush_timeout_us *
             (1.0 - std::min(1.0, bytes / kSegmentBytes)) / 1000.0;

@@ -26,11 +26,9 @@ class EdgeCostModel {
   }
 
   // Uses a trained regression model; `model` must outlive this handle.
-  static EdgeCostModel Learned(const ml::RegressionModel* model,
-                               const sim::DeviceParams& params) {
+  static EdgeCostModel Learned(const ml::RegressionModel* model) {
     EdgeCostModel m;
     m.model_ = model;
-    m.params_ = params;
     return m;
   }
 
@@ -43,8 +41,6 @@ class EdgeCostModel {
     const auto arr = w.ToArray();
     return model_->Predict(arr);
   }
-
-  const sim::DeviceParams& device_params() const { return params_; }
 
  private:
   const ml::RegressionModel* model_ = nullptr;

@@ -120,7 +120,7 @@ class GumEngine {
 
   // Legacy constructor: builds and owns the immutable context. `g` and
   // `cost_model` (if non-null) must outlive the engine. A null cost_model
-  // forces the exact oracle regardless of options.
+  // selects the exact oracle.
   GumEngine(const graph::CsrGraph* g, graph::Partition partition,
             sim::Topology topology, EngineOptions options,
             const ml::RegressionModel* cost_model = nullptr)
@@ -470,7 +470,7 @@ class GumEngine {
         const size_t frontier = rc_.state.frontier.FragmentSize(i);
         if (owner[i] == from || frontier == 0) continue;
         const double bytes = static_cast<double>(frontier) *
-                             options_.device.bytes_per_message;
+                             sim::kBytesPerMessage;
         if (multipath_) {
           migration.AddBulk(from, owner[i], bytes, owner[i]);
         } else {
@@ -511,10 +511,10 @@ class GumEngine {
       }
     }
 
-    // Step 3: frontier stealing. Non-scatter modes take the identity plan:
-    // the linear-algebra backend has no per-executor frontier ranges to
-    // steal (push runs the identity plan, pull parallelizes over
-    // destinations).
+    // Step 3: frontier stealing. Non-scatter modes keep each fragment with
+    // its owner (an unapplied decision): the linear-algebra backend has no
+    // per-executor frontier ranges to steal (push runs the identity plan,
+    // pull parallelizes over destinations).
     FStealDecision FSteal(ExpandMode mode, const FrontierCensus& census,
                           IterationStats& stats) {
       FStealDecision fs;
@@ -526,11 +526,6 @@ class GumEngine {
                             ctx_.cost_model(), plane_, group_.active);
         fs = DecideFSteal(cost, census.loads, group_.owner_of_fragment,
                           group_.active, options_.fsteal);
-      } else {
-        fs.assignment.assign(n_, std::vector<double>(n_, 0.0));
-        for (int i = 0; i < n_; ++i) {
-          fs.assignment[i][group_.owner_of_fragment[i]] = census.loads[i];
-        }
       }
       stats.fsteal_applied = fs.applied;
       stats.fsteal_decision_host_ms = fs.decision_host_ms;

@@ -44,11 +44,6 @@ struct EngineOptions {
   uint32_t t4_hub_in_degree = 128;      // Example 6 threshold
   bool enable_message_aggregation = true;
 
-  // --- cost model ---
-  // When true the stealing policies use the substrate's exact cost function
-  // instead of a learned model (paper Exp-7's oracle run).
-  bool exact_cost_oracle = true;
-
   // --- Eq. (4) p estimation ---
   // "p is a parameter that can be estimated during previous iterations":
   // when true, OSteal's p comes from an EWMA over the observed per-

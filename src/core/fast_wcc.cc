@@ -14,6 +14,9 @@ namespace {
 
 using graph::VertexId;
 
+// Safety rail on the rounds; they converge in O(log |V|).
+constexpr int kMaxRounds = 64;
+
 VertexId Find(std::vector<VertexId>& parent, VertexId v) {
   while (parent[v] != v) {
     parent[v] = parent[parent[v]];
@@ -91,7 +94,7 @@ RunResult FastWcc(const graph::CsrGraph& g, const graph::Partition& partition,
 
   int round = 0;
   bool converged = false;
-  for (; round < options.max_rounds && !converged; ++round) {
+  for (; round < kMaxRounds && !converged; ++round) {
     std::copy(label.begin(), label.end(), proposed.begin());
 
     // Pass 1: hook/propose per device and enqueue the round's boundary
@@ -111,9 +114,9 @@ RunResult FastWcc(const graph::CsrGraph& g, const graph::Partition& partition,
       transfer_range[d].first = batch.size();
       for (int owner = 0; owner < n; ++owner) {
         if (remote_updates[owner] <= 0) continue;
-        const double bytes = remote_updates[owner] * dev.bytes_per_message;
+        const double bytes = remote_updates[owner] * sim::kBytesPerMessage;
         batch.Add(d, owner, bytes, d);
-        serial_ms[d] += bytes / dev.serialization_gbps / 1e6;
+        serial_ms[d] += bytes / sim::kSerializationGbps / 1e6;
         result.messages_sent += static_cast<uint64_t>(remote_updates[owner]);
       }
       transfer_range[d].second = batch.size();
@@ -123,7 +126,7 @@ RunResult FastWcc(const graph::CsrGraph& g, const graph::Partition& partition,
     // Pass 2: settle the round's transfers and post the buckets.
     const sim::SettleResult comm = plane.Settle(batch);
     const double overhead_ms =
-        (3 * dev.kernel_launch_us * 1000.0 + p_ns * n) / 1e6;
+        (3 * sim::kKernelLaunchUs * 1000.0 + p_ns * n) / 1e6;
     for (int d = 0; d < n; ++d) {
       double comm_ms = 0.0;
       if (options.contention == sim::ContentionModel::kOff) {

@@ -33,7 +33,6 @@ namespace gum::core {
 
 struct FastWccOptions {
   sim::DeviceParams device;
-  int max_rounds = 64;
   // Interconnect contention model for the per-round proposal shipments.
   sim::ContentionModel contention = sim::ContentionModel::kOff;
 };

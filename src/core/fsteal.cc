@@ -42,14 +42,13 @@ std::vector<std::vector<double>> BuildCostMatrix(
   std::vector<bool> active(n, false);
   for (int j : active_workers) active[j] = true;
 
-  const double bytes = model.device_params().bytes_per_remote_edge;
   std::vector<std::vector<double>> cost(n, std::vector<double>(n, kInf));
   for (int i = 0; i < n; ++i) {
     const double g = model.EdgeCostNs(features[i]);
     for (int j = 0; j < n; ++j) {
       if (!active[j]) continue;  // OSteal-evicted: c_ij = infinity
       const double transfer =
-          plane.PointToPointNs(i, j, bytes) *
+          plane.PointToPointNs(i, j, sim::kBytesPerRemoteEdge) *
           (i == j ? 1.0 : remote_discount[i]);
       cost[i][j] = transfer + g;
     }

@@ -34,8 +34,8 @@ struct FStealConfig {
 struct FStealDecision {
   bool applied = false;
   // assignment[i][j]: active edges of fragment i processed by worker j.
-  // When !applied, this is the identity plan (everything stays with the
-  // fragment's owner).
+  // Read only when `applied` is set; otherwise every fragment stays with
+  // its owner, and the BSP loop leaves this empty when FSteal does not run.
   std::vector<std::vector<double>> assignment;
   double predicted_makespan_ns = 0.0;
   double decision_host_ms = 0.0;  // measured wall time of the decision

@@ -16,8 +16,8 @@ GraphContext::GraphContext(const graph::CsrGraph* g,
       topology_(std::move(topology)),
       options_(options),
       schedule_(sim::ReductionSchedule::Build(topology_)),
-      cost_model_(cost_model != nullptr && !options.exact_cost_oracle
-                      ? EdgeCostModel::Learned(cost_model, options.device)
+      cost_model_(cost_model != nullptr
+                      ? EdgeCostModel::Learned(cost_model)
                       : EdgeCostModel::ExactOracle(options.device)) {
   GUM_CHECK(partition_.num_parts == topology_.num_devices())
       << "partition parts must match device count";

@@ -38,10 +38,11 @@ namespace gum::core {
 
 class GraphContext {
  public:
-  // `g` and `cost_model` (if non-null) must outlive the context. A null
-  // cost_model forces the exact oracle regardless of options — the same
-  // contract as the legacy GumEngine constructor, which now builds one of
-  // these internally.
+  // `g` and `cost_model` (if non-null) must outlive the context. The
+  // stealing policies price work with `cost_model` when one is passed and
+  // with the substrate's exact cost function (paper Exp-7's oracle run)
+  // when it is null — the same contract as the legacy GumEngine
+  // constructor, which builds one of these internally.
   GraphContext(const graph::CsrGraph* g, graph::Partition partition,
                sim::Topology topology, EngineOptions options,
                const ml::RegressionModel* cost_model = nullptr);

@@ -44,20 +44,20 @@ double AccountSuperstepTime(
       // Remote gathers are the FSteal fragment payloads — plan-eligible
       // bulk when multipath is on; local reads never stripe.
       if (census_tree != nullptr && i != j) {
-        batch.AddBulk(i, j, remote_edges * dev.bytes_per_remote_edge, j);
+        batch.AddBulk(i, j, remote_edges * sim::kBytesPerRemoteEdge, j);
       } else {
-        batch.Add(i, j, remote_edges * dev.bytes_per_remote_edge, j);
+        batch.Add(i, j, remote_edges * sim::kBytesPerRemoteEdge, j);
       }
-      batch.Add(j, j, local_edges * dev.bytes_per_remote_edge, j);
+      batch.Add(j, j, local_edges * sim::kBytesPerRemoteEdge, j);
     }
     // Message forwarding to each destination fragment's owner.
     for (int f = 0; f < n; ++f) {
       const double count = aggregate_messages ? counters.agg_msgs[j][f]
                                               : counters.raw_msgs[j][f];
       if (count <= 0) continue;
-      const double bytes = count * dev.bytes_per_message;
+      const double bytes = count * sim::kBytesPerMessage;
       const int owner = owner_of_fragment[f];
-      serial_ns[j] += bytes / dev.serialization_gbps + 3000.0;  // binning
+      serial_ns[j] += bytes / sim::kSerializationGbps + 3000.0;  // binning
       ++destinations;
       if (owner != j) {
         batch.Add(j, owner, bytes, j);
@@ -70,7 +70,7 @@ double AccountSuperstepTime(
         ++kernels;
       }
     }
-    const double launch_ns = (kernels + 2) * dev.kernel_launch_us * 1000.0;
+    const double launch_ns = (kernels + 2) * sim::kKernelLaunchUs * 1000.0;
     kernel_launch_ns += launch_ns;
     overhead_ns[j] += launch_ns;
     // Barrier + buffer bookkeeping, Eq. (4). The legacy charge is the
@@ -130,14 +130,14 @@ double AccountGunrockSuperstepTime(
     const double edges = counters.edges_done[i][i];
 
     frag_compute_ns[i] = edges * edge_cost_ns;
-    batch.Add(i, i, edges * dev.bytes_per_remote_edge, i);
+    batch.Add(i, i, edges * sim::kBytesPerRemoteEdge, i);
     double serial_ns = 0;
     for (int f = 0; f < n; ++f) {
       const double count = counters.raw_msgs[i][f];
       result->messages_sent += static_cast<uint64_t>(count);
       if (count <= 0) continue;
-      const double bytes = count * dev.bytes_per_message;
-      serial_ns += bytes / dev.serialization_gbps;
+      const double bytes = count * sim::kBytesPerMessage;
+      serial_ns += bytes / sim::kSerializationGbps;
       if (f != i) batch.Add(i, f, bytes, i);
     }
     // The separate kernel always runs with one bin per peer.
@@ -145,7 +145,7 @@ double AccountGunrockSuperstepTime(
     frag_serial_ns[i] = serial_ns;
   }
   const sim::SettleResult comm = plane.Settle(batch);
-  const double launch_ns = 5 * dev.kernel_launch_us * 1000.0;
+  const double launch_ns = 5 * sim::kKernelLaunchUs * 1000.0;
   const double overhead_ns = launch_ns + p_ns * n;
   for (int i = 0; i < n; ++i) {
     if (census.sizes[i] == 0) continue;

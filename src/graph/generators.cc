@@ -10,6 +10,10 @@ namespace gum::graph {
 
 namespace {
 
+// RoadGrid keeps each lattice edge off the spanning comb with this
+// probability; the few it drops make detours.
+constexpr double kRoadKeepProb = 0.97;
+
 float RandomWeight(Rng& rng, uint32_t bound) {
   return static_cast<float>(1 + rng.NextBounded(bound - 1));
 }
@@ -94,17 +98,12 @@ EdgeList RoadGrid(const RoadGridOptions& options) {
       // Horizontal edges: always keep column 0 links and the full first row
       // so the graph stays connected (spanning comb).
       if (c + 1 < options.cols) {
-        const bool keep = r == 0 || rng.NextBernoulli(options.keep_prob);
+        const bool keep = r == 0 || rng.NextBernoulli(kRoadKeepProb);
         if (keep) add_bidi(id(r, c), id(r, c + 1));
       }
       if (r + 1 < options.rows) {
-        const bool keep = c == 0 || rng.NextBernoulli(options.keep_prob);
+        const bool keep = c == 0 || rng.NextBernoulli(kRoadKeepProb);
         if (keep) add_bidi(id(r, c), id(r + 1, c));
-      }
-      if (options.shortcut_prob > 0 &&
-          rng.NextBernoulli(options.shortcut_prob)) {
-        const VertexId v = static_cast<VertexId>(rng.NextBounded(n));
-        if (v != id(r, c)) add_bidi(id(r, c), v);
       }
     }
   }

@@ -37,14 +37,13 @@ EdgeList Rmat(const RmatOptions& options);
 struct RoadGridOptions {
   uint32_t rows = 256;
   uint32_t cols = 256;
-  double keep_prob = 0.97;      // drop a few lattice edges (detours)
-  double shortcut_prob = 0.0;   // long-range shortcuts (0 keeps diameter long)
-  bool weighted = true;         // road lengths: uniform in [1, 16)
+  bool weighted = true;  // road lengths: uniform in [1, 16)
   uint64_t seed = 1;
 };
 
 // 2-D lattice road-network analog: ~4 edges/vertex (bidirectional), diameter
-// ~ rows + cols. Guaranteed connected via the baseline spanning grid rows.
+// ~ rows + cols. Guaranteed connected via the baseline spanning grid rows;
+// each other lattice edge is dropped with probability 0.03 (detours).
 EdgeList RoadGrid(const RoadGridOptions& options);
 
 struct WebCrawlOptions {

@@ -472,9 +472,16 @@ DynamicGraph::ApplyStats DynamicGraph::Apply(
         for (const VertexId src : base_->InNeighbors(ev.u)) {
           apply_edge(MutationKind::kDeleteEdge, src, ev.u, ev.epoch, 1.0f);
         }
-        for (VertexId src = 0; src < base_->num_vertices(); ++src) {
-          if (src == ev.u) continue;
-          if (delta_->HasEdge(src, ev.u)) {
+        // Every base in-edge of u is now deleted, so the in-edges left sit
+        // in added segments: visit the sources that have one, ascending.
+        const auto& added = delta_->added_;
+        for (VertexId src = 0; src < added.size(); ++src) {
+          const auto& adds = added[src];
+          if (adds.empty() || src == ev.u) continue;
+          const auto it = std::lower_bound(
+              adds.begin(), adds.end(), ev.u,
+              [](const auto& e, VertexId t) { return e.dst < t; });
+          if (it != adds.end() && it->dst == ev.u) {
             apply_edge(MutationKind::kDeleteEdge, src, ev.u, ev.epoch, 1.0f);
           }
         }

@@ -172,6 +172,9 @@ class DeltaCsr {
   CsrGraph Compact() const;
 
  private:
+  // DynamicGraph::Apply walks the added segments to expand a delv.
+  friend class DynamicGraph;
+
   struct AddedEdge {
     VertexId dst;
     float weight;

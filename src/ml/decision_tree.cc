@@ -41,7 +41,7 @@ int DecisionTreeRegressor::BuildNode(std::vector<int>& indices, int begin,
     return node_id;
   };
 
-  if (depth >= options_.max_depth || count < options_.min_samples_split) {
+  if (depth >= kMaxDepth || count < kMinSamplesSplit) {
     return make_leaf();
   }
 
@@ -71,7 +71,7 @@ int DecisionTreeRegressor::BuildNode(std::vector<int>& indices, int begin,
       right_sum -= t;
       right_sq -= t * t;
       const int nl = k + 1, nr = count - nl;
-      if (nl < options_.min_samples_leaf || nr < options_.min_samples_leaf) {
+      if (nl < kMinSamplesLeaf || nr < kMinSamplesLeaf) {
         continue;
       }
       const double xk = data.samples[sorted[k]].features[f];

@@ -13,16 +13,13 @@
 
 namespace gum::ml {
 
-struct DecisionTreeOptions {
-  int max_depth = 12;
-  int min_samples_leaf = 8;
-  int min_samples_split = 16;
-};
-
 class DecisionTreeRegressor : public RegressionModel {
  public:
-  explicit DecisionTreeRegressor(DecisionTreeOptions options = {})
-      : options_(options) {}
+  // Growth limits: a node at depth 12 or with fewer than 16 samples is a
+  // leaf, and no split leaves a child with fewer than 8 samples.
+  static constexpr int kMaxDepth = 12;
+  static constexpr int kMinSamplesLeaf = 8;
+  static constexpr int kMinSamplesSplit = 16;
 
   Status Fit(const Dataset& data) override;
   double Predict(std::span<const double> features) const override;
@@ -41,7 +38,6 @@ class DecisionTreeRegressor : public RegressionModel {
   int BuildNode(std::vector<int>& indices, int begin, int end, int depth,
                 const Dataset& data);
 
-  DecisionTreeOptions options_;
   std::vector<Node> nodes_;
 };
 

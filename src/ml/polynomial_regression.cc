@@ -10,6 +10,16 @@ namespace gum::ml {
 
 namespace {
 
+// Mini-batch SGD.
+constexpr double kLearningRate = 0.01;
+constexpr double kLrDecay = 0.997;  // per-epoch multiplicative decay
+constexpr double kMomentum = 0.9;   // classic heavy-ball momentum
+constexpr int kEpochs = 300;
+constexpr size_t kBatchSize = 32;
+constexpr double kL2 = 1e-6;
+constexpr double kGradientClip = 1.0;
+constexpr uint64_t kSeed = 17;
+
 void EnumerateMonomials(int dim, int max_degree, std::vector<int>* current,
                         std::vector<std::vector<int>>* out) {
   if (static_cast<int>(current->size()) == dim) {
@@ -26,8 +36,7 @@ void EnumerateMonomials(int dim, int max_degree, std::vector<int>* current,
 
 }  // namespace
 
-PolynomialRegression::PolynomialRegression(int degree, SgdOptions sgd)
-    : degree_(degree), sgd_(sgd) {}
+PolynomialRegression::PolynomialRegression(int degree) : degree_(degree) {}
 
 std::string PolynomialRegression::name() const {
   return "polynomial_regression(d=" + std::to_string(degree_) + ")";
@@ -118,20 +127,18 @@ Status PolynomialRegression::Fit(const Dataset& data) {
 
   // Mini-batch SGD on the squared relative error.
   weights_.assign(terms, 0.0);
-  Rng rng(sgd_.seed);
+  Rng rng(kSeed);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
-  double lr = sgd_.learning_rate;
+  double lr = kLearningRate;
   std::vector<double> grad(terms);
   std::vector<double> velocity(terms, 0.0);
-  for (int epoch = 0; epoch < sgd_.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     for (size_t i = n; i > 1; --i) {
       std::swap(order[i - 1], order[rng.NextBounded(i)]);
     }
-    for (size_t start = 0; start < n;
-         start += static_cast<size_t>(sgd_.batch_size)) {
-      const size_t end =
-          std::min(n, start + static_cast<size_t>(sgd_.batch_size));
+    for (size_t start = 0; start < n; start += kBatchSize) {
+      const size_t end = std::min(n, start + kBatchSize);
       std::fill(grad.begin(), grad.end(), 0.0);
       for (size_t b = start; b < end; ++b) {
         const size_t i = order[b];
@@ -145,18 +152,17 @@ Status PolynomialRegression::Fit(const Dataset& data) {
       const double inv_batch = 1.0 / static_cast<double>(end - start);
       double norm_sq = 0;
       for (size_t k = 0; k < terms; ++k) {
-        grad[k] = grad[k] * inv_batch + sgd_.l2 * weights_[k];
+        grad[k] = grad[k] * inv_batch + kL2 * weights_[k];
         norm_sq += grad[k] * grad[k];
       }
       const double norm = std::sqrt(norm_sq);
-      const double scale =
-          norm > sgd_.gradient_clip ? sgd_.gradient_clip / norm : 1.0;
+      const double scale = norm > kGradientClip ? kGradientClip / norm : 1.0;
       for (size_t k = 0; k < terms; ++k) {
-        velocity[k] = sgd_.momentum * velocity[k] - lr * scale * grad[k];
+        velocity[k] = kMomentum * velocity[k] - lr * scale * grad[k];
         weights_[k] += velocity[k];
       }
     }
-    lr *= sgd_.lr_decay;
+    lr *= kLrDecay;
   }
   return Status::OK();
 }

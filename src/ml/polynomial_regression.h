@@ -21,20 +21,9 @@
 
 namespace gum::ml {
 
-struct SgdOptions {
-  double learning_rate = 0.01;
-  double lr_decay = 0.997;    // per-epoch multiplicative decay
-  double momentum = 0.9;      // classic heavy-ball momentum
-  int epochs = 300;
-  int batch_size = 32;
-  double l2 = 1e-6;
-  double gradient_clip = 1.0;
-  uint64_t seed = 17;
-};
-
 class PolynomialRegression : public RegressionModel {
  public:
-  explicit PolynomialRegression(int degree = 4, SgdOptions sgd = {});
+  explicit PolynomialRegression(int degree = 4);
 
   Status Fit(const Dataset& data) override;
   double Predict(std::span<const double> features) const override;
@@ -48,7 +37,6 @@ class PolynomialRegression : public RegressionModel {
   std::vector<double> Expand(std::span<const double> features) const;
 
   int degree_;
-  SgdOptions sgd_;
   int input_dim_ = 0;
   // Monomial exponent tuples, each of size input_dim_.
   std::vector<std::vector<int>> monomials_;

@@ -8,9 +8,22 @@
 
 namespace gum::ml {
 
+namespace {
+
+constexpr int kNumRandomFeatures = 384;
+constexpr double kSigma = 2.2;     // RBF bandwidth (on standardized inputs)
+constexpr double kEpsilon = 0.01;  // insensitive tube, relative to target scale
+constexpr double kC = 50.0;        // inverse regularization strength
+constexpr double kLearningRate = 0.02;
+constexpr double kLrDecay = 0.99;  // per-epoch multiplicative decay
+constexpr int kEpochs = 400;
+constexpr uint64_t kSeed = 23;
+
+}  // namespace
+
 std::vector<double> RbfSvr::Featurize(
     std::span<const double> features) const {
-  const int d = options_.num_random_features;
+  const int d = kNumRandomFeatures;
   std::vector<double> z(d);
   const double scale = std::sqrt(2.0 / d);
   for (int k = 0; k < d; ++k) {
@@ -48,13 +61,13 @@ Status RbfSvr::Fit(const Dataset& data) {
     if (sd < 1e-12) sd = 1.0;
   }
 
-  Rng rng(options_.seed);
-  const int d = options_.num_random_features;
+  Rng rng(kSeed);
+  const int d = kNumRandomFeatures;
   omega_.assign(d, std::vector<double>(input_dim_));
   phase_.assign(d, 0.0);
   for (int k = 0; k < d; ++k) {
     for (int j = 0; j < input_dim_; ++j) {
-      omega_[k][j] = rng.NextGaussian() / options_.sigma;
+      omega_[k][j] = rng.NextGaussian() / kSigma;
     }
     phase_[k] = rng.NextUniform(0.0, 2.0 * M_PI);
   }
@@ -65,7 +78,7 @@ Status RbfSvr::Fit(const Dataset& data) {
   for (const Sample& s : data.samples) target_scale_ += std::abs(s.target);
   target_scale_ /= static_cast<double>(n);
   if (target_scale_ <= 0) target_scale_ = 1.0;
-  const double eps = options_.epsilon;
+  const double eps = kEpsilon;
 
   // Precompute random features.
   std::vector<std::vector<double>> z(n);
@@ -73,12 +86,12 @@ Status RbfSvr::Fit(const Dataset& data) {
 
   weights_.assign(d, 0.0);
   bias_ = 1.0;
-  const double lambda = 1.0 / (options_.c * static_cast<double>(n));
+  const double lambda = 1.0 / (kC * static_cast<double>(n));
 
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
-  double lr = options_.learning_rate;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
+  double lr = kLearningRate;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     for (size_t i = n; i > 1; --i) {
       std::swap(order[i - 1], order[rng.NextBounded(i)]);
     }
@@ -97,7 +110,7 @@ Status RbfSvr::Fit(const Dataset& data) {
       }
       bias_ -= lr * g;
     }
-    lr *= options_.lr_decay;
+    lr *= kLrDecay;
   }
   return Status::OK();
 }

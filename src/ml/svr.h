@@ -16,21 +16,8 @@
 
 namespace gum::ml {
 
-struct SvrOptions {
-  int num_random_features = 384;
-  double sigma = 2.2;       // RBF bandwidth (on standardized inputs)
-  double epsilon = 0.01;    // insensitive tube, relative to target scale
-  double c = 50.0;          // inverse regularization strength
-  double learning_rate = 0.02;
-  double lr_decay = 0.99;
-  int epochs = 400;
-  uint64_t seed = 23;
-};
-
 class RbfSvr : public RegressionModel {
  public:
-  explicit RbfSvr(SvrOptions options = {}) : options_(options) {}
-
   Status Fit(const Dataset& data) override;
   double Predict(std::span<const double> features) const override;
   std::string name() const override { return "svr_rbf"; }
@@ -38,7 +25,6 @@ class RbfSvr : public RegressionModel {
  private:
   std::vector<double> Featurize(std::span<const double> features) const;
 
-  SvrOptions options_;
   int input_dim_ = 0;
   std::vector<double> mean_, stddev_;        // input standardization
   std::vector<std::vector<double>> omega_;   // D x input_dim

@@ -9,6 +9,15 @@
 namespace gum::sim {
 namespace {
 
+// Stripe across at most this many paths.
+constexpr int kMaxPaths = 4;
+// Smaller payloads stay single-path: per-stripe setup cost would dominate
+// and single-path fair must remain the common fast case.
+constexpr double kMinStripeBytes = 32768;
+// Paths slower than this fraction of the best candidate are not worth a
+// stripe (their chunk would dominate the makespan under contention).
+constexpr double kMinPathGbpsFraction = 0.10;
+
 // Candidate path kinds, in the deterministic tie-break order used when two
 // candidates offer the same bandwidth.
 enum class PathKind { kDirect = 0, kTransit = 1, kPcie = 2 };
@@ -65,8 +74,7 @@ Result<MultipathMode> ParseMultipathMode(const std::string& name) {
 }
 
 TransferPlan TransferPlanner::Build(int src, int dst, int num_devices,
-                                    double bytes, const DirectFn& direct,
-                                    const TransferPlannerConfig& config) {
+                                    double bytes, const DirectFn& direct) {
   GUM_CHECK(src >= 0 && src < num_devices);
   GUM_CHECK(dst >= 0 && dst < num_devices);
   TransferPlan plan;
@@ -77,13 +85,10 @@ TransferPlan TransferPlanner::Build(int src, int dst, int num_devices,
   GUM_CHECK(!candidates.empty());  // the PCIe pool always exists
   plan.best_single_gbps = candidates.front().gbps;
 
-  // Small payloads stay single-path: per-stripe setup cost would dominate
-  // and single-path fair must remain the common fast case.
-  int take = config.max_paths;
-  if (bytes < config.min_stripe_bytes) take = 1;
+  const int take = bytes < kMinStripeBytes ? 1 : kMaxPaths;
   for (const Candidate& c : candidates) {
     if (static_cast<int>(plan.paths.size()) >= take) break;
-    if (c.gbps < config.min_path_gbps_fraction * plan.best_single_gbps) break;
+    if (c.gbps < kMinPathGbpsFraction * plan.best_single_gbps) break;
     PlanPath path;
     path.transit = c.kind == PathKind::kTransit ? c.transit : -1;
     path.via_pcie = c.kind == PathKind::kPcie;

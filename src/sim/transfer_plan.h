@@ -71,25 +71,18 @@ struct TransferPlan {
   }
 };
 
-struct TransferPlannerConfig {
-  int max_paths = 4;                // stripe across at most this many paths
-  double min_stripe_bytes = 32768;  // smaller payloads stay single-path
-  // Paths slower than this fraction of the best candidate are not worth a
-  // stripe (their chunk would dominate the makespan under contention).
-  double min_path_gbps_fraction = 0.10;
-};
-
 class TransferPlanner {
  public:
   // `direct(i, j)` returns the (possibly fault-scaled) direct link
   // bandwidth in GB/s, 0 when the pair has no usable direct link. The
   // candidate set — direct lane, one 2-hop route per transit device, the
   // PCIe pool — is mutually link-disjoint by construction. Deterministic:
-  // candidates order by (bandwidth desc, kind, transit id).
+  // candidates order by (bandwidth desc, kind, transit id). A plan stripes
+  // across at most 4 paths, payloads under 32 KiB stay single-path, and a
+  // path slower than 10% of the best candidate gets no stripe.
   using DirectFn = std::function<double(int, int)>;
   static TransferPlan Build(int src, int dst, int num_devices, double bytes,
-                            const DirectFn& direct,
-                            const TransferPlannerConfig& config = {});
+                            const DirectFn& direct);
 };
 
 // Deterministic topology-aware aggregation tree over the active devices:

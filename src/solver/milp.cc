@@ -5,11 +5,16 @@
 #include <limits>
 #include <queue>
 
-#include "common/stopwatch.h"
+#include "solver/simplex.h"
 
 namespace gum::solver {
 
 namespace {
+
+// Branch-and-bound nodes expanded before the incumbent stands.
+constexpr int kMaxNodes = 20000;
+// A variable within this distance of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
 
 struct Bound {
   int var;
@@ -72,7 +77,7 @@ Result<MilpSolution> SolveMilp(const LinearProgram& lp,
     return Status::InvalidArgument("is_integer size mismatch");
   }
 
-  auto root = SolveLp(lp, options.simplex);
+  auto root = SolveLp(lp);
   if (!root.ok()) return root.status();
 
   MilpSolution best;
@@ -89,14 +94,8 @@ Result<MilpSolution> SolveMilp(const LinearProgram& lp,
   std::priority_queue<Node> open;
   open.push(Node{root->objective, {}});
 
-  Stopwatch timer;
   int nodes = 0;
-  while (!open.empty() && nodes < options.max_nodes) {
-    if (options.time_limit_ms > 0 &&
-        timer.ElapsedMillis() > options.time_limit_ms &&
-        std::isfinite(best.objective)) {
-      break;  // budget spent; the incumbent stands
-    }
+  while (!open.empty() && nodes < kMaxNodes) {
     Node node = open.top();
     open.pop();
     ++nodes;
@@ -107,7 +106,7 @@ Result<MilpSolution> SolveMilp(const LinearProgram& lp,
       continue;  // cannot improve the incumbent
     }
 
-    auto relaxed = SolveLp(WithBounds(lp, node.bounds), options.simplex);
+    auto relaxed = SolveLp(WithBounds(lp, node.bounds));
     if (!relaxed.ok()) {
       if (relaxed.status().code() == StatusCode::kInfeasible) continue;
       return relaxed.status();
@@ -118,8 +117,8 @@ Result<MilpSolution> SolveMilp(const LinearProgram& lp,
       continue;
     }
 
-    const int branch_var = PickBranchVariable(
-        relaxed->x, is_integer, options.integrality_tolerance);
+    const int branch_var =
+        PickBranchVariable(relaxed->x, is_integer, kIntegralityTolerance);
     if (branch_var == -1) {
       // Integral (within tolerance): snap and accept.
       MilpSolution candidate;

@@ -4,8 +4,9 @@
 // extra rows; the node with the smallest relaxation value is expanded next
 // (so the first integral node popped is optimal). A rounding heuristic
 // seeds the incumbent, which lets large flat regions prune early. Problems
-// here are the Eq.-1 steal MILPs — tiny, so the node limit is a safety net
-// rather than an expected exit.
+// here are the Eq.-1 steal MILPs — tiny, so the budget of 20,000 nodes is
+// a safety net rather than an expected exit. The budget counts nodes, never
+// host time, so a solve returns the same plan under any machine load.
 
 #ifndef GUM_SOLVER_MILP_H_
 #define GUM_SOLVER_MILP_H_
@@ -14,14 +15,10 @@
 
 #include "common/status.h"
 #include "solver/linear_program.h"
-#include "solver/simplex.h"
 
 namespace gum::solver {
 
 struct MilpOptions {
-  SimplexOptions simplex;
-  int max_nodes = 20000;
-  double integrality_tolerance = 1e-6;
   // Stop when (incumbent - best_bound) <= gap_tolerance * max(1,|incumbent|).
   // Min-max steal instances have many alternate optima whose relaxations all
   // tie the incumbent to within rounding; a relative gap keeps B&B from
@@ -31,9 +28,6 @@ struct MilpOptions {
   // so plateau instances prune immediately; the caller guarantees
   // feasibility (it is NOT re-verified).
   const std::vector<double>* warm_start = nullptr;
-  // Wall-clock budget; at expiry the best incumbent (warm start included)
-  // is returned with proven_optimal = false. <= 0 disables the limit.
-  double time_limit_ms = 0.0;
 };
 
 struct MilpSolution {

@@ -12,6 +12,12 @@ namespace gum::solver {
 
 namespace {
 
+// Pivots per phase before the solve gives up.
+constexpr int kMaxIterations = 20000;
+// Reduced costs above -kTolerance count as optimal; pivot entries and
+// ratio ties within it count as zero.
+constexpr double kTolerance = 1e-9;
+
 // Dense simplex tableau. Layout:
 //   rows 0..m-1 : constraints (columns 0..total_vars-1, last column = rhs)
 //   row  m      : objective row (reduced costs, last column = -objective)
@@ -57,18 +63,18 @@ enum class PhaseResult { kOptimal, kUnbounded, kIterationLimit };
 // constraint row r. allowed_cols limits entering columns (phase 2 excludes
 // artificials).
 PhaseResult RunSimplex(Tableau& t, std::vector<int>& basis, int num_cols,
-                       const SimplexOptions& options, int* iterations) {
+                       int* iterations) {
   const int m = t.rows() - 1;
   const int obj = m;
   const int rhs = t.cols() - 1;
   int stall = 0;
-  for (int it = 0; it < options.max_iterations; ++it) {
+  for (int it = 0; it < kMaxIterations; ++it) {
     ++*iterations;
     const bool bland = stall > 2 * (m + num_cols);
     // Entering column: most negative reduced cost (Dantzig) or first
     // negative (Bland).
     int enter = -1;
-    double best = -options.tolerance;
+    double best = -kTolerance;
     for (int c = 0; c < num_cols; ++c) {
       const double rc = t.At(obj, c);
       if (rc < best) {
@@ -84,10 +90,10 @@ PhaseResult RunSimplex(Tableau& t, std::vector<int>& basis, int num_cols,
     double best_ratio = std::numeric_limits<double>::infinity();
     for (int r = 0; r < m; ++r) {
       const double a = t.At(r, enter);
-      if (a > options.tolerance) {
+      if (a > kTolerance) {
         const double ratio = t.At(r, rhs) / a;
-        if (ratio < best_ratio - options.tolerance ||
-            (ratio < best_ratio + options.tolerance && leave != -1 &&
+        if (ratio < best_ratio - kTolerance ||
+            (ratio < best_ratio + kTolerance && leave != -1 &&
              basis[r] < basis[leave])) {
           best_ratio = ratio;
           leave = r;
@@ -96,7 +102,7 @@ PhaseResult RunSimplex(Tableau& t, std::vector<int>& basis, int num_cols,
     }
     if (leave == -1) return PhaseResult::kUnbounded;
 
-    if (best_ratio < options.tolerance) {
+    if (best_ratio < kTolerance) {
       ++stall;  // degenerate pivot
     } else {
       stall = 0;
@@ -109,8 +115,7 @@ PhaseResult RunSimplex(Tableau& t, std::vector<int>& basis, int num_cols,
 
 }  // namespace
 
-Result<LpSolution> SolveLp(const LinearProgram& lp,
-                           const SimplexOptions& options) {
+Result<LpSolution> SolveLp(const LinearProgram& lp) {
   if (lp.num_vars <= 0) {
     return Status::InvalidArgument("LP has no variables");
   }
@@ -181,8 +186,7 @@ Result<LpSolution> SolveLp(const LinearProgram& lp,
   }
 
   LpSolution solution;
-  PhaseResult phase1 =
-      RunSimplex(t, basis, total, options, &solution.iterations);
+  PhaseResult phase1 = RunSimplex(t, basis, total, &solution.iterations);
   if (phase1 == PhaseResult::kIterationLimit) {
     return Status::Internal("simplex phase 1 hit the iteration limit");
   }
@@ -225,7 +229,7 @@ Result<LpSolution> SolveLp(const LinearProgram& lp,
   }
   // Exclude artificial columns from entering in phase 2.
   PhaseResult phase2 =
-      RunSimplex(t, basis, n + num_slack, options, &solution.iterations);
+      RunSimplex(t, basis, n + num_slack, &solution.iterations);
   if (phase2 == PhaseResult::kIterationLimit) {
     return Status::Internal("simplex phase 2 hit the iteration limit");
   }

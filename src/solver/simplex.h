@@ -13,14 +13,9 @@
 
 namespace gum::solver {
 
-struct SimplexOptions {
-  int max_iterations = 20000;
-  double tolerance = 1e-9;
-};
-
 // Returns the optimal solution, Status::Infeasible, or Status::Unbounded.
-Result<LpSolution> SolveLp(const LinearProgram& lp,
-                           const SimplexOptions& options = {});
+// Each phase stops after 20,000 pivots with Status::Internal.
+Result<LpSolution> SolveLp(const LinearProgram& lp);
 
 }  // namespace gum::solver
 

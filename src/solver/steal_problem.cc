@@ -9,12 +9,17 @@
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "solver/milp.h"
+#include "solver/simplex.h"
 
 namespace gum::solver {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// The exact solve's relative gap. The min-max plateau makes proving tiny
+// gaps expensive; half a percent is far below the vertex-granularity
+// rounding error anyway.
+constexpr double kMilpGapTolerance = 5e-3;
 
 // Rounds a fractional row to integers summing exactly to `target`:
 // floor everything, then hand out the remaining units to the largest
@@ -159,7 +164,7 @@ Result<StealPlan> SolveStealProblem(
   // Always solve the relaxation: it is the fast path, and its rounded plan
   // warm-starts the exact branch & bound (which otherwise thrashes on the
   // min-max plateau of alternate optima).
-  GUM_ASSIGN_OR_RETURN(LpSolution relaxed, SolveLp(lp, options.simplex));
+  GUM_ASSIGN_OR_RETURN(LpSolution relaxed, SolveLp(lp));
   plan.lp_iterations = relaxed.iterations;
 
   std::vector<double> x = relaxed.x;
@@ -188,10 +193,8 @@ Result<StealPlan> SolveStealProblem(
     std::vector<bool> is_integer(lp.num_vars, true);
     is_integer[z_var] = false;
     MilpOptions milp_options;
-    milp_options.simplex = options.simplex;
     milp_options.warm_start = &warm;
-    milp_options.time_limit_ms = options.milp_time_limit_ms;
-    milp_options.gap_tolerance = options.milp_gap_tolerance;
+    milp_options.gap_tolerance = kMilpGapTolerance;
     GUM_ASSIGN_OR_RETURN(MilpSolution milp, SolveMilp(lp, is_integer,
                                                       milp_options));
     x = std::move(milp.x);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "solver/simplex.h"
 
 namespace gum::solver {
 
@@ -27,17 +26,11 @@ struct StealPlan {
 };
 
 struct StealProblemOptions {
-  // Exact integer solve via branch & bound. The default (false) solves the
-  // LP relaxation and rounds, like the paper ("the exact solution of the
+  // Exact integer solve via branch & bound, warm-started from the rounded
+  // LP plan and stopped at a 0.5% relative gap. The default (false) solves
+  // the LP relaxation and rounds, like the paper ("the exact solution of the
   // MILP problem may not be an integer, thus we round up the results").
   bool exact_milp = false;
-  SimplexOptions simplex;
-  // Budget for the exact solve; the rounded-LP warm start is always a valid
-  // fallback, so expiring just means "as good as the default policy".
-  double milp_time_limit_ms = 25.0;
-  // The min-max plateau makes proving tiny gaps expensive; half a percent
-  // is far below the vertex-granularity rounding error anyway.
-  double milp_gap_tolerance = 5e-3;
 };
 
 // cost: square matrix, cost[i][j] = per-edge cost for worker j to process an

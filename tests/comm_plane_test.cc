@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "algos/apps.h"
@@ -606,6 +608,63 @@ TEST(TransferPlanTest, LinkFaultDropsThePathNeverTheTransfer) {
   ASSERT_GT(nominal_direct, 0.0);
   if (thin_direct > 0.0) {
     EXPECT_LT(thin_direct, nominal_direct);
+  }
+}
+
+// Golden pins for the transfer planner's fixed numbers (the path cap, the
+// striping threshold and the slow-path cut): every (src, dst) plan on the
+// hybrid cube mesh for payloads just under, at and well over the 32 KiB
+// striping threshold, on a healthy mesh and on one with a degraded and a
+// downed link. Captured from the planner before those numbers became
+// constants; each plan's paths, bandwidths and fractions fold into an
+// FNV-1a digest as bit patterns.
+TEST(TransferPlanGoldenTest, PlanBulkTransferBitIdentical) {
+  struct Golden {
+    uint64_t digest;
+    int striped;
+  };
+  // {healthy, degraded} x {32767, 32768, 1 MiB} bytes.
+  constexpr Golden kGolden[6] = {
+      {532649720195468837ull, 0},    {12804488028136066597ull, 56},
+      {12804488028136066597ull, 56}, {15644902166367431145ull, 0},
+      {5732926008411745937ull, 54},  {5732926008411745937ull, 54},
+  };
+  int row = 0;
+  for (const bool degraded : {false, true}) {
+    CommPlane plane(Topology::HybridCubeMesh8(), ContentionModel::kFair);
+    plane.set_multipath(true);
+    if (degraded) {
+      plane.SetLinkScale(0, 3, 0.25);
+      plane.SetLinkScale(1, 5, 0.0);
+    }
+    for (const double bytes : {32767.0, 32768.0, 1048576.0}) {
+      SCOPED_TRACE(testing::Message() << "row " << row);
+      uint64_t digest = test::kFnvBasis;
+      int striped = 0;
+      for (int src = 0; src < 8; ++src) {
+        for (int dst = 0; dst < 8; ++dst) {
+          if (src == dst) continue;
+          const TransferPlan plan = plane.PlanBulkTransfer(src, dst, bytes);
+          const auto fold = [&digest](uint64_t word) {
+            digest = test::Fnv1a(digest, word);
+          };
+          fold(plan.paths.size());
+          for (const PlanPath& p : plan.paths) {
+            fold(static_cast<uint64_t>(p.transit));
+            fold(p.via_pcie ? 1 : 0);
+            fold(std::bit_cast<uint64_t>(p.gbps));
+            fold(std::bit_cast<uint64_t>(p.fraction));
+          }
+          fold(std::bit_cast<uint64_t>(plan.total_gbps));
+          fold(std::bit_cast<uint64_t>(plan.best_single_gbps));
+          fold(static_cast<uint64_t>(plan.paths_dropped));
+          if (plan.striped()) ++striped;
+        }
+      }
+      const Golden& want = kGolden[row++];
+      EXPECT_EQ(digest, want.digest);
+      EXPECT_EQ(striped, want.striped);
+    }
   }
 }
 

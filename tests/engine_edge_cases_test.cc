@@ -189,7 +189,6 @@ TEST(EngineEdgeCaseTest, LearnedModelPipelineDeterministic) {
 
   const auto g = SocialGraph(9, 75, /*weighted=*/true);
   auto opt = TestEngineOptions();
-  opt.exact_cost_oracle = false;
   algos::SsspApp app;
   std::vector<float> d1, d2;
   app.source = 4;

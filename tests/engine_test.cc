@@ -264,7 +264,6 @@ TEST(GumEngineTest, LearnedCostModelStillCorrect) {
   const auto g = SocialGraph(10, 7, /*weighted=*/true);
   BadModel model;
   auto opt = TestEngineOptions();
-  opt.exact_cost_oracle = false;
   SsspApp app;
   app.source = 11;
   std::vector<float> dist;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -300,6 +301,74 @@ TEST(DynamicGraphTest, DeleteVertexDropsAllIncidentEdges) {
   }
 }
 
+// The delv expansion before it skipped sources without an added segment:
+// after the base in-edges, every other vertex is asked HasEdge(src, u).
+// Applies `batch` to `delta` and returns the effective events in order.
+std::vector<MutationEvent> ApplyScanningEverySource(
+    DeltaCsr& delta, std::span<const MutationEvent> batch) {
+  std::vector<MutationEvent> effective;
+  const auto apply_one = [&](MutationKind kind, VertexId u, VertexId v,
+                             int epoch, float weight) {
+    float w = weight;
+    if (delta.ApplyEdge(kind, u, v, weight, &w) != DeltaCsr::Effect::kNoop) {
+      effective.push_back(MutationEvent{kind, u, v, epoch, w});
+    }
+  };
+  const auto apply_edge = [&](MutationKind kind, VertexId u, VertexId v,
+                              int epoch, float weight) {
+    apply_one(kind, u, v, epoch, weight);
+    if (delta.symmetric() && u != v) apply_one(kind, v, u, epoch, weight);
+  };
+  for (const MutationEvent& ev : batch) {
+    if (ev.kind != MutationKind::kDeleteVertex) {
+      apply_edge(ev.kind, ev.u, ev.v, ev.epoch, ev.weight);
+      continue;
+    }
+    std::vector<VertexId> outs;
+    delta.ForEachOut(ev.u, [&](VertexId t, float) { outs.push_back(t); });
+    for (const VertexId t : outs) {
+      apply_edge(MutationKind::kDeleteEdge, ev.u, t, ev.epoch, 1.0f);
+    }
+    if (delta.symmetric()) continue;
+    for (const VertexId src : delta.base().InNeighbors(ev.u)) {
+      apply_edge(MutationKind::kDeleteEdge, src, ev.u, ev.epoch, 1.0f);
+    }
+    for (VertexId src = 0; src < delta.base().num_vertices(); ++src) {
+      if (src != ev.u && delta.HasEdge(src, ev.u)) {
+        apply_edge(MutationKind::kDeleteEdge, src, ev.u, ev.epoch, 1.0f);
+      }
+    }
+  }
+  return effective;
+}
+
+using EventTuple = std::tuple<MutationKind, VertexId, VertexId, int, float>;
+
+std::vector<EventTuple> Tuples(const std::vector<MutationEvent>& events) {
+  std::vector<EventTuple> out;
+  for (const MutationEvent& ev : events) {
+    out.emplace_back(ev.kind, ev.u, ev.v, ev.epoch, ev.weight);
+  }
+  return out;
+}
+
+// Runs `batches` through DynamicGraph::Apply and through the full-scan
+// expansion: every batch's effective events (order and weights) and the
+// final compacted CSR must match.
+void ExpectApplyMatchesFullScan(
+    const CsrGraph& base, bool symmetric,
+    const std::vector<std::vector<MutationEvent>>& batches) {
+  DynamicGraph dyn(base, symmetric);
+  DeltaCsr reference(&base, symmetric);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const auto stats = dyn.Apply(batches[b]);
+    EXPECT_EQ(Tuples(stats.effective),
+              Tuples(ApplyScanningEverySource(reference, batches[b])))
+        << "batch " << b;
+  }
+  EXPECT_EQ(Edges(dyn.Materialize()), Edges(reference.Compact()));
+}
+
 TEST(DynamicGraphTest, DeleteVertexCatchesAddedInEdges) {
   // An overlay-added edge targeting u must also fall to delv:u.
   DynamicGraph dyn(MakeGraph(6, {{0, 1}}), /*symmetric=*/false);
@@ -308,6 +377,39 @@ TEST(DynamicGraphTest, DeleteVertexCatchesAddedInEdges) {
       std::vector<MutationEvent>{{MutationKind::kDeleteVertex, 2, 0, 2}});
   EXPECT_EQ(stats.deleted, 1);
   EXPECT_FALSE(dyn.delta().HasEdge(3, 2));
+
+  using K = MutationKind;
+  const CsrGraph base = MakeGraph(8, {{0, 1, 2.0f},
+                                      {1, 2, 3.0f},
+                                      {4, 2, 5.0f},
+                                      {2, 6, 7.0f},
+                                      {6, 2, 1.5f}});
+  // Added in-edges of vertex 2 from several sources, in non-ascending
+  // insertion order, beside base in-edges and an added out-edge.
+  ExpectApplyMatchesFullScan(
+      base, /*symmetric=*/false,
+      {{{K::kInsertEdge, 7, 2, 1, 4.0f},
+        {K::kInsertEdge, 3, 2, 1, 2.5f},
+        {K::kInsertEdge, 0, 2, 1, 6.0f},
+        {K::kInsertEdge, 5, 2, 1, 1.0f},
+        {K::kInsertEdge, 2, 3, 1, 9.0f},
+        {K::kInsertEdge, 3, 4, 1, 8.0f}},
+       {{K::kDeleteVertex, 2, 0, 2}}});
+  // A base in-edge deleted and then re-inserted sits in both the deletion
+  // marks and an added segment; delv removes it once, with the new weight.
+  ExpectApplyMatchesFullScan(base, /*symmetric=*/false,
+                             {{{K::kDeleteEdge, 1, 2, 1}},
+                              {{K::kInsertEdge, 1, 2, 2, 8.5f},
+                               {K::kInsertEdge, 5, 2, 2, 2.0f}},
+                              {{K::kDeleteVertex, 2, 0, 3},
+                               {K::kInsertEdge, 4, 2, 3, 3.0f}}});
+  // Symmetric graphs take in-edges through the mirrored out pass.
+  ExpectApplyMatchesFullScan(
+      MakeGraph(8, {{0, 1, 2.0f}, {1, 2, 3.0f}, {4, 2, 5.0f}},
+                /*symmetrize=*/true),
+      /*symmetric=*/true,
+      {{{K::kInsertEdge, 7, 2, 1, 4.0f}, {K::kInsertEdge, 3, 2, 1, 2.5f}},
+       {{K::kDeleteVertex, 2, 0, 2}, {K::kInsertEdge, 2, 5, 2}}});
 }
 
 TEST(DynamicGraphTest, SymmetricModeMirrorsEveryEvent) {

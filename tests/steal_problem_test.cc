@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
+#include "common/random.h"
 #include "solver/steal_problem.h"
+#include "tests/test_util.h"
 
 namespace gum::solver {
 namespace {
@@ -155,6 +159,78 @@ TEST(PlanMakespanTest, ComputesColumnMax) {
   const std::vector<std::vector<double>> assignment = {{4.0, 0.0},
                                                        {0.0, 5.0}};
   EXPECT_DOUBLE_EQ(PlanMakespan(cost, assignment), 5.0);
+}
+
+// Golden pins for the solver's fixed numbers (the simplex tolerance and
+// iteration cap, the branch-and-bound node budget, integrality and gap
+// tolerances): seeded instances at n in {2, 4, 8}, with and without a
+// forbidden (+infinity) column, solved as the rounded LP and exactly.
+// Captured from the solver before those numbers became constants; the
+// makespan compares as bits and the assignment folds into an FNV-1a
+// digest.
+TEST(StealProblemGoldenTest, SeededInstancesBitIdentical) {
+  struct Golden {
+    uint64_t makespan_bits, assignment_digest;
+    int lp_iterations, milp_nodes;
+  };
+  // n in {2, 4, 8} x {no forbidden column, last column forbidden} x
+  // {rounded LP, exact}.
+  constexpr Golden kGolden[12] = {
+      {4628080768395768963ull, 622612201476068341ull, 6, 0},
+      {4628080768395768963ull, 622612201476068341ull, 6, 3},
+      {4644581150954466675ull, 4988640933979231221ull, 5, 0},
+      {4644581150954466675ull, 4988640933979231221ull, 5, 1},
+      {4630265312780548399ull, 10469144796088722533ull, 15, 0},
+      {4630265312780548399ull, 10469144796088722533ull, 15, 53},
+      {4633589305385826381ull, 7340268954973070437ull, 12, 0},
+      {4633589305385826381ull, 7340268954973070437ull, 12, 3},
+      {4631624306957249123ull, 3963307560361855013ull, 50, 0},
+      {4631624306957249123ull, 3963307560361855013ull, 50, 47},
+      {4631411942544807864ull, 226938350760429605ull, 37, 0},
+      {4631411942544807864ull, 226938350760429605ull, 37, 99},
+  };
+  int row = 0;
+  for (const int n : {2, 4, 8}) {
+    for (const bool forbidden : {false, true}) {
+      Rng rng(100 + 10 * n + (forbidden ? 1 : 0));
+      std::vector<std::vector<double>> cost(n, std::vector<double>(n));
+      std::vector<double> load(n);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+          cost[i][j] = i == j ? rng.NextUniform(0.4, 0.6)
+                              : rng.NextUniform(0.8, 2.0);
+        }
+        // Loads of at most 200 edges leave the rounded LP a gap, so the
+        // exact solve branches (up to 99 nodes here).
+        const double skew = rng.NextDouble();
+        load[i] = std::floor(skew * skew * 200.0) + 1.0;
+      }
+      if (forbidden) {
+        for (int i = 0; i < n; ++i) cost[i][n - 1] = kInf;
+      }
+      std::vector<int> workers(n);
+      std::iota(workers.begin(), workers.end(), 0);
+      for (const bool exact : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "row " << row);
+        StealProblemOptions options;
+        options.exact_milp = exact;
+        auto plan = SolveStealProblem(cost, load, workers, options);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        uint64_t digest = test::kFnvBasis;
+        for (const auto& assignment_row : plan->assignment) {
+          for (const double x : assignment_row) {
+            digest = test::Fnv1a(digest, std::bit_cast<uint64_t>(x));
+          }
+        }
+        const Golden& want = kGolden[row++];
+        EXPECT_EQ(std::bit_cast<uint64_t>(plan->makespan), want.makespan_bits)
+            << plan->makespan;
+        EXPECT_EQ(digest, want.assignment_digest);
+        EXPECT_EQ(plan->lp_iterations, want.lp_iterations);
+        EXPECT_EQ(plan->milp_nodes, want.milp_nodes);
+      }
+    }
+  }
 }
 
 }  // namespace
