@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -25,6 +26,7 @@
 #include "common/json.h"
 
 #include "algos/apps.h"
+#include "baselines/groute.h"
 #include "common/thread_pool.h"
 #include "core/edge_cost_model.h"
 #include "core/engine.h"
@@ -681,6 +683,56 @@ void BM_PartitionRoadMetis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartitionRoadMetis);
+
+// --- the async driver (core/async/, DESIGN.md §15) ---
+
+// Host time of warm async SSSP queries on one reused RunContext, cycling
+// through fixed corner and middle sources of the road workloads' grid: 8
+// devices on the metis-like cut, 1 host thread. A row times one query.
+void RunAsyncDriverRoad(benchmark::State& state, sim::Topology topology,
+                        const core::EngineOptions& options) {
+  const auto& g = RoadBenchGraph();
+  graph::PartitionOptions popt;
+  popt.kind = graph::PartitionerKind::kMetisLike;
+  const core::GraphContext ctx(
+      &g, std::move(graph::PartitionGraph(g, 8, popt)).value(),
+      std::move(topology), options);
+  core::GumEngine<algos::SsspApp> engine(&ctx);
+  core::RunContext<algos::SsspApp> rc;
+  std::vector<float> values;
+  constexpr graph::VertexId kSources[] = {0, 127, 8256, 16256, 16383};
+  const auto run = [&](size_t i) {
+    algos::SsspApp app;
+    app.source = kSources[i % std::size(kSources)];
+    return engine.Run(app, rc, &values);
+  };
+  for (size_t i = 0; i < std::size(kSources); ++i) run(i);  // warm-up
+  size_t query = 0;
+  for (auto _ : state) {
+    const core::RunResult result = run(query++);
+    benchmark::DoNotOptimize(result.total_ms);
+  }
+}
+
+// GUM's async mode: the buckets worklist on the hybrid cube mesh.
+void BM_AsyncDriverRoadSssp(benchmark::State& state) {
+  core::EngineOptions options;
+  options.mode = core::EngineMode::kAsync;
+  options.num_host_threads = 1;
+  RunAsyncDriverRoad(state, sim::Topology::HybridCubeMesh8(), options);
+}
+BENCHMARK(BM_AsyncDriverRoadSssp)->Unit(benchmark::kMillisecond);
+
+// The Groute preset: the sorted set on the one-way ring.
+void BM_AsyncDriverRoadGroute(benchmark::State& state) {
+  core::EngineOptions options = baselines::GrouteEngineOptions();
+  options.num_host_threads = 1;
+  RunAsyncDriverRoad(state,
+                     sim::Topology::Ring(8, sim::Topology::kNvlinkLaneGBps,
+                                         /*pcie_odd_wrap=*/true),
+                     options);
+}
+BENCHMARK(BM_AsyncDriverRoadGroute)->Unit(benchmark::kMillisecond);
 
 // An epoch barrier's rebuild: the flat snapshot of the grid under a
 // road-closure overlay, 32 segments closed in both directions.

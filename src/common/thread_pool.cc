@@ -34,10 +34,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::RunIndices() {
-  const std::function<void(size_t)>& fn = *task_;
   for (size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < count_;
        i = next_.fetch_add(1, std::memory_order_relaxed)) {
-    fn(i);
+    task_(task_ctx_, i);
   }
 }
 
@@ -64,16 +63,16 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn) {
+void ThreadPool::RunTask(size_t count, Task task, void* ctx) {
   if (count == 0) return;
   if (workers_.empty() || count == 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
+    for (size_t i = 0; i < count; ++i) task(ctx, i);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    task_ = &fn;
+    task_ = task;
+    task_ctx_ = ctx;
     count_ = count;
     next_.store(0, std::memory_order_relaxed);
     unfinished_ = static_cast<int>(workers_.size());
@@ -87,6 +86,7 @@ void ThreadPool::ParallelFor(size_t count,
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return unfinished_ == 0; });
   task_ = nullptr;
+  task_ctx_ = nullptr;
 }
 
 }  // namespace gum

@@ -21,9 +21,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace gum {
@@ -42,13 +43,29 @@ class ThreadPool {
   // Invokes fn(i) exactly once for every i in [0, count), distributing
   // indices dynamically across the pool one at a time, and returns once all
   // invocations have completed. fn must not throw and must not call
-  // ParallelFor on the same pool (no nesting).
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
+  // ParallelFor on the same pool (no nesting). The pool only borrows fn
+  // for the call, so a call allocates nothing whatever fn captures, and
+  // every index, on the serial path too, calls fn through one function
+  // pointer, so a call site does not inline fn's body a second time.
+  template <typename Fn>
+  void ParallelFor(size_t count, Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    RunTask(count, &Invoke<F>,
+            const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+  }
 
   // std::thread::hardware_concurrency() clamped to at least 1.
   static int HardwareThreads();
 
  private:
+  // A borrowed callable: task(ctx, i) calls (*static_cast<F*>(ctx))(i).
+  using Task = void (*)(void* ctx, size_t i);
+  template <typename F>
+  static void Invoke(void* ctx, size_t i) {
+    (*static_cast<F*>(ctx))(i);
+  }
+
+  void RunTask(size_t count, Task task, void* ctx);
   void WorkerLoop();
   void RunIndices();
 
@@ -64,7 +81,8 @@ class ThreadPool {
 
   // Current task; valid only while a generation is in flight. next_ is the
   // next unclaimed index.
-  const std::function<void(size_t)>* task_ = nullptr;
+  Task task_ = nullptr;
+  void* task_ctx_ = nullptr;
   std::atomic<size_t> next_{0};
   size_t count_ = 0;
 };

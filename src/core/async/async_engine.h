@@ -25,6 +25,10 @@
 //     where every worklist and pending queue is empty; one final
 //     confirming census is charged to every device.
 //
+// Every buffer the loop uses lives in RunContext::async
+// (core/async/async_scratch.h): a run resets it, and a warm run on a
+// reused context allocates nothing per micro-batch.
+//
 // Determinism contract (DESIGN.md §7, relaxed): the event loop is
 // sequential and every stochastic choice (SMQ sampling) draws from a
 // worklist-private seeded Rng, so a run is byte-reproducible for a fixed
@@ -45,17 +49,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
-#include "common/bitmap.h"
 #include "common/logging.h"
-#include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/async/async_options.h"
+#include "core/async/async_scratch.h"
 #include "core/async/worklist.h"
 #include "core/engine_options.h"
 #include "core/graph_context.h"
@@ -122,17 +125,7 @@ class AsyncDriver {
     // edge weight (the delta-stepping folk heuristic near-far also uses).
     double delta = cfg.delta;
     if (delta <= 0.0) {
-      double total_weight = 0.0;
-      for (VertexId u = 0; u < num_v; ++u) {
-        const auto weights = g.OutWeights(u);
-        if (weights.empty()) {
-          total_weight += g.OutDegree(u);
-        } else {
-          for (float w : weights) total_weight += w;
-        }
-      }
-      const double avg_w =
-          g.num_edges() > 0 ? total_weight / g.num_edges() : 1.0;
+      const double avg_w = ctx_->average_edge_weight();
       if constexpr (HasAsyncDefaultDelta<App>) {
         delta = app.AsyncDefaultDelta(num_v, avg_w);
       } else {
@@ -142,18 +135,15 @@ class AsyncDriver {
     }
     result.async_delta = delta;
 
-    // Per-device worklists, seeds split from the run seed; an SMQ worklist
-    // keeps kSmqQueues internal queues.
-    constexpr int kSmqQueues = 4;
-    std::vector<PriorityWorklist> wl;
-    wl.reserve(n);
-    uint64_t seed_state = cfg.seed;
-    for (int d = 0; d < n; ++d) {
-      wl.emplace_back(cfg.worklist, delta, kSmqQueues, cfg.steal_prob,
-                      cfg.steal_batch_size, SplitMix64(seed_state));
-    }
-
-    Bitmap dirty(num_v);
+    // Per-device worklists, seeds split from the run seed, and the rest
+    // of the run's state, reset in the context's buffers.
+    using Scratch = AsyncScratch<Message>;
+    using Bundle = typename Scratch::Bundle;
+    using Outbox = typename Scratch::Outbox;
+    Scratch& scratch = rc.async;
+    scratch.Reset(n, num_v, cfg, delta);
+    std::vector<PriorityWorklist>& wl = scratch.worklists;
+    Bitmap& dirty = scratch.dirty;
     // A priority worklist re-queues a dirty vertex whose priority improved;
     // the sorted set already holds every dirty vertex.
     const bool repush_dirty = cfg.worklist != AsyncWorklistKind::kSortedSet;
@@ -164,21 +154,12 @@ class AsyncDriver {
       }
     }
 
-    // Keyed by arrival alone: simultaneous arrivals are applied in the
-    // heap's sift order, fixed by the event sequence (DESIGN.md §7).
-    struct Bundle {
-      double arrival_ms = 0.0;
-      std::vector<std::pair<VertexId, Message>> messages;
-      bool operator>(const Bundle& other) const {
-        return arrival_ms > other.arrival_ms;
-      }
-    };
-    std::vector<std::priority_queue<Bundle, std::vector<Bundle>,
-                                    std::greater<Bundle>>>
-        pending(n);
+    // Per-device bundle heaps, keyed by arrival alone (Scratch::Bundle).
+    std::vector<std::vector<Bundle>>& pending = scratch.pending;
+    std::vector<Outbox>& outgoing = scratch.outgoing;
 
-    std::vector<double> clock_ms(n, 0.0);
-    std::vector<char> parked(n, 0);
+    std::vector<double>& clock_ms = scratch.clock_ms;
+    std::vector<char>& parked = scratch.parked;
     const double census_ms = p_ns * n / 1e6;
     // Per-batch micro-kernel launch + bookkeeping charge (no barrier).
     constexpr double kBatchOverheadUs = 12.0;
@@ -186,7 +167,7 @@ class AsyncDriver {
     constexpr double kHopLatencyMs = 0.002;  // 2us per interconnect hop
     constexpr double kSegmentBytes = 16.0 * 1024;  // one router segment
 
-    std::vector<WorklistEntry> steal_buf;
+    std::vector<WorklistEntry>& steal_buf = scratch.steal_buf;
     // The async FSteal: an idle thief takes a span of the largest
     // worklist's coldest buckets (ties: lowest victim id), aiming at
     // kRangeStealFraction of the victim's entries (whole buckets from the
@@ -250,16 +231,21 @@ class AsyncDriver {
     // the chunk decomposition (and the serial merge order) never depends
     // on the thread count.
     constexpr size_t kChunk = 256;
-    using Outboxes = std::vector<std::vector<std::pair<VertexId, Message>>>;
-    struct ChunkOut {
-      Outboxes by_dev;
-      double edges = 0.0;
+    auto& chunks = scratch.chunks;
+    std::vector<WorklistEntry>& batch = scratch.batch;
+    std::vector<VertexId>& live = scratch.live;
+    std::vector<double>& remote_edges = scratch.remote_edges;
+
+    // Sends the messages in outgoing[to] as a bundle arriving at
+    // `arrival_ms`, copied into a spare buffer of their size class.
+    auto ship = [&](int to, double arrival_ms) {
+      std::vector<Bundle>& heap = pending[to];
+      Bundle& bundle = heap.emplace_back();
+      bundle.arrival_ms = arrival_ms;
+      bundle.messages = scratch.TakeBuffer(outgoing[to].size());
+      bundle.messages.assign(outgoing[to].begin(), outgoing[to].end());
+      std::push_heap(heap.begin(), heap.end(), std::greater<Bundle>());
     };
-    std::vector<ChunkOut> chunks;
-    std::vector<WorklistEntry> batch;
-    std::vector<VertexId> live;
-    Outboxes outgoing(n);
-    std::vector<double> remote_edges(n, 0.0);
 
     // Worklist entries popped per batch, and the safety rail on batches.
     constexpr int kMaxBatch = 4096;
@@ -274,7 +260,7 @@ class AsyncDriver {
         if (!wl[i].empty()) {
           r = clock_ms[i];
         } else if (!pending[i].empty()) {
-          r = std::max(clock_ms[i], pending[i].top().arrival_ms);
+          r = std::max(clock_ms[i], pending[i].front().arrival_ms);
         } else {
           continue;
         }
@@ -290,8 +276,10 @@ class AsyncDriver {
 
       const double t_start = ready;
       parked[d] = 0;
-      while (!pending[d].empty() && pending[d].top().arrival_ms <= t_start) {
-        const Bundle& bundle = pending[d].top();
+      std::vector<Bundle>& heap = pending[d];
+      while (!heap.empty() && heap.front().arrival_ms <= t_start) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<Bundle>());
+        Bundle& bundle = heap.back();
         for (const auto& [v, msg] : bundle.messages) {
           if (!app.Apply(v, values[v], msg)) continue;
           if (repush_dirty || !dirty.Test(v)) {
@@ -299,7 +287,8 @@ class AsyncDriver {
           }
           dirty.Set(v);
         }
-        pending[d].pop();
+        scratch.ReturnBuffer(std::move(bundle.messages));
+        heap.pop_back();
       }
       if (wl[d].empty()) {
         clock_ms[d] = t_start;  // bundles applied but nothing activated
@@ -331,7 +320,7 @@ class AsyncDriver {
       // pool and merges in chunk order; otherwise it relaxes straight into
       // the outboxes. Either way the messages land in batch order, so the
       // result is independent of the thread count.
-      auto relax = [&](size_t begin, size_t end, Outboxes& by_dev) {
+      auto relax = [&](size_t begin, size_t end, std::vector<Outbox>& by_dev) {
         double relaxed_edges = 0.0;
         for (size_t i = begin; i < end; ++i) {
           const VertexId u = live[i];
@@ -356,7 +345,7 @@ class AsyncDriver {
       if (pool != nullptr && num_chunks > 1) {
         chunks.resize(num_chunks);
         pool->ParallelFor(num_chunks, [&](size_t c) {
-          ChunkOut& out = chunks[c];
+          auto& out = chunks[c];
           out.by_dev.resize(n);
           for (auto& box : out.by_dev) box.clear();
           const size_t begin = c * kChunk;
@@ -417,10 +406,7 @@ class AsyncDriver {
       double send_ms = 0.0;
       if (!outgoing[d].empty()) {
         result.messages_sent += outgoing[d].size();
-        Bundle bundle;
-        bundle.arrival_ms = t_end;
-        bundle.messages = std::move(outgoing[d]);
-        pending[d].push(std::move(bundle));
+        ship(d, t_end);
       }
       for (int f = 0; f < n; ++f) {
         if (f == d || outgoing[f].empty()) continue;
@@ -444,10 +430,7 @@ class AsyncDriver {
           at = next;
         }
         plane.RecordPayload(d, f, bytes);
-        Bundle bundle;
-        bundle.arrival_ms = arrival;
-        bundle.messages = std::move(outgoing[f]);
-        pending[f].push(std::move(bundle));
+        ship(f, arrival);
       }
       t_end += serial_ms + send_ms;
       clock_ms[d] = t_end;

@@ -1,6 +1,7 @@
 #include "core/async/worklist.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -8,18 +9,47 @@
 
 namespace gum::core {
 
+namespace {
+
+// The sorted set's radix digit width: about log2 of the set size, within
+// these bounds.
+constexpr int kMinDigitBits = 4;
+constexpr int kMaxDigitBits = 11;
+
+}  // namespace
+
 PriorityWorklist::PriorityWorklist(AsyncWorklistKind kind, double delta,
                                    int smq_queues, double steal_prob,
-                                   int steal_batch_size, uint64_t seed)
-    : kind_(kind),
-      delta_(delta),
-      steal_prob_(steal_prob),
-      steal_batch_size_(steal_batch_size),
-      rng_(seed) {
-  GUM_CHECK(delta_ > 0.0) << "worklist delta must be positive";
+                                   int steal_batch_size, uint64_t seed) {
+  Reset(kind, delta, smq_queues, steal_prob, steal_batch_size, seed);
+}
+
+void PriorityWorklist::Reset(AsyncWorklistKind kind, double delta,
+                             int smq_queues, double steal_prob,
+                             int steal_batch_size, uint64_t seed) {
+  GUM_CHECK(delta > 0.0) << "worklist delta must be positive";
+  kind_ = kind;
+  delta_ = delta;
+  steal_prob_ = steal_prob;
+  steal_batch_size_ = steal_batch_size;
+  rng_ = Rng(seed);
+  order_.clear();
+  free_slots_.clear();
+  for (size_t i = slots_.size(); i-- > 0;) {
+    slots_[i].entries.clear();
+    slots_[i].head = 0;
+    free_slots_.push_back(static_cast<uint32_t>(i));
+  }
+  for (auto& q : queues_) q.clear();
   if (kind_ == AsyncWorklistKind::kSmq) {
     queues_.resize(static_cast<size_t>(std::max(1, smq_queues)));
   }
+  pending_.clear();
+  next_seq_ = 0;
+  live_ = 0;
+  histogram_based_ = false;
+  histogram_base_ = 0;
+  stats_ = WorklistStats{};
 }
 
 int64_t PriorityWorklist::BucketOf(double priority) const {
@@ -36,6 +66,30 @@ void PriorityWorklist::RecordHistogram(int64_t bucket) {
   ++stats_.bucket_histogram[static_cast<size_t>(idx)];
 }
 
+PriorityWorklist::Bucket& PriorityWorklist::OpenBucket(int64_t key) {
+  // order_ descends, so this is the first bucket whose key is <= key.
+  const auto it = std::lower_bound(
+      order_.begin(), order_.end(), key,
+      [](const BucketRef& ref, int64_t k) { return ref.key > k; });
+  if (it != order_.end() && it->key == key) return slots_[it->slot];
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  order_.insert(it, BucketRef{key, slot});
+  return slots_[slot];
+}
+
+void PriorityWorklist::CloseBucket(uint32_t slot) {
+  slots_[slot].entries.clear();
+  slots_[slot].head = 0;
+  free_slots_.push_back(slot);
+}
+
 void PriorityWorklist::Push(graph::VertexId v, double priority) {
   ++stats_.pushes;
   ++live_;
@@ -46,7 +100,7 @@ void PriorityWorklist::Push(graph::VertexId v, double priority) {
   const int64_t bucket = BucketOf(priority);
   RecordHistogram(bucket);
   if (kind_ == AsyncWorklistKind::kBuckets) {
-    buckets_[bucket].entries.push_back(WorklistEntry{v, priority});
+    OpenBucket(bucket).entries.push_back(WorklistEntry{v, priority});
   } else {
     auto& q = queues_[rng_.NextBounded(queues_.size())];
     q.push_back(HeapEntry{priority, next_seq_++, v});
@@ -58,7 +112,7 @@ int64_t PriorityWorklist::MinBucket() const {
   if (live_ == 0) return kNoBucket;
   if (kind_ == AsyncWorklistKind::kSortedSet) return 0;  // one bucket
   if (kind_ == AsyncWorklistKind::kBuckets) {
-    return buckets_.begin()->first;
+    return order_.back().key;
   }
   int64_t best = kNoBucket;
   double best_priority = 0.0;
@@ -84,7 +138,7 @@ int PriorityWorklist::Pop(int64_t max_bucket, int max_entries,
 }
 
 int PriorityWorklist::PopSorted(std::vector<WorklistEntry>* out) {
-  std::sort(pending_.begin(), pending_.end());
+  RadixSortPending();
   for (const graph::VertexId v : pending_) {
     out->push_back(WorklistEntry{v, 0.0});
   }
@@ -95,19 +149,58 @@ int PriorityWorklist::PopSorted(std::vector<WorklistEntry>* out) {
   return popped;
 }
 
+// Sorts pending_ ascending: a stable LSD radix sort of v - min over as few
+// equal-width digits of about log2(size) bits as cover the ids' range.
+void PriorityWorklist::RadixSortPending() {
+  if (pending_.size() < 2) return;
+  const auto [lo_it, hi_it] =
+      std::minmax_element(pending_.begin(), pending_.end());
+  const graph::VertexId lo = *lo_it;
+  const int key_bits = std::bit_width(static_cast<uint32_t>(*hi_it - lo));
+  if (key_bits == 0) return;
+  const int width =
+      std::clamp(static_cast<int>(std::bit_width(pending_.size())),
+                 kMinDigitBits, kMaxDigitBits);
+  const int passes = (key_bits + width - 1) / width;
+  const int digit_bits = (key_bits + passes - 1) / passes;
+  const uint32_t mask = (uint32_t{1} << digit_bits) - 1;
+  sort_buf_.resize(pending_.size());
+  std::vector<graph::VertexId>* src = &pending_;
+  std::vector<graph::VertexId>* dst = &sort_buf_;
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * digit_bits;
+    sort_counts_.assign(size_t{1} << digit_bits, 0);
+    for (const graph::VertexId v : *src) {
+      ++sort_counts_[((v - lo) >> shift) & mask];
+    }
+    uint32_t start = 0;
+    for (uint32_t& c : sort_counts_) {
+      const uint32_t n = c;
+      c = start;
+      start += n;
+    }
+    for (const graph::VertexId v : *src) {
+      (*dst)[sort_counts_[((v - lo) >> shift) & mask]++] = v;
+    }
+    std::swap(src, dst);
+  }
+  if (src != &pending_) pending_.swap(sort_buf_);
+}
+
 int PriorityWorklist::PopBuckets(int64_t max_bucket, int max_entries,
                                  std::vector<WorklistEntry>* out) {
   int popped = 0;
-  while (popped < max_entries && !buckets_.empty()) {
-    auto it = buckets_.begin();
-    if (it->first > max_bucket) break;
-    Bucket& bucket = it->second;
+  while (popped < max_entries && !order_.empty()) {
+    const BucketRef lowest = order_.back();
+    if (lowest.key > max_bucket) break;
+    Bucket& bucket = slots_[lowest.slot];
     while (popped < max_entries && bucket.head < bucket.entries.size()) {
       out->push_back(bucket.entries[bucket.head++]);
       ++popped;
     }
     if (bucket.head == bucket.entries.size()) {
-      buckets_.erase(it);
+      CloseBucket(lowest.slot);
+      order_.pop_back();
     } else {
       break;  // max_entries hit mid-bucket
     }
@@ -183,74 +276,72 @@ int PriorityWorklist::ExtractTail(double fraction,
   const size_t target =
       static_cast<size_t>(fraction * static_cast<double>(live_));
   if (target == 0) return 0;
-  size_t extracted = 0;
-  if (kind_ == AsyncWorklistKind::kBuckets) {
-    // Whole buckets from the tail, never the lowest occupied bucket (the
-    // victim keeps its hot work; the thief takes the cold span).
-    std::vector<int64_t> span;
-    size_t count = 0;
-    const int64_t lowest = buckets_.begin()->first;
-    for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
-      if (it->first == lowest) break;
-      span.push_back(it->first);
-      count += it->second.Live();
-      if (count >= target) break;
-    }
-    std::reverse(span.begin(), span.end());
-    for (const int64_t key : span) {
-      auto it = buckets_.find(key);
-      Bucket& bucket = it->second;
-      for (size_t i = bucket.head; i < bucket.entries.size(); ++i) {
-        out->push_back(bucket.entries[i]);
-      }
-      extracted += bucket.Live();
-      buckets_.erase(it);
-    }
-  } else {
-    // Pick the cut bucket over the union of all internal queues, then
-    // filter each queue in container order (deterministic for a fixed
-    // seed) and emit the taken entries in canonical (priority, seq) order.
-    std::map<int64_t, size_t> counts;
-    for (const auto& q : queues_) {
-      for (const auto& e : q) ++counts[BucketOf(e.priority)];
-    }
-    if (counts.size() < 2) return 0;
-    const int64_t lowest = counts.begin()->first;
-    size_t count = 0;
-    int64_t cut = kNoBucket;
-    for (auto it = counts.rbegin(); it != counts.rend(); ++it) {
-      if (it->first == lowest) break;
-      count += it->second;
-      cut = it->first;
-      if (count >= target) break;
-    }
-    if (cut == kNoBucket) return 0;
-    std::vector<HeapEntry> taken;
-    for (auto& q : queues_) {
-      std::vector<HeapEntry> keep;
-      keep.reserve(q.size());
-      for (const auto& e : q) {
-        if (BucketOf(e.priority) >= cut) {
-          taken.push_back(e);
-        } else {
-          keep.push_back(e);
-        }
-      }
-      q.swap(keep);
-      std::make_heap(q.begin(), q.end(), std::greater<>());
-    }
-    std::sort(taken.begin(), taken.end(),
-              [](const HeapEntry& x, const HeapEntry& y) {
-                if (x.priority != y.priority) return x.priority < y.priority;
-                return x.seq < y.seq;
-              });
-    for (const auto& e : taken) {
-      out->push_back(WorklistEntry{e.vertex, e.priority});
-    }
-    extracted = taken.size();
+  if (kind_ == AsyncWorklistKind::kSmq) return ExtractSmqTail(target, out);
+  // Whole buckets from the tail, never the lowest occupied bucket (the
+  // victim keeps its hot work; the thief takes the cold span): the
+  // shortest prefix of order_ that reaches the target, short of its back.
+  size_t span = 0;
+  size_t count = 0;
+  while (span + 1 < order_.size() && count < target) {
+    count += slots_[order_[span].slot].Live();
+    ++span;
   }
+  size_t extracted = 0;
+  for (size_t i = span; i-- > 0;) {  // ascending bucket order
+    const Bucket& bucket = slots_[order_[i].slot];
+    out->insert(out->end(), bucket.entries.begin() + bucket.head,
+                bucket.entries.end());
+    extracted += bucket.Live();
+    CloseBucket(order_[i].slot);
+  }
+  order_.erase(order_.begin(), order_.begin() + span);
   live_ -= extracted;
   return static_cast<int>(extracted);
+}
+
+int PriorityWorklist::ExtractSmqTail(size_t target,
+                                     std::vector<WorklistEntry>* out) {
+  // Pick the cut bucket over the union of all internal queues: walk their
+  // bucket keys from the highest down, never into the lowest bucket.
+  tail_keys_.clear();
+  for (const auto& q : queues_) {
+    for (const auto& e : q) tail_keys_.push_back(BucketOf(e.priority));
+  }
+  std::sort(tail_keys_.begin(), tail_keys_.end(), std::greater<>());
+  const int64_t lowest = tail_keys_.back();
+  if (tail_keys_.front() == lowest) return 0;
+  size_t count = 0;
+  int64_t cut = kNoBucket;
+  for (size_t i = 0; tail_keys_[i] != lowest && count < target;) {
+    cut = tail_keys_[i];
+    for (; tail_keys_[i] == cut; ++i) ++count;
+  }
+  // Filter each queue in container order (deterministic for a fixed seed)
+  // and emit the taken entries in canonical (priority, seq) order.
+  taken_.clear();
+  for (auto& q : queues_) {
+    size_t kept = 0;
+    for (size_t i = 0; i < q.size(); ++i) {
+      const HeapEntry e = q[i];
+      if (BucketOf(e.priority) >= cut) {
+        taken_.push_back(e);
+      } else {
+        q[kept++] = e;
+      }
+    }
+    q.resize(kept);
+    std::make_heap(q.begin(), q.end(), std::greater<>());
+  }
+  std::sort(taken_.begin(), taken_.end(),
+            [](const HeapEntry& x, const HeapEntry& y) {
+              if (x.priority != y.priority) return x.priority < y.priority;
+              return x.seq < y.seq;
+            });
+  for (const auto& e : taken_) {
+    out->push_back(WorklistEntry{e.vertex, e.priority});
+  }
+  live_ -= taken_.size();
+  return static_cast<int>(taken_.size());
 }
 
 }  // namespace gum::core

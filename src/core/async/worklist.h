@@ -3,9 +3,11 @@
 // One abstraction, three flavors:
 //   kBuckets — classic delta-stepping: entries live in buckets of width
 //       `delta` keyed by floor(priority / delta); Pop drains the lowest
-//       buckets first, FIFO within a bucket. Near-far SSSP is the
-//       degenerate two-bucket configuration of this structure (the near
-//       pile is every bucket at or below the current band).
+//       buckets first, FIFO within a bucket. The buckets sit in a flat
+//       store: a key-sorted list of slots whose entry buffers outlive the
+//       buckets that drain from them. Near-far SSSP is the degenerate
+//       two-bucket configuration of this structure (the near pile is
+//       every bucket at or below the current band).
 //   kSmq — stealing multi-queue (the MultiQueue/SMQ family): several
 //       internal min-heaps; Pop samples two queues and serves the better
 //       top, and with probability `steal_prob` first rebalances a batch of
@@ -14,9 +16,10 @@
 //       seed reproduces the exact pop order (seed-determinism, §7).
 //   kSortedSet — no priorities: Pop drains every pending vertex as one
 //       batch, whatever the cap, in ascending vertex order (Groute's sorted
-//       active set). The driver pushes a vertex only while it is not
-//       already pending, so the batch holds each vertex once. It has no
-//       priority tail, so ExtractTail never takes anything.
+//       active set), ordered by an LSD radix sort. The driver pushes a
+//       vertex only while it is not already pending, so the batch holds
+//       each vertex once. It has no priority tail, so ExtractTail never
+//       takes anything.
 //
 // Entries are hints, not truth: the driver keeps a dirty bitmap and skips
 // popped entries whose vertex is no longer dirty (lazy deletion), so a
@@ -27,8 +30,8 @@
 #ifndef GUM_CORE_ASYNC_WORKLIST_H_
 #define GUM_CORE_ASYNC_WORKLIST_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/random.h"
@@ -51,10 +54,11 @@ struct WorklistStats {
   // clamped into [0, kHistogramBuckets) — the run report's occupancy
   // histogram.
   static constexpr int kHistogramBuckets = 32;
-  std::vector<uint64_t> bucket_histogram =
-      std::vector<uint64_t>(kHistogramBuckets, 0);
+  std::array<uint64_t, kHistogramBuckets> bucket_histogram{};
 };
 
+// Every operation reuses the worklist's own buffers, so once they have
+// grown to a run's high-water mark, neither a run nor a Reset allocates.
 class PriorityWorklist {
  public:
   static constexpr int64_t kNoBucket = INT64_MAX;
@@ -62,6 +66,11 @@ class PriorityWorklist {
   // delta must be > 0 (resolve the auto default before constructing).
   PriorityWorklist(AsyncWorklistKind kind, double delta, int smq_queues,
                    double steal_prob, int steal_batch_size, uint64_t seed);
+
+  // Restores the state the constructor builds from these arguments, the
+  // Rng and the stats included, and keeps every buffer for reuse.
+  void Reset(AsyncWorklistKind kind, double delta, int smq_queues,
+             double steal_prob, int steal_batch_size, uint64_t seed);
 
   void Push(graph::VertexId v, double priority);
 
@@ -92,10 +101,17 @@ class PriorityWorklist {
   const WorklistStats& stats() const { return stats_; }
 
  private:
+  // One kBuckets bucket. Its entry buffer stays with the slot when the
+  // bucket drains, and the next bucket opened in the slot reuses it.
   struct Bucket {
     std::vector<WorklistEntry> entries;
     size_t head = 0;  // entries[0, head) already popped
     size_t Live() const { return entries.size() - head; }
+  };
+  // An occupied bucket: its key and the slot holding its entries.
+  struct BucketRef {
+    int64_t key = 0;
+    uint32_t slot = 0;
   };
   // Heap entry for the SMQ flavor: ordered by (priority, seq) so ties
   // break on push order, never on container internals.
@@ -110,21 +126,37 @@ class PriorityWorklist {
   };
 
   void RecordHistogram(int64_t bucket);
+  Bucket& OpenBucket(int64_t key);
+  void CloseBucket(uint32_t slot);
   int PopBuckets(int64_t max_bucket, int max_entries,
                  std::vector<WorklistEntry>* out);
   int PopSmq(int max_entries, std::vector<WorklistEntry>* out);
   int PopSorted(std::vector<WorklistEntry>* out);
+  void RadixSortPending();
+  int ExtractSmqTail(size_t target, std::vector<WorklistEntry>* out);
 
-  AsyncWorklistKind kind_;
+  AsyncWorklistKind kind_ = AsyncWorklistKind::kBuckets;
   double delta_ = 1.0;
   double steal_prob_ = 0.0;
   int steal_batch_size_ = 0;
   Rng rng_;
 
-  std::map<int64_t, Bucket> buckets_;           // kBuckets
+  // kBuckets: a flat bucket store. order_ lists the occupied buckets by
+  // descending key, so the lowest (the one Pop drains) is at the back;
+  // every slot not named in order_ is on free_slots_.
+  std::vector<BucketRef> order_;
+  std::vector<Bucket> slots_;
+  std::vector<uint32_t> free_slots_;
   std::vector<std::vector<HeapEntry>> queues_;  // kSmq (std::*_heap order)
   std::vector<graph::VertexId> pending_;        // kSortedSet (push order)
   uint64_t next_seq_ = 0;
+
+  // Scratch: the sorted set's radix buffer and digit counts, and the SMQ
+  // tail's bucket keys and taken entries.
+  std::vector<graph::VertexId> sort_buf_;
+  std::vector<uint32_t> sort_counts_;
+  std::vector<int64_t> tail_keys_;
+  std::vector<HeapEntry> taken_;
 
   size_t live_ = 0;
   bool histogram_based_ = false;

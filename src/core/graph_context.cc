@@ -50,4 +50,20 @@ const FrontierCensus& GraphContext::stationary_census() const {
   return census_;
 }
 
+double GraphContext::average_edge_weight() const {
+  std::call_once(weight_once_, [this] {
+    double total_weight = 0.0;
+    for (graph::VertexId u = 0; u < g_->num_vertices(); ++u) {
+      const auto weights = g_->OutWeights(u);
+      if (weights.empty()) {
+        total_weight += g_->OutDegree(u);
+      } else {
+        for (const float w : weights) total_weight += w;
+      }
+    }
+    if (g_->num_edges() > 0) average_weight_ = total_weight / g_->num_edges();
+  });
+  return average_weight_;
+}
+
 }  // namespace gum::core

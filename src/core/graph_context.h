@@ -11,9 +11,9 @@
 // half lives in core/run_context.h.
 //
 // Thread-compatibility: all accessors are const and touch immutable state;
-// pull_edges() and stationary_census() are lazily built behind
-// std::call_once, so concurrent first calls are safe. The context must
-// outlive every engine and RunContext bound to it.
+// pull_edges(), stationary_census() and average_edge_weight() are lazily
+// built behind std::call_once, so concurrent first calls are safe. The
+// context must outlive every engine and RunContext bound to it.
 
 #ifndef GUM_CORE_GRAPH_CONTEXT_H_
 #define GUM_CORE_GRAPH_CONTEXT_H_
@@ -76,6 +76,11 @@ class GraphContext {
   // the data-driven loop runs.
   const FrontierCensus& stationary_census() const;
 
+  // The mean out-edge weight, an unweighted edge counting 1, behind the
+  // async driver's automatic bucket width. Computed on first call
+  // (thread-safe); BSP runs never call it.
+  double average_edge_weight() const;
+
  private:
   const graph::CsrGraph* g_;
   graph::Partition partition_;
@@ -91,6 +96,8 @@ class GraphContext {
   mutable PullEdges pull_;
   mutable std::once_flag census_once_;
   mutable FrontierCensus census_;
+  mutable std::once_flag weight_once_;
+  mutable double average_weight_ = 1.0;
 };
 
 }  // namespace gum::core

@@ -1,8 +1,9 @@
 // Per-query mutable engine state (DESIGN.md §13).
 //
 // RunContext<App> bundles everything GumEngine::Run mutates: the vertex
-// values and frontier, the message store, and the expand backend with its
-// staging arenas and spare frontier arena. A fresh RunContext per run is
+// values and frontier, the message store, the expand backend with its
+// staging arenas and spare frontier arena, and the async driver's
+// worklists, bundle heaps and message buffers. A fresh RunContext per run is
 // exactly the pre-split engine (the legacy Run overload makes one); a
 // long-lived RunContext reused across runs is the serving-mode fast path —
 // every buffer keeps its high-water capacity, so steady-state queries
@@ -18,6 +19,7 @@
 
 #include <vector>
 
+#include "core/async/async_scratch.h"
 #include "core/expand/expand_backend.h"
 #include "core/expand/frontier_scatter.h"
 #include "core/message_store.h"
@@ -36,6 +38,7 @@ struct RunContext {
   FrontierScatterBackend<App> scatter_backend;
   ExpandCounters expand_counters;
   std::vector<double> apply_msgs;
+  AsyncScratch<Message> async;
 
   // Resident bytes retained across queries (capacity, not live size).
   size_t FrontierArenaBytes() const {

@@ -4,11 +4,15 @@
 // thread counts {1,2,3,4,8} (DESIGN.md §7) — and golden
 // pins for the driver and its Groute preset.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +21,7 @@
 #include "algos/astar.h"
 #include "algos/reference.h"
 #include "baselines/groute.h"
+#include "common/random.h"
 #include "core/async/worklist.h"
 #include "core/engine.h"
 #include "sim/comm_plane.h"
@@ -169,6 +174,363 @@ TEST(PriorityWorklistTest, SortedSetPopsEverythingAscending) {
   EXPECT_EQ(order, (std::vector<VertexId>{1, 3, 7, 9}));
   EXPECT_TRUE(wl.empty());
   EXPECT_EQ(wl.MinBucket(), PriorityWorklist::kNoBucket);
+}
+
+// A test-local copy of the worklist before its flat bucket store: buckets
+// in a std::map, the SMQ tail counted in a std::map, the sorted set
+// ordered by std::sort. PriorityWorklist must match it operation by
+// operation.
+class MapWorklist {
+ public:
+  MapWorklist(AsyncWorklistKind kind, double delta, int smq_queues,
+              double steal_prob, int steal_batch_size, uint64_t seed)
+      : kind_(kind),
+        delta_(delta),
+        steal_prob_(steal_prob),
+        steal_batch_size_(steal_batch_size),
+        rng_(seed) {
+    if (kind_ == AsyncWorklistKind::kSmq) {
+      queues_.resize(static_cast<size_t>(std::max(1, smq_queues)));
+    }
+  }
+
+  void Push(VertexId v, double priority) {
+    ++stats.pushes;
+    ++live_;
+    if (kind_ == AsyncWorklistKind::kSortedSet) {
+      pending_.push_back(v);
+      return;
+    }
+    const int64_t bucket = BucketOf(priority);
+    if (!histogram_based_) {
+      histogram_based_ = true;
+      histogram_base_ = bucket;
+    }
+    ++histogram[static_cast<size_t>(std::clamp<int64_t>(
+        bucket - histogram_base_, 0, kHistogramBuckets - 1))];
+    if (kind_ == AsyncWorklistKind::kBuckets) {
+      buckets_[bucket].entries.push_back(WorklistEntry{v, priority});
+    } else {
+      auto& q = queues_[rng_.NextBounded(queues_.size())];
+      q.push_back(HeapEntry{priority, next_seq_++, v});
+      std::push_heap(q.begin(), q.end(), std::greater<>());
+    }
+  }
+
+  int64_t MinBucket() const {
+    if (live_ == 0) return PriorityWorklist::kNoBucket;
+    if (kind_ == AsyncWorklistKind::kSortedSet) return 0;
+    if (kind_ == AsyncWorklistKind::kBuckets) return buckets_.begin()->first;
+    int64_t best = PriorityWorklist::kNoBucket;
+    double best_priority = 0.0;
+    for (const auto& q : queues_) {
+      if (q.empty()) continue;
+      if (best == PriorityWorklist::kNoBucket ||
+          q.front().priority < best_priority) {
+        best_priority = q.front().priority;
+        best = BucketOf(best_priority);
+      }
+    }
+    return best;
+  }
+
+  int Pop(int64_t max_bucket, int max_entries,
+          std::vector<WorklistEntry>* out) {
+    int popped = 0;
+    if (kind_ == AsyncWorklistKind::kSortedSet) {
+      std::sort(pending_.begin(), pending_.end());
+      for (const VertexId v : pending_) out->push_back(WorklistEntry{v, 0.0});
+      popped = static_cast<int>(pending_.size());
+      pending_.clear();
+    } else if (kind_ == AsyncWorklistKind::kBuckets) {
+      while (popped < max_entries && !buckets_.empty()) {
+        auto it = buckets_.begin();
+        if (it->first > max_bucket) break;
+        Bucket& bucket = it->second;
+        while (popped < max_entries && bucket.head < bucket.entries.size()) {
+          out->push_back(bucket.entries[bucket.head++]);
+          ++popped;
+        }
+        if (bucket.head != bucket.entries.size()) break;
+        buckets_.erase(it);
+      }
+    } else {
+      popped = PopSmq(max_entries, out);
+    }
+    live_ -= static_cast<size_t>(popped);
+    stats.pops += static_cast<uint64_t>(popped);
+    return popped;
+  }
+
+  int ExtractTail(double fraction, std::vector<WorklistEntry>* out) {
+    if (live_ == 0 || kind_ == AsyncWorklistKind::kSortedSet) return 0;
+    const size_t target =
+        static_cast<size_t>(fraction * static_cast<double>(live_));
+    if (target == 0) return 0;
+    size_t extracted = 0;
+    if (kind_ == AsyncWorklistKind::kBuckets) {
+      std::vector<int64_t> span;
+      size_t count = 0;
+      const int64_t lowest = buckets_.begin()->first;
+      for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
+        if (it->first == lowest) break;
+        span.push_back(it->first);
+        count += it->second.entries.size() - it->second.head;
+        if (count >= target) break;
+      }
+      std::reverse(span.begin(), span.end());
+      for (const int64_t key : span) {
+        Bucket& bucket = buckets_.at(key);
+        for (size_t i = bucket.head; i < bucket.entries.size(); ++i) {
+          out->push_back(bucket.entries[i]);
+        }
+        extracted += bucket.entries.size() - bucket.head;
+        buckets_.erase(key);
+      }
+    } else {
+      std::map<int64_t, size_t> counts;
+      for (const auto& q : queues_) {
+        for (const auto& e : q) ++counts[BucketOf(e.priority)];
+      }
+      if (counts.size() < 2) return 0;
+      const int64_t lowest = counts.begin()->first;
+      size_t count = 0;
+      int64_t cut = PriorityWorklist::kNoBucket;
+      for (auto it = counts.rbegin(); it != counts.rend(); ++it) {
+        if (it->first == lowest) break;
+        count += it->second;
+        cut = it->first;
+        if (count >= target) break;
+      }
+      std::vector<HeapEntry> taken;
+      for (auto& q : queues_) {
+        std::vector<HeapEntry> keep;
+        for (const auto& e : q) {
+          (BucketOf(e.priority) >= cut ? taken : keep).push_back(e);
+        }
+        q.swap(keep);
+        std::make_heap(q.begin(), q.end(), std::greater<>());
+      }
+      std::sort(taken.begin(), taken.end(),
+                [](const HeapEntry& x, const HeapEntry& y) {
+                  if (x.priority != y.priority) return x.priority < y.priority;
+                  return x.seq < y.seq;
+                });
+      for (const auto& e : taken) {
+        out->push_back(WorklistEntry{e.vertex, e.priority});
+      }
+      extracted = taken.size();
+    }
+    live_ -= extracted;
+    return static_cast<int>(extracted);
+  }
+
+  size_t size() const { return live_; }
+
+  static constexpr int kHistogramBuckets =
+      core::WorklistStats::kHistogramBuckets;
+  core::WorklistStats stats;  // pushes, pops and the SMQ counters
+  std::vector<uint64_t> histogram = std::vector<uint64_t>(kHistogramBuckets);
+
+ private:
+  struct Bucket {
+    std::vector<WorklistEntry> entries;
+    size_t head = 0;
+  };
+  struct HeapEntry {
+    double priority = 0.0;
+    uint64_t seq = 0;
+    VertexId vertex = 0;
+    bool operator>(const HeapEntry& other) const {
+      if (priority != other.priority) return priority > other.priority;
+      return seq > other.seq;
+    }
+  };
+
+  int64_t BucketOf(double priority) const {
+    return static_cast<int64_t>(std::floor(priority / delta_));
+  }
+
+  int PopSmq(int max_entries, std::vector<WorklistEntry>* out) {
+    const size_t nq = queues_.size();
+    const size_t a = rng_.NextBounded(nq);
+    const size_t b = rng_.NextBounded(nq);
+    if (a != b && steal_prob_ > 0.0 && rng_.NextBernoulli(steal_prob_)) {
+      const size_t src = queues_[a].size() >= queues_[b].size() ? a : b;
+      const size_t dst = src == a ? b : a;
+      int moved = 0;
+      while (moved < steal_batch_size_ && queues_[src].size() > 1) {
+        std::pop_heap(queues_[src].begin(), queues_[src].end(),
+                      std::greater<>());
+        queues_[dst].push_back(queues_[src].back());
+        queues_[src].pop_back();
+        std::push_heap(queues_[dst].begin(), queues_[dst].end(),
+                       std::greater<>());
+        ++moved;
+      }
+      if (moved > 0) {
+        ++stats.smq_rebalances;
+        stats.smq_rebalanced_entries += static_cast<uint64_t>(moved);
+      }
+    }
+    size_t pick = nq;
+    if (queues_[a].empty() && queues_[b].empty()) {
+      for (size_t i = 0; i < nq && pick == nq; ++i) {
+        if (!queues_[i].empty()) pick = i;
+      }
+      if (pick == nq) return 0;
+    } else if (queues_[a].empty()) {
+      pick = b;
+    } else if (queues_[b].empty()) {
+      pick = a;
+    } else {
+      pick = queues_[b].front() > queues_[a].front() ? a : b;
+    }
+    auto& q = queues_[pick];
+    int popped = 0;
+    while (popped < max_entries && !q.empty()) {
+      std::pop_heap(q.begin(), q.end(), std::greater<>());
+      out->push_back(WorklistEntry{q.back().vertex, q.back().priority});
+      q.pop_back();
+      ++popped;
+    }
+    return popped;
+  }
+
+  AsyncWorklistKind kind_;
+  double delta_;
+  double steal_prob_;
+  int steal_batch_size_;
+  Rng rng_;
+  std::map<int64_t, Bucket> buckets_;
+  std::vector<std::vector<HeapEntry>> queues_;
+  std::vector<VertexId> pending_;
+  uint64_t next_seq_ = 0;
+  size_t live_ = 0;
+  bool histogram_based_ = false;
+  int64_t histogram_base_ = 0;
+};
+
+void ExpectSameEntries(const std::vector<WorklistEntry>& got,
+                       const std::vector<WorklistEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].vertex, want[i].vertex) << "entry " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[i].priority),
+              std::bit_cast<uint64_t>(want[i].priority))
+        << "entry " << i;
+  }
+}
+
+void ExpectSameState(const PriorityWorklist& wl, const MapWorklist& ref) {
+  ASSERT_EQ(wl.size(), ref.size());
+  ASSERT_EQ(wl.MinBucket(), ref.MinBucket());
+  const core::WorklistStats& stats = wl.stats();
+  ASSERT_EQ(stats.pushes, ref.stats.pushes);
+  ASSERT_EQ(stats.pops, ref.stats.pops);
+  ASSERT_EQ(stats.smq_rebalances, ref.stats.smq_rebalances);
+  ASSERT_EQ(stats.smq_rebalanced_entries, ref.stats.smq_rebalanced_entries);
+  ASSERT_TRUE(std::equal(stats.bucket_histogram.begin(),
+                         stats.bucket_histogram.end(),
+                         ref.histogram.begin(), ref.histogram.end()));
+}
+
+// Seeded random Push / Pop / ExtractTail sequences: signed priorities over
+// ~40 buckets, Pop under band bounds with caps from 1 to 4096 (most stop
+// mid-bucket), ExtractTail at several fractions. One PriorityWorklist runs
+// every sequence, Reset between them, against a fresh MapWorklist each.
+TEST(PriorityWorklistTest, MatchesMapReference) {
+  constexpr VertexId kVertices = 5000;
+  constexpr double kFractions[] = {0.1, 0.25, 0.5, 0.9, 1.0};
+  PriorityWorklist wl = BucketWl(1.0);
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto kind = static_cast<AsyncWorklistKind>(seed % 3);
+    const double delta = 0.25 + 0.5 * static_cast<double>(seed % 4);
+    const double steal_prob = seed % 2 == 0 ? 0.5 : 1.0;
+    const int steal_batch = 1 + static_cast<int>(seed % 8);
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << seed << ", worklist "
+                 << core::AsyncWorklistKindName(kind));
+    wl.Reset(kind, delta, 4, steal_prob, steal_batch, seed);
+    MapWorklist ref(kind, delta, 4, steal_prob, steal_batch, seed);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState(wl, ref));
+    Rng ops(seed * 7919);
+    std::vector<char> pending(kVertices, 0);  // sorted set: distinct ids
+    std::vector<WorklistEntry> got;
+    std::vector<WorklistEntry> want;
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = ops.NextBounded(10);
+      got.clear();
+      want.clear();
+      if (op < 6) {
+        const auto v = static_cast<VertexId>(ops.NextBounded(kVertices));
+        if (kind == AsyncWorklistKind::kSortedSet && pending[v]) continue;
+        pending[v] = 1;
+        const double priority = (ops.NextDouble() - 0.4) * 40.0 * delta;
+        wl.Push(v, priority);
+        ref.Push(v, priority);
+      } else if (op < 9) {
+        const int64_t min = wl.MinBucket();
+        const int64_t band =
+            min == PriorityWorklist::kNoBucket
+                ? min
+                : min + static_cast<int64_t>(ops.NextBounded(4));
+        const int cap = 1 << ops.NextBounded(13);  // 1 .. 4096
+        const int cap_jitter = static_cast<int>(ops.NextBounded(cap));
+        const int max_entries = std::max(1, cap - cap_jitter);
+        ASSERT_EQ(wl.Pop(band, max_entries, &got),
+                  ref.Pop(band, max_entries, &want));
+        for (const auto& e : got) pending[e.vertex] = 0;
+      } else {
+        const double fraction = kFractions[ops.NextBounded(5)];
+        ASSERT_EQ(wl.ExtractTail(fraction, &got),
+                  ref.ExtractTail(fraction, &want));
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(got, want)) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectSameState(wl, ref)) << "step " << step;
+    }
+  }
+}
+
+// The sorted set's pop order is std::sort's on empty, single, sparse and
+// dense sets (one to three radix passes of 4 to 11 bits), and on ids at
+// both ends of the id range.
+TEST(PriorityWorklistTest, PopSortedMatchesStdSort) {
+  Rng rng(11);
+  const auto draw = [&rng](size_t count, uint64_t span, VertexId base) {
+    std::vector<VertexId> ids;
+    std::set<VertexId> seen;
+    while (ids.size() < count) {
+      const auto v = static_cast<VertexId>(base + rng.NextBounded(span));
+      if (seen.insert(v).second) ids.push_back(v);
+    }
+    return ids;
+  };
+  const std::vector<std::vector<VertexId>> sets = {
+      {},
+      {42},
+      {0, 4294967295u},
+      draw(3, 1u << 20, 0),
+      draw(200, 1u << 24, 1000),
+      draw(5000, 1u << 30, 7),
+      draw(1000, 1000, 0),
+      draw(900, 1000, 4294966000u),
+      draw(3000, 60000, 123456),
+      draw(64, 4096, 0),
+      draw(65, 4096, 0),
+  };
+  PriorityWorklist wl(AsyncWorklistKind::kSortedSet, 1.0, 0, 0.0, 0, 1);
+  for (const auto& ids : sets) {
+    for (const VertexId v : ids) wl.Push(v, 0.0);
+    std::vector<WorklistEntry> out;
+    ASSERT_EQ(wl.Pop(wl.MinBucket(), 1, &out), static_cast<int>(ids.size()));
+    std::vector<VertexId> want = ids;
+    std::sort(want.begin(), want.end());
+    std::vector<VertexId> got;
+    for (const auto& e : out) got.push_back(e.vertex);
+    EXPECT_EQ(got, want) << ids.size() << " ids";
+    EXPECT_TRUE(wl.empty());
+  }
 }
 
 EngineOptions AsyncOptions() {
@@ -446,6 +808,124 @@ TEST(AsyncEngineTest, SingleDeviceWorks) {
   const RunResult result = engine.Run(app, &dist);
   EXPECT_EQ(result.async_range_steals, 0) << "nothing to steal on 1 GPU";
   EXPECT_EQ(dist, algos::ref::Sssp(g, app.source));
+}
+
+// Everything a run reports that a leak of state from one run into the next
+// could move.
+struct ReusePin {
+  uint64_t total_ms_bits = 0;
+  int iterations = 0;
+  uint64_t messages = 0;
+  uint64_t edges = 0;
+  int64_t stale_skips = 0;
+  std::vector<uint64_t> histogram;
+  int64_t range_steals = 0;
+  int64_t range_steal_entries = 0;
+  uint64_t range_steal_bytes_bits = 0;
+  uint64_t link_bytes_digest = 0;
+  uint64_t values_digest = 0;
+};
+
+template <typename Value>
+ReusePin PinReuse(const RunResult& r, const std::vector<Value>& values) {
+  ReusePin pin;
+  pin.total_ms_bits = std::bit_cast<uint64_t>(r.total_ms);
+  pin.iterations = r.iterations;
+  pin.messages = r.messages_sent;
+  pin.edges = r.edges_processed;
+  pin.stale_skips = r.async_stale_skips;
+  pin.histogram = r.async_bucket_histogram;
+  pin.range_steals = r.async_range_steals;
+  pin.range_steal_entries = r.async_range_steal_entries;
+  pin.range_steal_bytes_bits =
+      std::bit_cast<uint64_t>(r.async_range_steal_bytes);
+  pin.link_bytes_digest = test::LinkBytesDigest(r);
+  pin.values_digest = test::ValuesDigest(values);
+  return pin;
+}
+
+// One step of a reuse sequence: an app on a context under run options.
+template <typename App>
+struct ReuseStep {
+  const core::GraphContext* ctx;
+  EngineOptions options;
+  App app;
+};
+
+// Runs the steps in order on one RunContext, and each on a fresh one; the
+// two must agree on every pinned field. Returns the reused runs' pins.
+template <typename App>
+std::vector<ReusePin> ExpectReuseMatchesFresh(
+    const std::vector<ReuseStep<App>>& steps) {
+  std::vector<ReusePin> pins;
+  core::RunContext<App> reused;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "step " << i);
+    const ReuseStep<App>& step = steps[i];
+    GumEngine<App> engine(step.ctx);
+    std::vector<typename App::Value> values;
+    App app = step.app;
+    const RunResult warm = engine.Run(app, reused, &values, &step.options);
+    const ReusePin got = PinReuse(warm, values);
+    core::RunContext<App> fresh;
+    app = step.app;
+    const RunResult cold = engine.Run(app, fresh, &values, &step.options);
+    const ReusePin want = PinReuse(cold, values);
+    EXPECT_EQ(got.total_ms_bits, want.total_ms_bits);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.edges, want.edges);
+    EXPECT_EQ(got.stale_skips, want.stale_skips);
+    EXPECT_EQ(got.histogram, want.histogram);
+    EXPECT_EQ(got.range_steals, want.range_steals);
+    EXPECT_EQ(got.range_steal_entries, want.range_steal_entries);
+    EXPECT_EQ(got.range_steal_bytes_bits, want.range_steal_bytes_bits);
+    EXPECT_EQ(got.link_bytes_digest, want.link_bytes_digest);
+    EXPECT_EQ(got.values_digest, want.values_digest);
+    pins.push_back(got);
+  }
+  return pins;
+}
+
+// A RunContext carries the async driver's buffers from run to run. Reused
+// across worklist flavors, device counts and the BSP loop, it must leave
+// every result as a fresh context gives it. The segment cut with a low
+// steal threshold makes SSSP range-steal under both async worklists.
+TEST(AsyncEngineTest, RunContextReuseIsByteIdentical) {
+  const uint32_t side = 48;
+  const auto g = RoadGraph(side);
+  EngineOptions buckets = AsyncOptions();
+  buckets.async.range_steal_min_victim = 32;
+  EngineOptions smq = buckets;
+  smq.async.worklist = AsyncWorklistKind::kSmq;
+  smq.async.seed = 9;
+  const EngineOptions bsp = TestEngineOptions();
+  const core::GraphContext ctx8(
+      &g, MakePartition(g, 8, graph::PartitionerKind::kSegment), Topo(8),
+      buckets);
+  const core::GraphContext ctx5(
+      &g, MakePartition(g, 5, graph::PartitionerKind::kSegment), Topo(5),
+      buckets);
+
+  SsspApp corner;
+  corner.source = 0;
+  SsspApp middle;
+  middle.source = side / 2 * side + side / 2;
+  const auto sssp = ExpectReuseMatchesFresh<SsspApp>(
+      {{&ctx8, buckets, corner},
+       {&ctx5, smq, middle},
+       {&ctx8, bsp, corner},
+       {&ctx8, buckets, corner}});
+  EXPECT_GT(sssp[0].range_steals, 0);
+  EXPECT_GT(sssp[1].range_steals, 0);
+
+  DeltaPageRankApp dpr;
+  dpr.num_vertices = g.num_vertices();
+  dpr.epsilon = 1e-6;
+  ExpectReuseMatchesFresh<DeltaPageRankApp>({{&ctx8, smq, dpr},
+                                             {&ctx5, buckets, dpr},
+                                             {&ctx8, bsp, dpr},
+                                             {&ctx8, smq, dpr}});
 }
 
 // Golden pins for the one discrete-event loop behind GUM's async mode and
